@@ -6,8 +6,8 @@ formatting) and embed the resolved configuration plus the package version,
 so identical invocations produce byte-identical output regardless of the
 worker thread count.
 
-Exit codes: 0 success, 1 computational failure (e.g. restart exhaustion or an
-infeasible schedule), 2 usage error.
+Exit codes: 0 success, 1 computational failure (e.g. restart exhaustion, an
+infeasible schedule or running out of memory), 2 usage error.
 """
 
 from __future__ import annotations
@@ -141,6 +141,16 @@ def _seed_arg(value: str) -> int:
     return _check_seed(int(value))
 
 
+def _positive_int(value: str) -> int:
+    try:
+        number = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
+    return number
+
+
 # -- subcommand implementations -------------------------------------------------
 
 
@@ -187,9 +197,6 @@ def _cmd_gen(args) -> int:
 def _cmd_color(args) -> int:
     g = _load_graph(args.input)
     k = args.k
-    if k < 1:
-        print("color: k must be at least 1", file=sys.stderr)
-        return 2
     assignment = uniform_lists(g, k) if g.n else None
     config = {
         "subcommand": "color",
@@ -409,19 +416,33 @@ def _cmd_oracle(args) -> int:
 # -- parser ----------------------------------------------------------------------
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill unset options from --config JSON; flags win, defaults lose."""
+def _apply_config_file(
+    args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str]
+) -> argparse.Namespace:
+    """Parse again with the --config JSON values as flags ahead of the
+    command line's own: flags win, the file comes next, defaults lose.
+
+    Every value goes through its flag's type and checks, so a bad one is a
+    usage error; keys that name no option of the subcommand are ignored.
+    """
     path = getattr(args, "config", None)
     if not path:
-        return
+        return args
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot read config file {path}: {exc}")
+    if not isinstance(data, dict):
+        parser.error(f"config file {path}: expected a JSON object")
+    flags = []
     for key, value in data.items():
         dest = key.replace("-", "_")
-        if getattr(args, dest, None) is None and hasattr(args, dest):
-            setattr(args, dest, value)
+        if dest in ("command", "func") or not hasattr(args, dest):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            parser.error(f"config file {path}: {key} must be a number or a string")
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     color = sub.add_parser("color", help="colour a graph with k colours per vertex")
     color.add_argument("--input", required=True)
-    color.add_argument("--k", type=int, required=True)
+    color.add_argument("--k", type=_positive_int, required=True)
     color.add_argument("--seed", type=_seed_arg, default=0)
     color.add_argument("--beta", type=float)
     color.add_argument("--delta-prime", type=float)
@@ -494,12 +515,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo and sparsity experiments")
     sim.add_argument("--input", required=True)
-    sim.add_argument("--k", type=int, required=True)
+    sim.add_argument("--k", type=_positive_int, required=True)
     sim.add_argument("--experiment", choices=["mc", "sparsity"], default="mc")
-    sim.add_argument("--trials", type=int, default=1000)
-    sim.add_argument("--rounds", type=int, default=3)
+    sim.add_argument("--trials", type=_positive_int, default=1000)
+    sim.add_argument("--rounds", type=_positive_int, default=3)
     sim.add_argument("--seed", type=_seed_arg, default=0)
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=_positive_int, default=1)
     sim.add_argument("--config", type=str)
     sim.add_argument("--out", type=str)
     sim.add_argument("--format", choices=["json", "csv"])
@@ -507,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exhaustive outcome-space oracle")
     oracle.add_argument("--input", required=True)
-    oracle.add_argument("--k", type=int, required=True)
+    oracle.add_argument("--k", type=_positive_int, required=True)
     oracle.add_argument("--out", type=str)
     oracle.set_defaults(func=_cmd_oracle)
 
@@ -516,12 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    _apply_config_file(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _apply_config_file(parser.parse_args(argv), parser, argv)
     try:
         return args.func(args)
     except (DimacsError, GraphError, BoundDomainError, ValueError) as exc:
         print(f"sparsecolour: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("sparsecolour: out of memory", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"sparsecolour: {exc}", file=sys.stderr)

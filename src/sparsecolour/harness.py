@@ -22,12 +22,19 @@ from typing import Optional
 
 import numpy as np
 
-from .correspondence import CorrespondenceAssignment, is_total
+from .correspondence import (
+    CorrespondenceAssignment,
+    is_total,
+    residual_assignment,
+    totalize,
+    truncate,
+)
 from .graph import Graph, GraphError, local_sparsity
 from .ncp import (
     KIND_TRIAL,
     _Compiled,
     _nuv_counts,
+    _regularize_with_assignment,
     _round_arrays,
     _stats_arrays,
     derive_seed,
@@ -191,6 +198,38 @@ def _distance2_pairs(g: Graph) -> list[tuple[int, int]]:
             candidates.update(g.neighbours(w))
         pairs.extend((u, v) for v in sorted(candidates) if v >= u)
     return pairs
+
+
+def naive_regularize_with_assignment(
+    g: Graph, c: CorrespondenceAssignment
+) -> tuple[Graph, CorrespondenceAssignment]:
+    """Doubling regularisation built step by step as a graph and dict maps.
+
+    The reference for the engine's array doubling: copies keep their colour
+    sets and maps, and the edge joining a deficient vertex to its twin gets
+    the identity map.
+    """
+    target = g.max_degree()
+    cur_g, cur_c = g, c
+    while not cur_g.is_regular():
+        n = cur_g.n
+        edges = list(cur_g.edges())
+        deficient = [u for u in range(n) if cur_g.degree(u) < target]
+        new_edges = (
+            edges
+            + [(u + n, v + n) for u, v in edges]
+            + [(u, u + n) for u in deficient]
+        )
+        new_sets = cur_c.colour_sets + cur_c.colour_sets
+        new_maps: dict[tuple[int, int], dict[int, int]] = {}
+        for (u, v), mp in cur_c.edge_maps.items():
+            new_maps[(u, v)] = dict(mp)
+            new_maps[(u + n, v + n)] = dict(mp)
+        for u in deficient:
+            new_maps[(u, u + n)] = {col: col for col in cur_c.colour_sets[u]}
+        cur_g = Graph.from_edges(2 * n, new_edges)
+        cur_c = CorrespondenceAssignment(new_sets, new_maps)
+    return cur_g, cur_c
 
 
 def exact_keep_probability(k: int, degree: int) -> Fraction:
@@ -392,13 +431,9 @@ def residual_sparsity_experiment(
     of the uncoloured set; no assertion is made (the stability statement is
     asymptotic), the ratios are reported for regression.
     """
-    from .ncp import _regularize_with_assignment
-
     if not g.is_regular():
         raise GraphError("experiment requires a regular host graph")
     host_delta = local_sparsity(g).delta
-    from .correspondence import residual_assignment, totalize, truncate
-
     all_trials = []
     for t in range(trials):
         cur_g, cur_c = g, c
@@ -407,17 +442,12 @@ def residual_sparsity_experiment(
             if cur_g.n == 0 or cur_c.min_size() == 0:
                 break
             work_c = totalize(cur_g, truncate(cur_c, cur_c.min_size()))
-            reg_g, reg_c = _regularize_with_assignment(cur_g, work_c)
-            comp = _Compiled(reg_g, reg_c)
+            reg, base = _regularize_with_assignment(cur_g, work_c)
             round_seed = derive_seed(seed, KIND_TRIAL, t, i)
-            f1_idx, _, kept = _round_arrays(comp, round_seed)
-            kept_real = {
-                v for v in range(cur_g.n) if kept[v]
-            }
-            f_real = {
-                v: comp.colour_values[v][f1_idx[v]] for v in kept_real
-            }
-            mu = 1.0 - keep_probability(cur_c.min_size(), reg_g.max_degree())
+            f1_idx, _, kept = _round_arrays(reg, round_seed)
+            kept_real = {v for v in range(cur_g.n) if kept[v]}
+            f_real = {v: base.colour_values[v][f1_idx[v]] for v in kept_real}
+            mu = 1.0 - keep_probability(cur_c.min_size(), reg.max_degree)
             qr = quasirandom_check(
                 cur_g,
                 set(range(cur_g.n)) - kept_real,

@@ -133,48 +133,83 @@ class RoundStats:
 
 
 class _Compiled:
-    """Array form of (graph, assignment) for fast rounds and stats."""
+    """Array form of (graph, assignment) for fast rounds and stats.
 
-    def __init__(self, g: Graph, c: CorrespondenceAssignment, require_total: bool = True):
+    With a `focus`, only the vertices below it are real: statistic rows,
+    common-uncoloured pairs, outcomes and statistics cover them alone, while
+    the draws and the keep rule still run on every vertex.
+    """
+
+    def __init__(
+        self,
+        g: Graph,
+        c: CorrespondenceAssignment,
+        require_total: bool = True,
+        focus: Optional[int] = None,
+    ):
         if len(c.colour_sets) != g.n:
             raise AssignmentError("assignment does not match graph size")
         if any(len(s) == 0 for s in c.colour_sets):
             raise AssignmentError("all colour sets must be nonempty")
         if require_total and not is_total(g, c):
             raise AssignmentError("round execution needs a total assignment")
-        self.g = g
-        self.c = c
-        self.n = g.n
-        self.edges = list(g.edges())
-        self.m = len(self.edges)
+        edges = list(g.edges())
         self.colour_values = [list(s) for s in c.colour_sets]
-        self.k_arr = np.array([len(s) for s in self.colour_values], dtype=np.int64)
-        self.kmax = int(self.k_arr.max()) if g.n else 1
-        self.eu = np.array([e[0] for e in self.edges], dtype=np.int64)
-        self.ev = np.array([e[1] for e in self.edges], dtype=np.int64)
+        k_arr = np.array([len(s) for s in self.colour_values], dtype=np.int64)
+        self.kmax = int(k_arr.max()) if g.n else 1
 
         # Directed maps: row 2e is u->v of edge e, row 2e+1 is v->u, entries
         # are colour indices at the target (-1 marks padding).
         index_of = [
             {col: i for i, col in enumerate(vals)} for vals in self.colour_values
         ]
-        dir_map = np.full((2 * self.m, self.kmax), -1, dtype=np.int64)
-        dir_src = np.empty(2 * self.m, dtype=np.int64)
-        dir_dst = np.empty(2 * self.m, dtype=np.int64)
-        self.dir_id: dict[tuple[int, int], int] = {}
-        for e, (u, v) in enumerate(self.edges):
+        dir_map = np.full((2 * len(edges), self.kmax), -1, dtype=np.int64)
+        for e, (u, v) in enumerate(edges):
             mp = c.edge_maps[(u, v)]
             for cu, cv in mp.items():
                 dir_map[2 * e, index_of[u][cu]] = index_of[v][cv]
                 dir_map[2 * e + 1, index_of[v][cv]] = index_of[u][cu]
-            dir_src[2 * e], dir_dst[2 * e] = u, v
-            dir_src[2 * e + 1], dir_dst[2 * e + 1] = v, u
+        self.index_of = index_of
+        self._set_edges(
+            np.array([e[0] for e in edges], dtype=np.int64),
+            np.array([e[1] for e in edges], dtype=np.int64),
+            dir_map,
+            k_arr,
+            g.max_degree(),
+            g.neighbours,
+            g.neighbour_set,
+            focus,
+        )
+
+    def _set_edges(
+        self, eu, ev, dir_map, k_arr, max_degree, neighbours, neighbour_set, focus
+    ) -> None:
+        """Install the edge arrays (sorted by (u, v), u < v) and the
+        per-edge indexes derived from them."""
+        self.n = len(k_arr)
+        self.m = len(eu)
+        self.focus = self.n if focus is None else min(focus, self.n)
+        self.eu, self.ev, self.dir_map, self.k_arr = eu, ev, dir_map, k_arr
+        self.max_degree = max_degree
+        self.neighbours = neighbours
+        self.neighbour_set = neighbour_set
+        self.dir_src = np.empty(2 * self.m, dtype=np.int64)
+        self.dir_dst = np.empty(2 * self.m, dtype=np.int64)
+        self.dir_src[0::2], self.dir_src[1::2] = eu, ev
+        self.dir_dst[0::2], self.dir_dst[1::2] = ev, eu
+        # Only rows into focus vertices feed the statistics.
+        if self.focus == self.n:
+            self.stat_rows = np.arange(2 * self.m, dtype=np.int64)
+        else:
+            self.stat_rows = np.flatnonzero(self.dir_dst < self.focus)
+        self.stat_src = self.dir_src[self.stat_rows]
+        self.stat_dst = self.dir_dst[self.stat_rows]
+        touching = np.flatnonzero(eu < self.focus)
+        self.dir_id: dict[tuple[int, int], int] = {}
+        ends = zip(touching.tolist(), eu[touching].tolist(), ev[touching].tolist())
+        for e, u, v in ends:
             self.dir_id[(u, v)] = 2 * e
             self.dir_id[(v, u)] = 2 * e + 1
-        self.dir_map = dir_map
-        self.dir_src = dir_src
-        self.dir_dst = dir_dst
-        self.index_of = index_of
         self._stats_built = False
         self._nuv_built = False
 
@@ -182,19 +217,17 @@ class _Compiled:
     def _build_stats(self) -> None:
         if self._stats_built:
             return
-        g = self.g
+        nbr_set, dir_id = self.neighbour_set, self.dir_id
         in_rows = []  # (u, a, b, dir a->u, dir b->u) with a < b adjacent in N(u)
         path_rows = []  # (u, x, w, y, dirs...) with x-w, w-y edges inside N(u), x < y
         tri_rows = []  # (u, a, b, c, dirs...) triangle a<b<c inside N(u)
-        for u in range(g.n):
-            nbrs = g.neighbour_set(u)
+        for u in range(self.focus):
+            nbrs = nbr_set(u)
             for a in sorted(nbrs):
-                inner = sorted(g.neighbour_set(a) & nbrs)
+                inner = sorted(nbr_set(a) & nbrs)
                 for b in inner:
                     if a < b:
-                        in_rows.append(
-                            (u, a, b, self.dir_id[(a, u)], self.dir_id[(b, u)])
-                        )
+                        in_rows.append((u, a, b, dir_id[(a, u)], dir_id[(b, u)]))
                 for i, x in enumerate(inner):
                     for y in inner[i + 1 :]:
                         path_rows.append(
@@ -203,21 +236,21 @@ class _Compiled:
                                 x,
                                 a,
                                 y,
-                                self.dir_id[(x, u)],
-                                self.dir_id[(a, u)],
-                                self.dir_id[(y, u)],
+                                dir_id[(x, u)],
+                                dir_id[(a, u)],
+                                dir_id[(y, u)],
                             )
                         )
-                        if x in g.neighbour_set(y) and a < x:
+                        if x in nbr_set(y) and a < x:
                             tri_rows.append(
                                 (
                                     u,
                                     a,
                                     x,
                                     y,
-                                    self.dir_id[(a, u)],
-                                    self.dir_id[(x, u)],
-                                    self.dir_id[(y, u)],
+                                    dir_id[(a, u)],
+                                    dir_id[(x, u)],
+                                    dir_id[(y, u)],
                                 )
                             )
         self.in_rows = np.array(in_rows, dtype=np.int64).reshape(-1, 5)
@@ -228,20 +261,18 @@ class _Compiled:
     def _build_nuv(self) -> None:
         if self._nuv_built:
             return
-        g = self.g
+        nbrs, nbr_set, focus = self.neighbours, self.neighbour_set, self.focus
         pairs: list[tuple[int, int]] = []
         concat: list[int] = []
         pair_of_entry: list[int] = []
         sizes: list[int] = []
-        for u in range(g.n):
+        for u in range(focus):
             candidates = {u}
-            for w in g.neighbours(u):
+            for w in nbrs(u):
                 candidates.add(w)
-                candidates.update(g.neighbours(w))
-            for v in sorted(candidates):
-                if v < u:
-                    continue
-                common = sorted(g.neighbour_set(u) & g.neighbour_set(v))
+                candidates.update(nbrs(w))
+            for v in sorted(v for v in candidates if u <= v < focus):
+                common = sorted(nbr_set(u) & nbr_set(v))
                 pid = len(pairs)
                 pairs.append((u, v))
                 sizes.append(len(common))
@@ -252,6 +283,35 @@ class _Compiled:
         self.nuv_concat = np.array(concat, dtype=np.int64)
         self.nuv_pair_of_entry = np.array(pair_of_entry, dtype=np.int64)
         self._nuv_built = True
+
+
+class _Adjacency:
+    """Sorted neighbour lists of an edge array, materialised per vertex on
+    first use (only the focus vertices' surroundings are ever asked for)."""
+
+    def __init__(self, n: int, eu: np.ndarray, ev: np.ndarray):
+        src = np.concatenate([eu, ev])
+        dst = np.concatenate([ev, eu])
+        order = np.lexsort((dst, src))
+        self._flat = dst[order]
+        self._start = np.concatenate(
+            [[0], np.cumsum(np.bincount(src, minlength=n))]
+        ).tolist()
+        self._lists: dict[int, tuple[int, ...]] = {}
+        self._sets: dict[int, frozenset[int]] = {}
+
+    def neighbours(self, u: int) -> tuple[int, ...]:
+        nbrs = self._lists.get(u)
+        if nbrs is None:
+            nbrs = tuple(self._flat[self._start[u] : self._start[u + 1]].tolist())
+            self._lists[u] = nbrs
+        return nbrs
+
+    def neighbour_set(self, u: int) -> frozenset[int]:
+        nbrs = self._sets.get(u)
+        if nbrs is None:
+            nbrs = self._sets[u] = frozenset(self.neighbours(u))
+        return nbrs
 
 
 def _round_arrays(comp: _Compiled, seed: int):
@@ -286,15 +346,14 @@ def _stats_arrays(comp: _Compiled, f1_idx: np.ndarray, kept: np.ndarray):
     A kept neighbour a of u belongs to the class of the colour at u matched
     with a's colour.  Pair/triple counts over all same-class kept members are
     corrected down to non-adjacent ones by inclusion-exclusion over the edges
-    inside each neighbourhood.
+    inside each neighbourhood.  Arrays cover the focus vertices only.
     """
     comp._build_stats()
-    n, kmax = comp.n, comp.kmax
+    n, kmax = comp.focus, comp.kmax
     if comp.m:
-        all_dirs = np.arange(2 * comp.m, dtype=np.int64)
-        cls = comp.dir_map[all_dirs, f1_idx[comp.dir_src]]
-        kept_src = kept[comp.dir_src]
-        key = comp.dir_dst * kmax + cls
+        cls = comp.dir_map[comp.stat_rows, f1_idx[comp.stat_src]]
+        kept_src = kept[comp.stat_src]
+        key = comp.stat_dst * kmax + cls
         counts = np.bincount(key[kept_src], minlength=n * kmax).reshape(n, kmax)
     else:
         counts = np.zeros((n, kmax), dtype=np.int64)
@@ -364,11 +423,19 @@ def _residual_degrees(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
 def _outcome_from_arrays(
     comp: _Compiled, f1_idx: np.ndarray, dirs: np.ndarray, kept: np.ndarray
 ) -> RoundOutcome:
-    f1 = tuple(comp.colour_values[u][f1_idx[u]] for u in range(comp.n))
+    """The outcome on the focus vertices and the edges between them."""
+    focus = comp.focus
+    f1 = tuple(
+        comp.colour_values[u][i] for u, i in enumerate(f1_idx[:focus].tolist())
+    )
+    inside = np.flatnonzero(comp.ev < focus)
     direction = {
-        (u, v): (u if dirs[e] == 0 else v) for e, (u, v) in enumerate(comp.edges)
+        (u, v): (u if d == 0 else v)
+        for u, v, d in zip(
+            comp.eu[inside].tolist(), comp.ev[inside].tolist(), dirs[inside].tolist()
+        )
     }
-    kept_set = frozenset(np.flatnonzero(kept).tolist())
+    kept_set = frozenset(np.flatnonzero(kept[:focus]).tolist())
     f = {u: f1[u] for u in kept_set}
     return RoundOutcome(f1, direction, kept_set, f)
 
@@ -391,23 +458,26 @@ def run_round(
 
 
 def _stats_from_arrays(comp: _Compiled, f1_idx, kept) -> RoundStats:
-    counts, col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
-    nuv = _nuv_counts(comp, kept)
-    res_deg = _residual_degrees(comp, kept)
-    uncol_ids = np.flatnonzero(~kept)
+    _, col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
+    return _stats_record(comp, kept, col, dist, p_u, t_u, _nuv_counts(comp, kept))
+
+
+def _stats_record(comp: _Compiled, kept, col, dist, p_u, t_u, nuv) -> RoundStats:
+    """RoundStats of the focus vertices from already computed arrays."""
+    focus = comp.focus
+    res_deg = _residual_degrees(comp, kept)[:focus]
+    uncol_ids = np.flatnonzero(~kept[:focus])
     residual_max = int(res_deg[uncol_ids].max()) if uncol_ids.size else 0
     if uncol_ids.size:
         k_prime = int((comp.k_arr[uncol_ids] - dist[uncol_ids]).min())
     else:
         k_prime = None
     return RoundStats(
-        col=tuple(int(x) for x in col),
-        dist=tuple(int(x) for x in dist),
-        pairs=tuple(int(x) for x in p_u),
-        triples=tuple(int(x) for x in t_u),
-        common_uncoloured={
-            pair: int(nuv[i]) for i, pair in enumerate(comp.nuv_pairs)
-        },
+        col=tuple(col.tolist()),
+        dist=tuple(dist.tolist()),
+        pairs=tuple(p_u.tolist()),
+        triples=tuple(t_u.tolist()),
+        common_uncoloured=dict(zip(comp.nuv_pairs, nuv.tolist())),
         residual_max_degree=residual_max,
         k_prime=k_prime,
     )
@@ -591,8 +661,8 @@ class AttemptResult:
 
 
 def attempt_round(
-    g: Graph,
-    c: CorrespondenceAssignment,
+    g: Graph | _Compiled,
+    c: Optional[CorrespondenceAssignment],
     params: RoundParams,
     seed: int,
     max_restarts: int = 200,
@@ -604,50 +674,54 @@ def attempt_round(
     an uncoloured vertex, and a quasirandomness violation of the uncoloured
     set.  When `focus` is given, only vertices (and vertex pairs) below it
     are checked: the driver regularises with throwaway copies whose own
-    statistics never influence the residual instance.
+    statistics never influence the residual instance.  The returned outcome
+    and statistics then describe the focus vertices alone: `f1`, `kept`,
+    `f` and the per-vertex statistics are indexed by focus vertex,
+    `direction` covers the edges between focus vertices, `common_uncoloured`
+    the pairs of focus vertices, and `residual_max_degree` / `k_prime` are
+    taken over the uncoloured focus vertices (with degrees counted in the
+    whole graph).  `g` may also be an instance compiled beforehand, such as
+    the regularised copy `iterative_colour` passes; `c` and `focus` are then
+    ignored in favour of the instance's own focus.
 
     On success returns the accepted outcome and statistics; after exhausting
     the restart budget, returns ok=False carrying the best-seen attempt
     (fewest violations) and its violation report.
     """
-    comp = _Compiled(g, c)
+    comp = g if isinstance(g, _Compiled) else _Compiled(g, c, focus=focus)
     comp._build_nuv()
     sizes = comp.nuv_sizes.astype(np.float64)
-    allowed = params.slack(g.max_degree()) if callable(params.slack) else float(params.slack)
-    limit = comp.n if focus is None else min(focus, comp.n)
-    pair_in_focus = np.array(
-        [u < limit and v < limit for u, v in comp.nuv_pairs], dtype=bool
+    allowed = params.slack(comp.max_degree) if callable(params.slack) else float(params.slack)
+    thresholds = np.array(
+        [params.stat_threshold(u) for u in range(comp.focus)], dtype=np.float64
     )
-    best: Optional[tuple[int, int, tuple, ViolationReport]] = None
+
+    def result(ok: bool, restarts: int, violations, arrays) -> AttemptResult:
+        f1_idx, dirs, kept, col, dist, p_u, t_u, nuv = arrays
+        outcome = _outcome_from_arrays(comp, f1_idx, dirs, kept)
+        stats = _stats_record(comp, kept, col, dist, p_u, t_u, nuv)
+        return AttemptResult(ok, outcome, stats, restarts, violations)
+
+    best: Optional[tuple[int, ViolationReport, tuple]] = None
     for attempt in range(max(1, max_restarts)):
         attempt_seed = derive_seed(seed, KIND_RESTART, attempt)
         f1_idx, dirs, kept = _round_arrays(comp, attempt_seed)
         _, col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
-        thresholds = np.array(
-            [params.stat_threshold(u) for u in range(comp.n)], dtype=np.float64
-        )
-        in_focus = np.zeros(comp.n, dtype=bool)
-        in_focus[:limit] = True
-        stat_bad = np.flatnonzero(
-            ((p_u - t_u) < thresholds) & ~kept & in_focus
-        )
+        stat_bad = np.flatnonzero(((p_u - t_u) < thresholds) & ~kept[: comp.focus])
         nuv = _nuv_counts(comp, kept)
         dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
-        quasi_bad = np.flatnonzero((dev > allowed) & pair_in_focus)
+        quasi_bad = np.flatnonzero(dev > allowed)
         violations = ViolationReport(
-            tuple(int(u) for u in stat_bad),
-            tuple(comp.nuv_pairs[i] for i in quasi_bad),
+            tuple(stat_bad.tolist()),
+            tuple(comp.nuv_pairs[i] for i in quasi_bad.tolist()),
         )
+        arrays = (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv)
         if violations.total == 0:
-            outcome = _outcome_from_arrays(comp, f1_idx, dirs, kept)
-            stats = _stats_from_arrays(comp, f1_idx, kept)
-            return AttemptResult(True, outcome, stats, attempt, violations)
+            return result(True, attempt, violations, arrays)
         if best is None or violations.total < best[0]:
-            best = (violations.total, attempt, (f1_idx, dirs, kept), violations)
-    total, attempt, arrays, violations = best
-    outcome = _outcome_from_arrays(comp, *arrays)
-    stats = _stats_from_arrays(comp, arrays[0], arrays[2])
-    return AttemptResult(False, outcome, stats, max(1, max_restarts), violations)
+            best = (violations.total, violations, arrays)
+    _, violations, arrays = best
+    return result(False, max(1, max_restarts), violations, arrays)
 
 
 # -- iteration schedule ------------------------------------------------------------
@@ -827,39 +901,67 @@ REGULARIZED_SIZE_CAP = 2_000_000
 
 def _regularize_with_assignment(
     g: Graph, c: CorrespondenceAssignment
-) -> tuple[Graph, CorrespondenceAssignment]:
-    """Doubling regularisation carrying the assignment along.
+) -> tuple[_Compiled, _Compiled]:
+    """Doubling regularisation carrying the assignment along, in array form.
 
-    Copies keep their colour sets and maps; the joining edges between
-    deficient twins get the ascending (here: identity) bijection.
+    Each step takes two copies of the current graph and joins every vertex
+    of degree below the maximum D to its twin, until the graph is regular:
+    n 2^(D - delta_min) vertices in the end, with g induced on the first g.n
+    (the focus).  Copies reuse their original's direction-map rows; a
+    joining edge gets the identity map, since both ends carry the same
+    colour set.  Edges end up sorted by (u, v), the order of Graph.edges()
+    by which direction draws are keyed.
+
+    Returns the compiled regularised instance, focused on g's vertices, and
+    the compiled input.
     """
-    target = g.max_degree()
-    cur_g, cur_c = g, c
-    while not cur_g.is_regular():
-        n = cur_g.n
-        if 2 * n > REGULARIZED_SIZE_CAP:
-            raise ScheduleError(
-                f"regularised graph would exceed {REGULARIZED_SIZE_CAP} vertices"
-            )
-        edges = list(cur_g.edges())
-        deficient = [u for u in range(n) if cur_g.degree(u) < target]
-        new_edges = (
-            edges
-            + [(u + n, v + n) for u, v in edges]
-            + [(u, u + n) for u in deficient]
+    base = _Compiled(g, c)
+    n0, target, kmax = base.n, base.max_degree, base.kmax
+    eu, ev = base.eu, base.ev
+    degree = np.bincount(np.concatenate([eu, ev]), minlength=n0)
+    steps = target - int(degree.min()) if n0 else 0
+    n_final = n0 << steps
+    if n_final > REGULARIZED_SIZE_CAP:
+        # eu, ev, dir_src, dir_dst and the (2m x kmax) map, plus k_arr.
+        nbytes = 8 * (n_final * target * (kmax + 3) + n_final)
+        raise ScheduleError(
+            f"regularised graph would have {n_final} vertices "
+            f"({nbytes / 2**20:.0f} MiB compiled), above the cap of "
+            f"{REGULARIZED_SIZE_CAP} vertices"
         )
-        new_sets = cur_c.colour_sets + tuple(
-            cur_c.colour_sets[u] for u in range(n)
-        )
-        new_maps: dict[tuple[int, int], dict[int, int]] = {}
-        for (u, v), mp in cur_c.edge_maps.items():
-            new_maps[(u, v)] = dict(mp)
-            new_maps[(u + n, v + n)] = dict(mp)
-        for u in deficient:
-            new_maps[(u, u + n)] = {col: col for col in cur_c.colour_sets[u]}
-        cur_g = Graph.from_edges(2 * n, new_edges)
-        cur_c = CorrespondenceAssignment(new_sets, new_maps)
-    return cur_g, cur_c
+    forward, backward = base.dir_map[0::2], base.dir_map[1::2]
+    cols = np.arange(kmax)
+    identity = np.where(cols < base.k_arr[:, None], cols, -1)
+    n = n0
+    for _ in range(steps):
+        low = np.flatnonzero(degree < target)
+        join = identity[low % n0]  # vertex x copies vertex x % n0
+        eu = np.concatenate([eu, eu + n, low])
+        ev = np.concatenate([ev, ev + n, low + n])
+        forward = np.concatenate([forward, forward, join])
+        backward = np.concatenate([backward, backward, join])
+        degree = np.tile(degree, 2)
+        degree[low] += 1
+        degree[low + n] += 1
+        n *= 2
+    order = np.lexsort((ev, eu))
+    eu, ev = eu[order], ev[order]
+    dir_map = np.empty((2 * len(eu), kmax), dtype=np.int64)
+    dir_map[0::2], dir_map[1::2] = forward[order], backward[order]
+    adjacency = _Adjacency(n, eu, ev)
+    reg = object.__new__(_Compiled)
+    reg.colour_values, reg.index_of, reg.kmax = base.colour_values, base.index_of, kmax
+    reg._set_edges(
+        eu,
+        ev,
+        dir_map,
+        np.tile(base.k_arr, 1 << steps),
+        target,
+        adjacency.neighbours,
+        adjacency.neighbour_set,
+        focus=n0,
+    )
+    return reg, base
 
 
 @dataclass(frozen=True)
@@ -959,10 +1061,10 @@ def iterative_colour(
             )
         row = schedule.rows[iteration]
         work_c = totalize(cur_g, truncate(cur_c, k_min))
-        reg_g, reg_c = _regularize_with_assignment(cur_g, work_c)
+        reg, _ = _regularize_with_assignment(cur_g, work_c)
         params = default_round_params(
             k_min,
-            reg_g.max_degree(),
+            reg.max_degree,
             delta=row.delta,
             gamma=row.gamma,
             profile=profile,
@@ -970,12 +1072,7 @@ def iterative_colour(
             slack_coeff=slack_coeff,
         )
         result = attempt_round(
-            reg_g,
-            reg_c,
-            params,
-            derive_seed(seed, KIND_ROUND, iteration),
-            max_restarts,
-            focus=cur_g.n,
+            reg, None, params, derive_seed(seed, KIND_ROUND, iteration), max_restarts
         )
         if not result.ok:
             return ColouringResult(
@@ -988,7 +1085,7 @@ def iterative_colour(
                 "violations in the best attempt)",
                 iteration,
             )
-        f_real = {v: result.outcome.f[v] for v in range(cur_g.n) if v in result.outcome.f}
+        f_real = dict(sorted(result.outcome.f.items()))
         newly = {ids[v]: col for v, col in f_real.items()}
         assert not set(newly) & set(colouring), "a kept colour must never change"
         colouring.update(newly)

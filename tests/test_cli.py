@@ -1,6 +1,8 @@
 """Command line interface: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -174,6 +176,96 @@ class TestColorCommand:
         )
         assert json.loads(out2.read_text())["result"]["beta"] == 0.02
 
+    def test_config_file_beats_argparse_defaults(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "8", "--out", str(g)], capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_restarts": 1, "profile": "asymptotic"}))
+        base = ["color", "--input", str(g), "--k", "16", "--config", str(cfg)]
+        out1 = tmp_path / "with_cfg.json"
+        run([*base, "--out", str(out1)], capsys)
+        config = json.loads(out1.read_text())["config"]
+        assert (config["maxRestarts"], config["profile"]) == (1, "asymptotic")
+        out2 = tmp_path / "with_flag.json"
+        run([*base, "--max-restarts", "3", "--out", str(out2)], capsys)
+        assert json.loads(out2.read_text())["config"]["maxRestarts"] == 3
+
+    @pytest.mark.parametrize(
+        "entry", [{"beta": "abc"}, {"max_restarts": "abc"}, {"k": 0}, {"beta": None}]
+    )
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, capsys, entry):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--input", str(g), "--k", "6", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (key,) = entry
+        assert key.replace("_", "-") in err.splitlines()[-1]
+
+    def test_oversized_regularisation_fails_fast(self, tmp_path, capsys):
+        # 26 * 2^24 regularised vertices: refused before anything is built
+        g = tmp_path / "star.dimacs"
+        run(["gen", "--star", "25", "--out", str(g)], capsys)
+        start = time.perf_counter()
+        code, out, err = run(["color", "--input", str(g), "--k", "24"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "436207616 vertices" in err
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        import sparsecolour.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "iterative_colour", exhausted)
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        code, _, err = run(["color", "--input", str(g), "--k", "6"], capsys)
+        assert code == 1
+        assert err == "sparsecolour: out of memory\n"
+
+
+class TestReportPins:
+    """SHA-256 of the `result` section of seeded colour reports: a C5
+    blow-up coloured with k=18, and a random 8-regular graph whose first
+    round exhausts its 200 restarts."""
+
+    @pytest.mark.parametrize(
+        "gen, k, seed, digest",
+        [
+            (
+                ["--c5-blowup", "10"],
+                18,
+                0,
+                "4edd43f71c8eef46c85311f96d64329adfb64ae42a33927eccd9cbf370da3dbb",
+            ),
+            (
+                ["--random-regular", "100", "8", "--seed", "3"],
+                8,
+                0,
+                "629a57923d1c913f6b69c9424aefa1b5a86e0e8f08efb70e3f3e933a3c2586ae",
+            ),
+        ],
+    )
+    def test_result_digest(self, tmp_path, capsys, gen, k, seed, digest):
+        g = tmp_path / "g.dimacs"
+        run(["gen", *gen, "--out", str(g)], capsys)
+        out = tmp_path / "r.json"
+        run(
+            ["color", "--input", str(g), "--k", str(k), "--seed", str(seed),
+             "--out", str(out)],
+            capsys,
+        )
+        result = json.loads(out.read_text())["result"]
+        text = json.dumps(result, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSimulateCommand:
     def test_mc_thread_invariance(self, tmp_path, capsys):
@@ -235,3 +327,23 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--cycle", "5", "--seed", "-1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color", "--k", "0"],
+            ["oracle", "--k", "0"],
+            ["simulate", "--k", "0"],
+            ["simulate", "--k", "3", "--trials", "0"],
+            ["simulate", "--k", "3", "--rounds", "0"],
+            ["simulate", "--k", "3", "--threads", "0"],
+            ["simulate", "--k", "3", "--threads", "-2"],
+        ],
+    )
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, argv):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--cycle", "5", "--out", str(g)], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", str(g)])
+        assert exc.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err

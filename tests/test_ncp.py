@@ -464,3 +464,169 @@ class TestIterativeColour:
         # two runs agree bit for bit either way
         again = iterative_colour(g, c, schedule, seed=11, max_restarts=50, tau=0.0)
         assert result == again
+
+
+def _random_total_assignment(g, k, rng):
+    """k colours per vertex drawn from 0..2k-1, a random bijection per edge."""
+    sets = tuple(tuple(sorted(rng.sample(range(2 * k), k))) for _ in range(g.n))
+    maps = {}
+    for u, v in g.edges():
+        image = list(sets[v])
+        rng.shuffle(image)
+        maps[(u, v)] = dict(zip(sets[u], image))
+    return CorrespondenceAssignment(sets, maps)
+
+
+_REGULARISATION_CASES = [
+    ("gnp", lambda seed: gnp_graph(12, 0.3, seed)),
+    ("path", lambda seed: path_graph(7)),
+    ("star", lambda seed: star_graph(4)),
+    ("regular", lambda seed: random_regular_graph(20, 3, seed)),
+    ("edgeless", lambda seed: empty_graph(5)),
+]
+
+
+class TestArrayRegularisation:
+    @pytest.mark.parametrize("name, make", _REGULARISATION_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_naive_dict_doubling(self, name, make, seed):
+        from sparsecolour.harness import naive_regularize_with_assignment
+        from sparsecolour.ncp import _Compiled, _regularize_with_assignment
+
+        g = make(seed)
+        c = _random_total_assignment(g, 3, random.Random(seed))
+        reg, base = _regularize_with_assignment(g, c)
+        ref_g, ref_c = naive_regularize_with_assignment(g, c)
+        ref = _Compiled(ref_g, ref_c)
+        assert ref_g.is_regular()
+        assert (reg.n, reg.m, reg.focus, base.n) == (ref.n, ref.m, g.n, g.n)
+        assert reg.max_degree == ref.max_degree == g.max_degree()
+        for name in ("eu", "ev", "dir_map", "dir_src", "dir_dst", "k_arr"):
+            np.testing.assert_array_equal(getattr(reg, name), getattr(ref, name))
+        assert [reg.neighbours(u) for u in range(reg.n)] == [
+            ref_g.neighbours(u) for u in range(ref_g.n)
+        ]
+        assert all(
+            reg.neighbour_set(u) == ref_g.neighbour_set(u) for u in range(ref_g.n)
+        )
+
+    def test_size_checked_before_doubling(self):
+        # star with 25 leaves: 26 * 2^24 vertices after 24 doublings
+        g = star_graph(25)
+        c = uniform_lists(g, 24)
+        from sparsecolour.ncp import _regularize_with_assignment
+
+        with pytest.raises(ScheduleError, match=r"436207616 vertices \(\d+ MiB"):
+            _regularize_with_assignment(g, c)
+
+
+def _sliced_attempt(g, c, params, seed, max_restarts, focus):
+    """The unfocused engine's arrays over every vertex, then cut to `focus`."""
+    from sparsecolour.ncp import (
+        KIND_RESTART,
+        _Compiled,
+        _nuv_counts,
+        _outcome_from_arrays,
+        _round_arrays,
+        _stats_arrays,
+        _stats_from_arrays,
+    )
+
+    comp = _Compiled(g, c)
+    comp._build_nuv()
+    allowed = params.slack(g.max_degree())
+    best = None
+    for attempt in range(max_restarts):
+        f1_idx, dirs, kept = _round_arrays(
+            comp, derive_seed(seed, KIND_RESTART, attempt)
+        )
+        _, _, _, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
+        nuv = _nuv_counts(comp, kept)
+        stat_bad = tuple(
+            u
+            for u in range(focus)
+            if not kept[u] and p_u[u] - t_u[u] < params.stat_threshold(u)
+        )
+        quasi_bad = tuple(
+            (u, v)
+            for i, (u, v) in enumerate(comp.nuv_pairs)
+            if v < focus
+            and abs(float(nuv[i]) - params.mu * float(comp.nuv_sizes[i])) > allowed
+        )
+        total = len(stat_bad) + len(quasi_bad)
+        if best is None or total < best[0]:
+            best = (total, attempt, (f1_idx, dirs, kept), (stat_bad, quasi_bad))
+        if total == 0:
+            break
+    total, attempt, (f1_idx, dirs, kept), violations = best
+    ok = total == 0
+    full = _outcome_from_arrays(comp, f1_idx, dirs, kept)
+    stats = _stats_from_arrays(comp, f1_idx, kept)
+    kept_focus = frozenset(u for u in full.kept if u < focus)
+    uncoloured = [u for u in range(focus) if u not in kept_focus]
+    outcome = RoundOutcome(
+        full.f1[:focus],
+        {e: d for e, d in full.direction.items() if e[1] < focus},
+        kept_focus,
+        {u: col for u, col in full.f.items() if u < focus},
+    )
+    residual_degree = [
+        sum(1 for w in g.neighbours(u) if w not in full.kept) for u in uncoloured
+    ]
+    sliced = (
+        stats.col[:focus],
+        stats.dist[:focus],
+        stats.pairs[:focus],
+        stats.triples[:focus],
+        {p: x for p, x in stats.common_uncoloured.items() if p[1] < focus},
+        max(residual_degree, default=0),
+        min((len(c.colour_sets[u]) - stats.dist[u] for u in uncoloured), default=None),
+    )
+    restarts = attempt if ok else max_restarts
+    return ok, restarts, violations, outcome, sliced
+
+
+class TestFocusedAttempt:
+    # The first setting accepts after a few restarts on seeds 0-4; the
+    # second exhausts its restarts with both kinds of violation.
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "tau, slack_coeff, max_restarts", [(0.5, 1.5, 40), (3.0, 0.5, 3)]
+    )
+    def test_matches_sliced_unrestricted_attempt(
+        self, seed, tau, slack_coeff, max_restarts
+    ):
+        from sparsecolour.harness import naive_regularize_with_assignment
+        from sparsecolour.ncp import _regularize_with_assignment
+
+        host = gnp_graph(14, 0.35, seed)
+        c = _random_total_assignment(host, 4, random.Random(seed))
+        g, reg_c = naive_regularize_with_assignment(host, c)
+        delta = local_sparsity(g).delta if g.max_degree() >= 2 else 1.0
+        params = default_round_params(
+            4, g.max_degree(), delta=delta, gamma=0.05, tau=tau, slack_coeff=slack_coeff
+        )
+        expected = _sliced_attempt(g, reg_c, params, seed, max_restarts, host.n)
+        for result in (
+            attempt_round(g, reg_c, params, seed, max_restarts, focus=host.n),
+            attempt_round(
+                _regularize_with_assignment(host, c)[0], None, params, seed, max_restarts
+            ),
+        ):
+            stats = result.stats
+            got = (
+                result.ok,
+                result.restarts,
+                (result.violations.stat_vertices, result.violations.quasirandom_pairs),
+                result.outcome,
+                (
+                    stats.col,
+                    stats.dist,
+                    stats.pairs,
+                    stats.triples,
+                    stats.common_uncoloured,
+                    stats.residual_max_degree,
+                    stats.k_prime,
+                ),
+            )
+            assert got == expected
