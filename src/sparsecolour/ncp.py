@@ -135,9 +135,14 @@ class RoundStats:
 class _Compiled:
     """Array form of (graph, assignment) for fast rounds and stats.
 
-    With a `focus`, only the vertices below it are real: statistic rows,
-    common-uncoloured pairs, outcomes and statistics cover them alone, while
-    the draws and the keep rule still run on every vertex.
+    Built two ways.  `_Compiled(g, c)` compiles a whole instance; every
+    vertex is in its focus.  `_Compiled._from_arrays` grows a compiled
+    instance into a larger one given as edge arrays (the regularised copy),
+    focused on the original's vertices.  Only the vertices below `focus` are
+    real: statistic rows, common-uncoloured pairs, outcomes and statistics
+    cover them alone, while the draws and the keep rule still run on every
+    vertex.  `colour_values` and `index_of` likewise cover the focus
+    vertices only; `k_arr` covers all of them.
     """
 
     def __init__(
@@ -145,7 +150,6 @@ class _Compiled:
         g: Graph,
         c: CorrespondenceAssignment,
         require_total: bool = True,
-        focus: Optional[int] = None,
     ):
         if len(c.colour_sets) != g.n:
             raise AssignmentError("assignment does not match graph size")
@@ -178,17 +182,46 @@ class _Compiled:
             g.max_degree(),
             g.neighbours,
             g.neighbour_set,
-            focus,
+            g.n,
         )
+
+    @classmethod
+    def _from_arrays(
+        cls,
+        base: _Compiled,
+        eu: np.ndarray,
+        ev: np.ndarray,
+        dir_map: np.ndarray,
+        k_arr: np.ndarray,
+        adjacency: _Adjacency,
+    ) -> _Compiled:
+        """The instance with these edge arrays (sorted by (u, v), u < v)
+        and base's max degree, whose first base.n vertices are base's and
+        form its focus."""
+        comp = cls.__new__(cls)
+        comp.colour_values, comp.index_of = base.colour_values, base.index_of
+        comp.kmax = base.kmax
+        comp._set_edges(
+            eu,
+            ev,
+            dir_map,
+            k_arr,
+            base.max_degree,
+            adjacency.neighbours,
+            adjacency.neighbour_set,
+            base.n,
+        )
+        return comp
 
     def _set_edges(
         self, eu, ev, dir_map, k_arr, max_degree, neighbours, neighbour_set, focus
     ) -> None:
         """Install the edge arrays (sorted by (u, v), u < v) and the
-        per-edge indexes derived from them."""
+        per-edge indexes derived from them; vertices below `focus` are
+        real."""
         self.n = len(k_arr)
         self.m = len(eu)
-        self.focus = self.n if focus is None else min(focus, self.n)
+        self.focus = focus
         self.eu, self.ev, self.dir_map, self.k_arr = eu, ev, dir_map, k_arr
         self.max_degree = max_degree
         self.neighbours = neighbours
@@ -666,29 +699,34 @@ def attempt_round(
     params: RoundParams,
     seed: int,
     max_restarts: int = 200,
-    focus: Optional[int] = None,
 ) -> AttemptResult:
     """Rerun rounds with derived seeds until no bad event holds.
 
     Bad events: the pairs-minus-triples statistic falling below threshold at
     an uncoloured vertex, and a quasirandomness violation of the uncoloured
-    set.  When `focus` is given, only vertices (and vertex pairs) below it
-    are checked: the driver regularises with throwaway copies whose own
-    statistics never influence the residual instance.  The returned outcome
-    and statistics then describe the focus vertices alone: `f1`, `kept`,
-    `f` and the per-vertex statistics are indexed by focus vertex,
-    `direction` covers the edges between focus vertices, `common_uncoloured`
-    the pairs of focus vertices, and `residual_max_degree` / `k_prime` are
-    taken over the uncoloured focus vertices (with degrees counted in the
-    whole graph).  `g` may also be an instance compiled beforehand, such as
-    the regularised copy `iterative_colour` passes; `c` and `focus` are then
-    ignored in favour of the instance's own focus.
+    set.  `g` is either a graph, compiled here with the total assignment
+    `c`, or an instance compiled beforehand with `c` None.  The driver
+    passes the regularised copy from `_regularize_with_assignment`, whose
+    focus is the residual graph's vertices: the throwaway copies' own
+    statistics never influence the residual instance, so only vertices (and
+    vertex pairs) in the focus are checked.  The returned outcome and
+    statistics then describe the focus vertices alone: `f1`, `kept`, `f`
+    and the per-vertex statistics are indexed by focus vertex, `direction`
+    covers the edges between focus vertices, `common_uncoloured` the pairs
+    of focus vertices, and `residual_max_degree` / `k_prime` are taken over
+    the uncoloured focus vertices (with degrees counted in the whole graph).
+    For a graph, the focus is every vertex.
 
     On success returns the accepted outcome and statistics; after exhausting
     the restart budget, returns ok=False carrying the best-seen attempt
     (fewest violations) and its violation report.
     """
-    comp = g if isinstance(g, _Compiled) else _Compiled(g, c, focus=focus)
+    if isinstance(g, _Compiled):
+        if c is not None:
+            raise TypeError("a compiled instance carries its own assignment")
+        comp = g
+    else:
+        comp = _Compiled(g, c)
     comp._build_nuv()
     sizes = comp.nuv_sizes.astype(np.float64)
     allowed = params.slack(comp.max_degree) if callable(params.slack) else float(params.slack)
@@ -916,19 +954,37 @@ def _regularize_with_assignment(
     the compiled input.
     """
     base = _Compiled(g, c)
-    n0, target, kmax = base.n, base.max_degree, base.kmax
-    eu, ev = base.eu, base.ev
-    degree = np.bincount(np.concatenate([eu, ev]), minlength=n0)
-    steps = target - int(degree.min()) if n0 else 0
-    n_final = n0 << steps
+    target = base.max_degree
+    degree = np.bincount(np.concatenate([base.eu, base.ev]), minlength=base.n)
+    steps = target - int(degree.min()) if base.n else 0
+    n_final = base.n << steps
     if n_final > REGULARIZED_SIZE_CAP:
         # eu, ev, dir_src, dir_dst and the (2m x kmax) map, plus k_arr.
-        nbytes = 8 * (n_final * target * (kmax + 3) + n_final)
+        nbytes = 8 * (n_final * target * (base.kmax + 3) + n_final)
         raise ScheduleError(
             f"regularised graph would have {n_final} vertices "
             f"({nbytes / 2**20:.0f} MiB compiled), above the cap of "
             f"{REGULARIZED_SIZE_CAP} vertices"
         )
+    eu, ev, dir_map = _double(base, degree, steps)
+    return (
+        _Compiled._from_arrays(
+            base,
+            eu,
+            ev,
+            dir_map,
+            np.tile(base.k_arr, 1 << steps),
+            _Adjacency(n_final, eu, ev),
+        ),
+        base,
+    )
+
+
+def _double(base: _Compiled, degree: np.ndarray, steps: int):
+    """The edge arrays and direction map of `steps` doubling steps of
+    base, sorted by (u, v); `degree` is base's degree per vertex."""
+    target, n0, kmax = base.max_degree, base.n, base.kmax
+    eu, ev = base.eu, base.ev
     forward, backward = base.dir_map[0::2], base.dir_map[1::2]
     cols = np.arange(kmax)
     identity = np.where(cols < base.k_arr[:, None], cols, -1)
@@ -945,23 +1001,9 @@ def _regularize_with_assignment(
         degree[low + n] += 1
         n *= 2
     order = np.lexsort((ev, eu))
-    eu, ev = eu[order], ev[order]
     dir_map = np.empty((2 * len(eu), kmax), dtype=np.int64)
     dir_map[0::2], dir_map[1::2] = forward[order], backward[order]
-    adjacency = _Adjacency(n, eu, ev)
-    reg = object.__new__(_Compiled)
-    reg.colour_values, reg.index_of, reg.kmax = base.colour_values, base.index_of, kmax
-    reg._set_edges(
-        eu,
-        ev,
-        dir_map,
-        np.tile(base.k_arr, 1 << steps),
-        target,
-        adjacency.neighbours,
-        adjacency.neighbour_set,
-        focus=n0,
-    )
-    return reg, base
+    return eu[order], ev[order], dir_map
 
 
 @dataclass(frozen=True)

@@ -206,12 +206,22 @@ class TestColorCommand:
         (key,) = entry
         assert key.replace("_", "-") in err.splitlines()[-1]
 
-    def test_oversized_regularisation_fails_fast(self, tmp_path, capsys):
-        # 26 * 2^24 regularised vertices: refused before anything is built
+    def test_oversized_regularisation_fails_fast(self, tmp_path, capsys, monkeypatch):
+        # 26 * 2^24 regularised vertices: refused before any doubling step,
+        # which is replaced here by one that fails the test.
+        import sparsecolour.ncp as ncp
+
+        def doubling(*args, **kwargs):
+            raise AssertionError("the size check must come before any doubling")
+
+        monkeypatch.setattr(ncp, "_double", doubling)
         g = tmp_path / "star.dimacs"
         run(["gen", "--star", "25", "--out", str(g)], capsys)
         start = time.perf_counter()
         code, out, err = run(["color", "--input", str(g), "--k", "24"], capsys)
+        # The refusal reads a 26-vertex graph and compiles it once: about
+        # 4 ms on a 2-vCPU host, so the bound leaves a 250x margin for a
+        # slow or loaded machine.
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1

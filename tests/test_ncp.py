@@ -607,26 +607,32 @@ class TestFocusedAttempt:
             4, g.max_degree(), delta=delta, gamma=0.05, tau=tau, slack_coeff=slack_coeff
         )
         expected = _sliced_attempt(g, reg_c, params, seed, max_restarts, host.n)
-        for result in (
-            attempt_round(g, reg_c, params, seed, max_restarts, focus=host.n),
-            attempt_round(
-                _regularize_with_assignment(host, c)[0], None, params, seed, max_restarts
+        reg, _ = _regularize_with_assignment(host, c)
+        result = attempt_round(reg, None, params, seed, max_restarts)
+        stats = result.stats
+        got = (
+            result.ok,
+            result.restarts,
+            (result.violations.stat_vertices, result.violations.quasirandom_pairs),
+            result.outcome,
+            (
+                stats.col,
+                stats.dist,
+                stats.pairs,
+                stats.triples,
+                stats.common_uncoloured,
+                stats.residual_max_degree,
+                stats.k_prime,
             ),
-        ):
-            stats = result.stats
-            got = (
-                result.ok,
-                result.restarts,
-                (result.violations.stat_vertices, result.violations.quasirandom_pairs),
-                result.outcome,
-                (
-                    stats.col,
-                    stats.dist,
-                    stats.pairs,
-                    stats.triples,
-                    stats.common_uncoloured,
-                    stats.residual_max_degree,
-                    stats.k_prime,
-                ),
-            )
-            assert got == expected
+        )
+        assert got == expected
+
+    def test_compiled_instance_refuses_an_assignment(self):
+        from sparsecolour.ncp import _regularize_with_assignment
+
+        g = path_graph(4)
+        c = uniform_lists(g, 3)
+        reg, _ = _regularize_with_assignment(g, c)
+        params = default_round_params(3, reg.max_degree, delta=1.0, gamma=0.05)
+        with pytest.raises(TypeError, match="carries its own assignment"):
+            attempt_round(reg, c, params, seed=0)
