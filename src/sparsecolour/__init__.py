@@ -2,7 +2,7 @@
 
 Toolkit pieces:
 
-* :mod:`sparsecolour.graph` -- graphs, sparsity instrumentation, greedy
+* :mod:`sparsecolour.graph` -- graphs, sparsity instrumentation, first-fit
   colouring, DIMACS/JSON io;
 * :mod:`sparsecolour.cliques` -- exact maximum cliques and the
   clique-peeling reduction;
@@ -23,14 +23,12 @@ __version__ = "0.1.0"
 
 from .graph import (  # noqa: F401
     Graph,
-    GreedyResult,
     SparsityReport,
     complement_matching,
-    greedy_colour,
+    first_fit,
     list_chromatic_upper,
     local_sparsity,
     min_degree_ordering,
-    regularize,
 )
 from .cliques import (  # noqa: F401
     CliqueInfo,

@@ -158,6 +158,8 @@ def epsilon_for_alpha(alpha: float, grid: float = 1e-4) -> float:
     """
     if not 0 < alpha <= 1:
         raise BoundDomainError(f"alpha={alpha} outside (0, 1]")
+    if not 0 < grid <= 0.5:
+        raise BoundDomainError(f"grid={grid} outside (0, 0.5]")
     a2 = OURS_LINEAR * alpha / 2.0
     a3 = OURS_THREEHALF * alpha * alpha / (2.0 * math.sqrt(2.0))
     for i in range(int(round(0.5 / grid)) - 1, -1, -1):

@@ -473,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--seed", type=_seed_arg, default=0)
     color.add_argument("--beta", type=float)
     color.add_argument("--delta-prime", type=float)
-    color.add_argument("--max-restarts", type=int, default=200)
+    color.add_argument("--max-restarts", type=_positive_int, default=200)
     color.add_argument("--profile", choices=["asymptotic", "practical"], default="practical")
     color.add_argument("--config", type=str)
     color.add_argument("--out", type=str)
@@ -484,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--input", required=True)
     se.add_argument("--eta", type=float, default=0.164)
     se.add_argument("--seed", type=_seed_arg, default=0)
-    se.add_argument("--max-restarts", type=int, default=200)
+    se.add_argument("--max-restarts", type=_positive_int, default=200)
     se.add_argument("--config", type=str)
     se.add_argument("--out", type=str)
     se.add_argument("--format", choices=["json"])

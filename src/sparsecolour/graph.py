@@ -7,14 +7,13 @@ instances can be shared freely between threads.
 Also provides:
   * neighbourhood sparsity instrumentation (how far each neighbourhood is
     from being complete),
-  * the degree-regularising doubling construction,
-  * complement matchings, minimum-degree orderings and greedy list colouring,
+  * complement matchings, minimum-degree orderings and first-fit colouring,
   * DIMACS and JSON import/export.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -190,44 +189,6 @@ def local_sparsity(g: Graph, per_vertex: bool = False) -> SparsityReport:
     return SparsityReport(counts, max_deg, delta, per_vertex_delta)
 
 
-def triangle_count(g: Graph) -> int:
-    """Number of triangles in g."""
-    total = 0
-    for u, v in g.edges():
-        total += len(g.neighbour_set(u) & g.neighbour_set(v))
-    return total // 3
-
-
-# -- regularisation -----------------------------------------------------------
-
-
-def regularize(g: Graph) -> Graph:
-    """Embed g into a max-degree-regular graph containing g induced.
-
-    Repeatedly takes two copies of the current graph and joins corresponding
-    vertices of degree below the maximum.  Each step raises every deficient
-    degree by exactly one, so the construction terminates after at most
-    max_degree steps; the hard cap below only guards against bugs.  The input
-    appears as the induced subgraph on the first g.n vertices, and the maximum
-    degree never changes.
-    """
-    target = g.max_degree()
-    cap = max(1, (g.n * max(target, 1)).bit_length()) + target
-    current = g
-    steps = 0
-    while not current.is_regular():
-        n = current.n
-        edges = list(current.edges())
-        doubled = edges + [(u + n, v + n) for u, v in edges]
-        doubled += [
-            (u, u + n) for u in range(n) if current.degree(u) < target
-        ]
-        current = Graph.from_edges(2 * n, doubled)
-        steps += 1
-        assert steps <= cap, "regularize failed to terminate (bug)"
-    return current
-
-
 # -- complement matching ------------------------------------------------------
 
 
@@ -292,51 +253,26 @@ def list_chromatic_upper(n: int, omega: int) -> int:
     return (n + omega) // 2
 
 
-# -- greedy list colouring ----------------------------------------------------
+# -- first-fit colouring -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreedyResult:
-    """Outcome of a greedy colouring pass.
+def first_fit(
+    g: Graph, order: Iterable[int], colours: Optional[dict[int, int]] = None
+) -> dict[int, int]:
+    """Give each vertex of `order` the smallest colour >= 0 that no already
+    coloured neighbour uses.
 
-    `colouring` maps each successfully coloured vertex to a colour from its
-    palette; `failed` lists vertices (in processing order) whose palette was
-    exhausted when reached.
+    Extends `colours` in place (a new dict when None) and returns it.
     """
-
-    colouring: dict[int, int]
-    failed: tuple[int, ...] = ()
-
-    @property
-    def complete(self) -> bool:
-        return not self.failed
-
-
-def greedy_colour(
-    g: Graph,
-    order: Sequence[int],
-    palette: dict[int, Iterable[int]] | Sequence[Iterable[int]],
-) -> GreedyResult:
-    """Greedy proper list colouring along `order`.
-
-    Each vertex receives the smallest palette colour not used by an already
-    coloured neighbour.  With palettes of size degree+1 this always succeeds;
-    otherwise failures are recorded and those vertices stay uncoloured.
-    """
-    colouring: dict[int, int] = {}
-    failed: list[int] = []
+    if colours is None:
+        colours = {}
     for v in order:
-        used = {colouring[w] for w in g.neighbours(v) if w in colouring}
-        choice = None
-        for c in sorted(palette[v]):
-            if c not in used:
-                choice = c
-                break
-        if choice is None:
-            failed.append(v)
-        else:
-            colouring[v] = choice
-    return GreedyResult(colouring, tuple(failed))
+        used = {colours[w] for w in g.neighbours(v) if w in colours}
+        colour = 0
+        while colour in used:
+            colour += 1
+        colours[v] = colour
+    return colours
 
 
 # -- DIMACS / JSON io ---------------------------------------------------------
@@ -407,5 +343,18 @@ def to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
-def from_json_dict(data: dict) -> Graph:
-    return Graph.from_edges(int(data["n"]), [tuple(e) for e in data["edges"]])
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def from_json_dict(data: object) -> Graph:
+    """Graph from {"n": <int >= 0>, "edges": [[u, v], ...]}; any other shape
+    raises GraphError."""
+    if not (isinstance(data, dict) and _is_int(data.get("n")) and data["n"] >= 0):
+        raise GraphError('graph JSON must be an object with an integer "n" >= 0')
+    edges = data.get("edges")
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
+    ):
+        raise GraphError('graph JSON "edges" must be a list of [u, v] integer pairs')
+    return Graph.from_edges(data["n"], [tuple(e) for e in edges])

@@ -29,7 +29,7 @@ from .correspondence import (
     totalize,
     truncate,
 )
-from .graph import Graph, GraphError, local_sparsity
+from .graph import Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
     KIND_TRIAL,
     _Compiled,
@@ -498,14 +498,7 @@ def exact_chromatic(g: Graph) -> int:
         return 1
 
     order = sorted(range(g.n), key=g.degree, reverse=True)
-    greedy: dict[int, int] = {}
-    for v in order:
-        used = {greedy[w] for w in g.neighbours(v) if w in greedy}
-        colour = 0
-        while colour in used:
-            colour += 1
-        greedy[v] = colour
-    best = max(greedy.values()) + 1
+    best = max(first_fit(g, order).values()) + 1
 
     colours = [-1] * g.n
 

@@ -294,28 +294,40 @@ class _Compiled:
     def _build_nuv(self) -> None:
         if self._nuv_built:
             return
-        nbrs, nbr_set, focus = self.neighbours, self.neighbour_set, self.focus
-        pairs: list[tuple[int, int]] = []
-        concat: list[int] = []
-        pair_of_entry: list[int] = []
-        sizes: list[int] = []
-        for u in range(focus):
-            candidates = {u}
-            for w in nbrs(u):
-                candidates.add(w)
-                candidates.update(nbrs(w))
-            for v in sorted(v for v in candidates if u <= v < focus):
-                common = sorted(nbr_set(u) & nbr_set(v))
-                pid = len(pairs)
-                pairs.append((u, v))
-                sizes.append(len(common))
-                concat.extend(common)
-                pair_of_entry.extend([pid] * len(common))
-        self.nuv_pairs = pairs
-        self.nuv_sizes = np.array(sizes, dtype=np.int64)
-        self.nuv_concat = np.array(concat, dtype=np.int64)
-        self.nuv_pair_of_entry = np.array(pair_of_entry, dtype=np.int64)
+        rows = _distance2_rows(self.neighbours, self.neighbour_set, self.focus)
+        self.nuv_pairs, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = rows
         self._nuv_built = True
+
+
+def _distance2_rows(neighbours, neighbour_set, n: int):
+    """Every pair u <= v < n at distance <= 2 (u = v included), in
+    ascending order, with its common neighbourhood N(u) & N(v).
+
+    Returns (pairs, sizes, concat, pair_of_entry): `sizes[p]` is the size of
+    pair p's common neighbourhood, `concat` all common neighbourhoods (each
+    sorted) one after another, and `pair_of_entry[i]` the pair of concat[i].
+    """
+    pairs: list[tuple[int, int]] = []
+    concat: list[int] = []
+    pair_of_entry: list[int] = []
+    sizes: list[int] = []
+    for u in range(n):
+        candidates = {u}
+        for w in neighbours(u):
+            candidates.add(w)
+            candidates.update(neighbours(w))
+        for v in sorted(v for v in candidates if u <= v < n):
+            common = sorted(neighbour_set(u) & neighbour_set(v))
+            pair_of_entry.extend([len(pairs)] * len(common))
+            pairs.append((u, v))
+            sizes.append(len(common))
+            concat.extend(common)
+    return (
+        pairs,
+        np.array(sizes, dtype=np.int64),
+        np.array(concat, dtype=np.int64),
+        np.array(pair_of_entry, dtype=np.int64),
+    )
 
 
 class _Adjacency:
@@ -584,23 +596,17 @@ def quasirandom_check(
     """Check |#(N(u) & N(v) & uncoloured) - mu |N(u) & N(v)|| <= slack(max_degree)
     for every pair at distance <= 2 and every u = v; report the worst pair."""
     allowed = slack(g.max_degree()) if callable(slack) else float(slack)
-    worst_pair = None
-    worst_dev = -1.0
-    unc = set(uncoloured)
-    for u in range(g.n):
-        candidates = {u}
-        for w in g.neighbours(u):
-            candidates.add(w)
-            candidates.update(g.neighbours(w))
-        for v in sorted(candidates):
-            if v < u:
-                continue
-            common = g.neighbour_set(u) & g.neighbour_set(v)
-            dev = abs(len(common & unc) - mu * len(common))
-            if dev > worst_dev:
-                worst_dev = dev
-                worst_pair = (u, v)
-    return QuasirandomReport(worst_dev <= allowed, worst_pair, worst_dev, allowed)
+    pairs, sizes, concat, pair_of_entry = _distance2_rows(
+        g.neighbours, g.neighbour_set, g.n
+    )
+    if not pairs:
+        return QuasirandomReport(True, None, -1.0, allowed)
+    hits = np.isin(concat, list(uncoloured)).astype(np.float64)
+    in_unc = np.bincount(pair_of_entry, weights=hits, minlength=len(pairs))
+    dev = np.abs(in_unc - mu * sizes)
+    worst = int(np.argmax(dev))  # the first pair of largest deviation
+    worst_dev = float(dev[worst])
+    return QuasirandomReport(worst_dev <= allowed, pairs[worst], worst_dev, allowed)
 
 
 # -- restarted rounds -------------------------------------------------------------
@@ -833,7 +839,7 @@ def build_schedule(
         raise ScheduleError(
             f"need 0 <= delta_prime < delta <= 1 (got {delta_prime}, {delta})"
         )
-    if beta <= 0:
+    if not beta > 0:
         raise ScheduleError("beta must be positive")
     if _gamma_map(eps) + beta >= savings_rate(eps, delta_prime):
         raise ScheduleError(

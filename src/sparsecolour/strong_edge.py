@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .graph import Graph, GraphError, local_sparsity
+from .graph import Graph, GraphError, first_fit, local_sparsity
 
 Threshold = Union[int, float, Fraction]
 
@@ -344,12 +344,7 @@ def strong_edge_colour(
     # Reverse-peel extension: when a vertex returns, its coloured neighbours
     # are exactly the survivors present at its removal, fewer than the
     # threshold, so first-fit stays below threshold + 1 colours.
-    for v in reversed(removal_order):
-        used = {colours[w] for w in square.neighbours(v) if w in colours}
-        colour = 0
-        while colour in used:
-            colour += 1
-        colours[v] = colour
+    first_fit(square, reversed(removal_order), colours)
 
     num = len(set(colours.values()))
     valid = _validate_strong_colouring(h, edge_index, colours)
@@ -378,6 +373,7 @@ def _colour_core(
     if core_graph.n and core_graph.max_degree() >= 2:
         delta_core = local_sparsity(core_graph).delta
     max_deg = core_graph.max_degree()
+    warning = None
     if delta_core is not None and delta_core > 0 and max_deg >= 2:
         eps_target = approx_eps(min(delta_core, 0.9), "ours")
         k = math.ceil((1 - eps_target) * (max_deg + 1))
@@ -395,26 +391,7 @@ def _colour_core(
                 )
                 if result.ok:
                     return dict(result.colouring), True, None
-                return (
-                    _greedy_square(core_graph),
-                    False,
-                    f"engine failed ({result.failure_reason}); greedy fallback",
-                )
+                warning = f"engine failed ({result.failure_reason}); greedy fallback"
             except ScheduleError as exc:
-                return (
-                    _greedy_square(core_graph),
-                    False,
-                    f"no feasible schedule ({exc}); greedy fallback",
-                )
-    return _greedy_square(core_graph), False, None
-
-
-def _greedy_square(g: Graph) -> dict[int, int]:
-    colours: dict[int, int] = {}
-    for v in range(g.n):
-        used = {colours[w] for w in g.neighbours(v) if w in colours}
-        colour = 0
-        while colour in used:
-            colour += 1
-        colours[v] = colour
-    return colours
+                warning = f"no feasible schedule ({exc}); greedy fallback"
+    return first_fit(core_graph, range(core_graph.n)), False, warning

@@ -277,6 +277,46 @@ class TestReportPins:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+    @pytest.mark.parametrize(
+        "gen, argv, digest",
+        [
+            (
+                ["--c5-blowup", "4"],
+                ["strong-edge", "--seed", "0"],
+                "7aedf29c91ea43864a895cd6ce1e88d3022c65de3318b632ce34b4f8e9ca1fba",
+            ),
+            (
+                ["--gnp", "60", "0.15", "--seed", "1"],
+                ["strong-edge", "--seed", "0"],
+                "b8a014410b960842f783a73fa5b787b017c7f4ba3a173bade645813928f0c066",
+            ),
+            (
+                ["--c5-blowup", "3"],
+                ["simulate", "--k", "4", "--experiment", "sparsity",
+                 "--trials", "2", "--rounds", "2", "--seed", "1"],
+                "b4e8e6c87f2d14e72700ddbead870680a0069aa744a486a09ef2caf504d8a690",
+            ),
+            (
+                ["--random-regular", "40", "6", "--seed", "4"],
+                ["simulate", "--k", "6", "--experiment", "sparsity",
+                 "--trials", "3", "--rounds", "3", "--seed", "2"],
+                "369cf9f9ed3e497e0f29e1dbd60ff1053d87d0c49cb4a9323e46a9f6ed6dab64",
+            ),
+        ],
+    )
+    def test_other_report_digests(self, tmp_path, capsys, gen, argv, digest):
+        # Strong-edge reports (reverse-peel first-fit: these cores are empty)
+        # and residual sparsity reports (quasirandom_check's worst deviation).
+        g = tmp_path / "g.dimacs"
+        run(["gen", *gen, "--out", str(g)], capsys)
+        out = tmp_path / "r.json"
+        code, _, _ = run([*argv, "--input", str(g), "--out", str(out)], capsys)
+        assert code == 0
+        result = json.loads(out.read_text())["result"]
+        text = json.dumps(result, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestSimulateCommand:
     def test_mc_thread_invariance(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
@@ -348,6 +388,8 @@ class TestUsageErrors:
             ["simulate", "--k", "3", "--rounds", "0"],
             ["simulate", "--k", "3", "--threads", "0"],
             ["simulate", "--k", "3", "--threads", "-2"],
+            ["color", "--k", "3", "--max-restarts", "0"],
+            ["strong-edge", "--max-restarts", "-1"],
         ],
     )
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, argv):
@@ -357,3 +399,65 @@ class TestUsageErrors:
             main([*argv, "--input", str(g)])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"n": 3}',
+            "[1, 2]",
+            '{"n": 3, "edges": [[0, "1"]]}',
+            "[[0, 1.5]]",
+            '{"n": 3, "edges": null}',
+            '{"n": 2.7, "edges": []}',
+            '{"n": -2, "edges": []}',
+            '{"n": true, "edges": []}',
+            '{"n": 3, "edges": [[0, 1, 2]]}',
+            '{"n": 3, "edges": [[0, 3]]}',
+        ],
+    )
+    def test_malformed_graph_json_is_one_line(self, tmp_path, capsys, doc):
+        g = tmp_path / "g.json"
+        g.write_text(doc)
+        code, out, err = run(["color", "--input", str(g), "--k", "2"], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("sparsecolour: ")
+
+    @pytest.mark.parametrize("grid", ["0", "-1", "nan", "0.6"])
+    def test_grid_outside_range_is_one_line(self, capsys, grid):
+        code, out, err = run(["bounds", "table1", "--grid", grid], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"sparsecolour: grid={float(grid)} outside (0, 0.5]"]
+
+    def test_beta_nan_names_the_reason(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        code, out, _ = run(
+            ["color", "--input", str(g), "--k", "5", "--beta", "nan"], capsys
+        )
+        assert code == 1
+        reason = json.loads(out)["result"]["failureReason"]
+        assert reason == "schedule: beta must be positive"
+
+
+class TestBenchmarkTrace:
+    def test_tracer_wraps_every_listed_name(self, tmp_path, capsys, monkeypatch):
+        # The benchmark's trace mode wraps package functions and methods by
+        # name; a renamed or deleted one fails here rather than only there.
+        import importlib
+        from pathlib import Path
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracing").Tracer()
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "8", "--out", str(g)], capsys)
+        argv = ["color", "--input", str(g), "--k", "16", "--seed", "7"]
+        tracer.install()
+        try:
+            code = tracer.call(0, main, argv)
+        finally:
+            tracer.uninstall()
+        capsys.readouterr()
+        assert code == 0
+        assert tracer.counts["ncp.pair_rows"] > 0
+        assert tracer.counts["ncp.regularised_vertices_max"] >= 40
+        assert "ncp.pair_index_s" in tracer.self_times()

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from sparsecolour.correspondence import from_lists, uniform_lists
 from sparsecolour.generators import (
     complete_graph,
     cycle_graph,
@@ -19,17 +20,17 @@ from sparsecolour.graph import (
     Graph,
     GraphError,
     complement_matching,
+    first_fit,
     from_json_dict,
-    greedy_colour,
     list_chromatic_upper,
     local_sparsity,
     min_degree_ordering,
     parse_dimacs,
-    regularize,
     to_dimacs,
     to_json_dict,
-    triangle_count,
 )
+from sparsecolour.harness import naive_regularize_with_assignment
+from sparsecolour.ncp import _greedy_correspondence
 
 
 def brute_neighbourhood_edges(g, v):
@@ -101,7 +102,15 @@ class TestLocalSparsity:
         assert report.per_vertex_delta[1] is None  # leaves have degree 1
 
 
+def regularize(g):
+    reg, _ = naive_regularize_with_assignment(g, uniform_lists(g, 2))
+    return reg
+
+
 class TestRegularize:
+    """The doubling regularisation (the reference that the engine's array
+    doubling is tested against)."""
+
     def test_already_regular_unchanged(self):
         g = complete_graph(3)
         assert regularize(g) == g
@@ -232,51 +241,76 @@ def assert_proper(g, colouring):
             assert colouring[u] != colouring[v]
 
 
+class TestFirstFit:
+    def test_smallest_free_colour_along_order(self):
+        g = path_graph(4)
+        assert first_fit(g, [1, 2, 0, 3]) == {1: 0, 2: 1, 0: 1, 3: 0}
+
+    def test_extends_given_colouring_in_place(self):
+        g = complete_graph(3)
+        colours = {0: 1}
+        assert first_fit(g, [2, 1], colours) is colours
+        assert colours == {0: 1, 2: 0, 1: 2}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_proper_within_degree_plus_one(self, seed):
+        g = gnp_graph(10, 0.5, seed=seed)
+        colours = first_fit(g, range(10))
+        assert_proper(g, colours)
+        assert all(colours[v] <= g.degree(v) for v in range(10))
+
+
+def greedy_colour(g, order, palettes):
+    # Greedy list colouring is first-fit correspondence colouring under the
+    # identity maps of from_lists.
+    return _greedy_correspondence(g, from_lists(g, palettes), order)
+
+
 class TestGreedyColour:
     def test_triangle_with_three_colours(self):
         g = complete_graph(3)
-        result = greedy_colour(g, [0, 1, 2], [{1, 2, 3}] * 3)
-        assert result.complete
-        assert_proper(g, result.colouring)
+        colouring, failed = greedy_colour(g, [0, 1, 2], [{1, 2, 3}] * 3)
+        assert not failed
+        assert_proper(g, colouring)
 
     def test_forced_palettes_on_path(self):
         g = path_graph(3)
-        result = greedy_colour(g, [0, 1, 2], [{1}, {2}, {1}])
-        assert result.colouring == {0: 1, 1: 2, 2: 1}
+        colouring, _ = greedy_colour(g, [0, 1, 2], [{1}, {2}, {1}])
+        assert colouring == {0: 1, 1: 2, 2: 1}
 
     def test_tree_with_two_colours_bfs(self):
         g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
         bfs = [0, 1, 2, 3, 4, 5, 6]
-        result = greedy_colour(g, bfs, [{0, 1}] * 7)
-        assert result.complete
-        assert_proper(g, result.colouring)
+        colouring, failed = greedy_colour(g, bfs, [{0, 1}] * 7)
+        assert not failed
+        assert_proper(g, colouring)
 
     def test_exhausted_palette_reports_failure(self):
         g = complete_graph(3)
-        result = greedy_colour(g, [0, 1, 2], [{1, 2}] * 3)
-        assert not result.complete
-        assert result.failed == (2,)
-        assert_proper(g, result.colouring)
+        colouring, failed = greedy_colour(g, [0, 1, 2], [{1, 2}] * 3)
+        assert failed == [2]
+        assert_proper(g, colouring)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_degree_plus_one_always_succeeds(self, seed):
         g = gnp_graph(10, 0.5, seed=seed)
         palettes = [set(range(g.degree(v) + 1)) for v in range(10)]
-        result = greedy_colour(g, list(range(10)), palettes)
-        assert result.complete
-        assert_proper(g, result.colouring)
+        colouring, failed = greedy_colour(g, list(range(10)), palettes)
+        assert not failed
+        assert_proper(g, colouring)
 
 
 class TestTriangleCount:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force(self, seed):
+        # Each triangle has one edge inside the neighbourhood of each corner.
         g = gnp_graph(9, 0.5, seed=seed)
         brute = sum(
             1
             for a, b, c in itertools.combinations(range(9), 3)
             if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)
         )
-        assert triangle_count(g) == brute
+        assert sum(local_sparsity(g).neighbourhood_edges) == 3 * brute
 
 
 class TestDimacs:

@@ -23,9 +23,12 @@ from sparsecolour.generators import (
     star_graph,
 )
 from sparsecolour.graph import local_sparsity
+from sparsecolour.harness import _distance2_pairs
 from sparsecolour.ncp import (
+    QuasirandomReport,
     RoundOutcome,
     ScheduleError,
+    _distance2_rows,
     _entity_draws,
     attempt_round,
     build_schedule,
@@ -243,6 +246,41 @@ class TestQuasirandomCheck:
         assert report.worst_deviation == worst
         assert report.worst_pair is not None
 
+    def test_empty_graph_has_no_pair(self):
+        report = quasirandom_check(empty_graph(0), set(), 0.5, 1.0)
+        assert report == QuasirandomReport(True, None, -1.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_naive_scan_over_distance2_pairs(self, seed):
+        # The first pair, in _distance2_pairs order, of largest deviation.
+        g = gnp_graph(14, 0.3, seed=seed)
+        rng = random.Random(seed)
+        uncoloured = {v for v in range(g.n) if rng.random() < 0.5}
+        mu = rng.random()
+        worst_pair, worst = None, -1.0
+        for u, v in _distance2_pairs(g):
+            common = g.neighbour_set(u) & g.neighbour_set(v)
+            dev = abs(len(common & uncoloured) - mu * len(common))
+            if dev > worst:
+                worst_pair, worst = (u, v), dev
+        report = quasirandom_check(g, uncoloured, mu, asymptotic_slack)
+        assert (report.worst_pair, report.worst_deviation) == (worst_pair, worst)
+        assert report.ok == (worst <= asymptotic_slack(g.max_degree()))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_distance2_rows_match_naive_pairs(self, seed):
+        g = gnp_graph(12, 0.3, seed=seed)
+        pairs, sizes, concat, pair_of_entry = _distance2_rows(
+            g.neighbours, g.neighbour_set, g.n
+        )
+        assert pairs == _distance2_pairs(g)
+        commons = [sorted(g.neighbour_set(u) & g.neighbour_set(v)) for u, v in pairs]
+        assert sizes.tolist() == [len(c) for c in commons]
+        assert concat.tolist() == [w for c in commons for w in c]
+        assert pair_of_entry.tolist() == [
+            p for p, c in enumerate(commons) for _ in c
+        ]
+
     def test_slack_profiles(self):
         assert asymptotic_slack(1) == 0.0
         assert asymptotic_slack(8) == pytest.approx(math.sqrt(8) * math.log(8) ** 5)
@@ -345,6 +383,11 @@ class TestBuildSchedule:
             build_schedule(0.6, 0.9, 0.01, 0.855, 100.0)
         with pytest.raises(ScheduleError):
             build_schedule(0.05, 0.9, 0.01, 0.95, 100.0)
+
+    @pytest.mark.parametrize("beta", [0.0, -0.01, float("nan")])
+    def test_beta_must_be_positive(self, beta):
+        with pytest.raises(ScheduleError, match="beta must be positive"):
+            build_schedule(0.05, 0.9, beta, 0.855, 100.0)
 
     def test_default_beta_positive_iff_feasible(self):
         assert default_beta(0.05, 0.855) > 0

@@ -14,7 +14,7 @@ from sparsecolour.generators import (
     random_regular_graph,
     star_graph,
 )
-from sparsecolour.graph import Graph, GraphError
+from sparsecolour.graph import Graph, GraphError, first_fit
 from sparsecolour.strong_edge import (
     StrongNeighbourhoodProfile,
     c4_lower_bound,
@@ -54,6 +54,16 @@ class TestLineGraphSquare:
         sq, _ = line_graph_square(c5_blowup(3))
         assert sq.n == 45
         assert sq.m == 45 * 44 // 2
+
+    def test_dense_core_takes_greedy_path(self):
+        # K6 has sparsity delta = 0, so no schedule is tried: the core gets
+        # first-fit in vertex order, one colour per vertex, and no warning.
+        from sparsecolour.strong_edge import _colour_core
+
+        core = complete_graph(6)
+        result = _colour_core(core, seed=0, max_restarts=10)
+        assert result == (first_fit(core, range(6)), False, None)
+        assert result[0] == {v: v for v in range(6)}
 
     def test_edgeless_rejected(self):
         from sparsecolour.generators import empty_graph
