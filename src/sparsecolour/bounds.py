@@ -153,8 +153,9 @@ def epsilon_for_alpha(alpha: float, grid: float = 1e-4) -> float:
 
         eps <= 0.3012 (alpha/2) (1-2 eps)^2 - 0.1283 (alpha^2/(2 sqrt 2)) (1-2 eps)^3.
 
-    Found by a descending scan (the right-hand side is strictly decreasing in
-    eps on [0, 0.5), so the scan is unambiguous).
+    Found by bisection over the grid index: the right-hand side is strictly
+    decreasing in eps on [0, 0.5), so the condition holds on a prefix of the
+    grid, and the search takes O(log(1/grid)) steps.
     """
     if not 0 < alpha <= 1:
         raise BoundDomainError(f"alpha={alpha} outside (0, 1]")
@@ -162,12 +163,21 @@ def epsilon_for_alpha(alpha: float, grid: float = 1e-4) -> float:
         raise BoundDomainError(f"grid={grid} outside (0, 0.5]")
     a2 = OURS_LINEAR * alpha / 2.0
     a3 = OURS_THREEHALF * alpha * alpha / (2.0 * math.sqrt(2.0))
-    for i in range(int(round(0.5 / grid)) - 1, -1, -1):
+
+    def holds(i: int) -> bool:
         eps = i * grid
         t = 1.0 - 2.0 * eps
-        if eps <= a2 * t * t - a3 * t * t * t:
-            return eps
-    return 0.0
+        return eps <= a2 * t * t - a3 * t * t * t
+
+    # Invariant: holds(lo) or lo == 0, and not holds(hi) or hi == the grid size.
+    lo, hi = 0, int(round(0.5 / grid))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo * grid
 
 
 def alpha_eps_table(grid: float = 1e-4) -> list[tuple[float, float]]:

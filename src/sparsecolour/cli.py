@@ -154,6 +154,21 @@ def _positive_int(value: str) -> int:
 # -- subcommand implementations -------------------------------------------------
 
 
+def _gen_size_error(args) -> Optional[str]:
+    """Why the selected generator's size arguments are out of range, or None."""
+    for flag in ("complete", "path", "star"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            return f"--{flag} must be at least 0, got {value}"
+    if args.gnp is not None:
+        n, p = args.gnp
+        if not (n >= 0 and n.is_integer()):
+            return f"--gnp N must be a non-negative integer, got {n:g}"
+        if not 0 <= p <= 1:
+            return f"--gnp P must lie in [0, 1], got {p:g}"
+    return None
+
+
 def _cmd_gen(args) -> int:
     sources = [
         args.c5_blowup is not None,
@@ -167,6 +182,10 @@ def _cmd_gen(args) -> int:
     ]
     if sum(sources) != 1:
         print("gen: exactly one generator must be selected", file=sys.stderr)
+        return 2
+    size_error = _gen_size_error(args)
+    if size_error:
+        print(f"gen: {size_error}", file=sys.stderr)
         return 2
     if args.c5_blowup is not None:
         g = c5_blowup(args.c5_blowup)

@@ -42,6 +42,7 @@ from .ncp import (
     asymptotic_slack,
     quasirandom_check,
 )
+from .strong_edge import strong_neighbourhood
 
 ENUMERATION_GUARD = 10_000_000
 _MC_BLOCK = 64
@@ -230,6 +231,22 @@ def naive_regularize_with_assignment(
         cur_g = Graph.from_edges(2 * n, new_edges)
         cur_c = CorrespondenceAssignment(new_sets, new_maps)
     return cur_g, cur_c
+
+
+def naive_strong_colouring_valid(
+    h: Graph, edge_index: list[tuple[int, int]], colours: dict[int, int]
+) -> bool:
+    """Per-edge distance-2 scan: the reference for the pipeline's validator.
+
+    Every host edge is compared with each edge of its strong neighbourhood,
+    O(m D²) tuples; raises KeyError when `edge_index` or `colours` misses one.
+    """
+    id_of = {e: i for i, e in enumerate(edge_index)}
+    for i, e in enumerate(edge_index):
+        for f in strong_neighbourhood(h, e):
+            if colours[i] == colours[id_of[f]]:
+                return False
+    return True
 
 
 def exact_keep_probability(k: int, degree: int) -> Fraction:

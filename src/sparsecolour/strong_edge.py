@@ -56,17 +56,22 @@ def line_graph_square(h: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     for i, (u, v) in enumerate(edge_index):
         incident[u].append(i)
         incident[v].append(i)
-    adjacency: list[set[int]] = [set() for _ in edge_index]
+    # near[x]: the edges with an endpoint in N(x).  Edge uv's square
+    # neighbours are near[u] | near[v] without uv itself; those include the
+    # edges at u and at v, since v is in N(u) and u in N(v).
+    near: list[set[int]] = []
+    for x in range(h.n):
+        edges_near = set()
+        for w in h.neighbours(x):
+            edges_near.update(incident[w])
+        near.append(edges_near)
+    # Rows are built as tuples, which Graph keeps without copying.
+    adjacency = []
     for i, (u, v) in enumerate(edge_index):
-        reach = set()
-        for x in (u, v):
-            for w in h.neighbours(x):
-                reach.update(incident[w])
-        reach.update(incident[u])
-        reach.update(incident[v])
-        reach.discard(i)
-        adjacency[i] = reach
-    return Graph([sorted(s) for s in adjacency]), edge_index
+        row = near[u] | near[v]
+        row.discard(i)
+        adjacency.append(tuple(sorted(row)))
+    return Graph(adjacency), edge_index
 
 
 def strong_neighbourhood(h: Graph, e: tuple[int, int]) -> set[tuple[int, int]]:
@@ -198,27 +203,29 @@ def f_core(g: Graph, threshold: Threshold) -> frozenset[int]:
 def f_core_with_order(
     g: Graph, threshold: Threshold
 ) -> tuple[list[int], frozenset[int]]:
-    """As f_core, also returning the removal order of the peeled vertices."""
-    alive = set(range(g.n))
-    degree = {v: g.degree(v) for v in alive}
+    """As f_core, also returning the removal order of the peeled vertices.
+
+    Vertices are removed in waves, each wave in ascending id order: the first
+    wave is every vertex below the threshold, and each later wave is the
+    vertices the previous one pushed below it.
+    """
+    degree = [g.degree(v) for v in range(g.n)]
     removal_order: list[int] = []
-    queue = sorted(v for v in alive if degree[v] < threshold)
-    pending = set(queue)
+    queue = [v for v in range(g.n) if degree[v] < threshold]
+    # Only vertices never queued can still be pushed below the threshold; a
+    # queued vertex's degree is never read again, so it is not updated.
+    unqueued = set(range(g.n)).difference(queue)
     while queue:
         nxt: list[int] = []
         for v in queue:
-            alive.discard(v)
             removal_order.append(v)
-            for w in g.neighbours(v):
-                if w in alive and w not in pending:
-                    degree[w] -= 1
-                    if degree[w] < threshold:
-                        nxt.append(w)
-                        pending.add(w)
-                elif w in alive:
-                    degree[w] -= 1
+            for w in g.neighbour_set(v) & unqueued:
+                degree[w] -= 1
+                if degree[w] < threshold:
+                    nxt.append(w)
+                    unqueued.discard(w)
         queue = sorted(nxt)
-    return removal_order, frozenset(alive)
+    return removal_order, frozenset(unqueued)
 
 
 @dataclass(frozen=True)
@@ -282,10 +289,10 @@ class StrongColouringReport:
     """Result of the strong edge colouring pipeline.
 
     `colours[i]` is the colour of host edge `edge_index[i]`; the colouring is
-    re-validated by a direct distance-2 scan of the host.  `engine_used`
-    records whether the core was coloured by the iterative engine;
-    `engine_warning` is set when the engine was attempted but fell back to
-    greedy.
+    re-validated from the host adjacency through per-vertex colour sets.
+    `engine_used` records whether the core was coloured by the iterative
+    engine; `engine_warning` is set when the engine was attempted but fell
+    back to greedy.
     """
 
     colours: dict[int, int]
@@ -301,15 +308,26 @@ class StrongColouringReport:
 def _validate_strong_colouring(
     h: Graph, edge_index: list[tuple[int, int]], colours: dict[int, int]
 ) -> bool:
-    # Independent scan: edges sharing an endpoint or joined by an edge must
-    # differ, checked straight from the host adjacency.
-    id_of = {e: i for i, e in enumerate(edge_index)}
-    for i, e in enumerate(edge_index):
-        for f in strong_neighbourhood(h, e):
-            j = id_of[f]
-            if colours[i] == colours[j]:
-                return False
-    return True
+    """True iff `colours[i]` colours host edge `edge_index[i]` strongly.
+
+    `edge_index` must be exactly `h.edges()` and every position coloured.
+    Checked from the host adjacency in O(m D), not through L²(h): a colouring
+    is strong iff the colours at each vertex are distinct and, at each host
+    edge xy, the colour sets at x and y have only the colour of xy in common
+    (a second shared colour would sit on two edges joined by xy).
+    """
+    if edge_index != list(h.edges()):
+        return False
+    if colours.keys() != set(range(len(edge_index))):
+        return False
+    colours_at: list[set[int]] = [set() for _ in range(h.n)]
+    for i, (u, v) in enumerate(edge_index):
+        c = colours[i]
+        if c in colours_at[u] or c in colours_at[v]:
+            return False
+        colours_at[u].add(c)
+        colours_at[v].add(c)
+    return all(len(colours_at[u] & colours_at[v]) == 1 for u, v in edge_index)
 
 
 def strong_edge_colour(

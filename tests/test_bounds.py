@@ -7,6 +7,8 @@ from math import comb
 import pytest
 
 from sparsecolour.bounds import (
+    OURS_LINEAR,
+    OURS_THREEHALF,
     BoundDomainError,
     alpha_eps_table,
     approx_eps,
@@ -161,6 +163,20 @@ class TestCliqueRatioTable:
     )
     def test_reference_entries(self, alpha, expected):
         assert epsilon_for_alpha(alpha) == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("grid", [1e-4, 3e-5, 1e-3, 0.01, 0.05])
+    def test_bisection_matches_descending_scan(self, grid):
+        for i in range(1, 46):
+            alpha = i / 50.0
+            a2 = OURS_LINEAR * alpha / 2.0
+            a3 = OURS_THREEHALF * alpha * alpha / (2.0 * math.sqrt(2.0))
+            scanned = 0.0
+            for j in range(int(round(0.5 / grid)) - 1, -1, -1):
+                t = 1.0 - 2.0 * j * grid
+                if j * grid <= a2 * t * t - a3 * t * t * t:
+                    scanned = j * grid
+                    break
+            assert epsilon_for_alpha(alpha, grid) == scanned
 
     def test_table_shape_and_monotonicity(self):
         rows = alpha_eps_table()

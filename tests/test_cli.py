@@ -65,6 +65,12 @@ class TestBoundsCommand:
         assert lines[1] == "0.02,0.0029"
         assert lines[-1] == "0.90,0.0752"
 
+    def test_table1_fine_grid_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(["bounds", "table1", "--grid", "1e-9"], capsys)
+        assert code == 0 and len(out.splitlines()) == 46
+        assert time.perf_counter() - start < 1.0
+
     def test_constants_report(self, capsys):
         code, out, _ = run(["bounds", "constants"], capsys)
         assert code == 0
@@ -399,6 +405,40 @@ class TestUsageErrors:
             main([*argv, "--input", str(g)])
         assert exc.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["--star", "-3"], "--star must be at least 0, got -3"),
+            (["--complete", "-2"], "--complete must be at least 0, got -2"),
+            (["--path", "-1"], "--path must be at least 0, got -1"),
+            (["--gnp", "10.5", "0.3"], "--gnp N must be a non-negative integer, got 10.5"),
+            (["--gnp", "-4", "0.3"], "--gnp N must be a non-negative integer, got -4"),
+            (["--gnp", "nan", "0.3"], "--gnp N must be a non-negative integer, got nan"),
+            (["--gnp", "4", "2"], "--gnp P must lie in [0, 1], got 2"),
+            (["--gnp", "4", "-0.1"], "--gnp P must lie in [0, 1], got -0.1"),
+            (["--gnp", "4", "nan"], "--gnp P must lie in [0, 1], got nan"),
+        ],
+    )
+    def test_gen_size_out_of_range_is_usage_error(self, tmp_path, capsys, argv, reason):
+        out = tmp_path / "g.dimacs"
+        code, stdout, err = run(["gen", *argv, "--out", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines() == [f"gen: {reason}"]
+
+    @pytest.mark.parametrize(
+        "argv,header",
+        [
+            (["--star", "0"], "p edge 1 0"),
+            (["--path", "0"], "p edge 0 0"),
+            (["--gnp", "0", "0"], "p edge 0 0"),
+            (["--gnp", "3", "1"], "p edge 3 3"),
+            (["--gnp", "3.0", "0"], "p edge 3 0"),
+        ],
+    )
+    def test_gen_size_at_range_edge_accepted(self, capsys, argv, header):
+        code, out, _ = run(["gen", *argv], capsys)
+        assert code == 0 and out.splitlines()[0] == header
 
     @pytest.mark.parametrize(
         "doc",

@@ -1,6 +1,7 @@
 """Line graph squares, strong-neighbourhood geometry, core peeling, pipeline."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from sparsecolour.generators import (
     star_graph,
 )
 from sparsecolour.graph import Graph, GraphError, first_fit
+from sparsecolour.harness import naive_strong_colouring_valid
 from sparsecolour.strong_edge import (
     StrongNeighbourhoodProfile,
+    _validate_strong_colouring,
     c4_lower_bound,
     c5_blowup,
     f_core,
@@ -81,6 +84,22 @@ class TestLineGraphSquare:
             assert sq.has_edge(i, j) == edges_within_distance_two(
                 h, idx[i], idx[j]
             )
+
+    @pytest.mark.parametrize(
+        "host",
+        [gnp_graph(12, 0.3, seed=1), gnp_graph(20, 0.15, seed=2),
+         random_regular_graph(14, 3, seed=3), random_regular_graph(16, 4, seed=4)],
+        ids=["gnp12", "gnp20", "rr14x3", "rr16x4"],
+    )
+    def test_matches_networkx_square_of_line_graph(self, host):
+        nx = pytest.importorskip("networkx")
+        h = nx.Graph(list(host.edges()))
+        expected = {
+            frozenset(tuple(sorted(e)) for e in pair)
+            for pair in nx.power(nx.line_graph(h), 2).edges()
+        }
+        sq, idx = line_graph_square(host)
+        assert {frozenset((idx[i], idx[j])) for i, j in sq.edges()} == expected
 
 
 class TestC5Blowup:
@@ -234,6 +253,29 @@ class TestCore:
         g = gnp_graph(12, 0.35, seed=seed)
         assert f_core(g, threshold) == brute_force_core(g, threshold)
 
+    @pytest.mark.parametrize(
+        "n,p,seed,threshold",
+        [(30, 0.2, 1, 4), (30, 0.2, 2, 4), (40, 0.15, 0, 5), (60, 0.1, 4, 4),
+         (30, 0.2, 1, Fraction(7, 2))],
+    )
+    def test_removal_order_matches_wave_reference(self, n, p, seed, threshold):
+        # Reference: each wave is every vertex still alive whose degree among
+        # the alive vertices is below the threshold, in ascending order.
+        g = gnp_graph(n, p, seed=seed)
+        alive, waves = set(range(g.n)), []
+        while True:
+            wave = sorted(
+                v for v in alive if len(g.neighbour_set(v) & alive) < threshold
+            )
+            if not wave:
+                break
+            waves.append(wave)
+            alive.difference_update(wave)
+        assert len(waves) >= 2 and alive  # later waves and a non-empty core
+        order, survivors = f_core_with_order(g, threshold)
+        assert order == [v for wave in waves for v in wave]
+        assert survivors == frozenset(alive)
+
     def test_removal_order_degrees_below_threshold(self):
         g = gnp_graph(12, 0.4, seed=7)
         order, survivors = f_core_with_order(g, 3)
@@ -271,6 +313,78 @@ def independent_distance2_scan(h, edge_index, colours):
                 continue
             if edges_within_distance_two(h, e, other):
                 assert colours[i] != colours[id_of[other]]
+
+
+def _shares_endpoint(h, edge_index):
+    """(i, j): edges i and j != i share an endpoint, or None."""
+    for i, j in itertools.combinations(range(len(edge_index)), 2):
+        if set(edge_index[i]) & set(edge_index[j]):
+            return i, j
+    return None
+
+
+def _joined_by_edge(h, edge_index):
+    """(i, j): edges i and j share no endpoint but a host edge joins them, or
+    None."""
+    for i, j in itertools.combinations(range(len(edge_index)), 2):
+        e, f = edge_index[i], edge_index[j]
+        if not set(e) & set(f) and edges_within_distance_two(h, e, f):
+            return i, j
+    return None
+
+
+VALIDATOR_HOSTS = {
+    "gnp": gnp_graph(14, 0.3, seed=4),
+    "rr": random_regular_graph(16, 4, seed=2),
+    "c5x2": c5_blowup(2),
+    "star": star_graph(5),
+}
+
+
+class TestValidateStrongColouring:
+    @pytest.fixture(params=sorted(VALIDATOR_HOSTS))
+    def host(self, request):
+        return VALIDATOR_HOSTS[request.param]
+
+    def valid_colourings(self, h):
+        # The pipeline's colouring and first-fit colourings of the square.
+        sq, edge_index = line_graph_square(h)
+        shuffled = list(range(sq.n))
+        random.Random(1).shuffle(shuffled)
+        yield edge_index, strong_edge_colour(h).colours
+        for order in (range(sq.n), reversed(range(sq.n)), shuffled):
+            yield edge_index, first_fit(sq, order)
+
+    def check(self, h, edge_index, colours, expected):
+        assert naive_strong_colouring_valid(h, edge_index, colours) is expected
+        assert _validate_strong_colouring(h, edge_index, colours) is expected
+
+    def test_valid_colourings_accepted(self, host):
+        for edge_index, colours in self.valid_colourings(host):
+            self.check(host, edge_index, colours, True)
+
+    @pytest.mark.parametrize("conflict", [_shares_endpoint, _joined_by_edge])
+    def test_one_clash_rejected(self, host, conflict):
+        _, edge_index = line_graph_square(host)
+        pair = conflict(host, edge_index)
+        if pair is None:
+            pytest.skip("no such pair of edges in this host")
+        i, j = pair
+        for _, colours in self.valid_colourings(host):
+            clash = dict(colours)
+            clash[i] = colours[j]
+            self.check(host, edge_index, clash, False)
+
+    def test_index_and_colour_mismatches_rejected(self, host):
+        edge_index, colours = next(self.valid_colourings(host))
+        swapped = list(edge_index)
+        swapped[0], swapped[-1] = swapped[-1], swapped[0]
+        truncated = edge_index[:-1]
+        uncoloured = {i: c for i, c in colours.items() if i != len(colours) // 2}
+        assert not _validate_strong_colouring(host, swapped, colours)
+        assert not _validate_strong_colouring(host, truncated, colours)
+        assert not _validate_strong_colouring(host, edge_index, uncoloured)
+        assert not _validate_strong_colouring(host, [list(e) for e in edge_index], colours)
 
 
 class TestStrongEdgeColour:
