@@ -68,6 +68,8 @@ MAX_SEED = 2**64 - 1
 
 def _jsonable(obj: Any) -> Any:
     """Convert report objects to JSON-serialisable structures."""
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
+        return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: _jsonable(getattr(obj, f.name))
@@ -76,13 +78,12 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
-        return {_key(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: _key(kv[0]))}
+        items = sorted(((_key(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
+        return {k: _jsonable(v) for k, v in items}
     if isinstance(obj, (set, frozenset)):
         return [_jsonable(v) for v in sorted(obj)]
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
     if callable(obj):
         return getattr(obj, "__name__", "<callable>")
     return str(obj)
@@ -90,7 +91,7 @@ def _jsonable(obj: Any) -> Any:
 
 def _key(k: Any) -> str:
     if isinstance(k, tuple):
-        return ",".join(str(x) for x in k)
+        return ",".join(map(str, k))
     return str(k)
 
 
@@ -160,12 +161,58 @@ def _gen_size_error(args) -> Optional[str]:
         value = getattr(args, flag)
         if value is not None and value < 0:
             return f"--{flag} must be at least 0, got {value}"
+    if args.cycle is not None and args.cycle < 3:
+        return f"--cycle must be at least 3, got {args.cycle}"
+    if args.c5_blowup is not None and args.c5_blowup < 1:
+        return f"--c5-blowup must be at least 1, got {args.c5_blowup}"
+    if args.random_regular is not None:
+        n, d = args.random_regular
+        if not 0 <= d < n:
+            return f"--random-regular needs 0 <= D < N, got N={n} D={d}"
+        if n * d % 2:
+            return f"--random-regular needs N*D even, got N={n} D={d}"
     if args.gnp is not None:
         n, p = args.gnp
         if not (n >= 0 and n.is_integer()):
             return f"--gnp N must be a non-negative integer, got {n:g}"
         if not 0 <= p <= 1:
             return f"--gnp P must lie in [0, 1], got {p:g}"
+    return None
+
+
+GEN_EDGE_CAP = 2_000_000
+GEN_DRAW_CAP = 50_000_000
+
+
+def _gen_cost_error(args) -> Optional[str]:
+    """Why the selected generator's output would be too large, or None.
+
+    Estimates the edges (expected edges for --gnp) and the random draws of
+    --gnp from the size arguments alone, before anything is generated.
+    """
+    if args.gnp is not None:
+        n = int(args.gnp[0])
+        draws = n * (n - 1) // 2
+        if draws > GEN_DRAW_CAP:
+            return f"--gnp would make {draws} random draws, above the cap of {GEN_DRAW_CAP} draws"
+        edges = round(args.gnp[1] * draws)
+    elif args.c5_blowup is not None:
+        edges = 5 * args.c5_blowup**2
+    elif args.random_regular is not None:
+        n, d = args.random_regular
+        edges = n * d // 2
+    elif args.complete is not None:
+        edges = args.complete * (args.complete - 1) // 2
+    elif args.cycle is not None:
+        edges = args.cycle
+    elif args.path is not None:
+        edges = max(args.path - 1, 0)
+    elif args.star is not None:
+        edges = args.star
+    else:
+        edges = 15  # the Petersen graph
+    if edges > GEN_EDGE_CAP:
+        return f"graph would have about {edges} edges, above the cap of {GEN_EDGE_CAP} edges"
     return None
 
 
@@ -187,6 +234,10 @@ def _cmd_gen(args) -> int:
     if size_error:
         print(f"gen: {size_error}", file=sys.stderr)
         return 2
+    cost_error = _gen_cost_error(args)
+    if cost_error:
+        print(f"gen: {cost_error}", file=sys.stderr)
+        return 1
     if args.c5_blowup is not None:
         g = c5_blowup(args.c5_blowup)
     elif args.random_regular is not None:

@@ -33,7 +33,6 @@ from .graph import Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
     KIND_TRIAL,
     _Compiled,
-    _nuv_counts,
     _regularize_with_assignment,
     _round_arrays,
     _stats_arrays,
@@ -46,6 +45,10 @@ from .strong_edge import strong_neighbourhood
 
 ENUMERATION_GUARD = 10_000_000
 _MC_BLOCK = 64
+# Rows per chunk of the Monte Carlo common-neighbour pair index.  The index
+# has sum over pairs p of |C_p|(|C_p| - 1)/2 rows, which grows like the
+# fourth power of the degree on dense graphs, so only one chunk is held.
+_MC_CHUNK = 1 << 16
 
 
 # -- naive per-outcome statistics (the independent reference) -------------------
@@ -296,12 +299,32 @@ def monte_carlo_round(
     """Estimate round statistics over `trials` independently seeded rounds.
 
     Trial t uses seed derive_seed(seed, KIND_TRIAL, t), so single trials can
-    be replayed through run_round.  Trials are aggregated in fixed blocks of
-    64 and the blocks reduced in order, making the result identical for any
-    thread count.
+    be replayed through run_round.  Trials run in fixed blocks of 64.  A
+    block stacks its trials' keep flags and pair and triple counts and sums
+    them as integers.  It packs the uncoloured flags into one 64-bit word
+    U_w per vertex w, bit i for the block's i-th trial.  For a pair p at
+    distance <= 2 with common neighbourhood C_p, the sums of the
+    common-uncoloured count nuv_t(p) and of its square are then
+
+        sum_t nuv_t(p)   = sum over w in C_p of the trials with w uncoloured,
+        sum_t nuv_t(p)^2 = sum_t nuv_t(p)
+                           + 2 sum over blocks, w < w' in C_p of
+                             popcount(U_w & U_w').
+
+    After the blocks, the pairs (w, w', p) are indexed once, in int32
+    chunks of about _MC_CHUNK rows, and each chunk is counted against every
+    block's words.  The words take trials / 8 bytes per vertex.  The cross
+    term costs O(sum |C_p|^2) per block, against O(64 sum |C_p|) for
+    counting each trial separately, so it pays on sparse graphs and costs
+    more when common neighbourhoods are large, as in C5 blow-ups.  Only the
+    graph-wide keep fraction is a float; it is summed per trial in trial
+    order.  The blocks are reduced in order, so the result is identical for
+    any thread count.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if g.n == 0:
+        raise ValueError("Monte Carlo needs a graph with at least one vertex")
     comp = _Compiled(g, c)
     comp._build_stats()
     comp._build_nuv()
@@ -311,51 +334,53 @@ def monte_carlo_round(
 
     def run_block(bounds):
         lo, hi = bounds
-        sums = np.zeros((3, n))
-        sqs = np.zeros((3, n))
-        nuv_sum = np.zeros(npairs)
-        nuv_sq = np.zeros(npairs)
+        kept = np.empty((hi - lo, n), dtype=bool)
+        p_u = np.empty((hi - lo, n), dtype=np.int64)
+        t_u = np.empty_like(p_u)
         gsum = 0.0
         gsq = 0.0
-        for t in range(lo, hi):
-            f1_idx, _, kept = _round_arrays(comp, derive_seed(seed, KIND_TRIAL, t))
-            _, _, _, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
-            kf = kept.astype(np.float64)
-            pf = p_u.astype(np.float64)
-            tf = t_u.astype(np.float64)
-            sums[0] += kf
-            sums[1] += pf
-            sums[2] += tf
-            sqs[0] += kf * kf
-            sqs[1] += pf * pf
-            sqs[2] += tf * tf
-            gfrac = float(kf.sum()) / n
+        for i, t in enumerate(range(lo, hi)):
+            f1_idx, _, kept[i] = _round_arrays(comp, derive_seed(seed, KIND_TRIAL, t))
+            _, _, p_u[i], t_u[i] = _stats_arrays(comp, f1_idx, kept[i])
+            gfrac = float(kept[i].sum()) / n
             gsum += gfrac
             gsq += gfrac * gfrac
-            nuv = _nuv_counts(comp, kept).astype(np.float64)
-            nuv_sum += nuv
-            nuv_sq += nuv * nuv
-        return sums, sqs, nuv_sum, nuv_sq, gsum, gsq
+        sums = (
+            kept.sum(axis=0),
+            p_u.sum(axis=0),
+            (p_u * p_u).sum(axis=0),
+            t_u.sum(axis=0),
+            (t_u * t_u).sum(axis=0),
+        )
+        return sums, gsum, gsq, _pack_words(~kept)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_block, blocks))
-    else:
-        results = [run_block(b) for b in blocks]
-
-    sums = np.zeros((3, n))
-    sqs = np.zeros((3, n))
-    nuv_sum = np.zeros(npairs)
-    nuv_sq = np.zeros(npairs)
+    totals = None
     gsum = 0.0
     gsq = 0.0
-    for s, q, ns, nq, gs, gq in results:
-        sums += s
-        sqs += q
-        nuv_sum += ns
-        nuv_sq += nq
-        gsum += gs
-        gsq += gq
+    words = np.empty((len(blocks), n), dtype=np.uint64)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        # Results arrive in block order and are reduced as they come.
+        results = pool.map(run_block, blocks) if threads > 1 else map(run_block, blocks)
+        for b, (sums, gs, gq, block_words) in enumerate(results):
+            words[b] = block_words
+            totals = sums if totals is None else [a + s for a, s in zip(totals, sums)]
+            gsum += gs
+            gsq += gq
+    keep_total, p_total, p_sq, t_total, t_sq = totals
+
+    nuv = np.bincount(
+        comp.nuv_pair_of_entry,
+        weights=(trials - keep_total)[comp.nuv_concat],
+        minlength=npairs,
+    ).astype(np.int64)
+    cross = np.zeros(npairs, dtype=np.int64)
+    for w, w2, p, plo, phi in _common_pair_chunks(comp):
+        both = np.zeros(len(p), dtype=np.int64)
+        for row in words:
+            both += np.bitwise_count(row[w] & row[w2])
+        cross[plo:phi] += np.bincount(p, weights=both, minlength=phi - plo).astype(
+            np.int64
+        )
 
     def mean_se(total, total_sq):
         mean = total / trials
@@ -363,10 +388,11 @@ def monte_carlo_round(
         se = np.sqrt(var / trials)
         return mean, se
 
-    keep_mean, keep_se = mean_se(sums[0], sqs[0])
-    pairs_mean, pairs_se = mean_se(sums[1], sqs[1])
-    triples_mean, triples_se = mean_se(sums[2], sqs[2])
-    nuv_mean, nuv_se = mean_se(nuv_sum, nuv_sq)
+    # The sum of squares of 0/1 keep flags is their sum.
+    keep_mean, keep_se = mean_se(keep_total, keep_total)
+    pairs_mean, pairs_se = mean_se(p_total, p_sq)
+    triples_mean, triples_se = mean_se(t_total, t_sq)
+    nuv_mean, nuv_se = mean_se(nuv, nuv + 2 * cross)
 
     expected = np.array(
         [keep_probability(len(c.colour_sets[u]), g.degree(u)) for u in range(n)]
@@ -394,13 +420,47 @@ def monte_carlo_round(
         pairs_se=tuple(pairs_se.tolist()),
         triples_mean=tuple(triples_mean.tolist()),
         triples_se=tuple(triples_se.tolist()),
-        common_uncoloured_mean={
-            pair: float(nuv_mean[i]) for i, pair in enumerate(comp.nuv_pairs)
-        },
-        common_uncoloured_se={
-            pair: float(nuv_se[i]) for i, pair in enumerate(comp.nuv_pairs)
-        },
+        common_uncoloured_mean=dict(zip(comp.nuv_pairs, nuv_mean.tolist())),
+        common_uncoloured_se=dict(zip(comp.nuv_pairs, nuv_se.tolist())),
     )
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """One uint64 per column of a (<= 64, n) bool array, bit i from row i
+    (in packbits' order)."""
+    packed = np.zeros((8, bits.shape[1]), dtype=np.uint8)
+    packed[: (len(bits) + 7) // 8] = np.packbits(bits, axis=0)
+    return np.ascontiguousarray(packed.T).view(np.uint64).ravel()
+
+
+def _common_pair_chunks(comp: _Compiled):
+    """Every pair w < w' of common neighbours of every distance-<=2 pair p.
+
+    Yields (w, w', p - lo, lo, hi) for the pairs p in lo..hi-1, the arrays
+    as int32; a chunk holds the rows of whole pairs, about _MC_CHUNK of them
+    (more only when one pair alone has more).
+    """
+    sizes, concat, pair_of_entry = comp.nuv_sizes, comp.nuv_concat, comp.nuv_pair_of_entry
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    # Entries after each one in its own common neighbourhood.
+    later = offsets[1:][pair_of_entry] - np.arange(len(concat)) - 1
+    per_pair = sizes * (sizes - 1) // 2
+    chunk = (np.cumsum(per_pair) - per_pair) // _MC_CHUNK
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(sizes)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        e0, e1 = int(offsets[lo]), int(offsets[hi])
+        count = later[e0:e1]
+        first = np.repeat(np.arange(e0, e1), count)
+        # The partners of entry e are e + 1, ..., e + later[e].
+        skip = np.cumsum(count) - count - np.arange(e0, e1) - 1
+        second = np.arange(len(first)) - np.repeat(skip, count)
+        yield (
+            concat[first].astype(np.int32),
+            concat[second].astype(np.int32),
+            (pair_of_entry[first] - lo).astype(np.int32),
+            lo,
+            hi,
+        )
 
 
 # -- residual sparsity experiment -----------------------------------------------------

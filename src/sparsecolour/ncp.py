@@ -230,6 +230,10 @@ class _Compiled:
         self.dir_dst = np.empty(2 * self.m, dtype=np.int64)
         self.dir_src[0::2], self.dir_src[1::2] = eu, ev
         self.dir_dst[0::2], self.dir_dst[1::2] = ev, eu
+        # dir_map read flat: entry (row, i) sits at row * kmax + i, and the
+        # forward row 2e of edge e starts at fwd_base[e].
+        self.dir_flat = dir_map.reshape(-1)
+        self.fwd_base = np.arange(0, 2 * self.m * self.kmax, 2 * self.kmax)
         # Only rows into focus vertices feed the statistics.
         if self.focus == self.n:
             self.stat_rows = np.arange(2 * self.m, dtype=np.int64)
@@ -237,6 +241,9 @@ class _Compiled:
             self.stat_rows = np.flatnonzero(self.dir_dst < self.focus)
         self.stat_src = self.dir_src[self.stat_rows]
         self.stat_dst = self.dir_dst[self.stat_rows]
+        self.stat_base = self.stat_rows * self.kmax
+        # Distinct negative stand-ins for the class of an uncoloured source.
+        self.stat_loose = -1 - np.arange(len(self.stat_rows), dtype=np.int64)
         touching = np.flatnonzero(eu < self.focus)
         self.dir_id: dict[tuple[int, int], int] = {}
         ends = zip(touching.tolist(), eu[touching].tolist(), ev[touching].tolist())
@@ -248,47 +255,47 @@ class _Compiled:
 
     # Lazily built structures for pair/triple statistics.
     def _build_stats(self) -> None:
+        """Index the edges and paths inside each focus neighbourhood.
+
+        An entry is a focus vertex u and, for each member of the structure,
+        the position in the statistic rows of its edge into u: `in_rows`
+        holds the edges a-b inside N(u) (a < b), `path_rows` the paths
+        x-w-y inside N(u) (x < y), `tri_rows` the triangles a < b < c inside
+        N(u).  Each array stores one field per row: (u, a, b) or
+        (u, x, w, y) or (u, a, b, c).
+        """
         if self._stats_built:
             return
         nbr_set, dir_id = self.neighbour_set, self.dir_id
-        in_rows = []  # (u, a, b, dir a->u, dir b->u) with a < b adjacent in N(u)
-        path_rows = []  # (u, x, w, y, dirs...) with x-w, w-y edges inside N(u), x < y
-        tri_rows = []  # (u, a, b, c, dirs...) triangle a<b<c inside N(u)
+        in_rows = []
+        path_rows = []
+        tri_rows = []
         for u in range(self.focus):
             nbrs = nbr_set(u)
             for a in sorted(nbrs):
                 inner = sorted(nbr_set(a) & nbrs)
+                da = dir_id[(a, u)]
                 for b in inner:
                     if a < b:
-                        in_rows.append((u, a, b, dir_id[(a, u)], dir_id[(b, u)]))
+                        in_rows.append((u, da, dir_id[(b, u)]))
                 for i, x in enumerate(inner):
+                    dx = dir_id[(x, u)]
                     for y in inner[i + 1 :]:
-                        path_rows.append(
-                            (
-                                u,
-                                x,
-                                a,
-                                y,
-                                dir_id[(x, u)],
-                                dir_id[(a, u)],
-                                dir_id[(y, u)],
-                            )
-                        )
+                        dy = dir_id[(y, u)]
+                        path_rows.append((u, dx, da, dy))
                         if x in nbr_set(y) and a < x:
-                            tri_rows.append(
-                                (
-                                    u,
-                                    a,
-                                    x,
-                                    y,
-                                    dir_id[(a, u)],
-                                    dir_id[(x, u)],
-                                    dir_id[(y, u)],
-                                )
-                            )
-        self.in_rows = np.array(in_rows, dtype=np.int64).reshape(-1, 5)
-        self.path_rows = np.array(path_rows, dtype=np.int64).reshape(-1, 7)
-        self.tri_rows = np.array(tri_rows, dtype=np.int64).reshape(-1, 7)
+                            tri_rows.append((u, da, dx, dy))
+        position = np.empty(2 * self.m, dtype=np.int64)
+        position[self.stat_rows] = np.arange(len(self.stat_rows))
+
+        def fields(rows, width):
+            table = np.array(rows, dtype=np.int64).reshape(-1, width).T
+            table[1:] = position[table[1:]]
+            return np.ascontiguousarray(table)
+
+        self.in_rows = fields(in_rows, 3)
+        self.path_rows = fields(path_rows, 4)
+        self.tri_rows = fields(tri_rows, 4)
         self._stats_built = True
 
     def _build_nuv(self) -> None:
@@ -370,8 +377,7 @@ def _round_arrays(comp: _Compiled, seed: int):
     )
     kept = np.ones(comp.n, dtype=bool)
     if comp.m:
-        rows = 2 * np.arange(comp.m, dtype=np.int64)
-        matched = comp.dir_map[rows, f1_idx[comp.eu]] == f1_idx[comp.ev]
+        matched = comp.dir_flat[comp.fwd_base + f1_idx[comp.eu]] == f1_idx[comp.ev]
         targets = np.where(dirs == 0, comp.eu, comp.ev)
         kept[targets[matched]] = False
     return f1_idx, dirs, kept
@@ -391,57 +397,37 @@ def _stats_arrays(comp: _Compiled, f1_idx: np.ndarray, kept: np.ndarray):
     A kept neighbour a of u belongs to the class of the colour at u matched
     with a's colour.  Pair/triple counts over all same-class kept members are
     corrected down to non-adjacent ones by inclusion-exclusion over the edges
-    inside each neighbourhood.  Arrays cover the focus vertices only.
+    inside each neighbourhood.  Each statistic row (an edge a->u) is looked
+    up once: its value is a's class if a is kept and a negative id of its
+    own otherwise, so "same class, all kept" is plain equality of values.
+    Arrays cover the focus vertices only.
     """
     comp._build_stats()
     n, kmax = comp.focus, comp.kmax
-    if comp.m:
-        cls = comp.dir_map[comp.stat_rows, f1_idx[comp.stat_src]]
-        kept_src = kept[comp.stat_src]
-        key = comp.stat_dst * kmax + cls
-        counts = np.bincount(key[kept_src], minlength=n * kmax).reshape(n, kmax)
-    else:
-        counts = np.zeros((n, kmax), dtype=np.int64)
-    col = counts.sum(axis=1)
-    dist = (counts > 0).sum(axis=1)
-    p_u = _falling2(counts).sum(axis=1)
-    t_u = _falling3(counts).sum(axis=1)
+    cls = comp.dir_flat[comp.stat_base + f1_idx[comp.stat_src]]
+    kept_src = kept[comp.stat_src]
+    # counts[i, u]: kept neighbours of u in the class of u's i-th colour.
+    key = cls * n + comp.stat_dst
+    counts = np.bincount(key[kept_src], minlength=kmax * n).reshape(kmax, n)
+    val = np.where(kept_src, cls, comp.stat_loose)
+    col = counts.sum(axis=0)
+    dist = np.count_nonzero(counts, axis=0)
+    p_u = _falling2(counts).sum(axis=0)
+    t_u = _falling3(counts).sum(axis=0)
 
-    rows = comp.in_rows
-    if rows.size:
-        ca = comp.dir_map[rows[:, 3], f1_idx[rows[:, 1]]]
-        cb = comp.dir_map[rows[:, 4], f1_idx[rows[:, 2]]]
-        same = (ca == cb) & kept[rows[:, 1]] & kept[rows[:, 2]]
-        p_u -= np.bincount(rows[same, 0], minlength=n)
-        nc = counts[rows[same, 0], ca[same]]
-        t_u -= np.bincount(rows[same, 0], weights=(nc - 2).astype(np.float64), minlength=n).astype(np.int64)
-    rows = comp.path_rows
-    if rows.size:
-        cx = comp.dir_map[rows[:, 4], f1_idx[rows[:, 1]]]
-        cw = comp.dir_map[rows[:, 5], f1_idx[rows[:, 2]]]
-        cy = comp.dir_map[rows[:, 6], f1_idx[rows[:, 3]]]
-        same = (
-            (cx == cw)
-            & (cw == cy)
-            & kept[rows[:, 1]]
-            & kept[rows[:, 2]]
-            & kept[rows[:, 3]]
-        )
-        t_u += np.bincount(rows[same, 0], minlength=n)
-    rows = comp.tri_rows
-    if rows.size:
-        ca = comp.dir_map[rows[:, 4], f1_idx[rows[:, 1]]]
-        cb = comp.dir_map[rows[:, 5], f1_idx[rows[:, 2]]]
-        cc = comp.dir_map[rows[:, 6], f1_idx[rows[:, 3]]]
-        same = (
-            (ca == cb)
-            & (cb == cc)
-            & kept[rows[:, 1]]
-            & kept[rows[:, 2]]
-            & kept[rows[:, 3]]
-        )
-        t_u -= np.bincount(rows[same, 0], minlength=n)
-    return counts, col, dist, p_u, t_u
+    u, a, b = comp.in_rows
+    same = val[a] == val[b]
+    hit = u[same]
+    p_u -= np.bincount(hit, minlength=n)
+    nc = counts[val[a[same]], hit]
+    t_u -= np.bincount(hit, weights=(nc - 2).astype(np.float64), minlength=n).astype(np.int64)
+    u, x, w, y = comp.path_rows
+    vw = val[w]
+    t_u += np.bincount(u[(val[x] == vw) & (vw == val[y])], minlength=n)
+    u, a, b, c = comp.tri_rows
+    vb = val[b]
+    t_u -= np.bincount(u[(val[a] == vb) & (vb == val[c])], minlength=n)
+    return col, dist, p_u, t_u
 
 
 def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
@@ -503,7 +489,7 @@ def run_round(
 
 
 def _stats_from_arrays(comp: _Compiled, f1_idx, kept) -> RoundStats:
-    _, col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
+    col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
     return _stats_record(comp, kept, col, dist, p_u, t_u, _nuv_counts(comp, kept))
 
 
@@ -750,7 +736,7 @@ def attempt_round(
     for attempt in range(max(1, max_restarts)):
         attempt_seed = derive_seed(seed, KIND_RESTART, attempt)
         f1_idx, dirs, kept = _round_arrays(comp, attempt_seed)
-        _, col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
+        col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
         stat_bad = np.flatnonzero(((p_u - t_u) < thresholds) & ~kept[: comp.focus])
         nuv = _nuv_counts(comp, kept)
         dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
@@ -965,8 +951,9 @@ def _regularize_with_assignment(
     steps = target - int(degree.min()) if base.n else 0
     n_final = base.n << steps
     if n_final > REGULARIZED_SIZE_CAP:
-        # eu, ev, dir_src, dir_dst and the (2m x kmax) map, plus k_arr.
-        nbytes = 8 * (n_final * target * (base.kmax + 3) + n_final)
+        # eu, ev, fwd_base, dir_src, dir_dst and the (2m x kmax) map, plus
+        # k_arr, with m = n_final * target / 2.
+        nbytes = 8 * (n_final * target * (2 * base.kmax + 7) // 2 + n_final)
         raise ScheduleError(
             f"regularised graph would have {n_final} vertices "
             f"({nbytes / 2**20:.0f} MiB compiled), above the cap of "

@@ -322,6 +322,47 @@ class TestReportPins:
         text = json.dumps(result, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "gen, argv, digest",
+        [
+            (
+                ["--random-regular", "40", "6", "--seed", "5"],
+                ["--k", "4", "--trials", "150", "--seed", "11"],
+                "587506a23d477dee31c3fba24fda0b95ca24b1f31bcc572bc4762a760928f9df",
+            ),
+            (
+                ["--c5-blowup", "3"],
+                ["--k", "5", "--trials", "150", "--seed", "2"],
+                "f27e15dd15e13016f2b8c46710c379764226e3fbba4856ef4337a9ad81bb81e6",
+            ),
+            (
+                ["--gnp", "24", "0.35", "--seed", "2"],
+                ["--k", "5", "--trials", "150", "--seed", "7"],
+                "0b97c04c7de6cfddd36bcfc8f15423590a1dc06c74584c20dcc94693cddd40a7",
+            ),
+        ],
+    )
+    def test_monte_carlo_digests(self, tmp_path, capsys, gen, argv, digest):
+        # 150 trials: two full 64-trial blocks and a partial one.  The
+        # random regular graph has triangles and paths inside neighbourhoods,
+        # the G(n, p) graph also K4s, the C5 blow-up neither.
+        g = tmp_path / "g.dimacs"
+        run(["gen", *gen, "--out", str(g)], capsys)
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"r{threads}.json"
+            code, _, _ = run(
+                ["simulate", "--experiment", "mc", "--input", str(g), *argv,
+                 "--threads", threads, "--out", str(out)],
+                capsys,
+            )
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        result = json.loads(reports[0])["result"]
+        text = json.dumps(result, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestSimulateCommand:
     def test_mc_thread_invariance(self, tmp_path, capsys):
@@ -341,6 +382,17 @@ class TestSimulateCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_mc_on_empty_graph_is_one_line(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        g.write_text("p edge 0 0\n")
+        code, out, err = run(
+            ["simulate", "--experiment", "mc", "--input", str(g), "--k", "2"], capsys
+        )
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "sparsecolour: Monte Carlo needs a graph with at least one vertex"
+        ]
 
     def test_sparsity_experiment(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
@@ -418,12 +470,53 @@ class TestUsageErrors:
             (["--gnp", "4", "2"], "--gnp P must lie in [0, 1], got 2"),
             (["--gnp", "4", "-0.1"], "--gnp P must lie in [0, 1], got -0.1"),
             (["--gnp", "4", "nan"], "--gnp P must lie in [0, 1], got nan"),
+            (["--cycle", "2"], "--cycle must be at least 3, got 2"),
+            (["--c5-blowup", "0"], "--c5-blowup must be at least 1, got 0"),
+            (["--random-regular", "5", "3"], "--random-regular needs N*D even, got N=5 D=3"),
+            (["--random-regular", "4", "4"], "--random-regular needs 0 <= D < N, got N=4 D=4"),
+            (["--random-regular", "4", "-2"], "--random-regular needs 0 <= D < N, got N=4 D=-2"),
         ],
     )
     def test_gen_size_out_of_range_is_usage_error(self, tmp_path, capsys, argv, reason):
         out = tmp_path / "g.dimacs"
         code, stdout, err = run(["gen", *argv, "--out", str(out)], capsys)
         assert code == 2 and stdout == "" and not out.exists()
+        assert err.splitlines() == [f"gen: {reason}"]
+
+    @pytest.mark.parametrize(
+        "argv,generator,reason",
+        [
+            (["--complete", "200000"], "complete_graph",
+             "graph would have about 19999900000 edges, above the cap of 2000000 edges"),
+            (["--gnp", "3000", "0.5"], "gnp_graph",
+             "graph would have about 2249250 edges, above the cap of 2000000 edges"),
+            (["--gnp", "100000", "0"], "gnp_graph",
+             "--gnp would make 4999950000 random draws, above the cap of 50000000 draws"),
+            (["--gnp", "1e30", "0.5"], "gnp_graph",
+             f"--gnp would make {int(1e30) * (int(1e30) - 1) // 2} random draws, "
+             "above the cap of 50000000 draws"),
+            (["--random-regular", "100000", "50"], "random_regular_graph",
+             "graph would have about 2500000 edges, above the cap of 2000000 edges"),
+            (["--c5-blowup", "700"], "c5_blowup",
+             "graph would have about 2450000 edges, above the cap of 2000000 edges"),
+            (["--path", "2000002"], "path_graph",
+             "graph would have about 2000001 edges, above the cap of 2000000 edges"),
+            (["--cycle", "2000001"], "cycle_graph",
+             "graph would have about 2000001 edges, above the cap of 2000000 edges"),
+        ],
+    )
+    def test_gen_above_size_cap_refused_before_generating(
+        self, tmp_path, capsys, monkeypatch, argv, generator, reason
+    ):
+        import sparsecolour.cli as cli
+
+        def never(*args, **kwargs):
+            pytest.fail(f"{generator} ran despite the size cap")
+
+        monkeypatch.setattr(cli, generator, never)
+        out = tmp_path / "g.dimacs"
+        code, stdout, err = run(["gen", *argv, "--out", str(out)], capsys)
+        assert code == 1 and stdout == "" and not out.exists()
         assert err.splitlines() == [f"gen: {reason}"]
 
     @pytest.mark.parametrize(
@@ -434,6 +527,9 @@ class TestUsageErrors:
             (["--gnp", "0", "0"], "p edge 0 0"),
             (["--gnp", "3", "1"], "p edge 3 3"),
             (["--gnp", "3.0", "0"], "p edge 3 0"),
+            (["--cycle", "3"], "p edge 3 3"),
+            (["--c5-blowup", "1"], "p edge 5 5"),
+            (["--random-regular", "4", "0"], "p edge 4 0"),
         ],
     )
     def test_gen_size_at_range_edge_accepted(self, capsys, argv, header):

@@ -203,6 +203,66 @@ class TestOracleEngineAgreement:
                     assert is_valid_colouring(g, c, result.colouring)
 
 
+def _random_bijections(g, k, seed):
+    """k colours per vertex from 0..2k-1, a random bijection per edge."""
+    import random
+
+    rng = random.Random(seed)
+    sets = tuple(tuple(sorted(rng.sample(range(2 * k), k))) for _ in range(g.n))
+    maps = {}
+    for u, v in g.edges():
+        image = list(sets[v])
+        rng.shuffle(image)
+        maps[(u, v)] = dict(zip(sets[u], image))
+    return CorrespondenceAssignment(sets, maps)
+
+
+class TestMonteCarloBlockSums:
+    """The per-block integer and bit-count sums against per-trial
+    run_round + round_stats, compared exactly."""
+
+    @pytest.mark.parametrize("trials", [1, 64, 65])
+    @pytest.mark.parametrize("chunk", [1 << 16, 5], ids=["one-chunk", "small-chunks"])
+    def test_sums_match_per_trial_stats(self, monkeypatch, trials, chunk):
+        import math
+
+        from sparsecolour import harness
+
+        monkeypatch.setattr(harness, "_MC_CHUNK", chunk)
+        g = gnp_graph(14, 0.4, seed=3)
+        c = _random_bijections(g, 3, seed=8)
+        rep = monte_carlo_round(g, c, trials=trials, seed=5)
+
+        pair_sums = [[0, 0] for _ in range(g.n)]
+        triple_sums = [[0, 0] for _ in range(g.n)]
+        nuv_sums = {}
+        for t in range(trials):
+            stats = round_stats(g, c, run_round(g, c, derive_seed(5, KIND_TRIAL, t)))
+            for u in range(g.n):
+                pair_sums[u][0] += stats.pairs[u]
+                pair_sums[u][1] += stats.pairs[u] ** 2
+                triple_sums[u][0] += stats.triples[u]
+                triple_sums[u][1] += stats.triples[u] ** 2
+            for pair, count in stats.common_uncoloured.items():
+                total, sq = nuv_sums.get(pair, (0, 0))
+                nuv_sums[pair] = (total + count, sq + count * count)
+
+        def mean_se(total, sq):
+            mean = total / trials
+            return mean, math.sqrt(max(sq / trials - mean * mean, 0.0) / trials)
+
+        assert any(sq for _, sq in triple_sums)
+        pairs = [mean_se(*s) for s in pair_sums]
+        triples = [mean_se(*s) for s in triple_sums]
+        assert rep.pairs_mean == tuple(m for m, _ in pairs)
+        assert rep.pairs_se == tuple(se for _, se in pairs)
+        assert rep.triples_mean == tuple(m for m, _ in triples)
+        assert rep.triples_se == tuple(se for _, se in triples)
+        nuv = {pair: mean_se(*s) for pair, s in nuv_sums.items()}
+        assert rep.common_uncoloured_mean == {p: m for p, (m, _) in nuv.items()}
+        assert rep.common_uncoloured_se == {p: se for p, (_, se) in nuv.items()}
+
+
 class TestMonteCarlo:
     def test_edgeless_keeps_everything(self):
         g = empty_graph(4)

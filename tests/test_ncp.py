@@ -583,7 +583,7 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
         f1_idx, dirs, kept = _round_arrays(
             comp, derive_seed(seed, KIND_RESTART, attempt)
         )
-        _, _, _, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
+        _, _, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
         nuv = _nuv_counts(comp, kept)
         stat_bad = tuple(
             u
