@@ -267,12 +267,18 @@ def first_fit(
     if colours is None:
         colours = {}
     for v in order:
-        used = {colours[w] for w in g.neighbours(v) if w in colours}
-        colour = 0
-        while colour in used:
-            colour += 1
-        colours[v] = colour
+        colours[v] = smallest_free_colour(
+            {colours[w] for w in g.neighbours(v) if w in colours}
+        )
     return colours
+
+
+def smallest_free_colour(used: set[int]) -> int:
+    """The smallest colour >= 0 not in `used`."""
+    colour = 0
+    while colour in used:
+        colour += 1
+    return colour
 
 
 # -- DIMACS / JSON io ---------------------------------------------------------

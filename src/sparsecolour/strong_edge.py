@@ -6,7 +6,10 @@ L²(H) down to its dense core (every survivor keeps at least (2 - eta) D²
 neighbours inside the core, D the host max degree), colours the core with the
 iterative engine when the measured sparsity admits a feasible schedule, and
 extends to the peeled edges greedily in reverse peel order, which by
-construction never needs a colour index past the peel threshold.
+construction never needs a colour index past the peel threshold.  L²(H) is
+never built whole: its rows come on demand from one set per host vertex (at
+most sum deg² entries), only a non-empty core is built as a graph, and the
+extension reads the colour sets at the host's vertices.
 
 Also provides the strong-neighbourhood geometry of a host edge (the X / Y
 vertex sets, the scaled quantities alpha, beta, gamma, the 4-cycle count
@@ -21,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .graph import Graph, GraphError, first_fit, local_sparsity
+from .graph import Graph, GraphError, first_fit, local_sparsity, smallest_free_colour
 
 Threshold = Union[int, float, Fraction]
 
@@ -43,35 +46,79 @@ def c5_blowup(k: int) -> Graph:
     return Graph.from_edges(5 * k, edges)
 
 
+# Largest sum of deg(w)² over host vertices, a bound on the entries of the
+# near-edge sets, for which they are built.  Measured with tracemalloc at 24
+# to 83 bytes per estimated entry (set slots and the shared edge-id ints; on
+# K150, rr(600,12), G(400,0.03) and rr(2000,40)), so at the cap the sets take
+# at most about 1 GB.
+NEAR_SIZE_CAP = 12_000_000
+
+
+def _near_edge_sets(h: Graph, edge_index: list[tuple[int, int]]) -> list[set[int]]:
+    """near[x]: the ids of the host edges with an endpoint in N(x)."""
+    incident: list[list[int]] = [[] for _ in range(h.n)]
+    for i, (u, v) in enumerate(edge_index):
+        incident[u].append(i)
+        incident[v].append(i)
+    return [set().union(*map(incident.__getitem__, h.neighbours(x))) for x in range(h.n)]
+
+
+class _SquareRows:
+    """The rows of L²(h), computed on demand from the host's near-edge sets.
+
+    Vertex i is host edge edge_index[i].  The row of edge uv is
+    near[u] | near[v] without uv itself; those include the edges at u and at
+    v, since v is in N(u) and u in N(v).  The near sets hold at most
+    sum deg(w)² entries, where L²(h) has up to m (2D² - 2D) adjacency
+    entries; no row is kept.  Offers the `n`, `degree` and `neighbour_set`
+    that `f_core_with_order` reads, and `induced` for a core.
+    """
+
+    def __init__(self, h: Graph):
+        edge_index = list(h.edges())
+        if not edge_index:
+            raise GraphError("line graph square needs at least one edge")
+        entries = sum(h.degree(w) ** 2 for w in range(h.n))
+        if entries > NEAR_SIZE_CAP:
+            raise GraphError(
+                f"near-edge sets would hold about {entries} entries, above the "
+                f"cap of {NEAR_SIZE_CAP} entries"
+            )
+        self.edge_index = edge_index
+        self.n = len(edge_index)
+        self._near = _near_edge_sets(h, edge_index)
+
+    def degree(self, i: int) -> int:
+        u, v = self.edge_index[i]
+        near_u, near_v = self._near[u], self._near[v]
+        return len(near_u) + len(near_v) - len(near_u & near_v) - 1
+
+    def neighbour_set(self, i: int) -> set[int]:
+        u, v = self.edge_index[i]
+        row = self._near[u] | self._near[v]
+        row.discard(i)
+        return row
+
+    def induced(self, vertices: list[int]) -> tuple[Graph, tuple[int, ...]]:
+        """As `Graph.induced` on L²(h), building only the listed rows."""
+        index = {old: new for new, old in enumerate(vertices)}
+        adjacency = [
+            sorted(index[w] for w in self.neighbour_set(old) & index.keys())
+            for old in vertices
+        ]
+        return Graph(adjacency), tuple(vertices)
+
+
 def line_graph_square(h: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     """The graph on E(h) joining edges at distance <= 2, plus the edge index.
 
     Output vertex i is host edge edge_index[i]; two edge-vertices are
     adjacent iff the host edges share an endpoint or are joined by an edge.
     """
-    edge_index = list(h.edges())
-    if not edge_index:
-        raise GraphError("line graph square needs at least one edge")
-    incident: list[list[int]] = [[] for _ in range(h.n)]
-    for i, (u, v) in enumerate(edge_index):
-        incident[u].append(i)
-        incident[v].append(i)
-    # near[x]: the edges with an endpoint in N(x).  Edge uv's square
-    # neighbours are near[u] | near[v] without uv itself; those include the
-    # edges at u and at v, since v is in N(u) and u in N(v).
-    near: list[set[int]] = []
-    for x in range(h.n):
-        edges_near = set()
-        for w in h.neighbours(x):
-            edges_near.update(incident[w])
-        near.append(edges_near)
+    rows = _SquareRows(h)
     # Rows are built as tuples, which Graph keeps without copying.
-    adjacency = []
-    for i, (u, v) in enumerate(edge_index):
-        row = near[u] | near[v]
-        row.discard(i)
-        adjacency.append(tuple(sorted(row)))
-    return Graph(adjacency), edge_index
+    adjacency = [tuple(sorted(rows.neighbour_set(i))) for i in range(rows.n)]
+    return Graph(adjacency), rows.edge_index
 
 
 def strong_neighbourhood(h: Graph, e: tuple[int, int]) -> set[tuple[int, int]]:
@@ -207,8 +254,12 @@ def f_core_with_order(
 
     Vertices are removed in waves, each wave in ascending id order: the first
     wave is every vertex below the threshold, and each later wave is the
-    vertices the previous one pushed below it.
+    vertices the previous one pushed below it.  `g` needs only `n`, `degree`
+    and `neighbour_set`; once every vertex is queued no row is read again.
     """
+    # Degrees are integers, so comparing with the ceiling is exact and
+    # avoids a Fraction comparison per vertex.
+    threshold = math.ceil(threshold)
     degree = [g.degree(v) for v in range(g.n)]
     removal_order: list[int] = []
     queue = [v for v in range(g.n) if degree[v] < threshold]
@@ -219,6 +270,8 @@ def f_core_with_order(
         nxt: list[int] = []
         for v in queue:
             removal_order.append(v)
+            if not unqueued:
+                continue
             for w in g.neighbour_set(v) & unqueued:
                 degree[w] -= 1
                 if degree[w] < threshold:
@@ -253,18 +306,18 @@ def f_core_density_check(h: Graph, eta: float) -> CoreDensityReport:
     if not h.is_regular():
         raise GraphError("density check requires a regular host")
     d = h.max_degree()
-    square, edge_index = line_graph_square(h)
+    rows = _SquareRows(h)
     threshold = Fraction(2) - Fraction(str(eta)) if isinstance(eta, float) else 2 - eta
     threshold = threshold * d * d
-    core = f_core(square, threshold)
+    core_graph, _ = rows.induced(sorted(f_core(rows, threshold)))
     bound = (31 / 6 - 128 / (3 * (10 - 3 * eta)) + 4 * eta - eta * eta) * d**4
     max_ratio = None
     passed = True
-    for e in core:
-        core_nbrs = core & square.neighbour_set(e)
+    for e in range(core_graph.n):
+        core_nbrs = core_graph.neighbour_set(e)
         count = 0
         for w in core_nbrs:
-            count += len(square.neighbour_set(w) & core_nbrs)
+            count += len(core_graph.neighbour_set(w) & core_nbrs)
         count //= 2
         ratio = count / bound if bound > 0 else float("inf")
         if max_ratio is None or ratio > max_ratio:
@@ -274,7 +327,7 @@ def f_core_density_check(h: Graph, eta: float) -> CoreDensityReport:
     return CoreDensityReport(
         eta=eta,
         threshold=float(threshold),
-        core_size=len(core),
+        core_size=core_graph.n,
         bound=bound,
         max_ratio=max_ratio,
         passed=passed,
@@ -344,25 +397,21 @@ def strong_edge_colour(
     if h.m == 0:
         raise GraphError("host graph has no edges")
     d = h.max_degree()
-    square, edge_index = line_graph_square(h)
+    rows = _SquareRows(h)
+    edge_index = rows.edge_index
     threshold = (Fraction(2) - Fraction(str(eta))) * d * d
-    removal_order, core = f_core_with_order(square, threshold)
+    removal_order, core = f_core_with_order(rows, threshold)
 
     colours: dict[int, int] = {}
     engine_used = False
     warning: Optional[str] = None
     if core:
-        core_sorted = sorted(core)
-        core_graph, core_ids = square.induced(core_sorted)
+        core_graph, core_ids = rows.induced(sorted(core))
         core_colours, engine_used, warning = _colour_core(
             core_graph, seed, max_restarts
         )
         colours.update({core_ids[v]: col for v, col in core_colours.items()})
-
-    # Reverse-peel extension: when a vertex returns, its coloured neighbours
-    # are exactly the survivors present at its removal, fewer than the
-    # threshold, so first-fit stays below threshold + 1 colours.
-    first_fit(square, reversed(removal_order), colours)
+    _extend_reverse_peel(h, edge_index, removal_order, colours)
 
     num = len(set(colours.values()))
     valid = _validate_strong_colouring(h, edge_index, colours)
@@ -377,6 +426,38 @@ def strong_edge_colour(
         engine_warning=warning,
         valid=valid,
     )
+
+
+def _extend_reverse_peel(
+    h: Graph,
+    edge_index: list[tuple[int, int]],
+    removal_order: list[int],
+    colours: dict[int, int],
+) -> None:
+    """First-fit on L²(h) through the peel in reverse, extending `colours`.
+
+    Edge uv gets the smallest colour missing from the colour sets at the
+    vertices of N(u) | N(v): those are the colours of the coloured edges
+    with an endpoint there, which are exactly uv's coloured square
+    neighbours.  When an edge returns, its coloured neighbours are the
+    survivors present at its removal, fewer than the peel threshold, so the
+    colours stay below threshold + 1.
+    """
+    colours_at: list[set[int]] = [set() for _ in range(h.n)]
+    for i, c in colours.items():
+        u, v = edge_index[i]
+        colours_at[u].add(c)
+        colours_at[v].add(c)
+    for i in reversed(removal_order):
+        u, v = edge_index[i]
+        used = set().union(
+            *map(colours_at.__getitem__, h.neighbours(u)),
+            *map(colours_at.__getitem__, h.neighbours(v)),
+        )
+        c = smallest_free_colour(used)
+        colours[i] = c
+        colours_at[u].add(c)
+        colours_at[v].add(c)
 
 
 def _colour_core(

@@ -233,6 +233,23 @@ class TestColorCommand:
         assert len(err.splitlines()) == 1
         assert "436207616 vertices" in err
 
+    def test_oversized_near_edge_sets_refused(self, tmp_path, capsys, monkeypatch):
+        # rr(600,12) needs sum deg² = 86,400 near-edge entries; with the cap
+        # just below, strong-edge refuses before building any near set.
+        import sparsecolour.strong_edge as strong_edge
+
+        def near_sets(*args, **kwargs):
+            raise AssertionError("the size check must come before the near sets")
+
+        monkeypatch.setattr(strong_edge, "NEAR_SIZE_CAP", 86_399)
+        monkeypatch.setattr(strong_edge, "_near_edge_sets", near_sets)
+        g = tmp_path / "rr.dimacs"
+        run(["gen", "--random-regular", "600", "12", "--out", str(g)], capsys)
+        code, out, err = run(["strong-edge", "--input", str(g)], capsys)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "about 86400 entries" in err and "cap of 86399" in err
+
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         import sparsecolour.cli as cli
 
@@ -307,6 +324,11 @@ class TestReportPins:
                 ["simulate", "--k", "6", "--experiment", "sparsity",
                  "--trials", "3", "--rounds", "3", "--seed", "2"],
                 "369cf9f9ed3e497e0f29e1dbd60ff1053d87d0c49cb4a9323e46a9f6ed6dab64",
+            ),
+            (
+                ["--random-regular", "200", "10", "--seed", "2"],
+                ["strong-edge", "--seed", "0"],
+                "c0da5247e3bdbbb2885bb91b9436611510533caec582cafd5b270170a0337e63",
             ),
         ],
     )
