@@ -33,6 +33,7 @@ from .graph import Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
     KIND_TRIAL,
     _Compiled,
+    _group_pairs,
     _regularize_with_assignment,
     _round_arrays,
     _stats_arrays,
@@ -49,6 +50,12 @@ _MC_BLOCK = 64
 # has sum over pairs p of |C_p|(|C_p| - 1)/2 rows, which grows like the
 # fourth power of the degree on dense graphs, so only one chunk is held.
 _MC_CHUNK = 1 << 16
+# Statistic, in-row and triangle rows that one kernel call, a slice of a
+# block's trials, may take together; a block runs as ceil(64 / slice)
+# calls.  Larger slices spread numpy's per-call overhead over more trials,
+# but their arrays outgrow the cache: on random 20-regular hosts the best
+# slice was 8-16 trials, on C5 blow-ups 32-64.
+_MC_SLICE_ROWS = 1 << 16
 
 
 # -- naive per-outcome statistics (the independent reference) -------------------
@@ -299,11 +306,15 @@ def monte_carlo_round(
     """Estimate round statistics over `trials` independently seeded rounds.
 
     Trial t uses seed derive_seed(seed, KIND_TRIAL, t), so single trials can
-    be replayed through run_round.  Trials run in fixed blocks of 64.  A
-    block stacks its trials' keep flags and pair and triple counts and sums
-    them as integers.  It packs the uncoloured flags into one 64-bit word
-    U_w per vertex w, bit i for the block's i-th trial.  For a pair p at
-    distance <= 2 with common neighbourhood C_p, the sums of the
+    be replayed through run_round.  Trials run in fixed blocks of 64, and a
+    block in slices: one call of the draw-and-statistics kernel takes a
+    slice of trials as (slice, n) arrays.  The slice holds about
+    _MC_SLICE_ROWS statistic, in-row and triangle rows, at most a block;
+    every row of it equals what its trial alone gives, so the width changes
+    no result.  A block stacks its trials' keep flags and pair and triple
+    counts and sums them as integers.  It packs the uncoloured flags into
+    one 64-bit word U_w per vertex w, bit i for the block's i-th trial.  For
+    a pair p at distance <= 2 with common neighbourhood C_p, the sums of the
     common-uncoloured count nuv_t(p) and of its square are then
 
         sum_t nuv_t(p)   = sum over w in C_p of the trials with w uncoloured,
@@ -319,7 +330,9 @@ def monte_carlo_round(
     more when common neighbourhoods are large, as in C5 blow-ups.  Only the
     graph-wide keep fraction is a float; it is summed per trial in trial
     order.  The blocks are reduced in order, so the result is identical for
-    any thread count.
+    any thread count.  Dense hosts whose statistic index would exceed
+    ncp.STATS_ROWS_CAP rows are refused with ScheduleError before it is
+    built.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -331,18 +344,24 @@ def monte_carlo_round(
     n = comp.n
     npairs = len(comp.nuv_pairs)
     blocks = [(lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK)]
+    rows = len(comp.stat_src) + comp.in_rows.shape[1] + comp.tri_rows.shape[1]
+    width = max(1, min(_MC_BLOCK, _MC_SLICE_ROWS // max(rows, 1)))
 
     def run_block(bounds):
         lo, hi = bounds
         kept = np.empty((hi - lo, n), dtype=bool)
         p_u = np.empty((hi - lo, n), dtype=np.int64)
         t_u = np.empty_like(p_u)
+        for start in range(lo, hi, width):
+            stop = min(start + width, hi)
+            part = slice(start - lo, stop - lo)
+            seeds = [derive_seed(seed, KIND_TRIAL, t) for t in range(start, stop)]
+            _, _, kept[part], cls = _round_arrays(comp, seeds)
+            _, _, p_u[part], t_u[part] = _stats_arrays(comp, cls, kept[part])
         gsum = 0.0
         gsq = 0.0
-        for i, t in enumerate(range(lo, hi)):
-            f1_idx, _, kept[i] = _round_arrays(comp, derive_seed(seed, KIND_TRIAL, t))
-            _, _, p_u[i], t_u[i] = _stats_arrays(comp, f1_idx, kept[i])
-            gfrac = float(kept[i].sum()) / n
+        for kept_count in kept.sum(axis=1).tolist():
+            gfrac = kept_count / n
             gsum += gfrac
             gsq += gfrac * gfrac
         sums = (
@@ -442,18 +461,13 @@ def _common_pair_chunks(comp: _Compiled):
     """
     sizes, concat, pair_of_entry = comp.nuv_sizes, comp.nuv_concat, comp.nuv_pair_of_entry
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    # Entries after each one in its own common neighbourhood.
-    later = offsets[1:][pair_of_entry] - np.arange(len(concat)) - 1
+    group_end = offsets[1:][pair_of_entry]
     per_pair = sizes * (sizes - 1) // 2
     chunk = (np.cumsum(per_pair) - per_pair) // _MC_CHUNK
     cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(sizes)]
     for lo, hi in zip(cuts, cuts[1:]):
-        e0, e1 = int(offsets[lo]), int(offsets[hi])
-        count = later[e0:e1]
-        first = np.repeat(np.arange(e0, e1), count)
-        # The partners of entry e are e + 1, ..., e + later[e].
-        skip = np.cumsum(count) - count - np.arange(e0, e1) - 1
-        second = np.arange(len(first)) - np.repeat(skip, count)
+        e0, e1 = offsets[lo], offsets[hi]
+        first, second = (e0 + x for x in _group_pairs(group_end[e0:e1] - e0, 1))
         yield (
             concat[first].astype(np.int32),
             concat[second].astype(np.int32),
@@ -521,9 +535,9 @@ def residual_sparsity_experiment(
             work_c = totalize(cur_g, truncate(cur_c, cur_c.min_size()))
             reg, base = _regularize_with_assignment(cur_g, work_c)
             round_seed = derive_seed(seed, KIND_TRIAL, t, i)
-            f1_idx, _, kept = _round_arrays(reg, round_seed)
-            kept_real = {v for v in range(cur_g.n) if kept[v]}
-            f_real = {v: base.colour_values[v][f1_idx[v]] for v in kept_real}
+            f1_idx, _, kept, _ = _round_arrays(reg, [round_seed])
+            kept_real = set(np.flatnonzero(kept[0, : cur_g.n]).tolist())
+            f_real = {v: base.colour_values[v][f1_idx[0, v]] for v in kept_real}
             mu = 1.0 - keep_probability(cur_c.min_size(), reg.max_degree)
             qr = quasirandom_check(
                 cur_g,

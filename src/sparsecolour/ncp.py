@@ -22,6 +22,7 @@ thread count, and any trial can be replayed from its derived seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -69,18 +70,37 @@ def derive_seed(*parts: int) -> int:
     return h
 
 
+_GOLDEN_NP, _M1_NP, _M2_NP = np.uint64(_GOLDEN), np.uint64(_M1), np.uint64(_M2)
+_ONE, _S27, _S30, _S31 = np.uint64(1), np.uint64(27), np.uint64(30), np.uint64(31)
+
+
 def _sm64_np(x: np.ndarray) -> np.ndarray:
-    x = x + np.uint64(_GOLDEN)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_M1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_M2)
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 of every entry, computed in place."""
+    x += _GOLDEN_NP
+    x ^= x >> _S30
+    x *= _M1_NP
+    x ^= x >> _S27
+    x *= _M2_NP
+    x ^= x >> _S31
+    return x
 
 
-def _entity_draws(seed: int, kind: int, count: int) -> np.ndarray:
-    """One 64-bit draw per entity id 0..count-1; matches derive_seed(seed, kind, i)."""
-    base = np.uint64(derive_seed(seed, kind))
-    ids = np.arange(count, dtype=np.uint64)
-    return _sm64_np(base ^ ids)
+def _entity_draws(
+    seeds: Sequence[int], kinds: Sequence[int], counts: Sequence[int]
+) -> np.ndarray:
+    """64-bit draws hashed in one pass: a row per seed, and the entity ids
+    0..count-1 of each kind in turn as columns.  With kinds (k0, k1) and
+    counts (c0, c1), entry (i, c0 + j) matches derive_seed(seeds[i], k1, j)."""
+    bases = np.array(
+        [[derive_seed(s, kind) for kind in kinds] for s in seeds], dtype=np.uint64
+    ).reshape(len(seeds), len(kinds))
+    draws = np.empty((len(seeds), sum(counts)), dtype=np.uint64)
+    at = 0
+    for j, count in enumerate(counts):
+        ids = np.arange(count, dtype=np.uint64)
+        np.bitwise_xor(bases[:, j : j + 1], ids, out=draws[:, at : at + count])
+        at += count
+    return _sm64_np(draws)
 
 
 # -- round outcome and statistics ----------------------------------------------
@@ -132,6 +152,13 @@ class RoundStats:
     k_prime: Optional[int]
 
 
+# Statistic-index rows (in-rows plus triangle rows, each bounded from above
+# before it is allocated) past which `_Compiled._build_stats` refuses.  One
+# row takes 24-32 bytes in the index, and the statistics of one trial
+# gather a few arrays of that length again.
+STATS_ROWS_CAP = 4_000_000
+
+
 class _Compiled:
     """Array form of (graph, assignment) for fast rounds and stats.
 
@@ -174,16 +201,8 @@ class _Compiled:
                 dir_map[2 * e, index_of[u][cu]] = index_of[v][cv]
                 dir_map[2 * e + 1, index_of[v][cv]] = index_of[u][cu]
         self.index_of = index_of
-        self._set_edges(
-            np.array([e[0] for e in edges], dtype=np.int64),
-            np.array([e[1] for e in edges], dtype=np.int64),
-            dir_map,
-            k_arr,
-            g.max_degree(),
-            g.neighbours,
-            g.neighbour_set,
-            g.n,
-        )
+        ends = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        self._set_edges(ends[0], ends[1], dir_map, k_arr, g.max_degree(), g.n)
 
     @classmethod
     def _from_arrays(
@@ -193,7 +212,6 @@ class _Compiled:
         ev: np.ndarray,
         dir_map: np.ndarray,
         k_arr: np.ndarray,
-        adjacency: _Adjacency,
     ) -> _Compiled:
         """The instance with these edge arrays (sorted by (u, v), u < v)
         and base's max degree, whose first base.n vertices are base's and
@@ -201,21 +219,10 @@ class _Compiled:
         comp = cls.__new__(cls)
         comp.colour_values, comp.index_of = base.colour_values, base.index_of
         comp.kmax = base.kmax
-        comp._set_edges(
-            eu,
-            ev,
-            dir_map,
-            k_arr,
-            base.max_degree,
-            adjacency.neighbours,
-            adjacency.neighbour_set,
-            base.n,
-        )
+        comp._set_edges(eu, ev, dir_map, k_arr, base.max_degree, base.n)
         return comp
 
-    def _set_edges(
-        self, eu, ev, dir_map, k_arr, max_degree, neighbours, neighbour_set, focus
-    ) -> None:
+    def _set_edges(self, eu, ev, dir_map, k_arr, max_degree, focus) -> None:
         """Install the edge arrays (sorted by (u, v), u < v) and the
         per-edge indexes derived from them; vertices below `focus` are
         real."""
@@ -223,223 +230,279 @@ class _Compiled:
         self.m = len(eu)
         self.focus = focus
         self.eu, self.ev, self.dir_map, self.k_arr = eu, ev, dir_map, k_arr
+        self.k_draw = k_arr.astype(np.uint64)
         self.max_degree = max_degree
-        self.neighbours = neighbours
-        self.neighbour_set = neighbour_set
         self.dir_src = np.empty(2 * self.m, dtype=np.int64)
         self.dir_dst = np.empty(2 * self.m, dtype=np.int64)
         self.dir_src[0::2], self.dir_src[1::2] = eu, ev
         self.dir_dst[0::2], self.dir_dst[1::2] = ev, eu
-        # dir_map read flat: entry (row, i) sits at row * kmax + i, and the
-        # forward row 2e of edge e starts at fwd_base[e].
+        self.ends = self.dir_src.reshape(-1, 2)  # ends[e, d]: where bit d points
+        # dir_map read flat: entry (row, i) sits at row * kmax + i.
         self.dir_flat = dir_map.reshape(-1)
-        self.fwd_base = np.arange(0, 2 * self.m * self.kmax, 2 * self.kmax)
-        # Only rows into focus vertices feed the statistics.
-        if self.focus == self.n:
-            self.stat_rows = np.arange(2 * self.m, dtype=np.int64)
-        else:
-            self.stat_rows = np.flatnonzero(self.dir_dst < self.focus)
-        self.stat_src = self.dir_src[self.stat_rows]
-        self.stat_dst = self.dir_dst[self.stat_rows]
-        self.stat_base = self.stat_rows * self.kmax
-        # Distinct negative stand-ins for the class of an uncoloured source.
-        self.stat_loose = -1 - np.arange(len(self.stat_rows), dtype=np.int64)
-        touching = np.flatnonzero(eu < self.focus)
-        self.dir_id: dict[tuple[int, int], int] = {}
-        ends = zip(touching.tolist(), eu[touching].tolist(), ev[touching].tolist())
-        for e, u, v in ends:
-            self.dir_id[(u, v)] = 2 * e
-            self.dir_id[(v, u)] = 2 * e + 1
+        # The rows looked up once per trial: the forward row of every edge,
+        # in the order fwd_edge (those into vertices outside the focus
+        # first), then the backward rows into focus vertices.  The keep rule
+        # reads the first m; the statistics read the rows into focus
+        # vertices, which start at stat_start.
+        outside = ev >= focus
+        self.fwd_edge = np.argsort(~outside, kind="stable")
+        self.fwd_dst = ev[self.fwd_edge]
+        self.stat_start = int(np.count_nonzero(outside))
+        backward = 2 * np.flatnonzero(eu < focus) + 1
+        look_rows = np.concatenate([2 * self.fwd_edge, backward])
+        stat_rows = look_rows[self.stat_start :]
+        self.stat_src = self.dir_src[stat_rows]
+        self.stat_dst = self.dir_dst[stat_rows]
+        # Distinct negative stand-ins, -stat_shift, for the class of an
+        # uncoloured source.
+        self.stat_shift = 1 + np.arange(len(stat_rows), dtype=np.int64)
+        self.look_src = self.dir_src[look_rows]
+        self.look_base = look_rows * self.kmax
         self._stats_built = False
         self._nuv_built = False
 
     # Lazily built structures for pair/triple statistics.
     def _build_stats(self) -> None:
-        """Index the edges and paths inside each focus neighbourhood.
+        """Index the edges and triangles inside each focus neighbourhood.
 
         An entry is a focus vertex u and, for each member of the structure,
         the position in the statistic rows of its edge into u: `in_rows`
-        holds the edges a-b inside N(u) (a < b), `path_rows` the paths
-        x-w-y inside N(u) (x < y), `tri_rows` the triangles a < b < c inside
-        N(u).  Each array stores one field per row: (u, a, b) or
-        (u, x, w, y) or (u, a, b, c).
+        holds the edges a-b inside N(u) as (u, a, b), a < b, and `tri_rows`
+        the triangles a < b < c inside N(u) as (u, a, b, c), one field per
+        row.  Paths inside N(u) need no index: `_stats_arrays` counts them
+        from the in-rows.  The in-rows are the neighbour pairs of u that are
+        edges, and the triangles the pairs of in-rows (u, a, b), (u, a, c)
+        with b-c an edge; each candidate count is known before the
+        candidates are allocated and checked against STATS_ROWS_CAP.
         """
         if self._stats_built:
             return
-        nbr_set, dir_id = self.neighbour_set, self.dir_id
-        in_rows = []
-        path_rows = []
-        tri_rows = []
-        for u in range(self.focus):
-            nbrs = nbr_set(u)
-            for a in sorted(nbrs):
-                inner = sorted(nbr_set(a) & nbrs)
-                da = dir_id[(a, u)]
-                for b in inner:
-                    if a < b:
-                        in_rows.append((u, da, dir_id[(b, u)]))
-                for i, x in enumerate(inner):
-                    dx = dir_id[(x, u)]
-                    for y in inner[i + 1 :]:
-                        dy = dir_id[(y, u)]
-                        path_rows.append((u, dx, da, dy))
-                        if x in nbr_set(y) and a < x:
-                            tri_rows.append((u, da, dx, dy))
-        position = np.empty(2 * self.m, dtype=np.int64)
-        position[self.stat_rows] = np.arange(len(self.stat_rows))
-
-        def fields(rows, width):
-            table = np.array(rows, dtype=np.int64).reshape(-1, width).T
-            table[1:] = position[table[1:]]
-            return np.ascontiguousarray(table)
-
-        self.in_rows = fields(in_rows, 3)
-        self.path_rows = fields(path_rows, 4)
-        self.tri_rows = fields(tri_rows, 4)
+        src, dst = self.stat_src, self.stat_dst
+        by_target = np.lexsort((src, dst))  # statistic rows by (u, a)
+        target = dst[by_target]
+        group_end = np.searchsorted(target, target, side="right")
+        self._check_stats_size(_pair_count(group_end, 1))
+        a, b = _group_pairs(group_end, 1)
+        inside = self._is_edge(src[by_target[a]], src[by_target[b]])
+        a, b = a[inside], b[inside]
+        self.in_rows = np.array([target[a], by_target[a], by_target[b]])
+        # The in-rows run in (u, a, b) order, so those sharing (u, a) are
+        # consecutive.
+        run_end = np.searchsorted(a, a, side="right")
+        self._check_stats_size(len(a) + _pair_count(run_end, 1))
+        first, second = _group_pairs(run_end, 1)
+        closed = self._is_edge(src[by_target[b[first]]], src[by_target[b[second]]])
+        first, second = first[closed], second[closed]
+        a, b, c = by_target[a[first]], by_target[b[first]], by_target[b[second]]
+        self.tri_rows = np.array([dst[a], a, b, c])
         self._stats_built = True
+
+    def _check_stats_size(self, rows: int) -> None:
+        if rows > STATS_ROWS_CAP:
+            raise ScheduleError(
+                f"statistic index would have up to {rows} rows (about "
+                f"{32 * rows / 2**20:.0f} MiB), above the cap of "
+                f"{STATS_ROWS_CAP} rows"
+            )
+
+    def _is_edge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Whether each a[i]-b[i] (a[i] < b[i]) is an edge."""
+        keys = self.eu * self.n + self.ev  # ascending, as the edges are sorted
+        wanted = a * self.n + b
+        at = np.minimum(np.searchsorted(keys, wanted), self.m - 1)
+        return keys[at] == wanted
 
     def _build_nuv(self) -> None:
         if self._nuv_built:
             return
-        rows = _distance2_rows(self.neighbours, self.neighbour_set, self.focus)
+        rows = _distance2_rows(self.dir_src, self.dir_dst, self.focus)
         self.nuv_pairs, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = rows
         self._nuv_built = True
 
 
-def _distance2_rows(neighbours, neighbour_set, n: int):
-    """Every pair u <= v < n at distance <= 2 (u = v included), in
+def _pair_count(group_end: np.ndarray, gap: int) -> int:
+    """The number of pairs `_group_pairs(group_end, gap)` yields."""
+    return int((group_end - np.arange(len(group_end)) - gap).sum())
+
+
+def _group_pairs(group_end: np.ndarray, gap: int):
+    """Every index pair (i, j) with i + gap <= j < group_end[i], in
+    ascending order, where group_end[i] ends the run of entries holding i:
+    gap 1 gives the pairs i < j within each run, gap 0 adds i = j."""
+    idx = np.arange(len(group_end))
+    later = group_end - idx - gap
+    total = int(later.sum())
+    # int32 indexes halve the transient memory where they can hold them.
+    kind = np.int32 if total < 2**31 and len(idx) < 2**31 else np.int64
+    first = np.repeat(idx.astype(kind), later)
+    run_start = np.repeat((np.cumsum(later) - later).astype(kind), later)
+    rank = np.arange(total, dtype=kind) - run_start
+    rank += first
+    rank += gap
+    return first, rank
+
+
+def _directed_edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """(sources, targets) of every edge of g in both directions."""
+    eu, ev = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2).T
+    return np.concatenate([eu, ev]), np.concatenate([ev, eu])
+
+
+def _distance2_rows(src: np.ndarray, dst: np.ndarray, focus: int):
+    """Every pair u <= v < focus at distance <= 2 (u = v included), in
     ascending order, with its common neighbourhood N(u) & N(v).
+
+    `src` and `dst` list every edge in both directions.  The common
+    neighbours are the middles w of the 2-paths u - w - v: each w pairs up
+    its neighbours below `focus`, and one stable sort by (u, v) puts the
+    middles of each pair in ascending order.  Adjacent pairs and u = v are
+    added even when their common neighbourhood is empty.
 
     Returns (pairs, sizes, concat, pair_of_entry): `sizes[p]` is the size of
     pair p's common neighbourhood, `concat` all common neighbourhoods (each
     sorted) one after another, and `pair_of_entry[i]` the pair of concat[i].
     """
-    pairs: list[tuple[int, int]] = []
-    concat: list[int] = []
-    pair_of_entry: list[int] = []
-    sizes: list[int] = []
-    for u in range(n):
-        candidates = {u}
-        for w in neighbours(u):
-            candidates.add(w)
-            candidates.update(neighbours(w))
-        for v in sorted(v for v in candidates if u <= v < n):
-            common = sorted(neighbour_set(u) & neighbour_set(v))
-            pair_of_entry.extend([len(pairs)] * len(common))
-            pairs.append((u, v))
-            sizes.append(len(common))
-            concat.extend(common)
+    near = np.flatnonzero(dst < focus)
+    near = near[np.lexsort((dst[near], src[near]))]  # rows w -> x by (w, x)
+    middle, end = src[near], dst[near]
+    u, v = _group_pairs(np.searchsorted(middle, middle, side="right"), 0)
+    key = end[u] * focus + end[v]
+    order = np.argsort(key, kind="stable")
+    key, concat = key[order], middle[u[order]]
+    adjacent = (src < dst) & (dst < focus)
+    pair_keys = np.sort(
+        np.concatenate(
+            [key, np.arange(focus) * (focus + 1), src[adjacent] * focus + dst[adjacent]]
+        )
+    )
+    pair_keys = pair_keys[np.diff(pair_keys, prepend=-1) != 0]
+    pair_of_entry = np.searchsorted(pair_keys, key)
+    low, high = np.divmod(pair_keys, max(focus, 1))
+    # The pairs share one int object per vertex.
+    vertex = list(range(focus))
     return (
-        pairs,
-        np.array(sizes, dtype=np.int64),
-        np.array(concat, dtype=np.int64),
-        np.array(pair_of_entry, dtype=np.int64),
+        list(zip(map(vertex.__getitem__, low), map(vertex.__getitem__, high))),
+        np.bincount(pair_of_entry, minlength=len(pair_keys)),
+        concat,
+        pair_of_entry,
     )
 
 
-class _Adjacency:
-    """Sorted neighbour lists of an edge array, materialised per vertex on
-    first use (only the focus vertices' surroundings are ever asked for)."""
-
-    def __init__(self, n: int, eu: np.ndarray, ev: np.ndarray):
-        src = np.concatenate([eu, ev])
-        dst = np.concatenate([ev, eu])
-        order = np.lexsort((dst, src))
-        self._flat = dst[order]
-        self._start = np.concatenate(
-            [[0], np.cumsum(np.bincount(src, minlength=n))]
-        ).tolist()
-        self._lists: dict[int, tuple[int, ...]] = {}
-        self._sets: dict[int, frozenset[int]] = {}
-
-    def neighbours(self, u: int) -> tuple[int, ...]:
-        nbrs = self._lists.get(u)
-        if nbrs is None:
-            nbrs = tuple(self._flat[self._start[u] : self._start[u + 1]].tolist())
-            self._lists[u] = nbrs
-        return nbrs
-
-    def neighbour_set(self, u: int) -> frozenset[int]:
-        nbrs = self._sets.get(u)
-        if nbrs is None:
-            nbrs = self._sets[u] = frozenset(self.neighbours(u))
-        return nbrs
+def _row_classes(comp: _Compiled, f1_idx: np.ndarray) -> np.ndarray:
+    """The class of every looked-up row under (B, n) colour indices: the
+    colour index at the row's target matched with its source's colour (-1
+    if none), shape (B, L)."""
+    return comp.dir_flat.take(comp.look_base + f1_idx.take(comp.look_src, axis=1))
 
 
-def _round_arrays(comp: _Compiled, seed: int):
-    """Execute one round; returns (colour index per vertex, direction bits,
-    kept mask)."""
-    f1_idx = (
-        _entity_draws(seed, KIND_COLOUR, comp.n) % comp.k_arr.astype(np.uint64)
-    ).astype(np.int64)
-    dirs = (_entity_draws(seed, KIND_DIRECTION, comp.m) & np.uint64(1)).astype(
-        np.int64
-    )
-    kept = np.ones(comp.n, dtype=bool)
-    if comp.m:
-        matched = comp.dir_flat[comp.fwd_base + f1_idx[comp.eu]] == f1_idx[comp.ev]
-        targets = np.where(dirs == 0, comp.eu, comp.ev)
-        kept[targets[matched]] = False
-    return f1_idx, dirs, kept
+def _round_arrays(comp: _Compiled, seeds: Sequence[int]):
+    """Execute one round per seed, all at once.
+
+    Returns (f1_idx, dirs, kept, cls), one row per seed: the colour index
+    per vertex (B, n), the direction bit per edge (B, m), the kept mask
+    (B, n) and the class of every looked-up row (B, L), which the keep rule
+    reads here and `_stats_arrays` reads again.  Row i is what seed i alone
+    gives.
+    """
+    n = comp.n
+    draws = _entity_draws(seeds, (KIND_COLOUR, KIND_DIRECTION), (n, comp.m))
+    f1_idx = (draws[:, :n] % comp.k_draw).astype(np.int64)
+    dirs = (draws[:, n:] & _ONE).astype(np.int64)
+    cls = _row_classes(comp, f1_idx)
+    kept = np.ones(f1_idx.shape, dtype=bool)
+    trial, e = (cls[:, : comp.m] == f1_idx.take(comp.fwd_dst, axis=1)).nonzero()
+    e = comp.fwd_edge[e]
+    kept[trial, comp.ends[e, dirs[trial, e]]] = False
+    return f1_idx, dirs, kept, cls
 
 
-def _falling2(x: np.ndarray) -> np.ndarray:
-    return x * (x - 1) // 2
+def _stats_arrays(comp: _Compiled, cls: np.ndarray, kept: np.ndarray):
+    """Col, Dist, pair and triple counts per trial and focus vertex, from
+    class counts.
 
-
-def _falling3(x: np.ndarray) -> np.ndarray:
-    return x * (x - 1) * (x - 2) // 6
-
-
-def _stats_arrays(comp: _Compiled, f1_idx: np.ndarray, kept: np.ndarray):
-    """Col, Dist, pair and triple counts per vertex, from class counts.
-
-    A kept neighbour a of u belongs to the class of the colour at u matched
-    with a's colour.  Pair/triple counts over all same-class kept members are
-    corrected down to non-adjacent ones by inclusion-exclusion over the edges
-    inside each neighbourhood.  Each statistic row (an edge a->u) is looked
-    up once: its value is a's class if a is kept and a negative id of its
-    own otherwise, so "same class, all kept" is plain equality of values.
-    Arrays cover the focus vertices only.
+    `cls` and `kept` are B trials' row classes and kept masks, (B, L) and
+    (B, n) as `_round_arrays` returns them; each result is (B, focus).  A
+    kept neighbour a of u belongs to the class of the colour at u matched
+    with a's colour.  Pair/triple counts over all same-class kept members
+    are corrected down to non-adjacent ones by inclusion-exclusion over the
+    edges, paths and triangles inside each neighbourhood.  A statistic row
+    (an edge a->u) has as value a's class if a is kept and a negative id of
+    its own otherwise, so "same class, all kept" is plain equality of
+    values.  A path x-w-y inside N(u) with three equal values is a pair of
+    same-valued in-rows at w's row, so the paths are counted, not listed.
     """
     comp._build_stats()
-    n, kmax = comp.focus, comp.kmax
-    cls = comp.dir_flat[comp.stat_base + f1_idx[comp.stat_src]]
-    kept_src = kept[comp.stat_src]
-    # counts[i, u]: kept neighbours of u in the class of u's i-th colour.
-    key = cls * n + comp.stat_dst
-    counts = np.bincount(key[kept_src], minlength=kmax * n).reshape(kmax, n)
-    val = np.where(kept_src, cls, comp.stat_loose)
-    col = counts.sum(axis=0)
-    dist = np.count_nonzero(counts, axis=0)
-    p_u = _falling2(counts).sum(axis=0)
-    t_u = _falling3(counts).sum(axis=0)
+    trials, n, kmax = len(kept), comp.focus, comp.kmax
+    rows = len(comp.stat_src)
+    cls = cls[:, comp.stat_start :]
+    kept_src = kept.take(comp.stat_src, axis=1)
+    # counts[b, i, u]: kept neighbours of u in the class of u's i-th colour.
+    key = cls * n
+    key += comp.stat_dst
+    key += np.arange(0, trials * kmax * n, kmax * n)[:, None]
+    counts = np.bincount(np.compress(kept_src.ravel(), key), minlength=trials * kmax * n)
+    counts = counts.reshape(trials, kmax, n)
+    # The value is the class if kept and -stat_shift otherwise, branch-free.
+    val = cls + comp.stat_shift
+    val *= kept_src
+    val -= comp.stat_shift
+    terms = _class_terms(comp.max_degree).take(counts, axis=0).sum(axis=1)
+    col, dist, p_u, t_u = terms[..., 0], terms[..., 1], terms[..., 2], terms[..., 3]
 
+    # Triple corrections as (trial * n + u, weight), summed in one pass.
+    keys, weights = [], []
     u, a, b = comp.in_rows
-    same = val[a] == val[b]
-    hit = u[same]
-    p_u -= np.bincount(hit, minlength=n)
-    nc = counts[val[a[same]], hit]
-    t_u -= np.bincount(hit, weights=(nc - 2).astype(np.float64), minlength=n).astype(np.int64)
-    u, x, w, y = comp.path_rows
-    vw = val[w]
-    t_u += np.bincount(u[(val[x] == vw) & (vw == val[y])], minlength=n)
+    if u.size:
+        val_a = val.take(a, axis=1)
+        trial, row = (val_a == val.take(b, axis=1)).nonzero()
+        u_hit = u.take(row)
+        hit = trial * n + u_hit
+        p_u -= np.bincount(hit, minlength=trials * n).reshape(trials, n)
+        keys.append(hit)
+        weights.append(2 - counts[trial, val_a[trial, row], u_hit])
+        # Same-valued in-rows per (trial, row); their pairs at w's row are
+        # the paths x-w-y.
+        at_row = trial * rows
+        same_at = np.bincount(
+            np.concatenate([at_row + a.take(row), at_row + b.take(row)]),
+            minlength=trials * rows,
+        ).reshape(trials, rows)
+        trial, row = (same_at > 1).nonzero()
+        keys.append(trial * n + comp.stat_dst.take(row))
+        weights.append(_class_terms(comp.max_degree)[same_at[trial, row], 2])
     u, a, b, c = comp.tri_rows
-    vb = val[b]
-    t_u -= np.bincount(u[(val[a] == vb) & (vb == val[c])], minlength=n)
+    if u.size:
+        val_b = val.take(b, axis=1)
+        equal = (val.take(a, axis=1) == val_b) & (val_b == val.take(c, axis=1))
+        trial, row = equal.nonzero()
+        keys.append(trial * n + u.take(row))
+        weights.append(np.full(len(row), -1))
+    if keys:
+        t_u += np.bincount(
+            np.concatenate(keys), weights=np.concatenate(weights), minlength=trials * n
+        ).astype(np.int64).reshape(trials, n)
     return col, dist, p_u, t_u
 
 
+@functools.lru_cache(maxsize=8)
+def _class_terms(max_degree: int) -> np.ndarray:
+    """Per class size c <= max_degree: c, [c > 0], C(c, 2) and C(c, 3)."""
+    c = np.arange(max_degree + 1)
+    terms = np.array([c, c > 0, c * (c - 1) // 2, c * (c - 1) * (c - 2) // 6]).T.copy()
+    terms.flags.writeable = False  # shared by every caller through the cache
+    return terms
+
+
 def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
+    """|N(u) & N(v) & uncoloured| per trial and distance-<=2 pair, (B, P)
+    from (B, n) kept masks."""
     comp._build_nuv()
-    uncol = ~kept
-    if comp.nuv_concat.size:
-        return np.bincount(
-            comp.nuv_pair_of_entry,
-            weights=uncol[comp.nuv_concat].astype(np.float64),
-            minlength=len(comp.nuv_pairs),
-        ).astype(np.int64)
-    return np.zeros(len(comp.nuv_pairs), dtype=np.int64)
+    pairs = len(comp.nuv_pairs)
+    counts = [
+        np.bincount(comp.nuv_pair_of_entry, weights=uncoloured, minlength=pairs)
+        for uncoloured in ~kept.take(comp.nuv_concat, axis=1)
+    ]
+    return np.array(counts, dtype=np.int64).reshape(len(kept), pairs)
 
 
 def _residual_degrees(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
@@ -485,12 +548,16 @@ def run_round(
     only applies to total ones.
     """
     comp = _Compiled(g, c, require_total=require_total)
-    return _outcome_from_arrays(comp, *_round_arrays(comp, seed))
+    f1_idx, dirs, kept, _ = _round_arrays(comp, [seed])
+    return _outcome_from_arrays(comp, f1_idx[0], dirs[0], kept[0])
 
 
 def _stats_from_arrays(comp: _Compiled, f1_idx, kept) -> RoundStats:
-    col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
-    return _stats_record(comp, kept, col, dist, p_u, t_u, _nuv_counts(comp, kept))
+    """RoundStats of one trial's colour indices and kept mask."""
+    f1_idx, kept = f1_idx[None], kept[None]
+    arrays = _stats_arrays(comp, _row_classes(comp, f1_idx), kept)
+    col, dist, p_u, t_u = (x[0] for x in arrays)
+    return _stats_record(comp, kept[0], col, dist, p_u, t_u, _nuv_counts(comp, kept)[0])
 
 
 def _stats_record(comp: _Compiled, kept, col, dist, p_u, t_u, nuv) -> RoundStats:
@@ -582,9 +649,7 @@ def quasirandom_check(
     """Check |#(N(u) & N(v) & uncoloured) - mu |N(u) & N(v)|| <= slack(max_degree)
     for every pair at distance <= 2 and every u = v; report the worst pair."""
     allowed = slack(g.max_degree()) if callable(slack) else float(slack)
-    pairs, sizes, concat, pair_of_entry = _distance2_rows(
-        g.neighbours, g.neighbour_set, g.n
-    )
+    pairs, sizes, concat, pair_of_entry = _distance2_rows(*_directed_edges(g), g.n)
     if not pairs:
         return QuasirandomReport(True, None, -1.0, allowed)
     hits = np.isin(concat, list(uncoloured)).astype(np.float64)
@@ -735,10 +800,12 @@ def attempt_round(
     best: Optional[tuple[int, ViolationReport, tuple]] = None
     for attempt in range(max(1, max_restarts)):
         attempt_seed = derive_seed(seed, KIND_RESTART, attempt)
-        f1_idx, dirs, kept = _round_arrays(comp, attempt_seed)
-        col, dist, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
-        stat_bad = np.flatnonzero(((p_u - t_u) < thresholds) & ~kept[: comp.focus])
+        f1_idx, dirs, kept, cls = _round_arrays(comp, [attempt_seed])
+        stats = _stats_arrays(comp, cls, kept)
         nuv = _nuv_counts(comp, kept)
+        f1_idx, dirs, kept, nuv = f1_idx[0], dirs[0], kept[0], nuv[0]
+        col, dist, p_u, t_u = (x[0] for x in stats)
+        stat_bad = np.flatnonzero(((p_u - t_u) < thresholds) & ~kept[: comp.focus])
         dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
         quasi_bad = np.flatnonzero(dev > allowed)
         violations = ViolationReport(
@@ -951,7 +1018,7 @@ def _regularize_with_assignment(
     steps = target - int(degree.min()) if base.n else 0
     n_final = base.n << steps
     if n_final > REGULARIZED_SIZE_CAP:
-        # eu, ev, fwd_base, dir_src, dir_dst and the (2m x kmax) map, plus
+        # eu, ev, dir_src, dir_dst, fwd_edge and the (2m x kmax) map, plus
         # k_arr, with m = n_final * target / 2.
         nbytes = 8 * (n_final * target * (2 * base.kmax + 7) // 2 + n_final)
         raise ScheduleError(
@@ -967,7 +1034,6 @@ def _regularize_with_assignment(
             ev,
             dir_map,
             np.tile(base.k_arr, 1 << steps),
-            _Adjacency(n_final, eu, ev),
         ),
         base,
     )

@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import sparsecolour
 from sparsecolour.cli import main
 from sparsecolour.graph import parse_dimacs
 from sparsecolour.strong_edge import c5_blowup
@@ -386,6 +391,54 @@ class TestReportPins:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# Runs cli.main under a 2 GiB address-space limit and prints the exit code
+# and the seconds main took (imports excluded).
+_LIMITED_MAIN = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from sparsecolour import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+class TestDenseMonteCarlo:
+    def test_k100_refused_in_one_line_under_a_second(self, tmp_path, capsys):
+        g = tmp_path / "k100.dimacs"
+        run(["gen", "--complete", "100", "--out", str(g)], capsys)
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(sparsecolour.__file__).resolve().parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        argv = ["simulate", "--experiment", "mc", "--input", str(g), "--k", "50",
+                "--out", str(tmp_path / "r.json")]
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        code, seconds = proc.stdout.split()
+        assert code == "1", proc.stderr
+        assert proc.stderr.splitlines() == [
+            "sparsecolour: statistic index would have up to 16170000 rows "
+            "(about 493 MiB), above the cap of 4000000 rows"
+        ]
+        assert float(seconds) < 1.0
+        assert not (tmp_path / "r.json").exists()
+
+    def test_k60_finishes(self, tmp_path, capsys):
+        g = tmp_path / "k60.dimacs"
+        out = tmp_path / "r.json"
+        run(["gen", "--complete", "60", "--out", str(g)], capsys)
+        code, _, err = run(
+            ["simulate", "--experiment", "mc", "--input", str(g), "--k", "30",
+             "--trials", "3", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0, err
+        result = json.loads(out.read_text())["result"]
+        assert result["trials"] == 3 and len(result["pairs_mean"]) == 60
+
+
 class TestSimulateCommand:
     def test_mc_thread_invariance(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
@@ -404,6 +457,26 @@ class TestSimulateCommand:
             assert code == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_mc_bytes_independent_of_slices_and_threads(self, tmp_path, capsys, monkeypatch):
+        from sparsecolour import harness
+
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--random-regular", "40", "6", "--seed", "5", "--out", str(g)], capsys)
+        outs = []
+        # 282 statistic, in-row and triangle rows per trial: slices of 64
+        # (the whole block), 7 and 1 trials.
+        for budget, threads in [(1 << 16, "1"), (1 << 16, "2"), (2000, "2"), (1, "1")]:
+            monkeypatch.setattr(harness, "_MC_SLICE_ROWS", budget)
+            out = tmp_path / f"mc{budget}-{threads}.json"
+            code, _, _ = run(
+                ["simulate", "--input", str(g), "--k", "4", "--trials", "130",
+                 "--seed", "11", "--threads", threads, "--out", str(out)],
+                capsys,
+            )
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[1:] == outs[:1] * 3
 
     def test_mc_on_empty_graph_is_one_line(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"

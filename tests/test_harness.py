@@ -263,6 +263,28 @@ class TestMonteCarloBlockSums:
         assert rep.common_uncoloured_se == {p: se for p, (_, se) in nuv.items()}
 
 
+class TestMonteCarloSlices:
+    """Blocks run as slices of trials per kernel call; the slice width must
+    change nothing, whatever the thread count."""
+
+    @pytest.mark.parametrize("trials", [1, 15, 17, 64, 65, 130])
+    def test_any_slice_width_gives_the_same_report(self, monkeypatch, trials):
+        from sparsecolour import harness
+        from sparsecolour.ncp import _Compiled
+
+        g = gnp_graph(14, 0.4, seed=3)
+        c = _random_bijections(g, 3, seed=8)
+        comp = _Compiled(g, c)
+        comp._build_stats()
+        rows = len(comp.stat_src) + comp.in_rows.shape[1] + comp.tri_rows.shape[1]
+        assert harness._MC_SLICE_ROWS // rows >= 64  # one slice per block
+        reference = monte_carlo_round(g, c, trials=trials, seed=5)
+        for width in (1, 5, 17):
+            monkeypatch.setattr(harness, "_MC_SLICE_ROWS", width * rows)
+            assert monte_carlo_round(g, c, trials=trials, seed=5) == reference
+            assert monte_carlo_round(g, c, trials=trials, seed=5, threads=2) == reference
+
+
 class TestMonteCarlo:
     def test_edgeless_keeps_everything(self):
         g = empty_graph(4)

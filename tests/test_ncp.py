@@ -49,9 +49,13 @@ from sparsecolour.strong_edge import c5_blowup
 
 class TestSeedDerivation:
     def test_scalar_vector_agreement(self):
-        draws = _entity_draws(12345, 0xC01, 10)
-        for i in range(10):
-            assert int(draws[i]) == derive_seed(12345, 0xC01, i)
+        draws = _entity_draws([12345, 678], [0xC01, 0xD12], [10, 4])
+        assert draws.shape == (2, 14)
+        for row, seed in enumerate([12345, 678]):
+            for i in range(10):
+                assert int(draws[row, i]) == derive_seed(seed, 0xC01, i)
+            for i in range(4):
+                assert int(draws[row, 10 + i]) == derive_seed(seed, 0xD12, i)
 
     def test_order_sensitivity(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
@@ -269,17 +273,35 @@ class TestQuasirandomCheck:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_distance2_rows_match_naive_pairs(self, seed):
+        from sparsecolour.graph import Graph
+        from sparsecolour.harness import naive_regularize_with_assignment
+        from sparsecolour.ncp import _directed_edges, _regularize_with_assignment
+
         g = gnp_graph(12, 0.3, seed=seed)
-        pairs, sizes, concat, pair_of_entry = _distance2_rows(
-            g.neighbours, g.neighbour_set, g.n
-        )
-        assert pairs == _distance2_pairs(g)
-        commons = [sorted(g.neighbour_set(u) & g.neighbour_set(v)) for u, v in pairs]
-        assert sizes.tolist() == [len(c) for c in commons]
-        assert concat.tolist() == [w for c in commons for w in c]
-        assert pair_of_entry.tolist() == [
-            p for p, c in enumerate(commons) for _ in c
+        # Vertices 12-14 have no neighbour at all.
+        isolated = Graph.from_edges(15, g.edges())
+        # The regularised copy of a small host, focused on the host's vertices.
+        host = gnp_graph(7, 0.4, seed=seed)
+        c = uniform_lists(host, 2)
+        reg, _ = _regularize_with_assignment(host, c)
+        ref_g, _ = naive_regularize_with_assignment(host, c)
+        assert reg.focus < reg.n
+        cases = [
+            (g, g.n, _directed_edges(g)),
+            (isolated, isolated.n, _directed_edges(isolated)),
+            (ref_g, reg.focus, (reg.dir_src, reg.dir_dst)),
         ]
+        for graph, focus, (src, dst) in cases:
+            pairs, sizes, concat, pair_of_entry = _distance2_rows(src, dst, focus)
+            assert pairs == [(u, v) for u, v in _distance2_pairs(graph) if v < focus]
+            commons = [
+                sorted(graph.neighbour_set(u) & graph.neighbour_set(v)) for u, v in pairs
+            ]
+            assert sizes.tolist() == [len(c) for c in commons]
+            assert concat.tolist() == [w for c in commons for w in c]
+            assert pair_of_entry.tolist() == [
+                p for p, c in enumerate(commons) for _ in c
+            ]
 
     def test_slack_profiles(self):
         assert asymptotic_slack(1) == 0.0
@@ -546,12 +568,13 @@ class TestArrayRegularisation:
         assert reg.max_degree == ref.max_degree == g.max_degree()
         for name in ("eu", "ev", "dir_map", "dir_src", "dir_dst", "k_arr"):
             np.testing.assert_array_equal(getattr(reg, name), getattr(ref, name))
-        assert [reg.neighbours(u) for u in range(reg.n)] == [
+        # The adjacency the compiled arrays describe is the naive copy's.
+        order = np.lexsort((reg.dir_dst, reg.dir_src))
+        starts = np.searchsorted(reg.dir_src[order], np.arange(reg.n + 1))
+        targets = reg.dir_dst[order].tolist()
+        assert [tuple(targets[lo:hi]) for lo, hi in zip(starts, starts[1:])] == [
             ref_g.neighbours(u) for u in range(ref_g.n)
         ]
-        assert all(
-            reg.neighbour_set(u) == ref_g.neighbour_set(u) for u in range(ref_g.n)
-        )
 
     def test_size_checked_before_doubling(self):
         # star with 25 leaves: 26 * 2^24 vertices after 24 doublings
@@ -561,6 +584,54 @@ class TestArrayRegularisation:
 
         with pytest.raises(ScheduleError, match=r"436207616 vertices \(\d+ MiB"):
             _regularize_with_assignment(g, c)
+
+
+class TestStatisticIndexCap:
+    """K6 has 60 neighbour pairs, all of them edges (60 in-rows), and 60
+    pairs of in-rows sharing their smaller end, all closed (60 triangles)."""
+
+    def _compiled(self):
+        from sparsecolour.ncp import _Compiled
+
+        g = complete_graph(6)
+        return _Compiled(g, uniform_lists(g, 2))
+
+    def test_neighbour_pairs_refused_before_listing(self, monkeypatch):
+        from sparsecolour import ncp
+
+        def listing(*args):
+            raise AssertionError("pairs listed before the size check")
+
+        monkeypatch.setattr(ncp, "STATS_ROWS_CAP", 59)
+        monkeypatch.setattr(ncp, "_group_pairs", listing)
+        with pytest.raises(ScheduleError, match=r"up to 60 rows .* cap of 59 rows"):
+            self._compiled()._build_stats()
+
+    def test_triangle_candidates_refused_before_listing(self, monkeypatch):
+        from sparsecolour import ncp
+
+        calls = []
+        pairs = ncp._group_pairs
+
+        def listing(*args):
+            calls.append(args)
+            if len(calls) > 1:
+                raise AssertionError("triangle candidates listed before the size check")
+            return pairs(*args)
+
+        monkeypatch.setattr(ncp, "STATS_ROWS_CAP", 119)
+        monkeypatch.setattr(ncp, "_group_pairs", listing)
+        with pytest.raises(ScheduleError, match=r"up to 120 rows"):
+            self._compiled()._build_stats()
+        assert len(calls) == 1
+
+    def test_built_at_the_cap(self, monkeypatch):
+        from sparsecolour import ncp
+
+        monkeypatch.setattr(ncp, "STATS_ROWS_CAP", 120)
+        comp = self._compiled()
+        comp._build_stats()
+        assert comp.in_rows.shape == (3, 60) and comp.tri_rows.shape == (4, 60)
 
 
 def _sliced_attempt(g, c, params, seed, max_restarts, focus):
@@ -580,11 +651,12 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
     allowed = params.slack(g.max_degree())
     best = None
     for attempt in range(max_restarts):
-        f1_idx, dirs, kept = _round_arrays(
-            comp, derive_seed(seed, KIND_RESTART, attempt)
+        f1_idx, dirs, kept, cls = _round_arrays(
+            comp, [derive_seed(seed, KIND_RESTART, attempt)]
         )
-        _, _, p_u, t_u = _stats_arrays(comp, f1_idx, kept)
-        nuv = _nuv_counts(comp, kept)
+        _, _, p_u, t_u = _stats_arrays(comp, cls, kept)
+        nuv = _nuv_counts(comp, kept)[0]
+        f1_idx, dirs, kept, p_u, t_u = f1_idx[0], dirs[0], kept[0], p_u[0], t_u[0]
         stat_bad = tuple(
             u
             for u in range(focus)

@@ -23,10 +23,16 @@ from sparsecolour.harness import (  # noqa: E402
     naive_regularize_with_assignment,
 )
 from sparsecolour.ncp import (  # noqa: E402
+    KIND_TRIAL,
     _Compiled,
     _nuv_counts,
     _regularize_with_assignment,
+    _round_arrays,
+    _row_classes,
     _stats_arrays,
+    derive_seed,
+    round_stats,
+    run_round,
 )
 
 
@@ -68,11 +74,11 @@ def _check(comp, g, c, f1_idx, kept):
     f1 = tuple(c.colour_sets[u][i] for u, i in enumerate(f1_idx.tolist()))
     kept_set = set(np.flatnonzero(kept).tolist())
     col, dist, pairs, triples = naive_outcome_stats(g, c, f1, kept_set)
-    got = _stats_arrays(comp, f1_idx, kept)
+    got = _stats_arrays(comp, _row_classes(comp, f1_idx[None]), kept[None])
     expected = (col[:focus], dist[:focus], pairs[:focus], triples[:focus])
-    assert [a.tolist() for a in got] == [list(e) for e in expected]
+    assert [a[0].tolist() for a in got] == [list(e) for e in expected]
 
-    nuv = _nuv_counts(comp, kept)
+    nuv = _nuv_counts(comp, kept[None])[0]
     direct = {
         (u, v): len((g.neighbour_set(u) & g.neighbour_set(v)) - kept_set)
         for u, v in _distance2_pairs(g)
@@ -98,3 +104,48 @@ def test_kernels_match_oracles_on_focused_regularised_copy(instance, data):
     ref_g, ref_c = naive_regularize_with_assignment(g, c)
     assert (reg.n, reg.focus) == (ref_g.n, g.n)
     _check(reg, ref_g, ref_c, *_draw_round(data, reg))
+
+
+@pytest.mark.parametrize("trials", [1, 15, 17, 64, 65, 130])
+@settings(max_examples=6, deadline=None)
+@given(
+    instance=instances(max_n=6),
+    regularise=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_batched_slice_rows_match_single_trial_replay(trials, instance, regularise, seed):
+    """Each row of one kernel call over `trials` seeds is what run_round and
+    round_stats give for that seed alone; on the regularised copy the
+    replay runs on the naive copy and is cut to the focus."""
+    g, c = instance
+    if regularise:
+        comp, _ = _regularize_with_assignment(g, c)
+        ref_g, ref_c = naive_regularize_with_assignment(g, c)
+    else:
+        comp, ref_g, ref_c = _Compiled(g, c), g, c
+    focus = comp.focus
+    seeds = [derive_seed(seed, KIND_TRIAL, t) for t in range(trials)]
+    f1_idx, dirs, kept, cls = _round_arrays(comp, seeds)
+    col, dist, pairs, triples = _stats_arrays(comp, cls, kept)
+    nuv = _nuv_counts(comp, kept)
+    assert f1_idx.shape == kept.shape == (trials, comp.n)
+    assert dirs.shape == (trials, comp.m)
+    assert col.shape == pairs.shape == (trials, focus)
+    assert nuv.shape == (trials, len(comp.nuv_pairs))
+    edges = list(ref_g.edges())
+    for t, s in enumerate(seeds):
+        outcome = run_round(ref_g, ref_c, s)
+        stats = round_stats(ref_g, ref_c, outcome)
+        f1 = [ref_c.colour_sets[u][i] for u, i in enumerate(f1_idx[t].tolist())]
+        assert f1 == list(outcome.f1)
+        assert {(u, v): (u, v)[d] for (u, v), d in zip(edges, dirs[t].tolist())} == (
+            outcome.direction
+        )
+        assert set(np.flatnonzero(kept[t]).tolist()) == outcome.kept
+        assert col[t].tolist() == list(stats.col[:focus])
+        assert dist[t].tolist() == list(stats.dist[:focus])
+        assert pairs[t].tolist() == list(stats.pairs[:focus])
+        assert triples[t].tolist() == list(stats.triples[:focus])
+        assert dict(zip(comp.nuv_pairs, nuv[t].tolist())) == {
+            p: x for p, x in stats.common_uncoloured.items() if p[1] < focus
+        }
