@@ -14,8 +14,11 @@ Also provides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -29,7 +32,7 @@ class Graph:
     strictly ascending (hence no multi-edges).
     """
 
-    __slots__ = ("_adj", "_adj_sets")
+    __slots__ = ("_adj", "_adj_sets", "_edge_array")
 
     def __init__(self, adjacency: Sequence[Sequence[int]]):
         adj = tuple(tuple(nbrs) for nbrs in adjacency)
@@ -51,6 +54,7 @@ class Graph:
                     raise GraphError(f"edge {u}-{v} not symmetric")
         self._adj = adj
         self._adj_sets = sets
+        self._edge_array = None
 
     # -- construction -----------------------------------------------------
 
@@ -96,6 +100,15 @@ class Graph:
             for v in nbrs:
                 if u < v:
                     yield (u, v)
+
+    def edge_array(self) -> np.ndarray:
+        """edges() as a read-only (m, 2) int64 array, built once."""
+        if self._edge_array is None:
+            starts = np.repeat(np.arange(self.n), [len(a) for a in self._adj])
+            ends = np.fromiter(chain.from_iterable(self._adj), np.int64, len(starts))
+            self._edge_array = np.stack([starts, ends], axis=1)[starts < ends]
+            self._edge_array.flags.writeable = False
+        return self._edge_array
 
     def is_regular(self) -> bool:
         degs = {len(a) for a in self._adj}

@@ -23,7 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .correspondence import (
+    AssignmentError,
     CorrespondenceAssignment,
+    PartialColouring,
+    Residual,
     is_total,
     residual_assignment,
     totalize,
@@ -188,7 +191,7 @@ def enumerate_outcomes(
         instance={
             "vertices": g.n,
             "edges": len(edges),
-            "set_sizes": list(c.set_sizes()),
+            "set_sizes": c.sizes.tolist(),
         },
         outcome_count=total,
         keep_probability=tuple(Fraction(k, total) for k in keep_ct),
@@ -241,6 +244,99 @@ def naive_regularize_with_assignment(
         cur_g = Graph.from_edges(2 * n, new_edges)
         cur_c = CorrespondenceAssignment(new_sets, new_maps)
     return cur_g, cur_c
+
+
+def naive_truncate(c: CorrespondenceAssignment, k: int) -> CorrespondenceAssignment:
+    """Every colour set cut to its k smallest colours, and every dict map
+    to the pairs whose colours both survive: the reference for
+    correspondence.truncate."""
+    if any(len(s) < k for s in c.colour_sets):
+        raise AssignmentError(f"some colour set smaller than k={k}")
+    new_sets = tuple(s[:k] for s in c.colour_sets)
+    kept = [set(s) for s in new_sets]
+    new_maps = {
+        (u, v): {
+            c1: c2 for c1, c2 in mp.items() if c1 in kept[u] and c2 in kept[v]
+        }
+        for (u, v), mp in c.edge_maps.items()
+    }
+    return CorrespondenceAssignment(new_sets, new_maps)
+
+
+def naive_totalize(g: Graph, c: CorrespondenceAssignment) -> CorrespondenceAssignment:
+    """Every dict map extended to a bijection, unmatched colours paired in
+    ascending order: the reference for correspondence.totalize."""
+    sizes = set(len(s) for s in c.colour_sets)
+    if len(sizes) > 1:
+        raise AssignmentError(f"totalize needs equal colour set sizes, got {sizes}")
+    new_maps: dict[tuple[int, int], dict[int, int]] = {}
+    maps = c.edge_maps
+    for u, v in g.edges():
+        mp = dict(maps.get((u, v), {}))
+        free_u = [col for col in c.colour_sets[u] if col not in mp]
+        used_v = set(mp.values())
+        free_v = [col for col in c.colour_sets[v] if col not in used_v]
+        mp.update(zip(free_u, free_v))
+        new_maps[(u, v)] = mp
+    return CorrespondenceAssignment(c.colour_sets, new_maps)
+
+
+def naive_is_valid_colouring(
+    g: Graph, c: CorrespondenceAssignment, f: PartialColouring
+) -> bool:
+    """Edge-by-edge validity check: the reference for
+    correspondence.is_valid_colouring."""
+    for u, colour in f.items():
+        if colour not in set(c.colour_sets[u]):
+            return False
+    for u, v in g.edges():
+        if u in f and v in f and c.corresponds(u, v, f[u], f[v]):
+            return False
+    return True
+
+
+def naive_residual_assignment(
+    g: Graph, c: CorrespondenceAssignment, f: PartialColouring
+) -> Residual:
+    """The residual instance built vertex by vertex and edge by edge as
+    dicts: the reference for correspondence.residual_assignment."""
+    if not naive_is_valid_colouring(g, c, f):
+        raise AssignmentError("partial colouring is not valid for the assignment")
+    uncoloured = [u for u in range(g.n) if u not in f]
+    sub, old_ids = g.induced(uncoloured)
+    new_sets = []
+    for old in old_ids:
+        removed = set()
+        for w in g.neighbours(old):
+            if w in f:
+                back = c.correspondent(w, old, f[w])
+                if back is not None:
+                    removed.add(back)
+        new_sets.append(tuple(col for col in c.colour_sets[old] if col not in removed))
+    kept = [set(s) for s in new_sets]
+    new_maps: dict[tuple[int, int], dict[int, int]] = {}
+    for a, b in sub.edges():
+        mp = c.map_between(old_ids[a], old_ids[b])
+        new_maps[(a, b)] = {
+            c1: c2 for c1, c2 in mp.items() if c1 in kept[a] and c2 in kept[b]
+        }
+    return Residual(sub, CorrespondenceAssignment(tuple(new_sets), new_maps), old_ids)
+
+
+def naive_dir_map(g: Graph, c: CorrespondenceAssignment) -> np.ndarray:
+    """The compiled direction map filled entry by entry from the dict maps:
+    row 2e is u->v of edge e, row 2e+1 is v->u, entries colour indices at
+    the target (-1 for none)."""
+    index_of = [{col: i for i, col in enumerate(s)} for s in c.colour_sets]
+    kmax = max((len(s) for s in c.colour_sets), default=1)
+    edges = list(g.edges())
+    dir_map = np.full((2 * len(edges), kmax), -1, dtype=np.int64)
+    maps = c.edge_maps
+    for e, (u, v) in enumerate(edges):
+        for cu, cv in maps.get((u, v), {}).items():
+            dir_map[2 * e, index_of[u][cu]] = index_of[v][cv]
+            dir_map[2 * e + 1, index_of[v][cv]] = index_of[u][cu]
+    return dir_map
 
 
 def naive_strong_colouring_valid(
@@ -536,8 +632,10 @@ def residual_sparsity_experiment(
             reg, base = _regularize_with_assignment(cur_g, work_c)
             round_seed = derive_seed(seed, KIND_TRIAL, t, i)
             f1_idx, _, kept, _ = _round_arrays(reg, [round_seed])
-            kept_real = set(np.flatnonzero(kept[0, : cur_g.n]).tolist())
-            f_real = {v: base.colour_values[v][f1_idx[0, v]] for v in kept_real}
+            kept_ids = np.flatnonzero(kept[0, : cur_g.n])
+            kept_real = set(kept_ids.tolist())
+            colours = base.colour_values[kept_ids, f1_idx[0, kept_ids]]
+            f_real = dict(zip(kept_ids.tolist(), colours.tolist()))
             mu = 1.0 - keep_probability(cur_c.min_size(), reg.max_degree)
             qr = quasirandom_check(
                 cur_g,

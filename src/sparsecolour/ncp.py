@@ -33,6 +33,8 @@ from .correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
     PartialColouring,
+    _indices,
+    _rows_on,
     is_total,
     is_valid_colouring,
     residual_assignment,
@@ -163,12 +165,16 @@ class _Compiled:
     """Array form of (graph, assignment) for fast rounds and stats.
 
     Built two ways.  `_Compiled(g, c)` compiles a whole instance; every
-    vertex is in its focus.  `_Compiled._from_arrays` grows a compiled
-    instance into a larger one given as edge arrays (the regularised copy),
-    focused on the original's vertices.  Only the vertices below `focus` are
-    real: statistic rows, common-uncoloured pairs, outcomes and statistics
-    cover them alone, while the draws and the keep rule still run on every
-    vertex.  `colour_values` and `index_of` likewise cover the focus
+    vertex is in its focus.  Its direction map holds, per edge e, row 2e
+    (u->v) and row 2e+1 (v->u), each entry the colour index at the target
+    matched with the source's colour index (-1 if none): the even rows are
+    the assignment's `fwd` rows, the odd rows their inverse.
+    `_Compiled._from_arrays` grows a compiled instance into a larger one
+    given as edge arrays (the regularised copy), focused on the original's
+    vertices.  Only the vertices below `focus` are real: statistic rows,
+    common-uncoloured pairs, outcomes and statistics cover them alone, while
+    the draws and the keep rule still run on every vertex.  `colour_values`,
+    the colour sets padded to (focus, kmax), likewise covers the focus
     vertices only; `k_arr` covers all of them.
     """
 
@@ -180,29 +186,20 @@ class _Compiled:
     ):
         if len(c.colour_sets) != g.n:
             raise AssignmentError("assignment does not match graph size")
-        if any(len(s) == 0 for s in c.colour_sets):
+        k_arr = c.sizes
+        if g.n and k_arr.min() == 0:
             raise AssignmentError("all colour sets must be nonempty")
         if require_total and not is_total(g, c):
             raise AssignmentError("round execution needs a total assignment")
-        edges = list(g.edges())
-        self.colour_values = [list(s) for s in c.colour_sets]
-        k_arr = np.array([len(s) for s in self.colour_values], dtype=np.int64)
-        self.kmax = int(k_arr.max()) if g.n else 1
-
-        # Directed maps: row 2e is u->v of edge e, row 2e+1 is v->u, entries
-        # are colour indices at the target (-1 marks padding).
-        index_of = [
-            {col: i for i, col in enumerate(vals)} for vals in self.colour_values
-        ]
-        dir_map = np.full((2 * len(edges), self.kmax), -1, dtype=np.int64)
-        for e, (u, v) in enumerate(edges):
-            mp = c.edge_maps[(u, v)]
-            for cu, cv in mp.items():
-                dir_map[2 * e, index_of[u][cu]] = index_of[v][cv]
-                dir_map[2 * e + 1, index_of[v][cv]] = index_of[u][cu]
-        self.index_of = index_of
-        ends = np.array(edges, dtype=np.int64).reshape(-1, 2).T
-        self._set_edges(ends[0], ends[1], dir_map, k_arr, g.max_degree(), g.n)
+        fwd = _rows_on(g, c)
+        self.colour_values = c.values()
+        self.kmax = max(fwd.shape[1], 1)
+        dir_map = np.full((2 * len(fwd), self.kmax), -1, dtype=np.int64)
+        dir_map[0::2, : fwd.shape[1]] = fwd
+        e, i = np.nonzero(fwd >= 0)
+        dir_map[2 * e + 1, fwd[e, i]] = i
+        eu, ev = np.ascontiguousarray(g.edge_array().T)
+        self._set_edges(eu, ev, dir_map, k_arr, g.max_degree(), g.n)
 
     @classmethod
     def _from_arrays(
@@ -217,7 +214,7 @@ class _Compiled:
         and base's max degree, whose first base.n vertices are base's and
         form its focus."""
         comp = cls.__new__(cls)
-        comp.colour_values, comp.index_of = base.colour_values, base.index_of
+        comp.colour_values = base.colour_values
         comp.kmax = base.kmax
         comp._set_edges(eu, ev, dir_map, k_arr, base.max_degree, base.n)
         return comp
@@ -344,7 +341,7 @@ def _group_pairs(group_end: np.ndarray, gap: int):
 
 def _directed_edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """(sources, targets) of every edge of g in both directions."""
-    eu, ev = np.array(list(g.edges()), dtype=np.int64).reshape(-1, 2).T
+    eu, ev = g.edge_array().T
     return np.concatenate([eu, ev]), np.concatenate([ev, eu])
 
 
@@ -519,9 +516,7 @@ def _outcome_from_arrays(
 ) -> RoundOutcome:
     """The outcome on the focus vertices and the edges between them."""
     focus = comp.focus
-    f1 = tuple(
-        comp.colour_values[u][i] for u, i in enumerate(f1_idx[:focus].tolist())
-    )
+    f1 = tuple(comp.colour_values[np.arange(focus), f1_idx[:focus]].tolist())
     inside = np.flatnonzero(comp.ev < focus)
     direction = {
         (u, v): (u if d == 0 else v)
@@ -586,19 +581,11 @@ def round_stats(
 ) -> RoundStats:
     """Statistics of an outcome produced from (g, c)."""
     comp = _Compiled(g, c)
-    return _round_stats_compiled(comp, outcome)
-
-
-def _round_stats_compiled(comp: _Compiled, outcome: RoundOutcome) -> RoundStats:
     if len(outcome.f1) != comp.n:
         raise ValueError("outcome does not match the instance")
-    try:
-        f1_idx = np.array(
-            [comp.index_of[u][col] for u, col in enumerate(outcome.f1)],
-            dtype=np.int64,
-        )
-    except KeyError as exc:
-        raise ValueError("outcome uses colours outside the assignment") from exc
+    f1_idx = _indices(c, dict(enumerate(outcome.f1)))
+    if f1_idx is None:
+        raise ValueError("outcome uses colours outside the assignment")
     kept = np.zeros(comp.n, dtype=bool)
     kept[list(outcome.kept)] = True
     return _stats_from_arrays(comp, f1_idx, kept)
@@ -938,7 +925,7 @@ def _greedy_correspondence(
                 back = c.correspondent(w, v, f[w])
                 if back is not None:
                     forbidden.add(back)
-        choice = next((col for col in c.colours(v) if col not in forbidden), None)
+        choice = next((col for col in c.colour_sets[v] if col not in forbidden), None)
         if choice is None:
             failed.append(v)
         else:

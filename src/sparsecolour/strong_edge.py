@@ -463,9 +463,14 @@ def _extend_reverse_peel(
 def _colour_core(
     core_graph: Graph, seed: int, max_restarts: int
 ) -> tuple[dict[int, int], bool, Optional[str]]:
-    """Colour the core with the iterative engine if feasible, else greedily."""
+    """Colour the core with the iterative engine if feasible, else greedily.
+
+    The warning says why the engine did not colour it: no feasible schedule,
+    a size refusal of the assignment, regularised copy or statistic index
+    ("engine refused"), or a failed run.
+    """
     from .bounds import approx_eps
-    from .correspondence import uniform_lists
+    from .correspondence import AssignmentError, uniform_lists
     from .ncp import ScheduleError, build_schedule, default_beta, iterative_colour
 
     delta_core = None
@@ -473,6 +478,10 @@ def _colour_core(
         delta_core = local_sparsity(core_graph).delta
     max_deg = core_graph.max_degree()
     warning = None
+
+    def fallback(reason: Optional[str]):
+        return first_fit(core_graph, range(core_graph.n)), False, reason
+
     if delta_core is not None and delta_core > 0 and max_deg >= 2:
         eps_target = approx_eps(min(delta_core, 0.9), "ours")
         k = math.ceil((1 - eps_target) * (max_deg + 1))
@@ -484,13 +493,16 @@ def _colour_core(
                 schedule = build_schedule(
                     eps_prime, delta_core, beta, delta_prime, max_deg + 1
                 )
+            except ScheduleError as exc:
+                return fallback(f"no feasible schedule ({exc}); greedy fallback")
+            try:
                 assignment = uniform_lists(core_graph, k)
                 result = iterative_colour(
                     core_graph, assignment, schedule, seed, max_restarts
                 )
-                if result.ok:
-                    return dict(result.colouring), True, None
-                warning = f"engine failed ({result.failure_reason}); greedy fallback"
-            except ScheduleError as exc:
-                warning = f"no feasible schedule ({exc}); greedy fallback"
-    return first_fit(core_graph, range(core_graph.n)), False, warning
+            except (AssignmentError, ScheduleError) as exc:
+                return fallback(f"engine refused ({exc}); greedy fallback")
+            if result.ok:
+                return dict(result.colouring), True, None
+            warning = f"engine failed ({result.failure_reason}); greedy fallback"
+    return fallback(warning)

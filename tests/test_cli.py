@@ -439,6 +439,36 @@ class TestDenseMonteCarlo:
         assert result["trials"] == 3 and len(result["pairs_mean"]) == 60
 
 
+class TestAssignmentSizeCap:
+    """K200 has 19,900 edges; 600 colours per vertex make 2mk = 23,880,000
+    map entries, above the 20,000,000-entry cap."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["color", "--k", "600"], ["simulate", "--experiment", "mc", "--k", "600"]],
+        ids=["color", "simulate-mc"],
+    )
+    def test_refused_in_one_line_under_2gb(self, tmp_path, capsys, argv):
+        g = tmp_path / "k200.dimacs"
+        run(["gen", "--complete", "200", "--out", str(g)], capsys)
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(sparsecolour.__file__).resolve().parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+        }
+        out = tmp_path / "r.json"
+        argv = [*argv, "--input", str(g), "--out", str(out)]
+        proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        code, _ = proc.stdout.split()
+        assert code == "1", proc.stderr
+        assert proc.stderr.splitlines() == [
+            "sparsecolour: assignment would have 23880000 map entries (about "
+            "205 MiB stored and compiled), above the cap of 20000000 entries"
+        ]
+        assert not out.exists()
+
+
 class TestSimulateCommand:
     def test_mc_thread_invariance(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"

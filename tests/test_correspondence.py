@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from sparsecolour.correspondence import (
@@ -261,3 +262,91 @@ class TestJson:
         again = from_json_dict(to_json_dict(c))
         assert again.colour_sets == c.colour_sets
         assert again.edge_maps == {k: dict(v) for k, v in c.edge_maps.items()}
+
+
+def _json_of(sets, maps):
+    """The JSON form of an assignment written field by field, so that it can
+    carry defects the constructor would refuse."""
+    return {
+        "colours": {str(u): list(s) for u, s in enumerate(sets)},
+        "maps": [
+            {"u": u, "v": v, "pairs": [[c1, c2] for c1, c2 in mp.items()]}
+            for (u, v), mp in maps.items()
+        ],
+    }
+
+
+_SETS = ((0, 1), (0, 1, 2))
+
+
+class TestMalformedRefused:
+    """Maps the array form cannot hold are refused at construction, from
+    dicts and from JSON alike, in one error naming the vertex or edge."""
+
+    @pytest.mark.parametrize(
+        "sets, maps, message",
+        [
+            (_SETS, {(0, 1): {5: 0}}, r"edge map \(0,1\) uses colours outside"),
+            (_SETS, {(0, 1): {0: 7}}, r"edge map \(0,1\) uses colours outside"),
+            (_SETS, {(0, 1): {0: 2, 1: 2}}, r"edge map \(0,1\) not injective"),
+            (_SETS, {(1, 0): {0: 0}}, r"edge map key \(1,0\) not canonical"),
+            (_SETS, {(0, 2): {0: 0}}, r"edge map key \(0,2\) not canonical"),
+            (((1, 0), (0, 1, 2)), {(0, 1): {}}, r"colour set of 0 not sorted/unique"),
+            (((0, 1), (0, 1, 1)), {(0, 1): {}}, r"colour set of 1 not sorted/unique"),
+        ],
+        ids=["outside-u", "outside-v", "not-injective", "reversed-key",
+             "key-past-last-vertex", "unsorted-set", "repeated-colour"],
+    )
+    def test_refused(self, sets, maps, message):
+        with pytest.raises(AssignmentError, match=message):
+            CorrespondenceAssignment(sets, maps)
+        with pytest.raises(AssignmentError, match=message):
+            from_json_dict(_json_of(sets, maps))
+
+    def test_graph_checks_stay_in_validate(self):
+        g = path_graph(3)
+        c = CorrespondenceAssignment(((0,), (0,), (0,)), {(0, 2): {0: 0}})
+        with pytest.raises(AssignmentError, match=r"non-edge \(0,2\)"):
+            validate_assignment(g, c)
+        with pytest.raises(AssignmentError, match="count"):
+            validate_assignment(path_graph(2), c)
+        negative = CorrespondenceAssignment(((0,), (-1, 0), (0,)), {})
+        with pytest.raises(AssignmentError, match="negative colour at vertex 1"):
+            validate_assignment(g, negative)
+
+
+class TestSizeCap:
+    def test_refused_before_allocating(self, monkeypatch):
+        from sparsecolour import correspondence
+
+        g = complete_graph(4)  # 6 edges
+        monkeypatch.setattr(correspondence, "ASSIGNMENT_ENTRIES_CAP", 59)
+        with pytest.raises(AssignmentError, match="would have 60 map entries"):
+            uniform_lists(g, 5)
+        with pytest.raises(AssignmentError, match="above the cap of 59 entries"):
+            from_lists(g, [range(5), range(5), range(5), range(1, 6)])
+        assert uniform_lists(g, 4).fwd.shape == (6, 4)
+
+    def test_compact_index_type(self):
+        g = path_graph(2)
+        assert uniform_lists(g, 3).fwd.dtype == np.int16
+
+
+class TestEdgeMapsView:
+    def test_read_only_dicts_equal_to_the_maps(self):
+        g = path_graph(3)
+        c = CorrespondenceAssignment(((1, 2), (1, 2), (3,)), {(0, 1): {1: 2}, (1, 2): {}})
+        assert c.edge_maps == {(0, 1): {1: 2}, (1, 2): {}}
+        with pytest.raises(TypeError):
+            c.edge_maps[(0, 2)] = {}
+        assert c.map_between(1, 0) == {2: 1}
+        assert c.correspondent(1, 0, 2) == 1 and c.correspondent(1, 0, 1) is None
+        assert (1, 2) in c.edge_maps and (0, 2) not in c.edge_maps
+        assert totalize(g, truncate(c, 1)).edge_maps == {(0, 1): {1: 1}, (1, 2): {1: 3}}
+
+    def test_equality_compares_maps(self):
+        a = CorrespondenceAssignment(((0, 1), (0, 1)), {(0, 1): {0: 1}})
+        assert a == CorrespondenceAssignment([[0, 1], [0, 1]], {(0, 1): {0: 1}})
+        assert a != CorrespondenceAssignment(((0, 1), (0, 1)), {(0, 1): {1: 0}})
+        assert a != CorrespondenceAssignment(((0, 1), (0, 1)), {})
+        assert a != CorrespondenceAssignment(((0, 1), (0, 2)), {(0, 1): {0: 2}})

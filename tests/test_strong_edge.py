@@ -424,6 +424,41 @@ class TestStrongEdgeColour:
         assert all(colours[u] != colours[v] for u, v in core.edges())
         assert len(set(colours.values())) <= core.max_degree()
 
+    @pytest.mark.parametrize(
+        "module, cap, reason, unit",
+        [
+            ("correspondence", "ASSIGNMENT_ENTRIES_CAP", "assignment would have", "entries"),
+            ("ncp", "REGULARIZED_SIZE_CAP", "regularised graph would have", "vertices"),
+            ("ncp", "STATS_ROWS_CAP", "statistic index would have", "rows"),
+        ],
+    )
+    def test_size_refusal_reads_as_engine_refused(self, monkeypatch, module, cap, reason, unit):
+        # The core of the engine path above, with one size cap set below it:
+        # the schedule is feasible, so the warning must not say otherwise.
+        import importlib
+
+        from sparsecolour.strong_edge import _colour_core
+
+        monkeypatch.setattr(importlib.import_module(f"sparsecolour.{module}"), cap, 10)
+        core = c5_blowup(8)
+        colours, engine_used, warning = _colour_core(core, seed=5, max_restarts=200)
+        assert not engine_used
+        assert warning.startswith(f"engine refused ({reason} ")
+        assert warning.endswith(f"above the cap of 10 {unit}); greedy fallback")
+        assert colours == first_fit(core, range(core.n))
+
+    def test_schedule_failure_reads_as_no_feasible_schedule(self, monkeypatch):
+        from sparsecolour import ncp
+        from sparsecolour.strong_edge import _colour_core
+
+        def infeasible(*args):
+            raise ncp.ScheduleError("infeasible beta")
+
+        monkeypatch.setattr(ncp, "build_schedule", infeasible)
+        _, engine_used, warning = _colour_core(c5_blowup(8), seed=5, max_restarts=200)
+        assert not engine_used
+        assert warning == "no feasible schedule (infeasible beta); greedy fallback"
+
     def test_edgeless_rejected(self):
         from sparsecolour.generators import empty_graph
 
