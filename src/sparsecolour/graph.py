@@ -280,18 +280,18 @@ def first_fit(
     if colours is None:
         colours = {}
     for v in order:
-        colours[v] = smallest_free_colour(
-            {colours[w] for w in g.neighbours(v) if w in colours}
-        )
+        used = 0
+        for w in g.neighbours(v):
+            c = colours.get(w)
+            if c is not None:
+                used |= 1 << c
+        colours[v] = lowest_clear_bit(used)
     return colours
 
 
-def smallest_free_colour(used: set[int]) -> int:
-    """The smallest colour >= 0 not in `used`."""
-    colour = 0
-    while colour in used:
-        colour += 1
-    return colour
+def lowest_clear_bit(mask: int) -> int:
+    """The smallest colour >= 0 whose bit is clear in the colour mask `mask`."""
+    return (~mask & (mask + 1)).bit_length() - 1
 
 
 # -- DIMACS / JSON io ---------------------------------------------------------

@@ -7,9 +7,14 @@ neighbours inside the core, D the host max degree), colours the core with the
 iterative engine when the measured sparsity admits a feasible schedule, and
 extends to the peeled edges greedily in reverse peel order, which by
 construction never needs a colour index past the peel threshold.  L²(H) is
-never built whole: its rows come on demand from one set per host vertex (at
-most sum deg² entries), only a non-empty core is built as a graph, and the
-extension reads the colour sets at the host's vertices.
+never built whole.  The first peel wave is certified from host degree sums:
+an edge whose bound s(u) + s(v) - deg(u) - deg(v) (s(x) the degree sum over
+N(x)) is below the threshold is peeled without its row being read.  Other
+rows come on demand from one set per host vertex (at most sum deg² entries),
+built only when the first such row or exact degree is asked for; the size
+cap on those sets is checked up front all the same.  Only a non-empty core
+is built as a graph, and the extension reads one colour bitmask per host
+vertex.
 
 Also provides the strong-neighbourhood geometry of a host edge (the X / Y
 vertex sets, the scaled quantities alpha, beta, gamma, the 4-cycle count
@@ -20,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .graph import Graph, GraphError, first_fit, local_sparsity, smallest_free_colour
+from .graph import Graph, GraphError, first_fit, local_sparsity, lowest_clear_bit
 
 Threshold = Union[int, float, Fraction]
 
@@ -47,10 +53,12 @@ def c5_blowup(k: int) -> Graph:
 
 
 # Largest sum of deg(w)² over host vertices, a bound on the entries of the
-# near-edge sets, for which they are built.  Measured with tracemalloc at 24
-# to 83 bytes per estimated entry (set slots and the shared edge-id ints; on
-# K150, rr(600,12), G(400,0.03) and rr(2000,40)), so at the cap the sets take
-# at most about 1 GB.
+# near-edge sets, for which they may be built.  Checked before any set is
+# built, also on a host whose peel would build none, so that whether a host
+# is refused depends on its size alone.  Measured with tracemalloc at 24 to
+# 83 bytes per estimated entry (set slots and the shared edge-id ints; on
+# K150, rr(600,12), G(400,0.03) and rr(2000,40)), so at the cap the sets
+# take at most about 1 GB.
 NEAR_SIZE_CAP = 12_000_000
 
 
@@ -70,8 +78,11 @@ class _SquareRows:
     near[u] | near[v] without uv itself; those include the edges at u and at
     v, since v is in N(u) and u in N(v).  The near sets hold at most
     sum deg(w)² entries, where L²(h) has up to m (2D² - 2D) adjacency
-    entries; no row is kept.  Offers the `n`, `degree` and `neighbour_set`
-    that `f_core_with_order` reads, and `induced` for a core.
+    entries; no row is kept.  The sets are built the first time a row or an
+    exact degree is asked for, so a host whose edges are all certified by
+    `degree_bounds` builds none; the constructor checks their size against
+    `NEAR_SIZE_CAP` even so.  Offers the `n`, `degree_bounds`, `degree` and
+    `neighbour_set` that `f_core_with_order` reads, and `induced` for a core.
     """
 
     def __init__(self, h: Graph):
@@ -84,9 +95,30 @@ class _SquareRows:
                 f"near-edge sets would hold about {entries} entries, above the "
                 f"cap of {NEAR_SIZE_CAP} entries"
             )
+        self._host = h
         self.edge_index = edge_index
         self.n = len(edge_index)
-        self._near = _near_edge_sets(h, edge_index)
+
+    @cached_property
+    def _near(self) -> list[set[int]]:
+        return _near_edge_sets(self._host, self.edge_index)
+
+    def degree_bounds(self) -> list[int]:
+        """An upper bound on each row's size, from host degree sums alone.
+
+        With s(x) the sum of deg(w) over w in N(x), near[x] holds at most
+        s(x) edges, and near[u] & near[v] holds every edge at u or at v,
+        deg(u) + deg(v) - 1 of them.  So the row of uv has at most
+        s(u) + s(v) - deg(u) - deg(v) entries: 2D² - 2D on a D-regular host
+        of girth at least 5, where the bound is exact.
+        """
+        h = self._host
+        deg = [h.degree(x) for x in range(h.n)]
+        # s(x) - deg(x), so that the bound of uv is one sum.
+        reach = [
+            sum(map(deg.__getitem__, h.neighbours(x))) - deg[x] for x in range(h.n)
+        ]
+        return [reach[u] + reach[v] for u, v in self.edge_index]
 
     def degree(self, i: int) -> int:
         u, v = self.edge_index[i]
@@ -256,11 +288,23 @@ def f_core_with_order(
     wave is every vertex below the threshold, and each later wave is the
     vertices the previous one pushed below it.  `g` needs only `n`, `degree`
     and `neighbour_set`; once every vertex is queued no row is read again.
+    When `g` also offers `degree_bounds()`, upper bounds on the degrees (as
+    `_SquareRows` does), a vertex whose bound is below the threshold joins
+    the first wave without its degree being asked for.
     """
     # Degrees are integers, so comparing with the ceiling is exact and
     # avoids a Fraction comparison per vertex.
     threshold = math.ceil(threshold)
-    degree = [g.degree(v) for v in range(g.n)]
+    degree_bounds = getattr(g, "degree_bounds", None)
+    if degree_bounds is None:
+        degree = [g.degree(v) for v in range(g.n)]
+    else:
+        # A vertex whose bound is below the threshold is in the first wave
+        # whatever its degree, and a queued vertex's degree is never read.
+        degree = [
+            b if b < threshold else g.degree(v)
+            for v, b in enumerate(degree_bounds())
+        ]
     removal_order: list[int] = []
     queue = [v for v in range(g.n) if degree[v] < threshold]
     # Only vertices never queued can still be pushed below the threshold; a
@@ -436,28 +480,29 @@ def _extend_reverse_peel(
 ) -> None:
     """First-fit on L²(h) through the peel in reverse, extending `colours`.
 
-    Edge uv gets the smallest colour missing from the colour sets at the
-    vertices of N(u) | N(v): those are the colours of the coloured edges
-    with an endpoint there, which are exactly uv's coloured square
-    neighbours.  When an edge returns, its coloured neighbours are the
-    survivors present at its removal, fewer than the peel threshold, so the
-    colours stay below threshold + 1.
+    Each host vertex keeps an int mask of the colours on its edges.  Edge uv
+    gets the lowest clear bit of the OR of the masks at N(u) | N(v): those
+    are the colours of the coloured edges with an endpoint there, which are
+    exactly uv's coloured square neighbours.  When an edge returns, its
+    coloured neighbours are the survivors present at its removal, fewer than
+    the peel threshold, so the colours stay below threshold + 1.
     """
-    colours_at: list[set[int]] = [set() for _ in range(h.n)]
+    mask_at = [0] * h.n
     for i, c in colours.items():
         u, v = edge_index[i]
-        colours_at[u].add(c)
-        colours_at[v].add(c)
+        mask_at[u] |= 1 << c
+        mask_at[v] |= 1 << c
     for i in reversed(removal_order):
         u, v = edge_index[i]
-        used = set().union(
-            *map(colours_at.__getitem__, h.neighbours(u)),
-            *map(colours_at.__getitem__, h.neighbours(v)),
-        )
-        c = smallest_free_colour(used)
+        used = 0
+        for x in h.neighbours(u):
+            used |= mask_at[x]
+        for x in h.neighbours(v):
+            used |= mask_at[x]
+        c = lowest_clear_bit(used)
         colours[i] = c
-        colours_at[u].add(c)
-        colours_at[v].add(c)
+        mask_at[u] |= 1 << c
+        mask_at[v] |= 1 << c
 
 
 def _colour_core(

@@ -1,6 +1,7 @@
 """Graph type, sparsity instrumentation, and the pure graph procedures."""
 
 import itertools
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from sparsecolour.graph import (
     from_json_dict,
     list_chromatic_upper,
     local_sparsity,
+    lowest_clear_bit,
     min_degree_ordering,
     parse_dimacs,
     to_dimacs,
@@ -258,6 +260,35 @@ class TestFirstFit:
         colours = first_fit(g, range(10))
         assert_proper(g, colours)
         assert all(colours[v] <= g.degree(v) for v in range(10))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_a_colour_set_scan(self, seed):
+        # Against first-fit on colour sets, with given colours up to 199 so
+        # the masks run past 64 bits.
+        rng = random.Random(seed)
+        g = gnp_graph(40, 0.6, seed=seed)
+        given = {v: rng.randrange(200) for v in rng.sample(range(40), 8)}
+        order = [v for v in rng.sample(range(40), 40) if v not in given]
+        expected = dict(given)
+        for v in order:
+            used = {expected[w] for w in g.neighbours(v) if w in expected}
+            expected[v] = next(c for c in itertools.count() if c not in used)
+        assert first_fit(g, order, dict(given)) == expected
+
+
+@pytest.mark.parametrize(
+    "mask, colour",
+    [
+        (0, 0),
+        (0b1, 1),
+        (0b10, 0),
+        (0b1011, 2),
+        ((1 << 64) - 1, 64),
+        ((1 << 200) - 1 - (1 << 130), 130),
+    ],
+)
+def test_lowest_clear_bit(mask, colour):
+    assert lowest_clear_bit(mask) == colour
 
 
 def greedy_colour(g, order, palettes):

@@ -8,6 +8,7 @@ colours must agree exactly.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import sparsecolour.strong_edge as strong_edge  # noqa: E402
 from sparsecolour.generators import (  # noqa: E402
+    complete_graph,
     gnp_graph,
     petersen_graph,
     random_regular_graph,
@@ -157,7 +159,89 @@ class TestAgainstMaterialisedSquare:
         assert waves >= 2 and core and core_graph.m > 0
 
 
+def disjoint_union(g, h):
+    shifted = [(u + g.n, v + g.n) for u, v in h.edges()]
+    return Graph.from_edges(g.n + h.n, [*g.edges(), *shifted])
+
+
+class TestDegreeCertificate:
+    """The host-degree bound s(u) + s(v) - deg(u) - deg(v) on each row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(h=hosts())
+    def test_bounds_every_row(self, h):
+        rows = _SquareRows(h)
+        bounds = rows.degree_bounds()
+        assert len(bounds) == rows.n
+        assert all(b >= rows.degree(i) for i, b in enumerate(bounds))
+
+    def test_exact_at_girth_five(self):
+        # 3-regular with girth 5: every row has 2D² - 2D = 12 entries.
+        rows = _SquareRows(petersen_graph())
+        assert rows.degree_bounds() == [12] * 15
+        assert [rows.degree(i) for i in range(15)] == [12] * 15
+
+    def test_bound_at_the_threshold_certifies_nothing(self):
+        # Petersen rows have 12 entries and stay at threshold 12; the six
+        # rows of K4 have bound 12 but 5 entries, so they go.
+        petersen, k4 = _SquareRows(petersen_graph()), _SquareRows(complete_graph(4))
+        assert k4.degree_bounds() == [12] * 6
+        assert f_core_with_order(petersen, 12) == ([], frozenset(range(15)))
+        assert f_core_with_order(k4, 12) == (list(range(6)), frozenset())
+
+    @pytest.mark.parametrize(
+        "h, colours",
+        [
+            (complete_graph(14), 91),
+            (complete_graph(16), 120),
+            (
+                disjoint_union(complete_graph(15), random_regular_graph(40, 3, seed=4)),
+                105,
+            ),
+            (c5_blowup(4), 80),
+        ],
+        ids=["K14", "K16", "K15+rr40x3", "c5x4"],
+    )
+    def test_exact_degrees_against_the_square(self, h, colours):
+        # On the complete graphs the bounds reach the threshold, so the peel
+        # takes exact degrees; the C5 blow-up is certified whole.  Every
+        # square here but the union's is a clique, so the masks run past 64
+        # bits.
+        threshold = default_threshold(h)
+        order, core, _, expected = check_against_oracle(h, threshold)
+        assert not core and strong_edge_colour(h).colours == expected
+        assert len(set(expected.values())) == colours
+
+    def test_union_mixes_certified_and_exact_rows(self, monkeypatch):
+        k15 = complete_graph(15)
+        h = disjoint_union(k15, random_regular_graph(40, 3, seed=4))
+        threshold = math.ceil(default_threshold(h))
+        bounds = _SquareRows(h).degree_bounds()
+        assert all(b >= threshold for b in bounds[: k15.m])
+        assert all(b < threshold for b in bounds[k15.m :])
+        exact = []
+
+        class CountingRows(_SquareRows):
+            def degree(self, i):
+                exact.append(i)
+                return super().degree(i)
+
+        monkeypatch.setattr(strong_edge, "_SquareRows", CountingRows)
+        strong_edge_colour(h)
+        assert exact == list(range(k15.m))
+
+
 class TestNoMaterialisedSquare:
+    def test_certified_host_builds_no_near_sets(self, monkeypatch):
+        # On rr(600,12) every bound is 2D² - 2D = 264, below the threshold
+        # of 264.384, so the whole first wave is certified.
+        def no_near_sets(*args, **kwargs):
+            raise AssertionError("no near-edge set is needed here")
+
+        monkeypatch.setattr(strong_edge, "_near_edge_sets", no_near_sets)
+        report = strong_edge_colour(random_regular_graph(600, 12, seed=1))
+        assert report.valid and report.f_core_size == 0
+
     def test_empty_core_builds_no_graph(self, monkeypatch):
         # Every edge falls in the first wave: no row is read after the
         # degrees, and no Graph is built inside the pipeline.
