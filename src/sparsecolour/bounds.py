@@ -117,9 +117,9 @@ def approx_eps(delta: float, variant: str = "ours") -> float:
     """
     if not 0 <= delta <= 0.9:
         raise BoundDomainError(f"delta={delta} outside [0, 0.9]")
-    if variant in ("ours", "iterated"):
+    if variant == "ours":
         a, b = OURS_LINEAR, OURS_THREEHALF
-    elif variant in ("bruhn_joos", "bruhnJoos", "single"):
+    elif variant == "bruhn_joos":
         a, b = BRUHN_JOOS_LINEAR, BRUHN_JOOS_THREEHALF
     else:
         raise BoundDomainError(f"unknown variant {variant!r}")

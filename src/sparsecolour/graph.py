@@ -160,15 +160,12 @@ class SparsityReport:
     `neighbourhood_edges[v]` is the number of edges inside N(v).  `delta` is
     the largest value such that every neighbourhood induces at most
     (1 - delta) * C(max_degree, 2) edges; the binomial always uses the global
-    maximum degree, even at low-degree vertices.  When `per_vertex` was
-    requested, `per_vertex_delta[v]` uses C(deg(v), 2) instead (None where
-    deg(v) < 2).
+    maximum degree, even at low-degree vertices.
     """
 
     neighbourhood_edges: tuple[int, ...]
     max_degree: int
     delta: float
-    per_vertex_delta: Optional[tuple[Optional[float], ...]] = None
 
 
 def neighbourhood_edge_count(g: Graph, v: int) -> int:
@@ -181,7 +178,7 @@ def neighbourhood_edge_count(g: Graph, v: int) -> int:
     return count // 2
 
 
-def local_sparsity(g: Graph, per_vertex: bool = False) -> SparsityReport:
+def local_sparsity(g: Graph) -> SparsityReport:
     """Measure neighbourhood density of every vertex.
 
     Requires max degree >= 2 (otherwise C(max_degree, 2) = 0 and the measure
@@ -193,13 +190,7 @@ def local_sparsity(g: Graph, per_vertex: bool = False) -> SparsityReport:
     counts = tuple(neighbourhood_edge_count(g, v) for v in range(g.n))
     denom = comb(max_deg, 2)
     delta = 1.0 - max(counts) / denom
-    per_vertex_delta = None
-    if per_vertex:
-        per_vertex_delta = tuple(
-            (1.0 - counts[v] / comb(g.degree(v), 2)) if g.degree(v) >= 2 else None
-            for v in range(g.n)
-        )
-    return SparsityReport(counts, max_deg, delta, per_vertex_delta)
+    return SparsityReport(counts, max_deg, delta)
 
 
 # -- complement matching ------------------------------------------------------

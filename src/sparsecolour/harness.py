@@ -641,7 +641,7 @@ def residual_sparsity_experiment(
                 cur_g,
                 set(range(cur_g.n)) - kept_real,
                 mu,
-                asymptotic_slack,
+                asymptotic_slack(cur_g.max_degree()),
             )
             residual = residual_assignment(cur_g, work_c, f_real)
             delta = None

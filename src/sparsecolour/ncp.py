@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -178,18 +178,13 @@ class _Compiled:
     vertices only; `k_arr` covers all of them.
     """
 
-    def __init__(
-        self,
-        g: Graph,
-        c: CorrespondenceAssignment,
-        require_total: bool = True,
-    ):
+    def __init__(self, g: Graph, c: CorrespondenceAssignment):
         if len(c.colour_sets) != g.n:
             raise AssignmentError("assignment does not match graph size")
         k_arr = c.sizes
         if g.n and k_arr.min() == 0:
             raise AssignmentError("all colour sets must be nonempty")
-        if require_total and not is_total(g, c):
+        if not is_total(g, c):
             raise AssignmentError("round execution needs a total assignment")
         fwd = _rows_on(g, c)
         self.colour_values = c.values()
@@ -529,20 +524,9 @@ def _outcome_from_arrays(
     return RoundOutcome(f1, direction, kept_set, f)
 
 
-def run_round(
-    g: Graph,
-    c: CorrespondenceAssignment,
-    seed: int,
-    require_total: bool = True,
-) -> RoundOutcome:
-    """One round; deterministic given the seed.
-
-    A non-total assignment is an error unless `require_total` is disabled:
-    the keep rule itself is well-defined for partial maps (colours outside a
-    map's domain simply never conflict), but the closed-form keep probability
-    only applies to total ones.
-    """
-    comp = _Compiled(g, c, require_total=require_total)
+def run_round(g: Graph, c: CorrespondenceAssignment, seed: int) -> RoundOutcome:
+    """One round on a total assignment; deterministic given the seed."""
+    comp = _Compiled(g, c)
     f1_idx, dirs, kept, _ = _round_arrays(comp, [seed])
     return _outcome_from_arrays(comp, f1_idx[0], dirs[0], kept[0])
 
@@ -594,9 +578,6 @@ def round_stats(
 # -- quasirandomness -------------------------------------------------------------
 
 
-SlackFunction = Callable[[float], float]
-
-
 def asymptotic_slack(max_degree: float) -> float:
     """sqrt(D) (ln D)^5 deviation allowance (0 for D <= 1)."""
     if max_degree <= 1:
@@ -604,15 +585,18 @@ def asymptotic_slack(max_degree: float) -> float:
     return math.sqrt(max_degree) * math.log(max_degree) ** 5
 
 
-def practical_slack(coeff: float = 3.0) -> SlackFunction:
-    """c * sqrt(D ln D): a usable allowance at small max degree."""
+# The practical profile's statistic threshold, as a share of the asymptotic
+# one, and the coefficient of its sqrt(D ln D) allowance.
+PRACTICAL_TAU = 0.5
+PRACTICAL_SLACK_COEFF = 3.0
 
-    def slack(max_degree: float) -> float:
-        if max_degree <= 1:
-            return 0.0
-        return coeff * math.sqrt(max_degree * math.log(max_degree))
 
-    return slack
+def practical_slack(max_degree: float) -> float:
+    """PRACTICAL_SLACK_COEFF sqrt(D ln D) deviation allowance, usable at
+    small max degree (0 for D <= 1)."""
+    if max_degree <= 1:
+        return 0.0
+    return PRACTICAL_SLACK_COEFF * math.sqrt(max_degree * math.log(max_degree))
 
 
 @dataclass(frozen=True)
@@ -631,11 +615,10 @@ def quasirandom_check(
     g: Graph,
     uncoloured: set[int] | frozenset[int],
     mu: float,
-    slack: SlackFunction | float,
+    allowed: float,
 ) -> QuasirandomReport:
-    """Check |#(N(u) & N(v) & uncoloured) - mu |N(u) & N(v)|| <= slack(max_degree)
+    """Check |#(N(u) & N(v) & uncoloured) - mu |N(u) & N(v)|| <= allowed
     for every pair at distance <= 2 and every u = v; report the worst pair."""
-    allowed = slack(g.max_degree()) if callable(slack) else float(slack)
     pairs, sizes, concat, pair_of_entry = _distance2_rows(*_directed_edges(g), g.n)
     if not pairs:
         return QuasirandomReport(True, None, -1.0, allowed)
@@ -654,16 +637,14 @@ def quasirandom_check(
 class RoundParams:
     """Thresholds a round must meet before it is accepted.
 
-    `stat_threshold(u)` is the minimum acceptable pairs-minus-triples count
-    at u; `mu` the expected uncoloured fraction used by the quasirandomness
-    check; `slack` its allowance as a function of max degree.
+    `mu` is the expected uncoloured fraction used by the quasirandomness
+    check and `slack` its allowance; `stat_threshold` is the minimum
+    acceptable pairs-minus-triples count at every uncoloured vertex.
     """
 
-    gamma: float
     mu: float
-    slack: SlackFunction
-    stat_threshold: Callable[[int], float]
-    profile: str = "custom"
+    slack: float
+    stat_threshold: float
 
 
 def asymptotic_stat_threshold(k: int, max_degree: int, delta: float) -> float:
@@ -684,32 +665,19 @@ def default_round_params(
     k: int,
     max_degree: int,
     delta: float,
-    gamma: float,
     profile: str = "practical",
-    tau: float = 0.5,
-    slack_coeff: float = 3.0,
 ) -> RoundParams:
     """Thresholds at the given sparsity: the published formulas, or the
-    `practical` profile which scales the statistic threshold by tau and uses
-    the sqrt(D ln D) slack (the published allowances are vacuous or
-    unattainable at desk-scale degrees)."""
+    `practical` profile which scales the statistic threshold by PRACTICAL_TAU
+    and uses the sqrt(D ln D) allowance (the published allowances are vacuous
+    or unattainable at desk-scale degrees)."""
     mu = 1.0 - keep_probability(k, max_degree) if max_degree else 0.0
     base = asymptotic_stat_threshold(k, max_degree, delta)
     if profile == "asymptotic":
-        slack: SlackFunction = asymptotic_slack
-        threshold = base
-    elif profile == "practical":
-        slack = practical_slack(slack_coeff)
-        threshold = tau * base
-    else:
-        raise ValueError(f"unknown profile {profile!r}")
-    return RoundParams(
-        gamma=gamma,
-        mu=mu,
-        slack=slack,
-        stat_threshold=lambda u: threshold,
-        profile=profile,
-    )
+        return RoundParams(mu, asymptotic_slack(max_degree), base)
+    if profile == "practical":
+        return RoundParams(mu, practical_slack(max_degree), PRACTICAL_TAU * base)
+    raise ValueError(f"unknown profile {profile!r}")
 
 
 @dataclass(frozen=True)
@@ -773,10 +741,6 @@ def attempt_round(
         comp = _Compiled(g, c)
     comp._build_nuv()
     sizes = comp.nuv_sizes.astype(np.float64)
-    allowed = params.slack(comp.max_degree) if callable(params.slack) else float(params.slack)
-    thresholds = np.array(
-        [params.stat_threshold(u) for u in range(comp.focus)], dtype=np.float64
-    )
 
     def result(ok: bool, restarts: int, violations, arrays) -> AttemptResult:
         f1_idx, dirs, kept, col, dist, p_u, t_u, nuv = arrays
@@ -792,9 +756,10 @@ def attempt_round(
         nuv = _nuv_counts(comp, kept)
         f1_idx, dirs, kept, nuv = f1_idx[0], dirs[0], kept[0], nuv[0]
         col, dist, p_u, t_u = (x[0] for x in stats)
-        stat_bad = np.flatnonzero(((p_u - t_u) < thresholds) & ~kept[: comp.focus])
+        low = (p_u - t_u) < params.stat_threshold
+        stat_bad = np.flatnonzero(low & ~kept[: comp.focus])
         dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
-        quasi_bad = np.flatnonzero(dev > allowed)
+        quasi_bad = np.flatnonzero(dev > params.slack)
         violations = ViolationReport(
             tuple(stat_bad.tolist()),
             tuple(comp.nuv_pairs[i] for i in quasi_bad.tolist()),
@@ -1099,8 +1064,6 @@ def iterative_colour(
     seed: int,
     max_restarts: int = 200,
     profile: str = "practical",
-    tau: float = 0.5,
-    slack_coeff: float = 3.0,
 ) -> ColouringResult:
     """Colour g by iterated rounds on the regularised residual graph.
 
@@ -1127,17 +1090,16 @@ def iterative_colour(
                 iteration,
             )
         if k_min > cur_g.max_degree():
-            order = min_degree_ordering(cur_g, range(cur_g.n))
-            extension, failed = _greedy_correspondence(cur_g, cur_c, order)
-            if failed:
+            finish = greedy_complete(cur_g, cur_c, {})
+            if not finish.ok:
                 return ColouringResult(
                     False,
                     colouring,
                     tuple(reports),
-                    f"greedy finish failed at vertex {ids[failed[0]]}",
+                    f"greedy finish failed at vertex {ids[finish.failed_at[0]]}",
                     iteration,
                 )
-            colouring.update({ids[v]: col for v, col in extension.items()})
+            colouring.update({ids[v]: col for v, col in finish.colouring.items()})
             break
         if iteration >= schedule.iterations:
             return ColouringResult(
@@ -1150,15 +1112,7 @@ def iterative_colour(
         row = schedule.rows[iteration]
         work_c = totalize(cur_g, truncate(cur_c, k_min))
         reg, _ = _regularize_with_assignment(cur_g, work_c)
-        params = default_round_params(
-            k_min,
-            reg.max_degree,
-            delta=row.delta,
-            gamma=row.gamma,
-            profile=profile,
-            tau=tau,
-            slack_coeff=slack_coeff,
-        )
+        params = default_round_params(k_min, reg.max_degree, row.delta, profile)
         result = attempt_round(
             reg, None, params, derive_seed(seed, KIND_ROUND, iteration), max_restarts
         )

@@ -30,7 +30,14 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .graph import Graph, GraphError, first_fit, local_sparsity, lowest_clear_bit
+from .graph import (
+    Graph,
+    GraphError,
+    first_fit,
+    local_sparsity,
+    lowest_clear_bit,
+    neighbourhood_edge_count,
+)
 
 Threshold = Union[int, float, Fraction]
 
@@ -242,9 +249,7 @@ def c4_lower_bound(p: StrongNeighbourhoodProfile) -> float:
 
 
 def strong_neighbourhood_edge_bound(
-    p: StrongNeighbourhoodProfile,
-    max_degree: Optional[int] = None,
-    improved: bool = True,
+    p: StrongNeighbourhoodProfile, improved: bool = True
 ) -> float:
     """Upper bound on the edges induced by the strong neighbourhood
     (regular host):
@@ -253,7 +258,7 @@ def strong_neighbourhood_edge_bound(
 
     with the bracketed strengthening included unless improved=False.
     """
-    d = max_degree if max_degree is not None else p.max_degree
+    d = p.max_degree
     if p.alpha + p.beta >= 2:
         raise GraphError("alpha + beta must stay below 2 for a simple host")
     bound = (
@@ -358,11 +363,7 @@ def f_core_density_check(h: Graph, eta: float) -> CoreDensityReport:
     max_ratio = None
     passed = True
     for e in range(core_graph.n):
-        core_nbrs = core_graph.neighbour_set(e)
-        count = 0
-        for w in core_nbrs:
-            count += len(core_graph.neighbour_set(w) & core_nbrs)
-        count //= 2
+        count = neighbourhood_edge_count(core_graph, e)
         ratio = count / bound if bound > 0 else float("inf")
         if max_ratio is None or ratio > max_ratio:
             max_ratio = ratio

@@ -168,9 +168,6 @@ def test_residual_matches_oracle(instance, total, seed):
 @given(instance=bijection_instances())
 def test_compiled_dir_map_matches_dict_fill(instance):
     g, c = instance
-    np.testing.assert_array_equal(
-        _Compiled(g, c, require_total=False).dir_map, naive_dir_map(g, c)
-    )
     total = totalize(g, truncate(c, c.min_size()))
     np.testing.assert_array_equal(_Compiled(g, total).dir_map, naive_dir_map(g, total))
 

@@ -97,12 +97,6 @@ class TestLocalSparsity:
         with pytest.raises(GraphError, match="sparsity undefined"):
             local_sparsity(path_graph(2))
 
-    def test_per_vertex_variant(self):
-        g = star_graph(3)
-        report = local_sparsity(g, per_vertex=True)
-        assert report.per_vertex_delta[0] == 1.0
-        assert report.per_vertex_delta[1] is None  # leaves have degree 1
-
 
 def regularize(g):
     reg, _ = naive_regularize_with_assignment(g, uniform_lists(g, 2))
