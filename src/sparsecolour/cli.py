@@ -78,14 +78,9 @@ def _jsonable(obj: Any) -> Any:
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, dict):
-        items = sorted(((_key(k), v) for k, v in obj.items()), key=lambda kv: kv[0])
-        return {k: _jsonable(v) for k, v in items}
-    if isinstance(obj, (set, frozenset)):
-        return [_jsonable(v) for v in sorted(obj)]
+        return {_key(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if callable(obj):
-        return getattr(obj, "__name__", "<callable>")
     return str(obj)
 
 
@@ -132,14 +127,11 @@ def _output_format(args, default: str) -> str:
     return default
 
 
-def _check_seed(seed: int) -> int:
+def _seed_arg(value: str) -> int:
+    seed = int(value)
     if not 0 <= seed <= MAX_SEED:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return seed
-
-
-def _seed_arg(value: str) -> int:
-    return _check_seed(int(value))
 
 
 def _positive_int(value: str) -> int:
@@ -152,122 +144,105 @@ def _positive_int(value: str) -> int:
     return number
 
 
+def _refuse(message: str, code: int) -> tuple[None, int]:
+    print(message, file=sys.stderr)
+    return None, code
+
+
 # -- subcommand implementations -------------------------------------------------
+#
+# Each takes the parsed arguments and returns (payload, exit code); main
+# writes the payload, if any, to --out or stdout.
 
 
-def _gen_size_error(args) -> Optional[str]:
-    """Why the selected generator's size arguments are out of range, or None."""
-    for flag in ("complete", "path", "star"):
-        value = getattr(args, flag)
-        if value is not None and value < 0:
-            return f"--{flag} must be at least 0, got {value}"
-    if args.cycle is not None and args.cycle < 3:
-        return f"--cycle must be at least 3, got {args.cycle}"
-    if args.c5_blowup is not None and args.c5_blowup < 1:
-        return f"--c5-blowup must be at least 1, got {args.c5_blowup}"
-    if args.random_regular is not None:
-        n, d = args.random_regular
-        if not 0 <= d < n:
-            return f"--random-regular needs 0 <= D < N, got N={n} D={d}"
-        if n * d % 2:
-            return f"--random-regular needs N*D even, got N={n} D={d}"
-    if args.gnp is not None:
-        n, p = args.gnp
-        if not (n >= 0 and n.is_integer()):
-            return f"--gnp N must be a non-negative integer, got {n:g}"
-        if not 0 <= p <= 1:
-            return f"--gnp P must lie in [0, 1], got {p:g}"
+def _at_least(low: int):
+    return lambda n: f"must be at least {low}, got {n}" if n < low else None
+
+
+def _regular_error(size) -> Optional[str]:
+    n, d = size
+    if not 0 <= d < n:
+        return f"needs 0 <= D < N, got N={n} D={d}"
+    if n * d % 2:
+        return f"needs N*D even, got N={n} D={d}"
     return None
+
+
+def _gnp_error(size) -> Optional[str]:
+    n, p = size
+    if not (n >= 0 and n.is_integer()):
+        return f"N must be a non-negative integer, got {n:g}"
+    if not 0 <= p <= 1:
+        return f"P must lie in [0, 1], got {p:g}"
+    return None
+
+
+def _pairs(n) -> int:
+    n = int(n)
+    return n * (n - 1) // 2
 
 
 GEN_EDGE_CAP = 2_000_000
 GEN_DRAW_CAP = 50_000_000
 
-
-def _gen_cost_error(args) -> Optional[str]:
-    """Why the selected generator's output would be too large, or None.
-
-    Estimates the edges (expected edges for --gnp) and the random draws of
-    --gnp from the size arguments alone, before anything is generated.
-    """
-    if args.gnp is not None:
-        n = int(args.gnp[0])
-        draws = n * (n - 1) // 2
-        if draws > GEN_DRAW_CAP:
-            return f"--gnp would make {draws} random draws, above the cap of {GEN_DRAW_CAP} draws"
-        edges = round(args.gnp[1] * draws)
-    elif args.c5_blowup is not None:
-        edges = 5 * args.c5_blowup**2
-    elif args.random_regular is not None:
-        n, d = args.random_regular
-        edges = n * d // 2
-    elif args.complete is not None:
-        edges = args.complete * (args.complete - 1) // 2
-    elif args.cycle is not None:
-        edges = args.cycle
-    elif args.path is not None:
-        edges = max(args.path - 1, 0)
-    elif args.star is not None:
-        edges = args.star
-    else:
-        edges = 15  # the Petersen graph
-    if edges > GEN_EDGE_CAP:
-        return f"graph would have about {edges} edges, above the cap of {GEN_EDGE_CAP} edges"
-    return None
+# gen flag -> (size error, edge estimate, build), each a function of the
+# flag's value; build also takes the seed.  The size error returns why
+# the value is out of range, or None (--petersen takes no size).  The
+# estimate (expected edges for --gnp) is checked against GEN_EDGE_CAP before
+# anything is generated.
+GENERATORS = {
+    "--c5-blowup": (_at_least(1), lambda k: 5 * k**2, lambda k, seed: c5_blowup(k)),
+    "--random-regular": (
+        _regular_error,
+        lambda nd: nd[0] * nd[1] // 2,
+        lambda nd, seed: random_regular_graph(*nd, seed),
+    ),
+    "--gnp": (
+        _gnp_error,
+        lambda np_: round(np_[1] * _pairs(np_[0])),
+        lambda np_, seed: gnp_graph(int(np_[0]), np_[1], seed),
+    ),
+    "--complete": (_at_least(0), _pairs, lambda n, seed: complete_graph(n)),
+    "--cycle": (_at_least(3), lambda n: n, lambda n, seed: cycle_graph(n)),
+    "--path": (_at_least(0), lambda n: max(n - 1, 0), lambda n, seed: path_graph(n)),
+    "--star": (_at_least(0), lambda n: n, lambda n, seed: star_graph(n)),
+    "--petersen": (None, lambda _: 15, lambda _, seed: petersen_graph()),
+}
 
 
-def _cmd_gen(args) -> int:
-    sources = [
-        args.c5_blowup is not None,
-        args.random_regular is not None,
-        args.gnp is not None,
-        args.complete is not None,
-        args.cycle is not None,
-        args.path is not None,
-        args.star is not None,
-        args.petersen,
+def _cmd_gen(args) -> tuple[Optional[str], int]:
+    # `is not None`, not truthiness: --star 0 and --path 0 are generators too.
+    chosen = [
+        (flag, value)
+        for flag in GENERATORS
+        if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
     ]
-    if sum(sources) != 1:
-        print("gen: exactly one generator must be selected", file=sys.stderr)
-        return 2
-    size_error = _gen_size_error(args)
-    if size_error:
-        print(f"gen: {size_error}", file=sys.stderr)
-        return 2
-    cost_error = _gen_cost_error(args)
-    if cost_error:
-        print(f"gen: {cost_error}", file=sys.stderr)
-        return 1
-    if args.c5_blowup is not None:
-        g = c5_blowup(args.c5_blowup)
-    elif args.random_regular is not None:
-        n, d = args.random_regular
-        g = random_regular_graph(n, d, args.seed)
-    elif args.gnp is not None:
-        n, p = args.gnp
-        g = gnp_graph(int(n), p, args.seed)
-    elif args.complete is not None:
-        g = complete_graph(args.complete)
-    elif args.cycle is not None:
-        g = cycle_graph(args.cycle)
-    elif args.path is not None:
-        g = path_graph(args.path)
-    elif args.star is not None:
-        g = star_graph(args.star)
-    else:
-        g = petersen_graph()
-    fmt = _output_format(args, "dimacs")
-    if fmt == "json":
-        _emit(json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        _emit(to_dimacs(g), args.out)
-    return 0
+    if len(chosen) != 1:
+        return _refuse("gen: exactly one generator must be selected", 2)
+    [(flag, value)] = chosen
+    size_error, edge_estimate, build = GENERATORS[flag]
+    error = size_error(value) if size_error else None
+    if error:
+        return _refuse(f"gen: {flag} {error}", 2)
+    draws = _pairs(value[0]) if flag == "--gnp" else 0
+    if draws > GEN_DRAW_CAP:
+        return _refuse(
+            f"gen: --gnp would make {draws} random draws, above the cap of {GEN_DRAW_CAP} draws", 1
+        )
+    edges = edge_estimate(value)
+    if edges > GEN_EDGE_CAP:
+        return _refuse(
+            f"gen: graph would have about {edges} edges, above the cap of {GEN_EDGE_CAP} edges", 1
+        )
+    g = build(value, args.seed)
+    if _output_format(args, "dimacs") == "json":
+        return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n", 0
+    return to_dimacs(g), 0
 
 
-def _cmd_color(args) -> int:
+def _cmd_color(args) -> tuple[str, int]:
     g = _load_graph(args.input)
     k = args.k
-    assignment = uniform_lists(g, k) if g.n else None
     config = {
         "subcommand": "color",
         "input": args.input,
@@ -280,29 +255,17 @@ def _cmd_color(args) -> int:
     }
     if g.n == 0:
         result = {"ok": True, "colours": {}, "numColoursUsed": 0, "mode": "empty"}
-        _emit(_report(config, result), args.out)
-        return 0
+        return _report(config, result), 0
+    assignment = uniform_lists(g, k)
     max_deg = g.max_degree()
-    if k > max_deg:
+    if k > max_deg or max_deg < 2:
         completion = greedy_complete(g, assignment, {})
-        result = {
-            "ok": completion.ok,
-            "mode": "greedy",
-            "colours": completion.colouring,
-            "numColoursUsed": len(set(completion.colouring.values())),
-        }
-        _emit(_report(config, result), args.out)
-        return 0 if completion.ok else 1
-    if max_deg < 2:
-        completion = greedy_complete(g, assignment, {})
-        result = {
-            "ok": completion.ok,
-            "mode": "greedy",
-            "colours": completion.colouring,
-            "failedAt": list(completion.failed_at),
-        }
-        _emit(_report(config, result), args.out)
-        return 0 if completion.ok else 1
+        result = {"ok": completion.ok, "mode": "greedy", "colours": completion.colouring}
+        if k > max_deg:
+            result["numColoursUsed"] = len(set(completion.colouring.values()))
+        else:  # max_deg < 2
+            result["failedAt"] = list(completion.failed_at)
+        return _report(config, result), 0 if completion.ok else 1
     delta = local_sparsity(g).delta
     eps_prime = 1.0 - k / (max_deg + 1)
     delta_prime = args.delta_prime if args.delta_prime is not None else 0.95 * delta
@@ -317,8 +280,7 @@ def _cmd_color(args) -> int:
             "delta": delta,
             "epsPrime": eps_prime,
         }
-        _emit(_report(config, result), args.out)
-        return 1
+        return _report(config, result), 1
     outcome = iterative_colour(
         g,
         assignment,
@@ -340,11 +302,10 @@ def _cmd_color(args) -> int:
         "failureReason": outcome.failure_reason,
         "failedIteration": outcome.failed_iteration,
     }
-    _emit(_report(config, result), args.out)
-    return 0 if outcome.ok else 1
+    return _report(config, result), 0 if outcome.ok else 1
 
 
-def _cmd_strong_edge(args) -> int:
+def _cmd_strong_edge(args) -> tuple[str, int]:
     g = _load_graph(args.input)
     config = {
         "subcommand": "strong-edge",
@@ -364,56 +325,32 @@ def _cmd_strong_edge(args) -> int:
         "engineWarning": report.engine_warning,
         "valid": report.valid,
     }
-    _emit(_report(config, result), args.out)
-    return 0 if report.valid else 1
+    return _report(config, result), 0 if report.valid else 1
 
 
-def _cmd_bounds(args) -> int:
+# bounds subcommand -> (the options its config records, its result).
+BOUNDS = {
+    "constants": ((), lambda a: strong_edge_constants()),
+    "condition": (("eps", "delta"), lambda a: condition_check(a.eps, a.delta)),
+    "savings": (("eps", "delta"), lambda a: {"savingsRate": savings_rate(a.eps, a.delta)}),
+    "approx-eps": (("delta", "variant"), lambda a: {"eps": approx_eps(a.delta, a.variant)}),
+}
+
+
+def _cmd_bounds(args) -> tuple[str, int]:
     config = {"subcommand": f"bounds {args.bounds_cmd}"}
     if args.bounds_cmd == "table1":
         rows = alpha_eps_table(args.grid)
-        fmt = _output_format(args, "csv")
-        if fmt == "json":
-            payload = _report(
-                {**config, "grid": args.grid},
-                [{"alpha": a, "eps": e} for a, e in rows],
-            )
-        else:
-            payload = table_to_csv(rows)
-        _emit(payload, args.out)
-        return 0
-    if args.bounds_cmd == "constants":
-        _emit(_report(config, strong_edge_constants()), args.out)
-        return 0
-    if args.bounds_cmd == "condition":
-        report = condition_check(args.eps, args.delta)
-        _emit(_report({**config, "eps": args.eps, "delta": args.delta}, report), args.out)
-        return 0
-    if args.bounds_cmd == "savings":
-        value = savings_rate(args.eps, args.delta)
-        _emit(
-            _report(
-                {**config, "eps": args.eps, "delta": args.delta},
-                {"savingsRate": value},
-            ),
-            args.out,
-        )
-        return 0
-    if args.bounds_cmd == "approx-eps":
-        value = approx_eps(args.delta, args.variant)
-        _emit(
-            _report(
-                {**config, "delta": args.delta, "variant": args.variant},
-                {"eps": value},
-            ),
-            args.out,
-        )
-        return 0
-    print(f"bounds: unknown subcommand {args.bounds_cmd}", file=sys.stderr)
-    return 2
+        if _output_format(args, "csv") == "json":
+            config["grid"] = args.grid
+            return _report(config, [{"alpha": a, "eps": e} for a, e in rows]), 0
+        return table_to_csv(rows), 0
+    options, result = BOUNDS[args.bounds_cmd]
+    config.update((name, getattr(args, name)) for name in options)
+    return _report(config, result(args)), 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[str, int]:
     g = _load_graph(args.input)
     assignment = uniform_lists(g, args.k)
     # Thread count is deliberately not embedded: results are exactly
@@ -427,25 +364,17 @@ def _cmd_simulate(args) -> int:
         "rounds": args.rounds,
         "seed": args.seed,
     }
-    fmt = _output_format(args, "json")
     if args.experiment == "mc":
-        from .correspondence import totalize, truncate
-
-        total = totalize(g, truncate(assignment, args.k))
-        report = monte_carlo_round(g, total, args.trials, args.seed, threads=args.threads)
-        if fmt == "csv":
-            _emit(_mc_csv(report), args.out)
-        else:
-            _emit(_report(config, report), args.out)
-        return 0
-    report = residual_sparsity_experiment(
-        g, assignment, rounds=args.rounds, trials=args.trials, seed=args.seed
-    )
-    if fmt == "csv":
-        _emit(_sparsity_csv(report), args.out)
+        report = monte_carlo_round(g, assignment, args.trials, args.seed, threads=args.threads)
+        to_csv = _mc_csv
     else:
-        _emit(_report(config, report), args.out)
-    return 0
+        report = residual_sparsity_experiment(
+            g, assignment, rounds=args.rounds, trials=args.trials, seed=args.seed
+        )
+        to_csv = _sparsity_csv
+    if _output_format(args, "json") == "csv":
+        return to_csv(report), 0
+    return _report(config, report), 0
 
 
 def _mc_csv(report) -> str:
@@ -474,13 +403,11 @@ def _sparsity_csv(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[str, int]:
     g = _load_graph(args.input)
     assignment = uniform_lists(g, args.k)
     config = {"subcommand": "oracle", "input": args.input, "k": args.k}
-    result = enumerate_outcomes(g, assignment)
-    _emit(_report(config, result), args.out)
-    return 0
+    return _report(config, enumerate_outcomes(g, assignment)), 0
 
 
 # -- parser ----------------------------------------------------------------------
@@ -531,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--cycle", type=int, metavar="N")
     gen.add_argument("--path", type=int, metavar="N")
     gen.add_argument("--star", type=int, metavar="LEAVES")
-    gen.add_argument("--petersen", action="store_true")
+    gen.add_argument("--petersen", action="store_const", const=True)
     gen.add_argument("--seed", type=_seed_arg, default=0)
     gen.add_argument("--out", type=str)
     gen.add_argument("--format", choices=["dimacs", "json"])
@@ -547,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--profile", choices=["asymptotic", "practical"], default="practical")
     color.add_argument("--config", type=str)
     color.add_argument("--out", type=str)
-    color.add_argument("--format", choices=["json"])
     color.set_defaults(func=_cmd_color)
 
     se = sub.add_parser("strong-edge", help="strong edge colouring pipeline")
@@ -557,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--max-restarts", type=_positive_int, default=200)
     se.add_argument("--config", type=str)
     se.add_argument("--out", type=str)
-    se.add_argument("--format", choices=["json"])
     se.set_defaults(func=_cmd_strong_edge)
 
     bounds = sub.add_parser("bounds", help="closed-form bounds and tables")
@@ -610,7 +535,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _apply_config_file(parser.parse_args(argv), parser, argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if payload is not None:
+            _emit(payload, args.out)
+        return code
     except (DimacsError, GraphError, BoundDomainError, ValueError) as exc:
         print(f"sparsecolour: {exc}", file=sys.stderr)
         return 1

@@ -594,14 +594,6 @@ class SparsityExperimentReport:
     trials: int
     trial_rounds: tuple[tuple[SparsityTrialRound, ...], ...]
 
-    def delta_ratios(self) -> list[float]:
-        return [
-            r.delta_ratio
-            for trial in self.trial_rounds
-            for r in trial
-            if r.delta_ratio is not None
-        ]
-
 
 def residual_sparsity_experiment(
     g: Graph,

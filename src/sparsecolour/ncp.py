@@ -33,6 +33,7 @@ from .correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
     PartialColouring,
+    Residual,
     _indices,
     _rows_on,
     is_total,
@@ -606,10 +607,6 @@ class QuasirandomReport:
     worst_deviation: float
     allowed: float
 
-    def __iter__(self):
-        # Unpack as (ok, worst_pair) per the operation contract.
-        return iter((self.ok, self.worst_pair))
-
 
 def quasirandom_check(
     g: Graph,
@@ -923,7 +920,8 @@ def greedy_complete(
         if not is_valid_colouring(g, c, f):
             raise AssignmentError("colouring is not valid")
         return CompletionResult(True, dict(f))
-    residual = residual_assignment(g, c, f)
+    # With nothing coloured the instance is its own residual.
+    residual = residual_assignment(g, c, f) if f else Residual(g, c, tuple(range(g.n)))
     sub, rc = residual.graph, residual.assignment
     hypothesis = all(
         len(rc.colour_sets[v]) > sub.degree(v) for v in range(sub.n)

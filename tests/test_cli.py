@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import sparsecolour
+from sparsecolour import cli
+from sparsecolour.bounds import savings_rate
 from sparsecolour.cli import main
+from sparsecolour.generators import petersen_graph
 from sparsecolour.graph import parse_dimacs
 from sparsecolour.strong_edge import c5_blowup
 
@@ -45,6 +48,39 @@ class TestGen:
         run(["gen", "--random-regular", "20", "3", "--seed", "5", "--out", str(a)], capsys)
         run(["gen", "--random-regular", "20", "3", "--seed", "5", "--out", str(b)], capsys)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_petersen(self, capsys):
+        code, out, _ = run(["gen", "--petersen"], capsys)
+        assert code == 0
+        assert parse_dimacs(out) == petersen_graph()
+
+    def test_json_format_by_flag(self, capsys):
+        code, out, _ = run(["gen", "--cycle", "5", "--format", "json"], capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert data["n"] == 5 and len(data["edges"]) == 5
+
+    # Two sizes per generator; --petersen takes none.
+    SIZES = {
+        "--c5-blowup": (["1"], ["3"]),
+        "--random-regular": (["10", "3"], ["12", "0"]),
+        "--complete": (["0"], ["6"]),
+        "--cycle": (["3"], ["8"]),
+        "--path": (["0"], ["5"]),
+        "--star": (["0"], ["4"]),
+        "--petersen": ([],),
+    }
+
+    # --gnp's estimate is the expected edge count, not the drawn one.
+    @pytest.mark.parametrize("flag", [f for f in cli.GENERATORS if f != "--gnp"])
+    def test_edge_estimate_is_the_written_edge_count(self, capsys, flag):
+        _, edge_estimate, _ = cli.GENERATORS[flag]
+        for size in self.SIZES[flag]:
+            args = cli.build_parser().parse_args(["gen", flag, *size])
+            value = getattr(args, flag[2:].replace("-", "_"))
+            code, out, _ = run(["gen", flag, *size], capsys)
+            assert code == 0
+            assert parse_dimacs(out).m == edge_estimate(value)
 
 
 class TestStrongEdgeCommand:
@@ -89,6 +125,13 @@ class TestBoundsCommand:
         )
         assert code == 0
         assert json.loads(out)["result"]["satisfied"] is True
+
+    def test_savings(self, capsys):
+        code, out, _ = run(["bounds", "savings", "--eps", "0.05", "--delta", "0.9"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"] == {"subcommand": "bounds savings", "eps": 0.05, "delta": 0.9}
+        assert doc["result"] == {"savingsRate": savings_rate(0.05, 0.9)}
 
     def test_approx_eps(self, capsys):
         code, out, _ = run(
@@ -701,24 +744,40 @@ class TestUsageErrors:
 
 
 class TestBenchmarkTrace:
-    def test_tracer_wraps_every_listed_name(self, tmp_path, capsys, monkeypatch):
-        # The benchmark's trace mode wraps package functions and methods by
-        # name; a renamed or deleted one fails here rather than only there.
+    # The benchmark's trace mode wraps package functions and methods by name;
+    # a renamed or deleted one, or a changed return shape, fails here rather
+    # than only there.  Every run writes its report through cli._emit.
+
+    def _trace(self, tmp_path, capsys, monkeypatch, argv):
         import importlib
-        from pathlib import Path
 
         monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
         tracer = importlib.import_module("tracing").Tracer()
         g = tmp_path / "g.dimacs"
         run(["gen", "--c5-blowup", "8", "--out", str(g)], capsys)
-        argv = ["color", "--input", str(g), "--k", "16", "--seed", "7"]
         tracer.install()
         try:
-            code = tracer.call(0, main, argv)
+            code = tracer.call(0, main, [*argv, "--input", str(g)])
         finally:
             tracer.uninstall()
         capsys.readouterr()
         assert code == 0
+        assert tracer.counts["cli.report_bytes"] > 0
+        return tracer
+
+    def test_tracer_wraps_every_listed_name(self, tmp_path, capsys, monkeypatch):
+        argv = ["color", "--k", "16", "--seed", "7"]
+        tracer = self._trace(tmp_path, capsys, monkeypatch, argv)
         assert tracer.counts["ncp.pair_rows"] > 0
         assert tracer.counts["ncp.regularised_vertices_max"] >= 40
         assert "ncp.pair_index_s" in tracer.self_times()
+
+    def test_tracer_on_strong_edge(self, tmp_path, capsys, monkeypatch):
+        tracer = self._trace(tmp_path, capsys, monkeypatch, ["strong-edge", "--seed", "7"])
+        # Filled by the f_core_with_order hook, even for an empty core.
+        assert "strong_edge.core_size" in tracer.counts
+
+    def test_tracer_on_monte_carlo(self, tmp_path, capsys, monkeypatch):
+        argv = ["simulate", "--experiment", "mc", "--k", "16", "--trials", "50", "--seed", "7"]
+        tracer = self._trace(tmp_path, capsys, monkeypatch, argv)
+        assert "harness.mc_s" in tracer.self_times()
