@@ -43,10 +43,13 @@ def savings_rate(eps: float, delta: float) -> float:
         delta / (2 (1-eps)) * exp(-1 / (1-eps))
             - delta^(3/2) / (6 (1-eps)^2) * exp(-7 / (8 (1-eps)))
 
-    (the pair term minus the triple correction).
+    (the pair term minus the triple correction).  delta must lie in [0, 1];
+    eps may be negative, as in the last rows of an iteration schedule.
     """
     if eps >= 1:
         raise BoundDomainError("savings rate undefined for eps >= 1")
+    if not 0 <= delta <= 1:
+        raise BoundDomainError(f"delta={delta} outside [0, 1]")
     one = 1.0 - eps
     pair = delta / (2.0 * one) * math.exp(-1.0 / one)
     triple = delta**1.5 / (6.0 * one * one) * math.exp(-7.0 / (8.0 * one))
@@ -85,7 +88,8 @@ def condition_check(eps: float, delta: float) -> ConditionReport:
     """Feasibility of the iterative procedure for sparsity delta at eps.
 
     Evaluated in extended precision (>= 30 significant digits) with the
-    binary64 value reported alongside.
+    binary64 value reported alongside.  delta must lie in [0, 1], as for
+    `savings_rate`.
     """
     if not 0 < eps < 0.5:
         raise BoundDomainError(f"eps={eps} outside (0, 0.5)")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -44,6 +45,7 @@ from .graph import (
     DimacsError,
     Graph,
     GraphError,
+    from_json_dict,
     local_sparsity,
     parse_dimacs,
     to_dimacs,
@@ -109,8 +111,6 @@ def _report(config: dict, result: Any) -> str:
 def _load_graph(path: str) -> Graph:
     text = Path(path).read_text()
     if path.endswith(".json"):
-        from .graph import from_json_dict
-
         return from_json_dict(json.loads(text))
     return parse_dimacs(text)
 
@@ -132,6 +132,16 @@ def _seed_arg(value: str) -> int:
     if not 0 <= seed <= MAX_SEED:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return seed
+
+
+def _finite_float(value: str) -> float:
+    try:
+        number = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {value!r}") from None
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {value!r}")
+    return number
 
 
 def _positive_int(value: str) -> int:
@@ -316,8 +326,8 @@ def _cmd_strong_edge(args) -> tuple[str, int]:
     }
     report = strong_edge_colour(g, eta=args.eta, seed=args.seed, max_restarts=args.max_restarts)
     result = {
-        "colours": {str(i): c for i, c in sorted(report.colours.items())},
-        "edgeIndex": [list(e) for e in report.edge_index],
+        "colours": report.colours,
+        "edgeIndex": report.edge_index,
         "numColours": report.num_colours,
         "ratioToDeltaSq": report.ratio_to_delta_sq,
         "fCoreSize": report.f_core_size,
@@ -468,8 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--input", required=True)
     color.add_argument("--k", type=_positive_int, required=True)
     color.add_argument("--seed", type=_seed_arg, default=0)
-    color.add_argument("--beta", type=float)
-    color.add_argument("--delta-prime", type=float)
+    color.add_argument("--beta", type=_finite_float)
+    color.add_argument("--delta-prime", type=_finite_float)
     color.add_argument("--max-restarts", type=_positive_int, default=200)
     color.add_argument("--profile", choices=["asymptotic", "practical"], default="practical")
     color.add_argument("--config", type=str)
@@ -478,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("strong-edge", help="strong edge colouring pipeline")
     se.add_argument("--input", required=True)
-    se.add_argument("--eta", type=float, default=0.164)
+    se.add_argument("--eta", type=_finite_float, default=0.164)
     se.add_argument("--seed", type=_seed_arg, default=0)
     se.add_argument("--max-restarts", type=_positive_int, default=200)
     se.add_argument("--config", type=str)
@@ -488,21 +498,21 @@ def build_parser() -> argparse.ArgumentParser:
     bounds = sub.add_parser("bounds", help="closed-form bounds and tables")
     bsub = bounds.add_subparsers(dest="bounds_cmd", required=True)
     table1 = bsub.add_parser("table1", help="clique-ratio table (alpha, eps)")
-    table1.add_argument("--grid", type=float, default=1e-4)
+    table1.add_argument("--grid", type=_finite_float, default=1e-4)
     table1.add_argument("--out", type=str)
     table1.add_argument("--format", choices=["csv", "json"])
     constants = bsub.add_parser("constants", help="strong-edge constants report")
     constants.add_argument("--out", type=str)
     condition = bsub.add_parser("condition", help="iteration feasibility check")
-    condition.add_argument("--eps", type=float, required=True)
-    condition.add_argument("--delta", type=float, required=True)
+    condition.add_argument("--eps", type=_finite_float, required=True)
+    condition.add_argument("--delta", type=_finite_float, required=True)
     condition.add_argument("--out", type=str)
     savings = bsub.add_parser("savings", help="repeated-colour savings rate")
-    savings.add_argument("--eps", type=float, required=True)
-    savings.add_argument("--delta", type=float, required=True)
+    savings.add_argument("--eps", type=_finite_float, required=True)
+    savings.add_argument("--delta", type=_finite_float, required=True)
     savings.add_argument("--out", type=str)
     approx = bsub.add_parser("approx-eps", help="polynomial sparsity-to-eps approximation")
-    approx.add_argument("--delta", type=float, required=True)
+    approx.add_argument("--delta", type=_finite_float, required=True)
     approx.add_argument("--variant", choices=["ours", "bruhn_joos"], default="ours")
     approx.add_argument("--out", type=str)
     for p in (table1, constants, condition, savings, approx):
@@ -530,10 +540,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: a caller may run main many times, and the tree
+# takes a few milliseconds to build, a tenth of a small `color` command.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _apply_config_file(parser.parse_args(argv), parser, argv)
+    args = _apply_config_file(_PARSER.parse_args(argv), _PARSER, argv)
     try:
         payload, code = args.func(args)
         if payload is not None:

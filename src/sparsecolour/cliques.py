@@ -74,25 +74,27 @@ def clique_info(g: Graph) -> CliqueInfo:
 def hitting_independent_set(
     g: Graph, cliques: CliqueInfo
 ) -> Optional[frozenset[int]]:
-    """Independent set meeting every maximum clique, or None if none found.
+    """Independent set meeting every maximum clique, or None if none exists.
 
-    Exact backtracking over one-vertex-per-unhit-clique choices, with a node
-    budget; if the budget trips, a greedy pass is attempted.  Within budget
-    the search is complete, so None means no such set exists.
+    Exact backtracking over one-vertex-per-unhit-clique choices.  The search
+    is complete, so None means no such set exists; a search that visits more
+    than TRANSVERSAL_NODE_BUDGET nodes raises ReductionError instead.
     """
     clique_list = [sorted(c) for c in cliques.maximum_cliques]
     if not clique_list:
         return frozenset()
 
     nodes = 0
-    exhausted = False
 
     def search(idx: int, chosen: set[int]) -> Optional[set[int]]:
-        nonlocal nodes, exhausted
+        nonlocal nodes
         nodes += 1
         if nodes > TRANSVERSAL_NODE_BUDGET:
-            exhausted = True
-            return None
+            raise ReductionError(
+                "transversal search exceeded its budget of "
+                f"{TRANSVERSAL_NODE_BUDGET} nodes on {len(clique_list)} "
+                "maximum cliques"
+            )
         while idx < len(clique_list) and any(
             v in chosen for v in clique_list[idx]
         ):
@@ -107,31 +109,10 @@ def hitting_independent_set(
             if result is not None:
                 return result
             chosen.remove(v)
-            if exhausted:
-                return None
         return None
 
     result = search(0, set())
-    if result is not None:
-        return frozenset(result)
-    if exhausted:
-        greedy = _greedy_transversal(g, clique_list)
-        if greedy is not None:
-            return frozenset(greedy)
-    return None
-
-
-def _greedy_transversal(g: Graph, clique_list) -> Optional[set[int]]:
-    chosen: set[int] = set()
-    for clique in clique_list:
-        if any(v in chosen for v in clique):
-            continue
-        candidates = [v for v in clique if not (g.neighbour_set(v) & chosen)]
-        if not candidates:
-            return None
-        # Prefer the vertex least connected to the rest of the graph.
-        chosen.add(min(candidates, key=lambda v: (g.degree(v), v)))
-    return chosen
+    return None if result is None else frozenset(result)
 
 
 def extend_to_maximal_independent(g: Graph, base: frozenset[int]) -> frozenset[int]:
@@ -167,13 +148,9 @@ def reduce_by_cliques(g: Graph) -> tuple[Graph, int, tuple[ReductionRound, ...]]
     satisfies the degree drop).  Returns the reduced graph, the number of
     rounds, and per-round telemetry.
     """
-    current = g
+    current, info, max_deg = g, clique_info(g), g.max_degree()
     rounds: list[ReductionRound] = []
-    while True:
-        info = clique_info(current)
-        max_deg = current.max_degree()
-        if 3 * info.omega <= 2 * (max_deg + 1):
-            return current, len(rounds), tuple(rounds)
+    while 3 * info.omega > 2 * (max_deg + 1):
         hitting = hitting_independent_set(current, info)
         if hitting is None:
             raise ReductionError(
@@ -193,4 +170,6 @@ def reduce_by_cliques(g: Graph) -> tuple[Graph, int, tuple[ReductionRound, ...]]
         rounds.append(
             ReductionRound(info.omega, new_info.omega, max_deg, new_deg, tuple(sorted(removal)))
         )
-        current = reduced
+        # The reduced graph's clique search is the next round's input.
+        current, info, max_deg = reduced, new_info, new_deg
+    return current, len(rounds), tuple(rounds)

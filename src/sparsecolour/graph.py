@@ -13,6 +13,7 @@ Also provides:
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import chain
 from math import comb
@@ -234,19 +235,27 @@ def min_degree_ordering(g: Graph, subset: Sequence[int]) -> list[int]:
     """Order `subset` so each vertex has minimum degree among the rest.
 
     At step i the chosen vertex v_i minimises its degree in the subgraph
-    induced by the not-yet-chosen vertices; ties break on smallest id.
+    induced by the not-yet-chosen vertices; ties break on smallest id.  Each
+    vertex keeps its residual degree in a heap keyed by (degree, id); a
+    removal pushes its neighbours' lowered keys and leaves the old ones to be
+    skipped as stale, so the whole order costs O((n + m) log n).
     """
     remaining = set(subset)
     if len(remaining) != len(subset):
         raise GraphError("subset contains duplicates")
+    degree = {v: len(g.neighbour_set(v) & remaining) for v in remaining}
+    heap = [(d, v) for v, d in degree.items()]
+    heapq.heapify(heap)
     order: list[int] = []
-    while remaining:
-        best = min(
-            remaining,
-            key=lambda v: (len(g.neighbour_set(v) & remaining), v),
-        )
-        order.append(best)
-        remaining.remove(best)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != degree[v]:
+            continue
+        order.append(v)
+        remaining.remove(v)
+        for w in g.neighbour_set(v) & remaining:
+            degree[w] -= 1
+            heapq.heappush(heap, (degree[w], w))
     return order
 
 

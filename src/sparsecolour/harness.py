@@ -18,7 +18,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -293,6 +293,23 @@ def naive_is_valid_colouring(
         if u in f and v in f and c.corresponds(u, v, f[u], f[v]):
             return False
     return True
+
+
+def naive_min_degree_ordering(g: Graph, subset: Sequence[int]) -> list[int]:
+    """Each step rescans the rest for the vertex of least degree among it,
+    ties to the smallest id: the reference for graph.min_degree_ordering."""
+    remaining = set(subset)
+    if len(remaining) != len(subset):
+        raise GraphError("subset contains duplicates")
+    order: list[int] = []
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda v: (len(g.neighbour_set(v) & remaining), v),
+        )
+        order.append(best)
+        remaining.remove(best)
+    return order
 
 
 def naive_residual_assignment(

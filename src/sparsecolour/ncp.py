@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bounds import savings_rate
 from .correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
@@ -817,8 +818,6 @@ def _gamma_map(eps: float) -> float:
 
 def default_beta(eps_prime: float, delta_prime: float) -> float:
     """Half the feasibility gap at (eps', delta'); positive iff feasible."""
-    from .bounds import savings_rate
-
     return 0.5 * (savings_rate(eps_prime, delta_prime) - _gamma_map(eps_prime))
 
 
@@ -833,8 +832,6 @@ def build_schedule(
     must satisfy gamma_i < savings_rate(eps_i, delta_i) and the final eps
     must be negative.
     """
-    from .bounds import savings_rate
-
     if not 0 < eps < 0.5:
         raise ScheduleError(f"eps={eps} outside (0, 0.5)")
     if not 0 <= delta_prime < delta <= 1:
@@ -1075,38 +1072,22 @@ def iterative_colour(
     cur_g, cur_c = g, c
     reports: list[RoundReport] = []
     iteration = 0
-    while True:
-        if cur_g.n == 0:
-            break
+
+    def failure(reason: str) -> ColouringResult:
+        return ColouringResult(False, colouring, tuple(reports), reason, iteration)
+
+    while cur_g.n:
         k_min = cur_c.min_size()
         if k_min == 0:
-            return ColouringResult(
-                False,
-                colouring,
-                tuple(reports),
-                "a residual colour list is empty",
-                iteration,
-            )
+            return failure("a residual colour list is empty")
         if k_min > cur_g.max_degree():
             finish = greedy_complete(cur_g, cur_c, {})
             if not finish.ok:
-                return ColouringResult(
-                    False,
-                    colouring,
-                    tuple(reports),
-                    f"greedy finish failed at vertex {ids[finish.failed_at[0]]}",
-                    iteration,
-                )
+                return failure(f"greedy finish failed at vertex {ids[finish.failed_at[0]]}")
             colouring.update({ids[v]: col for v, col in finish.colouring.items()})
             break
         if iteration >= schedule.iterations:
-            return ColouringResult(
-                False,
-                colouring,
-                tuple(reports),
-                "schedule exhausted before the greedy threshold was reached",
-                iteration,
-            )
+            return failure("schedule exhausted before the greedy threshold was reached")
         row = schedule.rows[iteration]
         work_c = totalize(cur_g, truncate(cur_c, k_min))
         reg, _ = _regularize_with_assignment(cur_g, work_c)
@@ -1115,15 +1096,11 @@ def iterative_colour(
             reg, None, params, derive_seed(seed, KIND_ROUND, iteration), max_restarts
         )
         if not result.ok:
-            return ColouringResult(
-                False,
-                colouring,
-                tuple(reports),
+            return failure(
                 f"round {iteration} exhausted {max_restarts} restarts "
                 f"({len(result.violations.stat_vertices)} statistic and "
                 f"{len(result.violations.quasirandom_pairs)} quasirandomness "
-                "violations in the best attempt)",
-                iteration,
+                "violations in the best attempt)"
             )
         f_real = dict(sorted(result.outcome.f.items()))
         newly = {ids[v]: col for v, col in f_real.items()}

@@ -30,6 +30,8 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
+from .bounds import approx_eps
+from .correspondence import AssignmentError, uniform_lists
 from .graph import (
     Graph,
     GraphError,
@@ -38,6 +40,7 @@ from .graph import (
     lowest_clear_bit,
     neighbourhood_edge_count,
 )
+from .ncp import ScheduleError, build_schedule, default_beta, iterative_colour
 
 Threshold = Union[int, float, Fraction]
 
@@ -280,8 +283,7 @@ def f_core(g: Graph, threshold: Threshold) -> frozenset[int]:
     Computed by iterated peeling; vertices exactly at the threshold stay.
     Exact (Fraction) thresholds avoid float boundary flapping.
     """
-    order, survivors = f_core_with_order(g, threshold)
-    return survivors
+    return f_core_with_order(g, threshold)[1]
 
 
 def f_core_with_order(
@@ -348,34 +350,39 @@ class CoreDensityReport:
     passed: bool
 
 
-def f_core_density_check(h: Graph, eta: float) -> CoreDensityReport:
-    """Extract the core at threshold (2 - eta) D² and check its density bound."""
+def _peel(
+    h: Graph, eta: float, host_error: Optional[str]
+) -> tuple[_SquareRows, Fraction, list[int], frozenset[int]]:
+    """The rows of L²(h), the exact threshold (2 - eta) D², the removal order
+    and the core; eta is checked first, then `host_error` raised if set."""
     if not 0 <= eta <= 0.3:
         raise GraphError(f"eta={eta} outside [0, 0.3]")
-    if not h.is_regular():
-        raise GraphError("density check requires a regular host")
-    d = h.max_degree()
+    if host_error:
+        raise GraphError(host_error)
     rows = _SquareRows(h)
-    threshold = Fraction(2) - Fraction(str(eta)) if isinstance(eta, float) else 2 - eta
-    threshold = threshold * d * d
-    core_graph, _ = rows.induced(sorted(f_core(rows, threshold)))
+    threshold = (Fraction(2) - Fraction(str(eta))) * h.max_degree() ** 2
+    removal_order, core = f_core_with_order(rows, threshold)
+    return rows, threshold, removal_order, core
+
+
+def f_core_density_check(h: Graph, eta: float) -> CoreDensityReport:
+    """Extract the core at threshold (2 - eta) D² and check its density bound."""
+    rows, threshold, _, core = _peel(
+        h, eta, None if h.is_regular() else "density check requires a regular host"
+    )
+    core_graph, _ = rows.induced(sorted(core))
+    d = h.max_degree()
+    # Positive for every eta in [0, 0.3].
     bound = (31 / 6 - 128 / (3 * (10 - 3 * eta)) + 4 * eta - eta * eta) * d**4
-    max_ratio = None
-    passed = True
-    for e in range(core_graph.n):
-        count = neighbourhood_edge_count(core_graph, e)
-        ratio = count / bound if bound > 0 else float("inf")
-        if max_ratio is None or ratio > max_ratio:
-            max_ratio = ratio
-        if count > bound:
-            passed = False
+    counts = [neighbourhood_edge_count(core_graph, e) for e in range(core_graph.n)]
+    peak = max(counts, default=None)
     return CoreDensityReport(
         eta=eta,
         threshold=float(threshold),
         core_size=core_graph.n,
         bound=bound,
-        max_ratio=max_ratio,
-        passed=passed,
+        max_ratio=None if peak is None else peak / bound,
+        passed=peak is None or peak <= bound,
     )
 
 
@@ -437,15 +444,10 @@ def strong_edge_colour(
     (iterative engine when a feasible schedule exists, greedy otherwise) and
     extends through the peel in reverse order with first-fit.
     """
-    if not 0 <= eta <= 0.3:
-        raise GraphError(f"eta={eta} outside [0, 0.3]")
-    if h.m == 0:
-        raise GraphError("host graph has no edges")
-    d = h.max_degree()
-    rows = _SquareRows(h)
+    rows, _, removal_order, core = _peel(
+        h, eta, "host graph has no edges" if h.m == 0 else None
+    )
     edge_index = rows.edge_index
-    threshold = (Fraction(2) - Fraction(str(eta))) * d * d
-    removal_order, core = f_core_with_order(rows, threshold)
 
     colours: dict[int, int] = {}
     engine_used = False
@@ -465,7 +467,7 @@ def strong_edge_colour(
         colours=colours,
         edge_index=edge_index,
         num_colours=num,
-        ratio_to_delta_sq=num / d**2,
+        ratio_to_delta_sq=num / h.max_degree() ** 2,
         f_core_size=len(core),
         engine_used=engine_used,
         engine_warning=warning,
@@ -515,20 +517,14 @@ def _colour_core(
     a size refusal of the assignment, regularised copy or statistic index
     ("engine refused"), or a failed run.
     """
-    from .bounds import approx_eps
-    from .correspondence import AssignmentError, uniform_lists
-    from .ncp import ScheduleError, build_schedule, default_beta, iterative_colour
-
-    delta_core = None
-    if core_graph.n and core_graph.max_degree() >= 2:
-        delta_core = local_sparsity(core_graph).delta
     max_deg = core_graph.max_degree()
+    delta_core = local_sparsity(core_graph).delta if max_deg >= 2 else 0.0
     warning = None
 
     def fallback(reason: Optional[str]):
         return first_fit(core_graph, range(core_graph.n)), False, reason
 
-    if delta_core is not None and delta_core > 0 and max_deg >= 2:
+    if delta_core > 0:
         eps_target = approx_eps(min(delta_core, 0.9), "ours")
         k = math.ceil((1 - eps_target) * (max_deg + 1))
         if k >= 1 and k <= max_deg:

@@ -70,6 +70,16 @@ class TestSavingsRate:
         with pytest.raises(BoundDomainError):
             savings_rate(1.0, 0.5)
 
+    @pytest.mark.parametrize("delta", [-1.0, -1e-12, 1.0 + 1e-12, 7.0, math.nan, math.inf])
+    def test_delta_outside_unit_interval_refused(self, delta):
+        with pytest.raises(BoundDomainError, match=rf"delta={delta} outside \[0, 1\]"):
+            savings_rate(0.1, delta)
+
+    def test_negative_eps_accepted(self):
+        # The last rows of an iteration schedule have eps < 0.
+        assert savings_rate(-1.0, 0.5) == pytest.approx(0.0663, abs=1e-4)
+        assert savings_rate(0.1, 0.0) == 0.0 and savings_rate(0.1, 1.0) > 0
+
 
 class TestConditionCheck:
     def test_tiny_eps_passes(self):
@@ -91,6 +101,16 @@ class TestConditionCheck:
             condition_check(0.5, 0.5)
         with pytest.raises(BoundDomainError):
             condition_check(0.0, 0.5)
+
+    @pytest.mark.parametrize("delta", [-1.0, 1.5, math.nan])
+    def test_delta_domain(self, delta):
+        # A negative delta used to give a complex margin and a TypeError.
+        with pytest.raises(BoundDomainError, match=rf"delta={delta} outside \[0, 1\]"):
+            condition_check(0.05, delta)
+
+    def test_eps_checked_before_delta(self):
+        with pytest.raises(BoundDomainError, match="eps=0.6 outside"):
+            condition_check(0.6, -1.0)
 
 
 class TestApproxEps:

@@ -106,6 +106,30 @@ class TestBoundsCommand:
         assert lines[1] == "0.02,0.0029"
         assert lines[-1] == "0.90,0.0752"
 
+    def test_table1_json(self, capsys):
+        code, out, _ = run(["bounds", "table1", "--format", "json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"] == {"subcommand": "bounds table1", "grid": 1e-4}
+        rows = doc["result"]
+        assert len(rows) == 45
+        assert f"{rows[0]['alpha']:.2f},{rows[0]['eps']:.4f}" == "0.02,0.0029"
+        assert f"{rows[-1]['alpha']:.2f},{rows[-1]['eps']:.4f}" == "0.90,0.0752"
+
+    @pytest.mark.parametrize(
+        "argv,reason",
+        [
+            (["condition", "--eps", "0.05", "--delta", "-1"], "delta=-1.0 outside [0, 1]"),
+            (["condition", "--eps", "0.6", "--delta", "-1"], "eps=0.6 outside (0, 0.5)"),
+            (["savings", "--eps", "0.1", "--delta", "7"], "delta=7.0 outside [0, 1]"),
+            (["savings", "--eps", "1", "--delta", "7"], "savings rate undefined for eps >= 1"),
+        ],
+    )
+    def test_out_of_domain_is_one_line(self, capsys, argv, reason):
+        code, out, err = run(["bounds", *argv], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"sparsecolour: {reason}"]
+
     def test_table1_fine_grid_is_fast(self, capsys):
         start = time.perf_counter()
         code, out, _ = run(["bounds", "table1", "--grid", "1e-9"], capsys)
@@ -182,6 +206,37 @@ class TestColorCommand:
         doc = json.loads(out)
         assert doc["result"]["mode"] == "greedy"
         assert doc["result"]["ok"] is True
+
+    def test_empty_graph(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        g.write_text("p edge 0 0\n")
+        code, out, err = run(["color", "--input", str(g), "--k", "3"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["result"] == {
+            "ok": True, "colours": {}, "numColoursUsed": 0, "mode": "empty"
+        }
+
+    def test_greedy_failure_below_degree_two(self, tmp_path, capsys):
+        # One edge and one colour: k is not above D = 1, but D < 2 sends the
+        # run to the greedy pass, which cannot colour the second endpoint.
+        g = tmp_path / "g.dimacs"
+        g.write_text("p edge 3 1\ne 1 2\n")
+        code, out, err = run(["color", "--input", str(g), "--k", "1"], capsys)
+        assert code == 1 and err == ""
+        assert json.loads(out)["result"] == {
+            "ok": False, "mode": "greedy", "colours": {"0": 0, "2": 0}, "failedAt": [1]
+        }
+
+    def test_delta_prime_above_one_fails_in_default_beta(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        code, out, _ = run(
+            ["color", "--input", str(g), "--k", "5", "--delta-prime", "7"], capsys
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["config"]["deltaPrime"] == 7.0
+        assert doc["result"]["failureReason"] == "schedule: delta=7.0 outside [0, 1]"
 
     def test_infeasible_parameters_exit_one(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
@@ -562,6 +617,52 @@ class TestSimulateCommand:
             "sparsecolour: Monte Carlo needs a graph with at least one vertex"
         ]
 
+    def test_mc_csv_matches_the_json_report(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--petersen", "--out", str(g)], capsys)
+        argv = ["simulate", "--input", str(g), "--k", "3", "--trials", "40", "--seed", "2"]
+        code, csv, err = run([*argv, "--format", "csv"], capsys)
+        assert code == 0 and err == ""
+        _, out, _ = run(argv, capsys)
+        report = json.loads(out)["result"]
+        lines = csv.splitlines()
+        assert lines[0] == (
+            "vertex,keep_mean,keep_se,keep_expected,keep_z,"
+            "pairs_mean,pairs_se,triples_mean,triples_se"
+        )
+        assert len(lines) == 11
+        columns = lines[0].split(",")[1:]
+        for u, line in enumerate(lines[1:]):
+            vertex, *values = line.split(",")
+            assert int(vertex) == u
+            assert [float(x) for x in values] == [report[c][u] for c in columns]
+
+    def test_sparsity_csv_matches_the_json_report(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        argv = ["simulate", "--input", str(g), "--k", "4", "--experiment", "sparsity",
+                "--trials", "2", "--rounds", "2", "--seed", "1"]
+        code, csv, err = run([*argv, "--out", str(tmp_path / "s.csv")], capsys)
+        assert code == 0 and csv == "" and err == ""
+        _, out, _ = run(argv, capsys)
+        trials = json.loads(out)["result"]["trial_rounds"]
+        lines = (tmp_path / "s.csv").read_text().splitlines()
+        assert lines[0] == (
+            "trial,round,residual_vertices,residual_max_degree,"
+            "residual_delta,delta_ratio,quasirandom_worst"
+        )
+        rows = [(t, r) for t, trial in enumerate(trials) for r in trial]
+        assert len(lines) == 1 + len(rows) >= 3
+        for line, (t, r) in zip(lines[1:], rows):
+            fields = line.split(",")
+            assert fields[:4] == [
+                str(t), str(r["round_index"]), str(r["residual_vertices"]),
+                str(r["residual_max_degree"]),
+            ]
+            for text, value in zip(fields[4:], [r["residual_delta"], r["delta_ratio"],
+                                                r["quasirandom_worst"]]):
+                assert text == ("" if value is None else repr(value))
+
     def test_sparsity_experiment(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
         run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
@@ -726,21 +827,115 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("sparsecolour: ")
 
-    @pytest.mark.parametrize("grid", ["0", "-1", "nan", "0.6"])
+    @pytest.mark.parametrize("grid", ["0", "-1", "0.6"])
     def test_grid_outside_range_is_one_line(self, capsys, grid):
         code, out, err = run(["bounds", "table1", "--grid", grid], capsys)
         assert code == 1 and out == ""
         assert err.splitlines() == [f"sparsecolour: grid={float(grid)} outside (0, 0.5]"]
 
-    def test_beta_nan_names_the_reason(self, tmp_path, capsys):
+    def test_beta_not_positive_names_the_reason(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
         run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
         code, out, _ = run(
-            ["color", "--input", str(g), "--k", "5", "--beta", "nan"], capsys
+            ["color", "--input", str(g), "--k", "5", "--beta", "0"], capsys
         )
         assert code == 1
         reason = json.loads(out)["result"]["failureReason"]
         assert reason == "schedule: beta must be positive"
+
+    # Every float option parses through one finite-float type, so no NaN or
+    # Infinity reaches a computation or a report's config.
+    @pytest.mark.parametrize(
+        "argv,flag,text",
+        [
+            pytest.param(["color", "--k", "5", "--beta", "nan"], "--beta", "nan",
+                         id="color-beta-nan"),
+            pytest.param(["color", "--k", "5", "--delta-prime", "inf"], "--delta-prime", "inf",
+                         id="color-delta-prime-inf"),
+            pytest.param(["strong-edge", "--eta", "nan"], "--eta", "nan",
+                         id="strong-edge-eta-nan"),
+            pytest.param(["bounds", "table1", "--grid", "nan"], "--grid", "nan",
+                         id="table1-grid-nan"),
+            pytest.param(["bounds", "savings", "--eps", "nan", "--delta", "0.5"], "--eps", "nan",
+                         id="savings-eps-nan"),
+            pytest.param(["bounds", "savings", "--eps", "0.1", "--delta", "1e400"], "--delta",
+                         "1e400", id="savings-delta-overflow"),
+            pytest.param(["bounds", "condition", "--eps", "0.05", "--delta", "nan"], "--delta",
+                         "nan", id="condition-delta-nan"),
+            pytest.param(["bounds", "approx-eps", "--delta=-inf"], "--delta", "-inf",
+                         id="approx-eps-delta-minus-inf"),
+        ],
+    )
+    def test_non_finite_float_is_a_usage_error(self, tmp_path, capsys, argv, flag, text):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        if argv[0] != "bounds":
+            argv = [*argv, "--input", str(g)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1].endswith(
+            f"error: argument {flag}: must be a finite number, got '{text}'"
+        )
+
+    def test_non_finite_float_in_config_file_is_a_usage_error(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        config = tmp_path / "config.json"
+        config.write_text('{"eta": "nan"}')
+        with pytest.raises(SystemExit) as exc:
+            main(["strong-edge", "--input", str(g), "--config", str(config)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: argument --eta: must be a finite number, got 'nan'"
+        )
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code, stdout, err = run(["bounds", "constants", "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == [
+            f"sparsecolour: [Errno 2] No such file or directory: '{out}'"
+        ]
+
+    def test_config_file_not_an_object_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--input", "g.dimacs", "--k", "3", "--config", str(config)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: config file {config}: expected a JSON object"
+        )
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("p edge 2 0\np edge 2 0\n", "line 2: duplicate problem line"),
+            ("p col 2 0\n", "line 1: expected 'p edge <n> <m>'"),
+            ("p edge 2\n", "line 1: expected 'p edge <n> <m>'"),
+            ("p edge two 0\n", "line 1: bad problem line"),
+            ("p edge 2 x\n", "line 1: bad problem line"),
+            ("p edge -1 0\n", "line 1: negative vertex count"),
+            ("e 1 2\np edge 2 1\n", "line 1: edge before problem line"),
+            ("p edge 2 1\ne 1\n", "line 2: expected 'e <u> <v>'"),
+            ("p edge 2 1\ne 1 2 3\n", "line 2: expected 'e <u> <v>'"),
+            ("p edge 2 1\ne 1 b\n", "line 2: bad edge endpoints"),
+            ("p edge 2 1\ne 1 3\n", "line 2: endpoint out of range 1..2"),
+            ("p edge 2 1\ne 2 2\n", "line 2: self-loop 2"),
+            ("p edge 2 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge 2 1"),
+            ("c comment\nx 1 2\n", "line 2: unknown record 'x'"),
+            ("c only a comment\n\n", "missing problem line"),
+        ],
+    )
+    def test_malformed_dimacs_is_one_line(self, tmp_path, capsys, text, reason):
+        g = tmp_path / "g.dimacs"
+        g.write_text(text)
+        code, out, err = run(["color", "--input", str(g), "--k", "2"], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"sparsecolour: {reason}"]
 
 
 class TestBenchmarkTrace:
@@ -776,6 +971,30 @@ class TestBenchmarkTrace:
         tracer = self._trace(tmp_path, capsys, monkeypatch, ["strong-edge", "--seed", "7"])
         # Filled by the f_core_with_order hook, even for an empty core.
         assert "strong_edge.core_size" in tracer.counts
+
+    def test_tracer_sees_the_engine_inside_the_strong_edge_core(self, monkeypatch):
+        # _colour_core calls the engine through strong_edge's own names, so
+        # the tracer has to wrap them there too.  On C5 blow-up 4 the engine
+        # runs and fails, and the core falls back to first-fit.
+        import importlib
+
+        from sparsecolour import strong_edge
+
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+        tracer = importlib.import_module("tracing").Tracer()
+        tracer.install()
+        try:
+            _, engine_used, warning = tracer.call(
+                0, strong_edge._colour_core, c5_blowup(4), 5, 20
+            )
+        finally:
+            tracer.uninstall()
+        assert not engine_used
+        assert warning.startswith("engine failed (round ") and warning.endswith(
+            "); greedy fallback"
+        )
+        times = tracer.self_times()
+        assert "ncp.schedule_s" in times and "ncp.driver_s" in times
 
     def test_tracer_on_monte_carlo(self, tmp_path, capsys, monkeypatch):
         argv = ["simulate", "--experiment", "mc", "--k", "16", "--trials", "50", "--seed", "7"]

@@ -4,8 +4,10 @@ import itertools
 
 import pytest
 
+from sparsecolour import cliques
 from sparsecolour.cliques import (
     CliqueSizeError,
+    ReductionError,
     clique_info,
     extend_to_maximal_independent,
     hitting_independent_set,
@@ -114,6 +116,26 @@ class TestHittingIndependentSet:
             for a, b in itertools.combinations(sorted(result), 2):
                 assert not g.has_edge(a, b)
 
+    def test_budget_trip_raises(self, monkeypatch):
+        # Past the budget the search has established nothing, so it must not
+        # answer None ("no such set") or guess.
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        info = clique_info(g)
+        # The search needs three nodes: one per clique and one to finish.
+        monkeypatch.setattr(cliques, "TRANSVERSAL_NODE_BUDGET", 2)
+        with pytest.raises(
+            ReductionError,
+            match="transversal search exceeded its budget of 2 nodes on 2 maximum cliques",
+        ):
+            hitting_independent_set(g, info)
+        monkeypatch.setattr(cliques, "TRANSVERSAL_NODE_BUDGET", 3)
+        assert hitting_independent_set(g, info) == frozenset({0, 3})
+
+    def test_budget_trip_aborts_the_reduction(self, monkeypatch):
+        monkeypatch.setattr(cliques, "TRANSVERSAL_NODE_BUDGET", 0)
+        with pytest.raises(ReductionError, match="exceeded its budget of 0 nodes"):
+            reduce_by_cliques(complete_graph(4))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_existence(self, seed):
         g = gnp_graph(8, 0.45, seed=seed)
@@ -163,3 +185,21 @@ class TestReduceByCliques:
         )
         with pytest.raises(ReductionError, match="maximum cliques"):
             reduce_by_cliques(complete_graph(4))
+
+    def test_one_clique_search_per_round(self, monkeypatch):
+        # K20 with vertex i also joined to vertex i of a 20-cycle: every round
+        # searches the reduced graph once and carries the result forward, so
+        # r rounds cost r + 1 searches.
+        edges = [(u, v) for u in range(20) for v in range(u + 1, 20)]
+        edges += [(20 + i, 20 + (i + 1) % 20) for i in range(20)]
+        edges += [(i, 20 + i) for i in range(20)]
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return clique_info(g)
+
+        monkeypatch.setattr(cliques, "clique_info", counted)
+        _, rounds, telemetry = reduce_by_cliques(Graph.from_edges(40, edges))
+        assert len(calls) == rounds + 1 == 21
+        assert [row.omega_before for row in telemetry] == list(range(20, 0, -1))

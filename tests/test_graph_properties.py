@@ -1,9 +1,11 @@
-"""Property tests: graph serialisation round trips and exact cliques.
+"""Property tests: graph serialisation round trips, exact cliques and the
+minimum-degree ordering.
 
 Graphs have up to 30 vertices at a drawn edge density; some vertices are
 kept isolated, and n = 0 is included.  DIMACS and JSON must give back the
-same graph, and `clique_info` must agree with networkx on the clique number
-and the set of maximum cliques.
+same graph, `clique_info` must agree with networkx on the clique number
+and the set of maximum cliques, and `min_degree_ordering` must give the
+order of its rescanning reference in `harness` on any subset.
 """
 
 import random
@@ -17,11 +19,14 @@ from hypothesis import strategies as st  # noqa: E402
 from sparsecolour.cliques import clique_info  # noqa: E402
 from sparsecolour.graph import (  # noqa: E402
     Graph,
+    GraphError,
     from_json_dict,
+    min_degree_ordering,
     parse_dimacs,
     to_dimacs,
     to_json_dict,
 )
+from sparsecolour.harness import naive_min_degree_ordering  # noqa: E402
 
 
 @st.composite
@@ -66,3 +71,23 @@ def test_clique_info_matches_networkx(g):
     assert info.omega == omega
     assert set(info.maximum_cliques) == {c for c in maximal if len(c) == omega}
     assert len(info.maximum_cliques) == len(set(info.maximum_cliques))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_min_degree_ordering_matches_reference(g, data):
+    # A subset in drawn order: often proper, sometimes all of g, sometimes empty.
+    subset = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
+    assert min_degree_ordering(g, subset) == naive_min_degree_ordering(g, subset)
+    assert min_degree_ordering(g, range(g.n)) == naive_min_degree_ordering(g, range(g.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=graphs(), data=st.data())
+def test_min_degree_ordering_refuses_duplicates(g, data):
+    if g.n == 0:
+        return
+    v = data.draw(st.integers(0, g.n - 1))
+    for ordering in (min_degree_ordering, naive_min_degree_ordering):
+        with pytest.raises(GraphError, match="duplicates"):
+            ordering(g, [*range(g.n), v])
