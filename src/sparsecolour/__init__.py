@@ -24,9 +24,7 @@ __version__ = "0.1.0"
 from .graph import (  # noqa: F401
     Graph,
     SparsityReport,
-    complement_matching,
     first_fit,
-    list_chromatic_upper,
     local_sparsity,
     min_degree_ordering,
 )

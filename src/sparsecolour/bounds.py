@@ -26,6 +26,12 @@ HIGH_PRECISION_DPS = 40
 OURS_LINEAR, OURS_THREEHALF = 0.3012, 0.1283
 BRUHN_JOOS_LINEAR, BRUHN_JOOS_THREEHALF = 0.1827, 0.0778
 
+# The strong-edge pipeline's parameters: the peel slack eta, and the
+# (eps, delta) at which its feasibility condition is checked.
+STRONG_EDGE_ETA = 0.164
+STRONG_EDGE_EPS = 0.0825
+STRONG_EDGE_DELTA = 0.345
+
 
 class BoundDomainError(ValueError):
     """Input outside the documented range of a bound."""
@@ -276,7 +282,7 @@ class StrongEdgeConstants:
     coefficient_exact: Fraction
 
 
-def strong_edge_constants(eta: float = 0.164, eps: float = 0.0825, delta: float = 0.345) -> StrongEdgeConstants:
+def strong_edge_constants() -> StrongEdgeConstants:
     """Reproduce the constants of the strong-edge pipeline at its chosen
     parameters.
 
@@ -284,14 +290,14 @@ def strong_edge_constants(eta: float = 0.164, eps: float = 0.0825, delta: float 
     boundary; its signed margin is reported at high precision rather than
     asserted positive.
     """
-    core = core_edge_bound_max(eta, eta)
-    report = condition_check(eps, delta)
-    coeff = (1 - Fraction(repr(eps))) * 2
+    core = core_edge_bound_max(STRONG_EDGE_ETA, STRONG_EDGE_ETA)
+    report = condition_check(STRONG_EDGE_EPS, STRONG_EDGE_DELTA)
+    coeff = (1 - Fraction(repr(STRONG_EDGE_EPS))) * 2
     return StrongEdgeConstants(
-        eta=eta,
+        eta=STRONG_EDGE_ETA,
         core_bound=core,
         derived_delta=1.0 - core / 2.0,
-        eps=eps,
+        eps=STRONG_EDGE_EPS,
         condition=report,
         coefficient=float(coeff),
         coefficient_exact=coeff,

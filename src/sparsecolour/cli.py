@@ -23,6 +23,7 @@ from typing import Any, Optional
 
 from . import __version__
 from .bounds import (
+    STRONG_EDGE_ETA,
     BoundDomainError,
     alpha_eps_table,
     approx_eps,
@@ -69,7 +70,8 @@ MAX_SEED = 2**64 - 1
 
 
 def _jsonable(obj: Any) -> Any:
-    """Convert report objects to JSON-serialisable structures."""
+    """Convert report objects to JSON-serialisable structures; any other
+    type (a numpy scalar, a set) is a TypeError, not a string."""
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -83,7 +85,7 @@ def _jsonable(obj: Any) -> Any:
         return {_key(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    return str(obj)
+    raise TypeError(f"report value of type {type(obj).__name__} is not serialisable")
 
 
 def _key(k: Any) -> str:
@@ -269,7 +271,7 @@ def _cmd_color(args) -> tuple[str, int]:
     assignment = uniform_lists(g, k)
     max_deg = g.max_degree()
     if k > max_deg or max_deg < 2:
-        completion = greedy_complete(g, assignment, {})
+        completion = greedy_complete(g, assignment)
         result = {"ok": completion.ok, "mode": "greedy", "colours": completion.colouring}
         if k > max_deg:
             result["numColoursUsed"] = len(set(completion.colouring.values()))
@@ -452,8 +454,15 @@ def _apply_config_file(
     return parser.parse_args([argv[0], *flags, *argv[1:]])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors in one line, without the usage block."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sparsecolour",
         description="Randomised colouring of locally sparse graphs",
     )
@@ -488,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = sub.add_parser("strong-edge", help="strong edge colouring pipeline")
     se.add_argument("--input", required=True)
-    se.add_argument("--eta", type=_finite_float, default=0.164)
+    se.add_argument("--eta", type=_finite_float, default=STRONG_EDGE_ETA)
     se.add_argument("--seed", type=_seed_arg, default=0)
     se.add_argument("--max-restarts", type=_positive_int, default=200)
     se.add_argument("--config", type=str)

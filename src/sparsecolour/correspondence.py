@@ -355,28 +355,3 @@ def residual_assignment(
     edges = np.stack([new_id[su], new_id[sv]], axis=1)
     sub, old_ids = g.induced(uncoloured.tolist())
     return Residual(sub, CorrespondenceAssignment._of(new_sets, edges, fwd), old_ids)
-
-
-# -- JSON -------------------------------------------------------------------
-
-
-def to_json_dict(c: CorrespondenceAssignment) -> dict:
-    return {
-        "colours": {str(u): list(s) for u, s in enumerate(c.colour_sets)},
-        "maps": [
-            {"u": u, "v": v, "pairs": sorted([c1, c2] for c1, c2 in mp.items())}
-            for (u, v), mp in sorted(c.edge_maps.items())
-        ],
-    }
-
-
-def from_json_dict(data: dict) -> CorrespondenceAssignment:
-    """The assignment `to_json_dict` wrote, checked as construction checks
-    dict maps; colour lists must come sorted, as `to_json_dict` writes them."""
-    colours = data["colours"]
-    sets = [colours[str(u)] for u in range(len(colours))]
-    maps = {
-        (entry["u"], entry["v"]): {c1: c2 for c1, c2 in entry["pairs"]}
-        for entry in data["maps"]
-    }
-    return CorrespondenceAssignment(sets, maps)

@@ -7,7 +7,7 @@ instances can be shared freely between threads.
 Also provides:
   * neighbourhood sparsity instrumentation (how far each neighbourhood is
     from being complete),
-  * complement matchings, minimum-degree orderings and first-fit colouring,
+  * minimum-degree orderings and first-fit colouring,
   * DIMACS and JSON import/export.
 """
 
@@ -141,15 +141,6 @@ class Graph:
         ]
         return Graph(adj), old_ids
 
-    def complement(self) -> "Graph":
-        n = self.n
-        return Graph(
-            [
-                [v for v in range(n) if v != u and v not in self._adj_sets[u]]
-                for u in range(n)
-            ]
-        )
-
 
 # -- sparsity ---------------------------------------------------------------
 
@@ -194,45 +185,11 @@ def local_sparsity(g: Graph) -> SparsityReport:
     return SparsityReport(counts, max_deg, delta)
 
 
-# -- complement matching ------------------------------------------------------
+# -- orderings ----------------------------------------------------------------
 
 
-def complement_matching(g: Graph, omega: int) -> list[tuple[int, int]]:
-    """Greedy maximal matching in the complement of g.
-
-    For omega = clique number of g the matching has size at least
-    ceil((n - omega) / 2): the unmatched vertices are pairwise adjacent in g
-    (a clique), which is asserted as the certificate.
-    """
-    matched: set[int] = set()
-    matching: list[tuple[int, int]] = []
-    n = g.n
-    for u in range(n):
-        if u in matched:
-            continue
-        for v in range(u + 1, n):
-            if v in matched or g.has_edge(u, v):
-                continue
-            matching.append((u, v))
-            matched.add(u)
-            matched.add(v)
-            break
-    unmatched = [u for u in range(n) if u not in matched]
-    for i, u in enumerate(unmatched):
-        for v in unmatched[i + 1 :]:
-            assert g.has_edge(u, v), "unmatched complement vertices must form a clique"
-    assert len(matching) >= -((omega - n) // 2), (
-        f"complement matching of size {len(matching)} below guaranteed "
-        f"ceil(({n}-{omega})/2)"
-    )
-    return matching
-
-
-# -- orderings and bounds -----------------------------------------------------
-
-
-def min_degree_ordering(g: Graph, subset: Sequence[int]) -> list[int]:
-    """Order `subset` so each vertex has minimum degree among the rest.
+def min_degree_ordering(g: Graph) -> list[int]:
+    """Order g's vertices so each has minimum degree among the rest.
 
     At step i the chosen vertex v_i minimises its degree in the subgraph
     induced by the not-yet-chosen vertices; ties break on smallest id.  Each
@@ -240,10 +197,8 @@ def min_degree_ordering(g: Graph, subset: Sequence[int]) -> list[int]:
     removal pushes its neighbours' lowered keys and leaves the old ones to be
     skipped as stale, so the whole order costs O((n + m) log n).
     """
-    remaining = set(subset)
-    if len(remaining) != len(subset):
-        raise GraphError("subset contains duplicates")
-    degree = {v: len(g.neighbour_set(v) & remaining) for v in remaining}
+    remaining = set(range(g.n))
+    degree = {v: g.degree(v) for v in remaining}
     heap = [(d, v) for v, d in degree.items()]
     heapq.heapify(heap)
     order: list[int] = []
@@ -257,13 +212,6 @@ def min_degree_ordering(g: Graph, subset: Sequence[int]) -> list[int]:
             degree[w] -= 1
             heapq.heappush(heap, (degree[w], w))
     return order
-
-
-def list_chromatic_upper(n: int, omega: int) -> int:
-    """Upper bound floor((n + omega) / 2) on the list chromatic number."""
-    if not 1 <= omega <= n:
-        raise GraphError(f"clique number {omega} out of range for n={n}")
-    return (n + omega) // 2
 
 
 # -- first-fit colouring -----------------------------------------------------

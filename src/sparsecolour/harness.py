@@ -295,12 +295,10 @@ def naive_is_valid_colouring(
     return True
 
 
-def naive_min_degree_ordering(g: Graph, subset: Sequence[int]) -> list[int]:
+def naive_min_degree_ordering(g: Graph) -> list[int]:
     """Each step rescans the rest for the vertex of least degree among it,
     ties to the smallest id: the reference for graph.min_degree_ordering."""
-    remaining = set(subset)
-    if len(remaining) != len(subset):
-        raise GraphError("subset contains duplicates")
+    remaining = set(range(g.n))
     order: list[int] = []
     while remaining:
         best = min(
@@ -310,6 +308,28 @@ def naive_min_degree_ordering(g: Graph, subset: Sequence[int]) -> list[int]:
         order.append(best)
         remaining.remove(best)
     return order
+
+
+def naive_greedy_correspondence(
+    g: Graph, c: CorrespondenceAssignment, order: Sequence[int]
+) -> tuple[PartialColouring, list[int]]:
+    """First-fit along `order` through the dict maps of each coloured
+    neighbour: the reference for ncp._greedy_correspondence."""
+    f: PartialColouring = {}
+    failed: list[int] = []
+    for v in order:
+        forbidden = set()
+        for w in g.neighbours(v):
+            if w in f:
+                back = c.correspondent(w, v, f[w])
+                if back is not None:
+                    forbidden.add(back)
+        choice = next((col for col in c.colour_sets[v] if col not in forbidden), None)
+        if choice is None:
+            failed.append(v)
+        else:
+            f[v] = choice
+    return f, failed
 
 
 def naive_residual_assignment(

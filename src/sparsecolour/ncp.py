@@ -34,7 +34,6 @@ from .correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
     PartialColouring,
-    Residual,
     _indices,
     _rows_on,
     is_total,
@@ -874,21 +873,33 @@ def _greedy_correspondence(
     g: Graph, c: CorrespondenceAssignment, order: Sequence[int]
 ) -> tuple[PartialColouring, list[int]]:
     """First-fit along `order`, skipping colours matched with coloured
-    neighbours' colours."""
+    neighbours' colours.
+
+    Each vertex v reads the map rows of its edges by colour index: on an
+    edge (u, v) the entry at u's index, on an edge (v, w) the columns whose
+    entry is w's index.
+    """
+    rows = _rows_on(g, c)
+    eu, ev = g.edge_array().T
+    into = np.argsort(ev, kind="stable")  # edges (u, v) grouped by v
+    into_at = np.searchsorted(ev[into], np.arange(g.n + 1)).tolist()
+    out_at = np.searchsorted(eu, np.arange(g.n + 1)).tolist()
+    idx = np.full(g.n, -1, dtype=np.int64)
     f: PartialColouring = {}
     failed: list[int] = []
     for v in order:
-        forbidden = set()
-        for w in g.neighbours(v):
-            if w in f:
-                back = c.correspondent(w, v, f[w])
-                if back is not None:
-                    forbidden.add(back)
-        choice = next((col for col in c.colour_sets[v] if col not in forbidden), None)
+        e = into[into_at[v] : into_at[v + 1]]
+        i = idx[eu[e]]
+        forbidden = set(rows[e[i >= 0], i[i >= 0]].tolist())
+        e = np.arange(out_at[v], out_at[v + 1])
+        j = idx[ev[e]]
+        forbidden.update(np.nonzero(rows[e[j >= 0]] == j[j >= 0, None])[1].tolist())
+        choice = next((x for x in range(len(c.colour_sets[v])) if x not in forbidden), None)
         if choice is None:
             failed.append(v)
         else:
-            f[v] = choice
+            idx[v] = choice
+            f[v] = c.colour_sets[v][choice]
     return f, failed
 
 
@@ -897,45 +908,24 @@ class CompletionResult:
     ok: bool
     colouring: PartialColouring
     failed_at: tuple[int, ...] = ()
-    hypothesis_held: bool = True
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-def greedy_complete(
-    g: Graph, c: CorrespondenceAssignment, f: PartialColouring
-) -> CompletionResult:
-    """Extend a valid partial colouring greedily through the residual instance.
+def greedy_complete(g: Graph, c: CorrespondenceAssignment) -> CompletionResult:
+    """Colour the whole instance first-fit along a minimum-degree ordering.
 
-    When every uncoloured vertex has more residual colours than uncoloured
-    neighbours the completion always succeeds; otherwise the attempt is made
-    anyway and failures are reported (with `hypothesis_held` recording
-    whether the guarantee applied).
+    When every vertex has more colours than neighbours the colouring always
+    succeeds; otherwise the attempt is made anyway and the vertices left
+    uncoloured are reported.  A partial colouring is extended by colouring
+    its residual instance.
     """
-    if len(f) == g.n:
-        if not is_valid_colouring(g, c, f):
-            raise AssignmentError("colouring is not valid")
-        return CompletionResult(True, dict(f))
-    # With nothing coloured the instance is its own residual.
-    residual = residual_assignment(g, c, f) if f else Residual(g, c, tuple(range(g.n)))
-    sub, rc = residual.graph, residual.assignment
-    hypothesis = all(
-        len(rc.colour_sets[v]) > sub.degree(v) for v in range(sub.n)
-    )
-    order = min_degree_ordering(sub, range(sub.n))
-    extension, failed = _greedy_correspondence(sub, rc, order)
-    total = dict(f)
-    total.update({residual.vertices[v]: col for v, col in extension.items()})
+    f, failed = _greedy_correspondence(g, c, min_degree_ordering(g))
     if failed:
-        return CompletionResult(
-            False,
-            total,
-            tuple(residual.vertices[v] for v in failed),
-            hypothesis,
-        )
-    assert is_valid_colouring(g, c, total), "greedy completion must be valid"
-    return CompletionResult(True, total, (), hypothesis)
+        return CompletionResult(False, f, tuple(failed))
+    assert is_valid_colouring(g, c, f), "greedy completion must be valid"
+    return CompletionResult(True, f)
 
 
 # -- iterative driver ---------------------------------------------------------------
@@ -1081,7 +1071,7 @@ def iterative_colour(
         if k_min == 0:
             return failure("a residual colour list is empty")
         if k_min > cur_g.max_degree():
-            finish = greedy_complete(cur_g, cur_c, {})
+            finish = greedy_complete(cur_g, cur_c)
             if not finish.ok:
                 return failure(f"greedy finish failed at vertex {ids[finish.failed_at[0]]}")
             colouring.update({ids[v]: col for v, col in finish.colouring.items()})

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .bounds import approx_eps
+from .bounds import STRONG_EDGE_ETA, approx_eps
 from .correspondence import AssignmentError, uniform_lists
 from .graph import (
     Graph,
@@ -436,7 +436,7 @@ def _validate_strong_colouring(
 
 
 def strong_edge_colour(
-    h: Graph, eta: float = 0.164, seed: int = 0, max_restarts: int = 200
+    h: Graph, eta: float = STRONG_EDGE_ETA, seed: int = 0, max_restarts: int = 200
 ) -> StrongColouringReport:
     """Colour the host's edges so edges at distance <= 2 differ.
 

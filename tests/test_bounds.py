@@ -198,6 +198,10 @@ class TestCliqueRatioTable:
                     break
             assert epsilon_for_alpha(alpha, grid) == scanned
 
+    def test_alpha_domain(self):
+        with pytest.raises(BoundDomainError, match=r"alpha=0 outside \(0, 1\]"):
+            epsilon_for_alpha(0)
+
     def test_table_shape_and_monotonicity(self):
         rows = alpha_eps_table()
         assert len(rows) == 45
@@ -213,6 +217,19 @@ class TestCliqueRatioTable:
 
 
 class TestCoreEdgeBoundChain:
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            (lambda: core_edge_bound(1.0, 1.0, 0.0, 0.1), r"alpha \+ beta must be < 2"),
+            (lambda: core_edge_bound_sub(1.5, 0.5, 0.1, 0.0), r"alpha \+ beta must be < 2"),
+            (lambda: core_edge_bound_alpha0(2.0, 0.1, 0.0), "beta must be < 2"),
+        ],
+        ids=["bound", "sub", "alpha0"],
+    )
+    def test_domain(self, bound, message):
+        with pytest.raises(BoundDomainError, match=message):
+            bound()
+
     def test_substitution_identity(self):
         # the x = beta + gamma/2 substitution is exact
         import random

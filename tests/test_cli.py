@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sparsecolour
@@ -367,6 +368,13 @@ class TestColorCommand:
         assert err == "sparsecolour: out of memory\n"
 
 
+class TestJsonable:
+    @pytest.mark.parametrize("value, name", [(np.int64(1), "int64"), ({1}, "set")])
+    def test_unknown_type_is_refused(self, value, name):
+        with pytest.raises(TypeError, match=f"report value of type {name} is not serialisable"):
+            cli._jsonable({"result": [value]})
+
+
 class TestReportPins:
     """SHA-256 of the `result` section of seeded colour reports: a C5
     blow-up coloured with k=18, and a random 8-regular graph whose first
@@ -386,6 +394,18 @@ class TestReportPins:
                 8,
                 0,
                 "629a57923d1c913f6b69c9424aefa1b5a86e0e8f08efb70e3f3e933a3c2586ae",
+            ),
+            (
+                ["--random-regular", "100", "8", "--seed", "3"],
+                9,
+                0,
+                "1e2bfccb8e2ae96afe27bfae37c5a8a8fd0ac4bd81687661d9e29fda444ebb72",
+            ),
+            (
+                ["--c5-blowup", "4"],
+                9,
+                0,
+                "41084f53e1472385fc2de7bc99745bf6921d34a83dcf18488c0087217bf63392",
             ),
         ],
     )
@@ -694,16 +714,34 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "table1", "--nope"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sparsecolour: error: unrecognized arguments: --nope"
+        ]
 
     def test_unknown_subcommand_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sparsecolour: error: argument command: invalid choice: 'frobnicate' "
+            "(choose from 'gen', 'color', 'strong-edge', 'bounds', 'simulate', 'oracle')"
+        ]
 
     def test_bad_seed_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--cycle", "5", "--seed", "-1"])
         assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sparsecolour gen: error: argument --seed: seed must fit in an unsigned 64-bit integer"
+        ]
+
+    def test_missing_input_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--k", "3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "sparsecolour color: error: the following arguments are required: --input"
+        ]
 
     @pytest.mark.parametrize(
         "argv",
@@ -876,9 +914,8 @@ class TestUsageErrors:
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines()[-1].endswith(
-            f"error: argument {flag}: must be a finite number, got '{text}'"
-        )
+        [line] = err.splitlines()
+        assert line.endswith(f"error: argument {flag}: must be a finite number, got '{text}'")
 
     def test_non_finite_float_in_config_file_is_a_usage_error(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
@@ -888,9 +925,9 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["strong-edge", "--input", str(g), "--config", str(config)])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(
-            "error: argument --eta: must be a finite number, got 'nan'"
-        )
+        assert capsys.readouterr().err.splitlines() == [
+            "sparsecolour strong-edge: error: argument --eta: must be a finite number, got 'nan'"
+        ]
 
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
@@ -906,9 +943,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["color", "--input", "g.dimacs", "--k", "3", "--config", str(config)])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1].endswith(
-            f"error: config file {config}: expected a JSON object"
-        )
+        assert capsys.readouterr().err.splitlines() == [
+            f"sparsecolour: error: config file {config}: expected a JSON object"
+        ]
+
+    def test_unreadable_config_file_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--input", "g.dimacs", "--k", "3", "--config", str(config)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"sparsecolour: error: cannot read config file {config}: "
+            f"[Errno 2] No such file or directory: '{config}'"
+        ]
+
+    def test_help_and_version_unchanged(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{sparsecolour.__version__}\n"
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: sparsecolour color [-h] --input INPUT")
 
     @pytest.mark.parametrize(
         "text,reason",

@@ -9,12 +9,10 @@ import pytest
 from sparsecolour.correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
-    from_json_dict,
     from_lists,
     is_total,
     is_valid_colouring,
     residual_assignment,
-    to_json_dict,
     totalize,
     truncate,
     uniform_lists,
@@ -59,6 +57,10 @@ class TestFromLists:
         c = from_lists(g, [{1}, {2}])
         assert c.edge_maps[(0, 1)] == {}
         assert is_valid_colouring(g, c, {0: 1, 1: 2})
+
+    def test_refuses_wrong_list_count(self):
+        with pytest.raises(AssignmentError, match="need one colour list per vertex"):
+            from_lists(path_graph(3), [{0}, {0}])
 
     def test_triangle_with_two_colours_not_colourable(self):
         g = complete_graph(3)
@@ -255,33 +257,12 @@ class TestResidualAssignment:
                 assert is_valid_colouring(g, c, merged)
 
 
-class TestJson:
-    def test_round_trip(self):
-        g = cycle_graph(4)
-        c = totalize(g, uniform_lists(g, 3))
-        again = from_json_dict(to_json_dict(c))
-        assert again.colour_sets == c.colour_sets
-        assert again.edge_maps == {k: dict(v) for k, v in c.edge_maps.items()}
-
-
-def _json_of(sets, maps):
-    """The JSON form of an assignment written field by field, so that it can
-    carry defects the constructor would refuse."""
-    return {
-        "colours": {str(u): list(s) for u, s in enumerate(sets)},
-        "maps": [
-            {"u": u, "v": v, "pairs": [[c1, c2] for c1, c2 in mp.items()]}
-            for (u, v), mp in maps.items()
-        ],
-    }
-
-
 _SETS = ((0, 1), (0, 1, 2))
 
 
 class TestMalformedRefused:
-    """Maps the array form cannot hold are refused at construction, from
-    dicts and from JSON alike, in one error naming the vertex or edge."""
+    """Maps the array form cannot hold are refused at construction, in one
+    error naming the vertex or edge."""
 
     @pytest.mark.parametrize(
         "sets, maps, message",
@@ -300,8 +281,6 @@ class TestMalformedRefused:
     def test_refused(self, sets, maps, message):
         with pytest.raises(AssignmentError, match=message):
             CorrespondenceAssignment(sets, maps)
-        with pytest.raises(AssignmentError, match=message):
-            from_json_dict(_json_of(sets, maps))
 
     def test_graph_checks_stay_in_validate(self):
         g = path_graph(3)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -9,7 +10,6 @@ from sparsecolour.correspondence import from_lists, uniform_lists
 from sparsecolour.generators import (
     complete_graph,
     cycle_graph,
-    empty_graph,
     gnp_graph,
     path_graph,
     petersen_graph,
@@ -20,10 +20,8 @@ from sparsecolour.graph import (
     DimacsError,
     Graph,
     GraphError,
-    complement_matching,
     first_fit,
     from_json_dict,
-    list_chromatic_upper,
     local_sparsity,
     lowest_clear_bit,
     min_degree_ordering,
@@ -33,6 +31,7 @@ from sparsecolour.graph import (
 )
 from sparsecolour.harness import naive_regularize_with_assignment
 from sparsecolour.ncp import _greedy_correspondence
+from sparsecolour.strong_edge import c5_blowup
 
 
 def brute_neighbourhood_edges(g, v):
@@ -67,12 +66,33 @@ class TestGraphType:
         assert old == (1, 2, 3)
         assert list(sub.edges()) == [(0, 1), (1, 2)]
 
-    def test_complement(self):
-        g = cycle_graph(5)
-        comp = g.complement()
-        assert comp.m == 5
-        for u, v in g.edges():
-            assert not comp.has_edge(u, v)
+    @pytest.mark.parametrize(
+        "adjacency, message",
+        [([[5]], "neighbour 5 of 0 out of range"), ([[0]], "self-loop at vertex 0")],
+        ids=["out-of-range", "self-loop"],
+    )
+    def test_refuses_bad_adjacency(self, adjacency, message):
+        with pytest.raises(GraphError, match=re.escape(message)):
+            Graph(adjacency)
+
+    def test_induced_refuses_duplicates(self):
+        with pytest.raises(GraphError, match="induced vertex list contains duplicates"):
+            cycle_graph(5).induced([1, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: c5_blowup(0), "blow-up factor must be at least 1"),
+        (lambda: cycle_graph(2), "cycle needs at least 3 vertices"),
+        (lambda: random_regular_graph(5, 3, 0), "n * d must be even"),
+        (lambda: random_regular_graph(4, 4, 0), "need 0 <= d < n"),
+    ],
+    ids=["c5-blowup", "cycle", "regular-odd", "regular-degree"],
+)
+def test_generator_refuses_bad_size(build, message):
+    with pytest.raises(GraphError, match=re.escape(message)):
+        build()
 
 
 class TestLocalSparsity:
@@ -139,57 +159,9 @@ class TestRegularize:
         assert local_sparsity(reg).delta >= local_sparsity(g).delta - 1e-12
 
 
-def brute_force_max_matching(g):
-    # Exponential oracle: maximum matching by trying all edge subsets.
-    edges = list(g.edges())
-    best = 0
-    for r in range(len(edges), 0, -1):
-        for combo in itertools.combinations(edges, r):
-            seen = set()
-            ok = True
-            for u, v in combo:
-                if u in seen or v in seen:
-                    ok = False
-                    break
-                seen.add(u)
-                seen.add(v)
-            if ok:
-                return r
-    return best
-
-
-class TestComplementMatching:
-    def test_complete_graph_allows_empty(self):
-        assert complement_matching(complete_graph(4), 4) == []
-
-    def test_five_cycle(self):
-        g = cycle_graph(5)
-        matching = complement_matching(g, 2)
-        assert len(matching) >= 2
-        assert brute_force_max_matching(g.complement()) == 2
-
-    def test_empty_graph_perfect_matching(self):
-        matching = complement_matching(empty_graph(6), 1)
-        assert len(matching) == 3
-
-    @pytest.mark.parametrize("seed", range(8))
-    def test_certificate_on_random_graphs(self, seed):
-        from sparsecolour.cliques import clique_info
-
-        g = gnp_graph(8, 0.5, seed=seed)
-        omega = clique_info(g).omega
-        matching = complement_matching(g, omega)
-        matched = {v for e in matching for v in e}
-        unmatched = [v for v in range(g.n) if v not in matched]
-        for i, u in enumerate(unmatched):
-            for v in unmatched[i + 1 :]:
-                assert g.has_edge(u, v)
-        assert len(matching) >= -((omega - g.n) // 2)
-
-
 class TestMinDegreeOrdering:
     def test_triangle_ties_by_id(self):
-        assert min_degree_ordering(complete_graph(3), [0, 1, 2]) == [0, 1, 2]
+        assert min_degree_ordering(complete_graph(3)) == [0, 1, 2]
 
     def check_defining_property(self, g, order):
         remaining = set(order)
@@ -202,33 +174,21 @@ class TestMinDegreeOrdering:
 
     def test_star_leaf_first(self):
         g = star_graph(3)
-        order = min_degree_ordering(g, range(4))
+        order = min_degree_ordering(g)
         assert order[0] != 0
         self.check_defining_property(g, order)
 
     def test_path_endpoint_first(self):
         g = path_graph(4)
-        order = min_degree_ordering(g, range(4))
+        order = min_degree_ordering(g)
         assert order[0] in (0, 3)
         self.check_defining_property(g, order)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_property_on_random_graphs(self, seed):
         g = gnp_graph(9, 0.5, seed=seed)
-        order = min_degree_ordering(g, range(9))
+        order = min_degree_ordering(g)
         self.check_defining_property(g, order)
-
-
-class TestListChromaticUpper:
-    @pytest.mark.parametrize("n,omega,expected", [(4, 2, 3), (5, 2, 3), (7, 7, 7)])
-    def test_values(self, n, omega, expected):
-        assert list_chromatic_upper(n, omega) == expected
-
-    def test_domain(self):
-        with pytest.raises(GraphError):
-            list_chromatic_upper(3, 4)
-        with pytest.raises(GraphError):
-            list_chromatic_upper(3, 0)
 
 
 def assert_proper(g, colouring):

@@ -5,7 +5,8 @@ Graphs have up to 30 vertices at a drawn edge density; some vertices are
 kept isolated, and n = 0 is included.  DIMACS and JSON must give back the
 same graph, `clique_info` must agree with networkx on the clique number
 and the set of maximum cliques, and `min_degree_ordering` must give the
-order of its rescanning reference in `harness` on any subset.
+order of its rescanning reference in `harness` on the graph and on an
+induced subgraph.
 """
 
 import random
@@ -19,7 +20,6 @@ from hypothesis import strategies as st  # noqa: E402
 from sparsecolour.cliques import clique_info  # noqa: E402
 from sparsecolour.graph import (  # noqa: E402
     Graph,
-    GraphError,
     from_json_dict,
     min_degree_ordering,
     parse_dimacs,
@@ -76,18 +76,9 @@ def test_clique_info_matches_networkx(g):
 @settings(max_examples=80, deadline=None)
 @given(g=graphs(), data=st.data())
 def test_min_degree_ordering_matches_reference(g, data):
-    # A subset in drawn order: often proper, sometimes all of g, sometimes empty.
+    # Also on the subgraph induced by a drawn vertex list: often proper,
+    # sometimes all of g, sometimes empty, renumbered in drawn order.
     subset = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
-    assert min_degree_ordering(g, subset) == naive_min_degree_ordering(g, subset)
-    assert min_degree_ordering(g, range(g.n)) == naive_min_degree_ordering(g, range(g.n))
-
-
-@settings(max_examples=30, deadline=None)
-@given(g=graphs(), data=st.data())
-def test_min_degree_ordering_refuses_duplicates(g, data):
-    if g.n == 0:
-        return
-    v = data.draw(st.integers(0, g.n - 1))
-    for ordering in (min_degree_ordering, naive_min_degree_ordering):
-        with pytest.raises(GraphError, match="duplicates"):
-            ordering(g, [*range(g.n), v])
+    sub, _ = g.induced(subset)
+    assert min_degree_ordering(sub) == naive_min_degree_ordering(sub)
+    assert min_degree_ordering(g) == naive_min_degree_ordering(g)

@@ -9,6 +9,7 @@ from sparsecolour.correspondence import (
     CorrespondenceAssignment,
     from_lists,
     is_valid_colouring,
+    residual_assignment,
     uniform_lists,
 )
 from sparsecolour.generators import (
@@ -43,6 +44,11 @@ from sparsecolour.strong_edge import c5_blowup
 
 
 class TestEnumerateOutcomes:
+    def test_refuses_partial_maps(self):
+        g = path_graph(2)
+        with pytest.raises(GraphError, match="enumeration requires a total assignment"):
+            enumerate_outcomes(g, from_lists(g, [[0, 1], [1, 2]]))
+
     def test_k2_single_colour(self):
         g = complete_graph(2)
         res = enumerate_outcomes(g, uniform_lists(g, 1))
@@ -198,9 +204,14 @@ class TestOracleEngineAgreement:
                     for u in range(g.n)
                 )
                 if hypothesis:
-                    result = greedy_complete(g, c, outcome.f)
+                    residual = residual_assignment(g, c, outcome.f)
+                    result = greedy_complete(residual.graph, residual.assignment)
                     assert result.ok
-                    assert is_valid_colouring(g, c, result.colouring)
+                    merged = dict(outcome.f)
+                    merged.update(
+                        {residual.vertices[v]: col for v, col in result.colouring.items()}
+                    )
+                    assert is_valid_colouring(g, c, merged)
 
 
 def _random_bijections(g, k, seed):
@@ -286,6 +297,11 @@ class TestMonteCarloSlices:
 
 
 class TestMonteCarlo:
+    def test_refuses_zero_trials(self):
+        g = path_graph(2)
+        with pytest.raises(ValueError, match="need at least one trial"):
+            monte_carlo_round(g, uniform_lists(g, 2), trials=0, seed=0)
+
     def test_edgeless_keeps_everything(self):
         g = empty_graph(4)
         rep = monte_carlo_round(g, uniform_lists(g, 2), trials=50, seed=0)

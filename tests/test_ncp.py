@@ -11,6 +11,7 @@ from sparsecolour.correspondence import (
     CorrespondenceAssignment,
     from_lists,
     is_valid_colouring,
+    residual_assignment,
     uniform_lists,
 )
 from sparsecolour.generators import (
@@ -28,6 +29,7 @@ from sparsecolour.ncp import (
     QuasirandomReport,
     RoundOutcome,
     ScheduleError,
+    _Compiled,
     _distance2_rows,
     _entity_draws,
     attempt_round,
@@ -118,6 +120,27 @@ class TestRunRound:
         assert set(o.f) == set(o.kept)
         for u in o.kept:
             assert o.f[u] == o.f1[u]
+
+
+class TestInstanceChecks:
+    def test_compiled_refuses_size_mismatch(self):
+        with pytest.raises(AssignmentError, match="assignment does not match graph size"):
+            _Compiled(path_graph(3), uniform_lists(path_graph(2), 2))
+
+    def test_compiled_refuses_empty_set(self):
+        c = CorrespondenceAssignment(((), (0,)), {})
+        with pytest.raises(AssignmentError, match="all colour sets must be nonempty"):
+            _Compiled(path_graph(2), c)
+
+    def test_round_stats_refuses_other_instance(self):
+        g = path_graph(3)
+        outcome = run_round(g, uniform_lists(g, 2), 0)
+        with pytest.raises(ValueError, match="outcome does not match the instance"):
+            round_stats(path_graph(2), uniform_lists(path_graph(2), 2), outcome)
+
+    def test_unknown_profile(self):
+        with pytest.raises(ValueError, match="unknown profile 'fast'"):
+            default_round_params(3, 4, 0.5, "fast")
 
 
 class TestRoundStats:
@@ -397,29 +420,32 @@ class TestBuildSchedule:
         assert default_beta(0.4, 0.01) < 0
 
 
-class TestGreedyComplete:
-    def test_total_colouring_returned_unchanged(self):
-        g = complete_graph(2)
-        c = uniform_lists(g, 2)
-        f = {0: 0, 1: 1}
-        result = greedy_complete(g, c, f)
-        assert result.ok and result.colouring == f
+def extend_through_residual(g, c, f):
+    """greedy_complete on f's residual instance, and its colouring merged
+    with f on the host."""
+    residual = residual_assignment(g, c, f)
+    result = greedy_complete(residual.graph, residual.assignment)
+    merged = dict(f)
+    merged.update({residual.vertices[v]: col for v, col in result.colouring.items()})
+    return result, merged
 
+
+class TestGreedyComplete:
     def test_single_colour_conflict_fails(self):
         g = complete_graph(2)
         c = uniform_lists(g, 1)
-        result = greedy_complete(g, c, {0: 0})
+        result = greedy_complete(g, c)
         assert not result.ok
+        assert result.colouring == {0: 0}
         assert result.failed_at == (1,)
-        assert not result.hypothesis_held
 
     def test_path_with_middle_coloured(self):
         g = path_graph(3)
         c = uniform_lists(g, 2)
-        result = greedy_complete(g, c, {1: 0})
+        result, merged = extend_through_residual(g, c, {1: 0})
         assert result.ok
-        assert is_valid_colouring(g, c, result.colouring)
-        assert len(result.colouring) == 3
+        assert is_valid_colouring(g, c, merged)
+        assert len(merged) == 3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_completion_valid_whenever_it_succeeds(self, seed):
@@ -427,9 +453,9 @@ class TestGreedyComplete:
         k = g.max_degree() + 1
         c = uniform_lists(g, k)
         o = run_round(g, c, seed)
-        result = greedy_complete(g, c, o.f)
+        result, merged = extend_through_residual(g, c, o.f)
         assert result.ok  # k = degree+1 always completes
-        assert is_valid_colouring(g, c, result.colouring)
+        assert is_valid_colouring(g, c, merged)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_empty_colouring_is_its_own_residual(self, seed, monkeypatch):
@@ -444,13 +470,13 @@ class TestGreedyComplete:
         c = from_lists(g, [rng.sample(range(top), rng.randint(low, top - 1)) for _ in range(g.n)])
         residual = ncp.residual_assignment(g, c, {})
         assert residual.vertices == tuple(range(g.n))
-        expected = greedy_complete(residual.graph, residual.assignment, {})
+        expected = greedy_complete(residual.graph, residual.assignment)
 
         def never(*args):
             pytest.fail("residual rebuilt for an empty colouring")
 
         monkeypatch.setattr(ncp, "residual_assignment", never)
-        assert greedy_complete(g, c, {}) == expected
+        assert greedy_complete(g, c) == expected
 
 
 class TestIterativeColour:
