@@ -18,7 +18,7 @@ import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -308,28 +308,6 @@ def naive_min_degree_ordering(g: Graph) -> list[int]:
         order.append(best)
         remaining.remove(best)
     return order
-
-
-def naive_greedy_correspondence(
-    g: Graph, c: CorrespondenceAssignment, order: Sequence[int]
-) -> tuple[PartialColouring, list[int]]:
-    """First-fit along `order` through the dict maps of each coloured
-    neighbour: the reference for ncp._greedy_correspondence."""
-    f: PartialColouring = {}
-    failed: list[int] = []
-    for v in order:
-        forbidden = set()
-        for w in g.neighbours(v):
-            if w in f:
-                back = c.correspondent(w, v, f[w])
-                if back is not None:
-                    forbidden.add(back)
-        choice = next((col for col in c.colour_sets[v] if col not in forbidden), None)
-        if choice is None:
-            failed.append(v)
-        else:
-            f[v] = choice
-    return f, failed
 
 
 def naive_residual_assignment(

@@ -873,33 +873,21 @@ def _greedy_correspondence(
     g: Graph, c: CorrespondenceAssignment, order: Sequence[int]
 ) -> tuple[PartialColouring, list[int]]:
     """First-fit along `order`, skipping colours matched with coloured
-    neighbours' colours.
-
-    Each vertex v reads the map rows of its edges by colour index: on an
-    edge (u, v) the entry at u's index, on an edge (v, w) the columns whose
-    entry is w's index.
-    """
-    rows = _rows_on(g, c)
-    eu, ev = g.edge_array().T
-    into = np.argsort(ev, kind="stable")  # edges (u, v) grouped by v
-    into_at = np.searchsorted(ev[into], np.arange(g.n + 1)).tolist()
-    out_at = np.searchsorted(eu, np.arange(g.n + 1)).tolist()
-    idx = np.full(g.n, -1, dtype=np.int64)
+    neighbours' colours."""
     f: PartialColouring = {}
     failed: list[int] = []
     for v in order:
-        e = into[into_at[v] : into_at[v + 1]]
-        i = idx[eu[e]]
-        forbidden = set(rows[e[i >= 0], i[i >= 0]].tolist())
-        e = np.arange(out_at[v], out_at[v + 1])
-        j = idx[ev[e]]
-        forbidden.update(np.nonzero(rows[e[j >= 0]] == j[j >= 0, None])[1].tolist())
-        choice = next((x for x in range(len(c.colour_sets[v])) if x not in forbidden), None)
+        forbidden = set()
+        for w in g.neighbours(v):
+            if w in f:
+                back = c.correspondent(w, v, f[w])
+                if back is not None:
+                    forbidden.add(back)
+        choice = next((col for col in c.colour_sets[v] if col not in forbidden), None)
         if choice is None:
             failed.append(v)
         else:
-            idx[v] = choice
-            f[v] = c.colour_sets[v][choice]
+            f[v] = choice
     return f, failed
 
 

@@ -4,9 +4,8 @@ oracles in harness.
 Instances are small graphs with random lists (through `from_lists`) or with
 random partial bijections, some edges carrying no map at all; partial
 colourings are drawn valid.  Results must agree with the oracles in colour
-sets, edge maps and residual vertices, the compiled direction map with
-one filled entry by entry from the dict maps, and the greedy finish with
-first-fit through the dict maps along any vertex order.
+sets, edge maps and residual vertices, and the compiled direction map with
+one filled entry by entry from the dict maps.
 """
 
 import random
@@ -30,13 +29,12 @@ from sparsecolour.correspondence import (  # noqa: E402
 from sparsecolour.graph import Graph  # noqa: E402
 from sparsecolour.harness import (  # noqa: E402
     naive_dir_map,
-    naive_greedy_correspondence,
     naive_is_valid_colouring,
     naive_residual_assignment,
     naive_totalize,
     naive_truncate,
 )
-from sparsecolour.ncp import _Compiled, _greedy_correspondence  # noqa: E402
+from sparsecolour.ncp import _Compiled  # noqa: E402
 
 
 @st.composite
@@ -170,23 +168,3 @@ def test_compiled_dir_map_matches_dict_fill(instance):
     g, c = instance
     total = totalize(g, truncate(c, c.min_size()))
     np.testing.assert_array_equal(_Compiled(g, total).dir_map, naive_dir_map(g, total))
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    instance=st.one_of(bijection_instances(), list_instances()),
-    total=st.booleans(),
-    data=st.data(),
-)
-def test_greedy_correspondence_matches_oracle(instance, total, data):
-    """Along a drawn order of some or all vertices, on the maps as drawn and
-    totalized."""
-    g, c = instance
-    if isinstance(c, list):
-        c = from_lists(g, c)
-    if total:
-        c = totalize(g, truncate(c, c.min_size()))
-    order = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
-    f, failed = _greedy_correspondence(g, c, order)
-    assert (f, failed) == naive_greedy_correspondence(g, c, order)
-    assert list(f) == [v for v in order if v not in failed]

