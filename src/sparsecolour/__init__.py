@@ -47,7 +47,6 @@ from .ncp import (  # noqa: F401
     IterationSchedule,
     RoundOutcome,
     RoundStats,
-    attempt_round,
     build_schedule,
     derive_seed,
     greedy_complete,

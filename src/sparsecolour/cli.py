@@ -58,9 +58,9 @@ from .harness import (
     residual_sparsity_experiment,
 )
 from .ncp import (
+    MAX_RESTARTS,
     ScheduleError,
-    build_schedule,
-    default_beta,
+    default_schedule,
     greedy_complete,
     iterative_colour,
 )
@@ -280,10 +280,8 @@ def _cmd_color(args) -> tuple[str, int]:
         return _report(config, result), 0 if completion.ok else 1
     delta = local_sparsity(g).delta
     eps_prime = 1.0 - k / (max_deg + 1)
-    delta_prime = args.delta_prime if args.delta_prime is not None else 0.95 * delta
     try:
-        beta = args.beta if args.beta is not None else default_beta(eps_prime, delta_prime)
-        schedule = build_schedule(eps_prime, delta, beta, delta_prime, max_deg + 1)
+        schedule = default_schedule(eps_prime, max_deg, delta, args.beta, args.delta_prime)
     except (ScheduleError, BoundDomainError) as exc:
         result = {
             "ok": False,
@@ -306,7 +304,7 @@ def _cmd_color(args) -> tuple[str, int]:
         "mode": "iterative",
         "delta": delta,
         "epsPrime": eps_prime,
-        "beta": beta,
+        "beta": schedule.beta,
         "iterationsPlanned": schedule.iterations,
         "rounds": outcome.rounds,
         "colours": outcome.colouring if outcome.ok else {},
@@ -489,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     color.add_argument("--seed", type=_seed_arg, default=0)
     color.add_argument("--beta", type=_finite_float)
     color.add_argument("--delta-prime", type=_finite_float)
-    color.add_argument("--max-restarts", type=_positive_int, default=200)
+    color.add_argument("--max-restarts", type=_positive_int, default=MAX_RESTARTS)
     color.add_argument("--profile", choices=["asymptotic", "practical"], default="practical")
     color.add_argument("--config", type=str)
     color.add_argument("--out", type=str)
@@ -499,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--input", required=True)
     se.add_argument("--eta", type=_finite_float, default=STRONG_EDGE_ETA)
     se.add_argument("--seed", type=_seed_arg, default=0)
-    se.add_argument("--max-restarts", type=_positive_int, default=200)
+    se.add_argument("--max-restarts", type=_positive_int, default=MAX_RESTARTS)
     se.add_argument("--config", type=str)
     se.add_argument("--out", type=str)
     se.set_defaults(func=_cmd_strong_edge)

@@ -249,6 +249,17 @@ class DimacsError(ValueError):
     """Raised for malformed DIMACS input, with the offending line number."""
 
 
+# The most vertices a graph file may declare, refused before one neighbour set
+# per vertex is allocated: the largest graph `gen` writes, `--star 2000000`.
+MAX_FILE_VERTICES = 2_000_001
+
+
+def _vertex_count_error(n: int) -> Optional[str]:
+    if n > MAX_FILE_VERTICES:
+        return f"vertex count {n} above the cap of {MAX_FILE_VERTICES} vertices"
+    return None
+
+
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS edge format (`p edge n m`, 1-based `e u v` lines).
 
@@ -275,6 +286,8 @@ def parse_dimacs(text: str) -> Graph:
                 raise DimacsError(f"line {lineno}: bad problem line") from exc
             if n < 0:
                 raise DimacsError(f"line {lineno}: negative vertex count")
+            if error := _vertex_count_error(n):
+                raise DimacsError(f"line {lineno}: {error}")
         elif fields[0] == "e":
             if n is None:
                 raise DimacsError(f"line {lineno}: edge before problem line")
@@ -324,4 +337,6 @@ def from_json_dict(data: object) -> Graph:
         isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges
     ):
         raise GraphError('graph JSON "edges" must be a list of [u, v] integer pairs')
+    if error := _vertex_count_error(data["n"]):
+        raise GraphError(f"graph JSON: {error}")
     return Graph.from_edges(data["n"], [tuple(e) for e in edges])

@@ -29,13 +29,12 @@ from .correspondence import (
     Residual,
     is_total,
     residual_assignment,
-    totalize,
-    truncate,
 )
 from .graph import Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
     KIND_TRIAL,
     _Compiled,
+    _compile,
     _group_pairs,
     _regularize_with_assignment,
     _round_arrays,
@@ -449,7 +448,7 @@ def monte_carlo_round(
         raise ValueError("need at least one trial")
     if g.n == 0:
         raise ValueError("Monte Carlo needs a graph with at least one vertex")
-    comp = _Compiled(g, c)
+    comp = _compile(g, c)
     comp._build_stats()
     comp._build_nuv()
     n = comp.n
@@ -635,13 +634,12 @@ def residual_sparsity_experiment(
         for i in range(rounds):
             if cur_g.n == 0 or cur_c.min_size() == 0:
                 break
-            work_c = totalize(cur_g, truncate(cur_c, cur_c.min_size()))
-            reg, base = _regularize_with_assignment(cur_g, work_c)
+            reg, work_c = _regularize_with_assignment(cur_g, cur_c)
             round_seed = derive_seed(seed, KIND_TRIAL, t, i)
             f1_idx, _, kept, _ = _round_arrays(reg, [round_seed])
             kept_ids = np.flatnonzero(kept[0, : cur_g.n])
             kept_real = set(kept_ids.tolist())
-            colours = base.colour_values[kept_ids, f1_idx[0, kept_ids]]
+            colours = reg.colour_values[kept_ids, f1_idx[0, kept_ids]]
             f_real = dict(zip(kept_ids.tolist(), colours.tolist()))
             mu = 1.0 - keep_probability(cur_c.min_size(), reg.max_degree)
             qr = quasirandom_check(

@@ -163,65 +163,29 @@ STATS_ROWS_CAP = 4_000_000
 
 
 class _Compiled:
-    """Array form of (graph, assignment) for fast rounds and stats.
+    """Array form of (graph, total assignment) for fast rounds and stats.
 
-    Built two ways.  `_Compiled(g, c)` compiles a whole instance; every
-    vertex is in its focus.  Its direction map holds, per edge e, row 2e
-    (u->v) and row 2e+1 (v->u), each entry the colour index at the target
-    matched with the source's colour index (-1 if none): the even rows are
-    the assignment's `fwd` rows, the odd rows their inverse.
-    `_Compiled._from_arrays` grows a compiled instance into a larger one
-    given as edge arrays (the regularised copy), focused on the original's
-    vertices.  Only the vertices below `focus` are real: statistic rows,
-    common-uncoloured pairs, outcomes and statistics cover them alone, while
-    the draws and the keep rule still run on every vertex.  `colour_values`,
-    the colour sets padded to (focus, kmax), likewise covers the focus
-    vertices only; `k_arr` covers all of them.
+    One constructor takes the instance as arrays: edge e is eu[e] - ev[e],
+    sorted by (u, v) with u < v; `forward[e]` and `backward[e]` are its map
+    rows u->v and v->u, each entry the colour index at the target matched
+    with the source's colour index (-1 if none); `k_arr` is the set size per
+    vertex and `colour_values` the colour sets padded to (focus, kmax).
+    `_compile(g, c)` builds a whole instance, which is its own focus, and
+    `_regularize_with_assignment` the regularised copy of one, focused on
+    its vertices.  Only the vertices below `focus`, one per row of
+    `colour_values`, are real: statistic rows, common-uncoloured pairs,
+    outcomes and statistics cover them alone, while the draws and the keep
+    rule still run on every vertex.  The direction map holds, per edge e,
+    row 2e (u->v) and row 2e+1 (v->u).
     """
 
-    def __init__(self, g: Graph, c: CorrespondenceAssignment):
-        if len(c.colour_sets) != g.n:
-            raise AssignmentError("assignment does not match graph size")
-        k_arr = c.sizes
-        if g.n and k_arr.min() == 0:
-            raise AssignmentError("all colour sets must be nonempty")
-        if not is_total(g, c):
-            raise AssignmentError("round execution needs a total assignment")
-        fwd = _rows_on(g, c)
-        self.colour_values = c.values()
-        self.kmax = max(fwd.shape[1], 1)
-        dir_map = np.full((2 * len(fwd), self.kmax), -1, dtype=np.int64)
-        dir_map[0::2, : fwd.shape[1]] = fwd
-        e, i = np.nonzero(fwd >= 0)
-        dir_map[2 * e + 1, fwd[e, i]] = i
-        eu, ev = np.ascontiguousarray(g.edge_array().T)
-        self._set_edges(eu, ev, dir_map, k_arr, g.max_degree(), g.n)
-
-    @classmethod
-    def _from_arrays(
-        cls,
-        base: _Compiled,
-        eu: np.ndarray,
-        ev: np.ndarray,
-        dir_map: np.ndarray,
-        k_arr: np.ndarray,
-    ) -> _Compiled:
-        """The instance with these edge arrays (sorted by (u, v), u < v)
-        and base's max degree, whose first base.n vertices are base's and
-        form its focus."""
-        comp = cls.__new__(cls)
-        comp.colour_values = base.colour_values
-        comp.kmax = base.kmax
-        comp._set_edges(eu, ev, dir_map, k_arr, base.max_degree, base.n)
-        return comp
-
-    def _set_edges(self, eu, ev, dir_map, k_arr, max_degree, focus) -> None:
-        """Install the edge arrays (sorted by (u, v), u < v) and the
-        per-edge indexes derived from them; vertices below `focus` are
-        real."""
-        self.n = len(k_arr)
-        self.m = len(eu)
-        self.focus = focus
+    def __init__(self, eu, ev, forward, backward, k_arr, colour_values, max_degree):
+        self.n, self.m, self.focus = len(k_arr), len(eu), len(colour_values)
+        self.colour_values = colour_values
+        self.kmax = max(forward.shape[1], 1)
+        dir_map = np.full((2 * self.m, self.kmax), -1, dtype=np.int64)
+        dir_map[0::2, : forward.shape[1]] = forward
+        dir_map[1::2, : forward.shape[1]] = backward
         self.eu, self.ev, self.dir_map, self.k_arr = eu, ev, dir_map, k_arr
         self.k_draw = k_arr.astype(np.uint64)
         self.max_degree = max_degree
@@ -237,12 +201,12 @@ class _Compiled:
         # first), then the backward rows into focus vertices.  The keep rule
         # reads the first m; the statistics read the rows into focus
         # vertices, which start at stat_start.
-        outside = ev >= focus
+        outside = ev >= self.focus
         self.fwd_edge = np.argsort(~outside, kind="stable")
         self.fwd_dst = ev[self.fwd_edge]
         self.stat_start = int(np.count_nonzero(outside))
-        backward = 2 * np.flatnonzero(eu < focus) + 1
-        look_rows = np.concatenate([2 * self.fwd_edge, backward])
+        backward_rows = 2 * np.flatnonzero(eu < self.focus) + 1
+        look_rows = np.concatenate([2 * self.fwd_edge, backward_rows])
         stat_rows = look_rows[self.stat_start :]
         self.stat_src = self.dir_src[stat_rows]
         self.stat_dst = self.dir_dst[stat_rows]
@@ -311,6 +275,29 @@ class _Compiled:
         rows = _distance2_rows(self.dir_src, self.dir_dst, self.focus)
         self.nuv_pairs, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = rows
         self._nuv_built = True
+
+
+def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """c's map rows on g's edges in both directions, c checked first: one
+    nonempty set per vertex and a bijection on every edge."""
+    if len(c.colour_sets) != g.n:
+        raise AssignmentError("assignment does not match graph size")
+    if g.n and c.sizes.min() == 0:
+        raise AssignmentError("all colour sets must be nonempty")
+    if not is_total(g, c):
+        raise AssignmentError("round execution needs a total assignment")
+    forward = _rows_on(g, c)
+    backward = np.full_like(forward, -1)
+    e, i = np.nonzero(forward >= 0)
+    backward[e, forward[e, i]] = i
+    return forward, backward
+
+
+def _compile(g: Graph, c: CorrespondenceAssignment) -> _Compiled:
+    """The whole instance (g, c), c total, compiled; every vertex is in its
+    focus."""
+    eu, ev = np.ascontiguousarray(g.edge_array().T)
+    return _Compiled(eu, ev, *_map_rows(g, c), c.sizes, c.values(), g.max_degree())
 
 
 def _pair_count(group_end: np.ndarray, gap: int) -> int:
@@ -527,7 +514,7 @@ def _outcome_from_arrays(
 
 def run_round(g: Graph, c: CorrespondenceAssignment, seed: int) -> RoundOutcome:
     """One round on a total assignment; deterministic given the seed."""
-    comp = _Compiled(g, c)
+    comp = _compile(g, c)
     f1_idx, dirs, kept, _ = _round_arrays(comp, [seed])
     return _outcome_from_arrays(comp, f1_idx[0], dirs[0], kept[0])
 
@@ -565,7 +552,7 @@ def round_stats(
     g: Graph, c: CorrespondenceAssignment, outcome: RoundOutcome
 ) -> RoundStats:
     """Statistics of an outcome produced from (g, c)."""
-    comp = _Compiled(g, c)
+    comp = _compile(g, c)
     if len(outcome.f1) != comp.n:
         raise ValueError("outcome does not match the instance")
     f1_idx = _indices(c, dict(enumerate(outcome.f1)))
@@ -628,6 +615,9 @@ def quasirandom_check(
 
 
 # -- restarted rounds -------------------------------------------------------------
+
+# Rounds tried per iteration before the driver gives up.
+MAX_RESTARTS = 200
 
 
 @dataclass(frozen=True)
@@ -703,39 +693,31 @@ class AttemptResult:
 
 
 def attempt_round(
-    g: Graph | _Compiled,
-    c: Optional[CorrespondenceAssignment],
+    comp: _Compiled,
     params: RoundParams,
     seed: int,
-    max_restarts: int = 200,
+    max_restarts: int = MAX_RESTARTS,
 ) -> AttemptResult:
     """Rerun rounds with derived seeds until no bad event holds.
 
     Bad events: the pairs-minus-triples statistic falling below threshold at
     an uncoloured vertex, and a quasirandomness violation of the uncoloured
-    set.  `g` is either a graph, compiled here with the total assignment
-    `c`, or an instance compiled beforehand with `c` None.  The driver
-    passes the regularised copy from `_regularize_with_assignment`, whose
-    focus is the residual graph's vertices: the throwaway copies' own
-    statistics never influence the residual instance, so only vertices (and
-    vertex pairs) in the focus are checked.  The returned outcome and
-    statistics then describe the focus vertices alone: `f1`, `kept`, `f`
-    and the per-vertex statistics are indexed by focus vertex, `direction`
-    covers the edges between focus vertices, `common_uncoloured` the pairs
-    of focus vertices, and `residual_max_degree` / `k_prime` are taken over
-    the uncoloured focus vertices (with degrees counted in the whole graph).
-    For a graph, the focus is every vertex.
+    set.  `comp` is a compiled instance: `_compile(g, c)` of a whole one,
+    whose focus is every vertex, or the regularised copy from
+    `_regularize_with_assignment` the driver passes, whose focus is the
+    residual graph's vertices.  The throwaway copies' own statistics never
+    influence the residual instance, so only vertices (and vertex pairs) in
+    the focus are checked.  The returned outcome and statistics describe
+    the focus vertices alone: `f1`, `kept`, `f` and the per-vertex
+    statistics are indexed by focus vertex, `direction` covers the edges
+    between focus vertices, `common_uncoloured` the pairs of focus vertices,
+    and `residual_max_degree` / `k_prime` are taken over the uncoloured
+    focus vertices (with degrees counted in the whole graph).
 
     On success returns the accepted outcome and statistics; after exhausting
     the restart budget, returns ok=False carrying the best-seen attempt
     (fewest violations) and its violation report.
     """
-    if isinstance(g, _Compiled):
-        if c is not None:
-            raise TypeError("a compiled instance carries its own assignment")
-        comp = g
-    else:
-        comp = _Compiled(g, c)
     comp._build_nuv()
     sizes = comp.nuv_sizes.astype(np.float64)
 
@@ -818,6 +800,26 @@ def _gamma_map(eps: float) -> float:
 def default_beta(eps_prime: float, delta_prime: float) -> float:
     """Half the feasibility gap at (eps', delta'); positive iff feasible."""
     return 0.5 * (savings_rate(eps_prime, delta_prime) - _gamma_map(eps_prime))
+
+
+# delta' as a share of the host's sparsity delta, where none is given.
+DELTA_PRIME_SHARE = 0.95
+
+
+def default_schedule(
+    eps_prime: float,
+    max_degree: int,
+    delta: float,
+    beta: Optional[float] = None,
+    delta_prime: Optional[float] = None,
+) -> IterationSchedule:
+    """The schedule from degree scale max_degree + 1; delta' defaults to
+    DELTA_PRIME_SHARE delta and beta to default_beta(eps', delta')."""
+    if delta_prime is None:
+        delta_prime = DELTA_PRIME_SHARE * delta
+    if beta is None:
+        beta = default_beta(eps_prime, delta_prime)
+    return build_schedule(eps_prime, delta, beta, delta_prime, max_degree + 1)
 
 
 def build_schedule(
@@ -923,59 +925,52 @@ REGULARIZED_SIZE_CAP = 2_000_000
 
 def _regularize_with_assignment(
     g: Graph, c: CorrespondenceAssignment
-) -> tuple[_Compiled, _Compiled]:
-    """Doubling regularisation carrying the assignment along, in array form.
+) -> tuple[_Compiled, CorrespondenceAssignment]:
+    """The instance a round runs on: c cut to its smallest set and made
+    total, then regularised by doubling, in array form.
 
     Each step takes two copies of the current graph and joins every vertex
     of degree below the maximum D to its twin, until the graph is regular:
     n 2^(D - delta_min) vertices in the end, with g induced on the first g.n
-    (the focus).  Copies reuse their original's direction-map rows; a
-    joining edge gets the identity map, since both ends carry the same
-    colour set.  Edges end up sorted by (u, v), the order of Graph.edges()
-    by which direction draws are keyed.
+    (the focus).  The map rows are inverted once, on g; copies reuse their
+    original's rows in both directions, and a joining edge gets the identity
+    map, since both ends carry the same colour set.  Edges end up sorted by
+    (u, v), the order of Graph.edges() by which direction draws are keyed.
 
-    Returns the compiled regularised instance, focused on g's vertices, and
-    the compiled input.
+    Returns the compiled regularised instance and the total assignment on g.
     """
-    base = _Compiled(g, c)
-    target = base.max_degree
-    degree = np.bincount(np.concatenate([base.eu, base.ev]), minlength=base.n)
-    steps = target - int(degree.min()) if base.n else 0
-    n_final = base.n << steps
+    total = totalize(g, truncate(c, c.min_size()))
+    forward, backward = _map_rows(g, total)
+    target = g.max_degree()
+    eu, ev = g.edge_array().T
+    degree = np.bincount(np.concatenate([eu, ev]), minlength=g.n)
+    steps = target - int(degree.min()) if g.n else 0
+    n_final = g.n << steps
     if n_final > REGULARIZED_SIZE_CAP:
         # eu, ev, dir_src, dir_dst, fwd_edge and the (2m x kmax) map, plus
         # k_arr, with m = n_final * target / 2.
-        nbytes = 8 * (n_final * target * (2 * base.kmax + 7) // 2 + n_final)
+        nbytes = 8 * (n_final * target * (2 * forward.shape[1] + 7) // 2 + n_final)
         raise ScheduleError(
             f"regularised graph would have {n_final} vertices "
             f"({nbytes / 2**20:.0f} MiB compiled), above the cap of "
             f"{REGULARIZED_SIZE_CAP} vertices"
         )
-    eu, ev, dir_map = _double(base, degree, steps)
-    return (
-        _Compiled._from_arrays(
-            base,
-            eu,
-            ev,
-            dir_map,
-            np.tile(base.k_arr, 1 << steps),
-        ),
-        base,
-    )
+    eu, ev, forward, backward = _double(eu, ev, forward, backward, degree, steps)
+    k_arr = np.tile(total.sizes, 1 << steps)
+    return _Compiled(eu, ev, forward, backward, k_arr, total.values(), target), total
 
 
-def _double(base: _Compiled, degree: np.ndarray, steps: int):
-    """The edge arrays and direction map of `steps` doubling steps of
-    base, sorted by (u, v); `degree` is base's degree per vertex."""
-    target, n0, kmax = base.max_degree, base.n, base.kmax
-    eu, ev = base.eu, base.ev
-    forward, backward = base.dir_map[0::2], base.dir_map[1::2]
-    cols = np.arange(kmax)
-    identity = np.where(cols < base.k_arr[:, None], cols, -1)
-    n = n0
+def _double(eu, ev, forward, backward, degree, steps):
+    """The edge arrays and map rows after `steps` doubling steps of the
+    graph with edges eu-ev and degrees `degree`, sorted by (u, v).  Every
+    set has the size of a map row, so a joining edge's map is the identity
+    row."""
+    n = len(degree)
+    target = degree.max(initial=0)
+    identity = np.arange(forward.shape[1], dtype=forward.dtype)
     for _ in range(steps):
         low = np.flatnonzero(degree < target)
-        join = identity[low % n0]  # vertex x copies vertex x % n0
+        join = np.broadcast_to(identity, (len(low), len(identity)))
         eu = np.concatenate([eu, eu + n, low])
         ev = np.concatenate([ev, ev + n, low + n])
         forward = np.concatenate([forward, forward, join])
@@ -985,9 +980,7 @@ def _double(base: _Compiled, degree: np.ndarray, steps: int):
         degree[low + n] += 1
         n *= 2
     order = np.lexsort((ev, eu))
-    dir_map = np.empty((2 * len(eu), kmax), dtype=np.int64)
-    dir_map[0::2], dir_map[1::2] = forward[order], backward[order]
-    return eu[order], ev[order], dir_map
+    return eu[order], ev[order], forward[order], backward[order]
 
 
 @dataclass(frozen=True)
@@ -1035,7 +1028,7 @@ def iterative_colour(
     c: CorrespondenceAssignment,
     schedule: IterationSchedule,
     seed: int,
-    max_restarts: int = 200,
+    max_restarts: int = MAX_RESTARTS,
     profile: str = "practical",
 ) -> ColouringResult:
     """Colour g by iterated rounds on the regularised residual graph.
@@ -1067,11 +1060,10 @@ def iterative_colour(
         if iteration >= schedule.iterations:
             return failure("schedule exhausted before the greedy threshold was reached")
         row = schedule.rows[iteration]
-        work_c = totalize(cur_g, truncate(cur_c, k_min))
-        reg, _ = _regularize_with_assignment(cur_g, work_c)
+        reg, work_c = _regularize_with_assignment(cur_g, cur_c)
         params = default_round_params(k_min, reg.max_degree, row.delta, profile)
         result = attempt_round(
-            reg, None, params, derive_seed(seed, KIND_ROUND, iteration), max_restarts
+            reg, params, derive_seed(seed, KIND_ROUND, iteration), max_restarts
         )
         if not result.ok:
             return failure(

@@ -40,7 +40,7 @@ from .graph import (
     lowest_clear_bit,
     neighbourhood_edge_count,
 )
-from .ncp import ScheduleError, build_schedule, default_beta, iterative_colour
+from .ncp import MAX_RESTARTS, ScheduleError, default_schedule, iterative_colour
 
 Threshold = Union[int, float, Fraction]
 
@@ -436,7 +436,7 @@ def _validate_strong_colouring(
 
 
 def strong_edge_colour(
-    h: Graph, eta: float = STRONG_EDGE_ETA, seed: int = 0, max_restarts: int = 200
+    h: Graph, eta: float = STRONG_EDGE_ETA, seed: int = 0, max_restarts: int = MAX_RESTARTS
 ) -> StrongColouringReport:
     """Colour the host's edges so edges at distance <= 2 differ.
 
@@ -529,12 +529,8 @@ def _colour_core(
         k = math.ceil((1 - eps_target) * (max_deg + 1))
         if k >= 1 and k <= max_deg:
             eps_prime = 1 - k / (max_deg + 1)
-            delta_prime = 0.95 * delta_core
             try:
-                beta = default_beta(eps_prime, delta_prime)
-                schedule = build_schedule(
-                    eps_prime, delta_core, beta, delta_prime, max_deg + 1
-                )
+                schedule = default_schedule(eps_prime, max_deg, delta_core)
             except ScheduleError as exc:
                 return fallback(f"no feasible schedule ({exc}); greedy fallback")
             try:

@@ -34,7 +34,7 @@ from sparsecolour.harness import (  # noqa: E402
     naive_totalize,
     naive_truncate,
 )
-from sparsecolour.ncp import _Compiled  # noqa: E402
+from sparsecolour.ncp import _compile  # noqa: E402
 
 
 @st.composite
@@ -167,4 +167,4 @@ def test_residual_matches_oracle(instance, total, seed):
 def test_compiled_dir_map_matches_dict_fill(instance):
     g, c = instance
     total = totalize(g, truncate(c, c.min_size()))
-    np.testing.assert_array_equal(_Compiled(g, total).dir_map, naive_dir_map(g, total))
+    np.testing.assert_array_equal(_compile(g, total).dir_map, naive_dir_map(g, total))

@@ -337,6 +337,27 @@ class TestColorCommand:
         assert len(err.splitlines()) == 1
         assert "436207616 vertices" in err
 
+    @pytest.mark.parametrize(
+        "name, text, where",
+        [
+            ("huge.col", "p edge 100000000 0\n", "line 1"),
+            ("huge.json", '{"n": 100000000, "edges": []}', "graph JSON"),
+        ],
+    )
+    def test_oversized_vertex_count_refused_before_loading(
+        self, tmp_path, capsys, name, text, where
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(["color", "--input", str(path), "--k", "3"], capsys)
+        # Refused from the declared count alone, before any per-vertex set.
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            f"sparsecolour: {where}: vertex count 100000000 above the cap of 2000001 vertices"
+        ]
+
     def test_oversized_near_edge_sets_refused(self, tmp_path, capsys, monkeypatch):
         # rr(600,12) needs sum deg² = 86,400 near-edge entries; with the cap
         # just below, strong-edge refuses before building any near set.

@@ -323,6 +323,27 @@ class TestDimacs:
         with pytest.raises(DimacsError):
             parse_dimacs("e 1 2\n")
 
+    def test_vertex_count_above_cap_refused_before_building(self, monkeypatch):
+        from sparsecolour import graph
+
+        def build(*args):
+            raise AssertionError("graph built before the vertex count check")
+
+        monkeypatch.setattr(graph, "MAX_FILE_VERTICES", 5)
+        monkeypatch.setattr(Graph, "from_edges", build)
+        refusal = "vertex count 6 above the cap of 5 vertices"
+        with pytest.raises(DimacsError, match=f"^line 2: {refusal}$"):
+            parse_dimacs("c huge\np edge 6 0\n")
+        with pytest.raises(GraphError, match=f"^graph JSON: {refusal}$"):
+            from_json_dict({"n": 6, "edges": []})
+
+    def test_vertex_count_at_cap_loads(self, monkeypatch):
+        from sparsecolour import graph
+
+        monkeypatch.setattr(graph, "MAX_FILE_VERTICES", 5)
+        want = Graph.from_edges(5, [(0, 4)])
+        assert parse_dimacs("p edge 5 1\ne 1 5\n") == want
+        assert from_json_dict({"n": 5, "edges": [[0, 4]]}) == want
     def test_json_round_trip(self):
         g = petersen_graph()
         assert from_json_dict(to_json_dict(g)) == g

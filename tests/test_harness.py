@@ -281,11 +281,11 @@ class TestMonteCarloSlices:
     @pytest.mark.parametrize("trials", [1, 15, 17, 64, 65, 130])
     def test_any_slice_width_gives_the_same_report(self, monkeypatch, trials):
         from sparsecolour import harness
-        from sparsecolour.ncp import _Compiled
+        from sparsecolour.ncp import _compile
 
         g = gnp_graph(14, 0.4, seed=3)
         c = _random_bijections(g, 3, seed=8)
-        comp = _Compiled(g, c)
+        comp = _compile(g, c)
         comp._build_stats()
         rows = len(comp.stat_src) + comp.in_rows.shape[1] + comp.tri_rows.shape[1]
         assert harness._MC_SLICE_ROWS // rows >= 64  # one slice per block

@@ -12,6 +12,8 @@ from sparsecolour.correspondence import (
     from_lists,
     is_valid_colouring,
     residual_assignment,
+    totalize,
+    truncate,
     uniform_lists,
 )
 from sparsecolour.generators import (
@@ -24,14 +26,15 @@ from sparsecolour.generators import (
     star_graph,
 )
 from sparsecolour.graph import local_sparsity
-from sparsecolour.harness import _distance2_pairs
+from sparsecolour.harness import _distance2_pairs, naive_regularize_with_assignment
 from sparsecolour.ncp import (
     QuasirandomReport,
     RoundOutcome,
     ScheduleError,
-    _Compiled,
+    _compile,
     _distance2_rows,
     _entity_draws,
+    _regularize_with_assignment,
     attempt_round,
     build_schedule,
     default_beta,
@@ -125,12 +128,12 @@ class TestRunRound:
 class TestInstanceChecks:
     def test_compiled_refuses_size_mismatch(self):
         with pytest.raises(AssignmentError, match="assignment does not match graph size"):
-            _Compiled(path_graph(3), uniform_lists(path_graph(2), 2))
+            _compile(path_graph(3), uniform_lists(path_graph(2), 2))
 
     def test_compiled_refuses_empty_set(self):
         c = CorrespondenceAssignment(((), (0,)), {})
         with pytest.raises(AssignmentError, match="all colour sets must be nonempty"):
-            _Compiled(path_graph(2), c)
+            _compile(path_graph(2), c)
 
     def test_round_stats_refuses_other_instance(self):
         g = path_graph(3)
@@ -330,7 +333,7 @@ class TestAttemptRound:
         g = empty_graph(6)
         c = uniform_lists(g, 2)
         params = default_round_params(2, 0, delta=1.0)
-        result = attempt_round(g, c, params, seed=1)
+        result = attempt_round(_compile(g, c), params, seed=1)
         assert result.ok and result.restarts == 0
         assert result.outcome.kept == frozenset(range(6))
 
@@ -342,7 +345,7 @@ class TestAttemptRound:
         params = RoundParams(
             mu=1 - keep_probability(2, 2), slack=float("inf"), stat_threshold=0.0
         )
-        result = attempt_round(g, c, params, seed=3)
+        result = attempt_round(_compile(g, c), params, seed=3)
         assert result.ok and result.restarts == 0
 
     def test_determinism_on_regular_instance(self):
@@ -350,8 +353,8 @@ class TestAttemptRound:
         c = uniform_lists(g, 5)
         delta = local_sparsity(g).delta
         params = default_round_params(5, 6, delta=delta, profile="asymptotic")
-        r1 = attempt_round(g, c, params, seed=77, max_restarts=30)
-        r2 = attempt_round(g, c, params, seed=77, max_restarts=30)
+        r1 = attempt_round(_compile(g, c), params, seed=77, max_restarts=30)
+        r2 = attempt_round(_compile(g, c), params, seed=77, max_restarts=30)
         assert r1.ok == r2.ok
         assert r1.outcome == r2.outcome
         assert r1.stats == r2.stats
@@ -363,7 +366,7 @@ class TestAttemptRound:
         from sparsecolour.ncp import RoundParams
 
         params = RoundParams(mu=0.5, slack=-1.0, stat_threshold=0.0)  # unsatisfiable
-        result = attempt_round(g, c, params, seed=5, max_restarts=4)
+        result = attempt_round(_compile(g, c), params, seed=5, max_restarts=4)
         assert not result.ok
         assert result.violations.total > 0
         assert result.restarts == 4
@@ -580,16 +583,13 @@ class TestArrayRegularisation:
     @pytest.mark.parametrize("name, make", _REGULARISATION_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_naive_dict_doubling(self, name, make, seed):
-        from sparsecolour.harness import naive_regularize_with_assignment
-        from sparsecolour.ncp import _Compiled, _regularize_with_assignment
-
         g = make(seed)
         c = _random_total_assignment(g, 3, random.Random(seed))
-        reg, base = _regularize_with_assignment(g, c)
+        reg, total = _regularize_with_assignment(g, c)
         ref_g, ref_c = naive_regularize_with_assignment(g, c)
-        ref = _Compiled(ref_g, ref_c)
-        assert ref_g.is_regular()
-        assert (reg.n, reg.m, reg.focus, base.n) == (ref.n, ref.m, g.n, g.n)
+        ref = _compile(ref_g, ref_c)
+        assert ref_g.is_regular() and total == c
+        assert (reg.n, reg.m, reg.focus) == (ref.n, ref.m, g.n)
         assert reg.max_degree == ref.max_degree == g.max_degree()
         for name in ("eu", "ev", "dir_map", "dir_src", "dir_dst", "k_arr"):
             np.testing.assert_array_equal(getattr(reg, name), getattr(ref, name))
@@ -600,6 +600,46 @@ class TestArrayRegularisation:
         assert [tuple(targets[lo:hi]) for lo, hi in zip(starts, starts[1:])] == [
             ref_g.neighbours(u) for u in range(ref_g.n)
         ]
+
+    @pytest.mark.parametrize("name, make", _REGULARISATION_CASES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cuts_and_totalizes_unequal_lists(self, name, make, seed):
+        # Unequal lists: some maps are partial, and every set is cut.
+        g = make(seed)
+        rng = random.Random(seed)
+        c = from_lists(g, [rng.sample(range(6), rng.randint(2, 4)) for _ in range(g.n)])
+        total = totalize(g, truncate(c, c.min_size()))
+        reg, got = _regularize_with_assignment(g, c)
+        ref = _compile(*naive_regularize_with_assignment(g, total))
+        assert got == total
+        assert (reg.n, reg.m, reg.focus, reg.kmax) == (ref.n, ref.m, g.n, c.min_size())
+        for attr in ("eu", "ev", "dir_map", "dir_src", "dir_dst", "k_arr"):
+            np.testing.assert_array_equal(getattr(reg, attr), getattr(ref, attr))
+        np.testing.assert_array_equal(reg.colour_values, ref.colour_values[: g.n])
+
+    def test_one_construction_per_regularisation(self, monkeypatch):
+        from sparsecolour import ncp
+
+        built = []
+        init = ncp._Compiled.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(ncp._Compiled, "__init__", counting)
+        g = star_graph(4)
+        reg, _ = _regularize_with_assignment(g, from_lists(g, [[0, 1, 2], *[[1, 2]] * 4]))
+        assert built == [reg] and reg.n == 5 * 2**3
+
+    def test_colour_values_cover_the_focus(self):
+        g = path_graph(5)
+        c = from_lists(g, [[0, 1, 2], [1, 2, 3], [0, 2, 4], [5, 6, 7], [0, 1, 2]])
+        whole = _compile(g, totalize(g, c))
+        reg, _ = _regularize_with_assignment(g, c)
+        assert whole.focus == whole.n == reg.focus == g.n < reg.n
+        for comp in (whole, reg):
+            np.testing.assert_array_equal(comp.colour_values, c.values())
 
     def test_size_checked_before_doubling(self):
         # star with 25 leaves: 26 * 2^24 vertices after 24 doublings
@@ -616,10 +656,10 @@ class TestStatisticIndexCap:
     pairs of in-rows sharing their smaller end, all closed (60 triangles)."""
 
     def _compiled(self):
-        from sparsecolour.ncp import _Compiled
+        from sparsecolour.ncp import _compile
 
         g = complete_graph(6)
-        return _Compiled(g, uniform_lists(g, 2))
+        return _compile(g, uniform_lists(g, 2))
 
     def test_neighbour_pairs_refused_before_listing(self, monkeypatch):
         from sparsecolour import ncp
@@ -663,7 +703,7 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
     """The unfocused engine's arrays over every vertex, then cut to `focus`."""
     from sparsecolour.ncp import (
         KIND_RESTART,
-        _Compiled,
+        _compile,
         _nuv_counts,
         _outcome_from_arrays,
         _round_arrays,
@@ -671,7 +711,7 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
         _stats_from_arrays,
     )
 
-    comp = _Compiled(g, c)
+    comp = _compile(g, c)
     comp._build_nuv()
     best = None
     for attempt in range(max_restarts):
@@ -748,7 +788,7 @@ class TestFocusedAttempt:
         params = default_round_params(4, g.max_degree(), delta=delta)
         expected = _sliced_attempt(g, reg_c, params, seed, max_restarts, host.n)
         reg, _ = _regularize_with_assignment(host, c)
-        result = attempt_round(reg, None, params, seed, max_restarts)
+        result = attempt_round(reg, params, seed, max_restarts)
         stats = result.stats
         got = (
             result.ok,
@@ -766,13 +806,3 @@ class TestFocusedAttempt:
             ),
         )
         assert got == expected
-
-    def test_compiled_instance_refuses_an_assignment(self):
-        from sparsecolour.ncp import _regularize_with_assignment
-
-        g = path_graph(4)
-        c = uniform_lists(g, 3)
-        reg, _ = _regularize_with_assignment(g, c)
-        params = default_round_params(3, reg.max_degree, delta=1.0)
-        with pytest.raises(TypeError, match="carries its own assignment"):
-            attempt_round(reg, c, params, seed=0)

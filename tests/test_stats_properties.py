@@ -24,7 +24,7 @@ from sparsecolour.harness import (  # noqa: E402
 )
 from sparsecolour.ncp import (  # noqa: E402
     KIND_TRIAL,
-    _Compiled,
+    _compile,
     _nuv_counts,
     _regularize_with_assignment,
     _round_arrays,
@@ -92,7 +92,7 @@ def _check(comp, g, c, f1_idx, kept):
 @given(instance=instances(max_n=8), data=st.data())
 def test_kernels_match_oracles_on_whole_instance(instance, data):
     g, c = instance
-    comp = _Compiled(g, c)
+    comp = _compile(g, c)
     _check(comp, g, c, *_draw_round(data, comp))
 
 
@@ -122,7 +122,7 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
         comp, _ = _regularize_with_assignment(g, c)
         ref_g, ref_c = naive_regularize_with_assignment(g, c)
     else:
-        comp, ref_g, ref_c = _Compiled(g, c), g, c
+        comp, ref_g, ref_c = _compile(g, c), g, c
     focus = comp.focus
     seeds = [derive_seed(seed, KIND_TRIAL, t) for t in range(trials)]
     f1_idx, dirs, kept, cls = _round_arrays(comp, seeds)

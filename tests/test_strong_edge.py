@@ -448,13 +448,13 @@ class TestStrongEdgeColour:
         assert colours == first_fit(core, range(core.n))
 
     def test_schedule_failure_reads_as_no_feasible_schedule(self, monkeypatch):
-        from sparsecolour import ncp, strong_edge
+        from sparsecolour import ncp
         from sparsecolour.strong_edge import _colour_core
 
         def infeasible(*args):
             raise ncp.ScheduleError("infeasible beta")
 
-        monkeypatch.setattr(strong_edge, "build_schedule", infeasible)
+        monkeypatch.setattr(ncp, "build_schedule", infeasible)
         _, engine_used, warning = _colour_core(c5_blowup(8), seed=5, max_restarts=200)
         assert not engine_used
         assert warning == "no feasible schedule (infeasible beta); greedy fallback"
