@@ -86,9 +86,6 @@ class ConditionReport:
     margin_str: str
     margin_float64: float
 
-    def __bool__(self) -> bool:
-        return self.satisfied
-
 
 def condition_check(eps: float, delta: float) -> ConditionReport:
     """Feasibility of the iterative procedure for sparsity delta at eps.
@@ -171,6 +168,9 @@ def epsilon_for_alpha(alpha: float, grid: float = 1e-4) -> float:
         raise BoundDomainError(f"alpha={alpha} outside (0, 1]")
     if not 0 < grid <= 0.5:
         raise BoundDomainError(f"grid={grid} outside (0, 0.5]")
+    steps = 0.5 / grid
+    if not math.isfinite(steps):
+        raise BoundDomainError(f"grid={grid} too fine: 0.5 / grid overflows")
     a2 = OURS_LINEAR * alpha / 2.0
     a3 = OURS_THREEHALF * alpha * alpha / (2.0 * math.sqrt(2.0))
 
@@ -180,7 +180,7 @@ def epsilon_for_alpha(alpha: float, grid: float = 1e-4) -> float:
         return eps <= a2 * t * t - a3 * t * t * t
 
     # Invariant: holds(lo) or lo == 0, and not holds(hi) or hi == the grid size.
-    lo, hi = 0, int(round(0.5 / grid))
+    lo, hi = 0, int(round(steps))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if holds(mid):

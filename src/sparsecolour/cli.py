@@ -60,7 +60,7 @@ from .harness import (
 from .ncp import (
     MAX_RESTARTS,
     ScheduleError,
-    default_schedule,
+    build_schedule,
     greedy_complete,
     iterative_colour,
 )
@@ -281,7 +281,7 @@ def _cmd_color(args) -> tuple[str, int]:
     delta = local_sparsity(g).delta
     eps_prime = 1.0 - k / (max_deg + 1)
     try:
-        schedule = default_schedule(eps_prime, max_deg, delta, args.beta, args.delta_prime)
+        schedule = build_schedule(eps_prime, delta, args.beta, args.delta_prime)
     except (ScheduleError, BoundDomainError) as exc:
         result = {
             "ok": False,

@@ -33,7 +33,9 @@ PartialColouring = dict[int, int]
 
 # Map entries, 2mk for m maps of width k (both directions, as the compiled
 # round engine holds them), past which an assignment is refused before its
-# arrays are allocated.  An entry takes 8 bytes compiled and 1 stored.
+# arrays are allocated.  An entry takes 8 bytes compiled and 1 stored.  The
+# nk colour entries of a uniform assignment, 48 bytes each as int objects in
+# tuples plus the padded value array, are held to the same cap.
 ASSIGNMENT_ENTRIES_CAP = 20_000_000
 
 
@@ -41,15 +43,19 @@ class AssignmentError(ValueError):
     """Raised for malformed correspondence assignments."""
 
 
-def _map_array(rows: int, width: int, fill) -> np.ndarray:
-    """A (rows x width) map array set to `fill`, refused above the cap before
-    it is allocated."""
+def _check_map_size(rows: int, width: int) -> None:
     if 2 * rows * width > ASSIGNMENT_ENTRIES_CAP:
         raise AssignmentError(
             f"assignment would have {2 * rows * width} map entries (about "
             f"{18 * rows * width / 2**20:.0f} MiB stored and compiled), above "
             f"the cap of {ASSIGNMENT_ENTRIES_CAP} entries"
         )
+
+
+def _map_array(rows: int, width: int, fill) -> np.ndarray:
+    """A (rows x width) map array set to `fill`, refused above the cap before
+    it is allocated."""
+    _check_map_size(rows, width)
     out = np.empty((rows, width), dtype=np.int16 if width < 2**15 else np.int32)
     out[...] = fill
     return out
@@ -247,7 +253,18 @@ def from_lists(
 
 
 def uniform_lists(g: Graph, k: int) -> CorrespondenceAssignment:
-    """List assignment {0..k-1} at every vertex (identity maps, total)."""
+    """List assignment {0..k-1} at every vertex (identity maps, total).
+
+    Refused above ASSIGNMENT_ENTRIES_CAP before any colour set is built: its
+    2mk map entries first, then its nk colour entries.
+    """
+    _check_map_size(g.m, k)
+    if g.n * k > ASSIGNMENT_ENTRIES_CAP:
+        raise AssignmentError(
+            f"assignment would have {g.n * k} colour entries (about "
+            f"{48 * g.n * k / 2**20:.0f} MiB), above the cap of "
+            f"{ASSIGNMENT_ENTRIES_CAP} entries"
+        )
     return from_lists(g, [range(k)] * g.n)
 
 
@@ -351,7 +368,7 @@ def residual_assignment(
     rank = np.cumsum(keep, axis=1) - 1
     fwd = _map_array(len(rows), int(sizes.max(initial=0)), -1)
     fwd[e[ok], rank[su[e[ok]], i[ok]]] = rank[sv[e[ok]], j[ok]]
-    new_id = np.cumsum(idx < 0) - 1
-    edges = np.stack([new_id[su], new_id[sv]], axis=1)
+    # Ascending old ids keep the induced edges in the (u, v) order of the rows.
     sub, old_ids = g.induced(uncoloured.tolist())
-    return Residual(sub, CorrespondenceAssignment._of(new_sets, edges, fwd), old_ids)
+    c_sub = CorrespondenceAssignment._of(new_sets, sub.edge_array(), fwd)
+    return Residual(sub, c_sub, old_ids)

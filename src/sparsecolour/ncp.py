@@ -140,10 +140,7 @@ class RoundStats:
     pairs[u] -- non-adjacent kept pairs in N(u) matching one colour at u;
     triples[u] -- same for non-adjacent kept triples;
     common_uncoloured[(u, v)] -- |N(u) & N(v) & uncoloured| for pairs at
-    distance <= 2 and u = v;
-    residual_max_degree -- max degree of the uncoloured induced subgraph;
-    k_prime -- min residual list size over uncoloured vertices (None if all
-    vertices were coloured).
+    distance <= 2 and u = v.
     """
 
     col: tuple[int, ...]
@@ -151,8 +148,6 @@ class RoundStats:
     pairs: tuple[int, ...]
     triples: tuple[int, ...]
     common_uncoloured: dict[tuple[int, int], int]
-    residual_max_degree: int
-    k_prime: Optional[int]
 
 
 # Statistic-index rows (in-rows plus triangle rows, each bounded from above
@@ -485,15 +480,6 @@ def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
     return np.array(counts, dtype=np.int64).reshape(len(kept), pairs)
 
 
-def _residual_degrees(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
-    uncol = ~kept
-    if comp.m:
-        both = uncol[comp.eu] & uncol[comp.ev]
-        ends = np.concatenate([comp.eu[both], comp.ev[both]])
-        return np.bincount(ends, minlength=comp.n)
-    return np.zeros(comp.n, dtype=np.int64)
-
-
 def _outcome_from_arrays(
     comp: _Compiled, f1_idx: np.ndarray, dirs: np.ndarray, kept: np.ndarray
 ) -> RoundOutcome:
@@ -524,27 +510,17 @@ def _stats_from_arrays(comp: _Compiled, f1_idx, kept) -> RoundStats:
     f1_idx, kept = f1_idx[None], kept[None]
     arrays = _stats_arrays(comp, _row_classes(comp, f1_idx), kept)
     col, dist, p_u, t_u = (x[0] for x in arrays)
-    return _stats_record(comp, kept[0], col, dist, p_u, t_u, _nuv_counts(comp, kept)[0])
+    return _stats_record(comp, col, dist, p_u, t_u, _nuv_counts(comp, kept)[0])
 
 
-def _stats_record(comp: _Compiled, kept, col, dist, p_u, t_u, nuv) -> RoundStats:
+def _stats_record(comp: _Compiled, col, dist, p_u, t_u, nuv) -> RoundStats:
     """RoundStats of the focus vertices from already computed arrays."""
-    focus = comp.focus
-    res_deg = _residual_degrees(comp, kept)[:focus]
-    uncol_ids = np.flatnonzero(~kept[:focus])
-    residual_max = int(res_deg[uncol_ids].max()) if uncol_ids.size else 0
-    if uncol_ids.size:
-        k_prime = int((comp.k_arr[uncol_ids] - dist[uncol_ids]).min())
-    else:
-        k_prime = None
     return RoundStats(
         col=tuple(col.tolist()),
         dist=tuple(dist.tolist()),
         pairs=tuple(p_u.tolist()),
         triples=tuple(t_u.tolist()),
         common_uncoloured=dict(zip(comp.nuv_pairs, nuv.tolist())),
-        residual_max_degree=residual_max,
-        k_prime=k_prime,
     )
 
 
@@ -688,9 +664,6 @@ class AttemptResult:
     restarts: int
     violations: ViolationReport
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def attempt_round(
     comp: _Compiled,
@@ -710,9 +683,8 @@ def attempt_round(
     the focus are checked.  The returned outcome and statistics describe
     the focus vertices alone: `f1`, `kept`, `f` and the per-vertex
     statistics are indexed by focus vertex, `direction` covers the edges
-    between focus vertices, `common_uncoloured` the pairs of focus vertices,
-    and `residual_max_degree` / `k_prime` are taken over the uncoloured
-    focus vertices (with degrees counted in the whole graph).
+    between focus vertices and `common_uncoloured` the pairs of focus
+    vertices.
 
     On success returns the accepted outcome and statistics; after exhausting
     the restart budget, returns ok=False carrying the best-seen attempt
@@ -724,7 +696,7 @@ def attempt_round(
     def result(ok: bool, restarts: int, violations, arrays) -> AttemptResult:
         f1_idx, dirs, kept, col, dist, p_u, t_u, nuv = arrays
         outcome = _outcome_from_arrays(comp, f1_idx, dirs, kept)
-        stats = _stats_record(comp, kept, col, dist, p_u, t_u, nuv)
+        stats = _stats_record(comp, col, dist, p_u, t_u, nuv)
         return AttemptResult(ok, outcome, stats, restarts, violations)
 
     best: Optional[tuple[int, ViolationReport, tuple]] = None
@@ -761,31 +733,22 @@ class ScheduleError(ValueError):
 
 @dataclass(frozen=True)
 class ScheduleRow:
-    i: int
     eps: float
     gamma: float
     delta: float
-    k: float
-    mu: float
-    r: float
 
 
 @dataclass(frozen=True)
 class IterationSchedule:
-    """Per-iteration parameter table.
+    """Per-iteration parameter table of the colour procedure.
 
     Row i holds eps_i = eps' - i beta/2, gamma_i = eps_i e^{-1/(2(1-eps_i))}
-    + beta, delta_i interpolating from delta down to delta', the predicted
-    degree scale r_i (r_{i+1} = (mu_i + beta/2) r_i), list size
-    k_i = (1 - eps_i) r_i and expected uncoloured fraction mu_i.  The final
-    eps is negative, so the predicted list size overtakes the degree and a
-    greedy pass finishes.
+    + beta and delta_i, interpolating from delta down to delta'; every row
+    has gamma_i < savings_rate(eps_i, delta_i), and the final eps is
+    negative.  The driver reads delta_i of the row of each iteration.
     """
 
     rows: tuple[ScheduleRow, ...]
-    eps_prime: float
-    delta: float
-    delta_prime: float
     beta: float
 
     @property
@@ -805,34 +768,32 @@ def default_beta(eps_prime: float, delta_prime: float) -> float:
 # delta' as a share of the host's sparsity delta, where none is given.
 DELTA_PRIME_SHARE = 0.95
 
+# Schedule rows, ceil(2 eps / beta) + 2, past which `build_schedule` refuses
+# before building any.  A row takes 176 bytes (the row object, its attribute
+# dict and three floats; tracemalloc, CPython 3.11), so a table at the cap
+# holds about 170 MiB and takes about 3 s to build on a 2-vCPU x86 host.
+SCHEDULE_ROWS_CAP = 1_000_000
 
-def default_schedule(
-    eps_prime: float,
-    max_degree: int,
+
+def build_schedule(
+    eps: float,
     delta: float,
     beta: Optional[float] = None,
     delta_prime: Optional[float] = None,
 ) -> IterationSchedule:
-    """The schedule from degree scale max_degree + 1; delta' defaults to
-    DELTA_PRIME_SHARE delta and beta to default_beta(eps', delta')."""
+    """Build and validate the iteration table.
+
+    `eps` is the exact list-size deficit of the instance, 1 - k /
+    (max_degree + 1), and `delta` its sparsity.  delta' defaults to
+    DELTA_PRIME_SHARE delta and beta to default_beta(eps, delta').  Requires
+    0 < eps < 0.5, 0 <= delta' < delta <= 1, beta > 0 small enough that
+    gamma_i < savings_rate(eps_i, delta_i) on every row, and at most
+    SCHEDULE_ROWS_CAP rows.
+    """
     if delta_prime is None:
         delta_prime = DELTA_PRIME_SHARE * delta
     if beta is None:
-        beta = default_beta(eps_prime, delta_prime)
-    return build_schedule(eps_prime, delta, beta, delta_prime, max_degree + 1)
-
-
-def build_schedule(
-    eps: float, delta: float, beta: float, delta_prime: float, r0: float
-) -> IterationSchedule:
-    """Build and validate the iteration table starting from degree scale r0.
-
-    `eps` is the exact list-size deficit of the instance (the caller rounds
-    k / (max_degree + 1)).  Requires beta small enough that
-    eps e^{-1/(2(1-eps))} + beta < savings_rate(eps, delta_prime); each row
-    must satisfy gamma_i < savings_rate(eps_i, delta_i) and the final eps
-    must be negative.
-    """
+        beta = default_beta(eps, delta_prime)
     if not 0 < eps < 0.5:
         raise ScheduleError(f"eps={eps} outside (0, 0.5)")
     if not 0 <= delta_prime < delta <= 1:
@@ -846,26 +807,27 @@ def build_schedule(
             f"infeasible beta={beta}: row 0 needs "
             f"{_gamma_map(eps) + beta:.6f} < {savings_rate(eps, delta_prime):.6f}"
         )
+    # Fails for inf as well: 2 eps / beta overflows for the smallest betas.
+    if not 2.0 * eps / beta + 2 <= SCHEDULE_ROWS_CAP:
+        raise ScheduleError(
+            f"beta={beta} would plan about {2.0 * eps / beta + 2:.3g} schedule "
+            f"rows, above the cap of {SCHEDULE_ROWS_CAP} rows"
+        )
     big_t = math.ceil(2.0 * eps / beta) + 1
     rows = []
-    r = float(r0)
     for i in range(big_t + 1):
         eps_i = eps - i * beta / 2.0
         gamma_i = _gamma_map(eps_i) + beta
         delta_i = delta - (i / big_t) * (delta - delta_prime)
-        k_i = (1.0 - eps_i) * r
-        base = 1.0 - 1.0 / (2.0 * k_i) if k_i > 0.5 else 0.0
-        mu_i = 1.0 - base**r
         if gamma_i >= savings_rate(eps_i, delta_i):
             raise ScheduleError(
                 f"infeasible beta={beta}: gamma_{i}={gamma_i:.6f} >= "
                 f"savings_rate={savings_rate(eps_i, delta_i):.6f}"
             )
-        rows.append(ScheduleRow(i, eps_i, gamma_i, delta_i, k_i, mu_i, r))
-        r = (mu_i + beta / 2.0) * r
+        rows.append(ScheduleRow(eps_i, gamma_i, delta_i))
     if rows[-1].eps >= 0:
         raise ScheduleError("final eps must be negative (beta too small?)")
-    return IterationSchedule(tuple(rows), eps, delta, delta_prime, beta)
+    return IterationSchedule(tuple(rows), beta)
 
 
 # -- greedy completion ---------------------------------------------------------------
@@ -898,9 +860,6 @@ class CompletionResult:
     ok: bool
     colouring: PartialColouring
     failed_at: tuple[int, ...] = ()
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def greedy_complete(g: Graph, c: CorrespondenceAssignment) -> CompletionResult:
@@ -1018,9 +977,6 @@ class ColouringResult:
     rounds: tuple[RoundReport, ...]
     failure_reason: Optional[str] = None
     failed_iteration: Optional[int] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def iterative_colour(

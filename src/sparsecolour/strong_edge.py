@@ -40,7 +40,7 @@ from .graph import (
     lowest_clear_bit,
     neighbourhood_edge_count,
 )
-from .ncp import MAX_RESTARTS, ScheduleError, default_schedule, iterative_colour
+from .ncp import MAX_RESTARTS, ScheduleError, build_schedule, iterative_colour
 
 Threshold = Union[int, float, Fraction]
 
@@ -530,7 +530,7 @@ def _colour_core(
         if k >= 1 and k <= max_deg:
             eps_prime = 1 - k / (max_deg + 1)
             try:
-                schedule = default_schedule(eps_prime, max_deg, delta_core)
+                schedule = build_schedule(eps_prime, delta_core)
             except ScheduleError as exc:
                 return fallback(f"no feasible schedule ({exc}); greedy fallback")
             try:

@@ -184,6 +184,13 @@ class TestCliqueRatioTable:
     def test_reference_entries(self, alpha, expected):
         assert epsilon_for_alpha(alpha) == pytest.approx(expected, abs=1e-9)
 
+    def test_grid_too_fine_for_its_step_count(self):
+        # 0.5 / 1e-320 overflows to inf; 1e-308 still gives a finite count.
+        with pytest.raises(BoundDomainError) as err:
+            epsilon_for_alpha(0.3, 1e-320)
+        assert str(err.value) == "grid=1e-320 too fine: 0.5 / grid overflows"
+        assert epsilon_for_alpha(0.3, 1e-308) == pytest.approx(0.0356, abs=1e-4)
+
     @pytest.mark.parametrize("grid", [1e-4, 3e-5, 1e-3, 0.01, 0.05])
     def test_bisection_matches_descending_scan(self, grid):
         for i in range(1, 46):

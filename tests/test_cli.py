@@ -892,6 +892,55 @@ class TestUsageErrors:
         assert code == 1 and out == ""
         assert err.splitlines() == [f"sparsecolour: grid={float(grid)} outside (0, 0.5]"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_too_fine_is_one_line(self, capsys, fmt):
+        argv = ["bounds", "table1", "--grid", "1e-320", "--format", fmt]
+        code, out, err = run(argv, capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == ["sparsecolour: grid=1e-320 too fine: 0.5 / grid overflows"]
+
+    # c5_blowup(8) has max degree 16, so k = 16 gives eps' = 1/17.
+    @pytest.mark.parametrize("beta, rows", [("1e-320", "inf"), ("1e-9", "1.18e+08")])
+    def test_beta_planning_too_many_rows_names_the_cap(self, tmp_path, capsys, beta, rows):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "8", "--out", str(g)], capsys)
+        code, out, err = run(
+            ["color", "--input", str(g), "--k", "16", "--beta", beta], capsys
+        )
+        assert code == 1 and err == ""
+        assert json.loads(out)["result"]["failureReason"] == (
+            f"schedule: beta={float(beta)} would plan about {rows} schedule rows, "
+            "above the cap of 1000000 rows"
+        )
+
+    # 2mk = 40,000,000 map entries on a 3-vertex path; nk = 80,000,000 colour
+    # entries on 4 isolated vertices, where no map entry is counted.
+    @pytest.mark.parametrize(
+        "text, k, reason",
+        [
+            ("p edge 3 2\ne 1 2\ne 2 3\n", "10000000",
+             "assignment would have 40000000 map entries (about 343 MiB stored and "
+             "compiled), above the cap of 20000000 entries"),
+            ("p edge 4 0\n", "20000000",
+             "assignment would have 80000000 colour entries (about 3662 MiB), "
+             "above the cap of 20000000 entries"),
+        ],
+        ids=["map-entries", "colour-entries"],
+    )
+    def test_huge_k_refused_before_any_colour_set(self, tmp_path, capsys, monkeypatch,
+                                                   text, k, reason):
+        from sparsecolour import correspondence
+
+        def no_sets(*args):
+            raise AssertionError("the size checks must come before the colour sets")
+
+        monkeypatch.setattr(correspondence, "from_lists", no_sets)
+        g = tmp_path / "g.dimacs"
+        g.write_text(text)
+        code, out, err = run(["color", "--input", str(g), "--k", k], capsys)
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"sparsecolour: {reason}"]
+
     def test_beta_not_positive_names_the_reason(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
         run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)

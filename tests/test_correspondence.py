@@ -18,7 +18,13 @@ from sparsecolour.correspondence import (
     uniform_lists,
     validate_assignment,
 )
-from sparsecolour.generators import complete_graph, cycle_graph, gnp_graph, path_graph
+from sparsecolour.generators import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    gnp_graph,
+    path_graph,
+)
 
 
 def all_total_colourings(c):
@@ -305,6 +311,38 @@ class TestSizeCap:
         with pytest.raises(AssignmentError, match="above the cap of 59 entries"):
             from_lists(g, [range(5), range(5), range(5), range(1, 6)])
         assert uniform_lists(g, 4).fwd.shape == (6, 4)
+
+    def test_uniform_lists_refused_before_any_colour_set(self, monkeypatch):
+        from sparsecolour import correspondence
+
+        def no_sets(*args):
+            raise AssertionError("the size checks must come before the colour sets")
+
+        monkeypatch.setattr(correspondence, "from_lists", no_sets)
+        monkeypatch.setattr(correspondence, "ASSIGNMENT_ENTRIES_CAP", 59)
+        # 2mk = 60 map entries; path_graph(3) has more map (80) than colour
+        # (60) entries past the cap, and the map count is the one named.
+        for g, k in [(complete_graph(4), 5), (path_graph(3), 20)]:
+            with pytest.raises(AssignmentError) as err:
+                uniform_lists(g, k)
+            assert str(err.value) == (
+                f"assignment would have {2 * g.m * k} map entries (about 0 MiB "
+                "stored and compiled), above the cap of 59 entries"
+            )
+        # nk = 60 colour entries and no edge.
+        with pytest.raises(AssignmentError) as err:
+            uniform_lists(empty_graph(4), 15)
+        assert str(err.value) == (
+            "assignment would have 60 colour entries (about 0 MiB), above the "
+            "cap of 59 entries"
+        )
+
+    def test_uniform_lists_at_the_cap_builds(self, monkeypatch):
+        from sparsecolour import correspondence
+
+        monkeypatch.setattr(correspondence, "ASSIGNMENT_ENTRIES_CAP", 60)
+        assert uniform_lists(complete_graph(4), 5).fwd.shape == (6, 5)
+        assert uniform_lists(empty_graph(4), 15).sizes.tolist() == [15] * 4
 
     def test_compact_index_type(self):
         g = path_graph(2)

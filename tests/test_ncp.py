@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from sparsecolour import ncp
 from sparsecolour.correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
@@ -28,6 +29,7 @@ from sparsecolour.generators import (
 from sparsecolour.graph import local_sparsity
 from sparsecolour.harness import _distance2_pairs, naive_regularize_with_assignment
 from sparsecolour.ncp import (
+    DELTA_PRIME_SHARE,
     QuasirandomReport,
     RoundOutcome,
     ScheduleError,
@@ -178,22 +180,6 @@ class TestRoundStats:
         bad = RoundOutcome((9, 0, 0), {}, frozenset(), {})
         with pytest.raises(ValueError):
             round_stats(g, c, bad)
-
-    @pytest.mark.parametrize("seed", range(12))
-    def test_residual_list_accounting(self, seed):
-        # k' is exactly min over uncoloured vertices of k - dist(u), hence
-        # at least k minus the largest kept-neighbour count.
-        g = gnp_graph(10, 0.6, seed=seed)
-        k = 3
-        c = uniform_lists(g, k)
-        o = run_round(g, c, seed)
-        stats = round_stats(g, c, o)
-        uncoloured = [u for u in range(g.n) if u not in o.kept]
-        if not uncoloured:
-            assert stats.k_prime is None
-            return
-        assert stats.k_prime == min(k - stats.dist[u] for u in uncoloured)
-        assert stats.k_prime >= k - max(stats.col[u] for u in uncoloured)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_inclusion_exclusion_on_list_assignments(self, seed):
@@ -374,13 +360,13 @@ class TestAttemptRound:
 
 class TestBuildSchedule:
     def test_reference_schedule_shape(self):
-        s = build_schedule(0.05, 0.9, 0.02, 0.855, 10**6)
+        s = build_schedule(0.05, 0.9, 0.02, 0.855)
         assert s.iterations == math.ceil(2 * 0.05 / 0.02) + 1 == 6
         assert s.rows[3].eps == pytest.approx(0.05 - 3 * 0.01)
         assert s.rows[-1].eps < 0
 
     def test_row_recurrences(self):
-        s = build_schedule(0.08, 0.8, 0.03, 0.7, 1000.0)
+        s = build_schedule(0.08, 0.8, 0.03, 0.7)
         for i, row in enumerate(s.rows):
             assert row.eps == pytest.approx(0.08 - i * 0.015)
             assert row.gamma == pytest.approx(
@@ -389,34 +375,53 @@ class TestBuildSchedule:
             assert row.delta == pytest.approx(
                 0.8 - (i / s.iterations) * (0.8 - 0.7)
             )
-            assert row.k == pytest.approx((1 - row.eps) * row.r)
-            if i:
-                prev = s.rows[i - 1]
-                assert row.r == pytest.approx((prev.mu + 0.015) * prev.r)
-
-    def test_final_row_exceeds_degree_scale(self):
-        s = build_schedule(0.05, 0.9, 0.02, 0.855, 10**6)
-        assert s.rows[-1].k > s.rows[-1].r
 
     def test_gamma_monotone(self):
-        s = build_schedule(0.05, 0.9, 0.02, 0.855, 10**6)
+        s = build_schedule(0.05, 0.9, 0.02, 0.855)
         gammas = [row.gamma for row in s.rows]
         assert all(b <= a + 1e-15 for a, b in zip(gammas, gammas[1:]))
 
     def test_infeasible_beta_names_failure(self):
         with pytest.raises(ScheduleError, match="infeasible beta"):
-            build_schedule(0.05, 0.9, 0.2, 0.855, 1000.0)
+            build_schedule(0.05, 0.9, 0.2, 0.855)
 
     def test_domain_checks(self):
         with pytest.raises(ScheduleError):
-            build_schedule(0.6, 0.9, 0.01, 0.855, 100.0)
+            build_schedule(0.6, 0.9, 0.01, 0.855)
         with pytest.raises(ScheduleError):
-            build_schedule(0.05, 0.9, 0.01, 0.95, 100.0)
+            build_schedule(0.05, 0.9, 0.01, 0.95)
 
     @pytest.mark.parametrize("beta", [0.0, -0.01, float("nan")])
     def test_beta_must_be_positive(self, beta):
         with pytest.raises(ScheduleError, match="beta must be positive"):
-            build_schedule(0.05, 0.9, beta, 0.855, 100.0)
+            build_schedule(0.05, 0.9, beta, 0.855)
+
+    def test_defaults_fill_delta_prime_then_beta(self):
+        dp = DELTA_PRIME_SHARE * 0.9
+        explicit = build_schedule(0.05, 0.9, default_beta(0.05, dp), dp)
+        assert build_schedule(0.05, 0.9) == explicit
+
+    # 2 eps / beta overflows to inf at 1e-320 and plans 1e8 rows at 1e-9.
+    @pytest.mark.parametrize("beta, rows", [(1e-320, "inf"), (1e-9, "1e+08")])
+    def test_too_many_rows_refused_before_any_is_built(self, monkeypatch, beta, rows):
+        def no_rows(*args):
+            raise AssertionError("the row count must be checked before any row")
+
+        monkeypatch.setattr(ncp, "ScheduleRow", no_rows)
+        with pytest.raises(ScheduleError) as err:
+            build_schedule(0.05, 0.9, beta, 0.855)
+        assert str(err.value) == (
+            f"beta={beta} would plan about {rows} schedule rows, above the cap "
+            "of 1000000 rows"
+        )
+
+    def test_at_the_row_cap_builds(self, monkeypatch):
+        # 2 eps / beta is exactly 64, so the table has 64 + 2 rows.
+        monkeypatch.setattr(ncp, "SCHEDULE_ROWS_CAP", 66)
+        assert len(build_schedule(0.0625, 0.9, 2**-9, 0.855).rows) == 66
+        monkeypatch.setattr(ncp, "SCHEDULE_ROWS_CAP", 65)
+        with pytest.raises(ScheduleError, match="above the cap of 65 rows"):
+            build_schedule(0.0625, 0.9, 2**-9, 0.855)
 
     def test_default_beta_positive_iff_feasible(self):
         assert default_beta(0.05, 0.855) > 0
@@ -482,19 +487,19 @@ class TestIterativeColour:
         eps_prime = 1 - k / (g.max_degree() + 1)
         dp = 0.95 * delta
         beta = default_beta(eps_prime, dp)
-        return build_schedule(eps_prime, delta, beta, dp, g.max_degree() + 1)
+        return build_schedule(eps_prime, delta, beta, dp)
 
     def test_edgeless_graph_trivial(self):
         g = empty_graph(5)
         c = uniform_lists(g, 1)
-        schedule = build_schedule(0.05, 0.9, 0.02, 0.855, 100.0)
+        schedule = build_schedule(0.05, 0.9, 0.02, 0.855)
         result = iterative_colour(g, c, schedule, seed=0)
         assert result.ok and len(result.rounds) == 0
 
     def test_five_cycle_greedy_threshold(self):
         g = cycle_graph(5)
         c = uniform_lists(g, 3)
-        schedule = build_schedule(0.05, 0.9, 0.02, 0.855, 100.0)
+        schedule = build_schedule(0.05, 0.9, 0.02, 0.855)
         result = iterative_colour(g, c, schedule, seed=0)
         assert result.ok and len(result.rounds) == 0
         assert is_valid_colouring(g, c, result.colouring)
@@ -536,7 +541,7 @@ class TestIterativeColour:
         # k far below the greedy threshold on a dense graph cannot finish
         g = complete_graph(12)
         c = uniform_lists(g, 4)
-        schedule = build_schedule(0.05, 0.9, 0.02, 0.855, 12.0)
+        schedule = build_schedule(0.05, 0.9, 0.02, 0.855)
         result = iterative_colour(g, c, schedule, seed=2, max_restarts=5)
         assert not result.ok
         assert result.failure_reason
@@ -742,24 +747,18 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
     full = _outcome_from_arrays(comp, f1_idx, dirs, kept)
     stats = _stats_from_arrays(comp, f1_idx, kept)
     kept_focus = frozenset(u for u in full.kept if u < focus)
-    uncoloured = [u for u in range(focus) if u not in kept_focus]
     outcome = RoundOutcome(
         full.f1[:focus],
         {e: d for e, d in full.direction.items() if e[1] < focus},
         kept_focus,
         {u: col for u, col in full.f.items() if u < focus},
     )
-    residual_degree = [
-        sum(1 for w in g.neighbours(u) if w not in full.kept) for u in uncoloured
-    ]
     sliced = (
         stats.col[:focus],
         stats.dist[:focus],
         stats.pairs[:focus],
         stats.triples[:focus],
         {p: x for p, x in stats.common_uncoloured.items() if p[1] < focus},
-        max(residual_degree, default=0),
-        min((len(c.colour_sets[u]) - stats.dist[u] for u in uncoloured), default=None),
     )
     restarts = attempt if ok else max_restarts
     return ok, restarts, violations, outcome, sliced
@@ -801,8 +800,6 @@ class TestFocusedAttempt:
                 stats.pairs,
                 stats.triples,
                 stats.common_uncoloured,
-                stats.residual_max_degree,
-                stats.k_prime,
             ),
         )
         assert got == expected

@@ -448,16 +448,28 @@ class TestStrongEdgeColour:
         assert colours == first_fit(core, range(core.n))
 
     def test_schedule_failure_reads_as_no_feasible_schedule(self, monkeypatch):
-        from sparsecolour import ncp
+        from sparsecolour import ncp, strong_edge
         from sparsecolour.strong_edge import _colour_core
 
         def infeasible(*args):
             raise ncp.ScheduleError("infeasible beta")
 
-        monkeypatch.setattr(ncp, "build_schedule", infeasible)
+        monkeypatch.setattr(strong_edge, "build_schedule", infeasible)
         _, engine_used, warning = _colour_core(c5_blowup(8), seed=5, max_restarts=200)
         assert not engine_used
         assert warning == "no feasible schedule (infeasible beta); greedy fallback"
+
+    def test_schedule_row_cap_reads_as_no_feasible_schedule(self, monkeypatch):
+        from sparsecolour import ncp
+        from sparsecolour.strong_edge import _colour_core
+
+        monkeypatch.setattr(ncp, "SCHEDULE_ROWS_CAP", 2)
+        core = c5_blowup(8)
+        colours, engine_used, warning = _colour_core(core, seed=5, max_restarts=200)
+        assert not engine_used
+        assert warning.startswith("no feasible schedule (beta=")
+        assert warning.endswith("above the cap of 2 rows); greedy fallback")
+        assert colours == first_fit(core, range(core.n))
 
     def test_edgeless_rejected(self):
         from sparsecolour.generators import empty_graph

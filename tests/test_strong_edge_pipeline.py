@@ -272,16 +272,19 @@ class TestProjectivePlaneCore:
         square, _ = line_graph_square(h)
         assert {square.degree(v) for v in range(square.n)} == {112}
 
-    def test_whole_square_is_the_core(self, monkeypatch):
+    def test_whole_square_is_the_core(self):
         # At eta = 0.3 the threshold is 108.8 <= 112, so nothing is peeled.
-        # The engine would take about 30 s and 3.7 GB on this core, so the
-        # core gets its greedy fallback.
+        # The engine gets as far as the statistic index of the regularised
+        # core, which it refuses, so the core gets its greedy fallback.
         h = projective_plane_incidence(7)
-        monkeypatch.setattr(strong_edge, "_colour_core", greedy_core)
         report = strong_edge_colour(h, eta=0.3)
         order, core, core_graph, colours = oracle(h, default_threshold(h, 0.3))
         assert order == [] and len(core) == 456 and core_graph.m == 456 * 112 // 2
         assert report.f_core_size == 456 and not report.engine_used
+        assert report.engine_warning == (
+            "engine refused (statistic index would have up to 7313264 rows (about "
+            "223 MiB), above the cap of 4000000 rows); greedy fallback"
+        )
         assert report.valid and report.colours == colours
         assert naive_strong_colouring_valid(h, report.edge_index, report.colours)
         assert pipeline(h, default_threshold(h, 0.3)) == (order, core, core_graph, colours)

@@ -11,12 +11,15 @@ writes are compared.  Each difference is printed on one line, then a summary;
 the exit status is 1 if anything differed.
 
 The inputs are written once: the files in INPUT_GEN by PARENT's own ``gen``,
-those in INPUT_TEXT from the literal texts below.  No input here makes either
-tree allocate without bound; check such inputs on one tree alone.
+those in INPUT_TEXT from the texts below (the PG(2, 7) incidence graph from
+``_projective_plane``, which ``gen`` has no generator for).  No input here
+makes either tree allocate without bound; check such inputs on one tree
+alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import shutil
 import subprocess
@@ -41,8 +44,29 @@ INPUT_GEN = {
     "cycle4.col": ["--cycle", "4"],
 }
 
+
+def _projective_plane(q: int) -> str:
+    """DIMACS text of the point-line incidence graph of PG(2, q), q prime:
+    (q + 1)-regular with girth 6, so at eta 0.3 the whole line-graph square
+    is the strong-edge core and reaches the iterative engine."""
+    points = [
+        v for v in itertools.product(range(q), repeat=3)
+        if any(v) and next(x for x in v if x) == 1
+    ]
+    edges = [
+        (i, len(points) + j)
+        for i, p in enumerate(points)
+        for j, line in enumerate(points)
+        if sum(a * b for a, b in zip(p, line)) % q == 0
+    ]
+    lines = [f"p edge {2 * len(points)} {len(edges)}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in edges]
+    return "\n".join(lines) + "\n"
+
+
 # Input file -> its text.
 INPUT_TEXT = {
+    "pg7.col": _projective_plane(7),
     "empty.col": "p edge 0 0\n",
     "edgeless.col": "p edge 4 0\n",
     "bad_record.col": "p edge 3 1\nx 1 2\n",
@@ -79,6 +103,7 @@ CASES = [
     "color --input in/c5_8.col --k 16 --beta 0",
     "color --input in/c5_8.col --k 16 --delta-prime 7",
     "color --input in/c5_8.col --k 16 --beta 0.001 --delta-prime 0.5",
+    "color --input in/c5_8.col --k 16 --beta 0.00001",
     "color --input in/star25.col --k 24",
     "color --input in/c5_3.col --k 6 --config in/cfg.json",
     # strong-edge on several hosts
@@ -90,6 +115,7 @@ CASES = [
     "strong-edge --input in/rr100_8.col --eta 0.3",
     "strong-edge --input in/c5_8.col --max-restarts 20",
     "strong-edge --input in/edgeless.col",
+    "strong-edge --input in/pg7.col --eta 0.3",
     # bounds: all five subcommands
     "bounds table1",
     "bounds table1 --format json --grid 0.001",
