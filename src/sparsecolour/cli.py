@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Optional
 
@@ -69,29 +71,57 @@ from .strong_edge import c5_blowup, strong_edge_colour
 MAX_SEED = 2**64 - 1
 
 
-def _jsonable(obj: Any) -> Any:
-    """Convert report objects to JSON-serialisable structures; any other
-    type (a numpy scalar, a set) is a TypeError, not a string."""
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: _jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, dict):
-        return {_key(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    raise TypeError(f"report value of type {type(obj).__name__} is not serialisable")
+# Exact types the C encoder writes as scalars; a Fraction is written "p/q".
+_SCALARS = {str, int, float, bool, type(None), Fraction}
+_FRACTION = "{0.numerator}/{0.denominator}".format
+
+
+@functools.cache
+def _encoder(depth: int):
+    """C `encode` for scalars and containers of scalars at `depth`."""
+    separators = (",\n" + "  " * depth, ": ")
+    return json.JSONEncoder(separators=separators, sort_keys=True, default=_FRACTION).encode
 
 
 def _key(k: Any) -> str:
-    if isinstance(k, tuple):
-        return ",".join(map(str, k))
-    return str(k)
+    return ",".join(map(str, k)) if isinstance(k, tuple) else str(k)
+
+
+def _ints(rows: Any, sep: str) -> str:
+    """A row of %d joined by `sep` if rows (or keys) are lists or tuples of
+    plain ints, not bools, all of one non-zero width; else ""."""
+    widths = set(map(len, rows)) if set(map(type, rows)) <= {list, tuple} else ()
+    ints = len(widths) == 1 and set(map(type, chain.from_iterable(rows))) <= {int}
+    return sep.join(["%d"] * widths.pop()) if ints else ""
+
+
+def _json(obj: Any, depth: int = 0) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)` in one walk, with a
+    dataclass as a dict of its fields, a Fraction as "p/q", a tuple key as
+    "u,v" and any other key as `str(key)`; any other type is a TypeError."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        template = _ints(obj, ",")
+        obj = dict(zip(map(template.__mod__ if template else _key, obj), obj.values()))
+        items, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = obj, "[]"
+    elif isinstance(obj, (str, int, float, Fraction)) or obj is None:
+        return _encoder(0)(obj)
+    else:
+        raise TypeError(f"report value of type {type(obj).__name__} is not serialisable")
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if set(map(type, items)) <= _SCALARS:  # one C call; then indent the brackets
+        text = _encoder(depth + 1)(obj)
+        return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}" if items else brackets
+    if isinstance(obj, dict):
+        body = [f"{_encoder(0)(k)}: {_json(v, depth + 1)}" for k, v in sorted(obj.items())]
+    elif template := _ints(obj, f",{inner}  "):  # one %d template per row
+        body = map(f"[{inner}  {template}{inner}]".__mod__, map(tuple, obj))
+    else:
+        body = [_json(v, depth + 1) for v in obj]
+    return f"{brackets[0]}{inner}{(',' + inner).join(body)}{outer}{brackets[1]}"
 
 
 def _emit(payload: str, out: Optional[str]) -> None:
@@ -102,12 +132,7 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 
 def _report(config: dict, result: Any) -> str:
-    doc = {
-        "version": __version__,
-        "config": _jsonable(config),
-        "result": _jsonable(result),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return _json({"version": __version__, "config": config, "result": result}) + "\n"
 
 
 def _load_graph(path: str) -> Graph:
@@ -248,7 +273,7 @@ def _cmd_gen(args) -> tuple[Optional[str], int]:
         )
     g = build(value, args.seed)
     if _output_format(args, "dimacs") == "json":
-        return json.dumps(to_json_dict(g), sort_keys=True, indent=2) + "\n", 0
+        return _json(to_json_dict(g)) + "\n", 0
     return to_dimacs(g), 0
 
 

@@ -1,11 +1,13 @@
 """Command line interface: subcommands, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +17,8 @@ import sparsecolour
 from sparsecolour import cli
 from sparsecolour.bounds import savings_rate
 from sparsecolour.cli import main
-from sparsecolour.generators import petersen_graph
-from sparsecolour.graph import parse_dimacs
+from sparsecolour.generators import complete_graph, petersen_graph
+from sparsecolour.graph import from_json_dict, parse_dimacs, to_json_dict
 from sparsecolour.strong_edge import c5_blowup
 
 
@@ -60,6 +62,14 @@ class TestGen:
         assert code == 0
         data = json.loads(out)
         assert data["n"] == 5 and len(data["edges"]) == 5
+
+    def test_json_bytes_match_json_dumps(self, tmp_path, capsys):
+        out = tmp_path / "k60.json"
+        code, _, _ = run(["gen", "--complete", "60", "--format", "json", "--out", str(out)], capsys)
+        assert code == 0
+        k60 = complete_graph(60)
+        assert out.read_text() == json.dumps(to_json_dict(k60), sort_keys=True, indent=2) + "\n"
+        assert list(from_json_dict(json.loads(out.read_text())).edges()) == list(k60.edges())
 
     # Two sizes per generator; --petersen takes none.
     SIZES = {
@@ -389,11 +399,32 @@ class TestColorCommand:
         assert err == "sparsecolour: out of memory\n"
 
 
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    low: int
+    high: Fraction
+
+
 class TestJsonable:
     @pytest.mark.parametrize("value, name", [(np.int64(1), "int64"), ({1}, "set")])
     def test_unknown_type_is_refused(self, value, name):
         with pytest.raises(TypeError, match=f"report value of type {name} is not serialisable"):
-            cli._jsonable({"result": [value]})
+            cli._report({}, {"result": [value]})
+
+    @pytest.mark.parametrize(
+        "value, written",
+        [
+            (Fraction(-3, 4), "-3/4"),
+            ([Fraction(2), Fraction(1, 3)], ["2/1", "1/3"]),
+            (_Pair(1, Fraction(5, 2)), {"high": "5/2", "low": 1}),
+            ([_Pair(0, Fraction(0))], [{"high": "0/1", "low": 0}]),
+            ({(0, 1): 2.5, (10, 2): 1.0}, {"0,1": 2.5, "10,2": 1.0}),
+            ({(0, "a", None): 1, 3: (4, 5)}, {"0,a,None": 1, "3": [4, 5]}),
+            ({(1, 2): "first", "1,2": "last"}, {"1,2": "last"}),
+        ],
+    )
+    def test_report_values_convert(self, value, written):
+        assert json.loads(cli._report({}, value))["result"] == written
 
 
 class TestReportPins:

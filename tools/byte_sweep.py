@@ -42,6 +42,7 @@ INPUT_GEN = {
     "star25.col": ["--star", "25"],
     "path2.col": ["--path", "2"],
     "cycle4.col": ["--cycle", "4"],
+    "pentagon_été.col": ["--c5-blowup", "3"],
 }
 
 
@@ -90,6 +91,7 @@ CASES = [
     "gen --cycle 5 --complete 4",
     "gen --gnp 20000 0.5",
     "gen --complete 3000",
+    "gen --complete 200 --format json",
     # color: empty, greedy, iterative, failing
     "color --input in/empty.col --k 3",
     "color --input in/petersen.col --k 4",
@@ -106,6 +108,7 @@ CASES = [
     "color --input in/c5_8.col --k 16 --beta 0.00001",
     "color --input in/star25.col --k 24",
     "color --input in/c5_3.col --k 6 --config in/cfg.json",
+    "color --input in/pentagon_été.col --k 6",
     # strong-edge on several hosts
     "strong-edge --input in/c5_3.col",
     "strong-edge --input in/petersen.col",
@@ -113,6 +116,7 @@ CASES = [
     "strong-edge --input in/gnp50.col --out se.json",
     "strong-edge --input in/cycle4.col",
     "strong-edge --input in/rr100_8.col --eta 0.3",
+    "strong-edge --input in/rr100_8.col",
     "strong-edge --input in/c5_8.col --max-restarts 20",
     "strong-edge --input in/edgeless.col",
     "strong-edge --input in/pg7.col --eta 0.3",
@@ -127,6 +131,7 @@ CASES = [
     "bounds approx-eps --delta 0.5",
     # simulate: mc and sparsity, JSON and CSV, one and two threads
     "simulate --input in/rr30_6.col --k 5 --trials 100 --seed 1",
+    "simulate --input in/rr30_6.col --k 5 --trials 1",
     "simulate --input in/rr30_6.col --k 5 --trials 100 --format csv",
     "simulate --input in/rr30_6.col --k 5 --trials 130 --threads 2 --out mc.json",
     "simulate --input in/c5_3.col --k 7 --trials 65 --threads 2 --format csv",
