@@ -5,21 +5,21 @@ a colouring is valid when no edge's endpoint colours are matched by its map.
 List colouring embeds as the special case where every map is the identity on
 shared colours.
 
-Maps are stored as colour indices, once per edge on the canonical orientation
-min(u, v) -> max(u, v): `edges` (E x 2, sorted by (u, v), the order of
-Graph.edges()) and `fwd` (E x kmax, kmax the largest set size), where
-fwd[e, i] is the index at v of the colour matched with u's i-th colour, or -1
-if that colour is unmatched.  The reverse direction is the inverse, which
-makes the inversion-consistency invariant hold by construction.  Embedding
-lists, truncating, totalizing, checking and taking residuals work on these
-arrays with no Python loop over the edges; `edge_maps` is a read-only dict
-view of them, built on demand, and dict maps are converted on construction.
+Row u of `values` (n x kmax, int64, read-only) holds u's colours in
+ascending order, padded with -1 past `sizes[u]`; equal sets, as in uniform
+lists, share one row.  Maps are stored as colour indices, once per edge on
+the canonical orientation min(u, v) -> max(u, v): `edges` (E x 2, sorted by
+(u, v), the order of Graph.edges()) and `fwd` (E x kmax), where fwd[e, i] is
+the index at v of the colour matched with u's i-th colour, or -1.  The
+reverse direction is the inverse, which makes the inversion-consistency
+invariant hold by construction.  Every operation works on these arrays with
+no Python loop over the edges; `colour_sets` and `edge_maps` are read-only
+views built on demand, and dict maps are converted on construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,8 +34,8 @@ PartialColouring = dict[int, int]
 # Map entries, 2mk for m maps of width k (both directions, as the compiled
 # round engine holds them), past which an assignment is refused before its
 # arrays are allocated.  An entry takes 8 bytes compiled and 1 stored.  The
-# nk colour entries of a uniform assignment, 48 bytes each as int objects in
-# tuples plus the padded value array, are held to the same cap.
+# nk colour entries of a uniform assignment, one shared row when stored but 8
+# bytes each when a colouring check reads them out, are held to the same cap.
 ASSIGNMENT_ENTRIES_CAP = 20_000_000
 
 
@@ -69,28 +69,31 @@ def _in_set(sizes: np.ndarray, width: int) -> np.ndarray:
 class CorrespondenceAssignment:
     """Per-vertex colour sets and per-edge partial injective colour maps.
 
-    `colour_sets[u]` is a sorted tuple of the colours at u, `sizes` their
-    sizes, and `edges` and `fwd` hold the maps.  `edge_maps[(u, v)]` (u < v)
-    maps colours of u injectively to colours of v; the reverse map is the
-    inverse.  Built from dict maps, an assignment refuses, naming the vertex
-    or edge, an unsorted or repeating colour set, a key that is not
-    canonical, a non-injective map and one using colours outside its
-    endpoint sets.  Equality compares colour sets and maps.
+    `values[u, :sizes[u]]` (`colour_sets[u]` as a tuple) are u's colours in
+    ascending order, and `edges` and `fwd` hold the maps.  `edge_maps[(u, v)]`
+    (u < v) maps colours of u injectively to colours of v.  Built from dict
+    maps, an assignment refuses, naming the vertex or edge, an unsorted or
+    repeating colour set, a key that is not canonical, a non-injective map
+    and one using colours outside its endpoint sets.  Equality compares
+    colour sets and maps.
     """
 
-    __slots__ = ("colour_sets", "sizes", "edges", "fwd", "_values", "_row_of")
+    __slots__ = ("values", "sizes", "edges", "fwd", "_row_of")
 
     def __init__(
         self,
         colour_sets: Sequence[Sequence[int]],
         edge_maps: Mapping[tuple[int, int], Mapping[int, int]],
     ):
-        sets = tuple(tuple(s) for s in colour_sets)
+        sets = [tuple(s) for s in colour_sets]
         for u, s in enumerate(sets):
             if list(s) != sorted(set(s)):
                 raise AssignmentError(f"colour set of {u} not sorted/unique")
+        sizes = np.fromiter(map(len, sets), np.int64, len(sets))
+        values = np.full((len(sets), int(sizes.max(initial=0))), -1, dtype=np.int64)
+        values[_in_set(sizes, values.shape[1])] = [col for s in sets for col in s]
         keys = sorted(edge_maps)
-        fwd = _map_array(len(keys), max(map(len, sets), default=0), -1)
+        fwd = _map_array(len(keys), values.shape[1], -1)
         index_of = [dict(zip(s, range(len(s)))) for s in sets]
         for e, (u, v) in enumerate(keys):
             mp = edge_maps[(u, v)]
@@ -105,27 +108,31 @@ class CorrespondenceAssignment:
                 )
             for c1, c2 in mp.items():
                 fwd[e, index_of[u][c1]] = index_of[v][c2]
-        self._set(sets, np.array(keys, dtype=np.int64).reshape(-1, 2), fwd)
+        self._of(values, sizes, np.array(keys, dtype=np.int64).reshape(-1, 2), fwd, self)
 
     @classmethod
-    def _of(cls, colour_sets, edges: np.ndarray, fwd: np.ndarray):
-        """From arrays that hold the invariants, fwd as wide as the largest set."""
-        c = cls.__new__(cls)
-        c._set(colour_sets, edges, fwd)
+    def _of(cls, values, sizes, edges, fwd, into=None) -> CorrespondenceAssignment:
+        """From arrays that hold the invariants, filling `into` when given;
+        `values` is made read-only."""
+        c = cls.__new__(cls) if into is None else into
+        values.flags.writeable = False
+        c.values, c.sizes, c.edges, c.fwd, c._row_of = values, sizes, edges, fwd, None
         return c
-
-    def _set(self, colour_sets, edges, fwd) -> None:
-        self.colour_sets: tuple[tuple[int, ...], ...] = colour_sets
-        self.sizes = np.fromiter(map(len, colour_sets), np.int64, len(colour_sets))
-        self.edges, self.fwd, self._values, self._row_of = edges, fwd, None, None
 
     def __eq__(self, other: object) -> bool:
         # Equal sets give equal widths, so equal arrays are equal maps.
         return isinstance(other, CorrespondenceAssignment) and (
-            self.colour_sets == other.colour_sets
+            np.array_equal(self.sizes, other.sizes)
+            and np.array_equal(self.values, other.values)
             and np.array_equal(self.edges, other.edges)
             and np.array_equal(self.fwd, other.fwd)
         )
+
+    @property
+    def colour_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Every colour set as a sorted tuple; built afresh on each access."""
+        rows = zip(self.values.tolist(), self.sizes.tolist())
+        return tuple(tuple(row[:size]) for row, size in rows)
 
     @property
     def edge_maps(self) -> Mapping[tuple[int, int], dict[int, int]]:
@@ -133,19 +140,8 @@ class CorrespondenceAssignment:
         edges = self.edges.tolist()
         return MappingProxyType({(u, v): self.map_between(u, v) for u, v in edges})
 
-    def values(self) -> np.ndarray:
-        """Colour sets as a read-only (n, kmax) int64 array padded with -1."""
-        if self._values is None:
-            shape = (len(self.sizes), self.fwd.shape[1])
-            self._values = np.full(shape, -1, dtype=np.int64)
-            self._values[_in_set(self.sizes, shape[1])] = np.fromiter(
-                chain.from_iterable(self.colour_sets), np.int64, int(self.sizes.sum())
-            )
-            self._values.flags.writeable = False
-        return self._values
-
     def min_size(self) -> int:
-        return int(self.sizes.min()) if self.colour_sets else 0
+        return int(self.sizes.min()) if len(self.sizes) else 0
 
     def map_between(self, u: int, v: int) -> dict[int, int]:
         """The colour map from u to v (inverting the stored orientation)."""
@@ -154,7 +150,7 @@ class CorrespondenceAssignment:
         row = self._row_of.get((min(u, v), max(u, v)))
         if row is None:
             return {}
-        a, b = self.colour_sets[min(u, v)], self.colour_sets[max(u, v)]
+        a, b = self.values[min(u, v)].tolist(), self.values[max(u, v)].tolist()
         pairs = [(a[i], b[j]) for i, j in enumerate(self.fwd[row].tolist()) if j >= 0]
         return dict(pairs) if u < v else {c2: c1 for c1, c2 in pairs}
 
@@ -162,19 +158,15 @@ class CorrespondenceAssignment:
         """Colour at v matched with `colour` at u, or None if unmatched."""
         return self.map_between(u, v).get(colour)
 
-    def corresponds(self, u: int, v: int, cu: int, cv: int) -> bool:
-        """True when colour cu at u and colour cv at v are matched."""
-        return self.correspondent(u, v, cu) == cv
-
 
 def _indices(c: CorrespondenceAssignment, f: PartialColouring) -> Optional[np.ndarray]:
     """Per vertex, the index of its colour under f (-1 where f has none);
     None when some colour lies outside its vertex's set."""
-    idx = np.full(len(c.colour_sets), -1, dtype=np.int64)
+    idx = np.full(len(c.sizes), -1, dtype=np.int64)
     if f:
         us = np.fromiter(f.keys(), np.int64, len(f))
-        hit = c.values()[us] == np.fromiter(f.values(), np.int64, len(f))[:, None]
-        hit &= _in_set(c.sizes[us], c.fwd.shape[1])
+        hit = c.values[us] == np.fromiter(f.values(), np.int64, len(f))[:, None]
+        hit &= _in_set(c.sizes[us], c.values.shape[1])
         if not hit.any(axis=1).all():
             return None
         idx[us] = hit.argmax(axis=1)
@@ -187,7 +179,7 @@ def _rows_on(g: Graph, c: CorrespondenceAssignment) -> np.ndarray:
     edges = g.edge_array()
     if np.array_equal(c.edges, edges):
         return c.fwd
-    span = max(g.n, len(c.colour_sets))
+    span = max(g.n, len(c.sizes))
     keys, wanted = c.edges @ [span, 1], edges @ [span, 1]  # both ascending
     at = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
     hit = keys[at] == wanted if len(keys) else np.zeros(len(edges), dtype=bool)
@@ -199,9 +191,9 @@ def _rows_on(g: Graph, c: CorrespondenceAssignment) -> np.ndarray:
 def validate_assignment(g: Graph, c: CorrespondenceAssignment) -> None:
     """Check what needs the host graph (construction checks the rest): one
     colour set per vertex, no negative colour and no map on a non-edge."""
-    if len(c.colour_sets) != g.n:
+    if len(c.sizes) != g.n:
         raise AssignmentError("colour set count does not match vertex count")
-    negative = ((c.values() < 0) & _in_set(c.sizes, c.fwd.shape[1])).any(axis=1)
+    negative = ((c.values < 0) & _in_set(c.sizes, c.values.shape[1])).any(axis=1)
     if negative.any():
         raise AssignmentError(f"negative colour at vertex {negative.argmax()}")
     known = np.isin(c.edges @ [g.n, 1], g.edge_array() @ [g.n, 1])
@@ -223,25 +215,24 @@ def from_lists(
     """Embed a list assignment: identity maps on shared colours per edge.
 
     A colouring is then valid iff it is a proper list colouring.  Equal lists
-    give identity rows.  Otherwise every colour gets its rank among all
-    colours, offset by its vertex times the number of ranks, and one search
-    of these ascending keys finds each colour of u among v's.
+    share one row.  Otherwise every colour gets its rank among all colours,
+    offset by its vertex times the number of ranks, and one search of these
+    ascending keys finds each colour of u among v's.
     """
-    colour_sets = tuple(tuple(sorted(set(l))) for l in lists)
-    if len(colour_sets) != g.n:
+    sets = [sorted(set(l)) for l in lists]
+    if len(sets) != g.n:
         raise AssignmentError("need one colour list per vertex")
-    for u, s in enumerate(colour_sets):
+    for u, s in enumerate(sets):
         if not s:
             raise AssignmentError(f"empty colour list at vertex {u}")
-    edges, width = g.edge_array(), max(map(len, colour_sets), default=0)
-    if len(set(colour_sets)) <= 1:
-        fwd = _map_array(len(edges), width, np.arange(width))
-        return CorrespondenceAssignment._of(colour_sets, edges, fwd)
+    if all(s == sets[0] for s in sets):
+        return _shared(g, np.array(sets[0] if sets else [], dtype=np.int64))
+    c = CorrespondenceAssignment(sets, {})
+    edges, width = g.edge_array(), c.values.shape[1]
     fwd = _map_array(len(edges), width, -1)
-    c = CorrespondenceAssignment._of(colour_sets, edges, fwd)
     inside = _in_set(c.sizes, width)
     # Padding ranks last, so the keys ascend along every row and overall.
-    padded = np.where(inside, c.values(), c.values().max() + 1)
+    padded = np.where(inside, c.values, c.values.max() + 1)
     ranks, key = np.unique(padded, return_inverse=True)
     key = key.reshape(inside.shape) + len(ranks) * np.arange(g.n)[:, None]
     eu, ev = edges.T
@@ -249,23 +240,31 @@ def from_lists(
     at = np.minimum(np.searchsorted(key.ravel(), wanted), key.size - 1)
     e, i = np.nonzero((key.ravel()[at] == wanted) & inside[eu])
     fwd[e, i] = at[e, i] - ev[e] * width
-    return c
+    return CorrespondenceAssignment._of(c.values, c.sizes, edges, fwd)
+
+
+def _shared(g: Graph, row: np.ndarray) -> CorrespondenceAssignment:
+    """Every vertex on the set `row`, broadcast to (n, k); identity maps."""
+    k = len(row)
+    fwd = _map_array(g.m, k, np.arange(k))
+    values = np.broadcast_to(row, (g.n, k))
+    return CorrespondenceAssignment._of(values, np.full(g.n, k), g.edge_array(), fwd)
 
 
 def uniform_lists(g: Graph, k: int) -> CorrespondenceAssignment:
     """List assignment {0..k-1} at every vertex (identity maps, total).
 
-    Refused above ASSIGNMENT_ENTRIES_CAP before any colour set is built: its
-    2mk map entries first, then its nk colour entries.
+    Refused above ASSIGNMENT_ENTRIES_CAP before any array is built: its 2mk
+    map entries first, then its nk colour entries.
     """
     _check_map_size(g.m, k)
     if g.n * k > ASSIGNMENT_ENTRIES_CAP:
         raise AssignmentError(
             f"assignment would have {g.n * k} colour entries (about "
-            f"{48 * g.n * k / 2**20:.0f} MiB), above the cap of "
+            f"{8 * g.n * k / 2**20:.0f} MiB), above the cap of "
             f"{ASSIGNMENT_ENTRIES_CAP} entries"
         )
-    return from_lists(g, [range(k)] * g.n)
+    return _shared(g, np.arange(k, dtype=np.int64))
 
 
 def truncate(c: CorrespondenceAssignment, k: int) -> CorrespondenceAssignment:
@@ -279,8 +278,8 @@ def truncate(c: CorrespondenceAssignment, k: int) -> CorrespondenceAssignment:
         raise AssignmentError(f"some colour set smaller than k={k}")
     fwd = c.fwd[:, :k].copy()
     fwd[fwd >= k] = -1
-    sets = tuple(s[:k] for s in c.colour_sets)
-    return CorrespondenceAssignment._of(sets, c.edges, fwd)
+    sizes = np.minimum(c.sizes, k)
+    return CorrespondenceAssignment._of(c.values[:, :k], sizes, c.edges, fwd)
 
 
 def totalize(g: Graph, c: CorrespondenceAssignment) -> CorrespondenceAssignment:
@@ -302,7 +301,7 @@ def totalize(g: Graph, c: CorrespondenceAssignment) -> CorrespondenceAssignment:
     # A row has as many free indices at u as at v, and both masks list them
     # row by row in ascending order.
     fwd[fwd < 0] = np.nonzero(~used)[1]
-    return CorrespondenceAssignment._of(c.colour_sets, g.edge_array(), fwd)
+    return CorrespondenceAssignment._of(c.values, c.sizes, g.edge_array(), fwd)
 
 
 def is_valid_colouring(
@@ -357,18 +356,18 @@ def residual_assignment(
 
     uncoloured = np.flatnonzero(idx < 0)
     sizes = keep[uncoloured].sum(axis=1)
-    flat = c.values()[uncoloured][keep[uncoloured]].tolist()
-    ends = np.cumsum(sizes).tolist()
-    new_sets = tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+    rank = np.cumsum(keep, axis=1) - 1
     inner = (idx[eu] < 0) & (idx[ev] < 0)
     su, sv, rows = eu[inner], ev[inner], rows[inner]
     e, i = np.nonzero(rows >= 0)
     j = rows[e, i]
     ok = keep[su[e], i] & keep[sv[e], j]
-    rank = np.cumsum(keep, axis=1) - 1
     fwd = _map_array(len(rows), int(sizes.max(initial=0)), -1)
     fwd[e[ok], rank[su[e[ok]], i[ok]]] = rank[sv[e[ok]], j[ok]]
+    values = np.full((len(uncoloured), fwd.shape[1]), -1, dtype=np.int64)
+    r, i = np.nonzero(keep[uncoloured])
+    values[r, rank[uncoloured[r], i]] = c.values[uncoloured[r], i]
     # Ascending old ids keep the induced edges in the (u, v) order of the rows.
     sub, old_ids = g.induced(uncoloured.tolist())
-    c_sub = CorrespondenceAssignment._of(new_sets, sub.edge_array(), fwd)
+    c_sub = CorrespondenceAssignment._of(values, sizes, sub.edge_array(), fwd)
     return Residual(sub, c_sub, old_ids)

@@ -15,6 +15,7 @@ independent of the number of worker threads.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -122,7 +123,7 @@ def apply_keep_rule(
     """The uncolouring rule, evaluated naively edge by edge."""
     kept = set(range(g.n))
     for u, v in g.edges():
-        if c.corresponds(u, v, f1[u], f1[v]):
+        if c.correspondent(u, v, f1[u]) == f1[v]:
             kept.discard(direction[(u, v)])
     return kept
 
@@ -153,9 +154,7 @@ def enumerate_outcomes(
     """Walk every (tentative colouring, direction vector) pair exactly."""
     if not is_total(g, c):
         raise GraphError("enumeration requires a total assignment")
-    total = 1
-    for s in c.colour_sets:
-        total *= len(s)
+    total = math.prod(c.sizes.tolist())
     edges = list(g.edges())
     total *= 2 ** len(edges)
     if total > ENUMERATION_GUARD:
@@ -233,13 +232,13 @@ def naive_regularize_with_assignment(
             + [(u + n, v + n) for u, v in edges]
             + [(u, u + n) for u in deficient]
         )
-        new_sets = cur_c.colour_sets + cur_c.colour_sets
+        new_sets = cur_c.colour_sets * 2
         new_maps: dict[tuple[int, int], dict[int, int]] = {}
         for (u, v), mp in cur_c.edge_maps.items():
             new_maps[(u, v)] = dict(mp)
             new_maps[(u + n, v + n)] = dict(mp)
         for u in deficient:
-            new_maps[(u, u + n)] = {col: col for col in cur_c.colour_sets[u]}
+            new_maps[(u, u + n)] = {col: col for col in new_sets[u]}
         cur_g = Graph.from_edges(2 * n, new_edges)
         cur_c = CorrespondenceAssignment(new_sets, new_maps)
     return cur_g, cur_c
@@ -249,7 +248,7 @@ def naive_truncate(c: CorrespondenceAssignment, k: int) -> CorrespondenceAssignm
     """Every colour set cut to its k smallest colours, and every dict map
     to the pairs whose colours both survive: the reference for
     correspondence.truncate."""
-    if any(len(s) < k for s in c.colour_sets):
+    if any(size < k for size in c.sizes.tolist()):
         raise AssignmentError(f"some colour set smaller than k={k}")
     new_sets = tuple(s[:k] for s in c.colour_sets)
     kept = [set(s) for s in new_sets]
@@ -265,19 +264,20 @@ def naive_truncate(c: CorrespondenceAssignment, k: int) -> CorrespondenceAssignm
 def naive_totalize(g: Graph, c: CorrespondenceAssignment) -> CorrespondenceAssignment:
     """Every dict map extended to a bijection, unmatched colours paired in
     ascending order: the reference for correspondence.totalize."""
-    sizes = set(len(s) for s in c.colour_sets)
+    sets = c.colour_sets
+    sizes = set(len(s) for s in sets)
     if len(sizes) > 1:
         raise AssignmentError(f"totalize needs equal colour set sizes, got {sizes}")
     new_maps: dict[tuple[int, int], dict[int, int]] = {}
     maps = c.edge_maps
     for u, v in g.edges():
         mp = dict(maps.get((u, v), {}))
-        free_u = [col for col in c.colour_sets[u] if col not in mp]
+        free_u = [col for col in sets[u] if col not in mp]
         used_v = set(mp.values())
-        free_v = [col for col in c.colour_sets[v] if col not in used_v]
+        free_v = [col for col in sets[v] if col not in used_v]
         mp.update(zip(free_u, free_v))
         new_maps[(u, v)] = mp
-    return CorrespondenceAssignment(c.colour_sets, new_maps)
+    return CorrespondenceAssignment(sets, new_maps)
 
 
 def naive_is_valid_colouring(
@@ -285,11 +285,12 @@ def naive_is_valid_colouring(
 ) -> bool:
     """Edge-by-edge validity check: the reference for
     correspondence.is_valid_colouring."""
+    sets = c.colour_sets
     for u, colour in f.items():
-        if colour not in set(c.colour_sets[u]):
+        if colour not in set(sets[u]):
             return False
     for u, v in g.edges():
-        if u in f and v in f and c.corresponds(u, v, f[u], f[v]):
+        if u in f and v in f and c.correspondent(u, v, f[u]) == f[v]:
             return False
     return True
 
@@ -318,6 +319,7 @@ def naive_residual_assignment(
         raise AssignmentError("partial colouring is not valid for the assignment")
     uncoloured = [u for u in range(g.n) if u not in f]
     sub, old_ids = g.induced(uncoloured)
+    sets = c.colour_sets
     new_sets = []
     for old in old_ids:
         removed = set()
@@ -326,7 +328,7 @@ def naive_residual_assignment(
                 back = c.correspondent(w, old, f[w])
                 if back is not None:
                     removed.add(back)
-        new_sets.append(tuple(col for col in c.colour_sets[old] if col not in removed))
+        new_sets.append(tuple(col for col in sets[old] if col not in removed))
     kept = [set(s) for s in new_sets]
     new_maps: dict[tuple[int, int], dict[int, int]] = {}
     for a, b in sub.edges():
@@ -342,7 +344,7 @@ def naive_dir_map(g: Graph, c: CorrespondenceAssignment) -> np.ndarray:
     row 2e is u->v of edge e, row 2e+1 is v->u, entries colour indices at
     the target (-1 for none)."""
     index_of = [{col: i for i, col in enumerate(s)} for s in c.colour_sets]
-    kmax = max((len(s) for s in c.colour_sets), default=1)
+    kmax = max(c.sizes.tolist(), default=1)
     edges = list(g.edges())
     dir_map = np.full((2 * len(edges), kmax), -1, dtype=np.int64)
     maps = c.edge_maps
@@ -523,9 +525,8 @@ def monte_carlo_round(
     triples_mean, triples_se = mean_se(t_total, t_sq)
     nuv_mean, nuv_se = mean_se(nuv, nuv + 2 * cross)
 
-    expected = np.array(
-        [keep_probability(len(c.colour_sets[u]), g.degree(u)) for u in range(n)]
-    )
+    sizes = c.sizes.tolist()
+    expected = np.array([keep_probability(sizes[u], g.degree(u)) for u in range(n)])
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(keep_se > 0, (keep_mean - expected) / keep_se, 0.0)
 
@@ -726,14 +727,15 @@ def correspondence_colourable(g: Graph, c: CorrespondenceAssignment) -> bool:
     """Exact decision of colourability under an assignment (n <= 20)."""
     if g.n > CHROMATIC_GUARD:
         raise GraphError(f"exact search capped at n={CHROMATIC_GUARD}")
+    sets = c.colour_sets
     f: dict[int, int] = {}
 
     def backtrack(v: int) -> bool:
         if v == g.n:
             return True
-        for colour in c.colour_sets[v]:
+        for colour in sets[v]:
             if any(
-                w in f and c.corresponds(v, w, colour, f[w])
+                w in f and c.correspondent(v, w, colour) == f[w]
                 for w in g.neighbours(v)
             ):
                 continue

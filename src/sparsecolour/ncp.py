@@ -275,7 +275,7 @@ class _Compiled:
 def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, np.ndarray]:
     """c's map rows on g's edges in both directions, c checked first: one
     nonempty set per vertex and a bijection on every edge."""
-    if len(c.colour_sets) != g.n:
+    if len(c.sizes) != g.n:
         raise AssignmentError("assignment does not match graph size")
     if g.n and c.sizes.min() == 0:
         raise AssignmentError("all colour sets must be nonempty")
@@ -292,7 +292,7 @@ def _compile(g: Graph, c: CorrespondenceAssignment) -> _Compiled:
     """The whole instance (g, c), c total, compiled; every vertex is in its
     focus."""
     eu, ev = np.ascontiguousarray(g.edge_array().T)
-    return _Compiled(eu, ev, *_map_rows(g, c), c.sizes, c.values(), g.max_degree())
+    return _Compiled(eu, ev, *_map_rows(g, c), c.sizes, c.values, g.max_degree())
 
 
 def _pair_count(group_end: np.ndarray, gap: int) -> int:
@@ -841,13 +841,11 @@ def _greedy_correspondence(
     f: PartialColouring = {}
     failed: list[int] = []
     for v in order:
-        forbidden = set()
-        for w in g.neighbours(v):
-            if w in f:
-                back = c.correspondent(w, v, f[w])
-                if back is not None:
-                    forbidden.add(back)
-        choice = next((col for col in c.colour_sets[v] if col not in forbidden), None)
+        # Unmatched colours add None, so at most len(forbidden) colours of v
+        # are taken, and the first len(forbidden) + 1 hold a free one.
+        forbidden = {c.correspondent(w, v, f[w]) for w in g.neighbours(v) if w in f}
+        free = c.values[v, : min(int(c.sizes[v]), len(forbidden) + 1)].tolist()
+        choice = next((col for col in free if col not in forbidden), None)
         if choice is None:
             failed.append(v)
         else:
@@ -916,7 +914,7 @@ def _regularize_with_assignment(
         )
     eu, ev, forward, backward = _double(eu, ev, forward, backward, degree, steps)
     k_arr = np.tile(total.sizes, 1 << steps)
-    return _Compiled(eu, ev, forward, backward, k_arr, total.values(), target), total
+    return _Compiled(eu, ev, forward, backward, k_arr, total.values, target), total
 
 
 def _double(eu, ev, forward, backward, degree, steps):

@@ -25,6 +25,7 @@ from sparsecolour.correspondence import (  # noqa: E402
     residual_assignment,
     totalize,
     truncate,
+    uniform_lists,
 )
 from sparsecolour.graph import Graph  # noqa: E402
 from sparsecolour.harness import (  # noqa: E402
@@ -76,15 +77,22 @@ def _valid_partial(g, c, rng):
     """A valid partial colouring: vertices in random order take a random
     colour of their set when it keeps the colouring valid."""
     f = {}
+    sets = c.colour_sets
     for v in rng.sample(range(g.n), g.n):
         if rng.random() < 0.6:
-            trial = {**f, v: rng.choice(c.colour_sets[v])}
+            trial = {**f, v: rng.choice(sets[v])}
             if naive_is_valid_colouring(g, c, trial):
                 f = trial
     return f
 
 
 def _same(a, b):
+    """a, built by the array operations, equals the oracle's b, and holds its
+    sets as one read-only int64 array padded with -1."""
+    width = int(a.sizes.max(initial=0))
+    assert a.values.shape == (len(a.sizes), width) == (len(a.sizes), a.fwd.shape[1])
+    assert a.values.dtype == np.int64 and not a.values.flags.writeable
+    assert (a.values[np.arange(width) >= a.sizes[:, None]] == -1).all()
     assert a.colour_sets == b.colour_sets
     assert dict(a.edge_maps) == dict(b.edge_maps)
     assert a == b
@@ -101,6 +109,9 @@ def test_from_lists_gives_identity_on_shared_colours(instance):
         for u, v in g.edges()
     }
     _same(c, CorrespondenceAssignment(sets, maps))
+    # Equal lists, as uniform lists, share one row.
+    assert (c.values.strides[0] == 0) == (len(set(sets)) == 1)
+    assert uniform_lists(g, len(sets[0])).values.strides[0] == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -121,8 +132,9 @@ def test_totalize_after_truncate_matches_oracle(instance):
     total = totalize(g, cut)
     _same(total, naive_totalize(g, naive_truncate(c, c.min_size())))
     assert is_total(g, total)
+    sets = cut.colour_sets
     bijective = [
-        len(cut.map_between(u, v)) == len(cut.colour_sets[u]) == len(cut.colour_sets[v])
+        len(cut.map_between(u, v)) == len(sets[u]) == len(sets[v])
         for u, v in g.edges()
     ]
     assert is_total(g, cut) == all(bijective)
@@ -132,8 +144,9 @@ def test_totalize_after_truncate_matches_oracle(instance):
 @given(instance=bijection_instances(), data=st.data())
 def test_validity_matches_oracle(instance, data):
     g, c = instance
+    sets = c.colour_sets
     f = {
-        v: data.draw(st.sampled_from(c.colour_sets[v]))
+        v: data.draw(st.sampled_from(sets[v]))
         for v in data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
     }
     assert is_valid_colouring(g, c, f) == naive_is_valid_colouring(g, c, f)

@@ -953,7 +953,7 @@ class TestUsageErrors:
              "assignment would have 40000000 map entries (about 343 MiB stored and "
              "compiled), above the cap of 20000000 entries"),
             ("p edge 4 0\n", "20000000",
-             "assignment would have 80000000 colour entries (about 3662 MiB), "
+             "assignment would have 80000000 colour entries (about 610 MiB), "
              "above the cap of 20000000 entries"),
         ],
         ids=["map-entries", "colour-entries"],
@@ -965,7 +965,7 @@ class TestUsageErrors:
         def no_sets(*args):
             raise AssertionError("the size checks must come before the colour sets")
 
-        monkeypatch.setattr(correspondence, "from_lists", no_sets)
+        monkeypatch.setattr(correspondence, "_shared", no_sets)
         g = tmp_path / "g.dimacs"
         g.write_text(text)
         code, out, err = run(["color", "--input", str(g), "--k", k], capsys)

@@ -183,12 +183,12 @@ class TestIsValidColouring:
         # matched colours agree regardless of which endpoint asks
         g = path_graph(3)
         c = random_bijection_assignment(g, 3, seed=9)
+        sets = c.colour_sets
         for u, v in g.edges():
-            for cu in c.colour_sets[u]:
-                for cv in c.colour_sets[v]:
-                    assert c.corresponds(u, v, cu, cv) == c.corresponds(
-                        v, u, cv, cu
-                    )
+            for cu in sets[u]:
+                for cv in sets[v]:
+                    matched = c.correspondent(u, v, cu) == cv
+                    assert matched == (c.correspondent(v, u, cv) == cu)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_inversion_consistency(self, seed):
@@ -246,9 +246,10 @@ class TestResidualAssignment:
         )
         # pick a valid partial colouring by throwing darts
         f = {}
+        sets = c.colour_sets
         for v in range(n):
             if rng.random() < 0.5:
-                col = rng.choice(c.colour_sets[v])
+                col = rng.choice(sets[v])
                 trial = {**f, v: col}
                 if is_valid_colouring(g, c, trial):
                     f = trial
@@ -318,7 +319,7 @@ class TestSizeCap:
         def no_sets(*args):
             raise AssertionError("the size checks must come before the colour sets")
 
-        monkeypatch.setattr(correspondence, "from_lists", no_sets)
+        monkeypatch.setattr(correspondence, "_shared", no_sets)
         monkeypatch.setattr(correspondence, "ASSIGNMENT_ENTRIES_CAP", 59)
         # 2mk = 60 map entries; path_graph(3) has more map (80) than colour
         # (60) entries past the cap, and the map count is the one named.
@@ -329,13 +330,17 @@ class TestSizeCap:
                 f"assignment would have {2 * g.m * k} map entries (about 0 MiB "
                 "stored and compiled), above the cap of 59 entries"
             )
-        # nk = 60 colour entries and no edge.
+        # nk = 60 colour entries and no edge; at 2^20 entries the figure
+        # counts 8 bytes an entry.
         with pytest.raises(AssignmentError) as err:
             uniform_lists(empty_graph(4), 15)
         assert str(err.value) == (
             "assignment would have 60 colour entries (about 0 MiB), above the "
             "cap of 59 entries"
         )
+        with pytest.raises(AssignmentError) as err:
+            uniform_lists(empty_graph(4), 2**18)
+        assert "1048576 colour entries (about 8 MiB)" in str(err.value)
 
     def test_uniform_lists_at_the_cap_builds(self, monkeypatch):
         from sparsecolour import correspondence

@@ -480,6 +480,13 @@ class TestGreedyComplete:
         assert residual.assignment == c
         assert greedy_complete(residual.graph, residual.assignment) == greedy_complete(g, c)
 
+    def test_large_k_gives_python_ints(self):
+        # The report writer refuses numpy integers.
+        g = empty_graph(4)
+        result = greedy_complete(g, uniform_lists(g, 10**5))
+        assert result.ok and result.colouring == {0: 0, 1: 0, 2: 0, 3: 0}
+        assert all(type(col) is int for col in result.colouring.values())
+
 
 class TestIterativeColour:
     def _schedule_for(self, g, k):
@@ -644,7 +651,7 @@ class TestArrayRegularisation:
         reg, _ = _regularize_with_assignment(g, c)
         assert whole.focus == whole.n == reg.focus == g.n < reg.n
         for comp in (whole, reg):
-            np.testing.assert_array_equal(comp.colour_values, c.values())
+            np.testing.assert_array_equal(comp.colour_values, c.values)
 
     def test_size_checked_before_doubling(self):
         # star with 25 leaves: 26 * 2^24 vertices after 24 doublings

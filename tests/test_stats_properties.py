@@ -71,7 +71,8 @@ def _check(comp, g, c, f1_idx, kept):
     """comp's kernels on its focus against the oracles on (g, c), whose
     first comp.focus vertices are the focus."""
     focus = comp.focus
-    f1 = tuple(c.colour_sets[u][i] for u, i in enumerate(f1_idx.tolist()))
+    sets = c.colour_sets
+    f1 = tuple(sets[u][i] for u, i in enumerate(f1_idx.tolist()))
     kept_set = set(np.flatnonzero(kept).tolist())
     col, dist, pairs, triples = naive_outcome_stats(g, c, f1, kept_set)
     got = _stats_arrays(comp, _row_classes(comp, f1_idx[None]), kept[None])
@@ -133,10 +134,11 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
     assert col.shape == pairs.shape == (trials, focus)
     assert nuv.shape == (trials, len(comp.nuv_pairs))
     edges = list(ref_g.edges())
+    sets = ref_c.colour_sets
     for t, s in enumerate(seeds):
         outcome = run_round(ref_g, ref_c, s)
         stats = round_stats(ref_g, ref_c, outcome)
-        f1 = [ref_c.colour_sets[u][i] for u, i in enumerate(f1_idx[t].tolist())]
+        f1 = [sets[u][i] for u, i in enumerate(f1_idx[t].tolist())]
         assert f1 == list(outcome.f1)
         assert {(u, v): (u, v)[d] for (u, v), d in zip(edges, dirs[t].tolist())} == (
             outcome.direction

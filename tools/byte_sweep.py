@@ -107,6 +107,8 @@ CASES = [
     "color --input in/c5_8.col --k 16 --beta 0.001 --delta-prime 0.5",
     "color --input in/c5_8.col --k 16 --beta 0.00001",
     "color --input in/star25.col --k 24",
+    "color --input in/star25.col --k 20000",
+    "color --input in/edgeless.col --k 100000",
     "color --input in/c5_3.col --k 6 --config in/cfg.json",
     "color --input in/pentagon_été.col --k 6",
     # strong-edge on several hosts
@@ -142,6 +144,7 @@ CASES = [
     "simulate --input in/gnp50.col --k 3 --experiment sparsity",
     # oracle
     "oracle --input in/cycle4.col --k 2",
+    "oracle --input in/cycle4.col --k 3",
     "oracle --input in/path2.col --k 3 --out o.json",
     "oracle --input in/petersen.col --k 3",
     # usage and I/O errors
