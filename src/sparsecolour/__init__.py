@@ -16,6 +16,8 @@ Toolkit pieces:
   condition and the clique-ratio table;
 * :mod:`sparsecolour.harness` -- exhaustive oracles and Monte Carlo
   estimation;
+* :mod:`sparsecolour.budget` -- the one memory budget every large
+  allocation is checked against;
 * :mod:`sparsecolour.cli` -- the command line entry point.
 """
 

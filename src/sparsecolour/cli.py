@@ -7,7 +7,8 @@ so identical invocations produce byte-identical output regardless of the
 worker thread count.
 
 Exit codes: 0 success, 1 computational failure (e.g. restart exhaustion, an
-infeasible schedule or running out of memory), 2 usage error.
+infeasible schedule, an input past the memory budget or running out of
+memory), 2 usage error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .bounds import (
     strong_edge_constants,
     table_to_csv,
 )
+from .budget import BudgetError
 from .correspondence import uniform_lists
 from .generators import (
     complete_graph,
@@ -45,9 +47,8 @@ from .generators import (
     star_graph,
 )
 from .graph import (
-    DimacsError,
     Graph,
-    GraphError,
+    check_graph,
     from_json_dict,
     local_sparsity,
     parse_dimacs,
@@ -219,31 +220,30 @@ def _pairs(n) -> int:
     return n * (n - 1) // 2
 
 
-GEN_EDGE_CAP = 2_000_000
 GEN_DRAW_CAP = 50_000_000
 
-# gen flag -> (size error, edge estimate, build), each a function of the
-# flag's value; build also takes the seed.  The size error returns why
-# the value is out of range, or None (--petersen takes no size).  The
-# estimate (expected edges for --gnp) is checked against GEN_EDGE_CAP before
-# anything is generated.
+# gen flag -> (size error, shape, build), each a function of the flag's
+# value; build also takes the seed.  The size error returns why the value is
+# out of range, or None (--petersen takes no size).  The shape, (vertices,
+# edges) with expected edges for --gnp, is checked against the memory budget
+# by the loaders' own formula before anything is generated.
 GENERATORS = {
-    "--c5-blowup": (_at_least(1), lambda k: 5 * k**2, lambda k, seed: c5_blowup(k)),
+    "--c5-blowup": (_at_least(1), lambda k: (5 * k, 5 * k**2), lambda k, seed: c5_blowup(k)),
     "--random-regular": (
         _regular_error,
-        lambda nd: nd[0] * nd[1] // 2,
+        lambda nd: (nd[0], nd[0] * nd[1] // 2),
         lambda nd, seed: random_regular_graph(*nd, seed),
     ),
     "--gnp": (
         _gnp_error,
-        lambda np_: round(np_[1] * _pairs(np_[0])),
+        lambda np_: (int(np_[0]), round(np_[1] * _pairs(np_[0]))),
         lambda np_, seed: gnp_graph(int(np_[0]), np_[1], seed),
     ),
-    "--complete": (_at_least(0), _pairs, lambda n, seed: complete_graph(n)),
-    "--cycle": (_at_least(3), lambda n: n, lambda n, seed: cycle_graph(n)),
-    "--path": (_at_least(0), lambda n: max(n - 1, 0), lambda n, seed: path_graph(n)),
-    "--star": (_at_least(0), lambda n: n, lambda n, seed: star_graph(n)),
-    "--petersen": (None, lambda _: 15, lambda _, seed: petersen_graph()),
+    "--complete": (_at_least(0), lambda n: (n, _pairs(n)), lambda n, seed: complete_graph(n)),
+    "--cycle": (_at_least(3), lambda n: (n, n), lambda n, seed: cycle_graph(n)),
+    "--path": (_at_least(0), lambda n: (n, max(n - 1, 0)), lambda n, seed: path_graph(n)),
+    "--star": (_at_least(0), lambda n: (n + 1, n), lambda n, seed: star_graph(n)),
+    "--petersen": (None, lambda _: (10, 15), lambda _, seed: petersen_graph()),
 }
 
 
@@ -257,7 +257,7 @@ def _cmd_gen(args) -> tuple[Optional[str], int]:
     if len(chosen) != 1:
         return _refuse("gen: exactly one generator must be selected", 2)
     [(flag, value)] = chosen
-    size_error, edge_estimate, build = GENERATORS[flag]
+    size_error, shape, build = GENERATORS[flag]
     error = size_error(value) if size_error else None
     if error:
         return _refuse(f"gen: {flag} {error}", 2)
@@ -266,11 +266,10 @@ def _cmd_gen(args) -> tuple[Optional[str], int]:
         return _refuse(
             f"gen: --gnp would make {draws} random draws, above the cap of {GEN_DRAW_CAP} draws", 1
         )
-    edges = edge_estimate(value)
-    if edges > GEN_EDGE_CAP:
-        return _refuse(
-            f"gen: graph would have about {edges} edges, above the cap of {GEN_EDGE_CAP} edges", 1
-        )
+    try:
+        check_graph(*shape(value))
+    except BudgetError as exc:
+        return _refuse(f"gen: {exc}", 1)
     g = build(value, args.seed)
     if _output_format(args, "dimacs") == "json":
         return _json(to_json_dict(g)) + "\n", 0
@@ -585,7 +584,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if payload is not None:
             _emit(payload, args.out)
         return code
-    except (DimacsError, GraphError, BoundDomainError, ValueError) as exc:
+    except ValueError as exc:
         print(f"sparsecolour: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

@@ -14,7 +14,9 @@ the index at v of the colour matched with u's i-th colour, or -1.  The
 reverse direction is the inverse, which makes the inversion-consistency
 invariant hold by construction.  Every operation works on these arrays with
 no Python loop over the edges; `colour_sets` and `edge_maps` are read-only
-views built on demand, and dict maps are converted on construction.
+views built on demand, and dict maps are converted on construction.  Map
+arrays, and all a uniform assignment stores, are checked against the memory
+budget before they are allocated; the colouring check holds O(|f|) memory.
 """
 
 from __future__ import annotations
@@ -25,38 +27,26 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from . import budget
 from .graph import Graph
 
 # A partial colouring is a plain dict vertex -> colour; absent keys are
 # uncoloured vertices.
 PartialColouring = dict[int, int]
 
-# Map entries, 2mk for m maps of width k (both directions, as the compiled
-# round engine holds them), past which an assignment is refused before its
-# arrays are allocated.  An entry takes 8 bytes compiled and 1 stored.  The
-# nk colour entries of a uniform assignment, one shared row when stored but 8
-# bytes each when a colouring check reads them out, are held to the same cap.
-ASSIGNMENT_ENTRIES_CAP = 20_000_000
-
-
 class AssignmentError(ValueError):
     """Raised for malformed correspondence assignments."""
 
 
-def _check_map_size(rows: int, width: int) -> None:
-    if 2 * rows * width > ASSIGNMENT_ENTRIES_CAP:
-        raise AssignmentError(
-            f"assignment would have {2 * rows * width} map entries (about "
-            f"{18 * rows * width / 2**20:.0f} MiB stored and compiled), above "
-            f"the cap of {ASSIGNMENT_ENTRIES_CAP} entries"
-        )
+def _map_dtype(width: int) -> np.dtype:
+    return np.dtype(np.int16 if width < 2**15 else np.int32)
 
 
 def _map_array(rows: int, width: int, fill) -> np.ndarray:
-    """A (rows x width) map array set to `fill`, refused above the cap before
-    it is allocated."""
-    _check_map_size(rows, width)
-    out = np.empty((rows, width), dtype=np.int16 if width < 2**15 else np.int32)
+    """A (rows x width) map array set to `fill`, checked against the budget."""
+    dtype = _map_dtype(width)
+    budget.check(f"assignment maps of {rows} x {width} entries", rows * width * dtype.itemsize)
+    out = np.empty((rows, width), dtype=dtype)
     out[...] = fill
     return out
 
@@ -143,11 +133,15 @@ class CorrespondenceAssignment:
     def min_size(self) -> int:
         return int(self.sizes.min()) if len(self.sizes) else 0
 
-    def map_between(self, u: int, v: int) -> dict[int, int]:
-        """The colour map from u to v (inverting the stored orientation)."""
+    def _row(self, u: int, v: int) -> Optional[int]:
+        """The map row of edge uv, or None if it has no map."""
         if self._row_of is None:
             self._row_of = {(a, b): e for e, (a, b) in enumerate(self.edges.tolist())}
-        row = self._row_of.get((min(u, v), max(u, v)))
+        return self._row_of.get((min(u, v), max(u, v)))
+
+    def map_between(self, u: int, v: int) -> dict[int, int]:
+        """The colour map from u to v (inverting the stored orientation)."""
+        row = self._row(u, v)
         if row is None:
             return {}
         a, b = self.values[min(u, v)].tolist(), self.values[max(u, v)].tolist()
@@ -155,21 +149,50 @@ class CorrespondenceAssignment:
         return dict(pairs) if u < v else {c2: c1 for c1, c2 in pairs}
 
     def correspondent(self, u: int, v: int, colour: int) -> Optional[int]:
-        """Colour at v matched with `colour` at u, or None if unmatched."""
-        return self.map_between(u, v).get(colour)
+        """Colour at v matched with `colour` at u, or None if unmatched: a
+        search of u's set, then one map entry (a scan of the row if u > v)."""
+        row, i = self._row(u, v), _index_of(self, u, colour)
+        if row is None or i < 0:
+            return None
+        j = self.fwd[row, i] if u < v else next(iter(np.flatnonzero(self.fwd[row] == i)), -1)
+        return int(self.values[v, j]) if j >= 0 else None
+
+
+# Colour entries the colouring check compares at once.
+_CHECK_ENTRIES = 1 << 16
+
+
+def _index_of(c: CorrespondenceAssignment, u: int, colour: int) -> int:
+    """The index of `colour` in u's set, or -1, by a search of its row."""
+    colours = c.values[u, : c.sizes[u]]
+    i = int(np.searchsorted(colours, colour))
+    return i if i < len(colours) and colours[i] == colour else -1
 
 
 def _indices(c: CorrespondenceAssignment, f: PartialColouring) -> Optional[np.ndarray]:
     """Per vertex, the index of its colour under f (-1 where f has none);
-    None when some colour lies outside its vertex's set."""
+    None when some colour lies outside its vertex's set.  Rows are compared
+    in chunks of at most _CHECK_ENTRIES entries, or searched one by one if
+    wider, so the check holds O(|f|) memory."""
     idx = np.full(len(c.sizes), -1, dtype=np.int64)
-    if f:
-        us = np.fromiter(f.keys(), np.int64, len(f))
-        hit = c.values[us] == np.fromiter(f.values(), np.int64, len(f))[:, None]
-        hit &= _in_set(c.sizes[us], c.values.shape[1])
-        if not hit.any(axis=1).all():
+    us = np.fromiter(f.keys(), np.int64, len(f))
+    colours = np.fromiter(f.values(), np.int64, len(f))
+    step = _CHECK_ENTRIES // max(c.values.shape[1], 1)
+    if step == 0:
+        at = [_index_of(c, u, colour) for u, colour in f.items()]
+        if min(at, default=0) < 0:
             return None
-        idx[us] = hit.argmax(axis=1)
+        idx[us] = at
+        return idx
+    for lo in range(0, len(us), step):
+        u, colour = us[lo : lo + step], colours[lo : lo + step]
+        hit = c.values[u] == colour[:, None]
+        # A set's colours are unique and come before its padding, so the
+        # first hit is the colour's index if it lies inside the set.
+        at = hit.argmax(axis=1)
+        if not (hit[np.arange(len(u)), at] & (at < c.sizes[u])).all():
+            return None
+        idx[u] = at
     return idx
 
 
@@ -243,10 +266,11 @@ def from_lists(
     return CorrespondenceAssignment._of(c.values, c.sizes, edges, fwd)
 
 
-def _shared(g: Graph, row: np.ndarray) -> CorrespondenceAssignment:
-    """Every vertex on the set `row`, broadcast to (n, k); identity maps."""
+def _shared(g: Graph, row: np.ndarray, index=None) -> CorrespondenceAssignment:
+    """Every vertex on the set `row`, broadcast to (n, k); identity maps,
+    filled from `index`, 0..k-1 (built if not given)."""
     k = len(row)
-    fwd = _map_array(g.m, k, np.arange(k))
+    fwd = _map_array(g.m, k, np.arange(k) if index is None else index)
     values = np.broadcast_to(row, (g.n, k))
     return CorrespondenceAssignment._of(values, np.full(g.n, k), g.edge_array(), fwd)
 
@@ -254,17 +278,13 @@ def _shared(g: Graph, row: np.ndarray) -> CorrespondenceAssignment:
 def uniform_lists(g: Graph, k: int) -> CorrespondenceAssignment:
     """List assignment {0..k-1} at every vertex (identity maps, total).
 
-    Refused above ASSIGNMENT_ENTRIES_CAP before any array is built: its 2mk
-    map entries first, then its nk colour entries.
+    What it stores, the row of k colours (also the maps' identity fill), n
+    sizes, m edges and (m x k) maps, is checked against the budget first.
     """
-    _check_map_size(g.m, k)
-    if g.n * k > ASSIGNMENT_ENTRIES_CAP:
-        raise AssignmentError(
-            f"assignment would have {g.n * k} colour entries (about "
-            f"{8 * g.n * k / 2**20:.0f} MiB), above the cap of "
-            f"{ASSIGNMENT_ENTRIES_CAP} entries"
-        )
-    return _shared(g, np.arange(k, dtype=np.int64))
+    nbytes = 8 * (k + g.n + 2 * g.m) + g.m * k * _map_dtype(k).itemsize
+    budget.check(f"assignment of {k} colours on {g.m} edges", nbytes)
+    colours = np.arange(k, dtype=np.int64)
+    return _shared(g, colours, colours)
 
 
 def truncate(c: CorrespondenceAssignment, k: int) -> CorrespondenceAssignment:

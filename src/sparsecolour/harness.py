@@ -31,9 +31,11 @@ from .correspondence import (
     is_total,
     residual_assignment,
 )
+from . import budget
 from .graph import Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
     KIND_TRIAL,
+    _check_distance2,
     _Compiled,
     _compile,
     _group_pairs,
@@ -442,20 +444,25 @@ def monte_carlo_round(
     more when common neighbourhoods are large, as in C5 blow-ups.  Only the
     graph-wide keep fraction is a float; it is summed per trial in trial
     order.  The blocks are reduced in order, so the result is identical for
-    any thread count.  Dense hosts whose statistic index would exceed
-    ncp.STATS_ROWS_CAP rows are refused with ScheduleError before it is
-    built.
+    any thread count.  The words and the blocks' bookkeeping are checked
+    against the memory budget before any work, and the compiled instance
+    and both indexes where they are built.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if g.n == 0:
         raise ValueError("Monte Carlo needs a graph with at least one vertex")
+    nblocks = -(-trials // _MC_BLOCK)
+    # The words, the totals and one block's sums and words (11 rows of n);
+    # in a thread pool, each block's future, work item and bounds (1.95 KB).
+    nbytes = 8 * g.n * (nblocks + 11) + (2048 * nblocks if threads > 1 else 0)
+    budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
     comp._build_stats()
     comp._build_nuv()
     n = comp.n
     npairs = len(comp.nuv_pairs)
-    blocks = [(lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK)]
+    blocks = ((lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK))
     rows = len(comp.stat_src) + comp.in_rows.shape[1] + comp.tri_rows.shape[1]
     width = max(1, min(_MC_BLOCK, _MC_SLICE_ROWS // max(rows, 1)))
 
@@ -488,7 +495,7 @@ def monte_carlo_round(
     totals = None
     gsum = 0.0
     gsq = 0.0
-    words = np.empty((len(blocks), n), dtype=np.uint64)
+    words = np.empty((nblocks, n), dtype=np.uint64)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # Results arrive in block order and are reduced as they come.
         results = pool.map(run_block, blocks) if threads > 1 else map(run_block, blocks)
@@ -627,6 +634,8 @@ def residual_sparsity_experiment(
     """
     if not g.is_regular():
         raise GraphError("experiment requires a regular host graph")
+    # Every round indexes the distance-2 pairs of a subgraph of g.
+    _check_distance2(sum(d * (d + 1) // 2 for d in map(g.degree, range(g.n))))
     host_delta = local_sparsity(g).delta
     all_trials = []
     for t in range(trials):

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import budget
 from .bounds import savings_rate
 from .correspondence import (
     AssignmentError,
@@ -150,11 +151,17 @@ class RoundStats:
     common_uncoloured: dict[tuple[int, int], int]
 
 
-# Statistic-index rows (in-rows plus triangle rows, each bounded from above
-# before it is allocated) past which `_Compiled._build_stats` refuses.  One
-# row takes 24-32 bytes in the index, and the statistics of one trial
-# gather a few arrays of that length again.
-STATS_ROWS_CAP = 4_000_000
+# Peak bytes per statistic-index row while the index is built (tracemalloc:
+# 49 on the PG(2,7) strong-edge core, 52 on rr(200,20), 71 on K60).
+STATS_ROW_BYTES = 72
+
+
+def _check_compiled(what: str, n: int, m: int, kmax: int) -> None:
+    """Refuse a compiled instance past the budget: its (2m x kmax) int64
+    direction map, the two map rows it is built from (at most 4 bytes an
+    entry), twenty int64 arrays of at most m entries and two of n."""
+    nbytes = 8 * (m * (3 * kmax + 20) + 2 * n)
+    budget.check(f"{what} of {n} vertices, {m} edges and {kmax} colours", nbytes)
 
 
 class _Compiled:
@@ -225,7 +232,8 @@ class _Compiled:
         from the in-rows.  The in-rows are the neighbour pairs of u that are
         edges, and the triangles the pairs of in-rows (u, a, b), (u, a, c)
         with b-c an edge; each candidate count is known before the
-        candidates are allocated and checked against STATS_ROWS_CAP.
+        candidates are allocated, and their rows, at STATS_ROW_BYTES each,
+        are checked against the memory budget.
         """
         if self._stats_built:
             return
@@ -250,12 +258,7 @@ class _Compiled:
         self._stats_built = True
 
     def _check_stats_size(self, rows: int) -> None:
-        if rows > STATS_ROWS_CAP:
-            raise ScheduleError(
-                f"statistic index would have up to {rows} rows (about "
-                f"{32 * rows / 2**20:.0f} MiB), above the cap of "
-                f"{STATS_ROWS_CAP} rows"
-            )
+        budget.check(f"statistic index of up to {rows} rows", rows * STATS_ROW_BYTES)
 
     def _is_edge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Whether each a[i]-b[i] (a[i] < b[i]) is an edge."""
@@ -291,6 +294,7 @@ def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, np.nda
 def _compile(g: Graph, c: CorrespondenceAssignment) -> _Compiled:
     """The whole instance (g, c), c total, compiled; every vertex is in its
     focus."""
+    _check_compiled("compiled instance", g.n, g.m, max(c.fwd.shape[1], 1))
     eu, ev = np.ascontiguousarray(g.edge_array().T)
     return _Compiled(eu, ev, *_map_rows(g, c), c.sizes, c.values, g.max_degree())
 
@@ -323,6 +327,17 @@ def _directed_edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([eu, ev]), np.concatenate([ev, eu])
 
 
+# Peak bytes per distance-2 entry, a middle w and a pair of its neighbours,
+# while `_distance2_rows` builds its index (tracemalloc: 56 on K150, 107 to
+# 158 on sparse hosts, where most pairs are a tuple of their own).
+DISTANCE2_ENTRY_BYTES = 160
+
+
+def _check_distance2(entries: int) -> None:
+    nbytes = entries * DISTANCE2_ENTRY_BYTES
+    budget.check(f"distance-2 pair index of {entries} entries", nbytes)
+
+
 def _distance2_rows(src: np.ndarray, dst: np.ndarray, focus: int):
     """Every pair u <= v < focus at distance <= 2 (u = v included), in
     ascending order, with its common neighbourhood N(u) & N(v).
@@ -340,7 +355,9 @@ def _distance2_rows(src: np.ndarray, dst: np.ndarray, focus: int):
     near = np.flatnonzero(dst < focus)
     near = near[np.lexsort((dst[near], src[near]))]  # rows w -> x by (w, x)
     middle, end = src[near], dst[near]
-    u, v = _group_pairs(np.searchsorted(middle, middle, side="right"), 0)
+    group_end = np.searchsorted(middle, middle, side="right")
+    _check_distance2(_pair_count(group_end, 0))
+    u, v = _group_pairs(group_end, 0)
     key = end[u] * focus + end[v]
     order = np.argsort(key, kind="stable")
     key, concat = key[order], middle[u[order]]
@@ -690,6 +707,7 @@ def attempt_round(
     the restart budget, returns ok=False carrying the best-seen attempt
     (fewest violations) and its violation report.
     """
+    comp._build_stats()
     comp._build_nuv()
     sizes = comp.nuv_sizes.astype(np.float64)
 
@@ -877,9 +895,6 @@ def greedy_complete(g: Graph, c: CorrespondenceAssignment) -> CompletionResult:
 
 # -- iterative driver ---------------------------------------------------------------
 
-REGULARIZED_SIZE_CAP = 2_000_000
-
-
 def _regularize_with_assignment(
     g: Graph, c: CorrespondenceAssignment
 ) -> tuple[_Compiled, CorrespondenceAssignment]:
@@ -895,23 +910,18 @@ def _regularize_with_assignment(
     (u, v), the order of Graph.edges() by which direction draws are keyed.
 
     Returns the compiled regularised instance and the total assignment on g.
+    The copy is checked against the memory budget first; it is at least as
+    large as the work on g's own maps that comes before it.
     """
-    total = totalize(g, truncate(c, c.min_size()))
-    forward, backward = _map_rows(g, total)
     target = g.max_degree()
     eu, ev = g.edge_array().T
     degree = np.bincount(np.concatenate([eu, ev]), minlength=g.n)
     steps = target - int(degree.min()) if g.n else 0
     n_final = g.n << steps
-    if n_final > REGULARIZED_SIZE_CAP:
-        # eu, ev, dir_src, dir_dst, fwd_edge and the (2m x kmax) map, plus
-        # k_arr, with m = n_final * target / 2.
-        nbytes = 8 * (n_final * target * (2 * forward.shape[1] + 7) // 2 + n_final)
-        raise ScheduleError(
-            f"regularised graph would have {n_final} vertices "
-            f"({nbytes / 2**20:.0f} MiB compiled), above the cap of "
-            f"{REGULARIZED_SIZE_CAP} vertices"
-        )
+    kmax = max(c.min_size(), 1)
+    _check_compiled("regularised copy", n_final, n_final * target // 2, kmax)
+    total = totalize(g, truncate(c, c.min_size()))
+    forward, backward = _map_rows(g, total)
     eu, ev, forward, backward = _double(eu, ev, forward, backward, degree, steps)
     k_arr = np.tile(total.sizes, 1 << steps)
     return _Compiled(eu, ev, forward, backward, k_arr, total.values, target), total

@@ -11,10 +11,10 @@ never built whole.  The first peel wave is certified from host degree sums:
 an edge whose bound s(u) + s(v) - deg(u) - deg(v) (s(x) the degree sum over
 N(x)) is below the threshold is peeled without its row being read.  Other
 rows come on demand from one set per host vertex (at most sum deg² entries),
-built only when the first such row or exact degree is asked for; the size
-cap on those sets is checked up front all the same.  Only a non-empty core
-is built as a graph, and the extension reads one colour bitmask per host
-vertex.
+built only when the first such row or exact degree is asked for; their
+bytes are checked against the memory budget up front all the same.  Only a
+non-empty core is built as a graph, and the extension reads one colour
+bitmask per host vertex.
 
 Also provides the strong-neighbourhood geometry of a host edge (the X / Y
 vertex sets, the scaled quantities alpha, beta, gamma, the 4-cycle count
@@ -31,7 +31,8 @@ from math import comb
 from typing import Optional, Union
 
 from .bounds import STRONG_EDGE_ETA, approx_eps
-from .correspondence import AssignmentError, uniform_lists
+from . import budget
+from .correspondence import uniform_lists
 from .graph import (
     Graph,
     GraphError,
@@ -62,14 +63,9 @@ def c5_blowup(k: int) -> Graph:
     return Graph.from_edges(5 * k, edges)
 
 
-# Largest sum of deg(w)² over host vertices, a bound on the entries of the
-# near-edge sets, for which they may be built.  Checked before any set is
-# built, also on a host whose peel would build none, so that whether a host
-# is refused depends on its size alone.  Measured with tracemalloc at 24 to
-# 83 bytes per estimated entry (set slots and the shared edge-id ints; on
-# K150, rr(600,12), G(400,0.03) and rr(2000,40)), so at the cap the sets
-# take at most about 1 GB.
-NEAR_SIZE_CAP = 12_000_000
+# Bytes per near-set entry, of sum deg(w)² (tracemalloc: 24 to 100 on K150,
+# rr(600,12), G(400,0.03), rr(2000,40) and rr(5000,3)).
+NEAR_ENTRY_BYTES = 104
 
 
 def _near_edge_sets(h: Graph, edge_index: list[tuple[int, int]]) -> list[set[int]]:
@@ -90,8 +86,9 @@ class _SquareRows:
     sum deg(w)² entries, where L²(h) has up to m (2D² - 2D) adjacency
     entries; no row is kept.  The sets are built the first time a row or an
     exact degree is asked for, so a host whose edges are all certified by
-    `degree_bounds` builds none; the constructor checks their size against
-    `NEAR_SIZE_CAP` even so.  Offers the `n`, `degree_bounds`, `degree` and
+    `degree_bounds` builds none; the constructor checks their bytes against
+    the memory budget even so, so whether a host is refused depends on its
+    size alone.  Offers the `n`, `degree_bounds`, `degree` and
     `neighbour_set` that `f_core_with_order` reads, and `induced` for a core.
     """
 
@@ -100,11 +97,7 @@ class _SquareRows:
         if not edge_index:
             raise GraphError("line graph square needs at least one edge")
         entries = sum(h.degree(w) ** 2 for w in range(h.n))
-        if entries > NEAR_SIZE_CAP:
-            raise GraphError(
-                f"near-edge sets would hold about {entries} entries, above the "
-                f"cap of {NEAR_SIZE_CAP} entries"
-            )
+        budget.check(f"near-edge sets of about {entries} entries", entries * NEAR_ENTRY_BYTES)
         self._host = h
         self.edge_index = edge_index
         self.n = len(edge_index)
@@ -514,8 +507,8 @@ def _colour_core(
     """Colour the core with the iterative engine if feasible, else greedily.
 
     The warning says why the engine did not colour it: no feasible schedule,
-    a size refusal of the assignment, regularised copy or statistic index
-    ("engine refused"), or a failed run.
+    a memory-budget refusal of one of its allocations ("engine refused"),
+    or a failed run.
     """
     max_deg = core_graph.max_degree()
     delta_core = local_sparsity(core_graph).delta if max_deg >= 2 else 0.0
@@ -538,7 +531,7 @@ def _colour_core(
                 result = iterative_colour(
                     core_graph, assignment, schedule, seed, max_restarts
                 )
-            except (AssignmentError, ScheduleError) as exc:
+            except budget.BudgetError as exc:
                 return fallback(f"engine refused ({exc}); greedy fallback")
             if result.ok:
                 return dict(result.colouring), True, None

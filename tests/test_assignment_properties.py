@@ -9,6 +9,7 @@ one filled entry by entry from the dict maps.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from sparsecolour import correspondence  # noqa: E402
 from sparsecolour.correspondence import (  # noqa: E402
     CorrespondenceAssignment,
     from_lists,
@@ -140,19 +142,35 @@ def test_totalize_after_truncate_matches_oracle(instance):
     assert is_total(g, cut) == all(bijective)
 
 
+# Check chunks of 1 to 3 entries are narrower than most sets, so they take
+# the per-row search, and 2^16 entries take every row in one chunk.
 @settings(max_examples=150, deadline=None)
-@given(instance=bijection_instances(), data=st.data())
-def test_validity_matches_oracle(instance, data):
+@given(instance=bijection_instances(), data=st.data(),
+       chunk=st.sampled_from([1, 2, 3, 1 << 16]))
+def test_validity_matches_oracle(instance, data, chunk):
     g, c = instance
     sets = c.colour_sets
     f = {
         v: data.draw(st.sampled_from(sets[v]))
         for v in data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
     }
-    assert is_valid_colouring(g, c, f) == naive_is_valid_colouring(g, c, f)
     v = data.draw(st.integers(0, g.n - 1))
     outside = {**f, v: data.draw(st.integers(-1, 8))}
-    assert is_valid_colouring(g, c, outside) == naive_is_valid_colouring(g, c, outside)
+    with mock.patch.object(correspondence, "_CHECK_ENTRIES", chunk):
+        assert is_valid_colouring(g, c, f) == naive_is_valid_colouring(g, c, f)
+        assert is_valid_colouring(g, c, outside) == naive_is_valid_colouring(g, c, outside)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=bijection_instances())
+def test_correspondent_matches_the_map(instance):
+    g, c = instance
+    sets = c.colour_sets
+    for u in range(g.n):
+        for v in range(g.n):
+            mp = c.map_between(u, v)
+            for colour in (*sets[u], -1, 8):
+                assert c.correspondent(u, v, colour) == mp.get(colour)
 
 
 @settings(max_examples=100, deadline=None)

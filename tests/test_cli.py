@@ -85,13 +85,14 @@ class TestGen:
     # --gnp's estimate is the expected edge count, not the drawn one.
     @pytest.mark.parametrize("flag", [f for f in cli.GENERATORS if f != "--gnp"])
     def test_edge_estimate_is_the_written_edge_count(self, capsys, flag):
-        _, edge_estimate, _ = cli.GENERATORS[flag]
+        _, shape, _ = cli.GENERATORS[flag]
         for size in self.SIZES[flag]:
             args = cli.build_parser().parse_args(["gen", flag, *size])
             value = getattr(args, flag[2:].replace("-", "_"))
             code, out, _ = run(["gen", flag, *size], capsys)
             assert code == 0
-            assert parse_dimacs(out).m == edge_estimate(value)
+            written = parse_dimacs(out)
+            assert (written.n, written.m) == shape(value)
 
 
 class TestStrongEdgeCommand:
@@ -348,15 +349,13 @@ class TestColorCommand:
         assert "436207616 vertices" in err
 
     @pytest.mark.parametrize(
-        "name, text, where",
+        "name, text",
         [
-            ("huge.col", "p edge 100000000 0\n", "line 1"),
-            ("huge.json", '{"n": 100000000, "edges": []}', "graph JSON"),
+            ("huge.col", "p edge 100000000 0\n"),
+            ("huge.json", '{"n": 100000000, "edges": []}'),
         ],
     )
-    def test_oversized_vertex_count_refused_before_loading(
-        self, tmp_path, capsys, name, text, where
-    ):
+    def test_oversized_vertex_count_refused_before_loading(self, tmp_path, capsys, name, text):
         path = tmp_path / name
         path.write_text(text)
         start = time.perf_counter()
@@ -365,25 +364,30 @@ class TestColorCommand:
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert err.splitlines() == [
-            f"sparsecolour: {where}: vertex count 100000000 above the cap of 2000001 vertices"
+            "sparsecolour: graph of 100000000 vertices and 0 edges would take about "
+            "53406 MiB, above the memory budget of 512 MiB"
         ]
 
     def test_oversized_near_edge_sets_refused(self, tmp_path, capsys, monkeypatch):
-        # rr(600,12) needs sum deg² = 86,400 near-edge entries; with the cap
-        # just below, strong-edge refuses before building any near set.
+        # rr(600,12) needs sum deg² = 86,400 near-edge entries, about 8.6
+        # MiB; with a budget of 8 MiB, strong-edge refuses before building
+        # any near set.
         import sparsecolour.strong_edge as strong_edge
+        from sparsecolour import budget
 
         def near_sets(*args, **kwargs):
             raise AssertionError("the size check must come before the near sets")
 
-        monkeypatch.setattr(strong_edge, "NEAR_SIZE_CAP", 86_399)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 8 * 2**20)
         monkeypatch.setattr(strong_edge, "_near_edge_sets", near_sets)
         g = tmp_path / "rr.dimacs"
         run(["gen", "--random-regular", "600", "12", "--out", str(g)], capsys)
         code, out, err = run(["strong-edge", "--input", str(g)], capsys)
         assert code == 1 and out == ""
-        assert len(err.splitlines()) == 1
-        assert "about 86400 entries" in err and "cap of 86399" in err
+        assert err.splitlines() == [
+            "sparsecolour: near-edge sets of about 86400 entries would take about 9 MiB, "
+            "above the memory budget of 8 MiB"
+        ]
 
     def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
         import sparsecolour.cli as cli
@@ -573,24 +577,28 @@ print(code, time.perf_counter() - start)
 """
 
 
+def _limited_main(argv):
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(sparsecolour.__file__).resolve().parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+    }
+    return subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 class TestDenseMonteCarlo:
     def test_k100_refused_in_one_line_under_a_second(self, tmp_path, capsys):
         g = tmp_path / "k100.dimacs"
         run(["gen", "--complete", "100", "--out", str(g)], capsys)
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(sparsecolour.__file__).resolve().parents[1]),
-            "OPENBLAS_NUM_THREADS": "1",
-        }
         argv = ["simulate", "--experiment", "mc", "--input", str(g), "--k", "50",
                 "--out", str(tmp_path / "r.json")]
-        proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = _limited_main(argv)
         code, seconds = proc.stdout.split()
         assert code == "1", proc.stderr
         assert proc.stderr.splitlines() == [
-            "sparsecolour: statistic index would have up to 16170000 rows "
-            "(about 493 MiB), above the cap of 4000000 rows"
+            "sparsecolour: statistic index of up to 16170000 rows would take about "
+            "1110 MiB, above the memory budget of 512 MiB"
         ]
         assert float(seconds) < 1.0
         assert not (tmp_path / "r.json").exists()
@@ -610,32 +618,78 @@ class TestDenseMonteCarlo:
 
 
 class TestAssignmentSizeCap:
-    """K200 has 19,900 edges; 600 colours per vertex make 2mk = 23,880,000
-    map entries, above the 20,000,000-entry cap."""
+    """K200 has 19,900 edges.  14,000 colours per vertex make maps of
+    19,900 x 14,000 int16 entries, 531 MiB, past the budget before any
+    colour set; 600 colours, 23 MiB, compile, and the Monte Carlo run is
+    refused by its statistic index."""
 
     @pytest.mark.parametrize(
-        "argv",
-        [["color", "--k", "600"], ["simulate", "--experiment", "mc", "--k", "600"]],
+        "argv, refusal",
+        [
+            (["color", "--k", "14000"],
+             "assignment of 14000 colours on 19900 edges would take about 532 MiB"),
+            (["simulate", "--experiment", "mc", "--k", "600"],
+             "statistic index of up to 262680000 rows would take about 18037 MiB"),
+        ],
         ids=["color", "simulate-mc"],
     )
-    def test_refused_in_one_line_under_2gb(self, tmp_path, capsys, argv):
+    def test_refused_in_one_line_under_2gb(self, tmp_path, capsys, argv, refusal):
         g = tmp_path / "k200.dimacs"
         run(["gen", "--complete", "200", "--out", str(g)], capsys)
-        env = {
-            **os.environ,
-            "PYTHONPATH": str(Path(sparsecolour.__file__).resolve().parents[1]),
-            "OPENBLAS_NUM_THREADS": "1",
-        }
         out = tmp_path / "r.json"
-        argv = [*argv, "--input", str(g), "--out", str(out)]
-        proc = subprocess.run([sys.executable, "-c", _LIMITED_MAIN, *argv], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = _limited_main([*argv, "--input", str(g), "--out", str(out)])
         code, _ = proc.stdout.split()
         assert code == "1", proc.stderr
         assert proc.stderr.splitlines() == [
-            "sparsecolour: assignment would have 23880000 map entries (about "
-            "205 MiB stored and compiled), above the cap of 20000000 entries"
+            f"sparsecolour: {refusal}, above the memory budget of 512 MiB"
         ]
+        assert not out.exists()
+
+
+class TestMemoryHoles:
+    """Inputs the command line accepted and that ran out of memory before
+    any estimate stopped them: each now exits 1 in one line naming the
+    budget, within a second and with no output file."""
+
+    def test_regularised_copy(self, tmp_path, capsys):
+        # rr(100,40) less vertex 1's first 14 edges has D = 40 and minimum
+        # degree 26, so regularising doubles 14 times, to 1,638,400 vertices.
+        g = tmp_path / "rr.dimacs"
+        run(["gen", "--random-regular", "100", "40", "--seed", "1", "--out", str(g)], capsys)
+        lines = g.read_text().splitlines()
+        dropped = [i for i, line in enumerate(lines) if line.startswith("e 1 ")][:14]
+        g.write_text("\n".join(l for i, l in enumerate(lines) if i not in dropped) + "\n")
+        self._refused(tmp_path, ["color", "--input", str(g), "--k", "38", "--seed", "1"],
+                      "regularised copy of 1638400 vertices, 32768000 edges and 38 colours "
+                      "would take about 33525 MiB")
+
+    def test_distance2_pairs(self, tmp_path):
+        # K400,400: each of 800 vertices is the middle of C(401, 2) entries.
+        n = 400
+        g = tmp_path / "k400_400.json"
+        g.write_text(json.dumps({"n": 2 * n, "edges": [[u, n + v] for u in range(n)
+                                                       for v in range(n)]}))
+        argv = ["simulate", "--experiment", "sparsity", "--input", str(g), "--k", "2",
+                "--trials", "1", "--rounds", "1"]
+        self._refused(tmp_path, argv, "distance-2 pair index of 64160000 entries would take "
+                                      "about 9790 MiB")
+
+    def test_monte_carlo_blocks(self, tmp_path, capsys):
+        g = tmp_path / "path.dimacs"
+        run(["gen", "--path", "3", "--out", str(g)], capsys)
+        argv = ["simulate", "--input", str(g), "--k", "2", "--trials", "100000000000"]
+        self._refused(tmp_path, argv, "Monte Carlo run of 1562500000 blocks would take "
+                                      "about 35763 MiB")
+
+    def _refused(self, tmp_path, argv, refusal):
+        out = tmp_path / "r.json"
+        proc = _limited_main([*argv, "--out", str(out)])
+        code, seconds = proc.stdout.split()
+        assert code == "1", proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"sparsecolour: {refusal}, above the memory budget of 512 MiB"
+        ]
+        assert float(seconds) < 1.0
         assert not out.exists()
 
 
@@ -846,22 +900,28 @@ class TestUsageErrors:
         "argv,generator,reason",
         [
             (["--complete", "200000"], "complete_graph",
-             "graph would have about 19999900000 edges, above the cap of 2000000 edges"),
+             "graph of 200000 vertices and 19999900000 edges would take "
+             "about 13351480 MiB, above the memory budget of 512 MiB"),
             (["--gnp", "3000", "0.5"], "gnp_graph",
-             "graph would have about 2249250 edges, above the cap of 2000000 edges"),
+             "graph of 3000 vertices and 2249250 edges would take about "
+             "1503 MiB, above the memory budget of 512 MiB"),
             (["--gnp", "100000", "0"], "gnp_graph",
              "--gnp would make 4999950000 random draws, above the cap of 50000000 draws"),
             (["--gnp", "1e30", "0.5"], "gnp_graph",
              f"--gnp would make {int(1e30) * (int(1e30) - 1) // 2} random draws, "
              "above the cap of 50000000 draws"),
             (["--random-regular", "100000", "50"], "random_regular_graph",
-             "graph would have about 2500000 edges, above the cap of 2000000 edges"),
+             "graph of 100000 vertices and 2500000 edges would take about "
+             "1722 MiB, above the memory budget of 512 MiB"),
             (["--c5-blowup", "700"], "c5_blowup",
-             "graph would have about 2450000 edges, above the cap of 2000000 edges"),
+             "graph of 3500 vertices and 2450000 edges would take about "
+             "1637 MiB, above the memory budget of 512 MiB"),
             (["--path", "2000002"], "path_graph",
-             "graph would have about 2000001 edges, above the cap of 2000000 edges"),
+             "graph of 2000002 vertices and 2000001 edges would take about "
+             "2403 MiB, above the memory budget of 512 MiB"),
             (["--cycle", "2000001"], "cycle_graph",
-             "graph would have about 2000001 edges, above the cap of 2000000 edges"),
+             "graph of 2000001 vertices and 2000001 edges would take about "
+             "2403 MiB, above the memory budget of 512 MiB"),
         ],
     )
     def test_gen_above_size_cap_refused_before_generating(
@@ -944,17 +1004,17 @@ class TestUsageErrors:
             "above the cap of 1000000 rows"
         )
 
-    # 2mk = 40,000,000 map entries on a 3-vertex path; nk = 80,000,000 colour
-    # entries on 4 isolated vertices, where no map entry is counted.
+    # A 3-vertex path stores two int32 map rows of k entries and the shared
+    # row of k int64 colours; 4 isolated vertices store the row alone.
     @pytest.mark.parametrize(
         "text, k, reason",
         [
-            ("p edge 3 2\ne 1 2\ne 2 3\n", "10000000",
-             "assignment would have 40000000 map entries (about 343 MiB stored and "
-             "compiled), above the cap of 20000000 entries"),
-            ("p edge 4 0\n", "20000000",
-             "assignment would have 80000000 colour entries (about 610 MiB), "
-             "above the cap of 20000000 entries"),
+            ("p edge 3 2\ne 1 2\ne 2 3\n", "40000000",
+             "assignment of 40000000 colours on 2 edges would take about 610 MiB, "
+             "above the memory budget of 512 MiB"),
+            ("p edge 4 0\n", "80000000",
+             "assignment of 80000000 colours on 0 edges would take about 610 MiB, "
+             "above the memory budget of 512 MiB"),
         ],
         ids=["map-entries", "colour-entries"],
     )

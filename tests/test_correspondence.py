@@ -6,6 +6,8 @@ import random
 import numpy as np
 import pytest
 
+from sparsecolour import budget
+from sparsecolour.budget import BudgetError
 from sparsecolour.correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
@@ -303,15 +305,17 @@ class TestMalformedRefused:
 
 class TestSizeCap:
     def test_refused_before_allocating(self, monkeypatch):
-        from sparsecolour import correspondence
-
         g = complete_graph(4)  # 6 edges
-        monkeypatch.setattr(correspondence, "ASSIGNMENT_ENTRIES_CAP", 59)
-        with pytest.raises(AssignmentError, match="would have 60 map entries"):
+        # uniform_lists(g, 4) stores 8 (4 colours + 4 sizes + 12 edge ends)
+        # + 2 * 6 * 4 map bytes = 208 bytes; with 5 colours, 228.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 208)
+        with pytest.raises(BudgetError, match="^assignment of 5 colours on 6 edges would"):
             uniform_lists(g, 5)
-        with pytest.raises(AssignmentError, match="above the cap of 59 entries"):
-            from_lists(g, [range(5), range(5), range(5), range(1, 6)])
         assert uniform_lists(g, 4).fwd.shape == (6, 4)
+        # Unequal lists of 5 colours: maps of 6 x 5 int16 entries, 60 bytes.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 59)
+        with pytest.raises(BudgetError, match="^assignment maps of 6 x 5 entries would"):
+            from_lists(g, [range(5), range(5), range(5), range(1, 6)])
 
     def test_uniform_lists_refused_before_any_colour_set(self, monkeypatch):
         from sparsecolour import correspondence
@@ -320,32 +324,23 @@ class TestSizeCap:
             raise AssertionError("the size checks must come before the colour sets")
 
         monkeypatch.setattr(correspondence, "_shared", no_sets)
-        monkeypatch.setattr(correspondence, "ASSIGNMENT_ENTRIES_CAP", 59)
-        # 2mk = 60 map entries; path_graph(3) has more map (80) than colour
-        # (60) entries past the cap, and the map count is the one named.
-        for g, k in [(complete_graph(4), 5), (path_graph(3), 20)]:
-            with pytest.raises(AssignmentError) as err:
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 2 * 2**20)
+        # The shared row takes 8 bytes a colour and the int32 maps 4 bytes a
+        # colour per edge; isolated vertices store no map.
+        for g, k, mib in [
+            (empty_graph(4), 3 * 2**17, 3),
+            (path_graph(3), 2**18, 4),
+            (complete_graph(4), 100_000, 3),
+        ]:
+            with pytest.raises(BudgetError) as err:
                 uniform_lists(g, k)
             assert str(err.value) == (
-                f"assignment would have {2 * g.m * k} map entries (about 0 MiB "
-                "stored and compiled), above the cap of 59 entries"
+                f"assignment of {k} colours on {g.m} edges would take about {mib} MiB, "
+                "above the memory budget of 2 MiB"
             )
-        # nk = 60 colour entries and no edge; at 2^20 entries the figure
-        # counts 8 bytes an entry.
-        with pytest.raises(AssignmentError) as err:
-            uniform_lists(empty_graph(4), 15)
-        assert str(err.value) == (
-            "assignment would have 60 colour entries (about 0 MiB), above the "
-            "cap of 59 entries"
-        )
-        with pytest.raises(AssignmentError) as err:
-            uniform_lists(empty_graph(4), 2**18)
-        assert "1048576 colour entries (about 8 MiB)" in str(err.value)
 
     def test_uniform_lists_at_the_cap_builds(self, monkeypatch):
-        from sparsecolour import correspondence
-
-        monkeypatch.setattr(correspondence, "ASSIGNMENT_ENTRIES_CAP", 60)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 228)
         assert uniform_lists(complete_graph(4), 5).fwd.shape == (6, 5)
         assert uniform_lists(empty_graph(4), 15).sizes.tolist() == [15] * 4
 

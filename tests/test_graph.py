@@ -6,6 +6,8 @@ import re
 
 import pytest
 
+from sparsecolour import budget
+from sparsecolour.budget import BudgetError
 from sparsecolour.correspondence import from_lists, uniform_lists
 from sparsecolour.generators import (
     complete_graph,
@@ -324,23 +326,20 @@ class TestDimacs:
             parse_dimacs("e 1 2\n")
 
     def test_vertex_count_above_cap_refused_before_building(self, monkeypatch):
-        from sparsecolour import graph
-
         def build(*args):
-            raise AssertionError("graph built before the vertex count check")
+            raise AssertionError("graph built before the size check")
 
-        monkeypatch.setattr(graph, "MAX_FILE_VERTICES", 5)
+        # 560 bytes a vertex and 700 an edge: 4060 bytes, one past the budget.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 4059)
         monkeypatch.setattr(Graph, "from_edges", build)
-        refusal = "vertex count 6 above the cap of 5 vertices"
-        with pytest.raises(DimacsError, match=f"^line 2: {refusal}$"):
-            parse_dimacs("c huge\np edge 6 0\n")
-        with pytest.raises(GraphError, match=f"^graph JSON: {refusal}$"):
-            from_json_dict({"n": 6, "edges": []})
+        refusal = "^graph of 6 vertices and 1 edges would take about 0 MiB"
+        with pytest.raises(BudgetError, match=refusal):
+            parse_dimacs("c huge\np edge 6 1\ne 1 2\n")
+        with pytest.raises(BudgetError, match=refusal):
+            from_json_dict({"n": 6, "edges": [[0, 1]]})
 
     def test_vertex_count_at_cap_loads(self, monkeypatch):
-        from sparsecolour import graph
-
-        monkeypatch.setattr(graph, "MAX_FILE_VERTICES", 5)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 5 * 560 + 700)
         want = Graph.from_edges(5, [(0, 4)])
         assert parse_dimacs("p edge 5 1\ne 1 5\n") == want
         assert from_json_dict({"n": 5, "edges": [[0, 4]]}) == want

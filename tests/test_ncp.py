@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from sparsecolour import ncp
+from sparsecolour import budget, ncp
+from sparsecolour.budget import BudgetError
 from sparsecolour.correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
@@ -653,19 +654,26 @@ class TestArrayRegularisation:
         for comp in (whole, reg):
             np.testing.assert_array_equal(comp.colour_values, c.values)
 
-    def test_size_checked_before_doubling(self):
-        # star with 25 leaves: 26 * 2^24 vertices after 24 doublings
+    def test_size_checked_before_doubling(self, monkeypatch):
+        # star with 25 leaves: 26 * 2^24 vertices after 24 doublings, refused
+        # before c is cut, made total or doubled
+        def never(*args):
+            raise AssertionError("work on the maps before the size check")
+
         g = star_graph(25)
         c = uniform_lists(g, 24)
         from sparsecolour.ncp import _regularize_with_assignment
 
-        with pytest.raises(ScheduleError, match=r"436207616 vertices \(\d+ MiB"):
+        for name in ("truncate", "totalize", "_double"):
+            monkeypatch.setattr(ncp, name, never)
+        with pytest.raises(BudgetError, match=r"^regularised copy of 436207616 vertices, "):
             _regularize_with_assignment(g, c)
 
 
 class TestStatisticIndexCap:
     """K6 has 60 neighbour pairs, all of them edges (60 in-rows), and 60
-    pairs of in-rows sharing their smaller end, all closed (60 triangles)."""
+    pairs of in-rows sharing their smaller end, all closed (60 triangles).
+    Each row is counted at STATS_ROW_BYTES against the budget."""
 
     def _compiled(self):
         from sparsecolour.ncp import _compile
@@ -679,10 +687,11 @@ class TestStatisticIndexCap:
         def listing(*args):
             raise AssertionError("pairs listed before the size check")
 
-        monkeypatch.setattr(ncp, "STATS_ROWS_CAP", 59)
+        comp = self._compiled()
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 60 * ncp.STATS_ROW_BYTES - 1)
         monkeypatch.setattr(ncp, "_group_pairs", listing)
-        with pytest.raises(ScheduleError, match=r"up to 60 rows .* cap of 59 rows"):
-            self._compiled()._build_stats()
+        with pytest.raises(BudgetError, match=r"^statistic index of up to 60 rows would"):
+            comp._build_stats()
 
     def test_triangle_candidates_refused_before_listing(self, monkeypatch):
         from sparsecolour import ncp
@@ -696,19 +705,58 @@ class TestStatisticIndexCap:
                 raise AssertionError("triangle candidates listed before the size check")
             return pairs(*args)
 
-        monkeypatch.setattr(ncp, "STATS_ROWS_CAP", 119)
+        comp = self._compiled()
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 120 * ncp.STATS_ROW_BYTES - 1)
         monkeypatch.setattr(ncp, "_group_pairs", listing)
-        with pytest.raises(ScheduleError, match=r"up to 120 rows"):
-            self._compiled()._build_stats()
+        with pytest.raises(BudgetError, match=r"^statistic index of up to 120 rows would"):
+            comp._build_stats()
         assert len(calls) == 1
 
     def test_built_at_the_cap(self, monkeypatch):
         from sparsecolour import ncp
 
-        monkeypatch.setattr(ncp, "STATS_ROWS_CAP", 120)
         comp = self._compiled()
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 120 * ncp.STATS_ROW_BYTES)
         comp._build_stats()
         assert comp.in_rows.shape == (3, 60) and comp.tri_rows.shape == (4, 60)
+
+
+class TestBudgetChecks:
+    """The compiled instance and the distance-2 pair index are refused before
+    they are built, and a round builds its statistic index first."""
+
+    def test_compile_refused_before_the_map_rows(self, monkeypatch):
+        def map_rows(*args):
+            raise AssertionError("map rows built before the size check")
+
+        g = complete_graph(6)
+        c = uniform_lists(g, 2)
+        # 8 (15 edges * (3 * 2 + 20) + 2 * 6 vertices) = 3216 bytes.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 3215)
+        monkeypatch.setattr(ncp, "_map_rows", map_rows)
+        with pytest.raises(BudgetError, match="^compiled instance of 6 vertices, 15 edges "):
+            _compile(g, c)
+
+    def test_distance2_refused_before_listing(self, monkeypatch):
+        def listing(*args):
+            raise AssertionError("pairs listed before the size check")
+
+        # Each of K6's vertices is the middle of C(6, 2) = 15 entries.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 90 * ncp.DISTANCE2_ENTRY_BYTES - 1)
+        monkeypatch.setattr(ncp, "_group_pairs", listing)
+        with pytest.raises(BudgetError, match="^distance-2 pair index of 90 entries would"):
+            _distance2_rows(*ncp._directed_edges(complete_graph(6)), 6)
+
+    def test_attempt_refuses_before_the_pair_index(self, monkeypatch):
+        def pair_index(*args):
+            raise AssertionError("pair index built before the statistic index")
+
+        g = complete_graph(6)
+        comp = _compile(g, uniform_lists(g, 2))
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 60 * ncp.STATS_ROW_BYTES - 1)
+        monkeypatch.setattr(ncp, "_distance2_rows", pair_index)
+        with pytest.raises(BudgetError, match="^statistic index"):
+            attempt_round(comp, ncp.RoundParams(0.5, 1.0, 0.0), seed=1)
 
 
 def _sliced_attempt(g, c, params, seed, max_restarts, focus):

@@ -424,27 +424,32 @@ class TestStrongEdgeColour:
         assert all(colours[u] != colours[v] for u, v in core.edges())
         assert len(set(colours.values())) <= core.max_degree()
 
+    # The core's first round checks its assignment (15,160 bytes), regularised
+    # copy (167,040), statistic index (345,600) and distance-2 pair index
+    # (870,400) in turn; each budget here lets through those before one.
     @pytest.mark.parametrize(
-        "module, cap, reason, unit",
+        "limit, reason",
         [
-            ("correspondence", "ASSIGNMENT_ENTRIES_CAP", "assignment would have", "entries"),
-            ("ncp", "REGULARIZED_SIZE_CAP", "regularised graph would have", "vertices"),
-            ("ncp", "STATS_ROWS_CAP", "statistic index would have", "rows"),
+            (15_000, "assignment of 15 colours on 320 edges"),
+            (100_000, "regularised copy of 40 vertices, 320 edges and 15 colours"),
+            (200_000, "statistic index of up to 4800 rows"),
+            (500_000, "distance-2 pair index of 5440 entries"),
         ],
+        ids=["assignment", "regularised-copy", "statistic-index", "distance-2"],
     )
-    def test_size_refusal_reads_as_engine_refused(self, monkeypatch, module, cap, reason, unit):
-        # The core of the engine path above, with one size cap set below it:
-        # the schedule is feasible, so the warning must not say otherwise.
-        import importlib
-
+    def test_size_refusal_reads_as_engine_refused(self, monkeypatch, limit, reason):
+        # The core of the engine path above, with the budget set below one of
+        # its allocations: the schedule is feasible, so the warning must not
+        # say otherwise.
+        from sparsecolour import budget
         from sparsecolour.strong_edge import _colour_core
 
-        monkeypatch.setattr(importlib.import_module(f"sparsecolour.{module}"), cap, 10)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", limit)
         core = c5_blowup(8)
         colours, engine_used, warning = _colour_core(core, seed=5, max_restarts=200)
         assert not engine_used
-        assert warning.startswith(f"engine refused ({reason} ")
-        assert warning.endswith(f"above the cap of 10 {unit}); greedy fallback")
+        assert warning.startswith(f"engine refused ({reason} would take about ")
+        assert warning.endswith("above the memory budget of 0 MiB); greedy fallback")
         assert colours == first_fit(core, range(core.n))
 
     def test_schedule_failure_reads_as_no_feasible_schedule(self, monkeypatch):

@@ -18,6 +18,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import sparsecolour.strong_edge as strong_edge  # noqa: E402
+from sparsecolour import budget  # noqa: E402
+from sparsecolour.budget import BudgetError  # noqa: E402
 from sparsecolour.generators import (  # noqa: E402
     complete_graph,
     gnp_graph,
@@ -274,16 +276,18 @@ class TestProjectivePlaneCore:
 
     def test_whole_square_is_the_core(self):
         # At eta = 0.3 the threshold is 108.8 <= 112, so nothing is peeled.
-        # The engine gets as far as the statistic index of the regularised
-        # core, which it refuses, so the core gets its greedy fallback.
+        # The engine's round 0 on the 112-regular core is accepted; round 1
+        # would regularise the residual to about 3.5e9 vertices, which the
+        # budget refuses, so the core gets its greedy fallback.
         h = projective_plane_incidence(7)
         report = strong_edge_colour(h, eta=0.3)
         order, core, core_graph, colours = oracle(h, default_threshold(h, 0.3))
         assert order == [] and len(core) == 456 and core_graph.m == 456 * 112 // 2
         assert report.f_core_size == 456 and not report.engine_used
         assert report.engine_warning == (
-            "engine refused (statistic index would have up to 7313264 rows (about "
-            "223 MiB), above the cap of 4000000 rows); greedy fallback"
+            "engine refused (regularised copy of 3489660928 vertices, 108179488768 "
+            "edges and 40 colours would take about 115601408 MiB, above the memory "
+            "budget of 512 MiB); greedy fallback"
         )
         assert report.valid and report.colours == colours
         assert naive_strong_colouring_valid(h, report.edge_index, report.colours)
@@ -312,15 +316,16 @@ class TestSizeGuard:
         def no_near_sets(*args, **kwargs):
             raise AssertionError("the size check must come before the near sets")
 
-        monkeypatch.setattr(strong_edge, "NEAR_SIZE_CAP", entries - 1)
+        limit = entries * strong_edge.NEAR_ENTRY_BYTES - 1
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", limit)
         monkeypatch.setattr(strong_edge, "_near_edge_sets", no_near_sets)
         calls = [strong_edge_colour, line_graph_square]
         if h.is_regular():
             calls.append(lambda g: f_core_density_check(g, 0.1))
         for call in calls:
-            with pytest.raises(GraphError, match=f"about {entries} entries"):
+            with pytest.raises(BudgetError, match=f"^near-edge sets of about {entries} "):
                 call(h)
 
     def test_at_the_cap_builds(self, monkeypatch):
-        monkeypatch.setattr(strong_edge, "NEAR_SIZE_CAP", 30)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 30 * strong_edge.NEAR_ENTRY_BYTES)
         assert strong_edge_colour(star_graph(5)).num_colours == 5

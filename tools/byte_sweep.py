@@ -4,17 +4,19 @@
     python tools/byte_sweep.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository.  Every invocation in
-CASES runs once per tree as ``python -m sparsecolour.cli ...`` with that
-tree's ``src`` as PYTHONPATH, each in a fresh directory that holds the same
-inputs under ``in/``.  The exit code, stdout, stderr and every file the run
-writes are compared.  Each difference is printed on one line, then a summary;
-the exit status is 1 if anything differed.
+CASES runs once per tree as the module ``sparsecolour.cli`` with that tree's
+``src`` as PYTHONPATH, each in a fresh directory that holds the same inputs
+under ``in/``.  Each run has one BLAS thread and a LIMIT_BYTES address-space
+limit, as the tests' limited runs do, so an input that one tree has no
+memory bound for ends there in "out of memory" rather than taking the
+host's memory.  The exit code, stdout, stderr and every file the run writes
+are compared.  Each difference is printed on one line, then a summary; the
+exit status is 1 if anything differed.
 
 The inputs are written once: the files in INPUT_GEN by PARENT's own ``gen``,
-those in INPUT_TEXT from the texts below (the PG(2, 7) incidence graph from
-``_projective_plane``, which ``gen`` has no generator for).  No input here
-makes either tree allocate without bound; check such inputs on one tree
-alone.
+those in INPUT_CUT by cutting one of them, and those in INPUT_TEXT from the
+texts below (the PG(2, 7) incidence graph from ``_projective_plane`` and
+K400,400 from ``_complete_bipartite``, which ``gen`` has no generator for).
 """
 
 from __future__ import annotations
@@ -43,6 +45,22 @@ INPUT_GEN = {
     "path2.col": ["--path", "2"],
     "cycle4.col": ["--cycle", "4"],
     "pentagon_été.col": ["--c5-blowup", "3"],
+    "path3.col": ["--path", "3"],
+    "rr100_40.col": ["--random-regular", "100", "40", "--seed", "1"],
+}
+
+
+def _drop_first(text: str, prefix: str, count: int) -> str:
+    """`text` without its first `count` lines that begin with `prefix`."""
+    lines = text.splitlines(keepends=True)
+    dropped = [i for i, line in enumerate(lines) if line.startswith(prefix)][:count]
+    return "".join(line for i, line in enumerate(lines) if i not in dropped)
+
+
+# Input file -> (the INPUT_GEN file it is cut from, the cut).  Vertex 1 of
+# rr(100,40) keeps 26 edges, so regularising doubles 14 times.
+INPUT_CUT = {
+    "rr100_40_cut.col": ("rr100_40.col", lambda text: _drop_first(text, "e 1 ", 14)),
 }
 
 
@@ -65,9 +83,16 @@ def _projective_plane(q: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _complete_bipartite(n: int) -> str:
+    """JSON text of K(n, n)."""
+    edges = ", ".join(f"[{u}, {n + v}]" for u in range(n) for v in range(n))
+    return f'{{"n": {2 * n}, "edges": [{edges}]}}'
+
+
 # Input file -> its text.
 INPUT_TEXT = {
     "pg7.col": _projective_plane(7),
+    "k400_400.json": _complete_bipartite(400),
     "empty.col": "p edge 0 0\n",
     "edgeless.col": "p edge 4 0\n",
     "bad_record.col": "p edge 3 1\nx 1 2\n",
@@ -122,6 +147,10 @@ CASES = [
     "strong-edge --input in/c5_8.col --max-restarts 20",
     "strong-edge --input in/edgeless.col",
     "strong-edge --input in/pg7.col --eta 0.3",
+    # inputs that ran out of memory before any estimate stopped them
+    "color --input in/rr100_40_cut.col --k 38 --seed 1",
+    "simulate --experiment sparsity --input in/k400_400.json --k 2 --trials 1 --rounds 1",
+    "simulate --input in/path3.col --k 2 --trials 100000000000",
     # bounds: all five subcommands
     "bounds table1",
     "bounds table1 --format json --grid 0.001",
@@ -164,12 +193,20 @@ CASES = [
 ]
 
 TIMEOUT_S = 300
+LIMIT_BYTES = 2 << 30
+
+# Runs the module sparsecolour.cli, as ``python -m`` does, under LIMIT_BYTES.
+_LIMITED_CLI = (
+    "import resource, runpy; "
+    f"resource.setrlimit(resource.RLIMIT_AS, ({LIMIT_BYTES}, {LIMIT_BYTES})); "
+    "runpy.run_module('sparsecolour.cli', run_name='__main__', alter_sys=True)"
+)
 
 
 def _cli(tree: Path, args: list[str], cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
-        [sys.executable, "-m", "sparsecolour.cli", *args],
+        [sys.executable, "-c", _LIMITED_CLI, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -181,6 +218,8 @@ def _write_inputs(tree: Path, inputs: Path) -> None:
     inputs.mkdir()
     for name, args in INPUT_GEN.items():
         _cli(tree, ["gen", *args, "--out", str(inputs / name)], inputs).check_returncode()
+    for name, (source, cut) in INPUT_CUT.items():
+        (inputs / name).write_text(cut((inputs / source).read_text()))
     for name, text in INPUT_TEXT.items():
         (inputs / name).write_text(text)
 
