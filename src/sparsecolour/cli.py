@@ -47,6 +47,7 @@ from .generators import (
     star_graph,
 )
 from .graph import (
+    GEN_BYTES,
     Graph,
     check_graph,
     from_json_dict,
@@ -226,7 +227,8 @@ GEN_DRAW_CAP = 50_000_000
 # value; build also takes the seed.  The size error returns why the value is
 # out of range, or None (--petersen takes no size).  The shape, (vertices,
 # edges) with expected edges for --gnp, is checked against the memory budget
-# by the loaders' own formula before anything is generated.
+# before anything is generated, at bytes per vertex and edge no fewer than
+# the loaders', so that a graph `gen` writes always loads.
 GENERATORS = {
     "--c5-blowup": (_at_least(1), lambda k: (5 * k, 5 * k**2), lambda k, seed: c5_blowup(k)),
     "--random-regular": (
@@ -267,7 +269,7 @@ def _cmd_gen(args) -> tuple[Optional[str], int]:
             f"gen: --gnp would make {draws} random draws, above the cap of {GEN_DRAW_CAP} draws", 1
         )
     try:
-        check_graph(*shape(value))
+        check_graph(*shape(value), GEN_BYTES)
     except BudgetError as exc:
         return _refuse(f"gen: {exc}", 1)
     g = build(value, args.seed)

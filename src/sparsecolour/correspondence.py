@@ -270,18 +270,20 @@ def _shared(g: Graph, row: np.ndarray, index=None) -> CorrespondenceAssignment:
     """Every vertex on the set `row`, broadcast to (n, k); identity maps,
     filled from `index`, 0..k-1 (built if not given)."""
     k = len(row)
+    edges = g.edge_array()  # before the maps, so its transients never meet them
     fwd = _map_array(g.m, k, np.arange(k) if index is None else index)
     values = np.broadcast_to(row, (g.n, k))
-    return CorrespondenceAssignment._of(values, np.full(g.n, k), g.edge_array(), fwd)
+    return CorrespondenceAssignment._of(values, np.full(g.n, k), edges, fwd)
 
 
 def uniform_lists(g: Graph, k: int) -> CorrespondenceAssignment:
     """List assignment {0..k-1} at every vertex (identity maps, total).
 
     What it stores, the row of k colours (also the maps' identity fill), n
-    sizes, m edges and (m x k) maps, is checked against the budget first.
+    sizes, m edges and (m x k) maps, and 2 KiB for their array headers, is
+    checked against the budget first.
     """
-    nbytes = 8 * (k + g.n + 2 * g.m) + g.m * k * _map_dtype(k).itemsize
+    nbytes = 8 * (k + g.n + 2 * g.m) + g.m * k * _map_dtype(k).itemsize + 2048
     budget.check(f"assignment of {k} colours on {g.m} edges", nbytes)
     colours = np.arange(k, dtype=np.int64)
     return _shared(g, colours, colours)

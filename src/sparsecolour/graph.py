@@ -1,21 +1,22 @@
 """Undirected simple graphs with dense 0-based vertex ids.
 
-The Graph type is a thin immutable wrapper around sorted adjacency lists.
-All operations in this module are read-only or return new values, so
-instances can be shared freely between threads.
+A Graph holds its adjacency once, as read-only CSR int64 arrays `indptr` and
+`indices` that one constructor builds from ascending arc keys u * n + v;
+`Graph.from_edges` is the validating entry.  The numpy engines read the
+arrays, and the Python algorithms loop over neighbour tuples and frozensets,
+which a graph builds once, the first time one is asked for.  Instances are
+immutable, so they can be shared freely between threads.
 
-Also provides:
-  * neighbourhood sparsity instrumentation (how far each neighbourhood is
-    from being complete),
-  * minimum-degree orderings and first-fit colouring,
-  * DIMACS and JSON import/export.
+Also provides neighbourhood sparsity instrumentation (how far each
+neighbourhood is from being complete), minimum-degree orderings, first-fit
+colouring and DIMACS and JSON import/export.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass
-from itertools import chain
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -29,99 +30,96 @@ class GraphError(ValueError):
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1.
+    """Undirected simple graph on vertices 0..n-1, stored as CSR: the
+    neighbours of u are indices[indptr[u]:indptr[u + 1]], strictly ascending,
+    symmetric and never u.  The constructor takes the ascending int64 keys
+    u * n + v of the arcs, one for each direction of each edge, and trusts
+    them: they come from `from_edges`, a checked loader or another graph."""
 
-    Invariants: no self-loops, adjacency symmetric, neighbour lists sorted
-    strictly ascending (hence no multi-edges).
-    """
+    __slots__ = ("indptr", "indices", "_rows", "_sets")
 
-    __slots__ = ("_adj", "_adj_sets", "_edge_array")
-
-    def __init__(self, adjacency: Sequence[Sequence[int]]):
-        adj = tuple(tuple(nbrs) for nbrs in adjacency)
-        n = len(adj)
-        for u, nbrs in enumerate(adj):
-            prev = -1
-            for v in nbrs:
-                if not 0 <= v < n:
-                    raise GraphError(f"neighbour {v} of {u} out of range")
-                if v == u:
-                    raise GraphError(f"self-loop at vertex {u}")
-                if v <= prev:
-                    raise GraphError(f"adjacency of {u} not strictly ascending")
-                prev = v
-        sets = tuple(frozenset(nbrs) for nbrs in adj)
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                if u not in sets[v]:
-                    raise GraphError(f"edge {u}-{v} not symmetric")
-        self._adj = adj
-        self._adj_sets = sets
-        self._edge_array = None
+    def __init__(self, n: int, arcs: np.ndarray):
+        self.indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)
+        self.indices = arcs % n
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
+        self._rows = self._sets = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj: list[set[int]] = [set() for _ in range(n)]
+        """Repeated and reversed pairs collapse; endpoints are checked first."""
+        keys = array("q")
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise GraphError(f"self-loop ({u},{v})")
-            adj[u].add(v)
-            adj[v].add(u)
-        return cls([sorted(s) for s in adj])
+            keys.append(u * n + v)
+        return cls(n, _arcs(n, np.frombuffer(keys, np.int64)))
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return len(self.indptr) - 1
 
     @property
     def m(self) -> int:
-        return sum(len(a) for a in self._adj) // 2
+        return len(self.indices) // 2
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return int(self.indptr[u + 1] - self.indptr[u])
 
     def neighbours(self, u: int) -> tuple[int, ...]:
-        return self._adj[u]
+        if self._rows is None:
+            self._rows = self._split(tuple)
+        return self._rows[u]
 
     def neighbour_set(self, u: int) -> frozenset[int]:
-        return self._adj_sets[u]
+        if self._sets is None:
+            self._sets = self._split(frozenset)
+        return self._sets[u]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_sets[u]
+        return v in self.neighbour_set(u)
+
+    def _ints(self, ids: np.ndarray) -> list[int]:
+        """`ids` as Python ints, one int object per vertex."""
+        return list(map(list(range(self.n)).__getitem__, ids.tolist()))
+
+    def _split(self, kind) -> tuple:
+        flat, ends = self._ints(self.indices), self.indptr.tolist()
+        return tuple(kind(flat[a:b]) for a, b in zip(ends, ends[1:]))
+
+    def degrees(self) -> np.ndarray:
+        return self.indptr[1:] - self.indptr[:-1]
 
     def max_degree(self) -> int:
-        return max((len(a) for a in self._adj), default=0)
+        return int(self.degrees().max(initial=0))
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+    def arc_sources(self) -> np.ndarray:
+        """The source of every arc, aligned with `indices`."""
+        return np.repeat(np.arange(self.n), self.degrees())
 
     def edge_array(self) -> np.ndarray:
-        """edges() as a read-only (m, 2) int64 array, built once."""
-        if self._edge_array is None:
-            starts = np.repeat(np.arange(self.n), [len(a) for a in self._adj])
-            ends = np.fromiter(chain.from_iterable(self._adj), np.int64, len(starts))
-            self._edge_array = np.stack([starts, ends], axis=1)[starts < ends]
-            self._edge_array.flags.writeable = False
-        return self._edge_array
+        """Every edge (u, v), u < v, ascending, as an (m, 2) int64 array."""
+        src = self.arc_sources()
+        upper = src < self.indices
+        edges = np.empty((self.m, 2), dtype=np.int64)
+        edges[:, 0], edges[:, 1] = src[upper], self.indices[upper]
+        return edges
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """edge_array() as tuples of Python ints."""
+        return zip(*map(self._ints, self.edge_array().T))
 
     def is_regular(self) -> bool:
-        degs = {len(a) for a in self._adj}
-        return len(degs) <= 1
+        return len(set(self.degrees().tolist())) <= 1
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Graph) and self._adj == other._adj
-
-    def __hash__(self) -> int:
-        return hash(self._adj)
+        same = isinstance(other, Graph) and np.array_equal(self.indptr, other.indptr)
+        return same and np.array_equal(self.indices, other.indices)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -134,14 +132,23 @@ class Graph:
         Returns (subgraph, old_ids) with old_ids[new] = old.
         """
         old_ids = tuple(vertices)
-        if len(set(old_ids)) != len(old_ids):
+        new_id = np.full(self.n, -1, dtype=np.int64)
+        new_id[list(old_ids)] = np.arange(len(old_ids))
+        if np.count_nonzero(new_id >= 0) != len(old_ids):
             raise GraphError("induced vertex list contains duplicates")
-        index = {old: new for new, old in enumerate(old_ids)}
-        adj = [
-            sorted(index[w] for w in self._adj[old] if w in index)
-            for old in old_ids
-        ]
-        return Graph(adj), old_ids
+        src, dst = new_id[self.arc_sources()], new_id[self.indices]
+        inside = (src >= 0) & (dst >= 0)
+        arcs = src[inside] * len(old_ids) + dst[inside]
+        arcs.sort()
+        return Graph(len(old_ids), arcs), old_ids
+
+
+def _arcs(n: int, keys: np.ndarray) -> np.ndarray:
+    """The ascending arc keys, once per direction, of the edges with keys
+    u * n + v, however often and in whichever direction `keys` lists them."""
+    arcs = np.concatenate([keys, keys % n * n + keys // n])
+    arcs.sort()
+    return arcs[np.diff(arcs, prepend=-1) != 0]
 
 
 # -- sparsity ---------------------------------------------------------------
@@ -251,65 +258,97 @@ class DimacsError(ValueError):
     """Raised for malformed DIMACS input, with the offending line number."""
 
 
-def check_graph(n: int, m: int) -> None:
-    """Refuse loading a graph of n vertices and m edges past the memory
-    budget (peak bytes, tracemalloc on `parse_dimacs`: 521 per vertex, and
-    231 to 668 per edge on random regular graphs of degree 1 to 200)."""
-    budget.check(f"graph of {n} vertices and {m} edges", 560 * n + 700 * m)
+# Bytes a vertex and an edge, above the tracemalloc peaks of loading
+# (`parse_dimacs` 16 and 66, `from_json_dict` 16 and 56 to 58, on random
+# regular graphs of degree 1 to 200) and of `gen` (228 an edge on rr(2000,20)).
+LOAD_BYTES, GEN_BYTES = (20, 72), (24, 256)
+
+
+def check_graph(n: int, m: int, per: tuple[int, int] = LOAD_BYTES) -> None:
+    """Refuse a graph of n vertices and m edges past the memory budget."""
+    budget.check(f"graph of {n} vertices and {m} edges", per[0] * n + per[1] * m)
+
+
+_LINE_CHUNK = 1 << 12
+
+
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), a chunk of _LINE_CHUNK or more characters at a time."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
 
 
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS edge format (`p edge n m`, 1-based `e u v` lines).
 
     Comments (`c`) are ignored.  Self-loops and duplicate edges are rejected
-    with their line number.  At the problem line, a graph of its n vertices
-    and of as many edges as lines begin with `e` is checked against the
-    memory budget.
+    with their line number, the first faulty line first.  At the problem
+    line, before any per-line structure, a graph of its n vertices and of as
+    many edges as lines begin with `e` is checked against the memory budget.
     """
     n: Optional[int] = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise DimacsError(f"line {lineno}: duplicate problem line")
-            if len(fields) != 4 or fields[1] != "edge":
-                raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
-            try:
-                n = int(fields[2])
-                int(fields[3])
-            except ValueError as exc:
-                raise DimacsError(f"line {lineno}: bad problem line") from exc
-            if n < 0:
-                raise DimacsError(f"line {lineno}: negative vertex count")
-            check_graph(n, text.count("\ne") + text.startswith("e"))
-        elif fields[0] == "e":
-            if n is None:
-                raise DimacsError(f"line {lineno}: edge before problem line")
-            if len(fields) != 3:
-                raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError as exc:
-                raise DimacsError(f"line {lineno}: bad edge endpoints") from exc
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DimacsError(f"line {lineno}: endpoint out of range 1..{n}")
-            if u == v:
-                raise DimacsError(f"line {lineno}: self-loop {u}")
-            key = (min(u, v) - 1, max(u, v) - 1)
-            if key in seen:
-                raise DimacsError(f"line {lineno}: duplicate edge {u} {v}")
-            seen.add(key)
-            edges.append(key)
-        else:
-            raise DimacsError(f"line {lineno}: unknown record '{fields[0]}'")
-    if n is None:
-        raise DimacsError("missing problem line")
-    return Graph.from_edges(n, edges)
+    keys, where = array("q"), array("q")
+    try:
+        for lineno, raw in enumerate(_lines(text), start=1):
+            line = raw.strip()
+            if not line or line.startswith("c"):
+                continue
+            fields = line.split()
+            if fields[0] == "p":
+                if n is not None:
+                    raise DimacsError(f"line {lineno}: duplicate problem line")
+                if len(fields) != 4 or fields[1] != "edge":
+                    raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
+                try:
+                    n = int(fields[2])
+                    int(fields[3])
+                except ValueError as exc:
+                    raise DimacsError(f"line {lineno}: bad problem line") from exc
+                if n < 0:
+                    raise DimacsError(f"line {lineno}: negative vertex count")
+                check_graph(n, text.count("\ne") + text.startswith("e"))
+            elif fields[0] == "e":
+                if n is None:
+                    raise DimacsError(f"line {lineno}: edge before problem line")
+                if len(fields) != 3:
+                    raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
+                try:
+                    u, v = int(fields[1]), int(fields[2])
+                except ValueError as exc:
+                    raise DimacsError(f"line {lineno}: bad edge endpoints") from exc
+                if not (1 <= u <= n and 1 <= v <= n):
+                    raise DimacsError(f"line {lineno}: endpoint out of range 1..{n}")
+                if u == v:
+                    raise DimacsError(f"line {lineno}: self-loop {u}")
+                keys.append((u - 1) * n + v - 1)
+                where.append(lineno)
+            else:
+                raise DimacsError(f"line {lineno}: unknown record '{fields[0]}'")
+        if n is None:
+            raise DimacsError("missing problem line")
+    except DimacsError:
+        _refuse_duplicates(n, keys, where)  # a repeat on an earlier line comes first
+        raise
+    _refuse_duplicates(n, keys, where)
+    del where
+    return Graph(n, _arcs(n, np.frombuffer(keys, np.int64)))
+
+
+def _refuse_duplicates(n: Optional[int], keys: array, where: array) -> None:
+    """Raise the error of the first line, where[i], whose edge keys[i] (its
+    u * n + v as written) repeats an earlier one."""
+    if not keys:
+        return
+    u, v = np.divmod(np.frombuffer(keys, np.int64), n)
+    edge = np.minimum(u, v) * n + np.maximum(u, v)
+    order = np.argsort(edge, kind="stable")  # each edge's first line first
+    repeats = order[1:][edge[order[1:]] == edge[order[:-1]]]
+    if repeats.size:
+        i = repeats.min()
+        raise DimacsError(f"line {where[i]}: duplicate edge {u[i] + 1} {v[i] + 1}")
 
 
 def to_dimacs(g: Graph) -> str:
@@ -319,7 +358,7 @@ def to_dimacs(g: Graph) -> str:
 
 
 def to_json_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
+    return {"n": g.n, "edges": g.edge_array().tolist()}
 
 
 def _is_int(x: object) -> bool:
@@ -327,8 +366,8 @@ def _is_int(x: object) -> bool:
 
 
 def from_json_dict(data: object) -> Graph:
-    """Graph from {"n": <int >= 0>, "edges": [[u, v], ...]}; any other shape
-    raises GraphError."""
+    """Graph from {"n": <int >= 0>, "edges": [[u, v], ...]}; any other shape,
+    or an edge `Graph.from_edges` refuses, raises GraphError."""
     if not (isinstance(data, dict) and _is_int(data.get("n")) and data["n"] >= 0):
         raise GraphError('graph JSON must be an object with an integer "n" >= 0')
     edges = data.get("edges")
@@ -337,4 +376,4 @@ def from_json_dict(data: object) -> Graph:
     ):
         raise GraphError('graph JSON "edges" must be a list of [u, v] integer pairs')
     check_graph(data["n"], len(edges))
-    return Graph.from_edges(data["n"], [tuple(e) for e in edges])
+    return Graph.from_edges(data["n"], edges)

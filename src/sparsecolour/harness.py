@@ -34,6 +34,7 @@ from .correspondence import (
 from . import budget
 from .graph import Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
+    CLASS_COUNT_BYTES,
     KIND_TRIAL,
     _check_distance2,
     _Compiled,
@@ -425,11 +426,13 @@ def monte_carlo_round(
     slice of trials as (slice, n) arrays.  The slice holds about
     _MC_SLICE_ROWS statistic, in-row and triangle rows, at most a block;
     every row of it equals what its trial alone gives, so the width changes
-    no result.  A block stacks its trials' keep flags and pair and triple
-    counts and sums them as integers.  It packs the uncoloured flags into
-    one 64-bit word U_w per vertex w, bit i for the block's i-th trial.  For
-    a pair p at distance <= 2 with common neighbourhood C_p, the sums of the
-    common-uncoloured count nuv_t(p) and of its square are then
+    no result.  The memory budget bounds it too, at CLASS_COUNT_BYTES per
+    class count, kmax per vertex and trial; a run whose one trial exceeds
+    the budget is refused.  A block stacks its trials' keep flags and pair
+    and triple counts and sums them as integers.  It packs the uncoloured
+    flags into one 64-bit word U_w per vertex w, bit i for the block's i-th
+    trial.  For a pair p at distance <= 2 with common neighbourhood C_p, the
+    sums of the common-uncoloured count nuv_t(p) and of its square are then
 
         sum_t nuv_t(p)   = sum over w in C_p of the trials with w uncoloured,
         sum_t nuv_t(p)^2 = sum_t nuv_t(p)
@@ -458,13 +461,15 @@ def monte_carlo_round(
     nbytes = 8 * g.n * (nblocks + 11) + (2048 * nblocks if threads > 1 else 0)
     budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
+    counts = CLASS_COUNT_BYTES * comp.kmax * comp.focus
+    budget.check(f"class counts of {comp.kmax} colours on {comp.focus} vertices", counts)
     comp._build_stats()
     comp._build_nuv()
     n = comp.n
     npairs = len(comp.nuv_pairs)
     blocks = ((lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK))
     rows = len(comp.stat_src) + comp.in_rows.shape[1] + comp.tri_rows.shape[1]
-    width = max(1, min(_MC_BLOCK, _MC_SLICE_ROWS // max(rows, 1)))
+    width = max(1, min(_MC_BLOCK, _MC_SLICE_ROWS // max(rows, 1), budget.MEMORY_BUDGET // counts))
 
     def run_block(bounds):
         lo, hi = bounds

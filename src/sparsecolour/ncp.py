@@ -321,12 +321,6 @@ def _group_pairs(group_end: np.ndarray, gap: int):
     return first, rank
 
 
-def _directed_edges(g: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """(sources, targets) of every edge of g in both directions."""
-    eu, ev = g.edge_array().T
-    return np.concatenate([eu, ev]), np.concatenate([ev, eu])
-
-
 # Peak bytes per distance-2 entry, a middle w and a pair of its neighbours,
 # while `_distance2_rows` builds its index (tracemalloc: 56 on K150, 107 to
 # 158 on sparse hosts, where most pairs are a tuple of their own).
@@ -406,6 +400,11 @@ def _round_arrays(comp: _Compiled, seeds: Sequence[int]):
     e = comp.fwd_edge[e]
     kept[trial, comp.ends[e, dirs[trial, e]]] = False
     return f1_idx, dirs, kept, cls
+
+
+# Peak bytes of `_stats_arrays` per class count (one per trial, colour index
+# and focus vertex): an int64 count and its four int64 terms (tracemalloc: 40).
+CLASS_COUNT_BYTES = 48
 
 
 def _stats_arrays(comp: _Compiled, cls: np.ndarray, kept: np.ndarray):
@@ -596,7 +595,7 @@ def quasirandom_check(
 ) -> QuasirandomReport:
     """Check |#(N(u) & N(v) & uncoloured) - mu |N(u) & N(v)|| <= allowed
     for every pair at distance <= 2 and every u = v; report the worst pair."""
-    pairs, sizes, concat, pair_of_entry = _distance2_rows(*_directed_edges(g), g.n)
+    pairs, sizes, concat, pair_of_entry = _distance2_rows(g.arc_sources(), g.indices, g.n)
     if not pairs:
         return QuasirandomReport(True, None, -1.0, allowed)
     hits = np.isin(concat, list(uncoloured)).astype(np.float64)
@@ -914,15 +913,14 @@ def _regularize_with_assignment(
     large as the work on g's own maps that comes before it.
     """
     target = g.max_degree()
-    eu, ev = g.edge_array().T
-    degree = np.bincount(np.concatenate([eu, ev]), minlength=g.n)
+    degree = g.degrees()
     steps = target - int(degree.min()) if g.n else 0
     n_final = g.n << steps
     kmax = max(c.min_size(), 1)
     _check_compiled("regularised copy", n_final, n_final * target // 2, kmax)
     total = totalize(g, truncate(c, c.min_size()))
     forward, backward = _map_rows(g, total)
-    eu, ev, forward, backward = _double(eu, ev, forward, backward, degree, steps)
+    eu, ev, forward, backward = _double(*g.edge_array().T, forward, backward, degree, steps)
     k_arr = np.tile(total.sizes, 1 << steps)
     return _Compiled(eu, ev, forward, backward, k_arr, total.values, target), total
 

@@ -27,8 +27,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import chain
 from math import comb
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
+
+import numpy as np
 
 from .bounds import STRONG_EDGE_ETA, approx_eps
 from . import budget
@@ -96,7 +99,7 @@ class _SquareRows:
         edge_index = list(h.edges())
         if not edge_index:
             raise GraphError("line graph square needs at least one edge")
-        entries = sum(h.degree(w) ** 2 for w in range(h.n))
+        entries = int((h.degrees() ** 2).sum())
         budget.check(f"near-edge sets of about {entries} entries", entries * NEAR_ENTRY_BYTES)
         self._host = h
         self.edge_index = edge_index
@@ -116,12 +119,12 @@ class _SquareRows:
         of girth at least 5, where the bound is exact.
         """
         h = self._host
-        deg = [h.degree(x) for x in range(h.n)]
+        deg = h.degrees()
         # s(x) - deg(x), so that the bound of uv is one sum.
-        reach = [
-            sum(map(deg.__getitem__, h.neighbours(x))) - deg[x] for x in range(h.n)
-        ]
-        return [reach[u] + reach[v] for u, v in self.edge_index]
+        sums = np.concatenate([[0], np.cumsum(deg[h.indices])])[h.indptr]
+        reach = np.diff(sums) - deg
+        eu, ev = h.edge_array().T
+        return (reach[eu] + reach[ev]).tolist()
 
     def degree(self, i: int) -> int:
         u, v = self.edge_index[i]
@@ -134,14 +137,15 @@ class _SquareRows:
         row.discard(i)
         return row
 
-    def induced(self, vertices: list[int]) -> tuple[Graph, tuple[int, ...]]:
+    def induced(self, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
         """As `Graph.induced` on L²(h), building only the listed rows."""
         index = {old: new for new, old in enumerate(vertices)}
-        adjacency = [
-            sorted(index[w] for w in self.neighbour_set(old) & index.keys())
-            for old in vertices
-        ]
-        return Graph(adjacency), tuple(vertices)
+        rows = [[index[w] for w in self.neighbour_set(old) & index.keys()] for old in vertices]
+        lengths = list(map(len, rows))
+        arcs = np.fromiter(chain.from_iterable(rows), np.int64, sum(lengths))
+        arcs += np.repeat(np.arange(len(rows)) * len(rows), lengths)
+        arcs.sort()
+        return Graph(len(rows), arcs), tuple(vertices)
 
 
 def line_graph_square(h: Graph) -> tuple[Graph, list[tuple[int, int]]]:
@@ -151,9 +155,7 @@ def line_graph_square(h: Graph) -> tuple[Graph, list[tuple[int, int]]]:
     adjacent iff the host edges share an endpoint or are joined by an edge.
     """
     rows = _SquareRows(h)
-    # Rows are built as tuples, which Graph keeps without copying.
-    adjacency = [tuple(sorted(rows.neighbour_set(i))) for i in range(rows.n)]
-    return Graph(adjacency), rows.edge_index
+    return rows.induced(range(rows.n))[0], rows.edge_index
 
 
 def strong_neighbourhood(h: Graph, e: tuple[int, int]) -> set[tuple[int, int]]:

@@ -13,7 +13,12 @@ import pytest
 
 from sparsecolour import budget, ncp
 from sparsecolour.correspondence import uniform_lists
-from sparsecolour.generators import complete_graph, path_graph, random_regular_graph
+from sparsecolour.generators import (
+    complete_graph,
+    empty_graph,
+    path_graph,
+    random_regular_graph,
+)
 from sparsecolour.graph import Graph, from_json_dict, parse_dimacs, to_dimacs, to_json_dict
 from sparsecolour.harness import monte_carlo_round
 from sparsecolour.strong_edge import _SquareRows, line_graph_square
@@ -58,11 +63,7 @@ def _uniform_compiled(g, k):
 
 
 def _rr200():
-    """rr(200,20) with its edge array built, which a graph's loader estimate
-    covers."""
-    g = random_regular_graph(200, 20, seed=1)
-    g.edge_array()
-    return g
+    return random_regular_graph(200, 20, seed=1)
 
 
 def _assignment():
@@ -102,6 +103,13 @@ def _near_sets():
     return lambda: rows._near
 
 
+def _class_counts():
+    # Many colours on four isolated vertices: the class counts are the run.
+    g = empty_graph(4)
+    c = uniform_lists(g, 200_000)
+    return lambda: monte_carlo_round(g, c, trials=1, seed=1)
+
+
 def _dimacs():
     text = to_dimacs(random_regular_graph(2000, 20, seed=1))
     return lambda: parse_dimacs(text)
@@ -128,6 +136,7 @@ PROBES = {
     "stats-k60": ("statistic index", _k60_stats),
     "distance2": ("distance-2 pair index", _distance2),
     "near-sets": ("near-edge sets", _near_sets),
+    "class-counts": ("class counts of", _class_counts),
     "dimacs": ("graph of", _dimacs),
     "json": ("graph of", _json),
     "gen": ("graph of", _gen),

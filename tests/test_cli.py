@@ -365,7 +365,7 @@ class TestColorCommand:
         assert code == 1 and out == ""
         assert err.splitlines() == [
             "sparsecolour: graph of 100000000 vertices and 0 edges would take about "
-            "53406 MiB, above the memory budget of 512 MiB"
+            "1907 MiB, above the memory budget of 512 MiB"
         ]
 
     def test_oversized_near_edge_sets_refused(self, tmp_path, capsys, monkeypatch):
@@ -649,7 +649,8 @@ class TestAssignmentSizeCap:
 class TestMemoryHoles:
     """Inputs the command line accepted and that ran out of memory before
     any estimate stopped them: each now exits 1 in one line naming the
-    budget, within a second and with no output file."""
+    budget, within a second and with no output file, unless its work fits
+    the budget once cut into slices."""
 
     def test_regularised_copy(self, tmp_path, capsys):
         # rr(100,40) less vertex 1's first 14 edges has D = 40 and minimum
@@ -680,6 +681,27 @@ class TestMemoryHoles:
         argv = ["simulate", "--input", str(g), "--k", "2", "--trials", "100000000000"]
         self._refused(tmp_path, argv, "Monte Carlo run of 1562500000 blocks would take "
                                       "about 35763 MiB")
+
+    def test_monte_carlo_class_counts(self, tmp_path):
+        # One trial of 5,000,000 colours on 4 isolated vertices holds
+        # 20,000,000 class counts; a slice of 64 trials asked for 10 GB.
+        g = tmp_path / "iso4.dimacs"
+        g.write_text("p edge 4 0\n")
+        argv = ["simulate", "--input", str(g), "--k", "5000000", "--trials", "64"]
+        self._refused(tmp_path, argv, "class counts of 5000000 colours on 4 vertices would "
+                                      "take about 916 MiB")
+
+    def test_monte_carlo_slices_within_the_budget(self, tmp_path, capsys):
+        # 1,000,000 colours on the 3-vertex path: a trial's class counts take
+        # 137 MiB, so slices of three trials run all 64.
+        g = tmp_path / "path.dimacs"
+        run(["gen", "--path", "3", "--out", str(g)], capsys)
+        out = tmp_path / "r.json"
+        proc = _limited_main(["simulate", "--input", str(g), "--k", "1000000",
+                              "--trials", "64", "--out", str(out)])
+        code, _ = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert json.loads(out.read_text())["result"]["trials"] == 64
 
     def _refused(self, tmp_path, argv, refusal):
         out = tmp_path / "r.json"
@@ -901,10 +923,10 @@ class TestUsageErrors:
         [
             (["--complete", "200000"], "complete_graph",
              "graph of 200000 vertices and 19999900000 edges would take "
-             "about 13351480 MiB, above the memory budget of 512 MiB"),
+             "about 4882793 MiB, above the memory budget of 512 MiB"),
             (["--gnp", "3000", "0.5"], "gnp_graph",
              "graph of 3000 vertices and 2249250 edges would take about "
-             "1503 MiB, above the memory budget of 512 MiB"),
+             "549 MiB, above the memory budget of 512 MiB"),
             (["--gnp", "100000", "0"], "gnp_graph",
              "--gnp would make 4999950000 random draws, above the cap of 50000000 draws"),
             (["--gnp", "1e30", "0.5"], "gnp_graph",
@@ -912,16 +934,16 @@ class TestUsageErrors:
              "above the cap of 50000000 draws"),
             (["--random-regular", "100000", "50"], "random_regular_graph",
              "graph of 100000 vertices and 2500000 edges would take about "
-             "1722 MiB, above the memory budget of 512 MiB"),
+             "613 MiB, above the memory budget of 512 MiB"),
             (["--c5-blowup", "700"], "c5_blowup",
              "graph of 3500 vertices and 2450000 edges would take about "
-             "1637 MiB, above the memory budget of 512 MiB"),
+             "598 MiB, above the memory budget of 512 MiB"),
             (["--path", "2000002"], "path_graph",
              "graph of 2000002 vertices and 2000001 edges would take about "
-             "2403 MiB, above the memory budget of 512 MiB"),
+             "534 MiB, above the memory budget of 512 MiB"),
             (["--cycle", "2000001"], "cycle_graph",
              "graph of 2000001 vertices and 2000001 edges would take about "
-             "2403 MiB, above the memory budget of 512 MiB"),
+             "534 MiB, above the memory budget of 512 MiB"),
         ],
     )
     def test_gen_above_size_cap_refused_before_generating(

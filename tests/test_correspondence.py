@@ -307,8 +307,9 @@ class TestSizeCap:
     def test_refused_before_allocating(self, monkeypatch):
         g = complete_graph(4)  # 6 edges
         # uniform_lists(g, 4) stores 8 (4 colours + 4 sizes + 12 edge ends)
-        # + 2 * 6 * 4 map bytes = 208 bytes; with 5 colours, 228.
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 208)
+        # + 2 * 6 * 4 map bytes + 2048 header bytes = 2256 bytes; with 5
+        # colours, 2276.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 2256)
         with pytest.raises(BudgetError, match="^assignment of 5 colours on 6 edges would"):
             uniform_lists(g, 5)
         assert uniform_lists(g, 4).fwd.shape == (6, 4)
@@ -340,7 +341,7 @@ class TestSizeCap:
             )
 
     def test_uniform_lists_at_the_cap_builds(self, monkeypatch):
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 228)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 2276)
         assert uniform_lists(complete_graph(4), 5).fwd.shape == (6, 5)
         assert uniform_lists(empty_graph(4), 15).sizes.tolist() == [15] * 4
 

@@ -31,7 +31,7 @@ from sparsecolour.graph import (
     to_dimacs,
     to_json_dict,
 )
-from sparsecolour.harness import naive_regularize_with_assignment
+from sparsecolour.harness import monte_carlo_round, naive_regularize_with_assignment
 from sparsecolour.ncp import _greedy_correspondence
 from sparsecolour.strong_edge import c5_blowup
 
@@ -52,15 +52,27 @@ class TestGraphType:
         with pytest.raises(GraphError):
             Graph.from_edges(2, [(0, 0)])
 
-    def test_rejects_asymmetry_and_unsorted(self):
-        with pytest.raises(GraphError):
-            Graph([[1], []])
-        with pytest.raises(GraphError):
-            Graph([[2, 1], [0, 2], [0, 1]])
-
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
         assert g.m == 1
+        g = Graph.from_edges(4, [(2, 1), (0, 3), (1, 2), (3, 0), (2, 1), (1, 3)])
+        assert g == Graph.from_edges(4, [(0, 3), (1, 2), (1, 3)])
+        assert list(g.edges()) == [(0, 3), (1, 2), (1, 3)]
+        assert g.neighbours(3) == (0, 1) and g.neighbour_set(1) == {2, 3}
+
+    @pytest.mark.parametrize("edge", [(0, 10**20), (-(10**20), 1), (2**63, 2**63)])
+    def test_endpoint_past_int64_refused_in_one_line(self, edge):
+        message = f"edge ({edge[0]},{edge[1]}) out of range for n=3"
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Graph.from_edges(3, [(0, 1), edge])
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            from_json_dict({"n": 3, "edges": [[0, 1], list(edge)]})
+
+    def test_first_bad_edge_is_reported(self):
+        with pytest.raises(GraphError, match=r"^self-loop \(2,2\)$"):
+            Graph.from_edges(3, [(0, 1), (2, 2), (0, 7)])
+        with pytest.raises(GraphError, match=r"^edge \(0,7\) out of range for n=3$"):
+            Graph.from_edges(3, [(0, 1), (0, 7), (2, 2)])
 
     def test_induced_subgraph(self):
         g = cycle_graph(5)
@@ -68,14 +80,17 @@ class TestGraphType:
         assert old == (1, 2, 3)
         assert list(sub.edges()) == [(0, 1), (1, 2)]
 
-    @pytest.mark.parametrize(
-        "adjacency, message",
-        [([[5]], "neighbour 5 of 0 out of range"), ([[0]], "self-loop at vertex 0")],
-        ids=["out-of-range", "self-loop"],
-    )
-    def test_refuses_bad_adjacency(self, adjacency, message):
-        with pytest.raises(GraphError, match=re.escape(message)):
-            Graph(adjacency)
+    def test_monte_carlo_path_never_builds_neighbour_rows(self, monkeypatch):
+        # The array side reads the CSR arrays alone: loading, a uniform
+        # assignment and a Monte Carlo run never ask for a neighbour tuple
+        # or set.
+        def split(self, kind):
+            raise AssertionError(f"neighbour {kind.__name__}s built")
+
+        monkeypatch.setattr(Graph, "_split", split)
+        g = parse_dimacs(to_dimacs(random_regular_graph(30, 4, seed=1)))
+        report = monte_carlo_round(g, uniform_lists(g, 5), trials=70, seed=1)
+        assert report.trials == 70 and len(report.keep_mean) == 30
 
     def test_induced_refuses_duplicates(self):
         with pytest.raises(GraphError, match="induced vertex list contains duplicates"):
@@ -317,6 +332,51 @@ class TestDimacs:
         with pytest.raises(DimacsError, match="line 3"):
             parse_dimacs("p edge 3 2\ne 1 2\ne 2 1\n")
 
+    def test_first_faulty_line_is_reported(self):
+        # A reversed duplicate on line 3 comes before a self-loop on line 5,
+        # and a later duplicate after it does not count.
+        text = "p edge 4 4\ne 1 2\ne 2 1\nc note\ne 3 3\ne 1 2\n"
+        with pytest.raises(DimacsError, match="^line 3: duplicate edge 2 1$"):
+            parse_dimacs(text)
+        text = "p edge 4 4\ne 1 2\ne 2 3\ne 4 4\ne 2 1\n"
+        with pytest.raises(DimacsError, match="^line 4: self-loop 4$"):
+            parse_dimacs(text)
+        with pytest.raises(DimacsError, match="^line 4: duplicate edge 3 2$"):
+            parse_dimacs("p edge 4 3\ne 2 3\ne 1 2\ne 3 2\ne 2 1\n")
+
+    def test_crlf_loads_as_lf(self):
+        text = to_dimacs(petersen_graph())
+        crlf = "c windows\r\n" + text.replace("\n", "\r\n")
+        assert parse_dimacs(crlf) == parse_dimacs(text) == petersen_graph()
+
+    def test_lines_split_across_chunks_as_splitlines_does(self, monkeypatch):
+        from sparsecolour import graph
+
+        text = "c a\r\n\np edge 5 4\ne 1 2\r\ne 2 3\n\n\ne 3 4\re 4 5"
+        want = parse_dimacs(text)
+        for chunk in range(1, len(text) + 1):
+            monkeypatch.setattr(graph, "_LINE_CHUNK", chunk)
+            assert list(graph._lines(text)) == text.splitlines()
+            assert parse_dimacs(text) == want
+        with pytest.raises(DimacsError, match="^line 10: duplicate edge 3 2$"):
+            parse_dimacs(text + "\ne 3 2\n")
+
+    def test_refused_before_reading_the_edge_lines(self, monkeypatch):
+        # The budget check at the problem line comes before any per-line
+        # structure: the refused parse holds a chunk of lines at most.
+        import tracemalloc
+
+        text = "c header\np edge 100000 500000\n" + "e 1 2\n" * 500_000
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="^graph of 100000 vertices and 500000 edges"):
+                parse_dimacs(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * len(text), peak
+
     def test_rejects_range_violation(self):
         with pytest.raises(DimacsError, match="line 2"):
             parse_dimacs("p edge 3 1\ne 1 4\n")
@@ -329,9 +389,10 @@ class TestDimacs:
         def build(*args):
             raise AssertionError("graph built before the size check")
 
-        # 560 bytes a vertex and 700 an edge: 4060 bytes, one past the budget.
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 4059)
+        # 20 bytes a vertex and 72 an edge: 192 bytes, one past the budget.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 191)
         monkeypatch.setattr(Graph, "from_edges", build)
+        monkeypatch.setattr(Graph, "__init__", build)
         refusal = "^graph of 6 vertices and 1 edges would take about 0 MiB"
         with pytest.raises(BudgetError, match=refusal):
             parse_dimacs("c huge\np edge 6 1\ne 1 2\n")
@@ -339,7 +400,7 @@ class TestDimacs:
             from_json_dict({"n": 6, "edges": [[0, 1]]})
 
     def test_vertex_count_at_cap_loads(self, monkeypatch):
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 5 * 560 + 700)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 5 * 20 + 72)
         want = Graph.from_edges(5, [(0, 4)])
         assert parse_dimacs("p edge 5 1\ne 1 5\n") == want
         assert from_json_dict({"n": 5, "edges": [[0, 4]]}) == want

@@ -1,9 +1,12 @@
-"""Property tests: graph serialisation round trips, exact cliques and the
-minimum-degree ordering.
+"""Property tests: the CSR graph against networkx, serialisation round
+trips, exact cliques and the minimum-degree ordering.
 
 Graphs have up to 30 vertices at a drawn edge density; some vertices are
-kept isolated, and n = 0 is included.  DIMACS and JSON must give back the
-same graph, `clique_info` must agree with networkx on the clique number
+kept isolated, and n = 0 is included.  A graph built by `from_edges`, by
+`induced` or by a DIMACS or JSON round trip must answer every query as the
+networkx graph of the same edges does; DIMACS and JSON must give back the
+same graph, `line_graph_square` must join exactly the strong
+neighbourhoods, `clique_info` must agree with networkx on the clique number
 and the set of maximum cliques, and `min_degree_ordering` must give the
 order of its rescanning reference in `harness` on the graph and on an
 induced subgraph.
@@ -27,11 +30,13 @@ from sparsecolour.graph import (  # noqa: E402
     to_json_dict,
 )
 from sparsecolour.harness import naive_min_degree_ordering  # noqa: E402
+from sparsecolour.strong_edge import line_graph_square, strong_neighbourhood  # noqa: E402
 
 
 @st.composite
-def graphs(draw, max_n=30):
-    """A random graph whose last `isolated` vertices have no edge."""
+def edge_lists(draw, max_n=30):
+    """(n, edges) of a random graph whose last `isolated` vertices have no
+    edge; each edge once, as (u, v) with u < v."""
     n = draw(st.integers(0, max_n))
     isolated = draw(st.integers(0, min(n, 3)))
     density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.8, 1.0]))
@@ -43,7 +48,83 @@ def graphs(draw, max_n=30):
         for v in range(u + 1, joined)
         if rng.random() < density
     ]
-    return Graph.from_edges(n, edges)
+    return n, edges
+
+
+def graphs(max_n=30):
+    return edge_lists(max_n).map(lambda drawn: Graph.from_edges(*drawn))
+
+
+def reference(n, edges):
+    nx = pytest.importorskip("networkx")
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from(edges)
+    return ref
+
+
+def assert_agrees(g, ref):
+    """g answers every query as the networkx graph `ref` on 0..n-1 does."""
+    assert (g.n, g.m) == (ref.number_of_nodes(), ref.number_of_edges())
+    for u in range(g.n):
+        row = sorted(ref.adj[u])
+        assert g.neighbours(u) == tuple(row)
+        assert g.neighbour_set(u) == frozenset(row)
+        assert g.degree(u) == len(row)
+        assert [g.has_edge(u, v) for v in range(g.n)] == [ref.has_edge(u, v) for v in range(g.n)]
+    edges = sorted((min(e), max(e)) for e in ref.edges())
+    assert g.edge_array().tolist() == [list(e) for e in edges]
+    assert g.edge_array().shape == (len(edges), 2)
+    assert list(g.edges()) == edges
+    assert g.max_degree() == max((len(ref.adj[u]) for u in ref), default=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=edge_lists(), data=st.data())
+def test_from_edges_matches_networkx(drawn, data):
+    # Each edge also comes reversed or repeated, in a drawn order.
+    n, edges = drawn
+    doubled = [(v, u) for u, v in edges] + edges[: len(edges) // 2]
+    listed = data.draw(st.permutations(edges + doubled))
+    assert_agrees(Graph.from_edges(n, listed), reference(n, edges))
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=edge_lists(), data=st.data())
+def test_induced_matches_networkx(drawn, data):
+    # On a drawn vertex list: often proper, sometimes all of g in some
+    # order, sometimes empty; new ids follow the list.
+    n, edges = drawn
+    g = Graph.from_edges(n, edges)
+    order = data.draw(st.permutations(range(n)))[: data.draw(st.integers(0, n))]
+    sub, old_ids = g.induced(order)
+    assert old_ids == tuple(order)
+    new = {old: i for i, old in enumerate(order)}
+    inside = [(new[u], new[v]) for u, v in edges if u in new and v in new]
+    assert_agrees(sub, reference(len(order), inside))
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn=edge_lists())
+def test_loaded_graphs_match_networkx(drawn):
+    n, edges = drawn
+    g = Graph.from_edges(n, edges)
+    ref = reference(n, edges)
+    assert_agrees(parse_dimacs(to_dimacs(g)), ref)
+    assert_agrees(from_json_dict(to_json_dict(g)), ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(max_n=12))
+def test_line_graph_square_joins_strong_neighbourhoods(g):
+    if g.m == 0:
+        return
+    square, edge_index = line_graph_square(g)
+    assert edge_index == list(g.edges())
+    position = {e: i for i, e in enumerate(edge_index)}
+    for i, e in enumerate(edge_index):
+        near = sorted(position[f] for f in strong_neighbourhood(g, e))
+        assert square.neighbours(i) == tuple(near)
 
 
 @settings(max_examples=80, deadline=None)
@@ -62,9 +143,7 @@ def test_json_round_trip(g):
 @given(g=graphs())
 def test_clique_info_matches_networkx(g):
     nx = pytest.importorskip("networkx")
-    ref = nx.Graph()
-    ref.add_nodes_from(range(g.n))
-    ref.add_edges_from(g.edges())
+    ref = reference(g.n, g.edges())
     maximal = [frozenset(c) for c in nx.find_cliques(ref)]
     omega = max(map(len, maximal), default=0)
     info = clique_info(g)

@@ -279,7 +279,7 @@ class TestQuasirandomCheck:
     def test_distance2_rows_match_naive_pairs(self, seed):
         from sparsecolour.graph import Graph
         from sparsecolour.harness import naive_regularize_with_assignment
-        from sparsecolour.ncp import _directed_edges, _regularize_with_assignment
+        from sparsecolour.ncp import _regularize_with_assignment
 
         g = gnp_graph(12, 0.3, seed=seed)
         # Vertices 12-14 have no neighbour at all.
@@ -291,8 +291,8 @@ class TestQuasirandomCheck:
         ref_g, _ = naive_regularize_with_assignment(host, c)
         assert reg.focus < reg.n
         cases = [
-            (g, g.n, _directed_edges(g)),
-            (isolated, isolated.n, _directed_edges(isolated)),
+            (g, g.n, (g.arc_sources(), g.indices)),
+            (isolated, isolated.n, (isolated.arc_sources(), isolated.indices)),
             (ref_g, reg.focus, (reg.dir_src, reg.dir_dst)),
         ]
         for graph, focus, (src, dst) in cases:
@@ -744,8 +744,9 @@ class TestBudgetChecks:
         # Each of K6's vertices is the middle of C(6, 2) = 15 entries.
         monkeypatch.setattr(budget, "MEMORY_BUDGET", 90 * ncp.DISTANCE2_ENTRY_BYTES - 1)
         monkeypatch.setattr(ncp, "_group_pairs", listing)
+        k6 = complete_graph(6)
         with pytest.raises(BudgetError, match="^distance-2 pair index of 90 entries would"):
-            _distance2_rows(*ncp._directed_edges(complete_graph(6)), 6)
+            _distance2_rows(k6.arc_sources(), k6.indices, 6)
 
     def test_attempt_refuses_before_the_pair_index(self, monkeypatch):
         def pair_index(*args):

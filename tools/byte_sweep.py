@@ -100,6 +100,10 @@ INPUT_TEXT = {
     "bad.json": "{not json",
     "bad_shape.json": '{"n": -1}',
     "cfg.json": '{"seed": 4, "max_restarts": 50}',
+    "huge_id.json": '{"n": 3, "edges": [[0, 1], [0, 100000000000000000000]]}',
+    "repeats.json": '{"n": 4, "edges": [[0, 1], [1, 0], [2, 3], [0, 1], [3, 2], [1, 2]]}',
+    "faults.col": "p edge 4 4\ne 1 2\ne 2 1\nc note\ne 3 3\n",
+    "crlf.col": "c crlf\r\np edge 5 5\r\ne 1 2\r\ne 2 3\r\ne 3 4\r\ne 4 5\r\ne 5 1\r\n",
 }
 
 CASES = [
@@ -151,6 +155,15 @@ CASES = [
     "color --input in/rr100_40_cut.col --k 38 --seed 1",
     "simulate --experiment sparsity --input in/k400_400.json --k 2 --trials 1 --rounds 1",
     "simulate --input in/path3.col --k 2 --trials 100000000000",
+    "simulate --input in/edgeless.col --k 5000000 --trials 64",
+    "simulate --input in/edgeless.col --k 5000000 --trials 1",
+    "simulate --input in/path3.col --k 1000000 --trials 64",
+    # graph refusals and the collapse of repeated edges
+    "color --input in/huge_id.json --k 3",
+    "color --input in/faults.col --k 3",
+    "color --input in/repeats.json --k 2",
+    "color --input in/crlf.col --k 3",
+    "strong-edge --input in/crlf.col",
     # bounds: all five subcommands
     "bounds table1",
     "bounds table1 --format json --grid 0.001",
