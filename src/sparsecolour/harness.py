@@ -39,9 +39,11 @@ from .ncp import (
     _check_distance2,
     _Compiled,
     _compile,
+    _derived_seeds,
     _group_pairs,
     _regularize_with_assignment,
     _round_arrays,
+    _slice_width,
     _stats_arrays,
     derive_seed,
     keep_probability,
@@ -56,12 +58,6 @@ _MC_BLOCK = 64
 # has sum over pairs p of |C_p|(|C_p| - 1)/2 rows, which grows like the
 # fourth power of the degree on dense graphs, so only one chunk is held.
 _MC_CHUNK = 1 << 16
-# Statistic, in-row and triangle rows that one kernel call, a slice of a
-# block's trials, may take together; a block runs as ceil(64 / slice)
-# calls.  Larger slices spread numpy's per-call overhead over more trials,
-# but their arrays outgrow the cache: on random 20-regular hosts the best
-# slice was 8-16 trials, on C5 blow-ups 32-64.
-_MC_SLICE_ROWS = 1 << 16
 
 
 # -- naive per-outcome statistics (the independent reference) -------------------
@@ -423,15 +419,15 @@ def monte_carlo_round(
     Trial t uses seed derive_seed(seed, KIND_TRIAL, t), so single trials can
     be replayed through run_round.  Trials run in fixed blocks of 64, and a
     block in slices: one call of the draw-and-statistics kernel takes a
-    slice of trials as (slice, n) arrays.  The slice holds about
-    _MC_SLICE_ROWS statistic, in-row and triangle rows, at most a block;
-    every row of it equals what its trial alone gives, so the width changes
-    no result.  The memory budget bounds it too, at CLASS_COUNT_BYTES per
-    class count, kmax per vertex and trial; a run whose one trial exceeds
-    the budget is refused.  A block stacks its trials' keep flags and pair
-    and triple counts and sums them as integers.  It packs the uncoloured
-    flags into one 64-bit word U_w per vertex w, bit i for the block's i-th
-    trial.  For a pair p at distance <= 2 with common neighbourhood C_p, the
+    slice of trials as (slice, n) arrays.  `ncp._slice_width` sizes the
+    slice by its draws and its statistic, in-row and triangle rows (the
+    common-uncoloured counts come from the words below, not from the
+    kernel) and by the memory budget; every row of it equals what its trial
+    alone gives, so the width changes no result.  A run whose one trial's
+    class counts exceed the budget is refused.  A block stacks its trials'
+    keep flags and pair and triple counts and sums them as integers.  It
+    packs the uncoloured flags into one 64-bit word U_w per vertex w, bit i
+    for the block's i-th trial.  For a pair p at distance <= 2 with common neighbourhood C_p, the
     sums of the common-uncoloured count nuv_t(p) and of its square are then
 
         sum_t nuv_t(p)   = sum over w in C_p of the trials with w uncoloured,
@@ -468,8 +464,7 @@ def monte_carlo_round(
     n = comp.n
     npairs = len(comp.nuv_pairs)
     blocks = ((lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK))
-    rows = len(comp.stat_src) + comp.in_rows.shape[1] + comp.tri_rows.shape[1]
-    width = max(1, min(_MC_BLOCK, _MC_SLICE_ROWS // max(rows, 1), budget.MEMORY_BUDGET // counts))
+    width = _slice_width(comp, common_uncoloured=False)
 
     def run_block(bounds):
         lo, hi = bounds
@@ -479,7 +474,7 @@ def monte_carlo_round(
         for start in range(lo, hi, width):
             stop = min(start + width, hi)
             part = slice(start - lo, stop - lo)
-            seeds = [derive_seed(seed, KIND_TRIAL, t) for t in range(start, stop)]
+            seeds = _derived_seeds(seed, KIND_TRIAL, start, stop)
             _, _, kept[part], cls = _round_arrays(comp, seeds)
             _, _, p_u[part], t_u[part] = _stats_arrays(comp, cls, kept[part])
         gsum = 0.0

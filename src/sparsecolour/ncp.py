@@ -37,7 +37,6 @@ from .correspondence import (
     PartialColouring,
     _indices,
     _rows_on,
-    is_total,
     is_valid_colouring,
     residual_assignment,
     totalize,
@@ -89,16 +88,25 @@ def _sm64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
+def _derived_seeds(seed: int, kind: int, start: int, stop: int) -> np.ndarray:
+    """derive_seed(seed, kind, t) for t = start..stop-1, as one uint64 array."""
+    ids = np.arange(start, stop, dtype=np.uint64)
+    ids ^= np.uint64(derive_seed(seed, kind))
+    return _sm64_np(ids)
+
+
 def _entity_draws(
-    seeds: Sequence[int], kinds: Sequence[int], counts: Sequence[int]
+    seeds: Sequence[int] | np.ndarray, kinds: Sequence[int], counts: Sequence[int]
 ) -> np.ndarray:
     """64-bit draws hashed in one pass: a row per seed, and the entity ids
     0..count-1 of each kind in turn as columns.  With kinds (k0, k1) and
-    counts (c0, c1), entry (i, c0 + j) matches derive_seed(seeds[i], k1, j)."""
-    bases = np.array(
-        [[derive_seed(s, kind) for kind in kinds] for s in seeds], dtype=np.uint64
-    ).reshape(len(seeds), len(kinds))
-    draws = np.empty((len(seeds), sum(counts)), dtype=np.uint64)
+    counts (c0, c1), entry (i, c0 + j) matches derive_seed(seeds[i], k1, j)
+    for seeds in [0, 2^64)."""
+    h = np.array(seeds, dtype=np.uint64)
+    h ^= _GOLDEN_NP
+    # bases[i, j] = derive_seed(seeds[i], kinds[j])
+    bases = _sm64_np(_sm64_np(h)[:, None] ^ np.array(kinds, dtype=np.uint64))
+    draws = np.empty((len(h), sum(counts)), dtype=np.uint64)
     at = 0
     for j, count in enumerate(counts):
         ids = np.arange(count, dtype=np.uint64)
@@ -275,28 +283,30 @@ class _Compiled:
         self._nuv_built = True
 
 
-def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """c's map rows on g's edges in both directions, c checked first: one
-    nonempty set per vertex and a bijection on every edge."""
+def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, ...]:
+    """g's edges as arrays eu, ev and c's map rows on them in both
+    directions, c checked first: one nonempty set per vertex and a bijection
+    on every edge."""
     if len(c.sizes) != g.n:
         raise AssignmentError("assignment does not match graph size")
     if g.n and c.sizes.min() == 0:
         raise AssignmentError("all colour sets must be nonempty")
-    if not is_total(g, c):
-        raise AssignmentError("round execution needs a total assignment")
     forward = _rows_on(g, c)
+    eu, ev = np.ascontiguousarray(g.edge_array().T)
+    matched = (forward >= 0).sum(axis=1)
+    if not np.all((matched == c.sizes[eu]) & (matched == c.sizes[ev])):
+        raise AssignmentError("round execution needs a total assignment")
     backward = np.full_like(forward, -1)
     e, i = np.nonzero(forward >= 0)
     backward[e, forward[e, i]] = i
-    return forward, backward
+    return eu, ev, forward, backward
 
 
 def _compile(g: Graph, c: CorrespondenceAssignment) -> _Compiled:
     """The whole instance (g, c), c total, compiled; every vertex is in its
     focus."""
     _check_compiled("compiled instance", g.n, g.m, max(c.fwd.shape[1], 1))
-    eu, ev = np.ascontiguousarray(g.edge_array().T)
-    return _Compiled(eu, ev, *_map_rows(g, c), c.sizes, c.values, g.max_degree())
+    return _Compiled(*_map_rows(g, c), c.sizes, c.values, g.max_degree())
 
 
 def _pair_count(group_end: np.ndarray, gap: int) -> int:
@@ -366,8 +376,9 @@ def _distance2_rows(src: np.ndarray, dst: np.ndarray, focus: int):
     low, high = np.divmod(pair_keys, max(focus, 1))
     # The pairs share one int object per vertex.
     vertex = list(range(focus))
+    low, high = map(vertex.__getitem__, low.tolist()), map(vertex.__getitem__, high.tolist())
     return (
-        list(zip(map(vertex.__getitem__, low), map(vertex.__getitem__, high))),
+        list(zip(low, high)),
         np.bincount(pair_of_entry, minlength=len(pair_keys)),
         concat,
         pair_of_entry,
@@ -381,7 +392,7 @@ def _row_classes(comp: _Compiled, f1_idx: np.ndarray) -> np.ndarray:
     return comp.dir_flat.take(comp.look_base + f1_idx.take(comp.look_src, axis=1))
 
 
-def _round_arrays(comp: _Compiled, seeds: Sequence[int]):
+def _round_arrays(comp: _Compiled, seeds: Sequence[int] | np.ndarray):
     """Execute one round per seed, all at once.
 
     Returns (f1_idx, dirs, kept, cls), one row per seed: the colour index
@@ -496,6 +507,33 @@ def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
     return np.array(counts, dtype=np.int64).reshape(len(kept), pairs)
 
 
+# Trials per kernel call, and rows per call over its trials: a trial's
+# vertex and edge draws, its statistic, in-row and triangle rows and, where
+# the call counts them, its common-uncoloured entries.  Larger slices spread
+# numpy's per-call overhead over more trials, but their arrays outgrow the
+# cache: in Monte Carlo on random 20-regular hosts the best slice was 8-16
+# trials, on C5 blow-ups 32-64.  The draws count because a regularised copy
+# draws on every vertex but keeps statistics on its focus alone.
+SLICE_TRIALS = 64
+SLICE_ROWS = 1 << 16
+
+
+def _slice_width(comp: _Compiled, common_uncoloured: bool) -> int:
+    """The most trials one kernel call takes on comp: at most SLICE_TRIALS,
+    SLICE_ROWS rows and the memory budget's worth of class counts
+    (CLASS_COUNT_BYTES per colour index, focus vertex and trial), and at
+    least one.  Row i of every kernel result is what trial i alone gives,
+    so the width changes no result."""
+    comp._build_stats()
+    rows = comp.n + comp.m + len(comp.stat_src)
+    rows += comp.in_rows.shape[1] + comp.tri_rows.shape[1]
+    if common_uncoloured:
+        comp._build_nuv()
+        rows += len(comp.nuv_concat)
+    counts = max(CLASS_COUNT_BYTES * comp.kmax * comp.focus, 1)
+    return max(1, min(SLICE_TRIALS, SLICE_ROWS // max(rows, 1), budget.MEMORY_BUDGET // counts))
+
+
 def _outcome_from_arrays(
     comp: _Compiled, f1_idx: np.ndarray, dirs: np.ndarray, kept: np.ndarray
 ) -> RoundOutcome:
@@ -517,7 +555,7 @@ def _outcome_from_arrays(
 def run_round(g: Graph, c: CorrespondenceAssignment, seed: int) -> RoundOutcome:
     """One round on a total assignment; deterministic given the seed."""
     comp = _compile(g, c)
-    f1_idx, dirs, kept, _ = _round_arrays(comp, [seed])
+    f1_idx, dirs, kept, _ = _round_arrays(comp, [int(seed) & _MASK])
     return _outcome_from_arrays(comp, f1_idx[0], dirs[0], kept[0])
 
 
@@ -702,43 +740,46 @@ def attempt_round(
     between focus vertices and `common_uncoloured` the pairs of focus
     vertices.
 
-    On success returns the accepted outcome and statistics; after exhausting
-    the restart budget, returns ok=False carrying the best-seen attempt
-    (fewest violations) and its violation report.
+    Attempt a uses seed derive_seed(seed, KIND_RESTART, a).  The attempts
+    run through the batch kernel in slices of 1, 2, 4, ... attempts, each
+    at most `_slice_width` wide, so no slice draws more attempts than came
+    before it; every attempt of a slice is scored by array operations.
+
+    On success returns the first accepted attempt, with `restarts` its
+    index; after exhausting the restart budget, returns ok=False carrying
+    the first attempt of the fewest violations and its violation report.
     """
-    comp._build_stats()
-    comp._build_nuv()
+    cap = _slice_width(comp, common_uncoloured=True)  # builds both indexes
     sizes = comp.nuv_sizes.astype(np.float64)
-
-    def result(ok: bool, restarts: int, violations, arrays) -> AttemptResult:
-        f1_idx, dirs, kept, col, dist, p_u, t_u, nuv = arrays
-        outcome = _outcome_from_arrays(comp, f1_idx, dirs, kept)
-        stats = _stats_record(comp, col, dist, p_u, t_u, nuv)
-        return AttemptResult(ok, outcome, stats, restarts, violations)
-
-    best: Optional[tuple[int, ViolationReport, tuple]] = None
-    for attempt in range(max(1, max_restarts)):
-        attempt_seed = derive_seed(seed, KIND_RESTART, attempt)
-        f1_idx, dirs, kept, cls = _round_arrays(comp, [attempt_seed])
-        stats = _stats_arrays(comp, cls, kept)
+    attempts = max(1, max_restarts)
+    best: Optional[tuple] = None  # (violation count, attempt, its arrays)
+    start, width = 0, 1
+    while start < attempts:
+        stop = min(start + width, attempts)
+        seeds = _derived_seeds(seed, KIND_RESTART, start, stop)
+        f1_idx, dirs, kept, cls = _round_arrays(comp, seeds)
+        col, dist, p_u, t_u = _stats_arrays(comp, cls, kept)
         nuv = _nuv_counts(comp, kept)
-        f1_idx, dirs, kept, nuv = f1_idx[0], dirs[0], kept[0], nuv[0]
-        col, dist, p_u, t_u = (x[0] for x in stats)
-        low = (p_u - t_u) < params.stat_threshold
-        stat_bad = np.flatnonzero(low & ~kept[: comp.focus])
-        dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
-        quasi_bad = np.flatnonzero(dev > params.slack)
-        violations = ViolationReport(
-            tuple(stat_bad.tolist()),
-            tuple(comp.nuv_pairs[i] for i in quasi_bad.tolist()),
-        )
-        arrays = (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv)
-        if violations.total == 0:
-            return result(True, attempt, violations, arrays)
-        if best is None or violations.total < best[0]:
-            best = (violations.total, violations, arrays)
-    _, violations, arrays = best
-    return result(False, max(1, max_restarts), violations, arrays)
+        stat_bad = ((p_u - t_u) < params.stat_threshold) & ~kept[:, : comp.focus]
+        quasi_bad = np.abs(nuv.astype(np.float64) - params.mu * sizes) > params.slack
+        totals = stat_bad.sum(axis=1) + quasi_bad.sum(axis=1)
+        i = int(totals.argmin())  # the first attempt of the fewest violations
+        if best is None or totals[i] < best[0]:
+            arrays = (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad)
+            best = (int(totals[i]), start + i, tuple(x[i] for x in arrays))
+            if best[0] == 0:
+                break
+        start, width = stop, min(2 * width, cap)
+    total, attempt, arrays = best
+    f1_idx, dirs, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad = arrays
+    violations = ViolationReport(
+        tuple(np.flatnonzero(stat_bad).tolist()),
+        tuple(comp.nuv_pairs[j] for j in np.flatnonzero(quasi_bad).tolist()),
+    )
+    outcome = _outcome_from_arrays(comp, f1_idx, dirs, kept)
+    stats = _stats_record(comp, col, dist, p_u, t_u, nuv)
+    ok = total == 0
+    return AttemptResult(ok, outcome, stats, attempt if ok else attempts, violations)
 
 
 # -- iteration schedule ------------------------------------------------------------
@@ -919,8 +960,7 @@ def _regularize_with_assignment(
     kmax = max(c.min_size(), 1)
     _check_compiled("regularised copy", n_final, n_final * target // 2, kmax)
     total = totalize(g, truncate(c, c.min_size()))
-    forward, backward = _map_rows(g, total)
-    eu, ev, forward, backward = _double(*g.edge_array().T, forward, backward, degree, steps)
+    eu, ev, forward, backward = _double(*_map_rows(g, total), degree, steps)
     k_arr = np.tile(total.sizes, 1 << steps)
     return _Compiled(eu, ev, forward, backward, k_arr, total.values, target), total
 

@@ -735,15 +735,16 @@ class TestSimulateCommand:
         assert outs[0] == outs[1]
 
     def test_mc_bytes_independent_of_slices_and_threads(self, tmp_path, capsys, monkeypatch):
-        from sparsecolour import harness
+        from sparsecolour import ncp
 
         g = tmp_path / "g.dimacs"
         run(["gen", "--random-regular", "40", "6", "--seed", "5", "--out", str(g)], capsys)
         outs = []
-        # 282 statistic, in-row and triangle rows per trial: slices of 64
-        # (the whole block), 7 and 1 trials.
+        # 442 rows per trial (40 vertex and 120 edge draws, 282 statistic,
+        # in-row and triangle rows): slices of 64 (the whole block), 4 and
+        # 1 trials.
         for budget, threads in [(1 << 16, "1"), (1 << 16, "2"), (2000, "2"), (1, "1")]:
-            monkeypatch.setattr(harness, "_MC_SLICE_ROWS", budget)
+            monkeypatch.setattr(ncp, "SLICE_ROWS", budget)
             out = tmp_path / f"mc{budget}-{threads}.json"
             code, _, _ = run(
                 ["simulate", "--input", str(g), "--k", "4", "--trials", "130",

@@ -280,18 +280,20 @@ class TestMonteCarloSlices:
 
     @pytest.mark.parametrize("trials", [1, 15, 17, 64, 65, 130])
     def test_any_slice_width_gives_the_same_report(self, monkeypatch, trials):
-        from sparsecolour import harness
+        from sparsecolour import ncp
         from sparsecolour.ncp import _compile
 
         g = gnp_graph(14, 0.4, seed=3)
         c = _random_bijections(g, 3, seed=8)
         comp = _compile(g, c)
         comp._build_stats()
-        rows = len(comp.stat_src) + comp.in_rows.shape[1] + comp.tri_rows.shape[1]
-        assert harness._MC_SLICE_ROWS // rows >= 64  # one slice per block
+        rows = comp.n + comp.m + len(comp.stat_src)
+        rows += comp.in_rows.shape[1] + comp.tri_rows.shape[1]
+        assert ncp.SLICE_ROWS // rows >= 64  # one slice per block
         reference = monte_carlo_round(g, c, trials=trials, seed=5)
         for width in (1, 5, 17):
-            monkeypatch.setattr(harness, "_MC_SLICE_ROWS", width * rows)
+            monkeypatch.setattr(ncp, "SLICE_ROWS", width * rows)
+            assert ncp._slice_width(comp, common_uncoloured=False) == width
             assert monte_carlo_round(g, c, trials=trials, seed=5) == reference
             assert monte_carlo_round(g, c, trials=trials, seed=5, threads=2) == reference
 

@@ -68,6 +68,29 @@ class TestSeedDerivation:
     def test_order_sensitivity(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_array_seeds_match_derive_seed(self, seed):
+        from sparsecolour.ncp import KIND_RESTART, KIND_TRIAL, _derived_seeds
+
+        for kind in (KIND_RESTART, KIND_TRIAL):
+            for start in (0, 2**32 - 2, 2**40):
+                got = _derived_seeds(seed, kind, start, start + 5)
+                assert got.dtype == np.uint64
+                assert got.tolist() == [derive_seed(seed, kind, t) for t in range(start, start + 5)]
+        as_array = np.array([seed, 2**32 + 7], dtype=np.uint64)
+        for seeds in ([seed, 2**32 + 7], as_array):
+            draws = _entity_draws(seeds, [0xC01, 0xD12], [3, 2])
+            for row, s in enumerate([seed, 2**32 + 7]):
+                assert draws[row, :3].tolist() == [derive_seed(s, 0xC01, i) for i in range(3)]
+                assert draws[row, 3:].tolist() == [derive_seed(s, 0xD12, i) for i in range(2)]
+        assert as_array.tolist() == [seed, 2**32 + 7]  # the caller's seeds stay as given
+
+    def test_run_round_takes_seeds_mod_2_64(self):
+        g = cycle_graph(5)
+        c = uniform_lists(g, 3)
+        assert run_round(g, c, -1) == run_round(g, c, 2**64 - 1)
+        assert run_round(g, c, 2**64 + 5) == run_round(g, c, 5)
+
 
 class TestKeepProbability:
     def test_values(self):
@@ -137,6 +160,19 @@ class TestInstanceChecks:
         c = CorrespondenceAssignment(((), (0,)), {})
         with pytest.raises(AssignmentError, match="all colour sets must be nonempty"):
             _compile(path_graph(2), c)
+
+    @pytest.mark.parametrize(
+        "lists",
+        [[{0, 1}, {2, 3}, {4, 5}, {6, 7}], [{0, 1}, {0, 1, 2}, {0, 1}, {0, 1}]],
+    )
+    def test_compiled_refuses_partial_maps(self, lists):
+        from sparsecolour.correspondence import is_total
+
+        g = cycle_graph(4)
+        c = from_lists(g, lists)
+        assert not is_total(g, c)
+        with pytest.raises(AssignmentError, match="^round execution needs a total assignment$"):
+            _compile(g, c)
 
     def test_round_stats_refuses_other_instance(self):
         g = path_graph(3)
@@ -357,6 +393,126 @@ class TestAttemptRound:
         assert not result.ok
         assert result.violations.total > 0
         assert result.restarts == 4
+
+
+def _one_seed_attempt(comp, params, seed, max_restarts):
+    """attempt_round drawn one restart per kernel call, with every
+    attempt's violation report built; also returns each attempt's total."""
+    from sparsecolour.ncp import (
+        KIND_RESTART,
+        AttemptResult,
+        ViolationReport,
+        _nuv_counts,
+        _outcome_from_arrays,
+        _round_arrays,
+        _stats_arrays,
+        _stats_record,
+    )
+
+    comp._build_stats()
+    comp._build_nuv()
+    sizes = comp.nuv_sizes.astype(np.float64)
+    totals, best = [], None
+    for attempt in range(max(1, max_restarts)):
+        f1_idx, dirs, kept, cls = _round_arrays(
+            comp, [derive_seed(seed, KIND_RESTART, attempt)]
+        )
+        col, dist, p_u, t_u = (x[0] for x in _stats_arrays(comp, cls, kept))
+        nuv = _nuv_counts(comp, kept)[0]
+        f1_idx, dirs, kept = f1_idx[0], dirs[0], kept[0]
+        low = (p_u - t_u) < params.stat_threshold
+        dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
+        violations = ViolationReport(
+            tuple(np.flatnonzero(low & ~kept[: comp.focus]).tolist()),
+            tuple(comp.nuv_pairs[i] for i in np.flatnonzero(dev > params.slack).tolist()),
+        )
+        totals.append(violations.total)
+        arrays = (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv)
+        if violations.total == 0:
+            best = (attempt, violations, arrays)
+            break
+        if best is None or violations.total < best[1].total:
+            best = (attempt, violations, arrays)
+    attempt, violations, (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv) = best
+    ok = violations.total == 0
+    result = AttemptResult(
+        ok,
+        _outcome_from_arrays(comp, f1_idx, dirs, kept),
+        _stats_record(comp, col, dist, p_u, t_u, nuv),
+        attempt if ok else max(1, max_restarts),
+        violations,
+    )
+    return result, totals
+
+
+def _driver_attempts(g, k, seed):
+    """(comp, params, seed) of every attempt_round call of the colour
+    procedure on g with k colours, as `color` runs it."""
+    calls = []
+
+    def recording(comp, params, round_seed, max_restarts):
+        calls.append((comp, params, round_seed))
+        return attempt_round(comp, params, round_seed, max_restarts)
+
+    eps_prime = 1.0 - k / (g.max_degree() + 1)
+    schedule = build_schedule(eps_prime, local_sparsity(g).delta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ncp, "attempt_round", recording)
+        iterative_colour(g, uniform_lists(g, k), schedule, seed)
+    return calls
+
+
+class TestRestartSlices:
+    """Restarts drawn in doubling slices give what one restart per kernel
+    call gives: outcome, statistics, restarts and violations."""
+
+    @pytest.fixture(scope="class")
+    def failing(self):
+        # rr(100,8) at k = 8: round 0 exhausts 200 restarts.
+        return _driver_attempts(random_regular_graph(100, 8, seed=1), 8, seed=0)[0]
+
+    @pytest.mark.parametrize("max_restarts", [0, 1, 2, 3, 200])
+    def test_budgets_ending_in_any_slice(self, failing, max_restarts):
+        comp, params, seed = failing
+        expected, _ = _one_seed_attempt(comp, params, seed, max_restarts)
+        assert attempt_round(comp, params, seed, max_restarts) == expected
+        if max_restarts == 200:
+            assert not expected.ok and expected.restarts == 200
+
+    def test_accepted_inside_a_later_slice(self):
+        calls = _driver_attempts(c5_blowup(10), 18, seed=7)
+        restarts = []
+        for comp, params, seed in calls:
+            expected, _ = _one_seed_attempt(comp, params, seed, ncp.MAX_RESTARTS)
+            assert attempt_round(comp, params, seed) == expected
+            restarts.append(expected.restarts)
+        # Slices of 1, 2, 4, 8, 16 and 32 restarts: 38 is in the sixth.
+        assert 38 in restarts
+        assert ncp._slice_width(calls[restarts.index(38)][0], True) >= 32
+
+    def test_exhaustion_keeps_the_first_of_tied_minima(self):
+        from sparsecolour.ncp import RoundParams
+
+        g = c5_blowup(3)
+        comp = _compile(g, uniform_lists(g, 6))
+        # Every uncoloured vertex and every pair is a violation.
+        params = RoundParams(mu=0.5, slack=-1.0, stat_threshold=math.inf)
+        expected, totals = _one_seed_attempt(comp, params, 11, 40)
+        minima = [a for a, total in enumerate(totals) if total == min(totals)]
+        # Attempt a is in slice (a + 1).bit_length() while slices are
+        # narrower than the cap: a tie inside the first minimum's slice (7
+        # to 14) and ties in a later one.
+        assert ncp._slice_width(comp, True) >= 32
+        assert minima == [10, 12, 24, 29]
+        result = attempt_round(comp, params, 11, 40)
+        assert result == expected and not result.ok
+
+    def test_width_one_slices(self, failing, monkeypatch):
+        comp, params, seed = failing
+        expected, _ = _one_seed_attempt(comp, params, seed, 20)
+        monkeypatch.setattr(ncp, "SLICE_ROWS", 1)
+        assert ncp._slice_width(comp, True) == 1
+        assert attempt_round(comp, params, seed, 20) == expected
 
 
 class TestBuildSchedule:

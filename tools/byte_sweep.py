@@ -131,6 +131,13 @@ CASES = [
     "color --input in/rr60_6.json --k 5 --seed 3",
     "color --input in/c5_8.col --k 16 --profile asymptotic",
     "color --input in/rr30_6.col --k 5 --max-restarts 1",
+    # restarts drawn in slices of 1, 2, 4, ...: accepted at restart 38,
+    # inside the sixth slice; budgets of 2 and 3 end inside and at the end
+    # of the second slice, and 0 is a usage error
+    "color --input in/c5_10.col --k 18 --seed 7",
+    "color --input in/rr30_6.col --k 5 --max-restarts 0",
+    "color --input in/rr30_6.col --k 5 --max-restarts 2",
+    "color --input in/rr30_6.col --k 5 --max-restarts 3",
     "color --input in/c5_8.col --k 16 --beta 0",
     "color --input in/c5_8.col --k 16 --delta-prime 7",
     "color --input in/c5_8.col --k 16 --beta 0.001 --delta-prime 0.5",
