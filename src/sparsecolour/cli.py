@@ -50,9 +50,9 @@ from .graph import (
     GEN_BYTES,
     Graph,
     check_graph,
-    from_json_dict,
     local_sparsity,
     parse_dimacs,
+    parse_json,
     to_dimacs,
     to_json_dict,
 )
@@ -139,9 +139,7 @@ def _report(config: dict, result: Any) -> str:
 
 def _load_graph(path: str) -> Graph:
     text = Path(path).read_text()
-    if path.endswith(".json"):
-        return from_json_dict(json.loads(text))
-    return parse_dimacs(text)
+    return parse_json(text) if path.endswith(".json") else parse_dimacs(text)
 
 
 def _output_format(args, default: str) -> str:

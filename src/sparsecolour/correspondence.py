@@ -196,19 +196,20 @@ def _indices(c: CorrespondenceAssignment, f: PartialColouring) -> Optional[np.nd
     return idx
 
 
-def _rows_on(g: Graph, c: CorrespondenceAssignment) -> np.ndarray:
-    """c's map rows for g's edges in edges() order; an edge without a map
-    gets an empty row."""
+def _rows_on(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """g's edges in edges() order, as a (2, m) array of their ends u < v, and
+    c's map rows for them in that order; an edge without a map gets an empty
+    row."""
     edges = g.edge_array()
     if np.array_equal(c.edges, edges):
-        return c.fwd
+        return edges.T, c.fwd
     span = max(g.n, len(c.sizes))
     keys, wanted = c.edges @ [span, 1], edges @ [span, 1]  # both ascending
     at = np.minimum(np.searchsorted(keys, wanted), max(len(keys) - 1, 0))
     hit = keys[at] == wanted if len(keys) else np.zeros(len(edges), dtype=bool)
     rows = np.full((len(edges), c.fwd.shape[1]), -1, dtype=c.fwd.dtype)
     rows[hit] = c.fwd[at[hit]]
-    return rows
+    return edges.T, rows
 
 
 def validate_assignment(g: Graph, c: CorrespondenceAssignment) -> None:
@@ -225,11 +226,14 @@ def validate_assignment(g: Graph, c: CorrespondenceAssignment) -> None:
         raise AssignmentError(f"edge map for non-edge ({u},{v})")
 
 
+def _bijective(sizes: np.ndarray, ends: np.ndarray, rows: np.ndarray) -> bool:
+    """True when every map row is a bijection between its endpoint sets."""
+    return bool(np.all(sizes[ends] == (rows >= 0).sum(axis=1)))
+
+
 def is_total(g: Graph, c: CorrespondenceAssignment) -> bool:
     """True when every edge map is a bijection between its endpoint sets."""
-    matched = (_rows_on(g, c) >= 0).sum(axis=1)
-    eu, ev = g.edge_array().T
-    return bool(np.all((matched == c.sizes[eu]) & (matched == c.sizes[ev])))
+    return _bijective(c.sizes, *_rows_on(g, c))
 
 
 def from_lists(
@@ -316,14 +320,14 @@ def totalize(g: Graph, c: CorrespondenceAssignment) -> CorrespondenceAssignment:
     sizes = set(c.sizes.tolist())
     if len(sizes) > 1:
         raise AssignmentError(f"totalize needs equal colour set sizes, got {sizes}")
-    fwd = _rows_on(g, c).copy()
-    e, i = np.nonzero(fwd >= 0)
-    used = np.zeros(fwd.shape, dtype=bool)
-    used[e, fwd[e, i]] = True
+    ends, fwd = _rows_on(g, c)
+    fwd, k = fwd.copy(), fwd.shape[1]
+    used = np.zeros((len(fwd), k + 1), dtype=bool)  # -1 marks the spare column k
+    used[np.arange(len(fwd))[:, None], fwd] = True
     # A row has as many free indices at u as at v, and both masks list them
     # row by row in ascending order.
-    fwd[fwd < 0] = np.nonzero(~used)[1]
-    return CorrespondenceAssignment._of(c.values, c.sizes, g.edge_array(), fwd)
+    fwd[fwd < 0] = np.flatnonzero(~used[:, :k]) % k
+    return CorrespondenceAssignment._of(c.values, c.sizes, ends.T, fwd)
 
 
 def is_valid_colouring(
@@ -334,9 +338,9 @@ def is_valid_colouring(
     idx = _indices(c, f)
     if idx is None:
         return False
-    eu, ev = g.edge_array().T
+    (eu, ev), rows = _rows_on(g, c)
     both = (idx[eu] >= 0) & (idx[ev] >= 0)
-    return not (_rows_on(g, c)[both, idx[eu[both]]] == idx[ev[both]]).any()
+    return not (rows[both, idx[eu[both]]] == idx[ev[both]]).any()
 
 
 @dataclass(frozen=True)
@@ -366,8 +370,7 @@ def residual_assignment(
     """
     if not is_valid_colouring(g, c, f):
         raise AssignmentError("partial colouring is not valid for the assignment")
-    idx, rows = _indices(c, f), _rows_on(g, c)
-    eu, ev = g.edge_array().T
+    idx, ((eu, ev), rows) = _indices(c, f), _rows_on(g, c)
     keep = _in_set(c.sizes, rows.shape[1])
     out = (idx[eu] >= 0) & (idx[ev] < 0)  # coloured u, uncoloured v
     j = rows[out, idx[eu[out]]]

@@ -15,6 +15,7 @@ colouring and DIMACS and JSON import/export.
 from __future__ import annotations
 
 import heapq
+import json
 from array import array
 from dataclasses import dataclass
 from math import comb
@@ -377,3 +378,18 @@ def from_json_dict(data: object) -> Graph:
         raise GraphError('graph JSON "edges" must be a list of [u, v] integer pairs')
     check_graph(data["n"], len(edges))
     return Graph.from_edges(data["n"], edges)
+
+
+# Bytes a list of a graph's JSON text costs while it is parsed, above the
+# tracemalloc peaks of `json.loads` and `from_json_dict` together (145 to 208
+# a list on random regular graphs, complete graphs and cycles).
+JSON_LIST_BYTES = 216
+
+
+def parse_json(text: str) -> Graph:
+    """`from_json_dict(json.loads(text))`, refused first, before any list
+    exists, if as many lists as the text has `[` characters would take more
+    than the memory budget."""
+    lists = text.count("[")
+    budget.check(f"JSON graph of {lists} lists", lists * JSON_LIST_BYTES)
+    return from_json_dict(json.loads(text))

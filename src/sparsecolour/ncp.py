@@ -35,7 +35,9 @@ from .correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
     PartialColouring,
+    _bijective,
     _indices,
+    _map_dtype,
     _rows_on,
     is_valid_colouring,
     residual_assignment,
@@ -164,11 +166,14 @@ class RoundStats:
 STATS_ROW_BYTES = 72
 
 
-def _check_compiled(what: str, n: int, m: int, kmax: int) -> None:
-    """Refuse a compiled instance past the budget: its (2m x kmax) int64
-    direction map, the two map rows it is built from (at most 4 bytes an
-    entry), twenty int64 arrays of at most m entries and two of n."""
-    nbytes = 8 * (m * (3 * kmax + 20) + 2 * n)
+def _check_compiled(what: str, n: int, m: int, kmax: int, blocks: int = 2) -> None:
+    """Refuse a compiled instance past the budget: `blocks` (m x kmax) blocks
+    of map rows at `_map_dtype(kmax)` (a direction map is two; a regularised
+    copy peaks at five, two direction maps while it sorts them and the total
+    assignment's rows), twenty int64 arrays of m entries, four of n, and the
+    index buffers of `_map_rows`'s scatter (150 KB traced on large rows)."""
+    entries = blocks * m * kmax * _map_dtype(kmax).itemsize
+    nbytes = entries + 8 * (20 * m + 4 * n) + 160 * 1024
     budget.check(f"{what} of {n} vertices, {m} edges and {kmax} colours", nbytes)
 
 
@@ -176,7 +181,7 @@ class _Compiled:
     """Array form of (graph, total assignment) for fast rounds and stats.
 
     One constructor takes the instance as arrays: edge e is eu[e] - ev[e],
-    sorted by (u, v) with u < v; `forward[e]` and `backward[e]` are its map
+    sorted by (u, v) with u < v; `rows[e, 0]` and `rows[e, 1]` are its map
     rows u->v and v->u, each entry the colour index at the target matched
     with the source's colour index (-1 if none); `k_arr` is the set size per
     vertex and `colour_values` the colour sets padded to (focus, kmax).
@@ -185,27 +190,20 @@ class _Compiled:
     its vertices.  Only the vertices below `focus`, one per row of
     `colour_values`, are real: statistic rows, common-uncoloured pairs,
     outcomes and statistics cover them alone, while the draws and the keep
-    rule still run on every vertex.  The direction map holds, per edge e,
-    row 2e (u->v) and row 2e+1 (v->u).
+    rule still run on every vertex.  The direction map is `rows` read as
+    (2m x kmax), unwidened: row 2e is u->v and row 2e+1 is v->u.
     """
 
-    def __init__(self, eu, ev, forward, backward, k_arr, colour_values, max_degree):
+    def __init__(self, eu, ev, rows, k_arr, colour_values, max_degree):
         self.n, self.m, self.focus = len(k_arr), len(eu), len(colour_values)
-        self.colour_values = colour_values
-        self.kmax = max(forward.shape[1], 1)
-        dir_map = np.full((2 * self.m, self.kmax), -1, dtype=np.int64)
-        dir_map[0::2, : forward.shape[1]] = forward
-        dir_map[1::2, : forward.shape[1]] = backward
+        self.kmax = max(rows.shape[2], 1)
+        dir_map = rows.reshape(2 * self.m, self.kmax)
         self.eu, self.ev, self.dir_map, self.k_arr = eu, ev, dir_map, k_arr
+        self.colour_values, self.max_degree = colour_values, max_degree
         self.k_draw = k_arr.astype(np.uint64)
-        self.max_degree = max_degree
-        self.dir_src = np.empty(2 * self.m, dtype=np.int64)
-        self.dir_dst = np.empty(2 * self.m, dtype=np.int64)
-        self.dir_src[0::2], self.dir_src[1::2] = eu, ev
-        self.dir_dst[0::2], self.dir_dst[1::2] = ev, eu
-        self.ends = self.dir_src.reshape(-1, 2)  # ends[e, d]: where bit d points
-        # dir_map read flat: entry (row, i) sits at row * kmax + i.
-        self.dir_flat = dir_map.reshape(-1)
+        self.ends = np.stack([eu, ev], axis=1)  # ends[e, d]: where bit d points
+        self.dir_src, self.dir_dst = self.ends.reshape(-1), self.ends[:, ::-1].reshape(-1)
+        self.dir_flat = dir_map.reshape(-1)  # entry (row, i) at row * kmax + i
         # The rows looked up once per trial: the forward row of every edge,
         # in the order fwd_edge (those into vertices outside the focus
         # first), then the backward rows into focus vertices.  The keep rule
@@ -284,22 +282,24 @@ class _Compiled:
 
 
 def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, ...]:
-    """g's edges as arrays eu, ev and c's map rows on them in both
-    directions, c checked first: one nonempty set per vertex and a bijection
-    on every edge."""
+    """g's edges as arrays eu, ev and c's map rows on them as one (m, 2, k)
+    array at `_map_dtype(k)`, [e, 0] u->v and [e, 1] its inverse v->u, c
+    checked first: one nonempty set per vertex and a bijection on each edge."""
     if len(c.sizes) != g.n:
         raise AssignmentError("assignment does not match graph size")
     if g.n and c.sizes.min() == 0:
         raise AssignmentError("all colour sets must be nonempty")
-    forward = _rows_on(g, c)
-    eu, ev = np.ascontiguousarray(g.edge_array().T)
-    matched = (forward >= 0).sum(axis=1)
-    if not np.all((matched == c.sizes[eu]) & (matched == c.sizes[ev])):
+    ends, forward = _rows_on(g, c)
+    if not _bijective(c.sizes, ends, forward):
         raise AssignmentError("round execution needs a total assignment")
-    backward = np.full_like(forward, -1)
-    e, i = np.nonzero(forward >= 0)
-    backward[e, forward[e, i]] = i
-    return eu, ev, forward, backward
+    (m, k), dtype = forward.shape, _map_dtype(forward.shape[1])
+    rows = np.full((m, 2, k), -1, dtype=dtype)
+    rows[:, 0] = forward
+    # A bijection's -1 entries lie past its set, so they scatter into the
+    # last column, which is -1 in the inverse wherever it is -1 forward.
+    rows[np.arange(m)[:, None], 1, forward] = np.arange(k, dtype=dtype)
+    rows[:, 1, k - 1 :][rows[:, 0, k - 1 :] < 0] = -1
+    return (*np.ascontiguousarray(ends), rows)
 
 
 def _compile(g: Graph, c: CorrespondenceAssignment) -> _Compiled:
@@ -388,8 +388,8 @@ def _distance2_rows(src: np.ndarray, dst: np.ndarray, focus: int):
 def _row_classes(comp: _Compiled, f1_idx: np.ndarray) -> np.ndarray:
     """The class of every looked-up row under (B, n) colour indices: the
     colour index at the row's target matched with its source's colour (-1
-    if none), shape (B, L)."""
-    return comp.dir_flat.take(comp.look_base + f1_idx.take(comp.look_src, axis=1))
+    if none), shape (B, L), widened to int64 for `_stats_arrays`' keys."""
+    return comp.dir_flat.take(comp.look_base + f1_idx.take(comp.look_src, axis=1)).astype(np.int64)
 
 
 def _round_arrays(comp: _Compiled, seeds: Sequence[int] | np.ndarray):
@@ -953,39 +953,35 @@ def _regularize_with_assignment(
     The copy is checked against the memory budget first; it is at least as
     large as the work on g's own maps that comes before it.
     """
-    target = g.max_degree()
-    degree = g.degrees()
+    target, degree = g.max_degree(), g.degrees()
     steps = target - int(degree.min()) if g.n else 0
-    n_final = g.n << steps
-    kmax = max(c.min_size(), 1)
-    _check_compiled("regularised copy", n_final, n_final * target // 2, kmax)
+    n_final, kmax = g.n << steps, max(c.min_size(), 1)
+    _check_compiled("regularised copy", n_final, n_final * target // 2, kmax, blocks=5)
     total = totalize(g, truncate(c, c.min_size()))
-    eu, ev, forward, backward = _double(*_map_rows(g, total), degree, steps)
+    eu, ev, rows = _double(*_map_rows(g, total), degree, steps)
     k_arr = np.tile(total.sizes, 1 << steps)
-    return _Compiled(eu, ev, forward, backward, k_arr, total.values, target), total
+    return _Compiled(eu, ev, rows, k_arr, total.values, target), total
 
 
-def _double(eu, ev, forward, backward, degree, steps):
-    """The edge arrays and map rows after `steps` doubling steps of the
-    graph with edges eu-ev and degrees `degree`, sorted by (u, v).  Every
-    set has the size of a map row, so a joining edge's map is the identity
-    row."""
-    n = len(degree)
-    target = degree.max(initial=0)
-    identity = np.arange(forward.shape[1], dtype=forward.dtype)
+def _double(eu, ev, rows, degree, steps):
+    """The edge arrays and (m, 2, k) map rows after `steps` doubling steps
+    of the graph with edges eu-ev and degrees `degree`, sorted by (u, v).
+    Every set has the size of a map row, so a joining edge's map is the
+    identity row in both directions."""
+    n, target = len(degree), degree.max(initial=0)
+    identity = np.arange(rows.shape[2], dtype=rows.dtype)
     for _ in range(steps):
         low = np.flatnonzero(degree < target)
-        join = np.broadcast_to(identity, (len(low), len(identity)))
+        join = np.broadcast_to(identity, (len(low), 2, len(identity)))
         eu = np.concatenate([eu, eu + n, low])
         ev = np.concatenate([ev, ev + n, low + n])
-        forward = np.concatenate([forward, forward, join])
-        backward = np.concatenate([backward, backward, join])
+        rows = np.concatenate([rows, rows, join])
         degree = np.tile(degree, 2)
         degree[low] += 1
         degree[low + n] += 1
         n *= 2
     order = np.lexsort((ev, eu))
-    return eu[order], ev[order], forward[order], backward[order]
+    return eu[order], ev[order], rows[order]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,14 @@ from sparsecolour.generators import (
     path_graph,
     random_regular_graph,
 )
-from sparsecolour.graph import Graph, from_json_dict, parse_dimacs, to_dimacs, to_json_dict
+from sparsecolour.graph import (
+    Graph,
+    from_json_dict,
+    parse_dimacs,
+    parse_json,
+    to_dimacs,
+    to_json_dict,
+)
 from sparsecolour.harness import monte_carlo_round
 from sparsecolour.strong_edge import _SquareRows, line_graph_square
 
@@ -85,6 +92,14 @@ def _regularised():
     return lambda: ncp._regularize_with_assignment(g, c)
 
 
+def _regularised_wide():
+    # Regular, so the copy is g itself: cutting, totalizing and inverting
+    # the maps of 300 colours are the run.
+    g = _rr200()
+    c = uniform_lists(g, 300)
+    return lambda: ncp._regularize_with_assignment(g, c)
+
+
 def _pg7_core_stats():
     core, _ = line_graph_square(projective_plane_incidence(7))
     return _uniform_compiled(core, 2)._build_stats
@@ -120,6 +135,11 @@ def _json():
     return lambda: from_json_dict(data)
 
 
+def _json_text():
+    text = json.dumps(to_json_dict(random_regular_graph(2000, 20, seed=1)))
+    return lambda: parse_json(text)
+
+
 def _gen():
     from sparsecolour import cli
 
@@ -132,6 +152,7 @@ PROBES = {
     "assignment": ("assignment of", _assignment),
     "compiled": ("compiled instance", _compiled),
     "regularised": ("regularised copy", _regularised),
+    "regularised-wide": ("regularised copy", _regularised_wide),
     "stats-pg7-core": ("statistic index", _pg7_core_stats),
     "stats-k60": ("statistic index", _k60_stats),
     "distance2": ("distance-2 pair index", _distance2),
@@ -139,6 +160,7 @@ PROBES = {
     "class-counts": ("class counts of", _class_counts),
     "dimacs": ("graph of", _dimacs),
     "json": ("graph of", _json),
+    "json-text": ("JSON graph of", _json_text),
     "gen": ("graph of", _gen),
 }
 

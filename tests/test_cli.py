@@ -662,7 +662,7 @@ class TestMemoryHoles:
         g.write_text("\n".join(l for i, l in enumerate(lines) if i not in dropped) + "\n")
         self._refused(tmp_path, ["color", "--input", str(g), "--k", "38", "--seed", "1"],
                       "regularised copy of 1638400 vertices, 32768000 edges and 38 colours "
-                      "would take about 33525 MiB")
+                      "would take about 16925 MiB")
 
     def test_distance2_pairs(self, tmp_path):
         # K400,400: each of 800 vertices is the middle of C(401, 2) entries.

@@ -28,6 +28,7 @@ from sparsecolour.graph import (
     lowest_clear_bit,
     min_degree_ordering,
     parse_dimacs,
+    parse_json,
     to_dimacs,
     to_json_dict,
 )
@@ -376,6 +377,26 @@ class TestDimacs:
         finally:
             tracemalloc.stop()
         assert peak < 0.05 * len(text), peak
+
+    def test_json_refused_before_parsing(self, monkeypatch):
+        # The budget check counts the text's lists before json.loads builds
+        # any: the refused parse holds almost nothing.
+        import json
+        import tracemalloc
+
+        text = json.dumps(to_json_dict(random_regular_graph(2000, 20, seed=1)))
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 1_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="^JSON graph of 20001 lists would take"):
+                parse_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * len(text), peak
+        assert parse_json(json.dumps({"n": 3, "edges": [[0, 1]]})) == Graph.from_edges(
+            3, [(0, 1)]
+        )
 
     def test_rejects_range_violation(self):
         with pytest.raises(DimacsError, match="line 2"):

@@ -27,8 +27,13 @@ from sparsecolour.generators import (
     random_regular_graph,
     star_graph,
 )
-from sparsecolour.graph import local_sparsity
-from sparsecolour.harness import _distance2_pairs, naive_regularize_with_assignment
+from sparsecolour.graph import Graph, local_sparsity
+from sparsecolour.harness import (
+    _distance2_pairs,
+    naive_dir_map,
+    naive_outcome_stats,
+    naive_regularize_with_assignment,
+)
 from sparsecolour.ncp import (
     DELTA_PRIME_SHARE,
     QuasirandomReport,
@@ -260,6 +265,64 @@ class TestRoundStats:
         stats = round_stats(g, c, outcome)
         assert stats.pairs[0] - stats.triples[0] == 4
         assert stats.col[0] - stats.dist[0] == 3
+
+
+class TestNarrowMapRows:
+    """The map rows stay at the assignment's width; only the classes
+    gathered from them are widened, where they are combined with vertex
+    ids."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_class_keys_past_int16(self, seed):
+        # Class 7 times 5,000 vertices passes 32,767: int16 statistic keys
+        # would wrap around.
+        g = path_graph(5000)
+        c = uniform_lists(g, 8)
+        outcome = run_round(g, c, seed)
+        stats = round_stats(g, c, outcome)
+        naive = naive_outcome_stats(g, c, outcome.f1, set(outcome.kept))
+        assert (stats.col, stats.dist, stats.pairs, stats.triples) == tuple(map(tuple, naive))
+
+    @pytest.mark.parametrize("k, dtype", [(8, np.int16), (40_000, np.int32)])
+    def test_direction_map_at_the_map_dtype(self, k, dtype):
+        g = path_graph(3)
+        c = uniform_lists(g, k)
+        comp = _compile(g, c)
+        assert comp.dir_map.dtype == dtype
+        np.testing.assert_array_equal(comp.dir_map, naive_dir_map(g, c))
+
+
+def _edge_array_calls(monkeypatch) -> list:
+    """Every graph whose edge_array() is called from now on."""
+    calls = []
+    edge_array = Graph.edge_array
+
+    def counting(g):
+        calls.append(g)
+        return edge_array(g)
+
+    monkeypatch.setattr(Graph, "edge_array", counting)
+    return calls
+
+
+class TestEdgesListedOnce:
+    """Each chain lists a graph's edges once and passes them down."""
+
+    def test_regularisation(self, monkeypatch):
+        # totalize and the map rows, one each
+        g = path_graph(6)
+        c = from_lists(g, [[0, 1, 2], [1, 2], [0, 1], [1, 2, 3], [2, 3], [0, 3]])
+        calls = _edge_array_calls(monkeypatch)
+        _regularize_with_assignment(g, c)
+        assert calls == [g, g]
+
+    def test_residual(self, monkeypatch):
+        # the validity check and the rows on g, then the induced graph
+        g = cycle_graph(6)
+        c = uniform_lists(g, 3)
+        calls = _edge_array_calls(monkeypatch)
+        res = residual_assignment(g, c, {0: 0, 2: 1})
+        assert calls == [g, g, res.graph]
 
 
 class TestQuasirandomCheck:
@@ -887,8 +950,9 @@ class TestBudgetChecks:
 
         g = complete_graph(6)
         c = uniform_lists(g, 2)
-        # 8 (15 edges * (3 * 2 + 20) + 2 * 6 vertices) = 3216 bytes.
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 3215)
+        # 2 blocks * 15 edges * 2 colours * 2 bytes + 8 (20 * 15 edges + 4 * 6
+        # vertices) + 160 KiB = 166,552 bytes.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 166_551)
         monkeypatch.setattr(ncp, "_map_rows", map_rows)
         with pytest.raises(BudgetError, match="^compiled instance of 6 vertices, 15 edges "):
             _compile(g, c)

@@ -425,14 +425,14 @@ class TestStrongEdgeColour:
         assert len(set(colours.values())) <= core.max_degree()
 
     # The core's first round checks its assignment (15,160 bytes), regularised
-    # copy (167,040), statistic index (345,600) and distance-2 pair index
+    # copy (264,320), statistic index (345,600) and distance-2 pair index
     # (870,400) in turn; each budget here lets through those before one.
     @pytest.mark.parametrize(
         "limit, reason",
         [
             (15_000, "assignment of 15 colours on 320 edges"),
             (100_000, "regularised copy of 40 vertices, 320 edges and 15 colours"),
-            (200_000, "statistic index of up to 4800 rows"),
+            (300_000, "statistic index of up to 4800 rows"),
             (500_000, "distance-2 pair index of 5440 entries"),
         ],
         ids=["assignment", "regularised-copy", "statistic-index", "distance-2"],

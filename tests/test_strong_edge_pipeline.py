@@ -286,7 +286,7 @@ class TestProjectivePlaneCore:
         assert report.f_core_size == 456 and not report.engine_used
         assert report.engine_warning == (
             "engine refused (regularised copy of 3489660928 vertices, 108179488768 "
-            "edges and 40 colours would take about 115601408 MiB, above the memory "
+            "edges and 40 colours would take about 57880576 MiB, above the memory "
             "budget of 512 MiB); greedy fallback"
         )
         assert report.valid and report.colours == colours

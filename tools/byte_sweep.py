@@ -15,8 +15,9 @@ exit status is 1 if anything differed.
 
 The inputs are written once: the files in INPUT_GEN by PARENT's own ``gen``,
 those in INPUT_CUT by cutting one of them, and those in INPUT_TEXT from the
-texts below (the PG(2, 7) incidence graph from ``_projective_plane`` and
-K400,400 from ``_complete_bipartite``, which ``gen`` has no generator for).
+texts below (the PG(2, 7) and PG(2, 11) incidence graphs from
+``_projective_plane`` and K400,400 from ``_complete_bipartite``, which
+``gen`` has no generator for).
 """
 
 from __future__ import annotations
@@ -92,6 +93,7 @@ def _complete_bipartite(n: int) -> str:
 # Input file -> its text.
 INPUT_TEXT = {
     "pg7.col": _projective_plane(7),
+    "pg11.col": _projective_plane(11),
     "k400_400.json": _complete_bipartite(400),
     "empty.col": "p edge 0 0\n",
     "edgeless.col": "p edge 4 0\n",
@@ -158,6 +160,7 @@ CASES = [
     "strong-edge --input in/c5_8.col --max-restarts 20",
     "strong-edge --input in/edgeless.col",
     "strong-edge --input in/pg7.col --eta 0.3",
+    "strong-edge --input in/pg11.col --eta 0.3",
     # inputs that ran out of memory before any estimate stopped them
     "color --input in/rr100_40_cut.col --k 38 --seed 1",
     "simulate --experiment sparsity --input in/k400_400.json --k 2 --trials 1 --rounds 1",
