@@ -336,9 +336,13 @@ def is_valid_colouring(
     """True iff every coloured vertex uses its own set and no edge with both
     ends coloured has matched colours."""
     idx = _indices(c, f)
-    if idx is None:
-        return False
-    (eu, ev), rows = _rows_on(g, c)
+    return idx is not None and _valid_on(idx, *_rows_on(g, c))
+
+
+def _valid_on(idx: np.ndarray, ends: np.ndarray, rows: np.ndarray) -> bool:
+    """True when no edge of `ends` with both ends coloured under the colour
+    indices `idx` (-1 where uncoloured) has them matched by its row."""
+    eu, ev = ends
     both = (idx[eu] >= 0) & (idx[ev] >= 0)
     return not (rows[both, idx[eu[both]]] == idx[ev[both]]).any()
 
@@ -368,9 +372,9 @@ def residual_assignment(
     the induced edges restricted to them.  Residual colour sets may become
     empty, which surfaces later as greedy failure rather than an error here.
     """
-    if not is_valid_colouring(g, c, f):
-        raise AssignmentError("partial colouring is not valid for the assignment")
     idx, ((eu, ev), rows) = _indices(c, f), _rows_on(g, c)
+    if idx is None or not _valid_on(idx, (eu, ev), rows):
+        raise AssignmentError("partial colouring is not valid for the assignment")
     keep = _in_set(c.sizes, rows.shape[1])
     out = (idx[eu] >= 0) & (idx[ev] < 0)  # coloured u, uncoloured v
     j = rows[out, idx[eu[out]]]

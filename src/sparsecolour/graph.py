@@ -380,16 +380,17 @@ def from_json_dict(data: object) -> Graph:
     return Graph.from_edges(data["n"], edges)
 
 
-# Bytes a list of a graph's JSON text costs while it is parsed, above the
-# tracemalloc peaks of `json.loads` and `from_json_dict` together (145 to 208
-# a list on random regular graphs, complete graphs and cycles).
-JSON_LIST_BYTES = 216
+# Bytes a list, object or key of a graph's JSON text costs while it is
+# parsed, above the tracemalloc peaks of `json.loads` and `from_json_dict`
+# together (145 to 208 a list on random regular graphs, complete graphs and
+# cycles; 110 to 211 an object or key on objects of 10^5 keys).
+JSON_ITEM_BYTES = 216
 
 
 def parse_json(text: str) -> Graph:
     """`from_json_dict(json.loads(text))`, refused first, before any list
-    exists, if as many lists as the text has `[` characters would take more
-    than the memory budget."""
-    lists = text.count("[")
-    budget.check(f"JSON graph of {lists} lists", lists * JSON_LIST_BYTES)
+    exists, if as many lists, objects and keys as the text has `[`, `{` and
+    `:` characters would take more than the memory budget."""
+    items = text.count("[") + text.count("{") + text.count(":")
+    budget.check(f"JSON graph of {items} lists, objects and keys", items * JSON_ITEM_BYTES)
     return from_json_dict(json.loads(text))

@@ -216,9 +216,9 @@ def naive_regularize_with_assignment(
 ) -> tuple[Graph, CorrespondenceAssignment]:
     """Doubling regularisation built step by step as a graph and dict maps.
 
-    The reference for the engine's array doubling: copies keep their colour
-    sets and maps, and the edge joining a deficient vertex to its twin gets
-    the identity map.
+    The reference for the engine's ball of the copy (`ncp._ball`), built
+    whole: copies keep their colour sets and maps, and the edge joining a
+    deficient vertex to its twin gets the identity map.
     """
     target = g.max_degree()
     cur_g, cur_c = g, c
@@ -452,9 +452,12 @@ def monte_carlo_round(
     if g.n == 0:
         raise ValueError("Monte Carlo needs a graph with at least one vertex")
     nblocks = -(-trials // _MC_BLOCK)
-    # The words, the totals and one block's sums and words (11 rows of n);
-    # in a thread pool, each block's future, work item and bounds (1.95 KB).
-    nbytes = 8 * g.n * (nblocks + 11) + (2048 * nblocks if threads > 1 else 0)
+    # The words and 16 rows of n: the totals and one block's sums and words
+    # (11 rows), and a margin, since the peak moves once the words outgrow
+    # a block's work (on paths of 300 to 3,000 vertices the traced growth
+    # from one block to forty is 39 words and up to 11.6 rows more); in a
+    # thread pool, each block's future, work item and bounds (1.95 KB).
+    nbytes = 8 * g.n * (nblocks + 16) + (2048 * nblocks if threads > 1 else 0)
     budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
     counts = CLASS_COUNT_BYTES * comp.kmax * comp.focus

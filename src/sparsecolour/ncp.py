@@ -98,22 +98,21 @@ def _derived_seeds(seed: int, kind: int, start: int, stop: int) -> np.ndarray:
 
 
 def _entity_draws(
-    seeds: Sequence[int] | np.ndarray, kinds: Sequence[int], counts: Sequence[int]
+    seeds: Sequence[int] | np.ndarray, kinds: Sequence[int], ids: Sequence[np.ndarray]
 ) -> np.ndarray:
     """64-bit draws hashed in one pass: a row per seed, and the entity ids
-    0..count-1 of each kind in turn as columns.  With kinds (k0, k1) and
-    counts (c0, c1), entry (i, c0 + j) matches derive_seed(seeds[i], k1, j)
-    for seeds in [0, 2^64)."""
+    of each kind in turn as columns, one uint64 array per kind.  With kinds
+    (k0, k1) and ids (i0, i1), entry (i, len(i0) + j) matches
+    derive_seed(seeds[i], k1, i1[j]) for seeds in [0, 2^64)."""
     h = np.array(seeds, dtype=np.uint64)
     h ^= _GOLDEN_NP
     # bases[i, j] = derive_seed(seeds[i], kinds[j])
     bases = _sm64_np(_sm64_np(h)[:, None] ^ np.array(kinds, dtype=np.uint64))
-    draws = np.empty((len(h), sum(counts)), dtype=np.uint64)
+    draws = np.empty((len(h), sum(map(len, ids))), dtype=np.uint64)
     at = 0
-    for j, count in enumerate(counts):
-        ids = np.arange(count, dtype=np.uint64)
-        np.bitwise_xor(bases[:, j : j + 1], ids, out=draws[:, at : at + count])
-        at += count
+    for j, col in enumerate(ids):
+        np.bitwise_xor(bases[:, j : j + 1], col, out=draws[:, at : at + len(col)])
+        at += len(col)
     return _sm64_np(draws)
 
 
@@ -166,13 +165,13 @@ class RoundStats:
 STATS_ROW_BYTES = 72
 
 
-def _check_compiled(what: str, n: int, m: int, kmax: int, blocks: int = 2) -> None:
-    """Refuse a compiled instance past the budget: `blocks` (m x kmax) blocks
-    of map rows at `_map_dtype(kmax)` (a direction map is two; a regularised
-    copy peaks at five, two direction maps while it sorts them and the total
-    assignment's rows), twenty int64 arrays of m entries, four of n, and the
+def _check_compiled(what: str, n: int, m: int, kmax: int, rows: int) -> None:
+    """Refuse a compiled instance past the budget: `rows` map rows of kmax
+    entries at `_map_dtype(kmax)` (a direction map is 2m; a ball of the
+    regularised copy also holds g's total assignment and map rows while it
+    gathers its own), twenty int64 arrays of m entries, four of n, and the
     index buffers of `_map_rows`'s scatter (150 KB traced on large rows)."""
-    entries = blocks * m * kmax * _map_dtype(kmax).itemsize
+    entries = rows * kmax * _map_dtype(kmax).itemsize
     nbytes = entries + 8 * (20 * m + 4 * n) + 160 * 1024
     budget.check(f"{what} of {n} vertices, {m} edges and {kmax} colours", nbytes)
 
@@ -185,17 +184,22 @@ class _Compiled:
     rows u->v and v->u, each entry the colour index at the target matched
     with the source's colour index (-1 if none); `k_arr` is the set size per
     vertex and `colour_values` the colour sets padded to (focus, kmax).
-    `_compile(g, c)` builds a whole instance, which is its own focus, and
-    `_regularize_with_assignment` the regularised copy of one, focused on
-    its vertices.  Only the vertices below `focus`, one per row of
-    `colour_values`, are real: statistic rows, common-uncoloured pairs,
-    outcomes and statistics cover them alone, while the draws and the keep
-    rule still run on every vertex.  The direction map is `rows` read as
+    `vertex_ids` and `edge_ids` (uint64) key each vertex's colour draw and
+    each edge's direction draw.  `_compile(g, c)` builds a whole instance,
+    which is its own focus, keyed 0..n-1 and 0..m-1, and
+    `_regularize_with_assignment` the radius-2 ball of the regularised copy
+    of one around its vertices, keyed by their ids in the whole copy.  Only
+    the vertices below `focus`, one per row of `colour_values`, are real:
+    statistic rows, common-uncoloured pairs, outcomes and statistics cover
+    them alone, while the draws and the keep rule still run on every
+    vertex; a ball's kept flags are exact within distance 1 of the focus,
+    all that the statistics read.  The direction map is `rows` read as
     (2m x kmax), unwidened: row 2e is u->v and row 2e+1 is v->u.
     """
 
-    def __init__(self, eu, ev, rows, k_arr, colour_values, max_degree):
+    def __init__(self, eu, ev, rows, k_arr, colour_values, max_degree, vertex_ids, edge_ids):
         self.n, self.m, self.focus = len(k_arr), len(eu), len(colour_values)
+        self.vertex_ids, self.edge_ids = vertex_ids, edge_ids
         self.kmax = max(rows.shape[2], 1)
         dir_map = rows.reshape(2 * self.m, self.kmax)
         self.eu, self.ev, self.dir_map, self.k_arr = eu, ev, dir_map, k_arr
@@ -305,8 +309,9 @@ def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, ...]:
 def _compile(g: Graph, c: CorrespondenceAssignment) -> _Compiled:
     """The whole instance (g, c), c total, compiled; every vertex is in its
     focus."""
-    _check_compiled("compiled instance", g.n, g.m, max(c.fwd.shape[1], 1))
-    return _Compiled(*_map_rows(g, c), c.sizes, c.values, g.max_degree())
+    _check_compiled("compiled instance", g.n, g.m, max(c.fwd.shape[1], 1), 2 * g.m)
+    ids = np.arange(g.n, dtype=np.uint64), np.arange(g.m, dtype=np.uint64)
+    return _Compiled(*_map_rows(g, c), c.sizes, c.values, g.max_degree(), *ids)
 
 
 def _pair_count(group_end: np.ndarray, gap: int) -> int:
@@ -402,7 +407,8 @@ def _round_arrays(comp: _Compiled, seeds: Sequence[int] | np.ndarray):
     gives.
     """
     n = comp.n
-    draws = _entity_draws(seeds, (KIND_COLOUR, KIND_DIRECTION), (n, comp.m))
+    ids = comp.vertex_ids, comp.edge_ids
+    draws = _entity_draws(seeds, (KIND_COLOUR, KIND_DIRECTION), ids)
     f1_idx = (draws[:, :n] % comp.k_draw).astype(np.int64)
     dirs = (draws[:, n:] & _ONE).astype(np.int64)
     cls = _row_classes(comp, f1_idx)
@@ -512,18 +518,20 @@ def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
 # the call counts them, its common-uncoloured entries.  Larger slices spread
 # numpy's per-call overhead over more trials, but their arrays outgrow the
 # cache: in Monte Carlo on random 20-regular hosts the best slice was 8-16
-# trials, on C5 blow-ups 32-64.  The draws count because a regularised copy
-# draws on every vertex but keeps statistics on its focus alone.
+# trials, on C5 blow-ups 32-64.  The draws count because the ball of a
+# regularised copy draws on every vertex but keeps statistics on its focus
+# alone.
 SLICE_TRIALS = 64
 SLICE_ROWS = 1 << 16
 
 
 def _slice_width(comp: _Compiled, common_uncoloured: bool) -> int:
     """The most trials one kernel call takes on comp: at most SLICE_TRIALS,
-    SLICE_ROWS rows and the memory budget's worth of class counts
-    (CLASS_COUNT_BYTES per colour index, focus vertex and trial), and at
-    least one.  Row i of every kernel result is what trial i alone gives,
-    so the width changes no result."""
+    SLICE_ROWS rows (a trial's draws on all of comp, a whole instance or a
+    ball, and its statistic rows on the focus) and the memory budget's
+    worth of class counts (CLASS_COUNT_BYTES per colour index, focus vertex
+    and trial), and at least one.  Row i of every kernel result is what
+    trial i alone gives, so the width changes no result."""
     comp._build_stats()
     rows = comp.n + comp.m + len(comp.stat_src)
     rows += comp.in_rows.shape[1] + comp.tri_rows.shape[1]
@@ -730,15 +738,16 @@ def attempt_round(
     Bad events: the pairs-minus-triples statistic falling below threshold at
     an uncoloured vertex, and a quasirandomness violation of the uncoloured
     set.  `comp` is a compiled instance: `_compile(g, c)` of a whole one,
-    whose focus is every vertex, or the regularised copy from
+    whose focus is every vertex, or the ball of the regularised copy from
     `_regularize_with_assignment` the driver passes, whose focus is the
     residual graph's vertices.  The throwaway copies' own statistics never
     influence the residual instance, so only vertices (and vertex pairs) in
-    the focus are checked.  The returned outcome and statistics describe
-    the focus vertices alone: `f1`, `kept`, `f` and the per-vertex
-    statistics are indexed by focus vertex, `direction` covers the edges
-    between focus vertices and `common_uncoloured` the pairs of focus
-    vertices.
+    the focus are checked, and a ball's draws, keyed by their ids in the
+    whole copy, give what the whole copy would.  The returned outcome and
+    statistics describe the focus vertices alone: `f1`, `kept`, `f` and the
+    per-vertex statistics are indexed by focus vertex, `direction` covers
+    the edges between focus vertices and `common_uncoloured` the pairs of
+    focus vertices.
 
     Attempt a uses seed derive_seed(seed, KIND_RESTART, a).  The attempts
     run through the batch kernel in slices of 1, 2, 4, ... attempts, each
@@ -939,49 +948,127 @@ def _regularize_with_assignment(
     g: Graph, c: CorrespondenceAssignment
 ) -> tuple[_Compiled, CorrespondenceAssignment]:
     """The instance a round runs on: c cut to its smallest set and made
-    total, then regularised by doubling, in array form.
+    total, regularised by doubling, and compiled on the copy's radius-2
+    ball around g, its focus (`_ball`).
 
-    Each step takes two copies of the current graph and joins every vertex
-    of degree below the maximum D to its twin, until the graph is regular:
-    n 2^(D - delta_min) vertices in the end, with g induced on the first g.n
-    (the focus).  The map rows are inverted once, on g; copies reuse their
-    original's rows in both directions, and a joining edge gets the identity
-    map, since both ends carry the same colour set.  Edges end up sorted by
-    (u, v), the order of Graph.edges() by which direction draws are keyed.
-
-    Returns the compiled regularised instance and the total assignment on g.
-    The copy is checked against the memory budget first; it is at least as
-    large as the work on g's own maps that comes before it.
+    A round's statistics on the focus read colours within distance 2 of it
+    and directions at distance 1 alone, and every draw is keyed by its
+    vertex id or edge rank in the whole copy, so the ball gives what the
+    whole copy would.  Returns the compiled ball and the total assignment
+    on g.  The ball is counted and checked against the memory budget
+    first; it holds g, so it is at least as large as the work on g's own
+    maps that comes before it.
     """
-    target, degree = g.max_degree(), g.degrees()
-    steps = target - int(degree.min()) if g.n else 0
-    n_final, kmax = g.n << steps, max(c.min_size(), 1)
-    _check_compiled("regularised copy", n_final, n_final * target // 2, kmax, blocks=5)
+    target = g.max_degree()
+    deficit = target - g.degrees()
+    steps = int(deficit.max(initial=0))
+    if (g.n << steps) * max(target, 1) >= 2**63:
+        raise budget.BudgetError(
+            f"regularised copy of {g.n} * 2^{steps} vertices would key its draws past 63 bits"
+        )
+    n_ball, m_ball = _ball_size(g, deficit)
+    kmax = max(c.min_size(), 1)
+    _check_compiled("regularised copy's ball", n_ball, m_ball, kmax, 2 * m_ball + 3 * g.m)
     total = totalize(g, truncate(c, c.min_size()))
-    eu, ev, rows = _double(*_map_rows(g, total), degree, steps)
-    k_arr = np.tile(total.sizes, 1 << steps)
-    return _Compiled(eu, ev, rows, k_arr, total.values, target), total
+    eu, ev, rows = _map_rows(g, total)
+    vertex_ids, edge_ids, bu, bv, source = _ball(eu, ev, deficit)
+    joining = source == g.m
+    rows = rows.take(np.minimum(source, g.m - 1), axis=0)
+    # A joining edge's ends carry the same set, of a map row's size.
+    rows[joining] = np.arange(rows.shape[2], dtype=rows.dtype)
+    k_arr = total.sizes.take(vertex_ids % max(g.n, 1))
+    ids = vertex_ids.astype(np.uint64), edge_ids.astype(np.uint64)
+    return _Compiled(bu, bv, rows, k_arr, total.values, target, *ids), total
 
 
-def _double(eu, ev, rows, degree, steps):
-    """The edge arrays and (m, 2, k) map rows after `steps` doubling steps
-    of the graph with edges eu-ev and degrees `degree`, sorted by (u, v).
-    Every set has the size of a map row, so a joining edge's map is the
-    identity row in both directions."""
-    n, target = len(degree), degree.max(initial=0)
-    identity = np.arange(rows.shape[2], dtype=rows.dtype)
-    for _ in range(steps):
-        low = np.flatnonzero(degree < target)
-        join = np.broadcast_to(identity, (len(low), 2, len(identity)))
-        eu = np.concatenate([eu, eu + n, low])
-        ev = np.concatenate([ev, ev + n, low + n])
-        rows = np.concatenate([rows, rows, join])
-        degree = np.tile(degree, 2)
-        degree[low] += 1
-        degree[low + n] += 1
-        n *= 2
-    order = np.lexsort((ev, eu))
-    return eu[order], ev[order], rows[order]
+def _ball_size(g: Graph, deficit: np.ndarray) -> tuple[int, int]:
+    """The vertex and edge counts of `_ball` on g: over the steps s, the
+    deficient set D_s = {x : d(x) > s}, its closed neighbourhood and the
+    edges at it, and per vertex x the pairs of steps below d(x)."""
+    src, dst = g.arc_sources(), g.indices
+    reach = deficit.copy()  # the largest deficit in each closed neighbourhood
+    np.maximum.at(reach, src, deficit[dst])
+    pairs = int((deficit * (deficit - 1) // 2).sum())
+    at_deficient = int(np.maximum(deficit[src], deficit[dst]).sum()) // 2
+    vertices = g.n + int(reach.sum()) + pairs
+    edges = g.m + int(deficit.sum()) + at_deficient + 2 * pairs
+    return vertices, edges
+
+
+def _ranks_in_runs(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., counts[i] - 1 for each i in turn, as one array."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _ball(eu: np.ndarray, ev: np.ndarray, deficit: np.ndarray):
+    """The radius-2 ball around layer 0 of the regularised copy of the
+    graph g with edges eu-ev, sorted by (u, v), and deficits d(x) = D -
+    deg(x) below its maximum degree D.
+
+    Each doubling step takes two copies of the current graph and joins
+    every vertex of degree below D to its twin by the identity map, until
+    the graph is regular.  After S = max d(x) steps, copy vertex (L, x), L
+    < 2^S, has id L n + x and is joined to (L + 2^s, x) wherever s < d(x)
+    and bit s of L is 0; copies reuse their original's map rows, and layer
+    0 is g.  The ball's vertices are (0, x); the twins (2^s, x), s < d(x);
+    and the twins' neighbours (2^s, y), y in N(x), and (2^s + 2^t, x), t !=
+    s, t < d(x).  Its edges are those with an end within distance 1 of
+    layer 0: layer 0's own, the joining edges (0, x) - (2^s, x), and every
+    edge at a twin.
+    Ranks in the copy's (u, v) order come from lower ends: the first
+    forward edge of (L, x) has rank
+
+        L m + sum_s c_s Z_s(L) + F(x) + sum_{s : bit s of L is 0} C_s(x),
+
+    where F(x) counts g's forward edges below x, c_s = |D_s| for D_s = {x :
+    d(x) > s}, C_s(x) = |D_s & [0, x)| and Z_s(L) the layers below L with
+    bit s 0.  Its same-layer edges follow in the order of their upper
+    ends, then its joining edges in step order.
+
+    Returns the ball's vertex ids in the copy, ascending; its edges' ranks,
+    ascending, with their ends as positions among the vertex ids; and each
+    edge's source, its edge in g or m for a joining edge.
+    """
+    n, m, steps = len(deficit), len(eu), int(deficit.max(initial=0))
+    if not steps:  # g is regular, and its own copy
+        return np.arange(n), np.arange(m), eu, ev, np.arange(m)
+    first = np.searchsorted(eu, np.arange(n + 1))  # F(x)
+    tx = np.repeat(np.arange(n), deficit)  # the twins of layer 0, by x then step
+    ts = _ranks_in_runs(deficit)
+    keys = np.sort(ts * n + tx)  # D_0, D_1, ... in turn
+    starts = np.searchsorted(keys, np.arange(steps + 1) * n)
+    # The rank of (L, 0)'s first edge, for L = 0 and each L = 2^l.
+    layer = np.concatenate([[0], 1 << np.arange(steps)])[:, None]
+    s = np.arange(steps)
+    z = (layer >> (s + 1) << s) + np.minimum(layer & ((2 << s) - 1), 1 << s)
+    layer_rank = layer[:, 0] * m + z @ np.diff(starts)
+
+    # Each edge by its lower end (2^l, x), l = -1 for layer 0, with F(x)
+    # plus its place among the forward edges of that end, its upper end's
+    # id and its source: layer 0's edges, the joining edges at layer 0, the
+    # edges at D_l in layer 2^l, and the joining edges at (2^l, x).
+    reach = np.maximum(deficit[eu], deficit[ev])
+    e3, s3 = np.repeat(np.arange(m), reach), _ranks_in_runs(reach)
+    i4, k4 = np.repeat(np.arange(len(tx)), deficit[tx] - 1), _ranks_in_runs(deficit[tx] - 1)
+    s4, x4 = ts[i4], tx[i4]
+    t4 = k4 + (k4 >= s4)
+    level = np.concatenate([np.full(m + len(tx), -1), s3, s4])
+    x = np.concatenate([eu, tx, eu[e3], x4])
+    place = np.concatenate([np.arange(m), first[tx + 1] + ts, e3, first[x4 + 1] + k4])
+    upper = np.concatenate(
+        [ev, tx + (n << ts), ev[e3] + (n << s3), x4 + n * ((1 << s4) + (1 << t4))]
+    )
+    source = np.concatenate([np.arange(m), np.full(len(tx), m), e3, np.full(len(i4), m)])
+    # sum_s C_s(x) = sum of d below x, less C_l(x) where bit l is set.
+    rank = place + layer_rank[level + 1] + (np.cumsum(deficit) - deficit)[x]
+    twin = level >= 0
+    rank[twin] -= np.searchsorted(keys, level[twin] * n + x[twin]) - starts[level[twin]]
+    lower = x + np.where(twin, n << np.maximum(level, 0), 0)
+    order = np.argsort(rank)
+    vertex_ids = np.sort(np.concatenate([np.arange(n), lower, upper]))
+    vertex_ids = vertex_ids[np.diff(vertex_ids, prepend=-1) != 0]
+    bu, bv = np.searchsorted(vertex_ids, lower[order]), np.searchsorted(vertex_ids, upper[order])
+    return vertex_ids, rank[order], bu, bv, source[order]
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,8 @@ def _compiled():
 
 
 def _regularised():
-    # Vertex 0 loses three edges, so three doublings make the copy regular.
+    # Vertex 0 loses three edges, so the copy doubles three times, and its
+    # ball (306 vertices, 2,117 edges) is little more than g.
     h = random_regular_graph(200, 20, seed=1)
     g = Graph.from_edges(h.n, [e for e in h.edges() if e not in list(h.edges())[:3]])
     c = uniform_lists(g, 18)
@@ -93,10 +94,18 @@ def _regularised():
 
 
 def _regularised_wide():
-    # Regular, so the copy is g itself: cutting, totalizing and inverting
+    # Regular, so the ball is g itself: cutting, totalizing and inverting
     # the maps of 300 colours are the run.
     g = _rr200()
     c = uniform_lists(g, 300)
+    return lambda: ncp._regularize_with_assignment(g, c)
+
+
+def _regularised_deep():
+    # 200 isolated vertices next to rr(200,20) double 20 times: the ball
+    # (42,400 vertices, 82,000 edges) is mostly theirs, far more than g.
+    g = Graph.from_edges(400, _rr200().edges())
+    c = uniform_lists(g, 18)
     return lambda: ncp._regularize_with_assignment(g, c)
 
 
@@ -140,6 +149,13 @@ def _json_text():
     return lambda: parse_json(text)
 
 
+def _json_object():
+    # One object of 200,000 keys beside an empty edge list.
+    pad = {f"k{i}": 0 for i in range(200_000)}
+    text = json.dumps({"n": 1, "edges": [], "pad": pad})
+    return lambda: parse_json(text)
+
+
 def _gen():
     from sparsecolour import cli
 
@@ -153,6 +169,7 @@ PROBES = {
     "compiled": ("compiled instance", _compiled),
     "regularised": ("regularised copy", _regularised),
     "regularised-wide": ("regularised copy", _regularised_wide),
+    "regularised-deep": ("regularised copy", _regularised_deep),
     "stats-pg7-core": ("statistic index", _pg7_core_stats),
     "stats-k60": ("statistic index", _k60_stats),
     "distance2": ("distance-2 pair index", _distance2),
@@ -161,6 +178,7 @@ PROBES = {
     "dimacs": ("graph of", _dimacs),
     "json": ("graph of", _json),
     "json-text": ("JSON graph of", _json_text),
+    "json-object": ("JSON graph of", _json_object),
     "gen": ("graph of", _gen),
 }
 

@@ -328,25 +328,27 @@ class TestColorCommand:
         assert key.replace("_", "-") in err.splitlines()[-1]
 
     def test_oversized_regularisation_fails_fast(self, tmp_path, capsys, monkeypatch):
-        # 26 * 2^24 regularised vertices: refused before any doubling step,
-        # which is replaced here by one that fails the test.
+        # A star with 25 leaves next to 10,000 isolated vertices: the ball
+        # of its regularised copy holds 3,267,550 vertices, refused before
+        # any of it is built, which is replaced here by a step that fails
+        # the test.
         import sparsecolour.ncp as ncp
 
-        def doubling(*args, **kwargs):
-            raise AssertionError("the size check must come before any doubling")
+        def building(*args, **kwargs):
+            raise AssertionError("the size check must come before the ball is built")
 
-        monkeypatch.setattr(ncp, "_double", doubling)
+        monkeypatch.setattr(ncp, "_ball", building)
         g = tmp_path / "star.dimacs"
-        run(["gen", "--star", "25", "--out", str(g)], capsys)
+        g.write_text("p edge 10026 25\n" + "".join(f"e 1 {v}\n" for v in range(2, 27)))
         start = time.perf_counter()
         code, out, err = run(["color", "--input", str(g), "--k", "24"], capsys)
-        # The refusal reads a 26-vertex graph and compiles it once: about
-        # 4 ms on a 2-vCPU host, so the bound leaves a 250x margin for a
-        # slow or loaded machine.
+        # The refusal reads the graph, measures its sparsity and counts the
+        # ball: about 20 ms on a 2-vCPU host, so the bound leaves a wide
+        # margin for a slow or loaded machine.
         assert time.perf_counter() - start < 1.0
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1
-        assert "436207616 vertices" in err
+        assert "ball of 3267550 vertices" in err
 
     @pytest.mark.parametrize(
         "name, text",
@@ -653,16 +655,15 @@ class TestMemoryHoles:
     the budget once cut into slices."""
 
     def test_regularised_copy(self, tmp_path, capsys):
-        # rr(100,40) less vertex 1's first 14 edges has D = 40 and minimum
-        # degree 26, so regularising doubles 14 times, to 1,638,400 vertices.
+        # rr(100,40) next to 2,000 isolated vertices: each isolated vertex
+        # has deficit 40, so the ball of the regularised copy holds 1 + 40
+        # + 780 vertices and 40 + 1,560 edges of each.
         g = tmp_path / "rr.dimacs"
         run(["gen", "--random-regular", "100", "40", "--seed", "1", "--out", str(g)], capsys)
-        lines = g.read_text().splitlines()
-        dropped = [i for i, line in enumerate(lines) if line.startswith("e 1 ")][:14]
-        g.write_text("\n".join(l for i, l in enumerate(lines) if i not in dropped) + "\n")
+        g.write_text(g.read_text().replace("p edge 100 ", "p edge 2100 "))
         self._refused(tmp_path, ["color", "--input", str(g), "--k", "38", "--seed", "1"],
-                      "regularised copy of 1638400 vertices, 32768000 edges and 38 colours "
-                      "would take about 16925 MiB")
+                      "regularised copy's ball of 1642100 vertices, 3202000 edges and 38 "
+                      "colours would take about 1003 MiB")
 
     def test_distance2_pairs(self, tmp_path):
         # K400,400: each of 800 vertices is the middle of C(401, 2) entries.

@@ -234,6 +234,8 @@ class TestResidualAssignment:
         c = from_lists(g, [{1}, {1}])
         with pytest.raises(AssignmentError):
             residual_assignment(g, c, {0: 1, 1: 1})
+        with pytest.raises(AssignmentError):  # a colour outside the vertex's set
+            residual_assignment(g, c, {0: 2})
 
     @pytest.mark.parametrize("seed", range(15))
     def test_extension_property_exhaustive_small(self, seed):
@@ -264,6 +266,29 @@ class TestResidualAssignment:
                     {res.vertices[i]: col for i, col in sub_col.items()}
                 )
                 assert is_valid_colouring(g, c, merged)
+
+    @pytest.mark.parametrize("f", [{0: 0, 2: 1}, {0: 0, 1: 0}])
+    def test_indices_and_rows_computed_once(self, monkeypatch, f):
+        # The validity check reads the colour indices and map rows that the
+        # residual is built from, whether the colouring is valid or not.
+        from sparsecolour import correspondence
+
+        g = cycle_graph(6)
+        c = uniform_lists(g, 3)
+        valid = is_valid_colouring(g, c, f)
+        calls = []
+        for name in ("_indices", "_rows_on"):
+            def counting(*args, _fn=getattr(correspondence, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(correspondence, name, counting)
+        if valid:
+            residual_assignment(g, c, f)
+        else:
+            with pytest.raises(AssignmentError):
+                residual_assignment(g, c, f)
+        assert calls == ["_indices", "_rows_on"]
 
 
 _SETS = ((0, 1), (0, 1, 2))

@@ -142,8 +142,8 @@ def regularize(g):
 
 
 class TestRegularize:
-    """The doubling regularisation (the reference that the engine's array
-    doubling is tested against)."""
+    """The doubling regularisation (the reference that the engine's ball of
+    the regularised copy is tested against)."""
 
     def test_already_regular_unchanged(self):
         g = complete_graph(3)
@@ -379,8 +379,8 @@ class TestDimacs:
         assert peak < 0.05 * len(text), peak
 
     def test_json_refused_before_parsing(self, monkeypatch):
-        # The budget check counts the text's lists before json.loads builds
-        # any: the refused parse holds almost nothing.
+        # The budget check counts the text's lists, objects and keys before
+        # json.loads builds any: the refused parse holds almost nothing.
         import json
         import tracemalloc
 
@@ -388,7 +388,8 @@ class TestDimacs:
         monkeypatch.setattr(budget, "MEMORY_BUDGET", 1_000_000)
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="^JSON graph of 20001 lists would take"):
+            refusal = "^JSON graph of 20004 lists, objects and keys would take"
+            with pytest.raises(BudgetError, match=refusal):
                 parse_json(text)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

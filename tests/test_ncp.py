@@ -62,13 +62,16 @@ from sparsecolour.strong_edge import c5_blowup
 
 class TestSeedDerivation:
     def test_scalar_vector_agreement(self):
-        draws = _entity_draws([12345, 678], [0xC01, 0xD12], [10, 4])
+        # Any uint64 ids, in any order, as a ball's ids in the whole copy are.
+        vertices = np.arange(10, dtype=np.uint64)
+        edges = np.array([7, 0, 2**40, 2**64 - 1], dtype=np.uint64)
+        draws = _entity_draws([12345, 678], [0xC01, 0xD12], [vertices, edges])
         assert draws.shape == (2, 14)
         for row, seed in enumerate([12345, 678]):
             for i in range(10):
                 assert int(draws[row, i]) == derive_seed(seed, 0xC01, i)
-            for i in range(4):
-                assert int(draws[row, 10 + i]) == derive_seed(seed, 0xD12, i)
+            for i, e in enumerate(edges.tolist()):
+                assert int(draws[row, 10 + i]) == derive_seed(seed, 0xD12, e)
 
     def test_order_sensitivity(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
@@ -84,7 +87,8 @@ class TestSeedDerivation:
                 assert got.tolist() == [derive_seed(seed, kind, t) for t in range(start, start + 5)]
         as_array = np.array([seed, 2**32 + 7], dtype=np.uint64)
         for seeds in ([seed, 2**32 + 7], as_array):
-            draws = _entity_draws(seeds, [0xC01, 0xD12], [3, 2])
+            ids = [np.arange(3, dtype=np.uint64), np.arange(2, dtype=np.uint64)]
+            draws = _entity_draws(seeds, [0xC01, 0xD12], ids)
             for row, s in enumerate([seed, 2**32 + 7]):
                 assert draws[row, :3].tolist() == [derive_seed(s, 0xC01, i) for i in range(3)]
                 assert draws[row, 3:].tolist() == [derive_seed(s, 0xD12, i) for i in range(2)]
@@ -317,12 +321,13 @@ class TestEdgesListedOnce:
         assert calls == [g, g]
 
     def test_residual(self, monkeypatch):
-        # the validity check and the rows on g, then the induced graph
+        # the rows on g, which the validity check reads too, then the
+        # induced graph
         g = cycle_graph(6)
         c = uniform_lists(g, 3)
         calls = _edge_array_calls(monkeypatch)
         res = residual_assignment(g, c, {0: 0, 2: 1})
-        assert calls == [g, g, res.graph]
+        assert calls == [g, res.graph]
 
 
 class TestQuasirandomCheck:
@@ -383,25 +388,27 @@ class TestQuasirandomCheck:
         g = gnp_graph(12, 0.3, seed=seed)
         # Vertices 12-14 have no neighbour at all.
         isolated = Graph.from_edges(15, g.edges())
-        # The regularised copy of a small host, focused on the host's vertices.
+        # The regularised copy's ball around a small host, focused on the
+        # host's vertices; its common neighbours are read as ids in the copy.
         host = gnp_graph(7, 0.4, seed=seed)
         c = uniform_lists(host, 2)
         reg, _ = _regularize_with_assignment(host, c)
         ref_g, _ = naive_regularize_with_assignment(host, c)
-        assert reg.focus < reg.n
+        assert reg.focus < reg.n < ref_g.n
         cases = [
-            (g, g.n, (g.arc_sources(), g.indices)),
-            (isolated, isolated.n, (isolated.arc_sources(), isolated.indices)),
-            (ref_g, reg.focus, (reg.dir_src, reg.dir_dst)),
+            (g, g.n, (g.arc_sources(), g.indices), np.arange(g.n)),
+            (isolated, isolated.n, (isolated.arc_sources(), isolated.indices),
+             np.arange(isolated.n)),
+            (ref_g, reg.focus, (reg.dir_src, reg.dir_dst), reg.vertex_ids.astype(np.int64)),
         ]
-        for graph, focus, (src, dst) in cases:
+        for graph, focus, (src, dst), ids in cases:
             pairs, sizes, concat, pair_of_entry = _distance2_rows(src, dst, focus)
             assert pairs == [(u, v) for u, v in _distance2_pairs(graph) if v < focus]
             commons = [
                 sorted(graph.neighbour_set(u) & graph.neighbour_set(v)) for u, v in pairs
             ]
             assert sizes.tolist() == [len(c) for c in commons]
-            assert concat.tolist() == [w for c in commons for w in c]
+            assert ids[concat].tolist() == [w for c in commons for w in c]
             assert pair_of_entry.tolist() == [
                 p for p, c in enumerate(commons) for _ in c
             ]
@@ -811,6 +818,28 @@ _REGULARISATION_CASES = [
 ]
 
 
+def _assert_ball_of(reg, ref, ref_g, focus):
+    """reg is the radius-2 ball of the compiled naive copy (ref, ref_g)
+    around its first `focus` vertices: its vertex ids are the ball, its
+    edge ids the ranks of the edges with an end within distance 1, and its
+    arrays the copy's, cut to them."""
+    vid, eid = reg.vertex_ids.astype(np.int64), reg.edge_ids.astype(np.int64)
+    near = set(range(focus)).union(*(ref_g.neighbour_set(u) for u in range(focus)))
+    ball = near.union(*(ref_g.neighbour_set(u) for u in near))
+    assert reg.focus == focus and vid.tolist() == sorted(ball)
+    at_near = np.isin(ref.eu, list(near)) | np.isin(ref.ev, list(near))
+    assert eid.tolist() == np.flatnonzero(at_near).tolist()
+    assert reg.max_degree == ref.max_degree
+    np.testing.assert_array_equal(vid[reg.eu], ref.eu[eid])
+    np.testing.assert_array_equal(vid[reg.ev], ref.ev[eid])
+    rows, ref_rows = (c.dir_map.reshape(c.m, 2, c.kmax) for c in (reg, ref))
+    np.testing.assert_array_equal(rows, ref_rows[eid])
+    np.testing.assert_array_equal(reg.k_arr, ref.k_arr[vid])
+    # Every vertex within distance 1 has its whole neighbourhood.
+    for u in np.flatnonzero(np.isin(vid, list(near))).tolist():
+        assert set(vid[reg.dir_dst[reg.dir_src == u]].tolist()) == ref_g.neighbour_set(vid[u])
+
+
 class TestArrayRegularisation:
     @pytest.mark.parametrize("name, make", _REGULARISATION_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -819,19 +848,11 @@ class TestArrayRegularisation:
         c = _random_total_assignment(g, 3, random.Random(seed))
         reg, total = _regularize_with_assignment(g, c)
         ref_g, ref_c = naive_regularize_with_assignment(g, c)
-        ref = _compile(ref_g, ref_c)
         assert ref_g.is_regular() and total == c
-        assert (reg.n, reg.m, reg.focus) == (ref.n, ref.m, g.n)
-        assert reg.max_degree == ref.max_degree == g.max_degree()
-        for name in ("eu", "ev", "dir_map", "dir_src", "dir_dst", "k_arr"):
-            np.testing.assert_array_equal(getattr(reg, name), getattr(ref, name))
-        # The adjacency the compiled arrays describe is the naive copy's.
-        order = np.lexsort((reg.dir_dst, reg.dir_src))
-        starts = np.searchsorted(reg.dir_src[order], np.arange(reg.n + 1))
-        targets = reg.dir_dst[order].tolist()
-        assert [tuple(targets[lo:hi]) for lo, hi in zip(starts, starts[1:])] == [
-            ref_g.neighbours(u) for u in range(ref_g.n)
-        ]
+        assert reg.max_degree == g.max_degree()
+        _assert_ball_of(reg, _compile(ref_g, ref_c), ref_g, g.n)
+        # The budget counts the ball before building it.
+        assert ncp._ball_size(g, g.max_degree() - g.degrees()) == (reg.n, reg.m)
 
     @pytest.mark.parametrize("name, make", _REGULARISATION_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -842,12 +863,10 @@ class TestArrayRegularisation:
         c = from_lists(g, [rng.sample(range(6), rng.randint(2, 4)) for _ in range(g.n)])
         total = totalize(g, truncate(c, c.min_size()))
         reg, got = _regularize_with_assignment(g, c)
-        ref = _compile(*naive_regularize_with_assignment(g, total))
-        assert got == total
-        assert (reg.n, reg.m, reg.focus, reg.kmax) == (ref.n, ref.m, g.n, c.min_size())
-        for attr in ("eu", "ev", "dir_map", "dir_src", "dir_dst", "k_arr"):
-            np.testing.assert_array_equal(getattr(reg, attr), getattr(ref, attr))
-        np.testing.assert_array_equal(reg.colour_values, ref.colour_values[: g.n])
+        ref_g, ref_c = naive_regularize_with_assignment(g, total)
+        assert got == total and reg.kmax == c.min_size()
+        _assert_ball_of(reg, _compile(ref_g, ref_c), ref_g, g.n)
+        np.testing.assert_array_equal(reg.colour_values, total.values)
 
     def test_one_construction_per_regularisation(self, monkeypatch):
         from sparsecolour import ncp
@@ -862,7 +881,9 @@ class TestArrayRegularisation:
         monkeypatch.setattr(ncp._Compiled, "__init__", counting)
         g = star_graph(4)
         reg, _ = _regularize_with_assignment(g, from_lists(g, [[0, 1, 2], *[[1, 2]] * 4]))
-        assert built == [reg] and reg.n == 5 * 2**3
+        # Of the copy's 5 * 2^3 vertices: layer 0, then all five in each
+        # layer 2^s, s < 3, and the leaves in the three layers 2^s + 2^t.
+        assert built == [reg] and reg.n == 5 + 3 * 5 + 3 * 4
 
     def test_colour_values_cover_the_focus(self):
         g = path_graph(5)
@@ -874,19 +895,34 @@ class TestArrayRegularisation:
             np.testing.assert_array_equal(comp.colour_values, c.values)
 
     def test_size_checked_before_doubling(self, monkeypatch):
-        # star with 25 leaves: 26 * 2^24 vertices after 24 doublings, refused
-        # before c is cut, made total or doubled
+        # 10,000 isolated vertices next to a star with 25 leaves: each has
+        # deficit 25, so the ball holds 1 + 25 + 300 vertices and 25 + 600
+        # edges of each.  Refused before c is cut, made total or mapped, or
+        # any of the ball is built.
         def never(*args):
             raise AssertionError("work on the maps before the size check")
 
-        g = star_graph(25)
+        g = Graph.from_edges(10_026, [(0, leaf) for leaf in range(1, 26)])
         c = uniform_lists(g, 24)
-        from sparsecolour.ncp import _regularize_with_assignment
-
-        for name in ("truncate", "totalize", "_double"):
+        for name in ("truncate", "totalize", "_map_rows", "_ball"):
             monkeypatch.setattr(ncp, name, never)
-        with pytest.raises(BudgetError, match=r"^regularised copy of 436207616 vertices, "):
+        with pytest.raises(
+            BudgetError,
+            match=r"^regularised copy's ball of 3267550 vertices, 6265025 edges and 24 colours ",
+        ):
             _regularize_with_assignment(g, c)
+
+    def test_draw_ids_past_63_bits_refused(self, monkeypatch):
+        # A star with 70 leaves doubles 69 times: ids in the copy would not
+        # fit an int64.
+        def never(*args):
+            raise AssertionError("work on the maps before the size check")
+
+        g = star_graph(70)
+        for name in ("truncate", "totalize", "_map_rows", "_ball"):
+            monkeypatch.setattr(ncp, name, never)
+        with pytest.raises(BudgetError, match=r"^regularised copy of 71 \* 2\^69 vertices "):
+            _regularize_with_assignment(g, uniform_lists(g, 2))
 
 
 class TestStatisticIndexCap:

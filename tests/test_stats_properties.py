@@ -3,7 +3,7 @@
 Random graphs carry random bijection correspondences (not only list
 assignments), and the tentative colours and kept sets are drawn freely, so
 every class pattern the kernels index can occur.  The kernels run on whole
-instances and on the focused regularised copy the colouring driver uses.
+instances and on the regularised copy's ball that the colouring driver uses.
 """
 
 import random
@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sparsecolour.correspondence import CorrespondenceAssignment  # noqa: E402
+from sparsecolour.correspondence import CorrespondenceAssignment, from_lists  # noqa: E402
 from sparsecolour.graph import Graph  # noqa: E402
 from sparsecolour.harness import (  # noqa: E402
     _distance2_pairs,
@@ -24,13 +24,17 @@ from sparsecolour.harness import (  # noqa: E402
 )
 from sparsecolour.ncp import (  # noqa: E402
     KIND_TRIAL,
+    RoundParams,
+    _Compiled,
     _compile,
     _nuv_counts,
     _regularize_with_assignment,
     _round_arrays,
     _row_classes,
     _stats_arrays,
+    attempt_round,
     derive_seed,
+    keep_probability,
     round_stats,
     run_round,
 )
@@ -55,31 +59,31 @@ def instances(draw, max_n):
     return g, CorrespondenceAssignment(sets, maps)
 
 
-def _draw_round(data, comp):
-    """Free tentative colour indices and a free kept mask for comp."""
+def _draw_round(data, sizes):
+    """Free tentative colour indices and a free kept mask on sets of `sizes`."""
     f1_idx = np.array(
-        [data.draw(st.integers(0, int(k) - 1)) for k in comp.k_arr], dtype=np.int64
+        [data.draw(st.integers(0, int(k) - 1)) for k in sizes], dtype=np.int64
     )
     kept = np.array(
-        data.draw(st.lists(st.booleans(), min_size=comp.n, max_size=comp.n)),
+        data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes))),
         dtype=bool,
     )
     return f1_idx, kept
 
 
-def _check(comp, g, c, f1_idx, kept):
+def _check(comp, g, c, f1_idx, kept, ids):
     """comp's kernels on its focus against the oracles on (g, c), whose
-    first comp.focus vertices are the focus."""
+    first comp.focus vertices are the focus; comp's vertex i is g's ids[i]."""
     focus = comp.focus
     sets = c.colour_sets
     f1 = tuple(sets[u][i] for u, i in enumerate(f1_idx.tolist()))
     kept_set = set(np.flatnonzero(kept).tolist())
     col, dist, pairs, triples = naive_outcome_stats(g, c, f1, kept_set)
-    got = _stats_arrays(comp, _row_classes(comp, f1_idx[None]), kept[None])
+    got = _stats_arrays(comp, _row_classes(comp, f1_idx[None, ids]), kept[None, ids])
     expected = (col[:focus], dist[:focus], pairs[:focus], triples[:focus])
     assert [a[0].tolist() for a in got] == [list(e) for e in expected]
 
-    nuv = _nuv_counts(comp, kept[None])[0]
+    nuv = _nuv_counts(comp, kept[None, ids])[0]
     direct = {
         (u, v): len((g.neighbour_set(u) & g.neighbour_set(v)) - kept_set)
         for u, v in _distance2_pairs(g)
@@ -94,17 +98,26 @@ def _check(comp, g, c, f1_idx, kept):
 def test_kernels_match_oracles_on_whole_instance(instance, data):
     g, c = instance
     comp = _compile(g, c)
-    _check(comp, g, c, *_draw_round(data, comp))
+    _check(comp, g, c, *_draw_round(data, c.sizes), np.arange(g.n))
 
 
 @settings(max_examples=40, deadline=None)
 @given(instance=instances(max_n=6), data=st.data())
 def test_kernels_match_oracles_on_focused_regularised_copy(instance, data):
+    """Colours and kept flags drawn freely on the whole naive copy and read
+    through the ball's vertex ids give the copy's focus statistics: the
+    kernels read nothing outside the ball, nor a kept flag at radius 2."""
     g, c = instance
     reg, _ = _regularize_with_assignment(g, c)
     ref_g, ref_c = naive_regularize_with_assignment(g, c)
-    assert (reg.n, reg.focus) == (ref_g.n, g.n)
-    _check(reg, ref_g, ref_c, *_draw_round(data, reg))
+    assert reg.focus == g.n and reg.n <= ref_g.n
+    ids = reg.vertex_ids.astype(np.int64)
+    _check(reg, ref_g, ref_c, *_draw_round(data, ref_c.sizes), ids)
+
+
+def _near(g, focus):
+    """The vertices of g within distance 1 of its first `focus` vertices."""
+    return set(range(focus)).union(*(g.neighbour_set(u) for u in range(focus)))
 
 
 @pytest.mark.parametrize("trials", [1, 15, 17, 64, 65, 130])
@@ -116,8 +129,10 @@ def test_kernels_match_oracles_on_focused_regularised_copy(instance, data):
 )
 def test_batched_slice_rows_match_single_trial_replay(trials, instance, regularise, seed):
     """Each row of one kernel call over `trials` seeds is what run_round and
-    round_stats give for that seed alone; on the regularised copy the
-    replay runs on the naive copy and is cut to the focus."""
+    round_stats give for that seed alone; on the regularised copy's ball
+    the replay runs on the naive copy and is read through the ball's vertex
+    and edge ids, its kept flags within distance 1 of the focus and its
+    statistics on the focus."""
     g, c = instance
     if regularise:
         comp, _ = _regularize_with_assignment(g, c)
@@ -125,6 +140,8 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
     else:
         comp, ref_g, ref_c = _compile(g, c), g, c
     focus = comp.focus
+    vid, eid = (ids.astype(np.int64).tolist() for ids in (comp.vertex_ids, comp.edge_ids))
+    near = [i for i, u in enumerate(vid) if u in _near(ref_g, focus)]
     seeds = [derive_seed(seed, KIND_TRIAL, t) for t in range(trials)]
     f1_idx, dirs, kept, cls = _round_arrays(comp, seeds)
     col, dist, pairs, triples = _stats_arrays(comp, cls, kept)
@@ -138,12 +155,12 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
     for t, s in enumerate(seeds):
         outcome = run_round(ref_g, ref_c, s)
         stats = round_stats(ref_g, ref_c, outcome)
-        f1 = [sets[u][i] for u, i in enumerate(f1_idx[t].tolist())]
-        assert f1 == list(outcome.f1)
-        assert {(u, v): (u, v)[d] for (u, v), d in zip(edges, dirs[t].tolist())} == (
-            outcome.direction
-        )
-        assert set(np.flatnonzero(kept[t]).tolist()) == outcome.kept
+        f1 = [sets[u][i] for u, i in zip(vid, f1_idx[t].tolist())]
+        assert f1 == [outcome.f1[u] for u in vid]
+        assert {edges[e]: edges[e][d] for e, d in zip(eid, dirs[t].tolist())} == {
+            edges[e]: outcome.direction[edges[e]] for e in eid
+        }
+        assert [kept[t, i] for i in near] == [vid[i] in outcome.kept for i in near]
         assert col[t].tolist() == list(stats.col[:focus])
         assert dist[t].tolist() == list(stats.dist[:focus])
         assert pairs[t].tolist() == list(stats.pairs[:focus])
@@ -151,3 +168,45 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
         assert dict(zip(comp.nuv_pairs, nuv[t].tolist())) == {
             p: x for p, x in stats.common_uncoloured.items() if p[1] < focus
         }
+
+
+@st.composite
+def irregular_hosts(draw):
+    """A random graph on 2 to 8 vertices, at one of three densities,
+    and up to two isolated vertices, which regularises in at most 7 steps;
+    lists of 2 to 4 colours from 0..5, embedded as identity maps on shared
+    colours (so most maps are partial)."""
+    n, isolated = draw(st.integers(2, 8)), draw(st.integers(0, 2))
+    density = draw(st.sampled_from([0.3, 0.6, 0.9]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    g = Graph.from_edges(n + isolated, pairs)
+    n = g.n
+    assume(g.max_degree() - int(g.degrees().min()) <= 7)
+    lists = draw(st.lists(st.sets(st.integers(0, 5), min_size=2, max_size=4),
+                          min_size=n, max_size=n))
+    return g, from_lists(g, lists)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    host=irregular_hosts(),
+    seed=st.integers(0, 2**64 - 1),
+    slack=st.floats(0.0, 3.0),
+    stat_threshold=st.floats(-1.0, 3.0),
+    max_restarts=st.integers(1, 12),
+)
+def test_attempt_on_the_ball_matches_the_whole_copy(host, seed, slack, stat_threshold,
+                                                    max_restarts):
+    """A whole AttemptResult, accepted or not, on the ball equals the one on
+    the naive doubled copy of the cut, total assignment, focused on g."""
+    g, c = host
+    ball, total = _regularize_with_assignment(g, c)
+    whole = _compile(*naive_regularize_with_assignment(g, total))
+    rows = whole.dir_map.reshape(whole.m, 2, whole.kmax)
+    focused = _Compiled(whole.eu, whole.ev, rows, whole.k_arr, whole.colour_values[: g.n],
+                        whole.max_degree, whole.vertex_ids, whole.edge_ids)
+    params = RoundParams(1.0 - keep_probability(c.min_size(), g.max_degree()), slack,
+                         stat_threshold)
+    got = attempt_round(ball, params, seed, max_restarts)
+    assert got == attempt_round(focused, params, seed, max_restarts)

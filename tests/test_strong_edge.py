@@ -424,14 +424,15 @@ class TestStrongEdgeColour:
         assert all(colours[u] != colours[v] for u, v in core.edges())
         assert len(set(colours.values())) <= core.max_degree()
 
-    # The core's first round checks its assignment (15,160 bytes), regularised
-    # copy (264,320), statistic index (345,600) and distance-2 pair index
-    # (870,400) in turn; each budget here lets through those before one.
+    # The core's first round checks its assignment (15,160 bytes), the ball
+    # of its regularised copy, the regular core itself (264,320), statistic
+    # index (345,600) and distance-2 pair index (870,400) in turn; each
+    # budget here lets through those before one.
     @pytest.mark.parametrize(
         "limit, reason",
         [
             (15_000, "assignment of 15 colours on 320 edges"),
-            (100_000, "regularised copy of 40 vertices, 320 edges and 15 colours"),
+            (100_000, "regularised copy's ball of 40 vertices, 320 edges and 15 colours"),
             (300_000, "statistic index of up to 4800 rows"),
             (500_000, "distance-2 pair index of 5440 entries"),
         ],

@@ -276,18 +276,22 @@ class TestProjectivePlaneCore:
 
     def test_whole_square_is_the_core(self):
         # At eta = 0.3 the threshold is 108.8 <= 112, so nothing is peeled.
-        # The engine's round 0 on the 112-regular core is accepted; round 1
-        # would regularise the residual to about 3.5e9 vertices, which the
-        # budget refuses, so the core gets its greedy fallback.
+        # The engine's round 0 on the 112-regular core is accepted.  Round 1
+        # runs on the ball of the residual's regularised copy (18,349
+        # vertices and 105,587 edges), where the whole copy, of 3,489,660,928
+        # vertices, was refused with "engine refused (regularised copy of
+        # 3489660928 vertices, 108179488768 edges and 40 colours would take
+        # about 57880576 MiB, above the memory budget of 512 MiB); greedy
+        # fallback".  The rounds after it stall at 68 vertices until the
+        # schedule runs out, so the core still gets its greedy fallback.
         h = projective_plane_incidence(7)
         report = strong_edge_colour(h, eta=0.3)
         order, core, core_graph, colours = oracle(h, default_threshold(h, 0.3))
         assert order == [] and len(core) == 456 and core_graph.m == 456 * 112 // 2
         assert report.f_core_size == 456 and not report.engine_used
         assert report.engine_warning == (
-            "engine refused (regularised copy of 3489660928 vertices, 108179488768 "
-            "edges and 40 colours would take about 57880576 MiB, above the memory "
-            "budget of 512 MiB); greedy fallback"
+            "engine failed (schedule exhausted before the greedy threshold was reached); "
+            "greedy fallback"
         )
         assert report.valid and report.colours == colours
         assert naive_strong_colouring_valid(h, report.edge_index, report.colours)

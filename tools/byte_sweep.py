@@ -37,6 +37,7 @@ INPUT_GEN = {
     "c5_3.col": ["--c5-blowup", "3"],
     "c5_8.col": ["--c5-blowup", "8"],
     "c5_10.col": ["--c5-blowup", "10"],
+    "c5_14.col": ["--c5-blowup", "14"],
     "rr100_8.col": ["--random-regular", "100", "8", "--seed", "1"],
     "rr30_6.col": ["--random-regular", "30", "6", "--seed", "3"],
     "rr60_6.json": ["--random-regular", "60", "6", "--seed", "2", "--format", "json"],
@@ -137,6 +138,8 @@ CASES = [
     # inside the sixth slice; budgets of 2 and 3 end inside and at the end
     # of the second slice, and 0 is a usage error
     "color --input in/c5_10.col --k 18 --seed 7",
+    # the benchmark's deepest regularisation: a 4,096-vertex copy
+    "color --input in/c5_14.col --k 25 --seed 3",
     "color --input in/rr30_6.col --k 5 --max-restarts 0",
     "color --input in/rr30_6.col --k 5 --max-restarts 2",
     "color --input in/rr30_6.col --k 5 --max-restarts 3",
