@@ -104,8 +104,12 @@ def _json(obj: Any, depth: int = 0) -> str:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
-        template = _ints(obj, ",")
-        obj = dict(zip(map(template.__mod__ if template else _key, obj), obj.values()))
+        if any(issubclass(kind, tuple) for kind in set(map(type, obj))):
+            template = _ints(obj, ",")
+            keys = map(template.__mod__ if template else _key, obj)
+        else:
+            keys = map(str, obj)  # as `_key` writes a key that is not a tuple
+        obj = dict(zip(keys, obj.values()))
         items, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
         items, brackets = obj, "[]"
@@ -119,8 +123,9 @@ def _json(obj: Any, depth: int = 0) -> str:
         return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}" if items else brackets
     if isinstance(obj, dict):
         body = [f"{_encoder(0)(k)}: {_json(v, depth + 1)}" for k, v in sorted(obj.items())]
-    elif template := _ints(obj, f",{inner}  "):  # one %d template per row
-        body = map(f"[{inner}  {template}{inner}]".__mod__, map(tuple, obj))
+    elif template := _ints(obj, f",{inner}  "):  # one % over a template per row
+        rows = (',' + inner).join([f"[{inner}  {template}{inner}]"] * len(obj))
+        body = [rows % tuple(chain.from_iterable(obj))]
     else:
         body = [_json(v, depth + 1) for v in obj]
     return f"{brackets[0]}{inner}{(',' + inner).join(body)}{outer}{brackets[1]}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import re
 from array import array
 from dataclasses import dataclass
 from math import comb
@@ -272,14 +273,10 @@ def check_graph(n: int, m: int, per: tuple[int, int] = LOAD_BYTES) -> None:
 
 _LINE_CHUNK = 1 << 12
 
-
-def _lines(text: str) -> Iterator[str]:
-    """text.splitlines(), a chunk of _LINE_CHUNK or more characters at a time."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _LINE_CHUNK) + 1 or len(text)
-        yield from text[start:end].splitlines()
-        start = end
+# Edge lines the bulk path reads: `e` and two ids of 1 to 18 ASCII digits
+# (so below 2^63), apart by spaces or tabs, each ending in \n or \r\n.
+_EDGE_LINES = re.compile(r"(?:e[ \t]+[0-9]{1,18}[ \t]+[0-9]{1,18}\r?\n)*")
+_BLANKS = str.maketrans("e\t\r", "   ")
 
 
 def parse_dimacs(text: str) -> Graph:
@@ -289,45 +286,64 @@ def parse_dimacs(text: str) -> Graph:
     with their line number, the first faulty line first.  At the problem
     line, before any per-line structure, a graph of its n vertices and of as
     many edges as lines begin with `e` is checked against the memory budget.
+    Lines are split as `str.splitlines` splits them.  Up to the problem line
+    they are read one at a time; after it, a chunk of _LINE_CHUNK or more
+    characters at a time, in bulk when every line of the chunk matches
+    `_EDGE_LINES` and none is out of range or a self-loop, and else one at a
+    time, so that a comment, a blank or faulty line is read by the same
+    rules as before the problem line.
     """
     n: Optional[int] = None
     keys, where = array("q"), array("q")
+    lineno = pos = 0
     try:
-        for lineno, raw in enumerate(_lines(text), start=1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            fields = line.split()
-            if fields[0] == "p":
-                if n is not None:
-                    raise DimacsError(f"line {lineno}: duplicate problem line")
-                if len(fields) != 4 or fields[1] != "edge":
-                    raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
-                try:
-                    n = int(fields[2])
-                    int(fields[3])
-                except ValueError as exc:
-                    raise DimacsError(f"line {lineno}: bad problem line") from exc
-                if n < 0:
-                    raise DimacsError(f"line {lineno}: negative vertex count")
-                check_graph(n, text.count("\ne") + text.startswith("e"))
-            elif fields[0] == "e":
-                if n is None:
-                    raise DimacsError(f"line {lineno}: edge before problem line")
-                if len(fields) != 3:
-                    raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
-                try:
-                    u, v = int(fields[1]), int(fields[2])
-                except ValueError as exc:
-                    raise DimacsError(f"line {lineno}: bad edge endpoints") from exc
-                if not (1 <= u <= n and 1 <= v <= n):
-                    raise DimacsError(f"line {lineno}: endpoint out of range 1..{n}")
-                if u == v:
-                    raise DimacsError(f"line {lineno}: self-loop {u}")
-                keys.append((u - 1) * n + v - 1)
-                where.append(lineno)
+        while pos < len(text):
+            if n is None:  # a line at a time, up to the problem line
+                stop = text.find("\n", pos) + 1 or len(text)
             else:
-                raise DimacsError(f"line {lineno}: unknown record '{fields[0]}'")
+                stop = text.find("\n", pos + _LINE_CHUNK) + 1 or len(text)
+                if _EDGE_LINES.fullmatch(text, pos, stop):
+                    read = _read_edge_lines(text[pos:stop], n, lineno, keys, where)
+                    if read:
+                        lineno, pos = lineno + read, stop
+                        continue
+            for raw in text[pos:stop].splitlines():
+                lineno += 1
+                line = raw.strip()
+                if not line or line.startswith("c"):
+                    continue
+                fields = line.split()
+                if fields[0] == "p":
+                    if n is not None:
+                        raise DimacsError(f"line {lineno}: duplicate problem line")
+                    if len(fields) != 4 or fields[1] != "edge":
+                        raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
+                    try:
+                        n = int(fields[2])
+                        int(fields[3])
+                    except ValueError as exc:
+                        raise DimacsError(f"line {lineno}: bad problem line") from exc
+                    if n < 0:
+                        raise DimacsError(f"line {lineno}: negative vertex count")
+                    check_graph(n, text.count("\ne") + text.startswith("e"))
+                elif fields[0] == "e":
+                    if n is None:
+                        raise DimacsError(f"line {lineno}: edge before problem line")
+                    if len(fields) != 3:
+                        raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
+                    try:
+                        u, v = int(fields[1]), int(fields[2])
+                    except ValueError as exc:
+                        raise DimacsError(f"line {lineno}: bad edge endpoints") from exc
+                    if not (1 <= u <= n and 1 <= v <= n):
+                        raise DimacsError(f"line {lineno}: endpoint out of range 1..{n}")
+                    if u == v:
+                        raise DimacsError(f"line {lineno}: self-loop {u}")
+                    keys.append((u - 1) * n + v - 1)
+                    where.append(lineno)
+                else:
+                    raise DimacsError(f"line {lineno}: unknown record '{fields[0]}'")
+            pos = stop
         if n is None:
             raise DimacsError("missing problem line")
     except DimacsError:
@@ -336,6 +352,19 @@ def parse_dimacs(text: str) -> Graph:
     _refuse_duplicates(n, keys, where)
     del where
     return Graph(n, _arcs(n, np.frombuffer(keys, np.int64)))
+
+
+def _read_edge_lines(lines: str, n: int, lineno: int, keys: array, where: array) -> int:
+    """Append the keys and line numbers of `lines`, edge lines that match
+    `_EDGE_LINES` and follow line `lineno`, and return how many there are;
+    or append nothing and return 0 if one is out of range or a self-loop."""
+    ids = np.fromstring(lines.translate(_BLANKS), dtype=np.int64, sep=" ")
+    u, v = ids[0::2], ids[1::2]
+    if ids.min() < 1 or ids.max() > n or (u == v).any():
+        return 0
+    keys.frombytes(((u - 1) * n + v - 1).tobytes())
+    where.frombytes(np.arange(lineno + 1, lineno + len(u) + 1).tobytes())
+    return len(u)
 
 
 def _refuse_duplicates(n: Optional[int], keys: array, where: array) -> None:

@@ -32,7 +32,7 @@ from .correspondence import (
     residual_assignment,
 )
 from . import budget
-from .graph import Graph, GraphError, first_fit, local_sparsity
+from .graph import DimacsError, Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
     CLASS_COUNT_BYTES,
     KIND_TRIAL,
@@ -352,6 +352,51 @@ def naive_dir_map(g: Graph, c: CorrespondenceAssignment) -> np.ndarray:
             dir_map[2 * e, index_of[u][cu]] = index_of[v][cv]
             dir_map[2 * e + 1, index_of[v][cv]] = index_of[u][cu]
     return dir_map
+
+
+def naive_parse_dimacs(text: str) -> Graph:
+    """Line by line over text.splitlines(), each edge kept in a set once
+    read: the reference for graph.parse_dimacs, giving the same graph or the
+    same DimacsError text (it checks no memory budget)."""
+    n: Optional[int] = None
+    seen: set[tuple[int, int]] = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("c"):
+            continue
+        if fields[0] == "p":
+            if n is not None:
+                raise DimacsError(f"line {lineno}: duplicate problem line")
+            if len(fields) != 4 or fields[1] != "edge":
+                raise DimacsError(f"line {lineno}: expected 'p edge <n> <m>'")
+            try:
+                n = int(fields[2])
+                int(fields[3])
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: bad problem line") from exc
+            if n < 0:
+                raise DimacsError(f"line {lineno}: negative vertex count")
+        elif fields[0] == "e":
+            if n is None:
+                raise DimacsError(f"line {lineno}: edge before problem line")
+            if len(fields) != 3:
+                raise DimacsError(f"line {lineno}: expected 'e <u> <v>'")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError as exc:
+                raise DimacsError(f"line {lineno}: bad edge endpoints") from exc
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DimacsError(f"line {lineno}: endpoint out of range 1..{n}")
+            if u == v:
+                raise DimacsError(f"line {lineno}: self-loop {u}")
+            if (min(u, v), max(u, v)) in seen:
+                raise DimacsError(f"line {lineno}: duplicate edge {u} {v}")
+            seen.add((min(u, v), max(u, v)))
+        else:
+            raise DimacsError(f"line {lineno}: unknown record '{fields[0]}'")
+    if n is None:
+        raise DimacsError("missing problem line")
+    return Graph.from_edges(n, [(u - 1, v - 1) for u, v in seen])
 
 
 def naive_strong_colouring_valid(

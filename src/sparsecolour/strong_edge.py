@@ -24,6 +24,7 @@ between X and Y) and the associated edge-density bounds.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -41,7 +42,6 @@ from .graph import (
     GraphError,
     first_fit,
     local_sparsity,
-    lowest_clear_bit,
     neighbourhood_edge_count,
 )
 from .ncp import MAX_RESTARTS, ScheduleError, build_schedule, iterative_colour
@@ -411,23 +411,45 @@ def _validate_strong_colouring(
     """True iff `colours[i]` colours host edge `edge_index[i]` strongly.
 
     `edge_index` must be exactly `h.edges()` and every position coloured.
-    Checked from the host adjacency in O(m D), not through L²(h): a colouring
-    is strong iff the colours at each vertex are distinct and, at each host
-    edge xy, the colour sets at x and y have only the colour of xy in common
-    (a second shared colour would sit on two edges joined by xy).
+    Checked on arrays from the host adjacency, not through L²(h): a
+    colouring is strong iff the colours at each vertex are distinct and, at
+    each host edge xy, the colour sets at x and y have only the colour of xy
+    in common (a second shared colour would sit on two edges joined by xy).
+    Colours are renumbered 0..C-1 in order of first use, so the keys
+    vertex * C + colour fit in int64 whatever the colours are.  Sorted, the
+    keys of vertex x fill positions indptr[x] to indptr[x + 1]; each colour
+    at x is looked up among the keys at y, x the endpoint of lower degree:
+    sum over edges of deg(x) <= sum deg² lookups of a few int64 words each,
+    where `_SquareRows` has checked NEAR_ENTRY_BYTES per entry of that sum
+    against the memory budget.  The edge index is compared with the rows of
+    the host's edge array one tuple at a time: `np.asarray` of m tuples
+    costs more, and `np.fromiter` would take "3" or 0.5 for an id.
     """
-    if edge_index != list(h.edges()):
+    edges = h.edge_array()
+    m = len(edges)
+    if len(edge_index) != m or len(colours) != m:
         return False
-    if colours.keys() != set(range(len(edge_index))):
+    if not all(map(operator.eq, edge_index, zip(*edges.T.tolist()))):
         return False
-    colours_at: list[set[int]] = [set() for _ in range(h.n)]
-    for i, (u, v) in enumerate(edge_index):
-        c = colours[i]
-        if c in colours_at[u] or c in colours_at[v]:
-            return False
-        colours_at[u].add(c)
-        colours_at[v].add(c)
-    return all(len(colours_at[u] & colours_at[v]) == 1 for u, v in edge_index)
+    try:
+        listed = list(map(colours.__getitem__, range(m)))
+    except KeyError:
+        return False
+    dense = dict(zip(dict.fromkeys(listed), range(m)))
+    colour = np.fromiter(map(dense.__getitem__, listed), np.int64, m)
+    eu, ev = edges.T
+    keys = np.sort(np.concatenate([eu * len(dense) + colour, ev * len(dense) + colour]))
+    if np.any(keys[1:] == keys[:-1]):
+        return False
+    # Each edge's own colour is found once, at y; any other hit is a clash.
+    deg = h.degrees()
+    x = np.where(deg[eu] <= deg[ev], eu, ev)
+    counts = deg[x]
+    wanted = np.repeat(h.indptr[x] - np.cumsum(counts) + counts, counts)
+    wanted += np.arange(len(wanted))
+    wanted = keys[wanted]  # the keys at x, one block per edge,
+    wanted += np.repeat((eu + ev - 2 * x) * len(dense), counts)  # moved to y
+    return int(np.count_nonzero(np.isin(wanted, keys))) == m
 
 
 def strong_edge_colour(
@@ -453,6 +475,7 @@ def strong_edge_colour(
             core_graph, seed, max_restarts
         )
         colours.update({core_ids[v]: col for v, col in core_colours.items()})
+    del rows  # and its near sets, before the extension and the validation
     _extend_reverse_peel(h, edge_index, removal_order, colours)
 
     num = len(set(colours.values()))
@@ -485,6 +508,7 @@ def _extend_reverse_peel(
     coloured neighbours are the survivors present at its removal, fewer than
     the peel threshold, so the colours stay below threshold + 1.
     """
+    nbrs = list(map(h.neighbours, range(h.n)))
     mask_at = [0] * h.n
     for i, c in colours.items():
         u, v = edge_index[i]
@@ -493,14 +517,14 @@ def _extend_reverse_peel(
     for i in reversed(removal_order):
         u, v = edge_index[i]
         used = 0
-        for x in h.neighbours(u):
+        for x in nbrs[u]:
             used |= mask_at[x]
-        for x in h.neighbours(v):
+        for x in nbrs[v]:
             used |= mask_at[x]
-        c = lowest_clear_bit(used)
-        colours[i] = c
-        mask_at[u] |= 1 << c
-        mask_at[v] |= 1 << c
+        bit = ~used & (used + 1)  # the lowest clear bit, as lowest_clear_bit finds it
+        colours[i] = bit.bit_length() - 1
+        mask_at[u] |= bit
+        mask_at[v] |= bit
 
 
 def _colour_core(

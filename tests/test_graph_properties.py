@@ -9,7 +9,9 @@ same graph, `line_graph_square` must join exactly the strong
 neighbourhoods, `clique_info` must agree with networkx on the clique number
 and the set of maximum cliques, and `min_degree_ordering` must give the
 order of its rescanning reference in `harness` on the graph and on an
-induced subgraph.
+induced subgraph.  `parse_dimacs` must give the graph, or the refusal
+text, of its per-line reference `harness.naive_parse_dimacs` on drawn
+texts, whatever the chunk size of its bulk path.
 """
 
 import random
@@ -20,8 +22,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from sparsecolour import graph  # noqa: E402
 from sparsecolour.cliques import clique_info  # noqa: E402
 from sparsecolour.graph import (  # noqa: E402
+    DimacsError,
     Graph,
     from_json_dict,
     min_degree_ordering,
@@ -29,7 +33,10 @@ from sparsecolour.graph import (  # noqa: E402
     to_dimacs,
     to_json_dict,
 )
-from sparsecolour.harness import naive_min_degree_ordering  # noqa: E402
+from sparsecolour.harness import (  # noqa: E402
+    naive_min_degree_ordering,
+    naive_parse_dimacs,
+)
 from sparsecolour.strong_edge import line_graph_square, strong_neighbourhood  # noqa: E402
 
 
@@ -161,3 +168,82 @@ def test_min_degree_ordering_matches_reference(g, data):
     sub, _ = g.induced(subset)
     assert min_degree_ordering(sub) == naive_min_degree_ordering(sub)
     assert min_degree_ordering(g) == naive_min_degree_ordering(g)
+
+
+_ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def spellings(value: int):
+    """Ways a DIMACS writer might spell the id `value`."""
+    return st.sampled_from([
+        str(value),
+        "00" + str(value),
+        "0" * 20 + str(value),
+        "+" + str(value),
+        str(value).translate(_ARABIC_INDIC),
+    ])
+
+
+@st.composite
+def dimacs_texts(draw):
+    """A DIMACS text of distinct edges with comments, blank lines, odd
+    separators, line ends and spellings between them, and at times faults:
+    a self-loop, an id out of range or past int64, a repeat, a 2- or
+    4-field line, a bad token, a second problem line or none at all."""
+    n = draw(st.integers(0, 30))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = [(v, u) if rng.random() < 0.5 else (u, v)
+             for u, v in rng.sample(pairs, draw(st.integers(0, min(len(pairs), 120))))]
+    newline = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
+    seps = st.sampled_from([" ", " ", "\t", "  ", " \t "])
+    lines = [f"c drawn text of {len(edges)} edges"] * draw(st.integers(0, 2))
+    if draw(st.integers(0, 20)):
+        lines.append(f"p edge {n} {len(edges)}")
+    start = len(lines)
+    for u, v in edges:
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["c between", "", "   ", "c"])))
+        if draw(st.integers(0, 9)) == 0:
+            u, v = draw(spellings(u)), draw(spellings(v))
+        lines.append(f"e{draw(seps)}{u}{draw(seps)}{v}")
+    some_id = st.integers(0, n + 1).map(str) | st.sampled_from([str(2**63 + 1), "9" * 30])
+    faults = [
+        lambda: f"e {draw(st.integers(1, max(n, 1)))} {draw(st.integers(1, max(n, 1)))}",
+        lambda: "e %d %d" % draw(st.sampled_from(edges or [(1, 2)])),
+        lambda: f"e {draw(some_id)} {draw(some_id)}",
+        lambda: f"e {draw(some_id)}",
+        lambda: f"e 1 2 {draw(some_id)}",
+        lambda: "e 1 x",
+        lambda: "q 1 2",
+        lambda: f"p edge {n} 0",
+        lambda: " \t e 1\t2 ",
+        lambda: "e 1\u20282 3",  # a line break only str.splitlines sees
+    ]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        # Mostly after the problem line, at times before it.
+        low = start if draw(st.integers(0, 4)) else 0
+        where = draw(st.integers(low, len(lines)))
+        lines.insert(where, draw(st.sampled_from(faults))())
+    text = newline.join(lines)
+    return text + newline if draw(st.booleans()) else text
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except DimacsError as exc:
+        return f"DimacsError: {exc}"
+
+
+@settings(max_examples=300, deadline=5000)
+@given(text=dimacs_texts(), chunk=st.sampled_from([1, 2, 5, 16, 64, 300, 4096]))
+def test_parse_dimacs_matches_per_line_reference(text, chunk):
+    # Small chunks put most faults and odd lines past the first chunk.
+    want = _parsed(naive_parse_dimacs, text)
+    saved = graph._LINE_CHUNK
+    graph._LINE_CHUNK = chunk
+    try:
+        assert _parsed(parse_dimacs, text) == want
+    finally:
+        graph._LINE_CHUNK = saved

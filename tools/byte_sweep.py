@@ -49,6 +49,7 @@ INPUT_GEN = {
     "pentagon_été.col": ["--c5-blowup", "3"],
     "path3.col": ["--path", "3"],
     "rr100_40.col": ["--random-regular", "100", "40", "--seed", "1"],
+    "rr300_6.col": ["--random-regular", "300", "6", "--seed", "5"],
 }
 
 
@@ -59,10 +60,30 @@ def _drop_first(text: str, prefix: str, count: int) -> str:
     return "".join(line for i, line in enumerate(lines) if i not in dropped)
 
 
+def _insert(text: str, count: int, line: str) -> str:
+    """`text` with `line` after its first `count` lines."""
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:count] + [line + "\n"] + lines[count:])
+
+
+def _interleave(text: str) -> str:
+    """`text` with a comment and a blank line after every seventh line."""
+    lines = text.splitlines(keepends=True)
+    return "".join(line + ("c note\n\n" if i % 7 == 3 else "") for i, line in enumerate(lines))
+
+
 # Input file -> (the INPUT_GEN file it is cut from, the cut).  Vertex 1 of
-# rr(100,40) keeps 26 edges, so regularising doubles 14 times.
+# rr(100,40) keeps 26 edges, so regularising doubles 14 times.  The first
+# 600 lines of rr(300,6) hold about 6,000 characters, so the faults put
+# after them sit past the first 4,096-character chunk of the DIMACS reader.
 INPUT_CUT = {
     "rr100_40_cut.col": ("rr100_40.col", lambda text: _drop_first(text, "e 1 ", 14)),
+    "late_loop.col": ("rr300_6.col", lambda text: _insert(text, 600, "e 7 7")),
+    "late_range.col": ("rr300_6.col", lambda text: _insert(text, 600, "e 3 301")),
+    "late_short.col": ("rr300_6.col", lambda text: _insert(text, 600, "e 5")),
+    "late_repeat.col": ("rr300_6.col", lambda text: _insert(text, 600, text.splitlines()[1])),
+    "commented.col": ("rr300_6.col", _interleave),
+    "tabs.col": ("rr300_6.col", lambda text: text.replace(" ", "\t")),
 }
 
 
@@ -177,6 +198,19 @@ CASES = [
     "color --input in/repeats.json --k 2",
     "color --input in/crlf.col --k 3",
     "strong-edge --input in/crlf.col",
+    # DIMACS faults past the first chunk, comments and tabs between edges
+    "strong-edge --input in/late_loop.col",
+    "color --input in/late_loop.col --k 6",
+    "strong-edge --input in/late_range.col",
+    "color --input in/late_range.col --k 6",
+    "strong-edge --input in/late_short.col",
+    "color --input in/late_short.col --k 6",
+    "strong-edge --input in/late_repeat.col",
+    "color --input in/late_repeat.col --k 6",
+    "strong-edge --input in/commented.col",
+    "color --input in/commented.col --k 6",
+    "strong-edge --input in/tabs.col",
+    "color --input in/tabs.col --k 6",
     # bounds: all five subcommands
     "bounds table1",
     "bounds table1 --format json --grid 0.001",
