@@ -371,11 +371,19 @@ def residual_assignment(
     uncoloured ends.  The survivors are re-indexed by rank, and the rows of
     the induced edges restricted to them.  Residual colour sets may become
     empty, which surfaces later as greedy failure rather than an error here.
+    The masks and the induced edges' rows are checked against the budget.
     """
     idx, ((eu, ev), rows) = _indices(c, f), _rows_on(g, c)
     if idx is None or not _valid_on(idx, (eu, ev), rows):
         raise AssignmentError("partial colouring is not valid for the assignment")
-    keep = _in_set(c.sizes, rows.shape[1])
+    uncoloured = np.flatnonzero(idx < 0)
+    inner = (idx[eu] < 0) & (idx[ev] < 0)
+    # Peak bytes per colour slot (tracemalloc): 24 for each vertex's keep mask and
+    # rank, 40 for an uncoloured one's colours, 72 for an edge between two of them.
+    n, k = len(idx), rows.shape[1]
+    nbytes = k * (24 * n + 40 * len(uncoloured) + 72 * int(inner.sum()))
+    budget.check(f"residual masks of {n} x {k} entries", nbytes)
+    keep = _in_set(c.sizes, k)
     out = (idx[eu] >= 0) & (idx[ev] < 0)  # coloured u, uncoloured v
     j = rows[out, idx[eu[out]]]
     keep[ev[out][j >= 0], j[j >= 0]] = False
@@ -383,10 +391,8 @@ def residual_assignment(
     e, i = np.nonzero(rows[into] == idx[ev[into]][:, None])
     keep[eu[into][e], i] = False
 
-    uncoloured = np.flatnonzero(idx < 0)
     sizes = keep[uncoloured].sum(axis=1)
     rank = np.cumsum(keep, axis=1) - 1
-    inner = (idx[eu] < 0) & (idx[ev] < 0)
     su, sv, rows = eu[inner], ev[inner], rows[inner]
     e, i = np.nonzero(rows >= 0)
     j = rows[e, i]

@@ -171,16 +171,6 @@ class SparsityReport:
     delta: float
 
 
-def neighbourhood_edge_count(g: Graph, v: int) -> int:
-    """Number of edges of g with both endpoints in N(v)."""
-    nbrs = g.neighbours(v)
-    nbr_set = g.neighbour_set(v)
-    count = 0
-    for w in nbrs:
-        count += len(g.neighbour_set(w) & nbr_set)
-    return count // 2
-
-
 def local_sparsity(g: Graph) -> SparsityReport:
     """Measure neighbourhood density of every vertex.
 
@@ -190,7 +180,8 @@ def local_sparsity(g: Graph) -> SparsityReport:
     max_deg = g.max_degree()
     if max_deg < 2:
         raise GraphError("sparsity undefined: graph has maximum degree <= 1")
-    counts = tuple(neighbourhood_edge_count(g, v) for v in range(g.n))
+    nbrs = g.neighbour_set  # each edge inside N(v) is seen from both of its ends
+    counts = tuple(sum(len(nbrs(w) & nbrs(v)) for w in g.neighbours(v)) // 2 for v in range(g.n))
     denom = comb(max_deg, 2)
     delta = 1.0 - max(counts) / denom
     return SparsityReport(counts, max_deg, delta)
@@ -278,6 +269,22 @@ _LINE_CHUNK = 1 << 12
 _EDGE_LINES = re.compile(r"(?:e[ \t]+[0-9]{1,18}[ \t]+[0-9]{1,18}\r?\n)*")
 _BLANKS = str.maketrans("e\t\r", "   ")
 
+# Line breaks of str.splitlines, the whitespace str.strip removes besides
+# "\n", "\r", " " and "\t", and a line's first non-blank `e` with what precedes it.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_ODD_SPACE = _BREAKS[2:] + "\x1f\xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(8192, 8203)))
+_EDGE_LINE = re.compile(rf"(?:\A|[{_BREAKS}])[^\S{_BREAKS}]*e")
+
+
+def _edge_line_count(text: str) -> int:
+    r"""The lines, split as `str.splitlines` splits them, whose first
+    non-blank character is `e`: where every line ends in "\n" or "\r\n" and
+    none begins with a blank, the `e`s at the start and after a "\n"."""
+    odd = any(c in text for c in _ODD_SPACE) or text[:1] in " \t" or re.search(r"\n[ \t]", text)
+    if odd or "\r" in text and text.count("\r") != text.count("\r\n"):
+        return sum(1 for _ in _EDGE_LINE.finditer(text))
+    return text.count("\ne") + text.startswith("e")
+
 
 def parse_dimacs(text: str) -> Graph:
     """Parse DIMACS edge format (`p edge n m`, 1-based `e u v` lines).
@@ -285,7 +292,8 @@ def parse_dimacs(text: str) -> Graph:
     Comments (`c`) are ignored.  Self-loops and duplicate edges are rejected
     with their line number, the first faulty line first.  At the problem
     line, before any per-line structure, a graph of its n vertices and of as
-    many edges as lines begin with `e` is checked against the memory budget.
+    many edges as lines begin with `e`, after any blanks, is checked against
+    the memory budget.
     Lines are split as `str.splitlines` splits them.  Up to the problem line
     they are read one at a time; after it, a chunk of _LINE_CHUNK or more
     characters at a time, in bulk when every line of the chunk matches
@@ -325,7 +333,7 @@ def parse_dimacs(text: str) -> Graph:
                         raise DimacsError(f"line {lineno}: bad problem line") from exc
                     if n < 0:
                         raise DimacsError(f"line {lineno}: negative vertex count")
-                    check_graph(n, text.count("\ne") + text.startswith("e"))
+                    check_graph(n, _edge_line_count(text))
                 elif fields[0] == "e":
                     if n is None:
                         raise DimacsError(f"line {lineno}: edge before problem line")

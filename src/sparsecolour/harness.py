@@ -507,8 +507,7 @@ def monte_carlo_round(
     comp = _compile(g, c)
     counts = CLASS_COUNT_BYTES * comp.kmax * comp.focus
     budget.check(f"class counts of {comp.kmax} colours on {comp.focus} vertices", counts)
-    comp._build_stats()
-    comp._build_nuv()
+    comp._build_nuv()  # and the statistic index, from the same listing
     n = comp.n
     npairs = len(comp.nuv_pairs)
     blocks = ((lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK))

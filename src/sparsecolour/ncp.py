@@ -160,8 +160,8 @@ class RoundStats:
     common_uncoloured: dict[tuple[int, int], int]
 
 
-# Peak bytes per statistic-index row while the index is built (tracemalloc:
-# 49 on the PG(2,7) strong-edge core, 52 on rr(200,20), 71 on K60).
+# Peak bytes per in-row and triangle candidate over the whole index build
+# (tracemalloc: 41 on the PG(2,7) strong-edge core, 61 on K60).
 STATS_ROW_BYTES = 72
 
 
@@ -194,7 +194,9 @@ class _Compiled:
     them alone, while the draws and the keep rule still run on every
     vertex; a ball's kept flags are exact within distance 1 of the focus,
     all that the statistics read.  The direction map is `rows` read as
-    (2m x kmax), unwidened: row 2e is u->v and row 2e+1 is v->u.
+    (2m x kmax), unwidened: row 2e is u->v and row 2e+1 is v->u.  The
+    statistic index and the common-neighbour rows are built together, on
+    first use, from one listing of neighbour pairs (`_build_stats`).
     """
 
     def __init__(self, eu, ev, rows, k_arr, colour_values, max_degree, vertex_ids, edge_ids):
@@ -232,56 +234,43 @@ class _Compiled:
 
     # Lazily built structures for pair/triple statistics.
     def _build_stats(self) -> None:
-        """Index the edges and triangles inside each focus neighbourhood.
-
-        An entry is a focus vertex u and, for each member of the structure,
-        the position in the statistic rows of its edge into u: `in_rows`
+        """Index the edges and triangles inside each focus neighbourhood,
+        and the common neighbourhoods (`nuv_*`), from one `_neighbour_pairs`
+        listing of the statistic rows a -> u read as u -> a, and of those
+        from outside the focus as they are.  An entry is a focus vertex u
+        and, per member, the statistic row of its edge into u: `in_rows`
         holds the edges a-b inside N(u) as (u, a, b), a < b, and `tri_rows`
-        the triangles a < b < c inside N(u) as (u, a, b, c), one field per
-        row.  Paths inside N(u) need no index: `_stats_arrays` counts them
-        from the in-rows.  The in-rows are the neighbour pairs of u that are
-        edges, and the triangles the pairs of in-rows (u, a, b), (u, a, c)
-        with b-c an edge; each candidate count is known before the
-        candidates are allocated, and their rows, at STATS_ROW_BYTES each,
-        are checked against the memory budget.
+        the triangles a < b < c as (u, a, b, c), one field per row; paths
+        are counted from the in-rows by `_stats_arrays`.  The triangles are
+        the pairs of in-rows (u, a, b), (u, a, c) with b-c an edge; they and
+        the in-rows are checked at STATS_ROW_BYTES a row before listing.
         """
         if self._stats_built:
             return
         src, dst = self.stat_src, self.stat_dst
-        by_target = np.lexsort((src, dst))  # statistic rows by (u, a)
-        target = dst[by_target]
-        group_end = np.searchsorted(target, target, side="right")
-        self._check_stats_size(_pair_count(group_end, 1))
-        a, b = _group_pairs(group_end, 1)
-        inside = self._is_edge(src[by_target[a]], src[by_target[b]])
-        a, b = a[inside], b[inside]
-        self.in_rows = np.array([target[a], by_target[a], by_target[b]])
-        # The in-rows run in (u, a, b) order, so those sharing (u, a) are
-        # consecutive.
+        out = np.flatnonzero(src >= self.focus)
+        arcs = np.concatenate([[dst, src, np.arange(len(src))], [src[out], dst[out], out]], axis=1)
+        middle, end, row = arcs = arcs[:, np.lexsort(arcs[1::-1])]  # by (middle, end)
+        edge_keys = self.eu * self.n + self.ev  # ascending, as the edges are sorted
+        (a, b), nuv = _neighbour_pairs(middle, end, edge_keys, self.n, self.focus)
+        self.nuv_pairs, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = nuv
+        self.in_rows = np.array([middle[a], row[a], row[b]])
+        # The in-rows run in (u, a, b) order: those sharing (u, a) are consecutive.
         run_end = np.searchsorted(a, a, side="right")
-        self._check_stats_size(len(a) + _pair_count(run_end, 1))
+        rows = len(a) + _pair_count(run_end, 1)
+        budget.check(f"statistic index of up to {rows} rows", rows * STATS_ROW_BYTES)
         first, second = _group_pairs(run_end, 1)
-        closed = self._is_edge(src[by_target[b[first]]], src[by_target[b[second]]])
+        closed = _in_sorted(edge_keys, end[b[first]] * self.n + end[b[second]])
         first, second = first[closed], second[closed]
-        a, b, c = by_target[a[first]], by_target[b[first]], by_target[b[second]]
-        self.tri_rows = np.array([dst[a], a, b, c])
+        # Filled in place: the triangles can be the largest arrays built.
+        tri = self.tri_rows = np.empty((4, len(first)), dtype=np.int64)
+        tri[0], tri[1] = middle[a[first]], row[a[first]]
+        tri[2], tri[3] = row[b[first]], row[b[second]]
         self._stats_built = True
 
-    def _check_stats_size(self, rows: int) -> None:
-        budget.check(f"statistic index of up to {rows} rows", rows * STATS_ROW_BYTES)
-
-    def _is_edge(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Whether each a[i]-b[i] (a[i] < b[i]) is an edge."""
-        keys = self.eu * self.n + self.ev  # ascending, as the edges are sorted
-        wanted = a * self.n + b
-        at = np.minimum(np.searchsorted(keys, wanted), self.m - 1)
-        return keys[at] == wanted
-
     def _build_nuv(self) -> None:
-        if self._nuv_built:
-            return
-        rows = _distance2_rows(self.dir_src, self.dir_dst, self.focus)
-        self.nuv_pairs, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = rows
+        """The common-neighbour rows `nuv_*`, which `_build_stats` builds."""
+        self._build_stats()
         self._nuv_built = True
 
 
@@ -336,58 +325,59 @@ def _group_pairs(group_end: np.ndarray, gap: int):
     return first, rank
 
 
-# Peak bytes per distance-2 entry, a middle w and a pair of its neighbours,
-# while `_distance2_rows` builds its index (tracemalloc: 56 on K150, 107 to
-# 158 on sparse hosts, where most pairs are a tuple of their own).
+def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """Whether each entry of `wanted` is in the ascending `keys`."""
+    at = np.searchsorted(keys, wanted)
+    np.minimum(at, len(keys) - 1, out=at)
+    return keys[at] == wanted
+
+
+# Peak bytes per entry, a middle and two of its neighbours, while both indexes
+# are built (tracemalloc: 54 to 62 on C5 blow-ups and balls, 102 to 112 on
+# sparse random hosts, 152 on long paths, where most pairs are a tuple alone).
 DISTANCE2_ENTRY_BYTES = 160
 
 
 def _check_distance2(entries: int) -> None:
-    nbytes = entries * DISTANCE2_ENTRY_BYTES
-    budget.check(f"distance-2 pair index of {entries} entries", nbytes)
+    budget.check(f"distance-2 pair index of {entries} entries", entries * DISTANCE2_ENTRY_BYTES)
 
 
-def _distance2_rows(src: np.ndarray, dst: np.ndarray, focus: int):
-    """Every pair u <= v < focus at distance <= 2 (u = v included), in
-    ascending order, with its common neighbourhood N(u) & N(v).
+def _neighbour_pairs(middle, end, edge_keys, n: int, focus: int):
+    """Every pair of arcs i <= j from one middle w, ends x = end[i] <= y =
+    end[j], listed once in (w, x, y) order after the memory budget check.
 
-    `src` and `dst` list every edge in both directions.  The common
-    neighbours are the middles w of the 2-paths u - w - v: each w pairs up
-    its neighbours below `focus`, and one stable sort by (u, v) puts the
-    middles of each pair in ascending order.  Adjacent pairs and u = v are
-    added even when their common neighbourhood is empty.
-
-    Returns (pairs, sizes, concat, pair_of_entry): `sizes[p]` is the size of
-    pair p's common neighbourhood, `concat` all common neighbourhoods (each
-    sorted) one after another, and `pair_of_entry[i]` the pair of concat[i].
+    The arcs w -> x, sorted by (w, x), are those of an n-vertex graph that
+    touch its focus 0..focus-1; `edge_keys` are its edges' ascending keys
+    u * n + v, u < v.  Returns (inner, common): `inner`, the entries (i, j)
+    with w in the focus and x - y an edge (the edges inside N(w)); `common`,
+    every pair x <= y < focus at distance <= 2, ascending, with x = y and
+    adjacent pairs even with no common neighbour, as (pairs, sizes, concat,
+    pair_of_entry): the common neighbourhoods one after another in `concat`,
+    each sorted, their sizes, and the pair of each entry of `concat`.
     """
-    near = np.flatnonzero(dst < focus)
-    near = near[np.lexsort((dst[near], src[near]))]  # rows w -> x by (w, x)
-    middle, end = src[near], dst[near]
     group_end = np.searchsorted(middle, middle, side="right")
     _check_distance2(_pair_count(group_end, 0))
-    u, v = _group_pairs(group_end, 0)
-    key = end[u] * focus + end[v]
-    order = np.argsort(key, kind="stable")
-    key, concat = key[order], middle[u[order]]
-    adjacent = (src < dst) & (dst < focus)
-    pair_keys = np.sort(
-        np.concatenate(
-            [key, np.arange(focus) * (focus + 1), src[adjacent] * focus + dst[adjacent]]
-        )
-    )
+    i, j = _group_pairs(group_end, 0)
+    key = end[i] * n  # x * n + y
+    key += end[j]
+    inner = np.flatnonzero((i < j) & (middle[i] < focus))
+    inner = inner[_in_sorted(edge_keys, key[inner])]
+    inner = i[inner], j[inner]
+    # x <= y, so y < focus puts both ends in the focus; one stable sort by
+    # (x, y) keeps the middles of each pair in ascending order.
+    common = np.flatnonzero(end[j] < focus)
+    order = common[np.argsort(key[common], kind="stable")]
+    key, concat = key[order], middle[i[order]]
+    del i, j, common, order
+    adjacent = edge_keys[edge_keys % max(n, 1) < focus]
+    pair_keys = np.sort(np.concatenate([key, np.arange(focus) * (n + 1), adjacent]))
     pair_keys = pair_keys[np.diff(pair_keys, prepend=-1) != 0]
     pair_of_entry = np.searchsorted(pair_keys, key)
-    low, high = np.divmod(pair_keys, max(focus, 1))
-    # The pairs share one int object per vertex.
-    vertex = list(range(focus))
-    low, high = map(vertex.__getitem__, low.tolist()), map(vertex.__getitem__, high.tolist())
-    return (
-        list(zip(low, high)),
-        np.bincount(pair_of_entry, minlength=len(pair_keys)),
-        concat,
-        pair_of_entry,
-    )
+    del key
+    sizes = np.bincount(pair_of_entry, minlength=len(pair_keys))
+    vertex = np.fromiter(range(focus), object, focus)  # one int object per vertex
+    low, high = (vertex.take(x).tolist() for x in np.divmod(pair_keys, max(n, 1)))
+    return inner, (list(zip(low, high)), sizes, concat, pair_of_entry)
 
 
 def _row_classes(comp: _Compiled, f1_idx: np.ndarray) -> np.ndarray:
@@ -536,7 +526,6 @@ def _slice_width(comp: _Compiled, common_uncoloured: bool) -> int:
     rows = comp.n + comp.m + len(comp.stat_src)
     rows += comp.in_rows.shape[1] + comp.tri_rows.shape[1]
     if common_uncoloured:
-        comp._build_nuv()
         rows += len(comp.nuv_concat)
     counts = max(CLASS_COUNT_BYTES * comp.kmax * comp.focus, 1)
     return max(1, min(SLICE_TRIALS, SLICE_ROWS // max(rows, 1), budget.MEMORY_BUDGET // counts))
@@ -641,7 +630,9 @@ def quasirandom_check(
 ) -> QuasirandomReport:
     """Check |#(N(u) & N(v) & uncoloured) - mu |N(u) & N(v)|| <= allowed
     for every pair at distance <= 2 and every u = v; report the worst pair."""
-    pairs, sizes, concat, pair_of_entry = _distance2_rows(g.arc_sources(), g.indices, g.n)
+    src, dst = g.arc_sources(), g.indices
+    edge_keys = (src * g.n + dst)[src < dst]
+    _, (pairs, sizes, concat, pair_of_entry) = _neighbour_pairs(src, dst, edge_keys, g.n, g.n)
     if not pairs:
         return QuasirandomReport(True, None, -1.0, allowed)
     hits = np.isin(concat, list(uncoloured)).astype(np.float64)

@@ -37,13 +37,7 @@ import numpy as np
 from .bounds import STRONG_EDGE_ETA, approx_eps
 from . import budget
 from .correspondence import uniform_lists
-from .graph import (
-    Graph,
-    GraphError,
-    first_fit,
-    local_sparsity,
-    neighbourhood_edge_count,
-)
+from .graph import Graph, GraphError, first_fit, local_sparsity
 from .ncp import MAX_RESTARTS, ScheduleError, build_schedule, iterative_colour
 
 Threshold = Union[int, float, Fraction]
@@ -369,7 +363,8 @@ def f_core_density_check(h: Graph, eta: float) -> CoreDensityReport:
     d = h.max_degree()
     # Positive for every eta in [0, 0.3].
     bound = (31 / 6 - 128 / (3 * (10 - 3 * eta)) + 4 * eta - eta * eta) * d**4
-    counts = [neighbourhood_edge_count(core_graph, e) for e in range(core_graph.n)]
+    # A nonempty core's degrees pass the threshold, so its sparsity is defined.
+    counts = local_sparsity(core_graph).neighbourhood_edges if core_graph.n else ()
     peak = max(counts, default=None)
     return CoreDensityReport(
         eta=eta,

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from sparsecolour import budget, ncp
-from sparsecolour.correspondence import uniform_lists
+from sparsecolour.correspondence import residual_assignment, uniform_lists
 from sparsecolour.generators import (
     complete_graph,
     empty_graph,
@@ -122,6 +122,21 @@ def _distance2():
     return _uniform_compiled(random_regular_graph(600, 12, seed=1), 12)._build_nuv
 
 
+def _residual_masks():
+    # Many colours on isolated vertices, half of them coloured: the keep
+    # masks, ranks and surviving colours are the run.
+    g = empty_graph(1000)
+    c = uniform_lists(g, 1000)
+    return lambda: residual_assignment(g, c, {v: 0 for v in range(0, 1000, 2)})
+
+
+def _residual_edges():
+    # Uncoloured, so every edge's map row is cut to the survivors.
+    g = _rr200()
+    c = uniform_lists(g, 300)
+    return lambda: residual_assignment(g, c, {})
+
+
 def _near_sets():
     rows = _SquareRows(random_regular_graph(600, 12, seed=1))
     return lambda: rows._near
@@ -173,6 +188,8 @@ PROBES = {
     "stats-pg7-core": ("statistic index", _pg7_core_stats),
     "stats-k60": ("statistic index", _k60_stats),
     "distance2": ("distance-2 pair index", _distance2),
+    "residual-masks": ("residual masks", _residual_masks),
+    "residual-edges": ("residual masks", _residual_edges),
     "near-sets": ("near-edge sets", _near_sets),
     "class-counts": ("class counts of", _class_counts),
     "dimacs": ("graph of", _dimacs),

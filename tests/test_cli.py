@@ -623,7 +623,7 @@ class TestAssignmentSizeCap:
     """K200 has 19,900 edges.  14,000 colours per vertex make maps of
     19,900 x 14,000 int16 entries, 531 MiB, past the budget before any
     colour set; 600 colours, 23 MiB, compile, and the Monte Carlo run is
-    refused by its statistic index."""
+    refused by its neighbour-pair listing, 200 x C(200, 2) entries."""
 
     @pytest.mark.parametrize(
         "argv, refusal",
@@ -631,7 +631,7 @@ class TestAssignmentSizeCap:
             (["color", "--k", "14000"],
              "assignment of 14000 colours on 19900 edges would take about 532 MiB"),
             (["simulate", "--experiment", "mc", "--k", "600"],
-             "statistic index of up to 262680000 rows would take about 18037 MiB"),
+             "distance-2 pair index of 3980000 entries would take about 607 MiB"),
         ],
         ids=["color", "simulate-mc"],
     )

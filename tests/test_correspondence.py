@@ -370,6 +370,24 @@ class TestSizeCap:
         assert uniform_lists(complete_graph(4), 5).fwd.shape == (6, 5)
         assert uniform_lists(empty_graph(4), 15).sizes.tolist() == [15] * 4
 
+    def test_residual_refused_before_its_masks(self, monkeypatch):
+        from sparsecolour import correspondence
+
+        def no_masks(*args):
+            raise AssertionError("the size check must come before the masks")
+
+        g = path_graph(3)
+        c = uniform_lists(g, 4)
+        # 4 colour slots of 3 vertices (24 bytes), 2 uncoloured (40) and the
+        # one edge between uncoloured vertices (72): 896 bytes.
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 895)
+        monkeypatch.setattr(correspondence, "_in_set", no_masks)
+        with pytest.raises(BudgetError, match="^residual masks of 3 x 4 entries would"):
+            residual_assignment(g, c, {0: 0})
+        monkeypatch.undo()
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 896)
+        assert residual_assignment(g, c, {0: 0}).graph.n == 2
+
     def test_compact_index_type(self):
         g = path_graph(2)
         assert uniform_lists(g, 3).fwd.dtype == np.int16

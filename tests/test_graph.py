@@ -384,6 +384,28 @@ class TestDimacs:
             tracemalloc.stop()
         assert peak < 0.05 * len(text), peak
 
+    def test_budget_counts_indented_edge_lines(self, monkeypatch):
+        # Lines that begin with blanks before `e` are edge lines too.
+        seen = []
+        monkeypatch.setattr(budget, "check", lambda what, nbytes: seen.append(what))
+        g = parse_dimacs("p edge 1000 3\n e 1 2\n\te 2 3\n  e 3 4\n")
+        assert seen == ["graph of 1000 vertices and 3 edges"]
+        assert g.m == 3
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_edge_line_count_matches_the_lines(self, seed):
+        from sparsecolour.graph import _ODD_SPACE, _edge_line_count
+
+        spaces = {chr(c) for c in range(0x110000) if chr(c).isspace()}
+        assert set(_ODD_SPACE) == spaces - set("\n\r \t")
+        rng = random.Random(seed)
+        pieces = ["e", "c", "p", "1", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x1c", "\x1f",
+                  "\x85", "\xa0", "\u2028", "\u3000"]
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
+            lines = sum(1 for line in text.splitlines() if line.strip().startswith("e"))
+            assert _edge_line_count(text) == lines, repr(text)
+
     def test_json_refused_before_parsing(self, monkeypatch):
         # The budget check counts the text's lists, objects and keys before
         # json.loads builds any: the refused parse holds almost nothing.

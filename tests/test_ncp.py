@@ -40,7 +40,6 @@ from sparsecolour.ncp import (
     RoundOutcome,
     ScheduleError,
     _compile,
-    _distance2_rows,
     _entity_draws,
     _regularize_with_assignment,
     attempt_round,
@@ -330,6 +329,18 @@ class TestEdgesListedOnce:
         assert calls == [g, res.graph]
 
 
+def _index_members(comp, ids):
+    """The statistic index as (u, members...) tuples of ids, in index order:
+    each field after u is a statistic row a -> u, read as the id of a."""
+    members = []
+    for rows in (comp.in_rows, comp.tri_rows):
+        u, *fields = rows
+        assert all((comp.stat_dst[f] == u).all() for f in fields)
+        ends = zip(*(ids[comp.stat_src[f]].tolist() for f in fields))
+        members.append([(x, *y) for x, y in zip(u.tolist(), ends)])
+    return members
+
+
 class TestQuasirandomCheck:
     def test_everything_uncoloured_mu_one(self):
         g = cycle_graph(5)
@@ -381,6 +392,8 @@ class TestQuasirandomCheck:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_distance2_rows_match_naive_pairs(self, seed):
+        # One neighbour-pair listing gives both indexes of a compiled
+        # instance: the common-neighbour rows and the statistic index.
         from sparsecolour.graph import Graph
         from sparsecolour.harness import naive_regularize_with_assignment
         from sparsecolour.ncp import _regularize_with_assignment
@@ -389,29 +402,58 @@ class TestQuasirandomCheck:
         # Vertices 12-14 have no neighbour at all.
         isolated = Graph.from_edges(15, g.edges())
         # The regularised copy's ball around a small host, focused on the
-        # host's vertices; its common neighbours are read as ids in the copy.
+        # host's vertices; its vertices are read as their ids in the copy.
         host = gnp_graph(7, 0.4, seed=seed)
         c = uniform_lists(host, 2)
         reg, _ = _regularize_with_assignment(host, c)
         ref_g, _ = naive_regularize_with_assignment(host, c)
         assert reg.focus < reg.n < ref_g.n
         cases = [
-            (g, g.n, (g.arc_sources(), g.indices), np.arange(g.n)),
-            (isolated, isolated.n, (isolated.arc_sources(), isolated.indices),
-             np.arange(isolated.n)),
-            (ref_g, reg.focus, (reg.dir_src, reg.dir_dst), reg.vertex_ids.astype(np.int64)),
+            (g, _compile(g, uniform_lists(g, 2)), np.arange(g.n)),
+            (isolated, _compile(isolated, uniform_lists(isolated, 2)), np.arange(isolated.n)),
+            (ref_g, reg, reg.vertex_ids.astype(np.int64)),
         ]
-        for graph, focus, (src, dst), ids in cases:
-            pairs, sizes, concat, pair_of_entry = _distance2_rows(src, dst, focus)
+        for graph, comp, ids in cases:
+            focus = comp.focus
+            comp._build_nuv()
+            pairs = comp.nuv_pairs
             assert pairs == [(u, v) for u, v in _distance2_pairs(graph) if v < focus]
             commons = [
                 sorted(graph.neighbour_set(u) & graph.neighbour_set(v)) for u, v in pairs
             ]
-            assert sizes.tolist() == [len(c) for c in commons]
-            assert ids[concat].tolist() == [w for c in commons for w in c]
-            assert pair_of_entry.tolist() == [
+            assert comp.nuv_sizes.tolist() == [len(c) for c in commons]
+            assert ids[comp.nuv_concat].tolist() == [w for c in commons for w in c]
+            assert comp.nuv_pair_of_entry.tolist() == [
                 p for p, c in enumerate(commons) for _ in c
             ]
+            in_rows, tri_rows = _index_members(comp, ids)
+            if graph is ref_g:  # ids in the copy need not follow the ball's order
+                in_rows, tri_rows = (sorted((u, *sorted(y)) for u, *y in r)
+                                     for r in (in_rows, tri_rows))
+            inside = [
+                (u, a, b)
+                for u in range(focus)
+                for a in sorted(graph.neighbour_set(u))
+                for b in sorted(graph.neighbour_set(u))
+                if a < b and graph.has_edge(a, b)
+            ]
+            assert in_rows == inside
+            assert tri_rows == [
+                (u, a, b, c)
+                for u, a, b in inside
+                for c in sorted(graph.neighbour_set(u))
+                if b < c and graph.has_edge(a, c) and graph.has_edge(b, c)
+            ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_in_rows_count_the_edges_inside_each_neighbourhood(self, seed):
+        from sparsecolour.graph import Graph
+
+        g = Graph.from_edges(24, gnp_graph(20, 0.4, seed=seed).edges())
+        comp = _compile(g, uniform_lists(g, 2))
+        comp._build_stats()
+        counts = np.bincount(comp.in_rows[0], minlength=g.n)
+        assert tuple(counts.tolist()) == local_sparsity(g).neighbourhood_edges
 
     def test_slack_profiles(self):
         assert asymptotic_slack(1) == 0.0
@@ -926,31 +968,30 @@ class TestArrayRegularisation:
 
 
 class TestStatisticIndexCap:
-    """K6 has 60 neighbour pairs, all of them edges (60 in-rows), and 60
-    pairs of in-rows sharing their smaller end, all closed (60 triangles).
-    Each row is counted at STATS_ROW_BYTES against the budget."""
+    """K10 lists 450 neighbour pairs, 10 x C(10, 2) with x = y included,
+    each counted at DISTANCE2_ENTRY_BYTES against the budget.  360 of them
+    are edges (in-rows), and 840 pairs of in-rows share their smaller end,
+    all closed (840 triangles); these 1,200 rows are counted at
+    STATS_ROW_BYTES, which is more than the listing's count."""
 
     def _compiled(self):
         from sparsecolour.ncp import _compile
 
-        g = complete_graph(6)
+        assert 450 * ncp.DISTANCE2_ENTRY_BYTES < 1200 * ncp.STATS_ROW_BYTES
+        g = complete_graph(10)
         return _compile(g, uniform_lists(g, 2))
 
     def test_neighbour_pairs_refused_before_listing(self, monkeypatch):
-        from sparsecolour import ncp
-
         def listing(*args):
             raise AssertionError("pairs listed before the size check")
 
         comp = self._compiled()
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 60 * ncp.STATS_ROW_BYTES - 1)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 450 * ncp.DISTANCE2_ENTRY_BYTES - 1)
         monkeypatch.setattr(ncp, "_group_pairs", listing)
-        with pytest.raises(BudgetError, match=r"^statistic index of up to 60 rows would"):
+        with pytest.raises(BudgetError, match=r"^distance-2 pair index of 450 entries would"):
             comp._build_stats()
 
     def test_triangle_candidates_refused_before_listing(self, monkeypatch):
-        from sparsecolour import ncp
-
         calls = []
         pairs = ncp._group_pairs
 
@@ -961,24 +1002,23 @@ class TestStatisticIndexCap:
             return pairs(*args)
 
         comp = self._compiled()
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 120 * ncp.STATS_ROW_BYTES - 1)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 1200 * ncp.STATS_ROW_BYTES - 1)
         monkeypatch.setattr(ncp, "_group_pairs", listing)
-        with pytest.raises(BudgetError, match=r"^statistic index of up to 120 rows would"):
+        with pytest.raises(BudgetError, match=r"^statistic index of up to 1200 rows would"):
             comp._build_stats()
         assert len(calls) == 1
 
     def test_built_at_the_cap(self, monkeypatch):
-        from sparsecolour import ncp
-
         comp = self._compiled()
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 120 * ncp.STATS_ROW_BYTES)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 1200 * ncp.STATS_ROW_BYTES)
         comp._build_stats()
-        assert comp.in_rows.shape == (3, 60) and comp.tri_rows.shape == (4, 60)
+        assert comp.in_rows.shape == (3, 360) and comp.tri_rows.shape == (4, 840)
+        assert len(comp.nuv_pairs) == 55
 
 
 class TestBudgetChecks:
     """The compiled instance and the distance-2 pair index are refused before
-    they are built, and a round builds its statistic index first."""
+    they are built, and a round before it lists any neighbour pair."""
 
     def test_compile_refused_before_the_map_rows(self, monkeypatch):
         def map_rows(*args):
@@ -1000,19 +1040,18 @@ class TestBudgetChecks:
         # Each of K6's vertices is the middle of C(6, 2) = 15 entries.
         monkeypatch.setattr(budget, "MEMORY_BUDGET", 90 * ncp.DISTANCE2_ENTRY_BYTES - 1)
         monkeypatch.setattr(ncp, "_group_pairs", listing)
-        k6 = complete_graph(6)
         with pytest.raises(BudgetError, match="^distance-2 pair index of 90 entries would"):
-            _distance2_rows(k6.arc_sources(), k6.indices, 6)
+            quasirandom_check(complete_graph(6), set(), 0.5, 1.0)
 
     def test_attempt_refuses_before_the_pair_index(self, monkeypatch):
-        def pair_index(*args):
-            raise AssertionError("pair index built before the statistic index")
+        def listing(*args):
+            raise AssertionError("pairs listed before the size check")
 
         g = complete_graph(6)
         comp = _compile(g, uniform_lists(g, 2))
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 60 * ncp.STATS_ROW_BYTES - 1)
-        monkeypatch.setattr(ncp, "_distance2_rows", pair_index)
-        with pytest.raises(BudgetError, match="^statistic index"):
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 90 * ncp.DISTANCE2_ENTRY_BYTES - 1)
+        monkeypatch.setattr(ncp, "_group_pairs", listing)
+        with pytest.raises(BudgetError, match="^distance-2 pair index of 90 entries would"):
             attempt_round(comp, ncp.RoundParams(0.5, 1.0, 0.0), seed=1)
 
 
