@@ -270,18 +270,24 @@ _EDGE_LINES = re.compile(r"(?:e[ \t]+[0-9]{1,18}[ \t]+[0-9]{1,18}\r?\n)*")
 _BLANKS = str.maketrans("e\t\r", "   ")
 
 # Line breaks of str.splitlines, the whitespace str.strip removes besides
-# "\n", "\r", " " and "\t", and a line's first non-blank `e` with what precedes it.
+# them, and a line's first non-blank `e` with what precedes it.
 _BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_ODD_SPACE = _BREAKS[2:] + "\x1f\xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(8192, 8203)))
+_LINE_BLANKS = " \t\x1f\xa0\u1680\u202f\u205f\u3000" + "".join(map(chr, range(8192, 8203)))
 _EDGE_LINE = re.compile(rf"(?:\A|[{_BREAKS}])[^\S{_BREAKS}]*e")
 
 
 def _edge_line_count(text: str) -> int:
     r"""The lines, split as `str.splitlines` splits them, whose first
     non-blank character is `e`: where every line ends in "\n" or "\r\n" and
-    none begins with a blank, the `e`s at the start and after a "\n"."""
-    odd = any(c in text for c in _ODD_SPACE) or text[:1] in " \t" or re.search(r"\n[ \t]", text)
-    if odd or "\r" in text and text.count("\r") != text.count("\r\n"):
+    none begins with a blank, the `e`s at the start and after a "\n".  A
+    blank inside a line, as a no-break space in a comment, changes nothing."""
+    odd_break = any(c in text for c in _BREAKS[2:]) or (
+        "\r" in text and text.count("\r") != text.count("\r\n")
+    )
+    blank_start = text.startswith(tuple(_LINE_BLANKS)) or any(
+        c in text and "\n" + c in text for c in _LINE_BLANKS
+    )
+    if odd_break or blank_start:
         return sum(1 for _ in _EDGE_LINE.finditer(text))
     return text.count("\ne") + text.startswith("e")
 

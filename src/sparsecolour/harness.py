@@ -113,6 +113,39 @@ def naive_outcome_stats(
     return col, dist, pairs, triples
 
 
+def naive_statistic_index(g: Graph, c: CorrespondenceAssignment, focus: int):
+    """The statistic index of the focus vertices u < focus by definition,
+    as (in-rows, triangles) in index order.  An in-row (u, a, b) is an edge
+    a < b inside N(u) whose triangle u-a-b is inconsistent: some colour x
+    of a reaches b through u as another colour than a's map gives it.  A
+    triangle (u, a, b, d) has a < b < d in N(u), b-d an edge and both (u,
+    a, b) and (u, a, d) in-rows."""
+
+    def inconsistent(u, a, b):
+        for x in c.colour_sets[a]:
+            at_u = c.correspondent(a, u, x)
+            via_u = None if at_u is None else c.correspondent(u, b, at_u)
+            if via_u != c.correspondent(a, b, x):
+                return True
+        return False
+
+    in_rows = [
+        (u, a, b)
+        for u in range(focus)
+        for a in g.neighbours(u)
+        for b in g.neighbours(u)
+        if a < b and g.has_edge(a, b) and inconsistent(u, a, b)
+    ]
+    indexed = set(in_rows)
+    triangles = [
+        (u, a, b, d)
+        for u, a, b in in_rows
+        for d in g.neighbours(u)
+        if b < d and g.has_edge(b, d) and (u, a, d) in indexed
+    ]
+    return in_rows, triangles
+
+
 def apply_keep_rule(
     g: Graph,
     c: CorrespondenceAssignment,
@@ -522,7 +555,7 @@ def monte_carlo_round(
             stop = min(start + width, hi)
             part = slice(start - lo, stop - lo)
             seeds = _derived_seeds(seed, KIND_TRIAL, start, stop)
-            _, _, kept[part], cls = _round_arrays(comp, seeds)
+            _, kept[part], cls = _round_arrays(comp, seeds)
             _, _, p_u[part], t_u[part] = _stats_arrays(comp, cls, kept[part])
         gsum = 0.0
         gsq = 0.0
@@ -693,7 +726,7 @@ def residual_sparsity_experiment(
                 break
             reg, work_c = _regularize_with_assignment(cur_g, cur_c)
             round_seed = derive_seed(seed, KIND_TRIAL, t, i)
-            f1_idx, _, kept, _ = _round_arrays(reg, [round_seed])
+            f1_idx, kept, _ = _round_arrays(reg, [round_seed])
             kept_ids = np.flatnonzero(kept[0, : cur_g.n])
             kept_real = set(kept_ids.tolist())
             colours = reg.colour_values[kept_ids, f1_idx[0, kept_ids]]

@@ -97,23 +97,29 @@ def _derived_seeds(seed: int, kind: int, start: int, stop: int) -> np.ndarray:
     return _sm64_np(ids)
 
 
-def _entity_draws(
-    seeds: Sequence[int] | np.ndarray, kinds: Sequence[int], ids: Sequence[np.ndarray]
-) -> np.ndarray:
-    """64-bit draws hashed in one pass: a row per seed, and the entity ids
-    of each kind in turn as columns, one uint64 array per kind.  With kinds
-    (k0, k1) and ids (i0, i1), entry (i, len(i0) + j) matches
-    derive_seed(seeds[i], k1, i1[j]) for seeds in [0, 2^64)."""
+def _kind_bases(seeds: Sequence[int] | np.ndarray, kind: int) -> np.ndarray:
+    """derive_seed(s, kind) for each seed s in [0, 2^64), as one uint64 array."""
     h = np.array(seeds, dtype=np.uint64)
     h ^= _GOLDEN_NP
-    # bases[i, j] = derive_seed(seeds[i], kinds[j])
-    bases = _sm64_np(_sm64_np(h)[:, None] ^ np.array(kinds, dtype=np.uint64))
-    draws = np.empty((len(h), sum(map(len, ids))), dtype=np.uint64)
-    at = 0
-    for j, col in enumerate(ids):
-        np.bitwise_xor(bases[:, j : j + 1], col, out=draws[:, at : at + len(col)])
-        at += len(col)
-    return _sm64_np(draws)
+    h = _sm64_np(h)
+    h ^= np.uint64(kind)
+    return _sm64_np(h)
+
+
+def _entity_draws(seeds: Sequence[int] | np.ndarray, kind: int, ids: np.ndarray) -> np.ndarray:
+    """derive_seed(seeds[i], kind, ids[j]) as entry (i, j) of one uint64
+    array, hashed in one pass, for uint64 entity ids."""
+    return _sm64_np(_kind_bases(seeds, kind)[:, None] ^ ids)
+
+
+def _direction_bits(
+    seeds: Sequence[int] | np.ndarray, trial: np.ndarray, edge_ids: np.ndarray
+) -> np.ndarray:
+    """derive_seed(seeds[trial[i]], KIND_DIRECTION, edge_ids[i]) & 1 for
+    each i: the end, 0 for u and 1 for v, that edge u-v points at."""
+    h = _kind_bases(seeds, KIND_DIRECTION).take(trial)
+    h ^= edge_ids
+    return (_sm64_np(h) & _ONE).astype(np.int64)
 
 
 # -- round outcome and statistics ----------------------------------------------
@@ -163,6 +169,9 @@ class RoundStats:
 # Peak bytes per in-row and triangle candidate over the whole index build
 # (tracemalloc: 41 on the PG(2,7) strong-edge core, 61 on K60).
 STATS_ROW_BYTES = 72
+
+# Map entries one chunk of `_Compiled._inconsistent` gathers per map.
+TEST_CHUNK_ENTRIES = 1 << 16
 
 
 def _check_compiled(what: str, n: int, m: int, kmax: int, rows: int) -> None:
@@ -221,12 +230,12 @@ class _Compiled:
         self.stat_start = int(np.count_nonzero(outside))
         backward_rows = 2 * np.flatnonzero(eu < self.focus) + 1
         look_rows = np.concatenate([2 * self.fwd_edge, backward_rows])
-        stat_rows = look_rows[self.stat_start :]
-        self.stat_src = self.dir_src[stat_rows]
-        self.stat_dst = self.dir_dst[stat_rows]
+        self.stat_rows = look_rows[self.stat_start :]
+        self.stat_src = self.dir_src[self.stat_rows]
+        self.stat_dst = self.dir_dst[self.stat_rows]
         # Distinct negative stand-ins, -stat_shift, for the class of an
         # uncoloured source.
-        self.stat_shift = 1 + np.arange(len(stat_rows), dtype=np.int64)
+        self.stat_shift = 1 + np.arange(len(self.stat_rows), dtype=np.int64)
         self.look_src = self.dir_src[look_rows]
         self.look_base = look_rows * self.kmax
         self._stats_built = False
@@ -234,16 +243,19 @@ class _Compiled:
 
     # Lazily built structures for pair/triple statistics.
     def _build_stats(self) -> None:
-        """Index the edges and triangles inside each focus neighbourhood,
-        and the common neighbourhoods (`nuv_*`), from one `_neighbour_pairs`
-        listing of the statistic rows a -> u read as u -> a, and of those
-        from outside the focus as they are.  An entry is a focus vertex u
-        and, per member, the statistic row of its edge into u: `in_rows`
-        holds the edges a-b inside N(u) as (u, a, b), a < b, and `tri_rows`
-        the triangles a < b < c as (u, a, b, c), one field per row; paths
-        are counted from the in-rows by `_stats_arrays`.  The triangles are
-        the pairs of in-rows (u, a, b), (u, a, c) with b-c an edge; they and
-        the in-rows are checked at STATS_ROW_BYTES a row before listing.
+        """Index the edges and triangles inside each focus neighbourhood
+        that a kept mask can make count, and the common neighbourhoods
+        (`nuv_*`), from one `_neighbour_pairs` listing of the statistic rows
+        a -> u read as u -> a, and of those from outside the focus as they
+        are.  An entry is a focus vertex u and, per member, the statistic
+        row of its edge into u: `in_rows` holds the edges a-b inside N(u)
+        as (u, a, b), a < b, whose triangle u-a-b is inconsistent
+        (`_inconsistent`), and `tri_rows` the triangles a < b < c as (u, a,
+        b, c), one field per row, from pairs of in-rows (u, a, b), (u, a, c)
+        with b-c an edge; paths are counted from the in-rows by
+        `_stats_arrays`.  The candidate in-rows are entries of the listing,
+        whose check bounds their test; the in-rows kept and the triangle
+        candidates are checked at STATS_ROW_BYTES a row before listing.
         """
         if self._stats_built:
             return
@@ -254,6 +266,8 @@ class _Compiled:
         edge_keys = self.eu * self.n + self.ev  # ascending, as the edges are sorted
         (a, b), nuv = _neighbour_pairs(middle, end, edge_keys, self.n, self.focus)
         self.nuv_pairs, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = nuv
+        inconsistent = self._inconsistent(row[a], row[b], edge_keys)
+        a, b = a[inconsistent], b[inconsistent]
         self.in_rows = np.array([middle[a], row[a], row[b]])
         # The in-rows run in (u, a, b) order: those sharing (u, a) are consecutive.
         run_end = np.searchsorted(a, a, side="right")
@@ -267,6 +281,29 @@ class _Compiled:
         tri[0], tri[1] = middle[a[first]], row[a[first]]
         tri[2], tri[3] = row[b[first]], row[b[second]]
         self._stats_built = True
+
+    def _inconsistent(self, first: np.ndarray, second: np.ndarray, edge_keys) -> np.ndarray:
+        """Whether the triangle u-a-b of each pair of statistic rows first[i]
+        (a -> u) and second[i] (b -> u), a < b and a-b an edge, is
+        inconsistent: some colour index x of a has u->b(a->u(x)) != a->b(x).
+
+        In a consistent triangle, two kept ends of a-b in one class at u
+        would have corresponding colours, and the keep rule uncolours an end
+        of every such edge; so only an inconsistent triangle's in-row can
+        count.  The maps are gathered at their dtype, TEST_CHUNK_ENTRIES map
+        entries at a time."""
+        found = np.empty(len(first), dtype=bool)
+        step = max(1, TEST_CHUNK_ENTRIES // self.kmax)
+        for lo in range(0, len(first), step):
+            ra, rb = first[lo : lo + step], second[lo : lo + step]
+            a_u = self.dir_map[self.stat_rows[ra]]
+            u_b = self.dir_map[self.stat_rows[rb] ^ 1]
+            ab_key = self.stat_src[ra] * self.n + self.stat_src[rb]
+            a_b = self.dir_map[2 * np.searchsorted(edge_keys, ab_key)]
+            # -1 past a's set, where a->b is -1 too.
+            via_u = np.take_along_axis(u_b, a_u, axis=1)
+            found[lo : lo + step] = ((via_u != a_b) & (a_u >= 0)).any(axis=1)
+        return found
 
     def _build_nuv(self) -> None:
         """The common-neighbour rows `nuv_*`, which `_build_stats` builds."""
@@ -334,17 +371,23 @@ def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
 
 # Peak bytes per entry, a middle and two of its neighbours, while both indexes
 # are built (tracemalloc: 54 to 62 on C5 blow-ups and balls, 102 to 112 on
-# sparse random hosts, 152 on long paths, where most pairs are a tuple alone).
+# sparse random hosts, 152 on long paths, where most pairs are a tuple alone),
+# and per pair that no entry lists (135 for an isolated vertex's x = x, 159
+# for an adjacent pair beside its ends' entries on a perfect matching).
 DISTANCE2_ENTRY_BYTES = 160
+DISTANCE2_PAIR_BYTES = 200
 
 
-def _check_distance2(entries: int) -> None:
-    budget.check(f"distance-2 pair index of {entries} entries", entries * DISTANCE2_ENTRY_BYTES)
+def _check_distance2(entries: int, unlisted: int = 0) -> None:
+    nbytes = entries * DISTANCE2_ENTRY_BYTES + unlisted * DISTANCE2_PAIR_BYTES
+    budget.check(f"distance-2 pair index of {entries} entries", nbytes)
 
 
 def _neighbour_pairs(middle, end, edge_keys, n: int, focus: int):
     """Every pair of arcs i <= j from one middle w, ends x = end[i] <= y =
-    end[j], listed once in (w, x, y) order after the memory budget check.
+    end[j], listed once in (w, x, y) order after the memory budget check;
+    the pairs that no entry lists are checked again once they are counted,
+    before their tuples are made.
 
     The arcs w -> x, sorted by (w, x), are those of an n-vertex graph that
     touch its focus 0..focus-1; `edge_keys` are its edges' ascending keys
@@ -356,7 +399,8 @@ def _neighbour_pairs(middle, end, edge_keys, n: int, focus: int):
     each sorted, their sizes, and the pair of each entry of `concat`.
     """
     group_end = np.searchsorted(middle, middle, side="right")
-    _check_distance2(_pair_count(group_end, 0))
+    entries = _pair_count(group_end, 0)
+    _check_distance2(entries)
     i, j = _group_pairs(group_end, 0)
     key = end[i] * n  # x * n + y
     key += end[j]
@@ -372,6 +416,8 @@ def _neighbour_pairs(middle, end, edge_keys, n: int, focus: int):
     adjacent = edge_keys[edge_keys % max(n, 1) < focus]
     pair_keys = np.sort(np.concatenate([key, np.arange(focus) * (n + 1), adjacent]))
     pair_keys = pair_keys[np.diff(pair_keys, prepend=-1) != 0]
+    # x = x without a neighbour, and adjacent pairs without a common one.
+    _check_distance2(entries, len(pair_keys) - np.count_nonzero(np.diff(key, prepend=-1)))
     pair_of_entry = np.searchsorted(pair_keys, key)
     del key
     sizes = np.bincount(pair_of_entry, minlength=len(pair_keys))
@@ -390,23 +436,22 @@ def _row_classes(comp: _Compiled, f1_idx: np.ndarray) -> np.ndarray:
 def _round_arrays(comp: _Compiled, seeds: Sequence[int] | np.ndarray):
     """Execute one round per seed, all at once.
 
-    Returns (f1_idx, dirs, kept, cls), one row per seed: the colour index
-    per vertex (B, n), the direction bit per edge (B, m), the kept mask
-    (B, n) and the class of every looked-up row (B, L), which the keep rule
-    reads here and `_stats_arrays` reads again.  Row i is what seed i alone
-    gives.
+    Returns (f1_idx, kept, cls), one row per seed: the colour index per
+    vertex (B, n), the kept mask (B, n) and the class of every looked-up
+    row (B, L), which the keep rule reads here and `_stats_arrays` reads
+    again.  Row i is what seed i alone gives.  The keep rule reads the
+    direction of an edge only where its ends' colours correspond, so only
+    those edges' bits are hashed; `_outcome_from_arrays` hashes the rest of
+    the one outcome it builds.
     """
-    n = comp.n
-    ids = comp.vertex_ids, comp.edge_ids
-    draws = _entity_draws(seeds, (KIND_COLOUR, KIND_DIRECTION), ids)
-    f1_idx = (draws[:, :n] % comp.k_draw).astype(np.int64)
-    dirs = (draws[:, n:] & _ONE).astype(np.int64)
+    f1_idx = (_entity_draws(seeds, KIND_COLOUR, comp.vertex_ids) % comp.k_draw).astype(np.int64)
     cls = _row_classes(comp, f1_idx)
     kept = np.ones(f1_idx.shape, dtype=bool)
-    trial, e = (cls[:, : comp.m] == f1_idx.take(comp.fwd_dst, axis=1)).nonzero()
+    conflicts = np.flatnonzero(cls[:, : comp.m] == f1_idx.take(comp.fwd_dst, axis=1))
+    trial, e = np.divmod(conflicts, max(comp.m, 1))  # faster than a 2-d nonzero
     e = comp.fwd_edge[e]
-    kept[trial, comp.ends[e, dirs[trial, e]]] = False
-    return f1_idx, dirs, kept, cls
+    kept[trial, comp.ends[e, _direction_bits(seeds, trial, comp.edge_ids.take(e))]] = False
+    return f1_idx, kept, cls
 
 
 # Peak bytes of `_stats_arrays` per class count (one per trial, colour index
@@ -419,7 +464,10 @@ def _stats_arrays(comp: _Compiled, cls: np.ndarray, kept: np.ndarray):
     class counts.
 
     `cls` and `kept` are B trials' row classes and kept masks, (B, L) and
-    (B, n) as `_round_arrays` returns them; each result is (B, focus).  A
+    (B, n) as `_round_arrays` returns them; each result is (B, focus).  The
+    kept mask must be one the keep rule can give: no edge inside a focus
+    neighbourhood has two kept ends with corresponding colours, since the
+    statistic index holds the in-rows of inconsistent triangles alone.  A
     kept neighbour a of u belongs to the class of the colour at u matched
     with a's colour.  Pair/triple counts over all same-class kept members
     are corrected down to non-adjacent ones by inclusion-exclusion over the
@@ -532,16 +580,18 @@ def _slice_width(comp: _Compiled, common_uncoloured: bool) -> int:
 
 
 def _outcome_from_arrays(
-    comp: _Compiled, f1_idx: np.ndarray, dirs: np.ndarray, kept: np.ndarray
+    comp: _Compiled, seed: int, f1_idx: np.ndarray, kept: np.ndarray
 ) -> RoundOutcome:
-    """The outcome on the focus vertices and the edges between them."""
+    """The outcome of `seed` on the focus vertices and the edges between
+    them, from its colour indices and kept mask."""
     focus = comp.focus
     f1 = tuple(comp.colour_values[np.arange(focus), f1_idx[:focus]].tolist())
     inside = np.flatnonzero(comp.ev < focus)
+    dirs = _direction_bits([seed], np.zeros(len(inside), dtype=np.intp), comp.edge_ids[inside])
     direction = {
         (u, v): (u if d == 0 else v)
         for u, v, d in zip(
-            comp.eu[inside].tolist(), comp.ev[inside].tolist(), dirs[inside].tolist()
+            comp.eu[inside].tolist(), comp.ev[inside].tolist(), dirs.tolist()
         )
     }
     kept_set = frozenset(np.flatnonzero(kept[:focus]).tolist())
@@ -552,8 +602,9 @@ def _outcome_from_arrays(
 def run_round(g: Graph, c: CorrespondenceAssignment, seed: int) -> RoundOutcome:
     """One round on a total assignment; deterministic given the seed."""
     comp = _compile(g, c)
-    f1_idx, dirs, kept, _ = _round_arrays(comp, [int(seed) & _MASK])
-    return _outcome_from_arrays(comp, f1_idx[0], dirs[0], kept[0])
+    seed = int(seed) & _MASK
+    f1_idx, kept, _ = _round_arrays(comp, [seed])
+    return _outcome_from_arrays(comp, seed, f1_idx[0], kept[0])
 
 
 def _stats_from_arrays(comp: _Compiled, f1_idx, kept) -> RoundStats:
@@ -578,13 +629,17 @@ def _stats_record(comp: _Compiled, col, dist, p_u, t_u, nuv) -> RoundStats:
 def round_stats(
     g: Graph, c: CorrespondenceAssignment, outcome: RoundOutcome
 ) -> RoundStats:
-    """Statistics of an outcome produced from (g, c)."""
+    """Statistics of an outcome produced from (g, c): its tentative colours
+    must come from c, and its kept vertices' colours, f, must form a valid
+    partial colouring of (g, c), as the keep rule makes them."""
     comp = _compile(g, c)
     if len(outcome.f1) != comp.n:
         raise ValueError("outcome does not match the instance")
     f1_idx = _indices(c, dict(enumerate(outcome.f1)))
     if f1_idx is None:
         raise ValueError("outcome uses colours outside the assignment")
+    if not is_valid_colouring(g, c, {u: outcome.f1[u] for u in outcome.kept}):
+        raise ValueError("outcome's kept colours are not a valid partial colouring")
     kept = np.zeros(comp.n, dtype=bool)
     kept[list(outcome.kept)] = True
     return _stats_from_arrays(comp, f1_idx, kept)
@@ -757,7 +812,7 @@ def attempt_round(
     while start < attempts:
         stop = min(start + width, attempts)
         seeds = _derived_seeds(seed, KIND_RESTART, start, stop)
-        f1_idx, dirs, kept, cls = _round_arrays(comp, seeds)
+        f1_idx, kept, cls = _round_arrays(comp, seeds)
         col, dist, p_u, t_u = _stats_arrays(comp, cls, kept)
         nuv = _nuv_counts(comp, kept)
         stat_bad = ((p_u - t_u) < params.stat_threshold) & ~kept[:, : comp.focus]
@@ -765,18 +820,18 @@ def attempt_round(
         totals = stat_bad.sum(axis=1) + quasi_bad.sum(axis=1)
         i = int(totals.argmin())  # the first attempt of the fewest violations
         if best is None or totals[i] < best[0]:
-            arrays = (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad)
+            arrays = (seeds, f1_idx, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad)
             best = (int(totals[i]), start + i, tuple(x[i] for x in arrays))
             if best[0] == 0:
                 break
         start, width = stop, min(2 * width, cap)
     total, attempt, arrays = best
-    f1_idx, dirs, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad = arrays
+    attempt_seed, f1_idx, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad = arrays
     violations = ViolationReport(
         tuple(np.flatnonzero(stat_bad).tolist()),
         tuple(comp.nuv_pairs[j] for j in np.flatnonzero(quasi_bad).tolist()),
     )
-    outcome = _outcome_from_arrays(comp, f1_idx, dirs, kept)
+    outcome = _outcome_from_arrays(comp, attempt_seed, f1_idx, kept)
     stats = _stats_record(comp, col, dist, p_u, t_u, nuv)
     ok = total == 0
     return AttemptResult(ok, outcome, stats, attempt if ok else attempts, violations)

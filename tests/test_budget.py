@@ -7,12 +7,17 @@ and at most twice it.
 """
 
 import json
+import random
 import tracemalloc
 
 import pytest
 
 from sparsecolour import budget, ncp
-from sparsecolour.correspondence import residual_assignment, uniform_lists
+from sparsecolour.correspondence import (
+    CorrespondenceAssignment,
+    residual_assignment,
+    uniform_lists,
+)
 from sparsecolour.generators import (
     complete_graph,
     empty_graph,
@@ -69,6 +74,14 @@ def _uniform_compiled(g, k):
     return ncp._compile(g, uniform_lists(g, k))
 
 
+def _random_compiled(g, k):
+    """g with k colours a vertex and a seeded random bijection on every
+    edge, under which almost every triangle is inconsistent."""
+    rng = random.Random(1)
+    maps = {e: dict(enumerate(rng.sample(range(k), k))) for e in g.edges()}
+    return ncp._compile(g, CorrespondenceAssignment((tuple(range(k)),) * g.n, maps))
+
+
 def _rr200():
     return random_regular_graph(200, 20, seed=1)
 
@@ -109,17 +122,25 @@ def _regularised_deep():
     return lambda: ncp._regularize_with_assignment(g, c)
 
 
+# On uniform lists no in-row is kept, and the neighbour-pair listing is the
+# whole statistic index build: the distance-2 probes below.
 def _pg7_core_stats():
     core, _ = line_graph_square(projective_plane_incidence(7))
-    return _uniform_compiled(core, 2)._build_stats
+    return _random_compiled(core, 4)._build_stats
 
 
 def _k60_stats():
-    return _uniform_compiled(complete_graph(60), 30)._build_stats
+    return _random_compiled(complete_graph(60), 30)._build_stats
 
 
 def _distance2():
     return _uniform_compiled(random_regular_graph(600, 12, seed=1), 12)._build_nuv
+
+
+def _distance2_matching():
+    # Each pair of ends is a pair without a common neighbour, no entry.
+    g = Graph.from_edges(100_000, [(v, v + 1) for v in range(0, 100_000, 2)])
+    return _uniform_compiled(g, 2)._build_stats
 
 
 def _residual_masks():
@@ -188,6 +209,7 @@ PROBES = {
     "stats-pg7-core": ("statistic index", _pg7_core_stats),
     "stats-k60": ("statistic index", _k60_stats),
     "distance2": ("distance-2 pair index", _distance2),
+    "distance2-matching": ("distance-2 pair index", _distance2_matching),
     "residual-masks": ("residual masks", _residual_masks),
     "residual-edges": ("residual masks", _residual_edges),
     "near-sets": ("near-edge sets", _near_sets),

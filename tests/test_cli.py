@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,11 +15,13 @@ import numpy as np
 import pytest
 
 import sparsecolour
-from sparsecolour import cli
+from sparsecolour import budget, cli
 from sparsecolour.bounds import savings_rate
 from sparsecolour.cli import main
+from sparsecolour.correspondence import uniform_lists
 from sparsecolour.generators import complete_graph, petersen_graph
 from sparsecolour.graph import from_json_dict, parse_dimacs, to_json_dict
+from sparsecolour.harness import monte_carlo_round
 from sparsecolour.strong_edge import c5_blowup
 
 
@@ -590,20 +593,35 @@ def _limited_main(argv):
 
 
 class TestDenseMonteCarlo:
-    def test_k100_refused_in_one_line_under_a_second(self, tmp_path, capsys):
+    def test_k100_reports_within_the_budget(self, tmp_path, capsys, monkeypatch):
+        # Uniform lists make every triangle consistent, so the statistic
+        # index keeps none of K100's 485,100 candidate in-rows.  Their test
+        # gathers 24,255,000 map entries, in chunks, so the traced peak
+        # stays within the largest estimate checked against the budget.
         g = tmp_path / "k100.dimacs"
+        out = tmp_path / "r.json"
         run(["gen", "--complete", "100", "--out", str(g)], capsys)
         argv = ["simulate", "--experiment", "mc", "--input", str(g), "--k", "50",
-                "--out", str(tmp_path / "r.json")]
+                "--trials", "4", "--out", str(out)]
         proc = _limited_main(argv)
-        code, seconds = proc.stdout.split()
-        assert code == "1", proc.stderr
-        assert proc.stderr.splitlines() == [
-            "sparsecolour: statistic index of up to 16170000 rows would take about "
-            "1110 MiB, above the memory budget of 512 MiB"
-        ]
-        assert float(seconds) < 1.0
-        assert not (tmp_path / "r.json").exists()
+        code, _ = proc.stdout.split()
+        assert code == "0" and proc.stderr == "", proc.stderr
+        result = json.loads(out.read_text())["result"]
+        # Every two neighbours in K100 are adjacent: no pair, no triple.
+        assert result["trials"] == 4
+        assert result["pairs_mean"] == result["triples_mean"] == [0.0] * 100
+        estimates = []
+        check = budget.check
+        monkeypatch.setattr(budget, "check", lambda what, nbytes: (
+            estimates.append(nbytes), check(what, nbytes)))
+        k100 = complete_graph(100)
+        tracemalloc.start()
+        try:
+            monte_carlo_round(k100, uniform_lists(k100, 50), trials=4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(estimates) <= budget.MEMORY_BUDGET
 
     def test_k60_finishes(self, tmp_path, capsys):
         g = tmp_path / "k60.dimacs"

@@ -394,10 +394,11 @@ class TestDimacs:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_edge_line_count_matches_the_lines(self, seed):
-        from sparsecolour.graph import _ODD_SPACE, _edge_line_count
+        from sparsecolour.graph import _BREAKS, _LINE_BLANKS, _edge_line_count
 
         spaces = {chr(c) for c in range(0x110000) if chr(c).isspace()}
-        assert set(_ODD_SPACE) == spaces - set("\n\r \t")
+        assert set(_BREAKS) | set(_LINE_BLANKS) == spaces
+        assert not set(_BREAKS) & set(_LINE_BLANKS)
         rng = random.Random(seed)
         pieces = ["e", "c", "p", "1", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x1c", "\x1f",
                   "\x85", "\xa0", "\u2028", "\u3000"]
@@ -405,6 +406,22 @@ class TestDimacs:
             text = "".join(rng.choice(pieces) for _ in range(rng.randrange(12)))
             lines = sum(1 for line in text.splitlines() if line.strip().startswith("e"))
             assert _edge_line_count(text) == lines, repr(text)
+
+    def test_blanks_inside_lines_counted_without_the_line_scan(self, monkeypatch):
+        # Every blank that is no line break, inside a comment, an edge line
+        # and a problem line: the count is the line regex's, and only the
+        # plain count of "\ne" runs.
+        from sparsecolour import graph
+
+        texts = [
+            f"c caf\xe9{b}note\np{b}edge 4 2\ne 1{b}2\r\ne 2 3\nc {b}e\n"
+            for b in graph._LINE_BLANKS
+        ]
+        texts.append("\n".join(to_dimacs(complete_graph(30)).splitlines()) + "\nc \xa0\n")
+        expected = [sum(1 for _ in graph._EDGE_LINE.finditer(text)) for text in texts]
+        assert expected[:-1] == [2] * len(graph._LINE_BLANKS) and expected[-1] == 435
+        monkeypatch.setattr(graph, "_EDGE_LINE", None)
+        assert [graph._edge_line_count(text) for text in texts] == expected
 
     def test_json_refused_before_parsing(self, monkeypatch):
         # The budget check counts the text's lists, objects and keys before

@@ -33,6 +33,7 @@ from sparsecolour.harness import (
     naive_dir_map,
     naive_outcome_stats,
     naive_regularize_with_assignment,
+    naive_statistic_index,
 )
 from sparsecolour.ncp import (
     DELTA_PRIME_SHARE,
@@ -62,15 +63,23 @@ from sparsecolour.strong_edge import c5_blowup
 class TestSeedDerivation:
     def test_scalar_vector_agreement(self):
         # Any uint64 ids, in any order, as a ball's ids in the whole copy are.
-        vertices = np.arange(10, dtype=np.uint64)
-        edges = np.array([7, 0, 2**40, 2**64 - 1], dtype=np.uint64)
-        draws = _entity_draws([12345, 678], [0xC01, 0xD12], [vertices, edges])
-        assert draws.shape == (2, 14)
+        ids = np.array([7, 0, 2**40, 2**64 - 1], dtype=np.uint64)
+        draws = _entity_draws([12345, 678], 0xC01, ids)
+        assert draws.shape == (2, 4)
         for row, seed in enumerate([12345, 678]):
-            for i in range(10):
-                assert int(draws[row, i]) == derive_seed(seed, 0xC01, i)
-            for i, e in enumerate(edges.tolist()):
-                assert int(draws[row, 10 + i]) == derive_seed(seed, 0xD12, e)
+            for i, x in enumerate(ids.tolist()):
+                assert int(draws[row, i]) == derive_seed(seed, 0xC01, x)
+
+    def test_direction_bits_match_derive_seed(self):
+        # One bit per (trial, edge id) pair, each from its own trial's seed.
+        seeds = np.array([12345, 2**64 - 1, 0], dtype=np.uint64)
+        trial = np.array([2, 0, 0, 1, 2, 1])
+        ids = np.array([7, 0, 2**40, 2**64 - 1, 3, 3], dtype=np.uint64)
+        bits = ncp._direction_bits(seeds, trial, ids)
+        assert bits.tolist() == [
+            derive_seed(int(seeds[t]), ncp.KIND_DIRECTION, int(x)) & 1
+            for t, x in zip(trial.tolist(), ids.tolist())
+        ]
 
     def test_order_sensitivity(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
@@ -86,11 +95,11 @@ class TestSeedDerivation:
                 assert got.tolist() == [derive_seed(seed, kind, t) for t in range(start, start + 5)]
         as_array = np.array([seed, 2**32 + 7], dtype=np.uint64)
         for seeds in ([seed, 2**32 + 7], as_array):
-            ids = [np.arange(3, dtype=np.uint64), np.arange(2, dtype=np.uint64)]
-            draws = _entity_draws(seeds, [0xC01, 0xD12], ids)
+            draws = _entity_draws(seeds, 0xC01, np.arange(3, dtype=np.uint64))
+            bits = ncp._direction_bits(seeds, np.array([1, 0]), np.arange(2, dtype=np.uint64))
             for row, s in enumerate([seed, 2**32 + 7]):
-                assert draws[row, :3].tolist() == [derive_seed(s, 0xC01, i) for i in range(3)]
-                assert draws[row, 3:].tolist() == [derive_seed(s, 0xD12, i) for i in range(2)]
+                assert draws[row].tolist() == [derive_seed(s, 0xC01, i) for i in range(3)]
+                assert bits[1 - row] == derive_seed(s, 0xD12, 1 - row) & 1
         assert as_array.tolist() == [seed, 2**32 + 7]  # the caller's seeds stay as given
 
     def test_run_round_takes_seeds_mod_2_64(self):
@@ -225,6 +234,20 @@ class TestRoundStats:
         bad = RoundOutcome((9, 0, 0), {}, frozenset(), {})
         with pytest.raises(ValueError):
             round_stats(g, c, bad)
+
+    def test_kept_conflict_refused(self):
+        # Both ends of 0-1 keep colour 0, which no round gives; with 0
+        # uncoloured, as the keep rule would leave it, the outcome is read.
+        g = path_graph(3)
+        c = uniform_lists(g, 2)
+        direction = {(0, 1): 0, (1, 2): 1}
+        bad = RoundOutcome((0, 0, 1), direction, frozenset({0, 1, 2}), {0: 0, 1: 0, 2: 1})
+        with pytest.raises(
+            ValueError, match="^outcome's kept colours are not a valid partial colouring$"
+        ):
+            round_stats(g, c, bad)
+        good = RoundOutcome((0, 0, 1), direction, frozenset({1, 2}), {1: 0, 2: 1})
+        assert round_stats(g, c, good).col == (1, 1, 1)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_inclusion_exclusion_on_list_assignments(self, seed):
@@ -393,10 +416,25 @@ class TestQuasirandomCheck:
     @pytest.mark.parametrize("seed", range(4))
     def test_distance2_rows_match_naive_pairs(self, seed):
         # One neighbour-pair listing gives both indexes of a compiled
-        # instance: the common-neighbour rows and the statistic index.
+        # instance: the common-neighbour rows and the statistic index.  On
+        # uniform lists every triangle is consistent and no in-row is kept;
+        # on random bijections most are kept.
+        for lists in ("uniform", "random"):
+            listed = self._distance2_cases(seed, lists)
+            assert (listed == 0) == (lists == "uniform")
+
+    @staticmethod
+    def _distance2_cases(seed, lists):
+        """Check both indexes against the naive ones on three instances,
+        with uniform lists or random bijections; return the in-rows seen."""
         from sparsecolour.graph import Graph
         from sparsecolour.harness import naive_regularize_with_assignment
         from sparsecolour.ncp import _regularize_with_assignment
+
+        def assignment(graph, k):
+            if lists == "uniform":
+                return uniform_lists(graph, k)
+            return _random_total_assignment(graph, k, random.Random(seed))
 
         g = gnp_graph(12, 0.3, seed=seed)
         # Vertices 12-14 have no neighbour at all.
@@ -404,16 +442,15 @@ class TestQuasirandomCheck:
         # The regularised copy's ball around a small host, focused on the
         # host's vertices; its vertices are read as their ids in the copy.
         host = gnp_graph(7, 0.4, seed=seed)
-        c = uniform_lists(host, 2)
+        c = assignment(host, 2)
         reg, _ = _regularize_with_assignment(host, c)
-        ref_g, _ = naive_regularize_with_assignment(host, c)
+        ref_g, ref_c = naive_regularize_with_assignment(host, c)
         assert reg.focus < reg.n < ref_g.n
-        cases = [
-            (g, _compile(g, uniform_lists(g, 2)), np.arange(g.n)),
-            (isolated, _compile(isolated, uniform_lists(isolated, 2)), np.arange(isolated.n)),
-            (ref_g, reg, reg.vertex_ids.astype(np.int64)),
-        ]
-        for graph, comp, ids in cases:
+        cases = [(graph, assignment(graph, 2)) for graph in (g, isolated)]
+        cases = [(graph, ci, _compile(graph, ci), np.arange(graph.n)) for graph, ci in cases]
+        cases.append((ref_g, ref_c, reg, reg.vertex_ids.astype(np.int64)))
+        listed = 0
+        for graph, ci, comp, ids in cases:
             focus = comp.focus
             comp._build_nuv()
             pairs = comp.nuv_pairs
@@ -430,30 +467,24 @@ class TestQuasirandomCheck:
             if graph is ref_g:  # ids in the copy need not follow the ball's order
                 in_rows, tri_rows = (sorted((u, *sorted(y)) for u, *y in r)
                                      for r in (in_rows, tri_rows))
-            inside = [
-                (u, a, b)
-                for u in range(focus)
-                for a in sorted(graph.neighbour_set(u))
-                for b in sorted(graph.neighbour_set(u))
-                if a < b and graph.has_edge(a, b)
-            ]
-            assert in_rows == inside
-            assert tri_rows == [
-                (u, a, b, c)
-                for u, a, b in inside
-                for c in sorted(graph.neighbour_set(u))
-                if b < c and graph.has_edge(a, c) and graph.has_edge(b, c)
-            ]
+            assert (in_rows, tri_rows) == naive_statistic_index(graph, ci, focus)
+            listed += len(in_rows)
+        return listed
 
     @pytest.mark.parametrize("seed", range(4))
     def test_in_rows_count_the_edges_inside_each_neighbourhood(self, seed):
+        # Two colours swapped on every edge: each triangle composes three
+        # swaps, so every one is inconsistent and every edge inside a
+        # neighbourhood is an in-row; on uniform lists none is.
         from sparsecolour.graph import Graph
 
         g = Graph.from_edges(24, gnp_graph(20, 0.4, seed=seed).edges())
-        comp = _compile(g, uniform_lists(g, 2))
-        comp._build_stats()
-        counts = np.bincount(comp.in_rows[0], minlength=g.n)
-        assert tuple(counts.tolist()) == local_sparsity(g).neighbourhood_edges
+        swapped = CorrespondenceAssignment(((0, 1),) * g.n, {e: {0: 1, 1: 0} for e in g.edges()})
+        for c, share in ((swapped, 1), (uniform_lists(g, 2), 0)):
+            comp = _compile(g, c)
+            comp._build_stats()
+            counts = np.bincount(comp.in_rows[0], minlength=g.n)
+            assert counts.tolist() == [share * x for x in local_sparsity(g).neighbourhood_edges]
 
     def test_slack_profiles(self):
         assert asymptotic_slack(1) == 0.0
@@ -526,12 +557,11 @@ def _one_seed_attempt(comp, params, seed, max_restarts):
     sizes = comp.nuv_sizes.astype(np.float64)
     totals, best = [], None
     for attempt in range(max(1, max_restarts)):
-        f1_idx, dirs, kept, cls = _round_arrays(
-            comp, [derive_seed(seed, KIND_RESTART, attempt)]
-        )
+        attempt_seed = derive_seed(seed, KIND_RESTART, attempt)
+        f1_idx, kept, cls = _round_arrays(comp, [attempt_seed])
         col, dist, p_u, t_u = (x[0] for x in _stats_arrays(comp, cls, kept))
         nuv = _nuv_counts(comp, kept)[0]
-        f1_idx, dirs, kept = f1_idx[0], dirs[0], kept[0]
+        f1_idx, kept = f1_idx[0], kept[0]
         low = (p_u - t_u) < params.stat_threshold
         dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
         violations = ViolationReport(
@@ -539,17 +569,17 @@ def _one_seed_attempt(comp, params, seed, max_restarts):
             tuple(comp.nuv_pairs[i] for i in np.flatnonzero(dev > params.slack).tolist()),
         )
         totals.append(violations.total)
-        arrays = (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv)
+        arrays = (attempt_seed, f1_idx, kept, col, dist, p_u, t_u, nuv)
         if violations.total == 0:
             best = (attempt, violations, arrays)
             break
         if best is None or violations.total < best[1].total:
             best = (attempt, violations, arrays)
-    attempt, violations, (f1_idx, dirs, kept, col, dist, p_u, t_u, nuv) = best
+    attempt, violations, (attempt_seed, f1_idx, kept, col, dist, p_u, t_u, nuv) = best
     ok = violations.total == 0
     result = AttemptResult(
         ok,
-        _outcome_from_arrays(comp, f1_idx, dirs, kept),
+        _outcome_from_arrays(comp, attempt_seed, f1_idx, kept),
         _stats_record(comp, col, dist, p_u, t_u, nuv),
         attempt if ok else max(1, max_restarts),
         violations,
@@ -970,16 +1000,22 @@ class TestArrayRegularisation:
 class TestStatisticIndexCap:
     """K10 lists 450 neighbour pairs, 10 x C(10, 2) with x = y included,
     each counted at DISTANCE2_ENTRY_BYTES against the budget.  360 of them
-    are edges (in-rows), and 840 pairs of in-rows share their smaller end,
-    all closed (840 triangles); these 1,200 rows are counted at
-    STATS_ROW_BYTES, which is more than the listing's count."""
+    are edges, the candidate in-rows, whose triangles are tested once the
+    listing is past its check.  With two colours swapped on every edge,
+    every triangle is inconsistent: all 360 are kept, and 840 pairs of them
+    share their smaller end, all closed (840 triangles); these 1,200 rows
+    are counted at STATS_ROW_BYTES, which is more than the listing's count.
+    On uniform lists no in-row is kept and no triangle is listed."""
 
-    def _compiled(self):
+    def _compiled(self, swapped=True):
         from sparsecolour.ncp import _compile
 
         assert 450 * ncp.DISTANCE2_ENTRY_BYTES < 1200 * ncp.STATS_ROW_BYTES
         g = complete_graph(10)
-        return _compile(g, uniform_lists(g, 2))
+        if not swapped:
+            return _compile(g, uniform_lists(g, 2))
+        maps = {e: {0: 1, 1: 0} for e in g.edges()}
+        return _compile(g, CorrespondenceAssignment(((0, 1),) * g.n, maps))
 
     def test_neighbour_pairs_refused_before_listing(self, monkeypatch):
         def listing(*args):
@@ -1014,6 +1050,26 @@ class TestStatisticIndexCap:
         comp._build_stats()
         assert comp.in_rows.shape == (3, 360) and comp.tri_rows.shape == (4, 840)
         assert len(comp.nuv_pairs) == 55
+
+    def test_uniform_lists_built_at_the_listing_cap(self, monkeypatch):
+        comp = self._compiled(swapped=False)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", 450 * ncp.DISTANCE2_ENTRY_BYTES)
+        comp._build_stats()
+        assert comp.in_rows.shape == (3, 0) and comp.tri_rows.shape == (4, 0)
+        assert len(comp.nuv_pairs) == 55
+
+    @pytest.mark.parametrize("chunk", [1, 3, 1 << 16])
+    def test_consistency_test_in_any_chunk(self, monkeypatch, chunk):
+        # Random bijections keep some in-rows and drop others; chunks of
+        # one candidate, of one and a half, and of all give the same index.
+        g = complete_graph(9)
+        c = _random_total_assignment(g, 2, random.Random(4))
+        monkeypatch.setattr(ncp, "TEST_CHUNK_ENTRIES", chunk)
+        comp = _compile(g, c)
+        comp._build_stats()
+        members = _index_members(comp, np.arange(g.n))
+        assert members == list(naive_statistic_index(g, c, g.n))
+        assert 0 < len(members[0]) < 9 * 28
 
 
 class TestBudgetChecks:
@@ -1071,12 +1127,11 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
     comp._build_nuv()
     best = None
     for attempt in range(max_restarts):
-        f1_idx, dirs, kept, cls = _round_arrays(
-            comp, [derive_seed(seed, KIND_RESTART, attempt)]
-        )
+        attempt_seed = derive_seed(seed, KIND_RESTART, attempt)
+        f1_idx, kept, cls = _round_arrays(comp, [attempt_seed])
         _, _, p_u, t_u = _stats_arrays(comp, cls, kept)
         nuv = _nuv_counts(comp, kept)[0]
-        f1_idx, dirs, kept, p_u, t_u = f1_idx[0], dirs[0], kept[0], p_u[0], t_u[0]
+        f1_idx, kept, p_u, t_u = f1_idx[0], kept[0], p_u[0], t_u[0]
         stat_bad = tuple(
             u
             for u in range(focus)
@@ -1090,12 +1145,12 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
         )
         total = len(stat_bad) + len(quasi_bad)
         if best is None or total < best[0]:
-            best = (total, attempt, (f1_idx, dirs, kept), (stat_bad, quasi_bad))
+            best = (total, attempt, (attempt_seed, f1_idx, kept), (stat_bad, quasi_bad))
         if total == 0:
             break
-    total, attempt, (f1_idx, dirs, kept), violations = best
+    total, attempt, (attempt_seed, f1_idx, kept), violations = best
     ok = total == 0
-    full = _outcome_from_arrays(comp, f1_idx, dirs, kept)
+    full = _outcome_from_arrays(comp, attempt_seed, f1_idx, kept)
     stats = _stats_from_arrays(comp, f1_idx, kept)
     kept_focus = frozenset(u for u in full.kept if u < focus)
     outcome = RoundOutcome(

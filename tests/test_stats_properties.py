@@ -1,9 +1,11 @@
 """Property tests: the engine's statistics kernels against the naive oracles.
 
 Random graphs carry random bijection correspondences (not only list
-assignments), and the tentative colours and kept sets are drawn freely, so
-every class pattern the kernels index can occur.  The kernels run on whole
-instances and on the regularised copy's ball that the colouring driver uses.
+assignments).  The tentative colours are drawn freely, and so are the kept
+sets, within what the keep rule allows: an edge whose ends' colours
+correspond never keeps both ends.  So every class pattern a round can give
+the kernels occurs.  The kernels run on whole instances and on the
+regularised copy's ball that the colouring driver uses.
 """
 
 import random
@@ -19,10 +21,13 @@ from sparsecolour.correspondence import CorrespondenceAssignment, from_lists  # 
 from sparsecolour.graph import Graph  # noqa: E402
 from sparsecolour.harness import (  # noqa: E402
     _distance2_pairs,
+    apply_keep_rule,
     naive_outcome_stats,
     naive_regularize_with_assignment,
 )
 from sparsecolour.ncp import (  # noqa: E402
+    KIND_COLOUR,
+    KIND_DIRECTION,
     KIND_TRIAL,
     RoundParams,
     _Compiled,
@@ -59,16 +64,17 @@ def instances(draw, max_n):
     return g, CorrespondenceAssignment(sets, maps)
 
 
-def _draw_round(data, sizes):
-    """Free tentative colour indices and a free kept mask on sets of `sizes`."""
+def _draw_round(data, g, c):
+    """Free tentative colour indices on (g, c), and a free kept mask less,
+    on every edge whose ends' colours correspond, the end a drawn bit names."""
     f1_idx = np.array(
-        [data.draw(st.integers(0, int(k) - 1)) for k in sizes], dtype=np.int64
+        [data.draw(st.integers(0, int(k) - 1)) for k in c.sizes], dtype=np.int64
     )
-    kept = np.array(
-        data.draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes))),
-        dtype=bool,
-    )
-    return f1_idx, kept
+    free = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
+    f1 = tuple(c.values[np.arange(g.n), f1_idx].tolist())
+    direction = {(u, v): (u, v)[data.draw(st.integers(0, 1))] for u, v in g.edges()}
+    kept = apply_keep_rule(g, c, f1, direction)
+    return f1_idx, np.array([keep and u in kept for u, keep in enumerate(free)], dtype=bool)
 
 
 def _check(comp, g, c, f1_idx, kept, ids):
@@ -98,13 +104,13 @@ def _check(comp, g, c, f1_idx, kept, ids):
 def test_kernels_match_oracles_on_whole_instance(instance, data):
     g, c = instance
     comp = _compile(g, c)
-    _check(comp, g, c, *_draw_round(data, c.sizes), np.arange(g.n))
+    _check(comp, g, c, *_draw_round(data, g, c), np.arange(g.n))
 
 
 @settings(max_examples=40, deadline=None)
 @given(instance=instances(max_n=6), data=st.data())
 def test_kernels_match_oracles_on_focused_regularised_copy(instance, data):
-    """Colours and kept flags drawn freely on the whole naive copy and read
+    """Colours and kept flags drawn on the whole naive copy and read
     through the ball's vertex ids give the copy's focus statistics: the
     kernels read nothing outside the ball, nor a kept flag at radius 2."""
     g, c = instance
@@ -112,7 +118,7 @@ def test_kernels_match_oracles_on_focused_regularised_copy(instance, data):
     ref_g, ref_c = naive_regularize_with_assignment(g, c)
     assert reg.focus == g.n and reg.n <= ref_g.n
     ids = reg.vertex_ids.astype(np.int64)
-    _check(reg, ref_g, ref_c, *_draw_round(data, ref_c.sizes), ids)
+    _check(reg, ref_g, ref_c, *_draw_round(data, ref_g, ref_c), ids)
 
 
 def _near(g, focus):
@@ -143,11 +149,10 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
     vid, eid = (ids.astype(np.int64).tolist() for ids in (comp.vertex_ids, comp.edge_ids))
     near = [i for i, u in enumerate(vid) if u in _near(ref_g, focus)]
     seeds = [derive_seed(seed, KIND_TRIAL, t) for t in range(trials)]
-    f1_idx, dirs, kept, cls = _round_arrays(comp, seeds)
+    f1_idx, kept, cls = _round_arrays(comp, seeds)
     col, dist, pairs, triples = _stats_arrays(comp, cls, kept)
     nuv = _nuv_counts(comp, kept)
     assert f1_idx.shape == kept.shape == (trials, comp.n)
-    assert dirs.shape == (trials, comp.m)
     assert col.shape == pairs.shape == (trials, focus)
     assert nuv.shape == (trials, len(comp.nuv_pairs))
     edges = list(ref_g.edges())
@@ -157,9 +162,6 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
         stats = round_stats(ref_g, ref_c, outcome)
         f1 = [sets[u][i] for u, i in zip(vid, f1_idx[t].tolist())]
         assert f1 == [outcome.f1[u] for u in vid]
-        assert {edges[e]: edges[e][d] for e, d in zip(eid, dirs[t].tolist())} == {
-            edges[e]: outcome.direction[edges[e]] for e in eid
-        }
         assert [kept[t, i] for i in near] == [vid[i] in outcome.kept for i in near]
         assert col[t].tolist() == list(stats.col[:focus])
         assert dist[t].tolist() == list(stats.dist[:focus])
@@ -168,6 +170,30 @@ def test_batched_slice_rows_match_single_trial_replay(trials, instance, regulari
         assert dict(zip(comp.nuv_pairs, nuv[t].tolist())) == {
             p: x for p, x in stats.common_uncoloured.items() if p[1] < focus
         }
+
+
+@settings(max_examples=30, deadline=None)
+@given(instance=instances(max_n=6), seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                                                  max_size=5))
+def test_keep_rule_reads_direction_bits_on_conflicting_edges(instance, seeds):
+    """The kept masks of one kernel call on the regularised copy's ball are
+    the keep rule on the ball's edges, with every colour derive_seed(seed,
+    KIND_COLOUR, vertex id) mod |L| and every direction derive_seed(seed,
+    KIND_DIRECTION, edge id) & 1, though the kernel hashes the direction
+    bits of conflicting edges alone."""
+    g, c = instance
+    comp, _ = _regularize_with_assignment(g, c)
+    f1_idx, kept, _ = _round_arrays(comp, seeds)
+    vid, eid = (ids.tolist() for ids in (comp.vertex_ids, comp.edge_ids))
+    k, rows = comp.k_arr.tolist(), comp.dir_map.tolist()
+    for t, s in enumerate(seeds):
+        f1 = [derive_seed(s, KIND_COLOUR, x) % size for x, size in zip(vid, k)]
+        expected = [True] * comp.n
+        for e, (u, v) in enumerate(zip(comp.eu.tolist(), comp.ev.tolist())):
+            if rows[2 * e][f1[u]] == f1[v]:
+                expected[(u, v)[derive_seed(s, KIND_DIRECTION, eid[e]) & 1]] = False
+        assert f1_idx[t].tolist() == f1
+        assert kept[t].tolist() == expected
 
 
 @st.composite

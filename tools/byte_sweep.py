@@ -50,6 +50,8 @@ INPUT_GEN = {
     "path3.col": ["--path", "3"],
     "rr100_40.col": ["--random-regular", "100", "40", "--seed", "1"],
     "rr300_6.col": ["--random-regular", "300", "6", "--seed", "5"],
+    "k60.col": ["--complete", "60"],
+    "k100.col": ["--complete", "100"],
 }
 
 
@@ -230,6 +232,9 @@ CASES = [
     "simulate --input in/rr30_6.col --k 5 --experiment sparsity --trials 2 --format csv",
     "simulate --input in/c5_3.col --k 8 --experiment sparsity --trials 2 --threads 2 --out sp.csv",
     "simulate --input in/petersen.col --k 3 --experiment sparsity --trials 2",
+    # dense Monte Carlo, where every neighbourhood is a clique
+    "simulate --input in/k60.col --k 30 --trials 50",
+    "simulate --input in/k100.col --k 50 --trials 3",
     "simulate --input in/gnp50.col --k 3 --experiment sparsity",
     # oracle
     "oracle --input in/cycle4.col --k 2",
