@@ -16,8 +16,6 @@ from fractions import Fraction
 from math import comb
 from typing import Union
 
-import mpmath
-
 Scalar = Union[float, Fraction]
 
 HIGH_PRECISION_DPS = 40
@@ -63,6 +61,8 @@ def savings_rate(eps: float, delta: float) -> float:
 
 
 def _savings_rate_mp(eps, delta):
+    import mpmath
+
     one = 1 - mpmath.mpf(eps)
     d = mpmath.mpf(delta)
     return d / (2 * one) * mpmath.e ** (-1 / one) - d ** mpmath.mpf("1.5") / (
@@ -96,6 +96,8 @@ def condition_check(eps: float, delta: float) -> ConditionReport:
     """
     if not 0 < eps < 0.5:
         raise BoundDomainError(f"eps={eps} outside (0, 0.5)")
+    import mpmath
+
     rhs64 = math.exp(1.0 / (2.0 * (1.0 - eps))) * savings_rate(eps, delta)
     with mpmath.workdps(HIGH_PRECISION_DPS):
         e = mpmath.mpf(repr(eps))

@@ -3,8 +3,7 @@
 Subcommands: gen, color, strong-edge, bounds, simulate, oracle.  Reports are
 deterministic for a fixed seed (no timestamps, sorted keys, fixed float
 formatting) and embed the resolved configuration plus the package version,
-so identical invocations produce byte-identical output regardless of the
-worker thread count.
+so identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 1 computational failure (e.g. restart exhaustion, an
 infeasible schedule, an input past the memory budget or running out of
@@ -392,8 +391,8 @@ def _cmd_bounds(args) -> tuple[str, int]:
 def _cmd_simulate(args) -> tuple[str, int]:
     g = _load_graph(args.input)
     assignment = uniform_lists(g, args.k)
-    # Thread count is deliberately not embedded: results are exactly
-    # thread-invariant and reports must be byte-identical across --threads.
+    # --threads is accepted and ignored, since trials run in one loop; it is
+    # not embedded, so reports are byte-identical for any value.
     config = {
         "subcommand": "simulate",
         "experiment": args.experiment,
@@ -404,7 +403,7 @@ def _cmd_simulate(args) -> tuple[str, int]:
         "seed": args.seed,
     }
     if args.experiment == "mc":
-        report = monte_carlo_round(g, assignment, args.trials, args.seed, threads=args.threads)
+        report = monte_carlo_round(g, assignment, args.trials, args.seed)
         to_csv = _mc_csv
     else:
         report = residual_sparsity_experiment(

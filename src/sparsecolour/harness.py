@@ -8,15 +8,13 @@ statistics are recomputed by a second, deliberately naive implementation
 
 Monte Carlo estimation shares the engine's seed derivation, so any individual
 trial can be replayed.  Trials are processed in fixed blocks whose partial
-sums are reduced in block order, which makes the aggregate exactly
-independent of the number of worker threads.
+sums are reduced in block order.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -464,8 +462,7 @@ class MonteCarloReport:
     (1 - 1/(2k))^degree.  The `global_keep_*` fields treat each trial's
     graph-wide keep fraction as one sample, which accounts for the
     correlation between vertices within a trial.  Standard errors use the
-    sample variance; results are exactly independent of the worker thread
-    count.
+    sample variance.
     """
 
     trials: int
@@ -490,7 +487,6 @@ def monte_carlo_round(
     c: CorrespondenceAssignment,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> MonteCarloReport:
     """Estimate round statistics over `trials` independently seeded rounds.
 
@@ -520,10 +516,10 @@ def monte_carlo_round(
     counting each trial separately, so it pays on sparse graphs and costs
     more when common neighbourhoods are large, as in C5 blow-ups.  Only the
     graph-wide keep fraction is a float; it is summed per trial in trial
-    order.  The blocks are reduced in order, so the result is identical for
-    any thread count.  The words and the blocks' bookkeeping are checked
-    against the memory budget before any work, and the compiled instance
-    and both indexes where they are built.
+    order within a block, and the block sums are added in block order.  The
+    words and the blocks' bookkeeping are checked against the memory budget
+    before any work, and the compiled instance and both indexes where they
+    are built.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -533,9 +529,8 @@ def monte_carlo_round(
     # The words and 16 rows of n: the totals and one block's sums and words
     # (11 rows), and a margin, since the peak moves once the words outgrow
     # a block's work (on paths of 300 to 3,000 vertices the traced growth
-    # from one block to forty is 39 words and up to 11.6 rows more); in a
-    # thread pool, each block's future, work item and bounds (1.95 KB).
-    nbytes = 8 * g.n * (nblocks + 16) + (2048 * nblocks if threads > 1 else 0)
+    # from one block to forty is 39 words and up to 11.6 rows more).
+    nbytes = 8 * g.n * (nblocks + 16)
     budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
     counts = CLASS_COUNT_BYTES * comp.kmax * comp.focus
@@ -543,11 +538,14 @@ def monte_carlo_round(
     comp._build_nuv()  # and the statistic index, from the same listing
     n = comp.n
     npairs = len(comp.nuv_pairs)
-    blocks = ((lo, min(lo + _MC_BLOCK, trials)) for lo in range(0, trials, _MC_BLOCK))
     width = _slice_width(comp, common_uncoloured=False)
 
-    def run_block(bounds):
-        lo, hi = bounds
+    totals = None
+    gsum = 0.0
+    gsq = 0.0
+    words = np.empty((nblocks, n), dtype=np.uint64)
+    for b, lo in enumerate(range(0, trials, _MC_BLOCK)):
+        hi = min(lo + _MC_BLOCK, trials)
         kept = np.empty((hi - lo, n), dtype=bool)
         p_u = np.empty((hi - lo, n), dtype=np.int64)
         t_u = np.empty_like(p_u)
@@ -557,12 +555,16 @@ def monte_carlo_round(
             seeds = _derived_seeds(seed, KIND_TRIAL, start, stop)
             _, kept[part], cls = _round_arrays(comp, seeds)
             _, _, p_u[part], t_u[part] = _stats_arrays(comp, cls, kept[part])
-        gsum = 0.0
-        gsq = 0.0
+        # Each block's float sums start at 0.0 and are added in block order,
+        # which fixes the last bits of the global_keep_* fields.
+        block_sum = 0.0
+        block_sq = 0.0
         for kept_count in kept.sum(axis=1).tolist():
             gfrac = kept_count / n
-            gsum += gfrac
-            gsq += gfrac * gfrac
+            block_sum += gfrac
+            block_sq += gfrac * gfrac
+        gsum += block_sum
+        gsq += block_sq
         sums = (
             kept.sum(axis=0),
             p_u.sum(axis=0),
@@ -570,20 +572,8 @@ def monte_carlo_round(
             t_u.sum(axis=0),
             (t_u * t_u).sum(axis=0),
         )
-        return sums, gsum, gsq, _pack_words(~kept)
-
-    totals = None
-    gsum = 0.0
-    gsq = 0.0
-    words = np.empty((nblocks, n), dtype=np.uint64)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # Results arrive in block order and are reduced as they come.
-        results = pool.map(run_block, blocks) if threads > 1 else map(run_block, blocks)
-        for b, (sums, gs, gq, block_words) in enumerate(results):
-            words[b] = block_words
-            totals = sums if totals is None else [a + s for a, s in zip(totals, sums)]
-            gsum += gs
-            gsq += gq
+        totals = sums if totals is None else [a + s for a, s in zip(totals, sums)]
+        words[b] = _pack_words(~kept)
     keep_total, p_total, p_sq, t_total, t_sq = totals
 
     nuv = np.bincount(

@@ -16,8 +16,8 @@ outside the configured thresholds are simply rerun with a fresh derived seed
 good outcome exists).
 
 Randomness is counter-based: every draw is a splitmix64 hash of
-(seed, kind, entity id), so results are independent of iteration order and
-thread count, and any trial can be replayed from its derived seed.
+(seed, kind, entity id), so results are independent of iteration order,
+and any trial can be replayed from its derived seed.
 """
 
 from __future__ import annotations

@@ -774,6 +774,25 @@ class TestSimulateCommand:
             outs.append(out.read_bytes())
         assert outs[1:] == outs[:1] * 3
 
+    def test_mc_threads_start_no_thread(self, tmp_path, capsys, monkeypatch):
+        # --threads is accepted and ignored: a value above the 3 blocks of
+        # 130 trials runs them in one loop, starts no thread and gives the
+        # --threads 1 bytes.
+        import threading
+
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--random-regular", "16", "3", "--out", str(g)], capsys)
+        argv = ["simulate", "--input", str(g), "--k", "3", "--trials", "130"]
+        one, many = tmp_path / "mc1.json", tmp_path / "mc1000.json"
+        assert run(argv + ["--threads", "1", "--out", str(one)], capsys) == (0, "", "")
+
+        def refuse(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert run(argv + ["--threads", "1000", "--out", str(many)], capsys) == (0, "", "")
+        assert many.read_bytes() == one.read_bytes()
+
     def test_mc_on_empty_graph_is_one_line(self, tmp_path, capsys):
         g = tmp_path / "g.dimacs"
         g.write_text("p edge 0 0\n")

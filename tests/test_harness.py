@@ -276,7 +276,7 @@ class TestMonteCarloBlockSums:
 
 class TestMonteCarloSlices:
     """Blocks run as slices of trials per kernel call; the slice width must
-    change nothing, whatever the thread count."""
+    change nothing."""
 
     @pytest.mark.parametrize("trials", [1, 15, 17, 64, 65, 130])
     def test_any_slice_width_gives_the_same_report(self, monkeypatch, trials):
@@ -295,7 +295,6 @@ class TestMonteCarloSlices:
             monkeypatch.setattr(ncp, "SLICE_ROWS", width * rows)
             assert ncp._slice_width(comp, common_uncoloured=False) == width
             assert monte_carlo_round(g, c, trials=trials, seed=5) == reference
-            assert monte_carlo_round(g, c, trials=trials, seed=5, threads=2) == reference
 
 
 class TestMonteCarlo:
@@ -321,13 +320,6 @@ class TestMonteCarlo:
             for u in o.kept:
                 keeps[u] += 1
         assert tuple(k / trials for k in keeps) == rep.keep_mean
-
-    def test_thread_count_invariance(self):
-        g = gnp_graph(12, 0.4, seed=5)
-        c = uniform_lists(g, 3)
-        rep1 = monte_carlo_round(g, c, trials=300, seed=9, threads=1)
-        rep4 = monte_carlo_round(g, c, trials=300, seed=9, threads=4)
-        assert rep1 == rep4
 
     def test_means_converge_to_oracle(self):
         g = star_graph(2)

@@ -222,11 +222,12 @@ CASES = [
     "bounds savings --eps 0.05 --delta 0.9 --out s.json",
     "bounds approx-eps --delta 0.24 --variant bruhn_joos",
     "bounds approx-eps --delta 0.5",
-    # simulate: mc and sparsity, JSON and CSV, one and two threads
+    # simulate: mc and sparsity, JSON and CSV, and --threads values above 1
     "simulate --input in/rr30_6.col --k 5 --trials 100 --seed 1",
     "simulate --input in/rr30_6.col --k 5 --trials 1",
     "simulate --input in/rr30_6.col --k 5 --trials 100 --format csv",
     "simulate --input in/rr30_6.col --k 5 --trials 130 --threads 2 --out mc.json",
+    "simulate --input in/rr30_6.col --k 5 --trials 200 --threads 64 --out mc64.json",
     "simulate --input in/c5_3.col --k 7 --trials 65 --threads 2 --format csv",
     "simulate --input in/rr30_6.col --k 5 --experiment sparsity --trials 3 --rounds 2",
     "simulate --input in/rr30_6.col --k 5 --experiment sparsity --trials 2 --format csv",
