@@ -5,7 +5,7 @@ A Graph holds its adjacency once, as read-only CSR int64 arrays `indptr` and
 `Graph.from_edges` is the validating entry.  The numpy engines read the
 arrays, and the Python algorithms loop over neighbour tuples and frozensets,
 which a graph builds once, the first time one is asked for.  Instances are
-immutable, so they can be shared freely between threads.
+immutable.
 
 Also provides neighbourhood sparsity instrumentation (how far each
 neighbourhood is from being complete), minimum-degree orderings, first-fit

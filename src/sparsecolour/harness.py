@@ -39,6 +39,7 @@ from .ncp import (
     _compile,
     _derived_seeds,
     _group_pairs,
+    _kept_colouring,
     _regularize_with_assignment,
     _round_arrays,
     _slice_width,
@@ -717,14 +718,11 @@ def residual_sparsity_experiment(
             reg, work_c = _regularize_with_assignment(cur_g, cur_c)
             round_seed = derive_seed(seed, KIND_TRIAL, t, i)
             f1_idx, kept, _ = _round_arrays(reg, [round_seed])
-            kept_ids = np.flatnonzero(kept[0, : cur_g.n])
-            kept_real = set(kept_ids.tolist())
-            colours = reg.colour_values[kept_ids, f1_idx[0, kept_ids]]
-            f_real = dict(zip(kept_ids.tolist(), colours.tolist()))
+            f_real = _kept_colouring(reg, f1_idx[0], kept[0])
             mu = 1.0 - keep_probability(cur_c.min_size(), reg.max_degree)
             qr = quasirandom_check(
                 cur_g,
-                set(range(cur_g.n)) - kept_real,
+                set(range(cur_g.n)) - f_real.keys(),
                 mu,
                 asymptotic_slack(cur_g.max_degree()),
             )

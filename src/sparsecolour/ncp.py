@@ -579,6 +579,13 @@ def _slice_width(comp: _Compiled, common_uncoloured: bool) -> int:
     return max(1, min(SLICE_TRIALS, SLICE_ROWS // max(rows, 1), budget.MEMORY_BUDGET // counts))
 
 
+def _kept_colouring(comp: _Compiled, f1_idx: np.ndarray, kept: np.ndarray) -> PartialColouring:
+    """The kept focus vertices' colours, {vertex: colour} in ascending
+    vertex order, from one trial's colour indices and kept mask."""
+    kept_ids = np.flatnonzero(kept[: comp.focus])
+    return dict(zip(kept_ids.tolist(), comp.colour_values[kept_ids, f1_idx[kept_ids]].tolist()))
+
+
 def _outcome_from_arrays(
     comp: _Compiled, seed: int, f1_idx: np.ndarray, kept: np.ndarray
 ) -> RoundOutcome:
@@ -594,9 +601,8 @@ def _outcome_from_arrays(
             comp.eu[inside].tolist(), comp.ev[inside].tolist(), dirs.tolist()
         )
     }
-    kept_set = frozenset(np.flatnonzero(kept[:focus]).tolist())
-    f = {u: f1[u] for u in kept_set}
-    return RoundOutcome(f1, direction, kept_set, f)
+    f = _kept_colouring(comp, f1_idx, kept)
+    return RoundOutcome(f1, direction, frozenset(f), f)
 
 
 def run_round(g: Graph, c: CorrespondenceAssignment, seed: int) -> RoundOutcome:
@@ -607,23 +613,14 @@ def run_round(g: Graph, c: CorrespondenceAssignment, seed: int) -> RoundOutcome:
     return _outcome_from_arrays(comp, seed, f1_idx[0], kept[0])
 
 
-def _stats_from_arrays(comp: _Compiled, f1_idx, kept) -> RoundStats:
-    """RoundStats of one trial's colour indices and kept mask."""
+def _stats_record(comp: _Compiled, f1_idx: np.ndarray, kept: np.ndarray) -> RoundStats:
+    """RoundStats of the focus vertices under one trial's colour indices
+    and kept mask."""
     f1_idx, kept = f1_idx[None], kept[None]
     arrays = _stats_arrays(comp, _row_classes(comp, f1_idx), kept)
-    col, dist, p_u, t_u = (x[0] for x in arrays)
-    return _stats_record(comp, col, dist, p_u, t_u, _nuv_counts(comp, kept)[0])
-
-
-def _stats_record(comp: _Compiled, col, dist, p_u, t_u, nuv) -> RoundStats:
-    """RoundStats of the focus vertices from already computed arrays."""
-    return RoundStats(
-        col=tuple(col.tolist()),
-        dist=tuple(dist.tolist()),
-        pairs=tuple(p_u.tolist()),
-        triples=tuple(t_u.tolist()),
-        common_uncoloured=dict(zip(comp.nuv_pairs, nuv.tolist())),
-    )
+    col, dist, p_u, t_u = (tuple(x[0].tolist()) for x in arrays)
+    nuv = _nuv_counts(comp, kept)[0]
+    return RoundStats(col, dist, p_u, t_u, dict(zip(comp.nuv_pairs, nuv.tolist())))
 
 
 def round_stats(
@@ -642,7 +639,7 @@ def round_stats(
         raise ValueError("outcome's kept colours are not a valid partial colouring")
     kept = np.zeros(comp.n, dtype=bool)
     kept[list(outcome.kept)] = True
-    return _stats_from_arrays(comp, f1_idx, kept)
+    return _stats_record(comp, f1_idx, kept)
 
 
 # -- quasirandomness -------------------------------------------------------------
@@ -752,25 +749,23 @@ def default_round_params(
 
 
 @dataclass(frozen=True)
-class ViolationReport:
-    """Bad events of one attempt: vertices whose pairs-minus-triples count
-    fell below threshold, and pairs failing the quasirandomness allowance."""
-
-    stat_vertices: tuple[int, ...]
-    quasirandom_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def total(self) -> int:
-        return len(self.stat_vertices) + len(self.quasirandom_pairs)
-
-
-@dataclass(frozen=True)
 class AttemptResult:
+    """The attempt `attempt_round` keeps, on its focus vertices: `f1` the
+    tentative colour per vertex, `f` the kept ones as {vertex: colour} in
+    ascending vertex order, and col, dist, pairs and triples per vertex as
+    in RoundStats; with the counts of its statistic violations (uncoloured
+    vertices) and quasirandomness violations (pairs)."""
+
     ok: bool
-    outcome: RoundOutcome
-    stats: RoundStats
     restarts: int
-    violations: ViolationReport
+    f1: tuple[int, ...]
+    f: PartialColouring
+    col: tuple[int, ...]
+    dist: tuple[int, ...]
+    pairs: tuple[int, ...]
+    triples: tuple[int, ...]
+    stat_violations: int
+    quasirandom_violations: int
 
 
 def attempt_round(
@@ -789,11 +784,8 @@ def attempt_round(
     residual graph's vertices.  The throwaway copies' own statistics never
     influence the residual instance, so only vertices (and vertex pairs) in
     the focus are checked, and a ball's draws, keyed by their ids in the
-    whole copy, give what the whole copy would.  The returned outcome and
-    statistics describe the focus vertices alone: `f1`, `kept`, `f` and the
-    per-vertex statistics are indexed by focus vertex, `direction` covers
-    the edges between focus vertices and `common_uncoloured` the pairs of
-    focus vertices.
+    whole copy, give what the whole copy would.  The result describes the
+    focus vertices alone.
 
     Attempt a uses seed derive_seed(seed, KIND_RESTART, a).  The attempts
     run through the batch kernel in slices of 1, 2, 4, ... attempts, each
@@ -802,7 +794,7 @@ def attempt_round(
 
     On success returns the first accepted attempt, with `restarts` its
     index; after exhausting the restart budget, returns ok=False carrying
-    the first attempt of the fewest violations and its violation report.
+    the first attempt of the fewest violations and its violation counts.
     """
     cap = _slice_width(comp, common_uncoloured=True)  # builds both indexes
     sizes = comp.nuv_sizes.astype(np.float64)
@@ -814,27 +806,30 @@ def attempt_round(
         seeds = _derived_seeds(seed, KIND_RESTART, start, stop)
         f1_idx, kept, cls = _round_arrays(comp, seeds)
         col, dist, p_u, t_u = _stats_arrays(comp, cls, kept)
-        nuv = _nuv_counts(comp, kept)
-        stat_bad = ((p_u - t_u) < params.stat_threshold) & ~kept[:, : comp.focus]
-        quasi_bad = np.abs(nuv.astype(np.float64) - params.mu * sizes) > params.slack
-        totals = stat_bad.sum(axis=1) + quasi_bad.sum(axis=1)
+        low = (p_u - t_u) < params.stat_threshold
+        stat_bad = (low & ~kept[:, : comp.focus]).sum(axis=1)
+        deviation = np.abs(_nuv_counts(comp, kept) - params.mu * sizes)
+        quasi_bad = (deviation > params.slack).sum(axis=1)
+        totals = stat_bad + quasi_bad
         i = int(totals.argmin())  # the first attempt of the fewest violations
         if best is None or totals[i] < best[0]:
-            arrays = (seeds, f1_idx, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad)
+            arrays = (f1_idx, kept, col, dist, p_u, t_u, stat_bad, quasi_bad)
             best = (int(totals[i]), start + i, tuple(x[i] for x in arrays))
             if best[0] == 0:
                 break
         start, width = stop, min(2 * width, cap)
-    total, attempt, arrays = best
-    attempt_seed, f1_idx, kept, col, dist, p_u, t_u, nuv, stat_bad, quasi_bad = arrays
-    violations = ViolationReport(
-        tuple(np.flatnonzero(stat_bad).tolist()),
-        tuple(comp.nuv_pairs[j] for j in np.flatnonzero(quasi_bad).tolist()),
-    )
-    outcome = _outcome_from_arrays(comp, attempt_seed, f1_idx, kept)
-    stats = _stats_record(comp, col, dist, p_u, t_u, nuv)
+    total, attempt, (f1_idx, kept, *stats, stat_bad, quasi_bad) = best
     ok = total == 0
-    return AttemptResult(ok, outcome, stats, attempt if ok else attempts, violations)
+    f1 = comp.colour_values[np.arange(comp.focus), f1_idx[: comp.focus]]
+    return AttemptResult(
+        ok,
+        attempt if ok else attempts,
+        tuple(f1.tolist()),
+        _kept_colouring(comp, f1_idx, kept),
+        *(tuple(x.tolist()) for x in stats),
+        int(stat_bad),
+        int(quasi_bad),
+    )
 
 
 # -- iteration schedule ------------------------------------------------------------
@@ -1199,11 +1194,11 @@ def iterative_colour(
         if not result.ok:
             return failure(
                 f"round {iteration} exhausted {max_restarts} restarts "
-                f"({len(result.violations.stat_vertices)} statistic and "
-                f"{len(result.violations.quasirandom_pairs)} quasirandomness "
+                f"({result.stat_violations} statistic and "
+                f"{result.quasirandom_violations} quasirandomness "
                 "violations in the best attempt)"
             )
-        f_real = dict(sorted(result.outcome.f.items()))
+        f_real = result.f
         newly = {ids[v]: col for v, col in f_real.items()}
         assert not set(newly) & set(colouring), "a kept colour must never change"
         colouring.update(newly)
@@ -1211,17 +1206,9 @@ def iterative_colour(
         sparsity = None
         if residual.graph.n and residual.graph.max_degree() >= 2:
             sparsity = local_sparsity(residual.graph).delta
+        per_vertex = zip(result.f1, result.col, result.dist, result.pairs, result.triples)
         vertex_records = tuple(
-            VertexRoundRecord(
-                vertex=ids[v],
-                kept=v in result.outcome.kept,
-                f1=result.outcome.f1[v],
-                col=result.stats.col[v],
-                dist=result.stats.dist[v],
-                pairs=result.stats.pairs[v],
-                triples=result.stats.triples[v],
-            )
-            for v in range(cur_g.n)
+            VertexRoundRecord(ids[v], v in f_real, *row) for v, row in enumerate(per_vertex)
         )
         reports.append(
             RoundReport(

@@ -483,6 +483,26 @@ class TestReportPins:
         text = json.dumps(result, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_failed_round_on_a_regularised_ball_digest(self, tmp_path, capsys):
+        # Round 0 runs on the regular host itself; round 1 runs on the ball
+        # of the residual's doubled copy and exhausts its one restart.
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "10", "--out", str(g)], capsys)
+        out = tmp_path / "r.json"
+        code, _, _ = run(
+            ["color", "--input", str(g), "--k", "18", "--seed", "0", "--max-restarts", "1",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        result = json.loads(out.read_text())["result"]
+        assert result["failureReason"] == (
+            "round 1 exhausted 1 restarts (4 statistic and 0 quasirandomness "
+            "violations in the best attempt)"
+        )
+        text = json.dumps(result, sort_keys=True)
+        digest = "7373677008aa6df89c675095e7de532f249210813a6a9d21545aed32b35d9962"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "gen, argv, digest",

@@ -501,7 +501,7 @@ class TestAttemptRound:
         params = default_round_params(2, 0, delta=1.0)
         result = attempt_round(_compile(g, c), params, seed=1)
         assert result.ok and result.restarts == 0
-        assert result.outcome.kept == frozenset(range(6))
+        assert list(result.f.items()) == list(enumerate(result.f1))
 
     def test_vacuous_thresholds_succeed_first_try(self):
         g = complete_graph(3)
@@ -521,10 +521,7 @@ class TestAttemptRound:
         params = default_round_params(5, 6, delta=delta, profile="asymptotic")
         r1 = attempt_round(_compile(g, c), params, seed=77, max_restarts=30)
         r2 = attempt_round(_compile(g, c), params, seed=77, max_restarts=30)
-        assert r1.ok == r2.ok
-        assert r1.outcome == r2.outcome
-        assert r1.stats == r2.stats
-        assert r1.violations == r2.violations
+        assert r1 == r2
 
     def test_failure_carries_best_attempt(self):
         g = complete_graph(4)
@@ -534,55 +531,53 @@ class TestAttemptRound:
         params = RoundParams(mu=0.5, slack=-1.0, stat_threshold=0.0)  # unsatisfiable
         result = attempt_round(_compile(g, c), params, seed=5, max_restarts=4)
         assert not result.ok
-        assert result.violations.total > 0
+        # Every one of K4's 10 pairs at distance <= 2 (u = v included)
+        # violates; no vertex has a non-adjacent pair, so none falls below 0.
+        assert (result.stat_violations, result.quasirandom_violations) == (0, 10)
         assert result.restarts == 4
 
 
 def _one_seed_attempt(comp, params, seed, max_restarts):
     """attempt_round drawn one restart per kernel call, with every
-    attempt's violation report built; also returns each attempt's total."""
+    attempt's violations counted; also returns each attempt's total."""
     from sparsecolour.ncp import (
         KIND_RESTART,
         AttemptResult,
-        ViolationReport,
         _nuv_counts,
-        _outcome_from_arrays,
         _round_arrays,
         _stats_arrays,
-        _stats_record,
     )
 
-    comp._build_stats()
     comp._build_nuv()
     sizes = comp.nuv_sizes.astype(np.float64)
     totals, best = [], None
     for attempt in range(max(1, max_restarts)):
         attempt_seed = derive_seed(seed, KIND_RESTART, attempt)
         f1_idx, kept, cls = _round_arrays(comp, [attempt_seed])
-        col, dist, p_u, t_u = (x[0] for x in _stats_arrays(comp, cls, kept))
+        stats = [x[0] for x in _stats_arrays(comp, cls, kept)]
         nuv = _nuv_counts(comp, kept)[0]
         f1_idx, kept = f1_idx[0], kept[0]
-        low = (p_u - t_u) < params.stat_threshold
+        low = (stats[2] - stats[3]) < params.stat_threshold
         dev = np.abs(nuv.astype(np.float64) - params.mu * sizes)
-        violations = ViolationReport(
-            tuple(np.flatnonzero(low & ~kept[: comp.focus]).tolist()),
-            tuple(comp.nuv_pairs[i] for i in np.flatnonzero(dev > params.slack).tolist()),
+        counts = (
+            int(np.count_nonzero(low & ~kept[: comp.focus])),
+            int(np.count_nonzero(dev > params.slack)),
         )
-        totals.append(violations.total)
-        arrays = (attempt_seed, f1_idx, kept, col, dist, p_u, t_u, nuv)
-        if violations.total == 0:
-            best = (attempt, violations, arrays)
+        totals.append(sum(counts))
+        if best is None or sum(counts) < sum(best[1]):
+            best = (attempt, counts, f1_idx, kept, stats)
+        if sum(counts) == 0:
             break
-        if best is None or violations.total < best[1].total:
-            best = (attempt, violations, arrays)
-    attempt, violations, (attempt_seed, f1_idx, kept, col, dist, p_u, t_u, nuv) = best
-    ok = violations.total == 0
+    attempt, counts, f1_idx, kept, stats = best
+    ok = sum(counts) == 0
+    f1 = tuple(int(comp.colour_values[u, f1_idx[u]]) for u in range(comp.focus))
     result = AttemptResult(
         ok,
-        _outcome_from_arrays(comp, attempt_seed, f1_idx, kept),
-        _stats_record(comp, col, dist, p_u, t_u, nuv),
         attempt if ok else max(1, max_restarts),
-        violations,
+        f1,
+        {u: f1[u] for u in range(comp.focus) if kept[u]},
+        *(tuple(x.tolist()) for x in stats),
+        *counts,
     )
     return result, totals
 
@@ -606,7 +601,7 @@ def _driver_attempts(g, k, seed):
 
 class TestRestartSlices:
     """Restarts drawn in doubling slices give what one restart per kernel
-    call gives: outcome, statistics, restarts and violations."""
+    call gives: colours, statistics, restarts and violation counts."""
 
     @pytest.fixture(scope="class")
     def failing(self):
@@ -1112,15 +1107,19 @@ class TestBudgetChecks:
 
 
 def _sliced_attempt(g, c, params, seed, max_restarts, focus):
-    """The unfocused engine's arrays over every vertex, then cut to `focus`."""
+    """The unfocused engine's attempts over every vertex, cut to `focus`:
+    the AttemptResult the focused engine should give, and the chosen
+    attempt's seed, outcome, violating vertices and pairs, and
+    common-uncoloured counts."""
     from sparsecolour.ncp import (
         KIND_RESTART,
+        AttemptResult,
         _compile,
         _nuv_counts,
         _outcome_from_arrays,
         _round_arrays,
         _stats_arrays,
-        _stats_from_arrays,
+        _stats_record,
     )
 
     comp = _compile(g, c)
@@ -1151,23 +1150,27 @@ def _sliced_attempt(g, c, params, seed, max_restarts, focus):
     total, attempt, (attempt_seed, f1_idx, kept), violations = best
     ok = total == 0
     full = _outcome_from_arrays(comp, attempt_seed, f1_idx, kept)
-    stats = _stats_from_arrays(comp, f1_idx, kept)
-    kept_focus = frozenset(u for u in full.kept if u < focus)
+    stats = _stats_record(comp, f1_idx, kept)
+    f = {u: col for u, col in sorted(full.f.items()) if u < focus}
     outcome = RoundOutcome(
         full.f1[:focus],
         {e: d for e, d in full.direction.items() if e[1] < focus},
-        kept_focus,
-        {u: col for u, col in full.f.items() if u < focus},
+        frozenset(f),
+        f,
     )
-    sliced = (
+    expected = AttemptResult(
+        ok,
+        attempt if ok else max_restarts,
+        outcome.f1,
+        f,
         stats.col[:focus],
         stats.dist[:focus],
         stats.pairs[:focus],
         stats.triples[:focus],
-        {p: x for p, x in stats.common_uncoloured.items() if p[1] < focus},
+        *map(len, violations),
     )
-    restarts = attempt if ok else max_restarts
-    return ok, restarts, violations, outcome, sliced
+    common = {p: x for p, x in stats.common_uncoloured.items() if p[1] < focus}
+    return expected, attempt_seed, outcome, violations, common
 
 
 class TestFocusedAttempt:
@@ -1182,7 +1185,13 @@ class TestFocusedAttempt:
     ):
         from sparsecolour import ncp
         from sparsecolour.harness import naive_regularize_with_assignment
-        from sparsecolour.ncp import _regularize_with_assignment
+        from sparsecolour.ncp import (
+            _nuv_counts,
+            _outcome_from_arrays,
+            _regularize_with_assignment,
+            _round_arrays,
+            _stats_arrays,
+        )
 
         monkeypatch.setattr(ncp, "PRACTICAL_TAU", tau)
         monkeypatch.setattr(ncp, "PRACTICAL_SLACK_COEFF", slack_coeff)
@@ -1191,21 +1200,24 @@ class TestFocusedAttempt:
         g, reg_c = naive_regularize_with_assignment(host, c)
         delta = local_sparsity(g).delta if g.max_degree() >= 2 else 1.0
         params = default_round_params(4, g.max_degree(), delta=delta)
-        expected = _sliced_attempt(g, reg_c, params, seed, max_restarts, host.n)
+        expected, attempt_seed, outcome, violations, common = _sliced_attempt(
+            g, reg_c, params, seed, max_restarts, host.n
+        )
         reg, _ = _regularize_with_assignment(host, c)
         result = attempt_round(reg, params, seed, max_restarts)
-        stats = result.stats
-        got = (
-            result.ok,
-            result.restarts,
-            (result.violations.stat_vertices, result.violations.quasirandom_pairs),
-            result.outcome,
-            (
-                stats.col,
-                stats.dist,
-                stats.pairs,
-                stats.triples,
-                stats.common_uncoloured,
-            ),
+        assert result == expected
+        assert list(result.f.items()) == list(expected.f.items())
+        # The chosen attempt replayed on the ball: its outcome, violating
+        # vertices and pairs, and common-uncoloured counts, pair by pair.
+        f1_idx, kept, cls = _round_arrays(reg, [attempt_seed])
+        _, _, p_u, t_u = _stats_arrays(reg, cls, kept)
+        nuv = _nuv_counts(reg, kept)[0]
+        low = (p_u[0] - t_u[0]) < params.stat_threshold
+        dev = np.abs(nuv - params.mu * reg.nuv_sizes)
+        replayed = (
+            tuple(np.flatnonzero(low & ~kept[0, : reg.focus]).tolist()),
+            tuple(reg.nuv_pairs[i] for i in np.flatnonzero(dev > params.slack).tolist()),
         )
-        assert got == expected
+        assert replayed == violations
+        assert dict(zip(reg.nuv_pairs, nuv.tolist())) == common
+        assert _outcome_from_arrays(reg, attempt_seed, f1_idx[0], kept[0]) == outcome

@@ -28,6 +28,7 @@ from sparsecolour.harness import (  # noqa: E402
 from sparsecolour.ncp import (  # noqa: E402
     KIND_COLOUR,
     KIND_DIRECTION,
+    KIND_RESTART,
     KIND_TRIAL,
     RoundParams,
     _Compiled,
@@ -225,7 +226,9 @@ def irregular_hosts(draw):
 def test_attempt_on_the_ball_matches_the_whole_copy(host, seed, slack, stat_threshold,
                                                     max_restarts):
     """A whole AttemptResult, accepted or not, on the ball equals the one on
-    the naive doubled copy of the cut, total assignment, focused on g."""
+    the naive doubled copy of the cut, total assignment, focused on g; and
+    every attempt it drew, replayed on both, has the same violating vertices
+    and pairs and the same common-uncoloured counts, pair by pair."""
     g, c = host
     ball, total = _regularize_with_assignment(g, c)
     whole = _compile(*naive_regularize_with_assignment(g, total))
@@ -236,3 +239,31 @@ def test_attempt_on_the_ball_matches_the_whole_copy(host, seed, slack, stat_thre
                          stat_threshold)
     got = attempt_round(ball, params, seed, max_restarts)
     assert got == attempt_round(focused, params, seed, max_restarts)
+    drawn = got.restarts + 1 if got.ok else max_restarts
+    seeds = [derive_seed(seed, KIND_RESTART, a) for a in range(drawn)]
+    replayed = _attempt_violations(ball, params, seeds)
+    assert replayed == _attempt_violations(focused, params, seeds)
+    _, stat_bad, quasi_bad, _ = replayed
+    totals = [len(s) + len(q) for s, q in zip(stat_bad, quasi_bad)]
+    chosen = totals.index(min(totals))  # the first attempt of the fewest violations
+    accepted = totals[chosen] == 0
+    assert (got.ok, got.restarts) == (accepted, chosen if accepted else max_restarts)
+    assert (got.stat_violations, got.quasirandom_violations) == (
+        len(stat_bad[chosen]), len(quasi_bad[chosen]))
+
+
+def _attempt_violations(comp, params, seeds):
+    """The pairs of comp's focus at distance <= 2 and, per attempt seed, its
+    violating focus vertices, its violating pairs and its common-uncoloured
+    count of every pair."""
+    f1_idx, kept, cls = _round_arrays(comp, seeds)
+    _, _, pairs, triples = _stats_arrays(comp, cls, kept)
+    nuv = _nuv_counts(comp, kept)
+    stat_bad = ((pairs - triples) < params.stat_threshold) & ~kept[:, : comp.focus]
+    quasi_bad = np.abs(nuv - params.mu * comp.nuv_sizes) > params.slack
+    return (
+        comp.nuv_pairs,
+        [np.flatnonzero(row).tolist() for row in stat_bad],
+        [[comp.nuv_pairs[i] for i in np.flatnonzero(row).tolist()] for row in quasi_bad],
+        nuv.tolist(),
+    )

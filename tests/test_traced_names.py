@@ -34,8 +34,14 @@ def test_tracer_installs_and_uninstalls():
         g = cycle_graph(5)
         comp = ncp._compile(g, uniform_lists(g, 3))
         ncp.attempt_round(comp, ncp.RoundParams(0.5, 1.0, 0.0), seed=1, max_restarts=2)
+        # Every pair violates a negative slack, so this call exhausts both restarts.
+        ncp.attempt_round(comp, ncp.RoundParams(0.5, -1.0, 0.0), seed=1, max_restarts=2)
     finally:
         tracer.uninstall()
+    # The attempt hook reads `restarts` and `ok`: the first call is accepted
+    # at its first attempt, the second is not.
+    assert tracer.counts["ncp.restarts"] == 2
+    assert tracer.counts["ncp.accepted"] == 1
     # The hooks read the compiled instance: five vertices and the 15 pairs
     # at distance <= 2 of C5 (u = v included).
     assert tracer.counts["ncp.compiled_vertices"] == 5

@@ -157,6 +157,8 @@ CASES = [
     "color --input in/rr60_6.json --k 5 --seed 3",
     "color --input in/c5_8.col --k 16 --profile asymptotic",
     "color --input in/rr30_6.col --k 5 --max-restarts 1",
+    # a failed round 1, on the ball of a regularised copy
+    "color --input in/c5_10.col --k 18 --seed 0 --max-restarts 1",
     # restarts drawn in slices of 1, 2, 4, ...: accepted at restart 38,
     # inside the sixth slice; budgets of 2 and 3 end inside and at the end
     # of the second slice, and 0 is a usage error
