@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -96,19 +97,32 @@ def _ints(rows: Any, sep: str) -> str:
     return sep.join(["%d"] * widths.pop()) if ints else ""
 
 
-def _json(obj: Any, depth: int = 0) -> str:
+def _json(obj: Any, depth: int = 0, memo: Optional[dict] = None) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)` in one walk, with a
     dataclass as a dict of its fields, a Fraction as "p/q", a tuple key as
-    "u,v" and any other key as `str(key)`; any other type is a TypeError."""
+    "u,v" and any other key as `str(key)`; any other type is a TypeError.
+    Dicts with the same key objects in the same order, such as a Monte
+    Carlo report's common-uncoloured means and errors, format them once:
+    `memo` maps such keys to their strings for the one top-level call,
+    which empties it before it joins the text, so that the strings and the
+    text are not held at once."""
+    top = memo is None
+    if top:
+        memo = {}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         if any(issubclass(kind, tuple) for kind in set(map(type, obj))):
-            template = _ints(obj, ",")
-            keys = map(template.__mod__ if template else _key, obj)
+            keys = tuple(obj)
+            hit = memo.get(keys)
+            # Equal keys need not print alike, as 1 == True: only the same
+            # objects reuse their strings.
+            if hit is None or not all(map(operator.is_, hit[0], keys)):
+                template = _ints(keys, ",")
+                hit = memo[keys] = keys, list(map(template.__mod__ if template else _key, keys))
+            obj = dict(zip(hit[1], obj.values()))
         else:
-            keys = map(str, obj)  # as `_key` writes a key that is not a tuple
-        obj = dict(zip(keys, obj.values()))
+            obj = dict(zip(map(str, obj), obj.values()))  # as `_key` writes it
         items, brackets = obj.values(), "{}"
     elif isinstance(obj, (list, tuple)):
         items, brackets = obj, "[]"
@@ -121,12 +135,14 @@ def _json(obj: Any, depth: int = 0) -> str:
         text = _encoder(depth + 1)(obj)
         return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}" if items else brackets
     if isinstance(obj, dict):
-        body = [f"{_encoder(0)(k)}: {_json(v, depth + 1)}" for k, v in sorted(obj.items())]
+        body = [f"{_encoder(0)(k)}: {_json(v, depth + 1, memo)}" for k, v in sorted(obj.items())]
     elif template := _ints(obj, f",{inner}  "):  # one % over a template per row
         rows = (',' + inner).join([f"[{inner}  {template}{inner}]"] * len(obj))
         body = [rows % tuple(chain.from_iterable(obj))]
     else:
-        body = [_json(v, depth + 1) for v in obj]
+        body = [_json(v, depth + 1, memo) for v in obj]
+    if top:
+        memo.clear()
     return f"{brackets[0]}{inner}{(',' + inner).join(body)}{outer}{brackets[1]}"
 
 

@@ -57,6 +57,12 @@ _MC_BLOCK = 64
 # has sum over pairs p of |C_p|(|C_p| - 1)/2 rows, which grows like the
 # fourth power of the degree on dense graphs, so only one chunk is held.
 _MC_CHUNK = 1 << 16
+# A tile of the cross term: at most _MC_TILE_BLOCKS blocks of words, and
+# rows of pairs up to _MC_TILE words in all (512 rows of 32 blocks, 128 KB
+# a gathered array), so that neither many trials nor many pairs make it
+# larger, and a tile holds enough rows to spread numpy's per-call cost.
+_MC_TILE = 1 << 14
+_MC_TILE_BLOCKS = 32
 
 
 # -- naive per-outcome statistics (the independent reference) -------------------
@@ -502,25 +508,31 @@ def monte_carlo_round(
     class counts exceed the budget is refused.  A block stacks its trials'
     keep flags and pair and triple counts and sums them as integers.  It
     packs the uncoloured flags into one 64-bit word U_w per vertex w, bit i
-    for the block's i-th trial.  For a pair p at distance <= 2 with common neighbourhood C_p, the
-    sums of the common-uncoloured count nuv_t(p) and of its square are then
+    for the block's i-th trial; the words are held vertex-major, one row of
+    a (n, blocks) array per vertex, so that the words of one vertex in every
+    block are read together.  For a pair p at distance <= 2 with common
+    neighbourhood C_p, the sums of the common-uncoloured count nuv_t(p) and
+    of its square are then
 
         sum_t nuv_t(p)   = sum over w in C_p of the trials with w uncoloured,
         sum_t nuv_t(p)^2 = sum_t nuv_t(p)
-                           + 2 sum over blocks, w < w' in C_p of
+                           + 2 sum over w < w' in C_p and blocks of
                              popcount(U_w & U_w').
 
     After the blocks, the pairs (w, w', p) are indexed once, in int32
-    chunks of about _MC_CHUNK rows, and each chunk is counted against every
-    block's words.  The words take trials / 8 bytes per vertex.  The cross
-    term costs O(sum |C_p|^2) per block, against O(64 sum |C_p|) for
-    counting each trial separately, so it pays on sparse graphs and costs
-    more when common neighbourhoods are large, as in C5 blow-ups.  Only the
-    graph-wide keep fraction is a float; it is summed per trial in trial
-    order within a block, and the block sums are added in block order.  The
-    words and the blocks' bookkeeping are checked against the memory budget
-    before any work, and the compiled instance and both indexes where they
-    are built.
+    chunks of about _MC_CHUNK rows, and each chunk's cross term is counted
+    in tiles of its rows and the blocks: a tile gathers the words of up to
+    _MC_TILE_BLOCKS blocks for rows up to _MC_TILE words in all, so it is
+    bounded however many trials or pairs there are.  The words take trials
+    / 8 bytes per vertex.  The cross term costs O(sum |C_p|^2) word
+    operations per block, against O(64 sum |C_p|) for counting each trial
+    separately, so it pays on sparse graphs and costs more when common
+    neighbourhoods are large, as in C5 blow-ups.  Only the graph-wide keep
+    fraction is a float; it is summed per trial in trial order within a
+    block, and the block sums are added in block order.  The words, the
+    largest tile and the blocks' bookkeeping are checked against the memory
+    budget before any work, and the compiled instance and both indexes
+    where they are built.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -530,8 +542,10 @@ def monte_carlo_round(
     # The words and 16 rows of n: the totals and one block's sums and words
     # (11 rows), and a margin, since the peak moves once the words outgrow
     # a block's work (on paths of 300 to 3,000 vertices the traced growth
-    # from one block to forty is 39 words and up to 11.6 rows more).
-    nbytes = 8 * g.n * (nblocks + 16)
+    # from one block to forty is 39 words and up to 11.6 rows more); and
+    # the largest tile of the cross term, two gathered words and a
+    # bit count per entry.
+    nbytes = 8 * g.n * (nblocks + 16) + 17 * _MC_TILE
     budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
     counts = CLASS_COUNT_BYTES * comp.kmax * comp.focus
@@ -544,7 +558,7 @@ def monte_carlo_round(
     totals = None
     gsum = 0.0
     gsq = 0.0
-    words = np.empty((nblocks, n), dtype=np.uint64)
+    words = np.empty((n, nblocks), dtype=np.uint64)
     for b, lo in enumerate(range(0, trials, _MC_BLOCK)):
         hi = min(lo + _MC_BLOCK, trials)
         kept = np.empty((hi - lo, n), dtype=bool)
@@ -574,7 +588,7 @@ def monte_carlo_round(
             (t_u * t_u).sum(axis=0),
         )
         totals = sums if totals is None else [a + s for a, s in zip(totals, sums)]
-        words[b] = _pack_words(~kept)
+        words[:, b] = _pack_words(~kept)
     keep_total, p_total, p_sq, t_total, t_sq = totals
 
     nuv = np.bincount(
@@ -584,9 +598,7 @@ def monte_carlo_round(
     ).astype(np.int64)
     cross = np.zeros(npairs, dtype=np.int64)
     for w, w2, p, plo, phi in _common_pair_chunks(comp):
-        both = np.zeros(len(p), dtype=np.int64)
-        for row in words:
-            both += np.bitwise_count(row[w] & row[w2])
+        both = _cross_counts(words, w, w2)
         cross[plo:phi] += np.bincount(p, weights=both, minlength=phi - plo).astype(
             np.int64
         )
@@ -639,6 +651,22 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
     packed = np.zeros((8, bits.shape[1]), dtype=np.uint8)
     packed[: (len(bits) + 7) // 8] = np.packbits(bits, axis=0)
     return np.ascontiguousarray(packed.T).view(np.uint64).ravel()
+
+
+def _cross_counts(words: np.ndarray, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Per row i, the popcount of U_w[i] & U_w2[i] summed over every block,
+    from the (n, blocks) words, in tiles of at most _MC_TILE_BLOCKS blocks
+    and _MC_TILE words."""
+    width = min(words.shape[1], _MC_TILE_BLOCKS)
+    step = max(1, _MC_TILE // width)
+    both = np.zeros(len(w), dtype=np.int64)
+    for b in range(0, words.shape[1], width):
+        part = words[:, b : b + width]
+        for lo in range(0, len(w), step):
+            tile = part.take(w[lo : lo + step], axis=0)
+            tile &= part.take(w2[lo : lo + step], axis=0)
+            both[lo : lo + step] += np.bitwise_count(tile).sum(axis=1, dtype=np.int64)
+    return both
 
 
 def _common_pair_chunks(comp: _Compiled):

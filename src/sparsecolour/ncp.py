@@ -206,6 +206,11 @@ class _Compiled:
     (2m x kmax), unwidened: row 2e is u->v and row 2e+1 is v->u.  The
     statistic index and the common-neighbour rows are built together, on
     first use, from one listing of neighbour pairs (`_build_stats`).
+    `identity` records once whether every map row is the identity,
+    `dir_map[r, i] == i` for every entry, as uniform lists give; it is
+    False whenever some edge's ends have sets of different sizes, since
+    the entries past a set are -1.  `_row_classes` then reads a row's class
+    as its source's colour index, with no gather from the map.
     """
 
     def __init__(self, eu, ev, rows, k_arr, colour_values, max_degree, vertex_ids, edge_ids):
@@ -219,6 +224,7 @@ class _Compiled:
         self.ends = np.stack([eu, ev], axis=1)  # ends[e, d]: where bit d points
         self.dir_src, self.dir_dst = self.ends.reshape(-1), self.ends[:, ::-1].reshape(-1)
         self.dir_flat = dir_map.reshape(-1)  # entry (row, i) at row * kmax + i
+        self.identity = _identity_rows(dir_map)
         # The rows looked up once per trial: the forward row of every edge,
         # in the order fwd_edge (those into vertices outside the focus
         # first), then the backward rows into focus vertices.  The keep rule
@@ -309,6 +315,15 @@ class _Compiled:
         """The common-neighbour rows `nuv_*`, which `_build_stats` builds."""
         self._build_stats()
         self._nuv_built = True
+
+
+def _identity_rows(dir_map: np.ndarray) -> bool:
+    """Whether `dir_map[r, i] == i` for every entry, tested TEST_CHUNK_ENTRIES
+    map entries at a time, so that no (rows x kmax) temporary is made."""
+    rows, kmax = dir_map.shape
+    step = max(1, TEST_CHUNK_ENTRIES // kmax)
+    ident = np.arange(kmax, dtype=dir_map.dtype)
+    return all((dir_map[lo : lo + step] == ident).all() for lo in range(0, rows, step))
 
 
 def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, ...]:
@@ -427,10 +442,15 @@ def _neighbour_pairs(middle, end, edge_keys, n: int, focus: int):
 
 
 def _row_classes(comp: _Compiled, f1_idx: np.ndarray) -> np.ndarray:
-    """The class of every looked-up row under (B, n) colour indices: the
-    colour index at the row's target matched with its source's colour (-1
-    if none), shape (B, L), widened to int64 for `_stats_arrays`' keys."""
-    return comp.dir_flat.take(comp.look_base + f1_idx.take(comp.look_src, axis=1)).astype(np.int64)
+    """The class of every looked-up row under (B, n) int64 colour indices:
+    the colour index at the row's target matched with its source's colour
+    (-1 if none), shape (B, L), as int64 for `_stats_arrays`' keys.  Where
+    every map row is the identity (`comp.identity`), that is the source's
+    own colour index, taken with no gather from the map."""
+    src_idx = f1_idx.take(comp.look_src, axis=1)
+    if comp.identity:
+        return src_idx
+    return comp.dir_flat.take(comp.look_base + src_idx).astype(np.int64)
 
 
 def _round_arrays(comp: _Compiled, seeds: Sequence[int] | np.ndarray):
@@ -488,15 +508,18 @@ def _stats_arrays(comp: _Compiled, cls: np.ndarray, kept: np.ndarray):
     key += np.arange(0, trials * kmax * n, kmax * n)[:, None]
     counts = np.bincount(np.compress(kept_src.ravel(), key), minlength=trials * kmax * n)
     counts = counts.reshape(trials, kmax, n)
-    # The value is the class if kept and -stat_shift otherwise, branch-free.
-    val = cls + comp.stat_shift
-    val *= kept_src
-    val -= comp.stat_shift
     terms = _class_terms(comp.max_degree).take(counts, axis=0).sum(axis=1)
     col, dist, p_u, t_u = terms[..., 0], terms[..., 1], terms[..., 2], terms[..., 3]
 
-    # Triple corrections as (trial * n + u, weight), summed in one pass.
+    # Triple corrections as (trial * n + u, weight), summed in one pass;
+    # only they read the values, so none are made when both indexes are
+    # empty, as on uniform lists.
     keys, weights = [], []
+    if comp.in_rows.size or comp.tri_rows.size:
+        # The class if kept and -stat_shift otherwise, branch-free.
+        val = cls + comp.stat_shift
+        val *= kept_src
+        val -= comp.stat_shift
     u, a, b = comp.in_rows
     if u.size:
         val_a = val.take(a, axis=1)

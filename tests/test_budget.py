@@ -97,6 +97,16 @@ def _compiled():
     return lambda: ncp._compile(g, c)
 
 
+def _compiled_k100(k):
+    # Identity maps on 9,900 rows of k colours, which the compiled instance
+    # tests for the identity in chunks.  At k = 200 a test of all rows at
+    # once, a (9,900 x 200) bool beside the rows, would exceed the estimate
+    # (traced: 6.2 MB against 4.9 MB); at k = 50 the edge arrays hide it.
+    g = complete_graph(100)
+    c = uniform_lists(g, k)
+    return lambda: ncp._compile(g, c)
+
+
 def _regularised():
     # Vertex 0 loses three edges, so the copy doubles three times, and its
     # ball (306 vertices, 2,117 edges) is little more than g.
@@ -203,6 +213,8 @@ def _gen():
 PROBES = {
     "assignment": ("assignment of", _assignment),
     "compiled": ("compiled instance", _compiled),
+    "compiled-k100": ("compiled instance", lambda: _compiled_k100(50)),
+    "compiled-k100-wide": ("compiled instance", lambda: _compiled_k100(200)),
     "regularised": ("regularised copy", _regularised),
     "regularised-wide": ("regularised copy", _regularised_wide),
     "regularised-deep": ("regularised copy", _regularised_deep),

@@ -435,6 +435,27 @@ class TestJsonable:
     def test_report_values_convert(self, value, written):
         assert json.loads(cli._report({}, value))["result"] == written
 
+    def test_dicts_sharing_tuple_keys(self):
+        """Two dicts on one list of keys, which `_json` formats once per
+        call, beside a dict on other keys and an empty one; then a call on
+        other keys of the same count, and one on keys equal to the first
+        call's that print otherwise (False == 0, True == 1): each text is
+        `json.dumps` of the data with its keys converted."""
+        pairs = [(0, 1), (3, 12), (2, 2)]
+        first = {
+            "mean": dict(zip(pairs, [0.5, 1.0, 2.0])),
+            "se": dict(zip(pairs, [0.1, 0.2, 0.0])),
+            "other": {(7, 8): 1, (10, 1): 2},
+            "empty": {},
+        }
+        others = [(5, 6), (0, 2), (4, 4)]
+        second = {"mean": dict(zip(others, [1.5, 0.0, 3.0])), "se": dict(zip(others, [0.3, 0.0, 0.1]))}
+        alike = [(False, 1), (3, 12), (2, True)]
+        third = {"mean": dict(zip(pairs, [0.5, 1.0, 2.0])), "flags": dict(zip(alike, [1, 2, 3]))}
+        for doc in (first, second, third):
+            plain = {name: {",".join(map(str, k)): v for k, v in d.items()} for name, d in doc.items()}
+            assert cli._json(doc) == json.dumps(plain, sort_keys=True, indent=2)
+
 
 class TestReportPins:
     """SHA-256 of the `result` section of seeded colour reports: a C5

@@ -235,15 +235,39 @@ class TestMonteCarloBlockSums:
     @pytest.mark.parametrize("trials", [1, 64, 65])
     @pytest.mark.parametrize("chunk", [1 << 16, 5], ids=["one-chunk", "small-chunks"])
     def test_sums_match_per_trial_stats(self, monkeypatch, trials, chunk):
-        import math
-
         from sparsecolour import harness
 
         monkeypatch.setattr(harness, "_MC_CHUNK", chunk)
         g = gnp_graph(14, 0.4, seed=3)
-        c = _random_bijections(g, 3, seed=8)
-        rep = monte_carlo_round(g, c, trials=trials, seed=5)
+        self._check(g, _random_bijections(g, 3, seed=8), trials)
 
+    @pytest.mark.parametrize("trials", [1, 64, 65, 130])
+    @pytest.mark.parametrize("chunk", [1 << 16, 5], ids=["one-chunk", "small-chunks"])
+    @pytest.mark.parametrize("lists", ["uniform", "bijections"])
+    def test_small_cross_term_tiles_match_per_trial_stats(self, monkeypatch, lists, chunk, trials):
+        """Tiles of 6 words and 2 blocks (3 rows of 2 blocks at 130 trials)
+        split one pair's rows, and the block range, across tiles; on uniform
+        lists every row class takes the identity shortcut."""
+        from sparsecolour import harness
+        from sparsecolour.ncp import _compile
+
+        monkeypatch.setattr(harness, "_MC_CHUNK", chunk)
+        monkeypatch.setattr(harness, "_MC_TILE", 6)
+        monkeypatch.setattr(harness, "_MC_TILE_BLOCKS", 2)
+        g = gnp_graph(14, 0.4, seed=3)
+        c = uniform_lists(g, 3) if lists == "uniform" else _random_bijections(g, 3, seed=8)
+        comp = _compile(g, c)
+        assert comp.identity == (lists == "uniform")
+        comp._build_nuv()
+        rows = comp.nuv_sizes * (comp.nuv_sizes - 1) // 2
+        assert rows.max() > 6 // min(-(-trials // 64), 2)
+        self._check(g, c, trials)
+
+    @staticmethod
+    def _check(g, c, trials):
+        import math
+
+        rep = monte_carlo_round(g, c, trials=trials, seed=5)
         pair_sums = [[0, 0] for _ in range(g.n)]
         triple_sums = [[0, 0] for _ in range(g.n)]
         nuv_sums = {}

@@ -17,7 +17,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sparsecolour.correspondence import CorrespondenceAssignment, from_lists  # noqa: E402
+from sparsecolour import ncp  # noqa: E402
+from sparsecolour.correspondence import (  # noqa: E402
+    CorrespondenceAssignment,
+    from_lists,
+    uniform_lists,
+)
 from sparsecolour.graph import Graph  # noqa: E402
 from sparsecolour.harness import (  # noqa: E402
     _distance2_pairs,
@@ -120,6 +125,74 @@ def test_kernels_match_oracles_on_focused_regularised_copy(instance, data):
     assert reg.focus == g.n and reg.n <= ref_g.n
     ids = reg.vertex_ids.astype(np.int64)
     _check(reg, ref_g, ref_c, *_draw_round(data, ref_g, ref_c), ids)
+
+
+@st.composite
+def uniform_instances(draw, max_n):
+    """A graph on at most max_n vertices with the colours 0..k-1 at every
+    vertex, so identity maps on every edge."""
+    n = draw(st.integers(1, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+    return g, uniform_lists(g, draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=uniform_instances(max_n=8), seeds=st.lists(st.integers(0, 2**64 - 1),
+                                                          min_size=1, max_size=5))
+def test_identity_classes_match_the_naive_round(instance, seeds):
+    """On uniform lists the row classes skip the map; one kernel call's
+    kept masks and statistics are, trial by trial, the naive keep rule on
+    colours derive_seed(seed, KIND_COLOUR, u) mod k and directions
+    derive_seed(seed, KIND_DIRECTION, e) & 1, and the naive statistics of
+    that outcome; and the classes equal the map's gather."""
+    g, c = instance
+    comp = _compile(g, c)
+    assert comp.identity
+    f1_idx, kept, cls = _round_arrays(comp, seeds)
+    gathered = comp.dir_flat.take(comp.look_base + f1_idx.take(comp.look_src, axis=1))
+    assert cls.tolist() == gathered.tolist()
+    col, dist, pairs, triples = _stats_arrays(comp, cls, kept)
+    k = c.min_size()
+    for t, s in enumerate(seeds):
+        f1 = tuple(derive_seed(s, KIND_COLOUR, u) % k for u in range(g.n))
+        direction = {
+            (u, v): (u, v)[derive_seed(s, KIND_DIRECTION, e) & 1]
+            for e, (u, v) in enumerate(zip(comp.eu.tolist(), comp.ev.tolist()))
+        }
+        expected = apply_keep_rule(g, c, f1, direction)
+        assert f1_idx[t].tolist() == list(f1)
+        assert set(np.flatnonzero(kept[t]).tolist()) == expected
+        naive = naive_outcome_stats(g, c, f1, expected)
+        assert [col[t].tolist(), dist[t].tolist(), pairs[t].tolist(), triples[t].tolist()] == [
+            list(x) for x in naive
+        ]
+
+
+def _permuted(g, k, edge=None):
+    """The colours 0..k-1 at every vertex of g, with identity maps written
+    out edge by edge, except `edge`'s, which is reversed."""
+    maps = {e: {x: k - 1 - x if e == edge else x for x in range(k)} for e in g.edges()}
+    return CorrespondenceAssignment((tuple(range(k)),) * g.n, maps)
+
+
+def test_identity_flag_is_false_off_identity_maps(monkeypatch):
+    """Unequal set sizes (the smaller set's rows end in -1), a random
+    bijection and one reversed map each clear the flag, also when the
+    reversed map is the last row of the last test chunk."""
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
+    assert not _compile(g, from_lists(g, [[0, 1, 2], [0, 1, 2], [0, 1], [0, 1]])).identity
+    rng = random.Random(1)
+    k4 = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    maps = {e: dict(zip(range(3), rng.sample(range(3), 3))) for e in k4.edges()}
+    bijections = CorrespondenceAssignment(((0, 1, 2),) * 4, maps)
+    assert not _compile(k4, bijections).identity
+    assert _compile(k4, _permuted(k4, 3)).identity
+    monkeypatch.setattr(ncp, "TEST_CHUNK_ENTRIES", 3)  # one row of three a chunk
+    assert _compile(k4, _permuted(k4, 3)).identity
+    assert not _compile(k4, _permuted(k4, 3, (2, 3))).identity
+    assert not _compile(k4, _permuted(k4, 3, (0, 1))).identity
 
 
 def _near(g, focus):

@@ -235,6 +235,8 @@ CASES = [
     "simulate --input in/rr30_6.col --k 5 --experiment sparsity --trials 2 --format csv",
     "simulate --input in/c5_3.col --k 8 --experiment sparsity --trials 2 --threads 2 --out sp.csv",
     "simulate --input in/petersen.col --k 3 --experiment sparsity --trials 2",
+    # 32 blocks of words, many cross-term tiles, identity maps
+    "simulate --input in/rr100_40.col --k 30 --trials 2000",
     # dense Monte Carlo, where every neighbourhood is a clique
     "simulate --input in/k60.col --k 30 --trials 50",
     "simulate --input in/k100.col --k 50 --trials 3",
