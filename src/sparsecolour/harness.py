@@ -32,7 +32,6 @@ from .correspondence import (
 from . import budget
 from .graph import DimacsError, Graph, GraphError, first_fit, local_sparsity
 from .ncp import (
-    CLASS_COUNT_BYTES,
     KIND_TRIAL,
     _check_distance2,
     _Compiled,
@@ -504,8 +503,8 @@ def monte_carlo_round(
     slice by its draws and its statistic, in-row and triangle rows (the
     common-uncoloured counts come from the words below, not from the
     kernel) and by the memory budget; every row of it equals what its trial
-    alone gives, so the width changes no result.  A run whose one trial's
-    class counts exceed the budget is refused.  A block stacks its trials'
+    alone gives, so the width changes no result.  It refuses a run whose one
+    trial's class counts exceed the budget.  A block stacks its trials'
     keep flags and pair and triple counts and sums them as integers.  It
     packs the uncoloured flags into one 64-bit word U_w per vertex w, bit i
     for the block's i-th trial; the words are held vertex-major, one row of
@@ -548,12 +547,10 @@ def monte_carlo_round(
     nbytes = 8 * g.n * (nblocks + 16) + 17 * _MC_TILE
     budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
-    counts = CLASS_COUNT_BYTES * comp.kmax * comp.focus
-    budget.check(f"class counts of {comp.kmax} colours on {comp.focus} vertices", counts)
-    comp._build_nuv()  # and the statistic index, from the same listing
+    width = _slice_width(comp, common_uncoloured=False)  # and both indexes
+    comp._build_nuv()
     n = comp.n
     npairs = len(comp.nuv_pairs)
-    width = _slice_width(comp, common_uncoloured=False)
 
     totals = None
     gsum = 0.0

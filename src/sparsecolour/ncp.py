@@ -591,15 +591,18 @@ def _slice_width(comp: _Compiled, common_uncoloured: bool) -> int:
     SLICE_ROWS rows (a trial's draws on all of comp, a whole instance or a
     ball, and its statistic rows on the focus) and the memory budget's
     worth of class counts (CLASS_COUNT_BYTES per colour index, focus vertex
-    and trial), and at least one.  Row i of every kernel result is what
-    trial i alone gives, so the width changes no result."""
+    and trial), and at least one.  An instance whose one trial's class
+    counts exceed the budget is refused before the indexes are built.  Row
+    i of every kernel result is what trial i alone gives, so the width
+    changes no result."""
+    counts = max(CLASS_COUNT_BYTES * comp.kmax * comp.focus, 1)
+    budget.check(f"class counts of {comp.kmax} colours on {comp.focus} vertices", counts)
     comp._build_stats()
     rows = comp.n + comp.m + len(comp.stat_src)
     rows += comp.in_rows.shape[1] + comp.tri_rows.shape[1]
     if common_uncoloured:
         rows += len(comp.nuv_concat)
-    counts = max(CLASS_COUNT_BYTES * comp.kmax * comp.focus, 1)
-    return max(1, min(SLICE_TRIALS, SLICE_ROWS // max(rows, 1), budget.MEMORY_BUDGET // counts))
+    return min(SLICE_TRIALS, max(1, SLICE_ROWS // max(rows, 1)), budget.MEMORY_BUDGET // counts)
 
 
 def _kept_colouring(comp: _Compiled, f1_idx: np.ndarray, kept: np.ndarray) -> PartialColouring:

@@ -1,20 +1,21 @@
 """Strong edge colouring via the square of the line graph.
 
 A strong edge colouring of a host graph H is a vertex colouring of L²(H),
-the graph on E(H) joining edges at distance at most two.  The pipeline peels
-L²(H) down to its dense core (every survivor keeps at least (2 - eta) D²
-neighbours inside the core, D the host max degree), colours the core with the
-iterative engine when the measured sparsity admits a feasible schedule, and
-extends to the peeled edges greedily in reverse peel order, which by
-construction never needs a colour index past the peel threshold.  L²(H) is
-never built whole.  The first peel wave is certified from host degree sums:
-an edge whose bound s(u) + s(v) - deg(u) - deg(v) (s(x) the degree sum over
-N(x)) is below the threshold is peeled without its row being read.  Other
-rows come on demand from one set per host vertex (at most sum deg² entries),
-built only when the first such row or exact degree is asked for; their
-bytes are checked against the memory budget up front all the same.  Only a
-non-empty core is built as a graph, and the extension reads one colour
-bitmask per host vertex.
+the graph on E(H) joining edges at distance at most two.  The pipeline has
+three steps: it peels L²(H) down to its dense core (every survivor keeps at
+least (2 - eta) D² neighbours inside the core, D the host max degree), lets
+the iterative engine colour the core when the measured sparsity admits a
+feasible schedule, and colours every other edge in one first-fit pass: the
+core in id order if the engine did not colour it, then the peeled edges in
+reverse peel order, which by construction never needs a colour index past
+the peel threshold.  L²(H) is never built whole.  The first peel wave is
+certified from host degree sums: an edge whose bound s(u) + s(v) - deg(u) -
+deg(v) (s(x) the degree sum over N(x)) is below the threshold is peeled
+without its row being read.  Other rows come on demand from one set per
+host vertex (at most sum deg² entries), built only when the first such row
+or exact degree is asked for; their bytes are checked against the memory
+budget up front all the same.  Only a non-empty core is built as a graph,
+and the first-fit pass reads one colour bitmask per host vertex.
 
 Also provides the strong-neighbourhood geometry of a host edge (the X / Y
 vertex sets, the scaled quantities alpha, beta, gamma, the 4-cycle count
@@ -30,14 +31,14 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import chain
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .bounds import STRONG_EDGE_ETA, approx_eps
 from . import budget
 from .correspondence import uniform_lists
-from .graph import Graph, GraphError, first_fit, local_sparsity
+from .graph import Graph, GraphError, local_sparsity
 from .ncp import MAX_RESTARTS, ScheduleError, build_schedule, iterative_colour
 
 Threshold = Union[int, float, Fraction]
@@ -452,9 +453,10 @@ def strong_edge_colour(
 ) -> StrongColouringReport:
     """Colour the host's edges so edges at distance <= 2 differ.
 
-    Peels the line graph square to its (2 - eta) D² core, colours the core
-    (iterative engine when a feasible schedule exists, greedy otherwise) and
-    extends through the peel in reverse order with first-fit.
+    Peels the line graph square to its (2 - eta) D² core, lets
+    `_colour_core` try the iterative engine there, and colours every edge
+    the engine did not in one first-fit pass: the core in id order, if the
+    engine returned no colouring, then the peel in reverse order.
     """
     rows, _, removal_order, core = _peel(
         h, eta, "host graph has no edges" if h.m == 0 else None
@@ -464,14 +466,16 @@ def strong_edge_colour(
     colours: dict[int, int] = {}
     engine_used = False
     warning: Optional[str] = None
+    core_order = sorted(core)
     if core:
-        core_graph, core_ids = rows.induced(sorted(core))
-        core_colours, engine_used, warning = _colour_core(
-            core_graph, seed, max_restarts
-        )
-        colours.update({core_ids[v]: col for v, col in core_colours.items()})
-    del rows  # and its near sets, before the extension and the validation
-    _extend_reverse_peel(h, edge_index, removal_order, colours)
+        core_graph, _ = rows.induced(core_order)
+        core_colours, warning = _colour_core(core_graph, seed, max_restarts)
+        engine_used = core_colours is not None
+        if engine_used:
+            colours = {core_order[v]: col for v, col in core_colours.items()}
+            core_order = []
+    del rows  # and its near sets, before the first-fit pass and the validation
+    _first_fit_edges(h, edge_index, chain(core_order, reversed(removal_order)), colours)
 
     num = len(set(colours.values()))
     valid = _validate_strong_colouring(h, edge_index, colours)
@@ -488,20 +492,21 @@ def strong_edge_colour(
     )
 
 
-def _extend_reverse_peel(
+def _first_fit_edges(
     h: Graph,
     edge_index: list[tuple[int, int]],
-    removal_order: list[int],
+    order: Iterable[int],
     colours: dict[int, int],
 ) -> None:
-    """First-fit on L²(h) through the peel in reverse, extending `colours`.
+    """First-fit on L²(h) along `order`, extending `colours`.
 
     Each host vertex keeps an int mask of the colours on its edges.  Edge uv
     gets the lowest clear bit of the OR of the masks at N(u) | N(v): those
     are the colours of the coloured edges with an endpoint there, which are
-    exactly uv's coloured square neighbours.  When an edge returns, its
-    coloured neighbours are the survivors present at its removal, fewer than
-    the peel threshold, so the colours stay below threshold + 1.
+    exactly uv's coloured square neighbours, as `graph.first_fit` reads
+    them on the square.  When a peeled edge returns, its coloured neighbours
+    are the survivors present at its removal, fewer than the peel threshold,
+    so the colours stay below threshold + 1.
     """
     nbrs = list(map(h.neighbours, range(h.n)))
     mask_at = [0] * h.n
@@ -509,7 +514,7 @@ def _extend_reverse_peel(
         u, v = edge_index[i]
         mask_at[u] |= 1 << c
         mask_at[v] |= 1 << c
-    for i in reversed(removal_order):
+    for i in order:
         u, v = edge_index[i]
         used = 0
         for x in nbrs[u]:
@@ -524,37 +529,30 @@ def _extend_reverse_peel(
 
 def _colour_core(
     core_graph: Graph, seed: int, max_restarts: int
-) -> tuple[dict[int, int], bool, Optional[str]]:
-    """Colour the core with the iterative engine if feasible, else greedily.
+) -> tuple[Optional[dict[int, int]], Optional[str]]:
+    """The iterative engine's colouring of the core, or None, and a warning.
 
     The warning says why the engine did not colour it: no feasible schedule,
     a memory-budget refusal of one of its allocations ("engine refused"),
-    or a failed run.
+    or a failed run; None when the engine succeeds or is not tried.
     """
     max_deg = core_graph.max_degree()
     delta_core = local_sparsity(core_graph).delta if max_deg >= 2 else 0.0
-    warning = None
-
-    def fallback(reason: Optional[str]):
-        return first_fit(core_graph, range(core_graph.n)), False, reason
-
-    if delta_core > 0:
-        eps_target = approx_eps(min(delta_core, 0.9), "ours")
-        k = math.ceil((1 - eps_target) * (max_deg + 1))
-        if k >= 1 and k <= max_deg:
-            eps_prime = 1 - k / (max_deg + 1)
-            try:
-                schedule = build_schedule(eps_prime, delta_core)
-            except ScheduleError as exc:
-                return fallback(f"no feasible schedule ({exc}); greedy fallback")
-            try:
-                assignment = uniform_lists(core_graph, k)
-                result = iterative_colour(
-                    core_graph, assignment, schedule, seed, max_restarts
-                )
-            except budget.BudgetError as exc:
-                return fallback(f"engine refused ({exc}); greedy fallback")
-            if result.ok:
-                return dict(result.colouring), True, None
-            warning = f"engine failed ({result.failure_reason}); greedy fallback"
-    return fallback(warning)
+    if delta_core <= 0:
+        return None, None
+    eps_target = approx_eps(min(delta_core, 0.9), "ours")
+    k = math.ceil((1 - eps_target) * (max_deg + 1))
+    if not 1 <= k <= max_deg:
+        return None, None
+    try:
+        schedule = build_schedule(1 - k / (max_deg + 1), delta_core)
+    except ScheduleError as exc:
+        return None, f"no feasible schedule ({exc}); greedy fallback"
+    try:
+        assignment = uniform_lists(core_graph, k)
+        result = iterative_colour(core_graph, assignment, schedule, seed, max_restarts)
+    except budget.BudgetError as exc:
+        return None, f"engine refused ({exc}); greedy fallback"
+    if result.ok:
+        return dict(result.colouring), None
+    return None, f"engine failed ({result.failure_reason}); greedy fallback"

@@ -1295,7 +1295,7 @@ class TestBenchmarkTrace:
     def test_tracer_sees_the_engine_inside_the_strong_edge_core(self, monkeypatch):
         # _colour_core calls the engine through strong_edge's own names, so
         # the tracer has to wrap them there too.  On C5 blow-up 4 the engine
-        # runs and fails, and the core falls back to first-fit.
+        # runs and fails, and returns no colouring.
         import importlib
 
         from sparsecolour import strong_edge
@@ -1304,12 +1304,10 @@ class TestBenchmarkTrace:
         tracer = importlib.import_module("tracing").Tracer()
         tracer.install()
         try:
-            _, engine_used, warning = tracer.call(
-                0, strong_edge._colour_core, c5_blowup(4), 5, 20
-            )
+            colours, warning = tracer.call(0, strong_edge._colour_core, c5_blowup(4), 5, 20)
         finally:
             tracer.uninstall()
-        assert not engine_used
+        assert colours is None
         assert warning.startswith("engine failed (round ") and warning.endswith(
             "); greedy fallback"
         )

@@ -321,6 +321,28 @@ class TestMonteCarloSlices:
             assert monte_carlo_round(g, c, trials=trials, seed=5) == reference
 
 
+    def test_class_counts_refused_before_the_pair_listing(self, monkeypatch):
+        # `_slice_width` checks one trial's class counts, CLASS_COUNT_BYTES
+        # per colour index and vertex, before it builds the indexes; Monte
+        # Carlo has no check of its own.
+        from sparsecolour import budget, ncp
+
+        def no_listing(*args):
+            raise AssertionError("the class counts come before the pair listing")
+
+        g = empty_graph(4)
+        c = uniform_lists(g, 200_000)
+        comp = ncp._compile(g, c)
+        monkeypatch.setattr(ncp, "_neighbour_pairs", no_listing)
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", ncp.CLASS_COUNT_BYTES * 200_000 * 4 - 1)
+        for call in (
+            lambda: ncp._slice_width(comp, common_uncoloured=True),
+            lambda: monte_carlo_round(g, c, trials=1, seed=1),
+        ):
+            with pytest.raises(budget.BudgetError, match="^class counts of 200000 colours on 4 "):
+                call()
+
+
 class TestMonteCarlo:
     def test_refuses_zero_trials(self):
         g = path_graph(2)

@@ -59,14 +59,11 @@ class TestLineGraphSquare:
         assert sq.m == 45 * 44 // 2
 
     def test_dense_core_takes_greedy_path(self):
-        # K6 has sparsity delta = 0, so no schedule is tried: the core gets
-        # first-fit in vertex order, one colour per vertex, and no warning.
+        # K6 has sparsity delta = 0, so no schedule is tried: no colouring
+        # and no warning, and the pipeline's first-fit pass colours the core.
         from sparsecolour.strong_edge import _colour_core
 
-        core = complete_graph(6)
-        result = _colour_core(core, seed=0, max_restarts=10)
-        assert result == (first_fit(core, range(6)), False, None)
-        assert result[0] == {v: v for v in range(6)}
+        assert _colour_core(complete_graph(6), seed=0, max_restarts=10) == (None, None)
 
     def test_edgeless_rejected(self):
         from sparsecolour.generators import empty_graph
@@ -419,8 +416,8 @@ class TestStrongEdgeColour:
         from sparsecolour.strong_edge import _colour_core
 
         core = c5_blowup(8)
-        colours, engine_used, warning = _colour_core(core, seed=5, max_restarts=200)
-        assert engine_used and warning is None
+        colours, warning = _colour_core(core, seed=5, max_restarts=200)
+        assert colours is not None and warning is None
         assert all(colours[u] != colours[v] for u, v in core.edges())
         assert len(set(colours.values())) <= core.max_degree()
 
@@ -446,12 +443,10 @@ class TestStrongEdgeColour:
         from sparsecolour.strong_edge import _colour_core
 
         monkeypatch.setattr(budget, "MEMORY_BUDGET", limit)
-        core = c5_blowup(8)
-        colours, engine_used, warning = _colour_core(core, seed=5, max_restarts=200)
-        assert not engine_used
+        colours, warning = _colour_core(c5_blowup(8), seed=5, max_restarts=200)
+        assert colours is None
         assert warning.startswith(f"engine refused ({reason} would take about ")
         assert warning.endswith("above the memory budget of 0 MiB); greedy fallback")
-        assert colours == first_fit(core, range(core.n))
 
     def test_schedule_failure_reads_as_no_feasible_schedule(self, monkeypatch):
         from sparsecolour import ncp, strong_edge
@@ -461,8 +456,8 @@ class TestStrongEdgeColour:
             raise ncp.ScheduleError("infeasible beta")
 
         monkeypatch.setattr(strong_edge, "build_schedule", infeasible)
-        _, engine_used, warning = _colour_core(c5_blowup(8), seed=5, max_restarts=200)
-        assert not engine_used
+        colours, warning = _colour_core(c5_blowup(8), seed=5, max_restarts=200)
+        assert colours is None
         assert warning == "no feasible schedule (infeasible beta); greedy fallback"
 
     def test_schedule_row_cap_reads_as_no_feasible_schedule(self, monkeypatch):
@@ -470,12 +465,10 @@ class TestStrongEdgeColour:
         from sparsecolour.strong_edge import _colour_core
 
         monkeypatch.setattr(ncp, "SCHEDULE_ROWS_CAP", 2)
-        core = c5_blowup(8)
-        colours, engine_used, warning = _colour_core(core, seed=5, max_restarts=200)
-        assert not engine_used
+        colours, warning = _colour_core(c5_blowup(8), seed=5, max_restarts=200)
+        assert colours is None
         assert warning.startswith("no feasible schedule (beta=")
         assert warning.endswith("above the cap of 2 rows); greedy fallback")
-        assert colours == first_fit(core, range(core.n))
 
     def test_edgeless_rejected(self):
         from sparsecolour.generators import empty_graph

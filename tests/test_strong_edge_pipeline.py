@@ -2,7 +2,8 @@
 
 The pipeline peels and colours from the host's near-edge sets and builds no
 square; the oracle builds `line_graph_square(h)`, peels it with
-`f_core_with_order`, colours the induced core and extends with
+`f_core_with_order`, colours the induced core (first-fit in vertex order
+unless the engine colours it) and extends with
 `first_fit(square, reversed(order), core colours)`.  Peel order, core and
 colours must agree exactly.
 """
@@ -31,7 +32,7 @@ from sparsecolour.graph import Graph, GraphError, first_fit  # noqa: E402
 from sparsecolour.harness import naive_strong_colouring_valid  # noqa: E402
 from sparsecolour.strong_edge import (  # noqa: E402
     _colour_core,
-    _extend_reverse_peel,
+    _first_fit_edges,
     _SquareRows,
     c5_blowup,
     f_core_density_check,
@@ -64,28 +65,30 @@ def default_threshold(h, eta=DEFAULT_ETA):
     return (Fraction(2) - Fraction(str(eta))) * h.max_degree() ** 2
 
 
-def greedy_core(core_graph, seed=0, max_restarts=0):
-    return first_fit(core_graph, range(core_graph.n)), False, None
-
-
-def oracle(h, threshold, colour_core=greedy_core):
-    """Peel order, core, core graph and colours from the materialised square."""
+def oracle(h, threshold, colour_core=lambda core_graph: None):
+    """Peel order, core, core graph and colours from the materialised square;
+    the core gets `colour_core`'s colouring, or first-fit where it gives
+    None."""
     square, _ = line_graph_square(h)
     order, core = f_core_with_order(square, threshold)
     core_graph, ids = square.induced(sorted(core))
-    core_colours = colour_core(core_graph, 0, 200)[0]
+    core_colours = colour_core(core_graph)
+    if core_colours is None:
+        core_colours = first_fit(core_graph, range(core_graph.n))
     colours = {ids[v]: c for v, c in core_colours.items()}
     first_fit(square, reversed(order), colours)
     return order, core, core_graph, colours
 
 
 def pipeline(h, threshold):
-    """The same steps through the near-edge rows, with a greedy core."""
+    """The same steps through the near-edge rows, with a first-fit core:
+    one first-fit pass over the core in id order and the peel in reverse."""
     rows = _SquareRows(h)
     order, core = f_core_with_order(rows, threshold)
-    core_graph, ids = rows.induced(sorted(core))
-    colours = {ids[v]: c for v, c in greedy_core(core_graph)[0].items()}
-    _extend_reverse_peel(h, rows.edge_index, order, colours)
+    core_ids = sorted(core)
+    core_graph, _ = rows.induced(core_ids)
+    colours = {}
+    _first_fit_edges(h, rows.edge_index, [*core_ids, *reversed(order)], colours)
     return order, core, core_graph, colours
 
 
@@ -124,8 +127,8 @@ class TestAgainstMaterialisedSquare:
     @given(h=hosts(), seed=st.integers(0, 3))
     def test_default_eta(self, h, seed):
         # The whole pipeline, with the core coloured as the pipeline does.
-        def colour_core(core_graph, _seed, max_restarts):
-            return _colour_core(core_graph, seed, max_restarts)
+        def colour_core(core_graph):
+            return _colour_core(core_graph, seed, 200)[0]
 
         threshold = default_threshold(h)
         order, core, _, colours = oracle(h, threshold, colour_core)
@@ -133,6 +136,15 @@ class TestAgainstMaterialisedSquare:
         assert report.colours == colours
         assert report.f_core_size == len(core)
         assert pipeline(h, threshold)[:2] == (order, core)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=hosts(), data=st.data())
+    def test_first_fit_edges_along_any_order(self, h, data):
+        square, edge_index = line_graph_square(h)
+        order = data.draw(st.permutations(range(square.n)))
+        colours = {}
+        _first_fit_edges(h, edge_index, order, colours)
+        assert colours == first_fit(square, order)
 
     @settings(max_examples=80, deadline=None)
     @given(h=hosts(), scale=st.fractions(0, 1))
@@ -296,6 +308,52 @@ class TestProjectivePlaneCore:
         assert report.valid and report.colours == colours
         assert naive_strong_colouring_valid(h, report.edge_index, report.colours)
         assert pipeline(h, default_threshold(h, 0.3)) == (order, core, core_graph, colours)
+
+    @pytest.mark.parametrize(
+        "fallback, warning",
+        [
+            ("schedule", "no feasible schedule (infeasible beta); greedy fallback"),
+            ("budget", "engine refused (assignment of 97 colours on 25536 edges would "),
+            ("restarts", "engine failed (round 2 exhausted 1 restarts "),
+        ],
+    )
+    def test_every_fallback_is_one_first_fit_pass(self, monkeypatch, fallback, warning):
+        # Whatever stops the engine, the core and then the peel are coloured
+        # by first-fit on the square, the core in id order.  The near sets
+        # (about 0.76 MB) fit in 1 MiB, the core's assignment does not.
+        h = projective_plane_incidence(7)
+        max_restarts = 200
+        if fallback == "schedule":
+            def infeasible(*args):
+                raise strong_edge.ScheduleError("infeasible beta")
+
+            monkeypatch.setattr(strong_edge, "build_schedule", infeasible)
+        elif fallback == "budget":
+            monkeypatch.setattr(budget, "MEMORY_BUDGET", 2**20)
+        else:
+            max_restarts = 1
+        report = strong_edge_colour(h, eta=0.3, max_restarts=max_restarts)
+        square, _ = line_graph_square(h)
+        order, core = f_core_with_order(square, default_threshold(h, 0.3))
+        assert report.colours == first_fit(square, [*sorted(core), *reversed(order)])
+        assert not report.engine_used and report.engine_warning.startswith(warning)
+
+    def test_engine_colouring_is_kept_and_extended(self, monkeypatch):
+        # No core measured so far gets the engine to success, so a stand-in
+        # returns first-fit in reverse id order: the pipeline keeps it on the
+        # core and first-fits only the peeled rr(40,3) edges around it.
+        h = disjoint_union(projective_plane_incidence(7), random_regular_graph(40, 3, seed=4))
+
+        def engine(core_graph, seed, max_restarts):
+            return first_fit(core_graph, reversed(range(core_graph.n))), None
+
+        monkeypatch.setattr(strong_edge, "_colour_core", engine)
+        report = strong_edge_colour(h, eta=0.3)
+        threshold = default_threshold(h, 0.3)
+        order, core, _, colours = oracle(h, threshold, lambda cg: engine(cg, 0, 0)[0])
+        assert len(core) == 456 and len(order) == 60
+        assert report.colours == colours != pipeline(h, threshold)[3]
+        assert report.engine_used and report.engine_warning is None
 
     def test_density_check_matches_the_square(self):
         h = projective_plane_incidence(7)

@@ -188,6 +188,7 @@ CASES = [
     "strong-edge --input in/c5_8.col --max-restarts 20",
     "strong-edge --input in/edgeless.col",
     "strong-edge --input in/pg7.col --eta 0.3",
+    "strong-edge --input in/pg7.col --eta 0.3 --max-restarts 1",
     "strong-edge --input in/pg11.col --eta 0.3",
     # inputs that ran out of memory before any estimate stopped them
     "color --input in/rr100_40_cut.col --k 38 --seed 1",
