@@ -24,6 +24,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
 from . import __version__
 from .bounds import (
     STRONG_EDGE_ETA,
@@ -97,10 +99,35 @@ def _ints(rows: Any, sep: str) -> str:
     return sep.join(["%d"] * widths.pop()) if ints else ""
 
 
+def _int_map(obj: dict, depth: int) -> str:
+    """`_json(obj, depth)` in one `%` template if every key of `obj` is an
+    int in [0, 10**15) and every value an int, none a bool; else "".  The
+    keys sort as their strings do: left-aligned to the widest digit count,
+    then by digit count, in one lexsort.  The values stay Python ints."""
+    head = next(iter(obj.items()), ())  # typed before any scan of `obj`
+    if set(map(type, head)) != {int} or set(map(type, chain(obj, obj.values()))) != {int}:
+        return ""
+    try:
+        keys = np.fromiter(obj, np.int64, len(obj))
+    except OverflowError:
+        return ""
+    if keys.min() < 0 or keys.max() >= 10**15:
+        return ""
+    digits = np.searchsorted(10 ** np.arange(1, 16), keys, "right") + 1
+    order = np.lexsort((digits, keys * 10 ** (digits.max() - digits)))
+    values = list(obj.values())
+    rows = [0] * (2 * len(values))
+    rows[::2], rows[1::2] = keys[order].tolist(), map(values.__getitem__, order.tolist())
+    inner = "\n" + "  " * (depth + 1)
+    text = ("," + inner).join(['"%d": %d'] * len(values)) % tuple(rows)
+    return f"{{{inner}{text}\n{'  ' * depth}}}"
+
+
 def _json(obj: Any, depth: int = 0, memo: Optional[dict] = None) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)` in one walk, with a
     dataclass as a dict of its fields, a Fraction as "p/q", a tuple key as
     "u,v" and any other key as `str(key)`; any other type is a TypeError.
+    An int -> int dict, such as a colouring, is one template (`_int_map`).
     Dicts with the same key objects in the same order, such as a Monte
     Carlo report's common-uncoloured means and errors, format them once:
     `memo` maps such keys to their strings for the one top-level call,
@@ -112,6 +139,8 @@ def _json(obj: Any, depth: int = 0, memo: Optional[dict] = None) -> str:
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         obj = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
+        if text := _int_map(obj, depth):
+            return text
         if any(issubclass(kind, tuple) for kind in set(map(type, obj))):
             keys = tuple(obj)
             hit = memo.get(keys)

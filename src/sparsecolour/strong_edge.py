@@ -104,7 +104,7 @@ class _SquareRows:
     def _near(self) -> list[set[int]]:
         return _near_edge_sets(self._host, self.edge_index)
 
-    def degree_bounds(self) -> list[int]:
+    def degree_bounds(self) -> np.ndarray:
         """An upper bound on each row's size, from host degree sums alone.
 
         With s(x) the sum of deg(w) over w in N(x), near[x] holds at most
@@ -119,7 +119,7 @@ class _SquareRows:
         sums = np.concatenate([[0], np.cumsum(deg[h.indices])])[h.indptr]
         reach = np.diff(sums) - deg
         eu, ev = h.edge_array().T
-        return (reach[eu] + reach[ev]).tolist()
+        return reach[eu] + reach[ev]
 
     def degree(self, i: int) -> int:
         u, v = self.edge_index[i]
@@ -287,26 +287,29 @@ def f_core_with_order(
     and `neighbour_set`; once every vertex is queued no row is read again.
     When `g` also offers `degree_bounds()`, upper bounds on the degrees (as
     `_SquareRows` does), a vertex whose bound is below the threshold joins
-    the first wave without its degree being asked for.
+    the first wave without its degree being asked for.  When the first wave
+    is every vertex, it is returned as the removal order with no row read.
     """
     # Degrees are integers, so comparing with the ceiling is exact and
     # avoids a Fraction comparison per vertex.
     threshold = math.ceil(threshold)
     degree_bounds = getattr(g, "degree_bounds", None)
     if degree_bounds is None:
-        degree = [g.degree(v) for v in range(g.n)]
+        degree = np.array([g.degree(v) for v in range(g.n)], dtype=np.int64)
     else:
         # A vertex whose bound is below the threshold is in the first wave
         # whatever its degree, and a queued vertex's degree is never read.
-        degree = [
-            b if b < threshold else g.degree(v)
-            for v, b in enumerate(degree_bounds())
-        ]
+        degree = np.array(degree_bounds(), dtype=np.int64)
+        exact = np.flatnonzero(degree >= threshold)
+        degree[exact] = [g.degree(v) for v in exact.tolist()]
+    queue = np.flatnonzero(degree < threshold).tolist()
+    if len(queue) == g.n:
+        return queue, frozenset()
     removal_order: list[int] = []
-    queue = [v for v in range(g.n) if degree[v] < threshold]
     # Only vertices never queued can still be pushed below the threshold; a
     # queued vertex's degree is never read again, so it is not updated.
-    unqueued = set(range(g.n)).difference(queue)
+    unqueued = set(np.flatnonzero(degree >= threshold).tolist())
+    degree = degree.tolist()
     while queue:
         nxt: list[int] = []
         for v in queue:
@@ -507,6 +510,11 @@ def _first_fit_edges(
     them on the square.  When a peeled edge returns, its coloured neighbours
     are the survivors present at its removal, fewer than the peel threshold,
     so the colours stay below threshold + 1.
+
+    While consecutive edges share u, as ids do along the core and a one-wave
+    peel, the OR over N(u) is kept as `near_u`.  That is exact: colouring
+    uv' changes only the masks at u and v', v' in N(u), and both gain the
+    same bit, which the next edge uv reads at u, in N(v).
     """
     nbrs = list(map(h.neighbours, range(h.n)))
     mask_at = [0] * h.n
@@ -514,11 +522,14 @@ def _first_fit_edges(
         u, v = edge_index[i]
         mask_at[u] |= 1 << c
         mask_at[v] |= 1 << c
+    last_u, near_u = -1, 0
     for i in order:
         u, v = edge_index[i]
-        used = 0
-        for x in nbrs[u]:
-            used |= mask_at[x]
+        if u != last_u:
+            last_u, near_u = u, 0
+            for x in nbrs[u]:
+                near_u |= mask_at[x]
+        used = near_u
         for x in nbrs[v]:
             used |= mask_at[x]
         bit = ~used & (used + 1)  # the lowest clear bit, as lowest_clear_bit finds it

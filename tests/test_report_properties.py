@@ -6,6 +6,9 @@ documents its text must equal `json.dumps(..., sort_keys=True, indent=2)`
 plus a newline, applied to the document after the report conversions:
 a dataclass becomes a dict of its fields, a Fraction "p/q", a tuple key
 "u,v" and any other key `str(key)`, the last of colliding keys winning.
+A dict of int keys in [0, 10**15) and int values is written from one
+template, its keys sorted as their strings by numpy; `int_maps` draws
+such dicts at the size of a strong-edge colouring.
 """
 
 import dataclasses
@@ -117,3 +120,45 @@ def test_deep_nesting_matches_json_dumps(result):
 def test_gen_json_matches_json_dumps(rows):
     doc = {"n": len(rows), "edges": rows}
     assert cli._json(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+# 0, then 9 and 10, 99 and 100, ..., 10**15 - 1 and 10**15: both sides of
+# every digit-count boundary, where a key's string and numeric order part,
+# and the first key past the template's range.
+BOUNDARY_KEYS = [0, *(k for e in range(1, 16) for k in (10**e - 1, 10**e))]
+SPOILERS = ["negative key", "key 10**15", "key past int64", "bool key", "bool value"]
+
+
+@st.composite
+def int_maps(draw):
+    """An int -> int dict of up to about 3,000 entries, its keys of every
+    digit count up to 15 and across the boundaries, its values partly past
+    int64, and the kind drawn: "plain", or one of SPOILERS, which adds one
+    entry that the template path does not take, first or last."""
+    rnd = draw(st.randoms(use_true_random=False))
+    keys = rnd.sample(BOUNDARY_KEYS[:-1], draw(st.integers(0, 30)))
+    keys += [rnd.randrange(10 ** rnd.randint(1, 15)) for _ in range(draw(st.integers(0, 3000)))]
+    obj = {k: rnd.choice([rnd.randrange(200), rnd.randint(-(2**70), 2**70)]) for k in keys}
+    kind = draw(st.sampled_from(["plain", *SPOILERS]))
+    key, value = {
+        "plain": (None, None),
+        "negative key": (-rnd.randrange(1, 10**16), 1),
+        "key 10**15": (10**15, 2),
+        "key past int64": (2**63 + rnd.randrange(2**70), 4),
+        "bool key": (True, 3),  # equal to 1, so a key 1 is popped first
+        "bool value": (rnd.randrange(10**15), False),
+    }[kind]
+    if key is not None:
+        obj.pop(key, None)
+        obj = {key: value, **obj} if draw(st.booleans()) else {**obj, key: value}
+    return kind, obj
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=int_maps(), depth=st.integers(0, 3))
+def test_int_maps_match_json_dumps(drawn, depth):
+    kind, obj = drawn
+    assert (cli._int_map(obj, depth) != "") == (kind == "plain" and bool(obj))
+    assert cli._report({}, {"colours": obj}) == _oracle({}, {"colours": obj})
+    expected = json.dumps(_plain(obj), sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+    assert cli._json(obj, depth) == expected

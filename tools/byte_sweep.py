@@ -50,6 +50,7 @@ INPUT_GEN = {
     "path3.col": ["--path", "3"],
     "rr100_40.col": ["--random-regular", "100", "40", "--seed", "1"],
     "rr300_6.col": ["--random-regular", "300", "6", "--seed", "5"],
+    "rr2000_12.col": ["--random-regular", "2000", "12", "--seed", "6"],
     "k60.col": ["--complete", "60"],
     "k100.col": ["--complete", "100"],
 }
@@ -190,6 +191,8 @@ CASES = [
     "strong-edge --input in/pg7.col --eta 0.3",
     "strong-edge --input in/pg7.col --eta 0.3 --max-restarts 1",
     "strong-edge --input in/pg11.col --eta 0.3",
+    # 12,000 edges: colour keys across 9,999 -> 10,000, written as a template
+    "strong-edge --input in/rr2000_12.col",
     # inputs that ran out of memory before any estimate stopped them
     "color --input in/rr100_40_cut.col --k 38 --seed 1",
     "simulate --experiment sparsity --input in/k400_400.json --k 2 --trials 1 --rounds 1",
