@@ -9,7 +9,7 @@ Toolkit pieces:
 * :mod:`sparsecolour.correspondence` -- correspondence (DP-) colouring
   assignments;
 * :mod:`sparsecolour.ncp` -- the randomised colouring rounds, restart
-  wrapper, iteration schedule and driver;
+  wrapper, iteration schedule, driver and residual sparsity experiment;
 * :mod:`sparsecolour.strong_edge` -- strong edge colouring via the square of
   the line graph;
 * :mod:`sparsecolour.bounds` -- every closed-form bound, feasibility
@@ -55,6 +55,7 @@ from .ncp import (  # noqa: F401
     iterative_colour,
     keep_probability,
     quasirandom_check,
+    residual_sparsity_experiment,
     round_stats,
     run_round,
 )
@@ -81,5 +82,4 @@ from .harness import (  # noqa: F401
     enumerate_outcomes,
     exact_chromatic,
     monte_carlo_round,
-    residual_sparsity_experiment,
 )

@@ -58,17 +58,14 @@ from .graph import (
     to_dimacs,
     to_json_dict,
 )
-from .harness import (
-    enumerate_outcomes,
-    monte_carlo_round,
-    residual_sparsity_experiment,
-)
+from .harness import enumerate_outcomes, monte_carlo_round
 from .ncp import (
     MAX_RESTARTS,
     ScheduleError,
     build_schedule,
     greedy_complete,
     iterative_colour,
+    residual_sparsity_experiment,
 )
 from .strong_edge import c5_blowup, strong_edge_colour
 
@@ -184,6 +181,25 @@ def _emit(payload: str, out: Optional[str]) -> None:
 
 def _report(config: dict, result: Any) -> str:
     return _json({"version": __version__, "config": config, "result": result}) + "\n"
+
+
+def _camel(name: str) -> str:
+    head, *rest = name.split("_")
+    return head + "".join(map(str.capitalize, rest))
+
+
+# Options that say where or how a report is written, or that are ignored
+# (`simulate --threads`), and argparse's own entries: no report records them.
+_UNRECORDED = {"command", "bounds_cmd", "func", "config", "out", "format", "threads"}
+
+
+def _config(args) -> dict:
+    """The report's config: the subcommand and every other parsed option,
+    camelCased, so that a report records exactly the options it ran with."""
+    config = {_camel(k): v for k, v in vars(args).items() if k not in _UNRECORDED}
+    command = args.command
+    config["subcommand"] = f"{command} {args.bounds_cmd}" if command == "bounds" else command
+    return config
 
 
 def _load_graph(path: str) -> Graph:
@@ -328,16 +344,7 @@ def _cmd_gen(args) -> tuple[Optional[str], int]:
 def _cmd_color(args) -> tuple[str, int]:
     g = _load_graph(args.input)
     k = args.k
-    config = {
-        "subcommand": "color",
-        "input": args.input,
-        "k": k,
-        "seed": args.seed,
-        "beta": args.beta,
-        "deltaPrime": args.delta_prime,
-        "maxRestarts": args.max_restarts,
-        "profile": args.profile,
-    }
+    config = _config(args)
     if g.n == 0:
         result = {"ok": True, "colours": {}, "numColoursUsed": 0, "mode": "empty"}
         return _report(config, result), 0
@@ -390,63 +397,32 @@ def _cmd_color(args) -> tuple[str, int]:
 
 def _cmd_strong_edge(args) -> tuple[str, int]:
     g = _load_graph(args.input)
-    config = {
-        "subcommand": "strong-edge",
-        "input": args.input,
-        "eta": args.eta,
-        "seed": args.seed,
-        "maxRestarts": args.max_restarts,
-    }
     report = strong_edge_colour(g, eta=args.eta, seed=args.seed, max_restarts=args.max_restarts)
-    result = {
-        "colours": report.colours,
-        "edgeIndex": report.edge_index,
-        "numColours": report.num_colours,
-        "ratioToDeltaSq": report.ratio_to_delta_sq,
-        "fCoreSize": report.f_core_size,
-        "engineUsed": report.engine_used,
-        "engineWarning": report.engine_warning,
-        "valid": report.valid,
-    }
-    return _report(config, result), 0 if report.valid else 1
+    result = {_camel(f.name): getattr(report, f.name) for f in dataclasses.fields(report)}
+    return _report(_config(args), result), 0 if report.valid else 1
 
 
-# bounds subcommand -> (the options its config records, its result).
+# bounds subcommand -> its result.
 BOUNDS = {
-    "constants": ((), lambda a: strong_edge_constants()),
-    "condition": (("eps", "delta"), lambda a: condition_check(a.eps, a.delta)),
-    "savings": (("eps", "delta"), lambda a: {"savingsRate": savings_rate(a.eps, a.delta)}),
-    "approx-eps": (("delta", "variant"), lambda a: {"eps": approx_eps(a.delta, a.variant)}),
+    "constants": lambda a: strong_edge_constants(),
+    "condition": lambda a: condition_check(a.eps, a.delta),
+    "savings": lambda a: {"savingsRate": savings_rate(a.eps, a.delta)},
+    "approx-eps": lambda a: {"eps": approx_eps(a.delta, a.variant)},
 }
 
 
 def _cmd_bounds(args) -> tuple[str, int]:
-    config = {"subcommand": f"bounds {args.bounds_cmd}"}
     if args.bounds_cmd == "table1":
         rows = alpha_eps_table(args.grid)
         if _output_format(args, "csv") == "json":
-            config["grid"] = args.grid
-            return _report(config, [{"alpha": a, "eps": e} for a, e in rows]), 0
+            return _report(_config(args), [{"alpha": a, "eps": e} for a, e in rows]), 0
         return table_to_csv(rows), 0
-    options, result = BOUNDS[args.bounds_cmd]
-    config.update((name, getattr(args, name)) for name in options)
-    return _report(config, result(args)), 0
+    return _report(_config(args), BOUNDS[args.bounds_cmd](args)), 0
 
 
 def _cmd_simulate(args) -> tuple[str, int]:
     g = _load_graph(args.input)
     assignment = uniform_lists(g, args.k)
-    # --threads is accepted and ignored, since trials run in one loop; it is
-    # not embedded, so reports are byte-identical for any value.
-    config = {
-        "subcommand": "simulate",
-        "experiment": args.experiment,
-        "input": args.input,
-        "k": args.k,
-        "trials": args.trials,
-        "rounds": args.rounds,
-        "seed": args.seed,
-    }
     if args.experiment == "mc":
         report = monte_carlo_round(g, assignment, args.trials, args.seed)
         to_csv = _mc_csv
@@ -457,7 +433,7 @@ def _cmd_simulate(args) -> tuple[str, int]:
         to_csv = _sparsity_csv
     if _output_format(args, "json") == "csv":
         return to_csv(report), 0
-    return _report(config, report), 0
+    return _report(_config(args), report), 0
 
 
 def _mc_csv(report) -> str:
@@ -488,9 +464,7 @@ def _sparsity_csv(report) -> str:
 
 def _cmd_oracle(args) -> tuple[str, int]:
     g = _load_graph(args.input)
-    assignment = uniform_lists(g, args.k)
-    config = {"subcommand": "oracle", "input": args.input, "k": args.k}
-    return _report(config, enumerate_outcomes(g, assignment)), 0
+    return _report(_config(args), enumerate_outcomes(g, uniform_lists(g, args.k))), 0
 
 
 # -- parser ----------------------------------------------------------------------

@@ -30,23 +30,18 @@ from .correspondence import (
     residual_assignment,
 )
 from . import budget
-from .graph import DimacsError, Graph, GraphError, first_fit, local_sparsity
+from .graph import DimacsError, Graph, GraphError, first_fit
 from .ncp import (
     KIND_TRIAL,
-    _check_distance2,
     _Compiled,
     _compile,
     _derived_seeds,
     _group_pairs,
-    _kept_colouring,
-    _regularize_with_assignment,
     _round_arrays,
     _slice_width,
     _stats_arrays,
     derive_seed,
     keep_probability,
-    asymptotic_slack,
-    quasirandom_check,
 )
 from .strong_edge import strong_neighbourhood
 
@@ -689,95 +684,6 @@ def _common_pair_chunks(comp: _Compiled):
             lo,
             hi,
         )
-
-
-# -- residual sparsity experiment -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SparsityTrialRound:
-    round_index: int
-    residual_vertices: int
-    residual_max_degree: int
-    residual_delta: Optional[float]
-    delta_ratio: Optional[float]
-    quasirandom_worst: float
-    quasirandom_allowed: float
-
-
-@dataclass(frozen=True)
-class SparsityExperimentReport:
-    host_delta: float
-    rounds: int
-    trials: int
-    trial_rounds: tuple[tuple[SparsityTrialRound, ...], ...]
-
-
-def residual_sparsity_experiment(
-    g: Graph,
-    c: CorrespondenceAssignment,
-    rounds: int,
-    trials: int,
-    seed: int,
-) -> SparsityExperimentReport:
-    """Measure how neighbourhood sparsity survives successive rounds.
-
-    Requires a regular host with max degree >= 2.  Per trial, runs rounds on
-    the (re-regularised, re-totalised) residual instance and records the
-    sparsity of the uncoloured subgraph plus the worst quasirandom deviation
-    of the uncoloured set; no assertion is made (the stability statement is
-    asymptotic), the ratios are reported for regression.
-    """
-    if not g.is_regular():
-        raise GraphError("experiment requires a regular host graph")
-    # Every round indexes the distance-2 pairs of a subgraph of g.
-    _check_distance2(sum(d * (d + 1) // 2 for d in map(g.degree, range(g.n))))
-    host_delta = local_sparsity(g).delta
-    all_trials = []
-    for t in range(trials):
-        cur_g, cur_c = g, c
-        trial_rows = []
-        for i in range(rounds):
-            if cur_g.n == 0 or cur_c.min_size() == 0:
-                break
-            reg, work_c = _regularize_with_assignment(cur_g, cur_c)
-            round_seed = derive_seed(seed, KIND_TRIAL, t, i)
-            f1_idx, kept, _ = _round_arrays(reg, [round_seed])
-            f_real = _kept_colouring(reg, f1_idx[0], kept[0])
-            mu = 1.0 - keep_probability(cur_c.min_size(), reg.max_degree)
-            qr = quasirandom_check(
-                cur_g,
-                set(range(cur_g.n)) - f_real.keys(),
-                mu,
-                asymptotic_slack(cur_g.max_degree()),
-            )
-            residual = residual_assignment(cur_g, work_c, f_real)
-            delta = None
-            ratio = None
-            if residual.graph.n and residual.graph.max_degree() >= 2:
-                delta = local_sparsity(residual.graph).delta
-                ratio = delta / host_delta if host_delta > 0 else None
-            trial_rows.append(
-                SparsityTrialRound(
-                    round_index=i,
-                    residual_vertices=residual.graph.n,
-                    residual_max_degree=(
-                        residual.graph.max_degree() if residual.graph.n else 0
-                    ),
-                    residual_delta=delta,
-                    delta_ratio=ratio,
-                    quasirandom_worst=qr.worst_deviation,
-                    quasirandom_allowed=qr.allowed,
-                )
-            )
-            cur_g, cur_c = residual.graph, residual.assignment
-        all_trials.append(tuple(trial_rows))
-    return SparsityExperimentReport(
-        host_delta=host_delta,
-        rounds=rounds,
-        trials=trials,
-        trial_rounds=tuple(all_trials),
-    )
 
 
 # -- exact colouring oracles ------------------------------------------------------------

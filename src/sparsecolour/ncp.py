@@ -18,6 +18,10 @@ good outcome exists).
 Randomness is counter-based: every draw is a splitmix64 hash of
 (seed, kind, entity id), so results are independent of iteration order,
 and any trial can be replayed from its derived seed.
+
+The residual sparsity experiment runs the same rounds, unrestarted, for a
+few iterations and records how sparse each residual graph stays; it and the
+driver build every residual through one step (`_residual_step`).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .correspondence import (
     AssignmentError,
     CorrespondenceAssignment,
     PartialColouring,
+    Residual,
     _bijective,
     _indices,
     _map_dtype,
@@ -44,7 +49,7 @@ from .correspondence import (
     totalize,
     truncate,
 )
-from .graph import Graph, local_sparsity, min_degree_ordering
+from .graph import Graph, GraphError, local_sparsity, min_degree_ordering
 
 # -- counter-based randomness --------------------------------------------------
 
@@ -1175,6 +1180,17 @@ class ColouringResult:
     failed_iteration: Optional[int] = None
 
 
+def _residual_step(
+    g: Graph, c: CorrespondenceAssignment, f: PartialColouring
+) -> tuple[Residual, Optional[float]]:
+    """The residual instance of (g, c) after f, and its local sparsity
+    delta, or None when its maximum degree is below 2."""
+    residual = residual_assignment(g, c, f)
+    if residual.graph.max_degree() < 2:
+        return residual, None
+    return residual, local_sparsity(residual.graph).delta
+
+
 def iterative_colour(
     g: Graph,
     c: CorrespondenceAssignment,
@@ -1228,10 +1244,7 @@ def iterative_colour(
         newly = {ids[v]: col for v, col in f_real.items()}
         assert not set(newly) & set(colouring), "a kept colour must never change"
         colouring.update(newly)
-        residual = residual_assignment(cur_g, work_c, f_real)
-        sparsity = None
-        if residual.graph.n and residual.graph.max_degree() >= 2:
-            sparsity = local_sparsity(residual.graph).delta
+        residual, sparsity = _residual_step(cur_g, work_c, f_real)
         per_vertex = zip(result.f1, result.col, result.dist, result.pairs, result.triples)
         vertex_records = tuple(
             VertexRoundRecord(ids[v], v in f_real, *row) for v, row in enumerate(per_vertex)
@@ -1241,7 +1254,7 @@ def iterative_colour(
                 index=iteration,
                 k=k_min,
                 k_prime=residual.assignment.min_size() if residual.graph.n else None,
-                residual_max_degree=residual.graph.max_degree() if residual.graph.n else 0,
+                residual_max_degree=residual.graph.max_degree(),
                 residual_sparsity=sparsity,
                 restarts=result.restarts,
                 coloured=len(f_real),
@@ -1255,3 +1268,86 @@ def iterative_colour(
     assert len(colouring) == g.n
     assert is_valid_colouring(g, c, colouring), "driver produced an invalid colouring"
     return ColouringResult(True, colouring, tuple(reports))
+
+
+# -- residual sparsity experiment -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SparsityTrialRound:
+    round_index: int
+    residual_vertices: int
+    residual_max_degree: int
+    residual_delta: Optional[float]
+    delta_ratio: Optional[float]
+    quasirandom_worst: float
+    quasirandom_allowed: float
+
+
+@dataclass(frozen=True)
+class SparsityExperimentReport:
+    host_delta: float
+    rounds: int
+    trials: int
+    trial_rounds: tuple[tuple[SparsityTrialRound, ...], ...]
+
+
+def residual_sparsity_experiment(
+    g: Graph,
+    c: CorrespondenceAssignment,
+    rounds: int,
+    trials: int,
+    seed: int,
+) -> SparsityExperimentReport:
+    """Measure how neighbourhood sparsity survives successive rounds.
+
+    Requires a regular host with max degree >= 2.  Per trial, runs rounds on
+    the (re-regularised, re-totalised) residual instance and records the
+    sparsity of the uncoloured subgraph plus the worst quasirandom deviation
+    of the uncoloured set; no assertion is made (the stability statement is
+    asymptotic), the ratios are reported for regression.
+    """
+    if not g.is_regular():
+        raise GraphError("experiment requires a regular host graph")
+    # Every round indexes the distance-2 pairs of a subgraph of g.
+    _check_distance2(sum(d * (d + 1) // 2 for d in map(g.degree, range(g.n))))
+    host_delta = local_sparsity(g).delta
+    all_trials = []
+    for t in range(trials):
+        cur_g, cur_c = g, c
+        trial_rows = []
+        for i in range(rounds):
+            if cur_g.n == 0 or cur_c.min_size() == 0:
+                break
+            reg, work_c = _regularize_with_assignment(cur_g, cur_c)
+            round_seed = derive_seed(seed, KIND_TRIAL, t, i)
+            f1_idx, kept, _ = _round_arrays(reg, [round_seed])
+            f_real = _kept_colouring(reg, f1_idx[0], kept[0])
+            mu = 1.0 - keep_probability(cur_c.min_size(), reg.max_degree)
+            qr = quasirandom_check(
+                cur_g,
+                set(range(cur_g.n)) - f_real.keys(),
+                mu,
+                asymptotic_slack(cur_g.max_degree()),
+            )
+            residual, delta = _residual_step(cur_g, work_c, f_real)
+            ratio = delta / host_delta if delta is not None and host_delta > 0 else None
+            trial_rows.append(
+                SparsityTrialRound(
+                    round_index=i,
+                    residual_vertices=residual.graph.n,
+                    residual_max_degree=residual.graph.max_degree(),
+                    residual_delta=delta,
+                    delta_ratio=ratio,
+                    quasirandom_worst=qr.worst_deviation,
+                    quasirandom_allowed=qr.allowed,
+                )
+            )
+            cur_g, cur_c = residual.graph, residual.assignment
+        all_trials.append(tuple(trial_rows))
+    return SparsityExperimentReport(
+        host_delta=host_delta,
+        rounds=rounds,
+        trials=trials,
+        trial_rounds=tuple(all_trials),
+    )

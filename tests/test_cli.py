@@ -408,6 +408,99 @@ class TestColorCommand:
         assert err == "sparsecolour: out of memory\n"
 
 
+
+# Subcommand, the options it is given, and the whole config its report must
+# record.  `color`, `strong-edge` and `simulate` read their options and
+# `--out` from a --config file; `oracle` and `bounds` take no --config, so
+# theirs are flags.  `out`, `format` and `threads` are never recorded.
+FULL_CONFIGS = [
+    pytest.param(
+        ["color"],
+        {"seed": 3, "beta": 0.02, "delta-prime": 0.3, "max-restarts": 7, "profile": "asymptotic"},
+        {
+            "subcommand": "color", "input": "c5.col", "k": 2, "seed": 3, "beta": 0.02,
+            "deltaPrime": 0.3, "maxRestarts": 7, "profile": "asymptotic",
+        },
+        id="color",
+    ),
+    pytest.param(
+        ["strong-edge"],
+        {"eta": 0.3, "seed": 2, "max_restarts": 5},
+        {"subcommand": "strong-edge", "input": "c5.col", "eta": 0.3, "seed": 2, "maxRestarts": 5},
+        id="strong-edge",
+    ),
+    pytest.param(
+        ["simulate"],
+        {"trials": 4, "rounds": 2, "seed": 5, "threads": 3, "format": "json"},
+        {
+            "subcommand": "simulate", "experiment": "mc", "input": "c5.col", "k": 2,
+            "trials": 4, "rounds": 2, "seed": 5,
+        },
+        id="simulate-mc",
+    ),
+    pytest.param(
+        ["simulate"],
+        {"experiment": "sparsity", "trials": 2, "seed": 6, "threads": 2, "format": "json"},
+        {
+            "subcommand": "simulate", "experiment": "sparsity", "input": "c5.col", "k": 2,
+            "trials": 2, "rounds": 3, "seed": 6,
+        },
+        id="simulate-sparsity",
+    ),
+    pytest.param(
+        ["oracle"], {}, {"subcommand": "oracle", "input": "c5.col", "k": 2}, id="oracle"
+    ),
+    pytest.param(
+        ["bounds", "constants"], {}, {"subcommand": "bounds constants"}, id="bounds-constants"
+    ),
+    pytest.param(
+        ["bounds", "condition"],
+        {"eps": 0.05, "delta": 0.9},
+        {"subcommand": "bounds condition", "eps": 0.05, "delta": 0.9},
+        id="bounds-condition",
+    ),
+    pytest.param(
+        ["bounds", "savings"],
+        {"eps": 0.05, "delta": 0.9},
+        {"subcommand": "bounds savings", "eps": 0.05, "delta": 0.9},
+        id="bounds-savings",
+    ),
+    pytest.param(
+        ["bounds", "approx-eps"],
+        {"delta": 0.24, "variant": "bruhn_joos"},
+        {"subcommand": "bounds approx-eps", "delta": 0.24, "variant": "bruhn_joos"},
+        id="bounds-approx-eps",
+    ),
+    pytest.param(
+        ["bounds", "table1"],
+        {"grid": 0.01, "format": "json"},
+        {"subcommand": "bounds table1", "grid": 0.01},
+        id="bounds-table1",
+    ),
+]
+
+
+class TestReportConfig:
+    @pytest.mark.parametrize("command, options, config", FULL_CONFIGS)
+    def test_report_records_every_option(
+        self, tmp_path, capsys, monkeypatch, command, options, config
+    ):
+        monkeypatch.chdir(tmp_path)
+        run(["gen", "--cycle", "5", "--out", "c5.col"], capsys)
+        argv = list(command)
+        argv += ["--input", "c5.col"] if "input" in config else []
+        argv += ["--k", "2"] if "k" in config else []
+        if command[0] in ("color", "strong-edge", "simulate"):
+            Path("cfg.json").write_text(json.dumps({**options, "out": "report.json"}))
+            argv += ["--config", "cfg.json"]
+        else:
+            argv += [f"--{key}={value}" for key, value in options.items()]
+            argv += ["--out", "report.json"]
+        code, out, _ = run(argv, capsys)
+        assert code in (0, 1) and out == ""
+        assert json.loads(Path("report.json").read_text())["config"] == config
+
+
 @dataclasses.dataclass(frozen=True)
 class _Pair:
     low: int

@@ -30,13 +30,13 @@ from sparsecolour.harness import (
     exact_keep_probability,
     monte_carlo_round,
     naive_outcome_stats,
-    residual_sparsity_experiment,
 )
 from sparsecolour.ncp import (
     KIND_TRIAL,
     RoundOutcome,
     derive_seed,
     greedy_complete,
+    residual_sparsity_experiment,
     round_stats,
     run_round,
 )

@@ -907,6 +907,26 @@ def _assert_ball_of(reg, ref, ref_g, focus):
         assert set(vid[reg.dir_dst[reg.dir_src == u]].tolist()) == ref_g.neighbour_set(vid[u])
 
 
+class TestResidualStep:
+    # C5 and a colouring of some of its vertices from {0, 1, 2}: the
+    # residual is the rest, and its sparsity is measured from maximum
+    # degree 2 up, the empty residual included in the None case.
+    @pytest.mark.parametrize(
+        "coloured, remaining, max_degree",
+        [
+            ({}, 5, 2),
+            ({0: 0}, 4, 2),
+            ({0: 0, 2: 0}, 3, 1),
+            ({0: 0, 1: 1, 2: 0, 3: 1, 4: 2}, 0, 0),
+        ],
+    )
+    def test_sparsity_from_maximum_degree_two(self, coloured, remaining, max_degree):
+        g = cycle_graph(5)
+        residual, delta = ncp._residual_step(g, uniform_lists(g, 3), coloured)
+        assert (residual.graph.n, residual.graph.max_degree()) == (remaining, max_degree)
+        assert delta == (local_sparsity(residual.graph).delta if max_degree >= 2 else None)
+
+
 class TestArrayRegularisation:
     @pytest.mark.parametrize("name, make", _REGULARISATION_CASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -127,6 +127,9 @@ INPUT_TEXT = {
     "bad.json": "{not json",
     "bad_shape.json": '{"n": -1}',
     "cfg.json": '{"seed": 4, "max_restarts": 50}',
+    "cfg_color.json": '{"max-restarts": 30, "profile": "asymptotic", "out": "cfg_color.json"}',
+    "cfg_simulate.json": '{"threads": 3, "format": "json", "seed": 2}',
+    "cfg_strong_edge.json": '{"eta": 0.3, "out": "cfg_se.json"}',
     "huge_id.json": '{"n": 3, "edges": [[0, 1], [0, 100000000000000000000]]}',
     "repeats.json": '{"n": 4, "edges": [[0, 1], [1, 0], [2, 3], [0, 1], [3, 2], [1, 2]]}',
     "faults.col": "p edge 4 4\ne 1 2\ne 2 1\nc note\ne 3 3\n",
@@ -177,6 +180,10 @@ CASES = [
     "color --input in/star25.col --k 20000",
     "color --input in/edgeless.col --k 100000",
     "color --input in/c5_3.col --k 6 --config in/cfg.json",
+    # options and outputs from a config file, those no report records included
+    "color --input in/c5_8.col --k 16 --config in/cfg_color.json",
+    "simulate --input in/rr30_6.col --k 5 --trials 50 --config in/cfg_simulate.json",
+    "strong-edge --input in/rr100_8.col --config in/cfg_strong_edge.json",
     "color --input in/pentagon_été.col --k 6",
     # strong-edge on several hosts
     "strong-edge --input in/c5_3.col",
