@@ -8,7 +8,9 @@ statistics are recomputed by a second, deliberately naive implementation
 
 Monte Carlo estimation shares the engine's seed derivation, so any individual
 trial can be replayed.  Trials are processed in fixed blocks whose partial
-sums are reduced in block order.
+sums are reduced in block order; the blocks' uncoloured flags are packed
+into words, from which `ncp._nuv_moments` counts the common-uncoloured
+sums.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .correspondence import (
 from . import budget
 from .graph import DimacsError, Graph, GraphError, first_fit
 from .ncp import (
+    CROSS_TILE_WORDS,
     KIND_TRIAL,
-    _Compiled,
     _compile,
     _derived_seeds,
-    _group_pairs,
+    _nuv_moments,
+    _pack_words,
     _round_arrays,
     _slice_width,
     _stats_arrays,
@@ -47,16 +50,6 @@ from .strong_edge import strong_neighbourhood
 
 ENUMERATION_GUARD = 10_000_000
 _MC_BLOCK = 64
-# Rows per chunk of the Monte Carlo common-neighbour pair index.  The index
-# has sum over pairs p of |C_p|(|C_p| - 1)/2 rows, which grows like the
-# fourth power of the degree on dense graphs, so only one chunk is held.
-_MC_CHUNK = 1 << 16
-# A tile of the cross term: at most _MC_TILE_BLOCKS blocks of words, and
-# rows of pairs up to _MC_TILE words in all (512 rows of 32 blocks, 128 KB
-# a gathered array), so that neither many trials nor many pairs make it
-# larger, and a tile holds enough rows to spread numpy's per-call cost.
-_MC_TILE = 1 << 14
-_MC_TILE_BLOCKS = 32
 
 
 # -- naive per-outcome statistics (the independent reference) -------------------
@@ -500,33 +493,16 @@ def monte_carlo_round(
     kernel) and by the memory budget; every row of it equals what its trial
     alone gives, so the width changes no result.  It refuses a run whose one
     trial's class counts exceed the budget.  A block stacks its trials'
-    keep flags and pair and triple counts and sums them as integers.  It
-    packs the uncoloured flags into one 64-bit word U_w per vertex w, bit i
-    for the block's i-th trial; the words are held vertex-major, one row of
-    a (n, blocks) array per vertex, so that the words of one vertex in every
-    block are read together.  For a pair p at distance <= 2 with common
-    neighbourhood C_p, the sums of the common-uncoloured count nuv_t(p) and
-    of its square are then
-
-        sum_t nuv_t(p)   = sum over w in C_p of the trials with w uncoloured,
-        sum_t nuv_t(p)^2 = sum_t nuv_t(p)
-                           + 2 sum over w < w' in C_p and blocks of
-                             popcount(U_w & U_w').
-
-    After the blocks, the pairs (w, w', p) are indexed once, in int32
-    chunks of about _MC_CHUNK rows, and each chunk's cross term is counted
-    in tiles of its rows and the blocks: a tile gathers the words of up to
-    _MC_TILE_BLOCKS blocks for rows up to _MC_TILE words in all, so it is
-    bounded however many trials or pairs there are.  The words take trials
-    / 8 bytes per vertex.  The cross term costs O(sum |C_p|^2) word
-    operations per block, against O(64 sum |C_p|) for counting each trial
-    separately, so it pays on sparse graphs and costs more when common
-    neighbourhoods are large, as in C5 blow-ups.  Only the graph-wide keep
+    keep flags and pair and triple counts and sums them as integers, and
+    packs its uncoloured flags into one word per vertex (`ncp._pack_words`),
+    a column of the (n, blocks) words, trials / 8 bytes per vertex, from
+    which `ncp._nuv_moments` counts the sums of every distance-<=2 pair's
+    common-uncoloured count and of its square.  Only the graph-wide keep
     fraction is a float; it is summed per trial in trial order within a
     block, and the block sums are added in block order.  The words, the
-    largest tile and the blocks' bookkeeping are checked against the memory
-    budget before any work, and the compiled instance and both indexes
-    where they are built.
+    largest tile of the cross term and the blocks' bookkeeping are checked
+    against the memory budget before any work, and the compiled instance
+    and both indexes where they are built.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -539,13 +515,11 @@ def monte_carlo_round(
     # from one block to forty is 39 words and up to 11.6 rows more); and
     # the largest tile of the cross term, two gathered words and a
     # bit count per entry.
-    nbytes = 8 * g.n * (nblocks + 16) + 17 * _MC_TILE
+    nbytes = 8 * g.n * (nblocks + 16) + 17 * CROSS_TILE_WORDS
     budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
     width = _slice_width(comp, common_uncoloured=False)  # and both indexes
-    comp._build_nuv()
     n = comp.n
-    npairs = len(comp.nuv_pairs)
 
     totals = None
     gsum = 0.0
@@ -583,17 +557,7 @@ def monte_carlo_round(
         words[:, b] = _pack_words(~kept)
     keep_total, p_total, p_sq, t_total, t_sq = totals
 
-    nuv = np.bincount(
-        comp.nuv_pair_of_entry,
-        weights=(trials - keep_total)[comp.nuv_concat],
-        minlength=npairs,
-    ).astype(np.int64)
-    cross = np.zeros(npairs, dtype=np.int64)
-    for w, w2, p, plo, phi in _common_pair_chunks(comp):
-        both = _cross_counts(words, w, w2)
-        cross[plo:phi] += np.bincount(p, weights=both, minlength=phi - plo).astype(
-            np.int64
-        )
+    nuv, nuv_sq = _nuv_moments(comp, words)
 
     def mean_se(total, total_sq):
         mean = total / trials
@@ -605,7 +569,7 @@ def monte_carlo_round(
     keep_mean, keep_se = mean_se(keep_total, keep_total)
     pairs_mean, pairs_se = mean_se(p_total, p_sq)
     triples_mean, triples_se = mean_se(t_total, t_sq)
-    nuv_mean, nuv_se = mean_se(nuv, nuv + 2 * cross)
+    nuv_mean, nuv_se = mean_se(nuv, nuv_sq)
 
     sizes = c.sizes.tolist()
     expected = np.array([keep_probability(sizes[u], g.degree(u)) for u in range(n)])
@@ -635,55 +599,6 @@ def monte_carlo_round(
         common_uncoloured_mean=dict(zip(comp.nuv_pairs, nuv_mean.tolist())),
         common_uncoloured_se=dict(zip(comp.nuv_pairs, nuv_se.tolist())),
     )
-
-
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """One uint64 per column of a (<= 64, n) bool array, bit i from row i
-    (in packbits' order)."""
-    packed = np.zeros((8, bits.shape[1]), dtype=np.uint8)
-    packed[: (len(bits) + 7) // 8] = np.packbits(bits, axis=0)
-    return np.ascontiguousarray(packed.T).view(np.uint64).ravel()
-
-
-def _cross_counts(words: np.ndarray, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Per row i, the popcount of U_w[i] & U_w2[i] summed over every block,
-    from the (n, blocks) words, in tiles of at most _MC_TILE_BLOCKS blocks
-    and _MC_TILE words."""
-    width = min(words.shape[1], _MC_TILE_BLOCKS)
-    step = max(1, _MC_TILE // width)
-    both = np.zeros(len(w), dtype=np.int64)
-    for b in range(0, words.shape[1], width):
-        part = words[:, b : b + width]
-        for lo in range(0, len(w), step):
-            tile = part.take(w[lo : lo + step], axis=0)
-            tile &= part.take(w2[lo : lo + step], axis=0)
-            both[lo : lo + step] += np.bitwise_count(tile).sum(axis=1, dtype=np.int64)
-    return both
-
-
-def _common_pair_chunks(comp: _Compiled):
-    """Every pair w < w' of common neighbours of every distance-<=2 pair p.
-
-    Yields (w, w', p - lo, lo, hi) for the pairs p in lo..hi-1, the arrays
-    as int32; a chunk holds the rows of whole pairs, about _MC_CHUNK of them
-    (more only when one pair alone has more).
-    """
-    sizes, concat, pair_of_entry = comp.nuv_sizes, comp.nuv_concat, comp.nuv_pair_of_entry
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    group_end = offsets[1:][pair_of_entry]
-    per_pair = sizes * (sizes - 1) // 2
-    chunk = (np.cumsum(per_pair) - per_pair) // _MC_CHUNK
-    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(sizes)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        e0, e1 = offsets[lo], offsets[hi]
-        first, second = (e0 + x for x in _group_pairs(group_end[e0:e1] - e0, 1))
-        yield (
-            concat[first].astype(np.int32),
-            concat[second].astype(np.int32),
-            (pair_of_entry[first] - lo).astype(np.int32),
-            lo,
-            hi,
-        )
 
 
 # -- exact colouring oracles ------------------------------------------------------------

@@ -15,6 +15,10 @@ outside the configured thresholds are simply rerun with a fresh derived seed
 (bounded whole-round restarts stand in for the existential argument that a
 good outcome exists).
 
+Common uncoloured neighbours are counted here alone, per trial
+(`_nuv_counts`), for one uncoloured set (`quasirandom_check`) and as Monte
+Carlo's sums from packed words (`_nuv_moments`), all through `_common_sums`.
+
 Randomness is counter-based: every draw is a splitmix64 hash of
 (seed, kind, entity id), so results are independent of iteration order,
 and any trial can be replayed from its derived seed.
@@ -567,16 +571,96 @@ def _class_terms(max_degree: int) -> np.ndarray:
     return terms
 
 
+def _common_sums(values: np.ndarray, concat: np.ndarray, pair_of_entry: np.ndarray, pairs: int):
+    """Per distance-<=2 pair, the float64 sum of the (n,) `values` over its
+    common neighbourhood, given as `_neighbour_pairs` lists them."""
+    return np.bincount(pair_of_entry, weights=values[concat], minlength=pairs)
+
+
 def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
     """|N(u) & N(v) & uncoloured| per trial and distance-<=2 pair, (B, P)
     from (B, n) kept masks."""
     comp._build_nuv()
     pairs = len(comp.nuv_pairs)
-    counts = [
-        np.bincount(comp.nuv_pair_of_entry, weights=uncoloured, minlength=pairs)
-        for uncoloured in ~kept.take(comp.nuv_concat, axis=1)
-    ]
+    rows = (comp.nuv_concat, comp.nuv_pair_of_entry, pairs)
+    counts = [_common_sums(uncoloured, *rows) for uncoloured in ~kept]
     return np.array(counts, dtype=np.int64).reshape(len(kept), pairs)
+
+
+# Rows per chunk of the cross term's pair index, whose sum over pairs p of
+# |C_p|(|C_p| - 1)/2 rows grows like the fourth power of the degree on dense
+# graphs, and words per tile (512 rows of 32 blocks, 128 KB a gathered array,
+# enough rows to spread numpy's per-call cost), however many trials or pairs.
+CROSS_CHUNK_ROWS = 1 << 16
+CROSS_TILE_WORDS = 1 << 14
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """One uint64 per column of a (<= 64, n) bool array, bit i from row i
+    (in packbits' order)."""
+    packed = np.zeros((8, bits.shape[1]), dtype=np.uint8)
+    packed[: (len(bits) + 7) // 8] = np.packbits(bits, axis=0)
+    return np.ascontiguousarray(packed.T).view(np.uint64).ravel()
+
+
+def _nuv_moments(comp: _Compiled, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum_t nuv_t(p) and sum_t nuv_t(p)^2 per distance-<=2 pair p, int64,
+    from the (n, blocks) words of `_pack_words`: with U_w vertex w's word,
+    the first sums popcount(U_w) over p's common neighbourhood C_p and every
+    block, and the second adds twice the sum of popcount(U_w & U_w') over
+    w < w' in C_p.  That cross term costs O(sum |C_p|^2) word operations a
+    block, against O(64 sum |C_p|) trial by trial, so it pays on sparse
+    graphs and costs more where common neighbourhoods are large (C5 blow-ups)."""
+    comp._build_nuv()
+    pairs = len(comp.nuv_pairs)
+    uncoloured = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    total = _common_sums(uncoloured, comp.nuv_concat, comp.nuv_pair_of_entry, pairs)
+    total = total.astype(np.int64)
+    cross = np.zeros(pairs, dtype=np.int64)
+    for w, w2, p, lo, hi in _common_pair_chunks(comp):
+        both = _cross_counts(words, w, w2)
+        cross[lo:hi] += np.bincount(p, weights=both, minlength=hi - lo).astype(np.int64)
+    return total, total + 2 * cross
+
+
+def _cross_counts(words: np.ndarray, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """Per row i, the popcount of U_w[i] & U_w2[i] summed over every block,
+    in tiles of max(1, CROSS_TILE_WORDS // blocks) rows of every block; past
+    CROSS_TILE_WORDS blocks, one row of CROSS_TILE_WORDS blocks at a time."""
+    step = max(1, CROSS_TILE_WORDS // words.shape[1])
+    both = np.zeros(len(w), dtype=np.int64)
+    for b in range(0, words.shape[1], CROSS_TILE_WORDS):
+        part = words[:, b : b + CROSS_TILE_WORDS]
+        for lo in range(0, len(w), step):
+            tile = part[w[lo : lo + step]]  # not take, which copies a strided part whole
+            tile &= part[w2[lo : lo + step]]
+            both[lo : lo + step] += np.bitwise_count(tile).sum(axis=1, dtype=np.int64)
+    return both
+
+
+def _common_pair_chunks(comp: _Compiled):
+    """Every pair w < w' of common neighbours of every distance-<=2 pair p.
+
+    Yields (w, w', p - lo, lo, hi) for the pairs p in lo..hi-1, the arrays
+    as int32; a chunk holds the rows of whole pairs, about CROSS_CHUNK_ROWS
+    of them (more only when one pair alone has more).
+    """
+    sizes, concat, pair_of_entry = comp.nuv_sizes, comp.nuv_concat, comp.nuv_pair_of_entry
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    group_end = offsets[1:][pair_of_entry]
+    per_pair = sizes * (sizes - 1) // 2
+    chunk = (np.cumsum(per_pair) - per_pair) // CROSS_CHUNK_ROWS
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), len(sizes)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        e0, e1 = offsets[lo], offsets[hi]
+        first, second = (e0 + x for x in _group_pairs(group_end[e0:e1] - e0, 1))
+        yield (
+            concat[first].astype(np.int32),
+            concat[second].astype(np.int32),
+            (pair_of_entry[first] - lo).astype(np.int32),
+            lo,
+            hi,
+        )
 
 
 # Trials per kernel call, and rows per call over its trials: a trial's
@@ -718,9 +802,8 @@ def quasirandom_check(
     _, (pairs, sizes, concat, pair_of_entry) = _neighbour_pairs(src, dst, edge_keys, g.n, g.n)
     if not pairs:
         return QuasirandomReport(True, None, -1.0, allowed)
-    hits = np.isin(concat, list(uncoloured)).astype(np.float64)
-    in_unc = np.bincount(pair_of_entry, weights=hits, minlength=len(pairs))
-    dev = np.abs(in_unc - mu * sizes)
+    hits = np.isin(np.arange(g.n), list(uncoloured))
+    dev = np.abs(_common_sums(hits, concat, pair_of_entry, len(pairs)) - mu * sizes)
     worst = int(np.argmax(dev))  # the first pair of largest deviation
     worst_dev = float(dev[worst])
     return QuasirandomReport(worst_dev <= allowed, pairs[worst], worst_dev, allowed)

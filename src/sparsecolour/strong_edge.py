@@ -35,7 +35,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .bounds import STRONG_EDGE_ETA, approx_eps
+from .bounds import STRONG_EDGE_ETA, approx_eps, core_edge_bound_max
 from . import budget
 from .correspondence import uniform_lists
 from .graph import Graph, GraphError, local_sparsity
@@ -366,7 +366,7 @@ def f_core_density_check(h: Graph, eta: float) -> CoreDensityReport:
     core_graph, _ = rows.induced(sorted(core))
     d = h.max_degree()
     # Positive for every eta in [0, 0.3].
-    bound = (31 / 6 - 128 / (3 * (10 - 3 * eta)) + 4 * eta - eta * eta) * d**4
+    bound = core_edge_bound_max(eta, eta) * d**4
     # A nonempty core's degrees pass the threshold, so its sparsity is defined.
     counts = local_sparsity(core_graph).neighbourhood_edges if core_graph.n else ()
     peak = max(counts, default=None)

@@ -235,9 +235,9 @@ class TestMonteCarloBlockSums:
     @pytest.mark.parametrize("trials", [1, 64, 65])
     @pytest.mark.parametrize("chunk", [1 << 16, 5], ids=["one-chunk", "small-chunks"])
     def test_sums_match_per_trial_stats(self, monkeypatch, trials, chunk):
-        from sparsecolour import harness
+        from sparsecolour import ncp
 
-        monkeypatch.setattr(harness, "_MC_CHUNK", chunk)
+        monkeypatch.setattr(ncp, "CROSS_CHUNK_ROWS", chunk)
         g = gnp_graph(14, 0.4, seed=3)
         self._check(g, _random_bijections(g, 3, seed=8), trials)
 
@@ -245,22 +245,21 @@ class TestMonteCarloBlockSums:
     @pytest.mark.parametrize("chunk", [1 << 16, 5], ids=["one-chunk", "small-chunks"])
     @pytest.mark.parametrize("lists", ["uniform", "bijections"])
     def test_small_cross_term_tiles_match_per_trial_stats(self, monkeypatch, lists, chunk, trials):
-        """Tiles of 6 words and 2 blocks (3 rows of 2 blocks at 130 trials)
-        split one pair's rows, and the block range, across tiles; on uniform
-        lists every row class takes the identity shortcut."""
-        from sparsecolour import harness
+        """Tiles of 6 words (6 rows of one block, 3 rows of 2 blocks, 2 rows
+        of 3 blocks at 130 trials) split one pair's rows across tiles; on
+        uniform lists every row class takes the identity shortcut."""
+        from sparsecolour import ncp
         from sparsecolour.ncp import _compile
 
-        monkeypatch.setattr(harness, "_MC_CHUNK", chunk)
-        monkeypatch.setattr(harness, "_MC_TILE", 6)
-        monkeypatch.setattr(harness, "_MC_TILE_BLOCKS", 2)
+        monkeypatch.setattr(ncp, "CROSS_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(ncp, "CROSS_TILE_WORDS", 6)
         g = gnp_graph(14, 0.4, seed=3)
         c = uniform_lists(g, 3) if lists == "uniform" else _random_bijections(g, 3, seed=8)
         comp = _compile(g, c)
         assert comp.identity == (lists == "uniform")
         comp._build_nuv()
         rows = comp.nuv_sizes * (comp.nuv_sizes - 1) // 2
-        assert rows.max() > 6 // min(-(-trials // 64), 2)
+        assert rows.max() > 6 // -(-trials // 64)
         self._check(g, c, trials)
 
     @staticmethod

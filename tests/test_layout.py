@@ -1,9 +1,10 @@
 """The package's module layout, read from the source with `ast`.
 
 README's Layout section lists the package modules each module imports;
-only `cli` and `__init__` import `harness`; and `_`-prefixed names cross
+only `cli` and `__init__` import `harness`; `_`-prefixed names cross
 modules only where listed below: the Monte Carlo kernel that `harness`
-takes from `ncp`, and the map arrays `ncp` reads from `correspondence`.
+takes from `ncp`, and the map arrays `ncp` reads from `correspondence`;
+and `harness` reads no common-neighbour row (`nuv_*`) but the pair keys.
 """
 
 import ast
@@ -16,10 +17,10 @@ PACKAGE = ROOT / "src" / "sparsecolour"
 # (importer, defining module) -> the private names it imports.
 PRIVATE_IMPORTS = {
     ("harness", "ncp"): {
-        "_Compiled",
         "_compile",
         "_derived_seeds",
-        "_group_pairs",
+        "_nuv_moments",
+        "_pack_words",
         "_round_arrays",
         "_slice_width",
         "_stats_arrays",
@@ -100,3 +101,15 @@ def test_private_names_cross_modules_only_where_listed():
             if private:
                 crossing.setdefault((name, module), set()).update(private)
     assert crossing == PRIVATE_IMPORTS
+
+
+def test_harness_reads_no_common_neighbour_rows_but_the_pair_keys():
+    """`ncp` alone knows how the common neighbourhoods are laid out; Monte
+    Carlo takes its sums from `ncp._nuv_moments` and keys its report by
+    `nuv_pairs`."""
+    read = {
+        node.attr
+        for node in ast.walk(MODULES["harness"])
+        if isinstance(node, ast.Attribute) and node.attr.startswith("nuv_")
+    }
+    assert read == {"nuv_pairs"}

@@ -5,7 +5,9 @@ assignments).  The tentative colours are drawn freely, and so are the kept
 sets, within what the keep rule allows: an edge whose ends' colours
 correspond never keeps both ends.  So every class pattern a round can give
 the kernels occurs.  The kernels run on whole instances and on the
-regularised copy's ball that the colouring driver uses.
+regularised copy's ball that the colouring driver uses.  Monte Carlo's
+moments of the common-uncoloured counts, taken from packed words, are the
+sums of the per-trial counts, whatever the chunk and tile sizes.
 """
 
 import random
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from sparsecolour import ncp  # noqa: E402
@@ -23,6 +25,7 @@ from sparsecolour.correspondence import (  # noqa: E402
     from_lists,
     uniform_lists,
 )
+from sparsecolour.generators import complete_graph  # noqa: E402
 from sparsecolour.graph import Graph  # noqa: E402
 from sparsecolour.harness import (  # noqa: E402
     _distance2_pairs,
@@ -39,6 +42,8 @@ from sparsecolour.ncp import (  # noqa: E402
     _Compiled,
     _compile,
     _nuv_counts,
+    _nuv_moments,
+    _pack_words,
     _regularize_with_assignment,
     _round_arrays,
     _row_classes,
@@ -340,3 +345,42 @@ def _attempt_violations(comp, params, seeds):
         [[comp.nuv_pairs[i] for i in np.flatnonzero(row).tolist()] for row in quasi_bad],
         nuv.tolist(),
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    instance=instances(max_n=7),
+    uniform=st.booleans(),
+    trials=st.integers(1, 300),
+    chunk=st.integers(1, 40),
+    tile=st.integers(1, 40),
+    seed=st.integers(0, 2**64 - 1),
+)
+# Five blocks against one tile word: every tile is one row of every block.
+@example(
+    instance=(complete_graph(6), uniform_lists(complete_graph(6), 2)),
+    uniform=False,
+    trials=300,
+    chunk=1,
+    tile=1,
+    seed=0,
+)
+def test_moments_from_words_are_sums_of_per_trial_counts(
+    instance, uniform, trials, chunk, tile, seed
+):
+    """`_nuv_moments` on the words of `trials` rounds, packed 64 trials a
+    block as Monte Carlo packs them, gives the sum and the sum of squares
+    of `_nuv_counts` over the same rounds, exactly."""
+    g, c = instance
+    if uniform:
+        c = uniform_lists(g, int(c.sizes[0]))
+    comp = _compile(g, c)
+    _, kept, _ = _round_arrays(comp, ncp._derived_seeds(seed, KIND_TRIAL, 0, trials))
+    words = np.stack([_pack_words(~kept[lo : lo + 64]) for lo in range(0, trials, 64)], axis=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncp, "CROSS_CHUNK_ROWS", chunk)
+        patch.setattr(ncp, "CROSS_TILE_WORDS", tile)
+        total, square = _nuv_moments(comp, words)
+    counts = _nuv_counts(comp, kept)
+    assert total.tolist() == counts.sum(axis=0).tolist()
+    assert square.tolist() == (counts * counts).sum(axis=0).tolist()

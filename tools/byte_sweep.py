@@ -248,6 +248,9 @@ CASES = [
     "simulate --input in/petersen.col --k 3 --experiment sparsity --trials 2",
     # 32 blocks of words, many cross-term tiles, identity maps
     "simulate --input in/rr100_40.col --k 30 --trials 2000",
+    # cross-term tiles of 207 rows of 79 blocks, and of one row past 2^14 blocks
+    "simulate --input in/c5_3.col --k 4 --trials 5000",
+    "simulate --input in/path3.col --k 2 --trials 1100000",
     # dense Monte Carlo, where every neighbourhood is a clique
     "simulate --input in/k60.col --k 30 --trials 50",
     "simulate --input in/k100.col --k 50 --trials 3",
