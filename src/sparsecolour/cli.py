@@ -120,11 +120,46 @@ def _int_map(obj: dict, depth: int) -> str:
     return f"{{{inner}{text}\n{'  ' * depth}}}"
 
 
+_BOOLS = ("false", "true")
+
+
+def _records(rows: Any, depth: int) -> str:
+    """`_json(rows, depth)` in one `%` template if `rows` are instances of
+    one dataclass with fields, each of which holds a plain int in every row
+    or a bool in every row; else "".  The fields are written in name order,
+    an int as %d and a bool as true or false."""
+    kind = type(rows[0]) if rows else None
+    if not dataclasses.is_dataclass(kind) or any(type(row) is not kind for row in rows):
+        return ""
+    names = sorted(f.name for f in dataclasses.fields(kind))
+    if not names:
+        return ""
+    columns, formats = [], []
+    for name in names:
+        column = list(map(operator.attrgetter(name), rows))
+        kinds = set(map(type, column))
+        if kinds == {int}:
+            formats.append("%d")
+        elif kinds == {bool}:
+            formats.append("%s")
+            column = list(map(_BOOLS.__getitem__, column))
+        else:
+            return ""
+        columns.append(column)
+    inner, field = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    keys = [_encoder(0)(name).replace("%", "%%") for name in names]
+    record = "{" + field + ("," + field).join(map("%s: %s".__mod__, zip(keys, formats)))
+    text = ("," + inner).join([record + inner + "}"] * len(rows))
+    return f"[{inner}{text % tuple(chain.from_iterable(zip(*columns)))}\n{'  ' * depth}]"
+
+
 def _json(obj: Any, depth: int = 0, memo: Optional[dict] = None) -> str:
     """`json.dumps(obj, sort_keys=True, indent=2)` in one walk, with a
     dataclass as a dict of its fields, a Fraction as "p/q", a tuple key as
     "u,v" and any other key as `str(key)`; any other type is a TypeError.
-    An int -> int dict, such as a colouring, is one template (`_int_map`).
+    An int -> int dict, such as a colouring, is one template (`_int_map`),
+    and so is a list or tuple of flat int and bool records, such as a
+    round's vertex records (`_records`).
     Dicts with the same key objects in the same order, such as a Monte
     Carlo report's common-uncoloured means and errors, format them once:
     `memo` maps such keys to their strings for the one top-level call,
@@ -162,6 +197,8 @@ def _json(obj: Any, depth: int = 0, memo: Optional[dict] = None) -> str:
         return f"{text[0]}{inner}{text[1:-1]}{outer}{text[-1]}" if items else brackets
     if isinstance(obj, dict):
         body = [f"{_encoder(0)(k)}: {_json(v, depth + 1, memo)}" for k, v in sorted(obj.items())]
+    elif text := _records(obj, depth):
+        return text
     elif template := _ints(obj, f",{inner}  "):  # one % over a template per row
         rows = (',' + inner).join([f"[{inner}  {template}{inner}]"] * len(obj))
         body = [rows % tuple(chain.from_iterable(obj))]

@@ -8,8 +8,10 @@ which a graph builds once, the first time one is asked for.  Instances are
 immutable.
 
 Also provides neighbourhood sparsity instrumentation (how far each
-neighbourhood is from being complete), minimum-degree orderings, first-fit
-colouring and DIMACS and JSON import/export.
+neighbourhood is from being complete), counted from packed adjacency rows
+on graphs dense enough for them and from frozensets on sparser ones,
+minimum-degree orderings, first-fit colouring and DIMACS and JSON
+import/export.
 """
 
 from __future__ import annotations
@@ -171,17 +173,65 @@ class SparsityReport:
     delta: float
 
 
+# Words per operand of one chunk of `_packed_counts`' row ANDs, and its peak
+# bytes per edge, beside the rows, and per word of a chunk (tracemalloc: 64
+# an edge on K500 and G(2000, 0.05), where the arc arrays that set the
+# rows' bits are the peak).
+ROW_CHUNK_WORDS = 1 << 14
+ROW_EDGE_BYTES, ROW_CHUNK_BYTES = 72, 24
+
+
+def _packed_counts(g: Graph, words: int) -> Optional[np.ndarray]:
+    """The edges inside each N(v), from g's adjacency as packed rows of
+    `words` uint64 (bit w of row v set iff v-w is an edge): half the sum,
+    over the edges v-w at v, of the bit count of row v AND row w.  None if
+    the rows would exceed the memory budget; the ANDs run a chunk of about
+    ROW_CHUNK_WORDS words at a time."""
+    step = max(1, ROW_CHUNK_WORDS // words)
+    nbytes = 8 * g.n * words + ROW_EDGE_BYTES * g.m + ROW_CHUNK_BYTES * min(step, g.m) * words
+    try:
+        budget.check(f"packed adjacency rows of {g.n} vertices and {g.m} edges", nbytes)
+    except budget.BudgetError:
+        return None
+    src, dst = g.arc_sources(), g.indices
+    cell = src * words + (dst >> 6)  # ascending, as the arcs are
+    start = np.flatnonzero(np.diff(cell, prepend=-1))
+    bits = np.left_shift(np.uint64(1), (dst & 63).astype(np.uint64))
+    rows = np.zeros(g.n * words, dtype=np.uint64)
+    rows[cell[start]] = np.bitwise_or.reduceat(bits, start)
+    rows = rows.reshape(g.n, words)
+    del src, cell, start, bits
+    eu, ev = g.edge_array().T
+    common = np.empty(g.m, dtype=np.int64)
+    for lo in range(0, g.m, step):
+        both = rows[eu[lo : lo + step]]
+        both &= rows[ev[lo : lo + step]]
+        common[lo : lo + step] = np.bitwise_count(both).sum(axis=1)
+    # Each edge inside N(v) is seen from both of its ends.
+    twice = np.bincount(eu, common, g.n) + np.bincount(ev, common, g.n)
+    return twice.astype(np.int64) // 2
+
+
 def local_sparsity(g: Graph) -> SparsityReport:
     """Measure neighbourhood density of every vertex.
 
     Requires max degree >= 2 (otherwise C(max_degree, 2) = 0 and the measure
-    is undefined).
+    is undefined).  Counts from packed rows (`_packed_counts`) where their
+    2m ceil(n/64) word ANDs cost no more than the sum of deg^2 set steps
+    and they fit the memory budget; otherwise from frozenset intersections.
     """
     max_deg = g.max_degree()
     if max_deg < 2:
         raise GraphError("sparsity undefined: graph has maximum degree <= 1")
-    nbrs = g.neighbour_set  # each edge inside N(v) is seen from both of its ends
-    counts = tuple(sum(len(nbrs(w) & nbrs(v)) for w in g.neighbours(v)) // 2 for v in range(g.n))
+    words = -(-g.n // 64)
+    packed = None
+    if 2 * g.m * words <= int(np.square(g.degrees()).sum()):
+        packed = _packed_counts(g, words)
+    if packed is None:  # sparse, or past the budget: set intersections, near g's own size
+        nbrs = g.neighbour_set  # each edge inside N(v) is seen from both of its ends
+        counts = tuple(sum(len(nbrs(w) & nbrs(v)) for w in g.neighbours(v)) // 2 for v in range(g.n))
+    else:
+        counts = tuple(packed.tolist())
     denom = comb(max_deg, 2)
     delta = 1.0 - max(counts) / denom
     return SparsityReport(counts, max_deg, delta)

@@ -214,7 +214,8 @@ class _Compiled:
     all that the statistics read.  The direction map is `rows` read as
     (2m x kmax), unwidened: row 2e is u->v and row 2e+1 is v->u.  The
     statistic index and the common-neighbour rows are built together, on
-    first use, from one listing of neighbour pairs (`_build_stats`).
+    first use, from one listing of neighbour pairs (`_build_stats`), and
+    the pairs' tuples on first read (`nuv_pairs`).
     `identity` records once whether every map row is the identity,
     `dir_map[r, i] == i` for every entry, as uniform lists give; it is
     False whenever some edge's ends have sets of different sizes, since
@@ -268,19 +269,31 @@ class _Compiled:
         (`_inconsistent`), and `tri_rows` the triangles a < b < c as (u, a,
         b, c), one field per row, from pairs of in-rows (u, a, b), (u, a, c)
         with b-c an edge; paths are counted from the in-rows by
-        `_stats_arrays`.  The candidate in-rows are entries of the listing,
-        whose check bounds their test; the in-rows kept and the triangle
+        `_stats_arrays`.  On identity maps every triangle is consistent,
+        so both are empty and the edges inside neighbourhoods are not
+        listed.  The candidate in-rows are entries of the listing, whose
+        check bounds their test; the in-rows kept and the triangle
         candidates are checked at STATS_ROW_BYTES a row before listing.
         """
         if self._stats_built:
             return
-        src, dst = self.stat_src, self.stat_dst
+        src, dst, n = self.stat_src, self.stat_dst, self.n
         out = np.flatnonzero(src >= self.focus)
-        arcs = np.concatenate([[dst, src, np.arange(len(src))], [src[out], dst[out], out]], axis=1)
-        middle, end, row = arcs = arcs[:, np.lexsort(arcs[1::-1])]  # by (middle, end)
-        edge_keys = self.eu * self.n + self.ev  # ascending, as the edges are sorted
-        (a, b), nuv = _neighbour_pairs(middle, end, edge_keys, self.n, self.focus)
-        self.nuv_pairs, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = nuv
+        # Every arc as its distinct key middle * n + end, sorted.
+        arcs = np.concatenate([dst * n + src, src[out] * n + dst[out]])
+        order = None if self.identity else np.argsort(arcs)
+        middle, end = np.divmod(np.sort(arcs) if order is None else arcs[order], max(n, 1))
+        del arcs
+        edge_keys = self.eu * n + self.ev  # ascending, as the edges are sorted
+        found, nuv = _neighbour_pairs(middle, end, edge_keys, n, self.focus, order is not None)
+        self.nuv_keys, self.nuv_sizes, self.nuv_concat, self.nuv_pair_of_entry = nuv
+        if found is None:  # identity maps make every triangle consistent
+            self.in_rows = np.empty((3, 0), dtype=np.int64)
+            self.tri_rows = np.empty((4, 0), dtype=np.int64)
+            self._stats_built = True
+            return
+        row = np.concatenate([np.arange(len(src)), out])[order]
+        a, b = found
         inconsistent = self._inconsistent(row[a], row[b], edge_keys)
         a, b = a[inconsistent], b[inconsistent]
         self.in_rows = np.array([middle[a], row[a], row[b]])
@@ -324,6 +337,13 @@ class _Compiled:
         """The common-neighbour rows `nuv_*`, which `_build_stats` builds."""
         self._build_stats()
         self._nuv_built = True
+
+    @functools.cached_property
+    def nuv_pairs(self) -> list[tuple[int, int]]:
+        """The distance-<=2 pairs of `nuv_keys` as (x, y) tuples, made on
+        first read, by the reports and round statistics that key by them."""
+        self._build_stats()
+        return _pair_tuples(self.nuv_keys, self.n, self.focus)
 
 
 def _identity_rows(dir_map: np.ndarray) -> bool:
@@ -393,61 +413,120 @@ def _in_sorted(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
     return keys[at] == wanted
 
 
-# Peak bytes per entry, a middle and two of its neighbours, while both indexes
-# are built (tracemalloc: 54 to 62 on C5 blow-ups and balls, 102 to 112 on
-# sparse random hosts, 152 on long paths, where most pairs are a tuple alone),
-# and per pair that no entry lists (135 for an isolated vertex's x = x, 159
-# for an adjacent pair beside its ends' entries on a perfect matching).
-DISTANCE2_ENTRY_BYTES = 160
-DISTANCE2_PAIR_BYTES = 200
+# Peak bytes of the listing per entry, a middle and two of its neighbours,
+# and per distance-<=2 pair, with the arcs it reads (tracemalloc, over the
+# whole index build, in bytes per entry plus pair: 25 to 29 on K60, the
+# PG(2,7) strong-edge core and C5 blow-ups, where the pairs are few; 27 to
+# 33 on sparse random hosts and balls of regularised copies; 38 to 46 on
+# perfect matchings, long paths and disjoint triangles, where the arcs are
+# as many as the entries; within 2 of each other with or without the edges
+# inside each neighbourhood).
+DISTANCE2_ENTRY_BYTES = 42
+DISTANCE2_PAIR_BYTES = 66
+
+# Bits of the listing's sort keys; past them it takes a stable sort instead.
+KEY_BITS = 63
 
 
-def _check_distance2(entries: int, unlisted: int = 0) -> None:
-    nbytes = entries * DISTANCE2_ENTRY_BYTES + unlisted * DISTANCE2_PAIR_BYTES
+def _check_distance2(entries: int, pairs: int = 0) -> None:
+    nbytes = entries * DISTANCE2_ENTRY_BYTES + pairs * DISTANCE2_PAIR_BYTES
     budget.check(f"distance-2 pair index of {entries} entries", nbytes)
 
 
-def _neighbour_pairs(middle, end, edge_keys, n: int, focus: int):
+def _neighbour_pairs(middle, end, edge_keys, n: int, focus: int, inner: bool = True):
     """Every pair of arcs i <= j from one middle w, ends x = end[i] <= y =
-    end[j], listed once in (w, x, y) order after the memory budget check;
-    the pairs that no entry lists are checked again once they are counted,
-    before their tuples are made.
+    end[j], listed once in (w, x, y) order after the memory budget check,
+    which is made again with the pairs once they are counted.
 
     The arcs w -> x, sorted by (w, x), are those of an n-vertex graph that
     touch its focus 0..focus-1; `edge_keys` are its edges' ascending keys
     u * n + v, u < v.  Returns (inner, common): `inner`, the entries (i, j)
-    with w in the focus and x - y an edge (the edges inside N(w)); `common`,
-    every pair x <= y < focus at distance <= 2, ascending, with x = y and
-    adjacent pairs even with no common neighbour, as (pairs, sizes, concat,
-    pair_of_entry): the common neighbourhoods one after another in `concat`,
-    each sorted, their sizes, and the pair of each entry of `concat`.
+    with w in the focus and x - y an edge (the edges inside N(w)), or None
+    when `inner` is False, and then only the arcs that end in the focus are
+    read; `common`, every pair x <= y < focus at distance <= 2, ascending,
+    with x = y and adjacent pairs even with no common neighbour, as (keys,
+    sizes, concat, pair_of_entry): each pair's key x * n + y, the common
+    neighbourhoods one after another in `concat`, each sorted, their sizes,
+    and the pair of each entry of `concat`.
     """
+    if not inner and focus < n:
+        keep = end < focus
+        middle, end = middle[keep], end[keep]
     group_end = np.searchsorted(middle, middle, side="right")
     entries = _pair_count(group_end, 0)
     _check_distance2(entries)
     i, j = _group_pairs(group_end, 0)
     key = end[i] * n  # x * n + y
     key += end[j]
-    inner = np.flatnonzero((i < j) & (middle[i] < focus))
-    inner = inner[_in_sorted(edge_keys, key[inner])]
-    inner = i[inner], j[inner]
-    # x <= y, so y < focus puts both ends in the focus; one stable sort by
-    # (x, y) keeps the middles of each pair in ascending order.
-    common = np.flatnonzero(end[j] < focus)
-    order = common[np.argsort(key[common], kind="stable")]
-    key, concat = key[order], middle[i[order]]
-    del i, j, common, order
-    adjacent = edge_keys[edge_keys % max(n, 1) < focus]
-    pair_keys = np.sort(np.concatenate([key, np.arange(focus) * (n + 1), adjacent]))
-    pair_keys = pair_keys[np.diff(pair_keys, prepend=-1) != 0]
-    # x = x without a neighbour, and adjacent pairs without a common one.
-    _check_distance2(entries, len(pair_keys) - np.count_nonzero(np.diff(key, prepend=-1)))
-    pair_of_entry = np.searchsorted(pair_keys, key)
+    found = None
+    if inner:
+        # The entries from middles in the focus come first, as i ascends;
+        # no key of x = y is an edge's.
+        stop = int(np.searchsorted(i, np.searchsorted(middle, focus)))
+        edge = np.empty(stop, dtype=bool)
+        for lo in range(0, stop, TEST_CHUNK_ENTRIES):
+            edge[lo : lo + TEST_CHUNK_ENTRIES] = _in_sorted(
+                edge_keys, key[lo : min(lo + TEST_CHUNK_ENTRIES, stop)]
+            )
+        found = np.flatnonzero(edge)
+        found = i[found], j[found]
+        del edge
+        if focus < n:  # x <= y, so y < focus puts both ends in the focus
+            common = np.flatnonzero(end[j] < focus)
+            i, key = i[common], key[common]
+    del j
+    # Marks, sentinel entries w + 1 = 0: x = x for an x that no arc ends at,
+    # and every adjacent pair, are pairs even with no common neighbour.
+    alone = np.flatnonzero(np.bincount(end, minlength=focus)[:focus] == 0)
+    marks = np.concatenate([alone * (n + 1), edge_keys[edge_keys % max(n, 1) < focus]])
+    keys = np.concatenate([marks, key])
     del key
-    sizes = np.bincount(pair_of_entry, minlength=len(pair_keys))
-    vertex = np.fromiter(range(focus), object, focus)  # one int object per vertex
-    low, high = (vertex.take(x).tolist() for x in np.divmod(pair_keys, max(n, 1)))
-    return inner, (list(zip(low, high)), sizes, concat, pair_of_entry)
+    bits = max(n, 1).bit_length()  # w + 1 <= n fits in them
+    if (focus * n) << bits <= 1 << KEY_BITS:
+        # One sort of ((x n + y) << bits) + w + 1 lists the pairs in (x, y)
+        # order, a mark first, and each common neighbourhood ascending.
+        keys <<= bits
+        tail = keys[len(marks) :]
+        tail += middle[i]
+        tail += 1
+        del i, tail
+        keys.sort()
+        w1 = keys & ((1 << bits) - 1)
+        keys >>= bits
+    else:  # a stable sort keeps the marks first and the middles ascending
+        w1 = np.zeros(len(keys), dtype=np.int64)
+        w1[len(marks) :] = middle[i] + 1
+        del i
+        order = np.argsort(keys, kind="stable")
+        keys, w1 = keys[order], w1[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    start = np.flatnonzero(first)
+    pair_keys = keys[start]
+    del keys, first
+    sizes = np.diff(start, append=len(w1)) - (w1[start] == 0)
+    _check_distance2(entries, len(sizes))
+    concat = w1[w1 != 0]
+    concat -= 1
+    pair_of_entry = np.repeat(np.arange(len(sizes)), sizes)
+    return found, (pair_keys, sizes, concat, pair_of_entry)
+
+
+# Peak bytes per pair of `_pair_tuples`: its tuple, the list's pointer to it,
+# the two lists of ends it zips and, as there are at least as many pairs as
+# vertices, an int object per vertex (tracemalloc: 78 on sparse random
+# hosts, 106 on a perfect matching).
+PAIR_TUPLE_BYTES = 120
+
+
+def _pair_tuples(keys: np.ndarray, n: int, focus: int) -> list[tuple[int, int]]:
+    """The pairs with keys x * n + y, x <= y < focus, as (x, y) tuples of
+    one int object per vertex, after the memory budget check."""
+    budget.check(f"distance-2 pair tuples of {len(keys)} pairs", len(keys) * PAIR_TUPLE_BYTES)
+    vertex = np.fromiter(range(focus), object, focus)
+    low, high = (vertex.take(x).tolist() for x in np.divmod(keys, max(n, 1)))
+    return list(zip(low, high))
 
 
 def _row_classes(comp: _Compiled, f1_idx: np.ndarray) -> np.ndarray:
@@ -581,7 +660,7 @@ def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
     """|N(u) & N(v) & uncoloured| per trial and distance-<=2 pair, (B, P)
     from (B, n) kept masks."""
     comp._build_nuv()
-    pairs = len(comp.nuv_pairs)
+    pairs = len(comp.nuv_keys)
     rows = (comp.nuv_concat, comp.nuv_pair_of_entry, pairs)
     counts = [_common_sums(uncoloured, *rows) for uncoloured in ~kept]
     return np.array(counts, dtype=np.int64).reshape(len(kept), pairs)
@@ -612,7 +691,7 @@ def _nuv_moments(comp: _Compiled, words: np.ndarray) -> tuple[np.ndarray, np.nda
     block, against O(64 sum |C_p|) trial by trial, so it pays on sparse
     graphs and costs more where common neighbourhoods are large (C5 blow-ups)."""
     comp._build_nuv()
-    pairs = len(comp.nuv_pairs)
+    pairs = len(comp.nuv_keys)
     uncoloured = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     total = _common_sums(uncoloured, comp.nuv_concat, comp.nuv_pair_of_entry, pairs)
     total = total.astype(np.int64)
@@ -761,7 +840,11 @@ def round_stats(
 
 
 def asymptotic_slack(max_degree: float) -> float:
-    """sqrt(D) (ln D)^5 deviation allowance (0 for D <= 1)."""
+    """sqrt(D) (ln D)^5 deviation allowance (0 for D <= 1).
+
+    It exceeds D for every D from 4 to 10^15, and a pair's deviation is at
+    most |N(u) & N(v)| <= D, so under this allowance the quasirandomness
+    check cannot fail at those degrees."""
     if max_degree <= 1:
         return 0.0
     return math.sqrt(max_degree) * math.log(max_degree) ** 5
@@ -799,14 +882,14 @@ def quasirandom_check(
     for every pair at distance <= 2 and every u = v; report the worst pair."""
     src, dst = g.arc_sources(), g.indices
     edge_keys = (src * g.n + dst)[src < dst]
-    _, (pairs, sizes, concat, pair_of_entry) = _neighbour_pairs(src, dst, edge_keys, g.n, g.n)
-    if not pairs:
+    _, (keys, sizes, concat, pair_of_entry) = _neighbour_pairs(src, dst, edge_keys, g.n, g.n, False)
+    if not len(keys):
         return QuasirandomReport(True, None, -1.0, allowed)
     hits = np.isin(np.arange(g.n), list(uncoloured))
-    dev = np.abs(_common_sums(hits, concat, pair_of_entry, len(pairs)) - mu * sizes)
+    dev = np.abs(_common_sums(hits, concat, pair_of_entry, len(keys)) - mu * sizes)
     worst = int(np.argmax(dev))  # the first pair of largest deviation
     worst_dev = float(dev[worst])
-    return QuasirandomReport(worst_dev <= allowed, pairs[worst], worst_dev, allowed)
+    return QuasirandomReport(worst_dev <= allowed, divmod(int(keys[worst]), g.n), worst_dev, allowed)
 
 
 # -- restarted rounds -------------------------------------------------------------

@@ -27,6 +27,7 @@ from sparsecolour.generators import (
 from sparsecolour.graph import (
     Graph,
     from_json_dict,
+    local_sparsity,
     parse_dimacs,
     parse_json,
     to_dimacs,
@@ -147,6 +148,27 @@ def _distance2():
     return _uniform_compiled(random_regular_graph(600, 12, seed=1), 12)._build_nuv
 
 
+def _distance2_inner():
+    # Random bijections: the edges inside each neighbourhood are listed too.
+    return _random_compiled(random_regular_graph(600, 12, seed=1), 4)._build_nuv
+
+
+def _distance2_dense():
+    # Few pairs against many entries, as on every dense host.
+    return _uniform_compiled(complete_graph(60), 30)._build_nuv
+
+
+def _pair_tuples():
+    comp = _uniform_compiled(random_regular_graph(600, 12, seed=1), 12)
+    comp._build_stats()
+    return lambda: comp.nuv_pairs
+
+
+def _packed_rows():
+    core, _ = line_graph_square(projective_plane_incidence(7))
+    return lambda: local_sparsity(core)
+
+
 def _distance2_matching():
     # Each pair of ends is a pair without a common neighbour, no entry.
     g = Graph.from_edges(100_000, [(v, v + 1) for v in range(0, 100_000, 2)])
@@ -222,6 +244,10 @@ PROBES = {
     "stats-k60": ("statistic index", _k60_stats),
     "distance2": ("distance-2 pair index", _distance2),
     "distance2-matching": ("distance-2 pair index", _distance2_matching),
+    "distance2-inner": ("distance-2 pair index", _distance2_inner),
+    "distance2-dense": ("distance-2 pair index", _distance2_dense),
+    "pair-tuples": ("distance-2 pair tuples", _pair_tuples),
+    "packed-rows": ("packed adjacency rows", _packed_rows),
     "residual-masks": ("residual masks", _residual_masks),
     "residual-edges": ("residual masks", _residual_edges),
     "near-sets": ("near-edge sets", _near_sets),

@@ -774,22 +774,22 @@ class TestDenseMonteCarlo:
 class TestAssignmentSizeCap:
     """K200 has 19,900 edges.  14,000 colours per vertex make maps of
     19,900 x 14,000 int16 entries, 531 MiB, past the budget before any
-    colour set; 600 colours, 23 MiB, compile, and the Monte Carlo run is
-    refused by its neighbour-pair listing, 200 x C(200, 2) entries."""
+    colour set.  On K300, 600 colours, 110 MiB, compile, and the Monte Carlo
+    run is refused by its neighbour-pair listing, 300 x C(300, 2) entries."""
 
     @pytest.mark.parametrize(
-        "argv, refusal",
+        "size, argv, refusal",
         [
-            (["color", "--k", "14000"],
+            ("200", ["color", "--k", "14000"],
              "assignment of 14000 colours on 19900 edges would take about 532 MiB"),
-            (["simulate", "--experiment", "mc", "--k", "600"],
-             "distance-2 pair index of 3980000 entries would take about 607 MiB"),
+            ("300", ["simulate", "--experiment", "mc", "--k", "600"],
+             "distance-2 pair index of 13455000 entries would take about 539 MiB"),
         ],
         ids=["color", "simulate-mc"],
     )
-    def test_refused_in_one_line_under_2gb(self, tmp_path, capsys, argv, refusal):
-        g = tmp_path / "k200.dimacs"
-        run(["gen", "--complete", "200", "--out", str(g)], capsys)
+    def test_refused_in_one_line_under_2gb(self, tmp_path, capsys, size, argv, refusal):
+        g = tmp_path / "k.dimacs"
+        run(["gen", "--complete", size, "--out", str(g)], capsys)
         out = tmp_path / "r.json"
         proc = _limited_main([*argv, "--input", str(g), "--out", str(out)])
         code, _ = proc.stdout.split()
@@ -826,7 +826,7 @@ class TestMemoryHoles:
         argv = ["simulate", "--experiment", "sparsity", "--input", str(g), "--k", "2",
                 "--trials", "1", "--rounds", "1"]
         self._refused(tmp_path, argv, "distance-2 pair index of 64160000 entries would take "
-                                      "about 9790 MiB")
+                                      "about 2570 MiB")
 
     def test_monte_carlo_blocks(self, tmp_path, capsys):
         g = tmp_path / "path.dimacs"

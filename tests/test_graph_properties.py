@@ -9,7 +9,9 @@ same graph, `line_graph_square` must join exactly the strong
 neighbourhoods, `clique_info` must agree with networkx on the clique number
 and the set of maximum cliques, and `min_degree_ordering` must give the
 order of its rescanning reference in `harness` on the graph and on an
-induced subgraph.  `parse_dimacs` must give the graph, or the refusal
+induced subgraph.  `local_sparsity` must count the edges inside every
+neighbourhood as a brute-force count does, from packed rows or from sets,
+on dense graphs and on cycles and matchings across 64-bit word boundaries.  `parse_dimacs` must give the graph, or the refusal
 text, of its per-line reference `harness.naive_parse_dimacs` on drawn
 texts, whatever the chunk size of its bulk path.
 """
@@ -27,7 +29,9 @@ from sparsecolour.cliques import clique_info  # noqa: E402
 from sparsecolour.graph import (  # noqa: E402
     DimacsError,
     Graph,
+    GraphError,
     from_json_dict,
+    local_sparsity,
     min_degree_ordering,
     parse_dimacs,
     to_dimacs,
@@ -168,6 +172,95 @@ def test_min_degree_ordering_matches_reference(g, data):
     sub, _ = g.induced(subset)
     assert min_degree_ordering(sub) == naive_min_degree_ordering(sub)
     assert min_degree_ordering(g) == naive_min_degree_ordering(g)
+
+
+def naive_neighbourhood_edges(n, edges):
+    """The edges inside each N(v), counted pair by pair of neighbours."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return [
+        sum(1 for a in nbrs[v] for b in nbrs[v] if a < b and b in nbrs[a]) for v in range(n)
+    ]
+
+
+@st.composite
+def sparsity_graphs(draw):
+    """(n, edges) of a dense graph; of cycles of 40 to 200 vertices, or a
+    perfect matching of as many beside a path of three, whose maximum
+    degree 2 puts them on either side of the packed-row rule, their rows
+    taking one to four words; of no edge; or of a dense part beside cycles;
+    with up to three isolated vertices last."""
+    kind = draw(st.sampled_from(["dense", "cycles", "matching", "edgeless", "disconnected"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n, edges = 0, []
+    if kind in ("dense", "disconnected"):
+        n = draw(st.integers(3, 40))
+        density = draw(st.sampled_from([0.5, 0.8, 1.0]))
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    if kind == "matching":
+        size = draw(st.integers(20, 100)) * 2
+        edges = [(v, v + 1) for v in range(0, size, 2)] + [(size, size + 1), (size + 1, size + 2)]
+        n = size + 3
+    elif kind in ("cycles", "disconnected"):
+        size = draw(st.integers(40, 200) if kind == "cycles" else st.integers(3, 70))
+        while size:  # cycles of at least three vertices each
+            length = size if size < 6 or rng.random() < 0.5 else rng.randint(3, size - 3)
+            edges += [(n + v, n + (v + 1) % length) for v in range(length)]
+            n, size = n + length, size - length
+    elif kind == "edgeless":
+        n = draw(st.integers(0, 150))
+    n += draw(st.integers(0, 3))  # isolated
+    return n, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=sparsity_graphs())
+def test_local_sparsity_counts_match_brute_force(drawn):
+    # Both forms count every drawn graph; `local_sparsity` picks one.
+    n, edges = drawn
+    g = Graph.from_edges(n, edges)
+    if g.max_degree() < 2:
+        with pytest.raises(GraphError, match="maximum degree <= 1"):
+            local_sparsity(g)
+        return
+    counts = naive_neighbourhood_edges(n, edges)
+    report = local_sparsity(g)
+    assert list(report.neighbourhood_edges) == counts
+    assert report.max_degree == g.max_degree()
+    assert report.delta == 1.0 - max(counts) / (g.max_degree() * (g.max_degree() - 1) // 2)
+    assert graph._packed_counts(g, -(-n // 64)).tolist() == counts
+
+
+@pytest.mark.parametrize("n, packed", [(64, True), (128, True), (129, False), (200, False)])
+def test_local_sparsity_form_follows_the_rule(monkeypatch, n, packed):
+    # A cycle has 2m = 2n arcs and sum deg^2 = 4n: rows of up to two words
+    # cost no more than the set intersections.
+    calls = []
+    rows = graph._packed_counts
+    monkeypatch.setattr(graph, "_packed_counts", lambda *args: calls.append(args) or rows(*args))
+    g = Graph.from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+    assert local_sparsity(g).neighbourhood_edges == (0,) * n
+    assert bool(calls) == packed
+
+
+def test_local_sparsity_past_the_budget_counts_from_sets(monkeypatch):
+    from sparsecolour import budget
+
+    g = Graph.from_edges(10, [(u, v) for u in range(10) for v in range(u + 1, 10)])
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 100)
+    assert graph._packed_counts(g, 1) is None
+    assert local_sparsity(g).neighbourhood_edges == (36,) * 10
+
+
+def test_local_sparsity_of_the_pg7_strong_edge_core():
+    from test_strong_edge_pipeline import projective_plane_incidence
+
+    square, _ = line_graph_square(projective_plane_incidence(7))
+    report = local_sparsity(square)
+    assert report.neighbourhood_edges == tuple(naive_neighbourhood_edges(square.n, square.edges()))
+    assert (square.n, report.max_degree) == (456, 112)
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")

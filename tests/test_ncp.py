@@ -1014,7 +1014,8 @@ class TestArrayRegularisation:
 
 class TestStatisticIndexCap:
     """K10 lists 450 neighbour pairs, 10 x C(10, 2) with x = y included,
-    each counted at DISTANCE2_ENTRY_BYTES against the budget.  360 of them
+    each counted at DISTANCE2_ENTRY_BYTES against the budget, and then
+    its 55 distance-2 pairs at DISTANCE2_PAIR_BYTES.  360 of them
     are edges, the candidate in-rows, whose triangles are tested once the
     listing is past its check.  With two colours swapped on every edge,
     every triangle is inconsistent: all 360 are kept, and 840 pairs of them
@@ -1068,7 +1069,8 @@ class TestStatisticIndexCap:
 
     def test_uniform_lists_built_at_the_listing_cap(self, monkeypatch):
         comp = self._compiled(swapped=False)
-        monkeypatch.setattr(budget, "MEMORY_BUDGET", 450 * ncp.DISTANCE2_ENTRY_BYTES)
+        cap = 450 * ncp.DISTANCE2_ENTRY_BYTES + 55 * ncp.DISTANCE2_PAIR_BYTES
+        monkeypatch.setattr(budget, "MEMORY_BUDGET", cap)
         comp._build_stats()
         assert comp.in_rows.shape == (3, 0) and comp.tri_rows.shape == (4, 0)
         assert len(comp.nuv_pairs) == 55

@@ -8,7 +8,10 @@ a dataclass becomes a dict of its fields, a Fraction "p/q", a tuple key
 "u,v" and any other key `str(key)`, the last of colliding keys winning.
 A dict of int keys in [0, 10**15) and int values is written from one
 template, its keys sorted as their strings by numpy; `int_maps` draws
-such dicts at the size of a strong-edge colouring.
+such dicts at the size of a strong-edge colouring.  So is a list or tuple
+of records of one dataclass whose every field holds a plain int in every
+record or a bool in every record; `record_tuples` draws such tuples, and
+tuples spoiled by one value or record that the template does not take.
 """
 
 import dataclasses
@@ -162,3 +165,68 @@ def test_int_maps_match_json_dumps(drawn, depth):
     assert cli._report({}, {"colours": obj}) == _oracle({}, {"colours": obj})
     expected = json.dumps(_plain(obj), sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
     assert cli._json(obj, depth) == expected
+
+
+@dataclasses.dataclass(frozen=True)
+class VertexRow:
+    vertex: int
+    kept: bool
+    f1: int
+    col: int
+
+
+@dataclasses.dataclass(frozen=True)
+class OtherRow:
+    vertex: int
+    kept: bool
+    f1: int
+    col: int
+
+
+RECORD_SPOILERS = [
+    "bool in an int column",
+    "int in a bool column",
+    "float field",
+    "None field",
+    "tuple field",
+    "nested dataclass",
+    "two dataclasses",
+]
+
+
+@st.composite
+def record_tuples(draw):
+    """A tuple of up to 60 VertexRow records, none, one or many, with ints
+    past int64 and negative, and the kind drawn: "plain", or one of
+    RECORD_SPOILERS, which puts one value or record that the template path
+    does not take at a drawn place."""
+    rows = draw(st.lists(st.builds(VertexRow, ints, st.booleans(), ints, ints), max_size=60))
+    # A column or a tuple is mixed only if it has two records.
+    spoilers = RECORD_SPOILERS if len(rows) > 1 else RECORD_SPOILERS[2:-1]
+    kind = draw(st.sampled_from(["plain", *spoilers])) if rows else "plain"
+    if kind != "plain":
+        at = draw(st.integers(0, len(rows) - 1))
+        spoiled = {
+            "bool in an int column": {"col": draw(st.booleans())},
+            "int in a bool column": {"kept": draw(st.integers(0, 1))},
+            "float field": {"f1": draw(st.floats(allow_nan=False))},
+            "None field": {"vertex": None},
+            "tuple field": {"col": (1, 2)},
+            "nested dataclass": {"f1": rows[0]},
+        }.get(kind)
+        if spoiled is None:
+            rows[at] = OtherRow(**dataclasses.asdict(rows[at]))
+        else:
+            rows[at] = dataclasses.replace(rows[at], **spoiled)
+    return kind, tuple(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=record_tuples(), depth=st.integers(0, 3))
+def test_record_tuples_match_json_dumps(drawn, depth):
+    kind, rows = drawn
+    assert (cli._records(rows, depth) != "") == (kind == "plain" and bool(rows))
+    expected = json.dumps(_plain(rows), sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+    assert cli._json(rows, depth) == expected
+    doc = {"rounds": [{"index": 0, "vertices": rows}]}
+    assert cli._report({}, doc) == _oracle({}, doc)

@@ -5,7 +5,12 @@ assignments).  The tentative colours are drawn freely, and so are the kept
 sets, within what the keep rule allows: an edge whose ends' colours
 correspond never keeps both ends.  So every class pattern a round can give
 the kernels occurs.  The kernels run on whole instances and on the
-regularised copy's ball that the colouring driver uses.  Monte Carlo's
+regularised copy's ball that the colouring driver uses.  The one-sort
+neighbour-pair listing gives a naive listing's pairs, common
+neighbourhoods and edges inside neighbourhoods, on drawn graphs with
+drawn foci and on balls, by either of its sorts; on random bijections the
+statistic index is the naive one, and on identity maps it is empty and
+the pairs are those of the full listing.  Monte Carlo's
 moments of the common-uncoloured counts, taken from packed words, are the
 sums of the per-trial counts, whatever the chunk and tile sizes.
 """
@@ -32,6 +37,7 @@ from sparsecolour.harness import (  # noqa: E402
     apply_keep_rule,
     naive_outcome_stats,
     naive_regularize_with_assignment,
+    naive_statistic_index,
 )
 from sparsecolour.ncp import (  # noqa: E402
     KIND_COLOUR,
@@ -41,6 +47,7 @@ from sparsecolour.ncp import (  # noqa: E402
     RoundParams,
     _Compiled,
     _compile,
+    _neighbour_pairs,
     _nuv_counts,
     _nuv_moments,
     _pack_words,
@@ -173,6 +180,114 @@ def test_identity_classes_match_the_naive_round(instance, seeds):
         assert [col[t].tolist(), dist[t].tolist(), pairs[t].tolist(), triples[t].tolist()] == [
             list(x) for x in naive
         ]
+
+
+def _arcs_at(eu, ev, n, focus):
+    """The arcs w -> x of the graph with edges eu-ev that touch 0..focus-1,
+    sorted by (w, x), and its ascending edge keys."""
+    keys = np.concatenate([eu * n + ev, ev * n + eu])
+    keys = np.sort(keys[np.minimum(*np.divmod(keys, max(n, 1))) < focus])
+    return (*np.divmod(keys, max(n, 1)), eu * n + ev)
+
+
+def naive_listing(middle, end, edge_keys, n, focus):
+    """The entries (i, j) from one middle in the focus whose ends are
+    adjacent, and every pair x <= y < focus at distance <= 2 with its
+    common neighbourhood, from loops over the arcs."""
+    edges = set(edge_keys.tolist())
+    common = {(x, x): [] for x in range(focus)}
+    common.update({divmod(k, n): [] for k in edges if k % n < focus})
+    inner = []
+    arcs = list(enumerate(zip(middle.tolist(), end.tolist())))
+    for i, (w, x) in arcs:
+        for j, (w2, y) in arcs[i:]:
+            if w2 != w:
+                continue
+            if i < j and w < focus and x * n + y in edges:
+                inner.append((i, j))
+            if y < focus:
+                common.setdefault((x, y), []).append(w)
+    pairs = sorted(common)
+    return inner, pairs, [sorted(common[p]) for p in pairs]
+
+
+def _assert_listing(middle, end, edge_keys, n, focus):
+    inner, pairs, commons = naive_listing(middle, end, edge_keys, n, focus)
+    for key_bits in (63, 0):  # one sort of shifted keys, or the stable sort
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncp, "KEY_BITS", key_bits)
+            listed = [_neighbour_pairs(middle, end, edge_keys, n, focus, flag)
+                      for flag in (True, False)]
+        (a, b), rows = listed[0]
+        assert list(zip(a.tolist(), b.tolist())) == inner
+        assert listed[1][0] is None
+        for keys, sizes, concat, pair_of_entry in (rows, listed[1][1]):
+            assert keys.tolist() == [x * n + y for x, y in pairs]
+            assert sizes.tolist() == list(map(len, commons))
+            assert concat.tolist() == [w for c in commons for w in c]
+            assert pair_of_entry.tolist() == [p for p, c in enumerate(commons) for _ in c]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=uniform_instances(max_n=12), data=st.data())
+def test_neighbour_pairs_match_a_naive_listing(instance, data):
+    g, _ = instance
+    eu, ev = g.edge_array().T
+    _assert_listing(*_arcs_at(eu, ev, g.n, data.draw(st.integers(0, g.n))), g.n, g.n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(instance=instances(max_n=6))
+def test_neighbour_pairs_match_a_naive_listing_on_the_ball(instance):
+    g, c = instance
+    reg, _ = _regularize_with_assignment(g, c)
+    middle, end, edge_keys = _arcs_at(reg.eu, reg.ev, reg.n, reg.focus)
+    _assert_listing(middle, end, edge_keys, reg.n, reg.focus)
+
+
+def _index(comp, ids):
+    """comp's statistic index as (in-rows, triangles), each sorted, every
+    field after u read as the id of its statistic row's source."""
+    members = []
+    for rows in (comp.in_rows, comp.tri_rows):
+        u, *fields = rows
+        ends = zip(*(ids[comp.stat_src[f]].tolist() for f in fields))
+        members.append(sorted((x, *sorted(y)) for x, y in zip(u.tolist(), ends)))
+    return tuple(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=instances(max_n=8), regularise=st.booleans())
+def test_statistic_index_on_random_bijections(instance, regularise):
+    g, c = instance
+    if regularise:
+        comp, _ = _regularize_with_assignment(g, c)
+        g, c = naive_regularize_with_assignment(g, c)
+        ids = comp.vertex_ids.astype(np.int64)
+    else:
+        comp, ids = _compile(g, c), np.arange(g.n)
+    comp._build_stats()
+    expected = naive_statistic_index(g, c, comp.focus)
+    assert _index(comp, ids) == tuple(sorted(rows) for rows in expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=uniform_instances(max_n=10), regularise=st.booleans())
+def test_identity_maps_list_no_edge_inside_a_neighbourhood(instance, regularise):
+    """Identity maps make every triangle consistent: the listing without
+    the edges inside neighbourhoods gives the empty statistic index and
+    the common-neighbour rows of the full listing."""
+    g, c = instance
+    build = (lambda: _regularize_with_assignment(g, c)[0]) if regularise else (lambda: _compile(g, c))
+    comp, general = build(), build()
+    assert comp.identity
+    general.identity = False
+    for each in (comp, general):
+        each._build_stats()
+        assert each.in_rows.shape == (3, 0) and each.tri_rows.shape == (4, 0)
+    for name in ("nuv_keys", "nuv_sizes", "nuv_concat", "nuv_pair_of_entry"):
+        assert getattr(comp, name).tolist() == getattr(general, name).tolist()
+    assert comp.nuv_pairs == general.nuv_pairs
 
 
 def _permuted(g, k, edge=None):

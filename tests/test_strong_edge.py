@@ -423,15 +423,17 @@ class TestStrongEdgeColour:
 
     # The core's first round checks its assignment (15,160 bytes), the ball
     # of its regularised copy, the regular core itself (264,320), and the
-    # distance-2 pair index (870,400) in turn; each budget here lets through
-    # those before one.  The statistic index comes last and has no rows: no
-    # edge lies inside a neighbourhood of a C5 blow-up.
+    # distance-2 pair index (228,480 for its entries, then 282,600 with its
+    # 820 pairs) in turn; each budget here lets through those before one.
+    # Below 31,040 bytes the core's sparsity is counted from sets, not from
+    # packed rows.  The statistic index comes last and has no rows: no edge
+    # lies inside a neighbourhood of a C5 blow-up.
     @pytest.mark.parametrize(
         "limit, reason",
         [
             (15_000, "assignment of 15 colours on 320 edges"),
             (100_000, "regularised copy's ball of 40 vertices, 320 edges and 15 colours"),
-            (500_000, "distance-2 pair index of 5440 entries"),
+            (270_000, "distance-2 pair index of 5440 entries"),
         ],
         ids=["assignment", "regularised-copy", "distance-2"],
     )

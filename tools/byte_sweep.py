@@ -169,6 +169,9 @@ CASES = [
     "color --input in/c5_10.col --k 18 --seed 7",
     # the benchmark's deepest regularisation: a 4,096-vertex copy
     "color --input in/c5_14.col --k 25 --seed 3",
+    # a pair listing without the edges inside neighbourhoods (identity
+    # maps) on 2,000 vertices
+    "color --input in/rr2000_12.col --k 12 --max-restarts 1",
     "color --input in/rr30_6.col --k 5 --max-restarts 0",
     "color --input in/rr30_6.col --k 5 --max-restarts 2",
     "color --input in/rr30_6.col --k 5 --max-restarts 3",
@@ -255,6 +258,8 @@ CASES = [
     "simulate --input in/k60.col --k 30 --trials 50",
     "simulate --input in/k100.col --k 50 --trials 3",
     "simulate --input in/gnp50.col --k 3 --experiment sparsity",
+    # sparsity from set intersections: rows of 32 words against degree 12
+    "simulate --experiment sparsity --input in/rr2000_12.col --k 12 --trials 1 --rounds 1",
     # oracle
     "oracle --input in/cycle4.col --k 2",
     "oracle --input in/cycle4.col --k 3",
