@@ -54,20 +54,16 @@ def savings_rate(eps: float, delta: float) -> float:
         raise BoundDomainError("savings rate undefined for eps >= 1")
     if not 0 <= delta <= 1:
         raise BoundDomainError(f"delta={delta} outside [0, 1]")
-    one = 1.0 - eps
-    pair = delta / (2.0 * one) * math.exp(-1.0 / one)
-    triple = delta**1.5 / (6.0 * one * one) * math.exp(-7.0 / (8.0 * one))
+    return _savings(eps, delta, math.exp)
+
+
+def _savings(eps, delta, exp):
+    """`savings_rate`'s expression, unchecked, in the arithmetic of eps and
+    delta (floats, or mpmath numbers with `exp` mpmath's)."""
+    one = 1 - eps
+    pair = delta / (2 * one) * exp(-1 / one)
+    triple = delta**1.5 / (6 * one * one) * exp(-7 / (8 * one))
     return pair - triple
-
-
-def _savings_rate_mp(eps, delta):
-    import mpmath
-
-    one = 1 - mpmath.mpf(eps)
-    d = mpmath.mpf(delta)
-    return d / (2 * one) * mpmath.e ** (-1 / one) - d ** mpmath.mpf("1.5") / (
-        6 * one**2
-    ) * mpmath.e ** (-7 / (8 * one))
 
 
 @dataclass(frozen=True)
@@ -90,8 +86,10 @@ class ConditionReport:
 def condition_check(eps: float, delta: float) -> ConditionReport:
     """Feasibility of the iterative procedure for sparsity delta at eps.
 
-    Evaluated in extended precision (>= 30 significant digits) with the
-    binary64 value reported alongside.  delta must lie in [0, 1], as for
+    Evaluated at HIGH_PRECISION_DPS digits, and once more with c digits
+    more when the subtraction of eps cancels c of them, so that the margin
+    keeps at least 30 correct significant digits near the boundary; the
+    binary64 value is reported alongside.  delta must lie in [0, 1], as for
     `savings_rate`.
     """
     if not 0 < eps < 0.5:
@@ -99,19 +97,25 @@ def condition_check(eps: float, delta: float) -> ConditionReport:
     import mpmath
 
     rhs64 = math.exp(1.0 / (2.0 * (1.0 - eps))) * savings_rate(eps, delta)
-    with mpmath.workdps(HIGH_PRECISION_DPS):
-        e = mpmath.mpf(repr(eps))
-        d = mpmath.mpf(repr(delta))
-        rhs = mpmath.e ** (1 / (2 * (1 - e))) * _savings_rate_mp(e, d)
-        margin = rhs - e
-        return ConditionReport(
-            eps=eps,
-            delta=delta,
-            satisfied=bool(margin > 0),
-            margin=float(margin),
-            margin_str=mpmath.nstr(margin, 30),
-            margin_float64=rhs64 - eps,
-        )
+
+    def margin_at(dps: int):
+        with mpmath.workdps(dps):
+            e, d = mpmath.mpf(repr(eps)), mpmath.mpf(repr(delta))
+            return mpmath.exp(1 / (2 * (1 - e))) * _savings(e, d, mpmath.exp) - e
+
+    margin = margin_at(HIGH_PRECISION_DPS)
+    # The leading digits of eps that the right-hand side matches cancel.
+    bits = mpmath.mag(eps) - mpmath.mag(margin) if margin else 0
+    if (cancelled := math.ceil(bits * math.log10(2))) > 0:
+        margin = margin_at(HIGH_PRECISION_DPS + cancelled)
+    return ConditionReport(
+        eps=eps,
+        delta=delta,
+        satisfied=bool(margin > 0),
+        margin=float(margin),
+        margin_str=mpmath.nstr(margin, 30),
+        margin_float64=rhs64 - eps,
+    )
 
 
 # -- polynomial approximations -------------------------------------------------

@@ -38,13 +38,14 @@ class AssignmentError(ValueError):
     """Raised for malformed correspondence assignments."""
 
 
-def _map_dtype(width: int) -> np.dtype:
+def map_dtype(width: int) -> np.dtype:
+    """The integer type of map entries indexing sets of up to `width` colours."""
     return np.dtype(np.int16 if width < 2**15 else np.int32)
 
 
 def _map_array(rows: int, width: int, fill) -> np.ndarray:
     """A (rows x width) map array set to `fill`, checked against the budget."""
-    dtype = _map_dtype(width)
+    dtype = map_dtype(width)
     budget.check(f"assignment maps of {rows} x {width} entries", rows * width * dtype.itemsize)
     out = np.empty((rows, width), dtype=dtype)
     out[...] = fill
@@ -169,7 +170,7 @@ def _index_of(c: CorrespondenceAssignment, u: int, colour: int) -> int:
     return i if i < len(colours) and colours[i] == colour else -1
 
 
-def _indices(c: CorrespondenceAssignment, f: PartialColouring) -> Optional[np.ndarray]:
+def indices(c: CorrespondenceAssignment, f: PartialColouring) -> Optional[np.ndarray]:
     """Per vertex, the index of its colour under f (-1 where f has none);
     None when some colour lies outside its vertex's set.  Rows are compared
     in chunks of at most _CHECK_ENTRIES entries, or searched one by one if
@@ -236,6 +237,27 @@ def is_total(g: Graph, c: CorrespondenceAssignment) -> bool:
     return _bijective(c.sizes, *_rows_on(g, c))
 
 
+def map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, ...]:
+    """g's edges as arrays eu, ev and c's map rows on them as one (m, 2, k)
+    array at `map_dtype(k)`, [e, 0] u->v and [e, 1] its inverse v->u, c
+    checked first: one nonempty set per vertex and a bijection on each edge."""
+    if len(c.sizes) != g.n:
+        raise AssignmentError("assignment does not match graph size")
+    if g.n and c.sizes.min() == 0:
+        raise AssignmentError("all colour sets must be nonempty")
+    ends, forward = _rows_on(g, c)
+    if not _bijective(c.sizes, ends, forward):
+        raise AssignmentError("round execution needs a total assignment")
+    (m, k), dtype = forward.shape, map_dtype(forward.shape[1])
+    rows = np.full((m, 2, k), -1, dtype=dtype)
+    rows[:, 0] = forward
+    # A bijection's -1 entries lie past its set, so they scatter into the
+    # last column, which is -1 in the inverse wherever it is -1 forward.
+    rows[np.arange(m)[:, None], 1, forward] = np.arange(k, dtype=dtype)
+    rows[:, 1, k - 1 :][rows[:, 0, k - 1 :] < 0] = -1
+    return (*np.ascontiguousarray(ends), rows)
+
+
 def from_lists(
     g: Graph, lists: Sequence[Iterable[int]]
 ) -> CorrespondenceAssignment:
@@ -270,12 +292,11 @@ def from_lists(
     return CorrespondenceAssignment._of(c.values, c.sizes, edges, fwd)
 
 
-def _shared(g: Graph, row: np.ndarray, index=None) -> CorrespondenceAssignment:
-    """Every vertex on the set `row`, broadcast to (n, k); identity maps,
-    filled from `index`, 0..k-1 (built if not given)."""
+def _shared(g: Graph, row: np.ndarray) -> CorrespondenceAssignment:
+    """Every vertex on the set `row`, broadcast to (n, k); identity maps."""
     k = len(row)
     edges = g.edge_array()  # before the maps, so its transients never meet them
-    fwd = _map_array(g.m, k, np.arange(k) if index is None else index)
+    fwd = _map_array(g.m, k, np.arange(k))
     values = np.broadcast_to(row, (g.n, k))
     return CorrespondenceAssignment._of(values, np.full(g.n, k), edges, fwd)
 
@@ -283,14 +304,13 @@ def _shared(g: Graph, row: np.ndarray, index=None) -> CorrespondenceAssignment:
 def uniform_lists(g: Graph, k: int) -> CorrespondenceAssignment:
     """List assignment {0..k-1} at every vertex (identity maps, total).
 
-    What it stores, the row of k colours (also the maps' identity fill), n
-    sizes, m edges and (m x k) maps, and 2 KiB for their array headers, is
-    checked against the budget first.
+    What it stores, the row of k colours, n sizes, m edges and (m x k)
+    maps, and 2 KiB for their array headers, is checked against the budget
+    first.
     """
-    nbytes = 8 * (k + g.n + 2 * g.m) + g.m * k * _map_dtype(k).itemsize + 2048
+    nbytes = 8 * (k + g.n + 2 * g.m) + g.m * k * map_dtype(k).itemsize + 2048
     budget.check(f"assignment of {k} colours on {g.m} edges", nbytes)
-    colours = np.arange(k, dtype=np.int64)
-    return _shared(g, colours, colours)
+    return _shared(g, np.arange(k, dtype=np.int64))
 
 
 def truncate(c: CorrespondenceAssignment, k: int) -> CorrespondenceAssignment:
@@ -335,7 +355,7 @@ def is_valid_colouring(
 ) -> bool:
     """True iff every coloured vertex uses its own set and no edge with both
     ends coloured has matched colours."""
-    idx = _indices(c, f)
+    idx = indices(c, f)
     return idx is not None and _valid_on(idx, *_rows_on(g, c))
 
 
@@ -373,7 +393,7 @@ def residual_assignment(
     empty, which surfaces later as greedy failure rather than an error here.
     The masks and the induced edges' rows are checked against the budget.
     """
-    idx, ((eu, ev), rows) = _indices(c, f), _rows_on(g, c)
+    idx, ((eu, ev), rows) = indices(c, f), _rows_on(g, c)
     if idx is None or not _valid_on(idx, (eu, ev), rows):
         raise AssignmentError("partial colouring is not valid for the assignment")
     uncoloured = np.flatnonzero(idx < 0)

@@ -173,21 +173,36 @@ class SparsityReport:
     delta: float
 
 
-# Words per operand of one chunk of `_packed_counts`' row ANDs, and its peak
-# bytes per edge, beside the rows, and per word of a chunk (tracemalloc: 64
-# an edge on K500 and G(2000, 0.05), where the arc arrays that set the
-# rows' bits are the peak).
-ROW_CHUNK_WORDS = 1 << 14
+# Words per tile of `and_counts`' row ANDs (512 rows of 32 words, 128 KB a
+# gathered array, enough rows to spread numpy's per-call cost), and
+# `_packed_counts`' peak bytes per edge, beside the rows, and per word of a
+# tile (tracemalloc: 64 an edge on K500 and G(2000, 0.05), where the arc
+# arrays that set the rows' bits are the peak).
+AND_TILE_WORDS = 1 << 14
 ROW_EDGE_BYTES, ROW_CHUNK_BYTES = 72, 24
+
+
+def and_counts(rows: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per i, the bit count of rows[a[i]] & rows[b[i]] as int64, for (r, w)
+    uint64 rows: in tiles of max(1, AND_TILE_WORDS // w) index pairs; past
+    AND_TILE_WORDS words, a row is cut into tiles of AND_TILE_WORDS."""
+    step = max(1, AND_TILE_WORDS // rows.shape[1])
+    both = np.zeros(len(a), dtype=np.int64)
+    for c in range(0, rows.shape[1], AND_TILE_WORDS):
+        part = rows[:, c : c + AND_TILE_WORDS]
+        for lo in range(0, len(a), step):
+            tile = part[a[lo : lo + step]]  # not take, which copies a strided part whole
+            tile &= part[b[lo : lo + step]]
+            both[lo : lo + step] += np.bitwise_count(tile).sum(axis=1, dtype=np.int64)
+    return both
 
 
 def _packed_counts(g: Graph, words: int) -> Optional[np.ndarray]:
     """The edges inside each N(v), from g's adjacency as packed rows of
     `words` uint64 (bit w of row v set iff v-w is an edge): half the sum,
-    over the edges v-w at v, of the bit count of row v AND row w.  None if
-    the rows would exceed the memory budget; the ANDs run a chunk of about
-    ROW_CHUNK_WORDS words at a time."""
-    step = max(1, ROW_CHUNK_WORDS // words)
+    over the edges v-w at v, of the bit count of row v AND row w
+    (`and_counts`).  None if the rows would exceed the memory budget."""
+    step = max(1, AND_TILE_WORDS // words)
     nbytes = 8 * g.n * words + ROW_EDGE_BYTES * g.m + ROW_CHUNK_BYTES * min(step, g.m) * words
     try:
         budget.check(f"packed adjacency rows of {g.n} vertices and {g.m} edges", nbytes)
@@ -202,11 +217,7 @@ def _packed_counts(g: Graph, words: int) -> Optional[np.ndarray]:
     rows = rows.reshape(g.n, words)
     del src, cell, start, bits
     eu, ev = g.edge_array().T
-    common = np.empty(g.m, dtype=np.int64)
-    for lo in range(0, g.m, step):
-        both = rows[eu[lo : lo + step]]
-        both &= rows[ev[lo : lo + step]]
-        common[lo : lo + step] = np.bitwise_count(both).sum(axis=1)
+    common = and_counts(rows, eu, ev)
     # Each edge inside N(v) is seen from both of its ends.
     twice = np.bincount(eu, common, g.n) + np.bincount(ev, common, g.n)
     return twice.astype(np.int64) // 2

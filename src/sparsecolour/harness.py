@@ -32,9 +32,8 @@ from .correspondence import (
     residual_assignment,
 )
 from . import budget
-from .graph import DimacsError, Graph, GraphError, first_fit
+from .graph import AND_TILE_WORDS, DimacsError, Graph, GraphError, first_fit
 from .ncp import (
-    CROSS_TILE_WORDS,
     KIND_TRIAL,
     _compile,
     _derived_seeds,
@@ -515,7 +514,7 @@ def monte_carlo_round(
     # from one block to forty is 39 words and up to 11.6 rows more); and
     # the largest tile of the cross term, two gathered words and a
     # bit count per entry.
-    nbytes = 8 * g.n * (nblocks + 16) + 17 * CROSS_TILE_WORDS
+    nbytes = 8 * g.n * (nblocks + 16) + 17 * AND_TILE_WORDS
     budget.check(f"Monte Carlo run of {nblocks} blocks", nbytes)
     comp = _compile(g, c)
     width = _slice_width(comp, common_uncoloured=False)  # and both indexes

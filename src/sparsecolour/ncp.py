@@ -40,20 +40,18 @@ import numpy as np
 from . import budget
 from .bounds import savings_rate
 from .correspondence import (
-    AssignmentError,
     CorrespondenceAssignment,
     PartialColouring,
     Residual,
-    _bijective,
-    _indices,
-    _map_dtype,
-    _rows_on,
+    indices,
     is_valid_colouring,
+    map_dtype,
+    map_rows,
     residual_assignment,
     totalize,
     truncate,
 )
-from .graph import Graph, GraphError, local_sparsity, min_degree_ordering
+from .graph import Graph, GraphError, and_counts, local_sparsity, min_degree_ordering
 
 # -- counter-based randomness --------------------------------------------------
 
@@ -185,11 +183,11 @@ TEST_CHUNK_ENTRIES = 1 << 16
 
 def _check_compiled(what: str, n: int, m: int, kmax: int, rows: int) -> None:
     """Refuse a compiled instance past the budget: `rows` map rows of kmax
-    entries at `_map_dtype(kmax)` (a direction map is 2m; a ball of the
+    entries at `map_dtype(kmax)` (a direction map is 2m; a ball of the
     regularised copy also holds g's total assignment and map rows while it
     gathers its own), twenty int64 arrays of m entries, four of n, and the
-    index buffers of `_map_rows`'s scatter (150 KB traced on large rows)."""
-    entries = rows * kmax * _map_dtype(kmax).itemsize
+    index buffers of `map_rows`'s scatter (150 KB traced on large rows)."""
+    entries = rows * kmax * map_dtype(kmax).itemsize
     nbytes = entries + 8 * (20 * m + 4 * n) + 160 * 1024
     budget.check(f"{what} of {n} vertices, {m} edges and {kmax} colours", nbytes)
 
@@ -355,33 +353,12 @@ def _identity_rows(dir_map: np.ndarray) -> bool:
     return all((dir_map[lo : lo + step] == ident).all() for lo in range(0, rows, step))
 
 
-def _map_rows(g: Graph, c: CorrespondenceAssignment) -> tuple[np.ndarray, ...]:
-    """g's edges as arrays eu, ev and c's map rows on them as one (m, 2, k)
-    array at `_map_dtype(k)`, [e, 0] u->v and [e, 1] its inverse v->u, c
-    checked first: one nonempty set per vertex and a bijection on each edge."""
-    if len(c.sizes) != g.n:
-        raise AssignmentError("assignment does not match graph size")
-    if g.n and c.sizes.min() == 0:
-        raise AssignmentError("all colour sets must be nonempty")
-    ends, forward = _rows_on(g, c)
-    if not _bijective(c.sizes, ends, forward):
-        raise AssignmentError("round execution needs a total assignment")
-    (m, k), dtype = forward.shape, _map_dtype(forward.shape[1])
-    rows = np.full((m, 2, k), -1, dtype=dtype)
-    rows[:, 0] = forward
-    # A bijection's -1 entries lie past its set, so they scatter into the
-    # last column, which is -1 in the inverse wherever it is -1 forward.
-    rows[np.arange(m)[:, None], 1, forward] = np.arange(k, dtype=dtype)
-    rows[:, 1, k - 1 :][rows[:, 0, k - 1 :] < 0] = -1
-    return (*np.ascontiguousarray(ends), rows)
-
-
 def _compile(g: Graph, c: CorrespondenceAssignment) -> _Compiled:
     """The whole instance (g, c), c total, compiled; every vertex is in its
     focus."""
     _check_compiled("compiled instance", g.n, g.m, max(c.fwd.shape[1], 1), 2 * g.m)
     ids = np.arange(g.n, dtype=np.uint64), np.arange(g.m, dtype=np.uint64)
-    return _Compiled(*_map_rows(g, c), c.sizes, c.values, g.max_degree(), *ids)
+    return _Compiled(*map_rows(g, c), c.sizes, c.values, g.max_degree(), *ids)
 
 
 def _pair_count(group_end: np.ndarray, gap: int) -> int:
@@ -668,10 +645,8 @@ def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
 
 # Rows per chunk of the cross term's pair index, whose sum over pairs p of
 # |C_p|(|C_p| - 1)/2 rows grows like the fourth power of the degree on dense
-# graphs, and words per tile (512 rows of 32 blocks, 128 KB a gathered array,
-# enough rows to spread numpy's per-call cost), however many trials or pairs.
+# graphs, however many trials or pairs.
 CROSS_CHUNK_ROWS = 1 << 16
-CROSS_TILE_WORDS = 1 << 14
 
 
 def _pack_words(bits: np.ndarray) -> np.ndarray:
@@ -697,24 +672,9 @@ def _nuv_moments(comp: _Compiled, words: np.ndarray) -> tuple[np.ndarray, np.nda
     total = total.astype(np.int64)
     cross = np.zeros(pairs, dtype=np.int64)
     for w, w2, p, lo, hi in _common_pair_chunks(comp):
-        both = _cross_counts(words, w, w2)
+        both = and_counts(words, w, w2)
         cross[lo:hi] += np.bincount(p, weights=both, minlength=hi - lo).astype(np.int64)
     return total, total + 2 * cross
-
-
-def _cross_counts(words: np.ndarray, w: np.ndarray, w2: np.ndarray) -> np.ndarray:
-    """Per row i, the popcount of U_w[i] & U_w2[i] summed over every block,
-    in tiles of max(1, CROSS_TILE_WORDS // blocks) rows of every block; past
-    CROSS_TILE_WORDS blocks, one row of CROSS_TILE_WORDS blocks at a time."""
-    step = max(1, CROSS_TILE_WORDS // words.shape[1])
-    both = np.zeros(len(w), dtype=np.int64)
-    for b in range(0, words.shape[1], CROSS_TILE_WORDS):
-        part = words[:, b : b + CROSS_TILE_WORDS]
-        for lo in range(0, len(w), step):
-            tile = part[w[lo : lo + step]]  # not take, which copies a strided part whole
-            tile &= part[w2[lo : lo + step]]
-            both[lo : lo + step] += np.bitwise_count(tile).sum(axis=1, dtype=np.int64)
-    return both
 
 
 def _common_pair_chunks(comp: _Compiled):
@@ -826,7 +786,7 @@ def round_stats(
     comp = _compile(g, c)
     if len(outcome.f1) != comp.n:
         raise ValueError("outcome does not match the instance")
-    f1_idx = _indices(c, dict(enumerate(outcome.f1)))
+    f1_idx = indices(c, dict(enumerate(outcome.f1)))
     if f1_idx is None:
         raise ValueError("outcome uses colours outside the assignment")
     if not is_valid_colouring(g, c, {u: outcome.f1[u] for u in outcome.kept}):
@@ -1208,7 +1168,7 @@ def _regularize_with_assignment(
     kmax = max(c.min_size(), 1)
     _check_compiled("regularised copy's ball", n_ball, m_ball, kmax, 2 * m_ball + 3 * g.m)
     total = totalize(g, truncate(c, c.min_size()))
-    eu, ev, rows = _map_rows(g, total)
+    eu, ev, rows = map_rows(g, total)
     vertex_ids, edge_ids, bu, bv, source = _ball(eu, ev, deficit)
     joining = source == g.m
     rows = rows.take(np.minimum(source, g.m - 1), axis=0)

@@ -96,6 +96,25 @@ class TestConditionCheck:
         assert len(report.margin_str.replace("-0.", "").lstrip("0")) >= 25
         assert report.margin == pytest.approx(report.margin_float64, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "eps, delta",
+        [(0.08489405708977024, 0.3576411265915042), (0.0825, 0.345), (0.05, 0.9)],
+        ids=["margin-1e-19", "strong-edge", "ordinary"],
+    )
+    def test_margin_digits_match_a_100_digit_evaluation(self, eps, delta):
+        # At the first point rhs and eps agree in 18 digits, which 40-digit
+        # arithmetic alone would leave too few to print 30 correct ones.
+        import mpmath
+
+        with mpmath.workdps(100):
+            e, d = mpmath.mpf(repr(eps)), mpmath.mpf(repr(delta))
+            one = 1 - e
+            rate = d / (2 * one) * mpmath.exp(-1 / one) - d ** mpmath.mpf(1.5) / (
+                6 * one**2
+            ) * mpmath.exp(-7 / (8 * one))
+            margin = mpmath.exp(1 / (2 * one)) * rate - e
+        assert condition_check(eps, delta).margin_str == mpmath.nstr(margin, 30)
+
     def test_domain(self):
         with pytest.raises(BoundDomainError):
             condition_check(0.5, 0.5)

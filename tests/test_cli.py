@@ -314,6 +314,33 @@ class TestColorCommand:
         run([*base, "--max-restarts", "3", "--out", str(out2)], capsys)
         assert json.loads(out2.read_text())["config"]["maxRestarts"] == 3
 
+    def test_config_file_ignores_keys_that_name_no_option(self, tmp_path, capsys):
+        # `command` and `func` are parser fields, not options; `colours` is
+        # nothing.  None of them reaches the parser or the report.
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "8", "--out", str(g)], capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"command": "gen", "func": "oracle", "colours": 3, "max_restarts": 1}
+        ))
+        base = ["color", "--input", str(g), "--k", "16", "--out"]
+        out1, out2 = tmp_path / "with_cfg.json", tmp_path / "with_flag.json"
+        assert run([*base, str(out1), "--config", str(cfg)], capsys)[0] == 0
+        assert run([*base, str(out2), "--max-restarts", "1"], capsys)[0] == 0
+        assert out1.read_text() == out2.read_text()
+
+    def test_required_flags_are_not_taken_from_the_config_file(self, tmp_path, capsys):
+        g = tmp_path / "g.dimacs"
+        run(["gen", "--c5-blowup", "3", "--out", str(g)], capsys)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"k": 3}))
+        with pytest.raises(SystemExit) as exc:
+            main(["color", "--input", str(g), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "sparsecolour color: error: the following arguments are required: --k\n"
+        )
+
     @pytest.mark.parametrize(
         "entry", [{"beta": "abc"}, {"max_restarts": "abc"}, {"k": 0}, {"beta": None}]
     )

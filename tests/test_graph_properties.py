@@ -11,7 +11,8 @@ and the set of maximum cliques, and `min_degree_ordering` must give the
 order of its rescanning reference in `harness` on the graph and on an
 induced subgraph.  `local_sparsity` must count the edges inside every
 neighbourhood as a brute-force count does, from packed rows or from sets,
-on dense graphs and on cycles and matchings across 64-bit word boundaries.  `parse_dimacs` must give the graph, or the refusal
+on dense graphs and on cycles and matchings across 64-bit word boundaries,
+whole rows or cut into tiles of one word.  `parse_dimacs` must give the graph, or the refusal
 text, of its per-line reference `harness.naive_parse_dimacs` on drawn
 texts, whatever the chunk size of its bulk path.
 """
@@ -231,6 +232,9 @@ def test_local_sparsity_counts_match_brute_force(drawn):
     assert report.max_degree == g.max_degree()
     assert report.delta == 1.0 - max(counts) / (g.max_degree() * (g.max_degree() - 1) // 2)
     assert graph._packed_counts(g, -(-n // 64)).tolist() == counts
+    with pytest.MonkeyPatch.context() as patch:  # tiles of one word: rows cut across
+        patch.setattr(graph, "AND_TILE_WORDS", 1)
+        assert graph._packed_counts(g, -(-n // 64)).tolist() == counts
 
 
 @pytest.mark.parametrize("n, packed", [(64, True), (128, True), (129, False), (200, False)])

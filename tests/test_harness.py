@@ -248,11 +248,11 @@ class TestMonteCarloBlockSums:
         """Tiles of 6 words (6 rows of one block, 3 rows of 2 blocks, 2 rows
         of 3 blocks at 130 trials) split one pair's rows across tiles; on
         uniform lists every row class takes the identity shortcut."""
-        from sparsecolour import ncp
+        from sparsecolour import graph, ncp
         from sparsecolour.ncp import _compile
 
         monkeypatch.setattr(ncp, "CROSS_CHUNK_ROWS", chunk)
-        monkeypatch.setattr(ncp, "CROSS_TILE_WORDS", 6)
+        monkeypatch.setattr(graph, "AND_TILE_WORDS", 6)
         g = gnp_graph(14, 0.4, seed=3)
         c = uniform_lists(g, 3) if lists == "uniform" else _random_bijections(g, 3, seed=8)
         comp = _compile(g, c)

@@ -3,8 +3,7 @@
 README's Layout section lists the package modules each module imports;
 only `cli` and `__init__` import `harness`; `_`-prefixed names cross
 modules only where listed below: the Monte Carlo kernel that `harness`
-takes from `ncp`, and the map arrays `ncp` reads from `correspondence`;
-and `harness` reads no common-neighbour row (`nuv_*`) but the pair keys.
+takes from `ncp`; and `harness` reads no common-neighbour row (`nuv_*`) but the pair keys.
 """
 
 import ast
@@ -25,7 +24,6 @@ PRIVATE_IMPORTS = {
         "_slice_width",
         "_stats_arrays",
     },
-    ("ncp", "correspondence"): {"_bijective", "_indices", "_map_dtype", "_rows_on"},
 }
 
 MODULES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}

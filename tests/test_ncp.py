@@ -991,7 +991,7 @@ class TestArrayRegularisation:
 
         g = Graph.from_edges(10_026, [(0, leaf) for leaf in range(1, 26)])
         c = uniform_lists(g, 24)
-        for name in ("truncate", "totalize", "_map_rows", "_ball"):
+        for name in ("truncate", "totalize", "map_rows", "_ball"):
             monkeypatch.setattr(ncp, name, never)
         with pytest.raises(
             BudgetError,
@@ -1006,7 +1006,7 @@ class TestArrayRegularisation:
             raise AssertionError("work on the maps before the size check")
 
         g = star_graph(70)
-        for name in ("truncate", "totalize", "_map_rows", "_ball"):
+        for name in ("truncate", "totalize", "map_rows", "_ball"):
             monkeypatch.setattr(ncp, name, never)
         with pytest.raises(BudgetError, match=r"^regularised copy of 71 \* 2\^69 vertices "):
             _regularize_with_assignment(g, uniform_lists(g, 2))
@@ -1102,7 +1102,7 @@ class TestBudgetChecks:
         # 2 blocks * 15 edges * 2 colours * 2 bytes + 8 (20 * 15 edges + 4 * 6
         # vertices) + 160 KiB = 166,552 bytes.
         monkeypatch.setattr(budget, "MEMORY_BUDGET", 166_551)
-        monkeypatch.setattr(ncp, "_map_rows", map_rows)
+        monkeypatch.setattr(ncp, "map_rows", map_rows)
         with pytest.raises(BudgetError, match="^compiled instance of 6 vertices, 15 edges "):
             _compile(g, c)
 

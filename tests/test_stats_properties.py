@@ -24,7 +24,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from sparsecolour import ncp  # noqa: E402
+from sparsecolour import graph, ncp  # noqa: E402
 from sparsecolour.correspondence import (  # noqa: E402
     CorrespondenceAssignment,
     from_lists,
@@ -494,7 +494,7 @@ def test_moments_from_words_are_sums_of_per_trial_counts(
     words = np.stack([_pack_words(~kept[lo : lo + 64]) for lo in range(0, trials, 64)], axis=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ncp, "CROSS_CHUNK_ROWS", chunk)
-        patch.setattr(ncp, "CROSS_TILE_WORDS", tile)
+        patch.setattr(graph, "AND_TILE_WORDS", tile)
         total, square = _nuv_moments(comp, words)
     counts = _nuv_counts(comp, kept)
     assert total.tolist() == counts.sum(axis=0).tolist()

@@ -65,6 +65,14 @@ class TestLineGraphSquare:
 
         assert _colour_core(complete_graph(6), seed=0, max_restarts=10) == (None, None)
 
+    def test_core_whose_k_exceeds_max_degree_takes_greedy_path(self):
+        # K8 less one edge: delta = 1/21, so k = ceil((1 - eps) * 8) = 8 > 7 = max
+        # degree, and the engine is not tried.
+        from sparsecolour.strong_edge import _colour_core
+
+        core = Graph.from_edges(8, [(u, v) for u in range(8) for v in range(u + 1, 8)][1:])
+        assert _colour_core(core, seed=0, max_restarts=10) == (None, None)
+
     def test_edgeless_rejected(self):
         from sparsecolour.generators import empty_graph
 
@@ -378,9 +386,12 @@ class TestValidateStrongColouring:
         swapped[0], swapped[-1] = swapped[-1], swapped[0]
         truncated = edge_index[:-1]
         uncoloured = {i: c for i, c in colours.items() if i != len(colours) // 2}
+        # As many colours as edges, but one at a position past the last.
+        misplaced = {**uncoloured, len(colours): colours[len(colours) // 2]}
         assert not _validate_strong_colouring(host, swapped, colours)
         assert not _validate_strong_colouring(host, truncated, colours)
         assert not _validate_strong_colouring(host, edge_index, uncoloured)
+        assert not _validate_strong_colouring(host, edge_index, misplaced)
         assert not _validate_strong_colouring(host, [list(e) for e in edge_index], colours)
 
 

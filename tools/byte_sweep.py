@@ -234,6 +234,9 @@ CASES = [
     "bounds table1 --format json --grid 0.001",
     "bounds constants",
     "bounds condition --eps 0.05 --delta 0.9",
+    # rhs and eps agree in 18 digits here; and an ordinary failing point
+    "bounds condition --eps 0.08489405708977024 --delta 0.3576411265915042",
+    "bounds condition --eps 0.3 --delta 0.2 --out c.json",
     "bounds condition --eps 0.6 --delta -1",
     "bounds savings --eps 0.05 --delta 0.9 --out s.json",
     "bounds approx-eps --delta 0.24 --variant bruhn_joos",
