@@ -323,29 +323,47 @@ def _pairs(n) -> int:
 
 GEN_DRAW_CAP = 50_000_000
 
-# gen flag -> (size error, shape, build), each a function of the flag's
-# value; build also takes the seed.  The size error returns why the value is
-# out of range, or None (--petersen takes no size).  The shape, (vertices,
-# edges) with expected edges for --gnp, is checked against the memory budget
-# before anything is generated, at bytes per vertex and edge no fewer than
-# the loaders', so that a graph `gen` writes always loads.
+# gen flag -> (argparse keywords, size error, shape, build); the last three
+# are functions of the flag's value, and build also takes the seed.  The
+# size error returns why the value is out of range, or None (--petersen
+# takes no size).  The shape, (vertices, edges) with expected edges for
+# --gnp, is checked against the memory budget before anything is generated,
+# at bytes per vertex and edge no fewer than the loaders', so that a graph
+# `gen` writes always loads.
 GENERATORS = {
-    "--c5-blowup": (_at_least(1), lambda k: (5 * k, 5 * k**2), lambda k, seed: c5_blowup(k)),
+    "--c5-blowup": (
+        {"type": int, "metavar": "K"}, _at_least(1),
+        lambda k: (5 * k, 5 * k**2), lambda k, seed: c5_blowup(k),
+    ),
     "--random-regular": (
-        _regular_error,
-        lambda nd: (nd[0], nd[0] * nd[1] // 2),
-        lambda nd, seed: random_regular_graph(*nd, seed),
+        {"type": int, "nargs": 2, "metavar": ("N", "D")}, _regular_error,
+        lambda nd: (nd[0], nd[0] * nd[1] // 2), lambda nd, seed: random_regular_graph(*nd, seed),
     ),
     "--gnp": (
-        _gnp_error,
+        {"type": float, "nargs": 2, "metavar": ("N", "P")}, _gnp_error,
         lambda np_: (int(np_[0]), round(np_[1] * _pairs(np_[0]))),
         lambda np_, seed: gnp_graph(int(np_[0]), np_[1], seed),
     ),
-    "--complete": (_at_least(0), lambda n: (n, _pairs(n)), lambda n, seed: complete_graph(n)),
-    "--cycle": (_at_least(3), lambda n: (n, n), lambda n, seed: cycle_graph(n)),
-    "--path": (_at_least(0), lambda n: (n, max(n - 1, 0)), lambda n, seed: path_graph(n)),
-    "--star": (_at_least(0), lambda n: (n + 1, n), lambda n, seed: star_graph(n)),
-    "--petersen": (None, lambda _: (10, 15), lambda _, seed: petersen_graph()),
+    "--complete": (
+        {"type": int, "metavar": "N"}, _at_least(0),
+        lambda n: (n, _pairs(n)), lambda n, seed: complete_graph(n),
+    ),
+    "--cycle": (
+        {"type": int, "metavar": "N"}, _at_least(3),
+        lambda n: (n, n), lambda n, seed: cycle_graph(n),
+    ),
+    "--path": (
+        {"type": int, "metavar": "N"}, _at_least(0),
+        lambda n: (n, max(n - 1, 0)), lambda n, seed: path_graph(n),
+    ),
+    "--star": (
+        {"type": int, "metavar": "LEAVES"}, _at_least(0),
+        lambda n: (n + 1, n), lambda n, seed: star_graph(n),
+    ),
+    "--petersen": (
+        {"action": "store_const", "const": True}, None,
+        lambda _: (10, 15), lambda _, seed: petersen_graph(),
+    ),
 }
 
 
@@ -359,7 +377,7 @@ def _cmd_gen(args) -> tuple[Optional[str], int]:
     if len(chosen) != 1:
         return _refuse("gen: exactly one generator must be selected", 2)
     [(flag, value)] = chosen
-    size_error, shape, build = GENERATORS[flag]
+    _, size_error, shape, build = GENERATORS[flag]
     error = size_error(value) if size_error else None
     if error:
         return _refuse(f"gen: {flag} {error}", 2)
@@ -473,30 +491,25 @@ def _cmd_simulate(args) -> tuple[str, int]:
     return _report(_config(args), report), 0
 
 
+def _csv(header: list[str], rows) -> str:
+    """A header line, then a line per row: each value's repr, empty for None."""
+    lines = (",".join("" if v is None else repr(v) for v in row) for row in rows)
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
 def _mc_csv(report) -> str:
-    lines = ["vertex,keep_mean,keep_se,keep_expected,keep_z,pairs_mean,pairs_se,triples_mean,triples_se"]
-    for u in range(len(report.keep_mean)):
-        lines.append(
-            f"{u},{report.keep_mean[u]!r},{report.keep_se[u]!r},"
-            f"{report.keep_expected[u]!r},{report.keep_z[u]!r},"
-            f"{report.pairs_mean[u]!r},{report.pairs_se[u]!r},"
-            f"{report.triples_mean[u]!r},{report.triples_se[u]!r}"
-        )
-    return "\n".join(lines) + "\n"
+    names = ["keep_mean", "keep_se", "keep_expected", "keep_z"]
+    names += ["pairs_mean", "pairs_se", "triples_mean", "triples_se"]
+    columns = operator.attrgetter(*names)(report)
+    return _csv(["vertex", *names], zip(range(len(report.keep_mean)), *columns))
 
 
 def _sparsity_csv(report) -> str:
-    lines = ["trial,round,residual_vertices,residual_max_degree,residual_delta,delta_ratio,quasirandom_worst"]
-    for t, trial in enumerate(report.trial_rounds):
-        for row in trial:
-            lines.append(
-                f"{t},{row.round_index},{row.residual_vertices},"
-                f"{row.residual_max_degree},"
-                f"{'' if row.residual_delta is None else repr(row.residual_delta)},"
-                f"{'' if row.delta_ratio is None else repr(row.delta_ratio)},"
-                f"{row.quasirandom_worst!r}"
-            )
-    return "\n".join(lines) + "\n"
+    names = ["round_index", "residual_vertices", "residual_max_degree", "residual_delta"]
+    names += ["delta_ratio", "quasirandom_worst"]
+    fields = operator.attrgetter(*names)
+    rows = ((t, *fields(row)) for t, trial in enumerate(report.trial_rounds) for row in trial)
+    return _csv(["trial", "round", *names[1:]], rows)
 
 
 def _cmd_oracle(args) -> tuple[str, int]:
@@ -543,6 +556,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+# Options that several parsers take: flag -> argparse keywords.
+SHARED = {
+    "--input": {"required": True},
+    "--k": {"type": _positive_int, "required": True},
+    "--seed": {"type": _seed_arg, "default": 0},
+    "--max-restarts": {"type": _positive_int, "default": MAX_RESTARTS},
+    "--eps": {"type": _finite_float, "required": True},
+    "--delta": {"type": _finite_float, "required": True},
+    "--config": {"type": str},
+    "--out": {"type": str},
+}
+
+
+def _parser(sub, name: str, help: str, func, *options) -> None:
+    """Subcommand `name` of `sub`, run by `func`, with `options` in order:
+    each a SHARED flag or a (flag, argparse keywords) pair."""
+    parser = sub.add_parser(name, help=help)
+    for option in options:
+        flag, keywords = (option, SHARED[option]) if isinstance(option, str) else option
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="sparsecolour",
@@ -550,84 +586,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen", help="generate a graph")
-    gen.add_argument("--c5-blowup", type=int, metavar="K")
-    gen.add_argument("--random-regular", type=int, nargs=2, metavar=("N", "D"))
-    gen.add_argument("--gnp", type=float, nargs=2, metavar=("N", "P"))
-    gen.add_argument("--complete", type=int, metavar="N")
-    gen.add_argument("--cycle", type=int, metavar="N")
-    gen.add_argument("--path", type=int, metavar="N")
-    gen.add_argument("--star", type=int, metavar="LEAVES")
-    gen.add_argument("--petersen", action="store_const", const=True)
-    gen.add_argument("--seed", type=_seed_arg, default=0)
-    gen.add_argument("--out", type=str)
-    gen.add_argument("--format", choices=["dimacs", "json"])
-    gen.set_defaults(func=_cmd_gen)
-
-    color = sub.add_parser("color", help="colour a graph with k colours per vertex")
-    color.add_argument("--input", required=True)
-    color.add_argument("--k", type=_positive_int, required=True)
-    color.add_argument("--seed", type=_seed_arg, default=0)
-    color.add_argument("--beta", type=_finite_float)
-    color.add_argument("--delta-prime", type=_finite_float)
-    color.add_argument("--max-restarts", type=_positive_int, default=MAX_RESTARTS)
-    color.add_argument("--profile", choices=["asymptotic", "practical"], default="practical")
-    color.add_argument("--config", type=str)
-    color.add_argument("--out", type=str)
-    color.set_defaults(func=_cmd_color)
-
-    se = sub.add_parser("strong-edge", help="strong edge colouring pipeline")
-    se.add_argument("--input", required=True)
-    se.add_argument("--eta", type=_finite_float, default=STRONG_EDGE_ETA)
-    se.add_argument("--seed", type=_seed_arg, default=0)
-    se.add_argument("--max-restarts", type=_positive_int, default=MAX_RESTARTS)
-    se.add_argument("--config", type=str)
-    se.add_argument("--out", type=str)
-    se.set_defaults(func=_cmd_strong_edge)
-
+    _parser(sub, "gen", "generate a graph", _cmd_gen,
+            *((flag, row[0]) for flag, row in GENERATORS.items()),
+            "--seed", "--out", ("--format", {"choices": ["dimacs", "json"]}))
+    _parser(sub, "color", "colour a graph with k colours per vertex", _cmd_color,
+            "--input", "--k", "--seed", ("--beta", {"type": _finite_float}),
+            ("--delta-prime", {"type": _finite_float}), "--max-restarts",
+            ("--profile", {"choices": ["asymptotic", "practical"], "default": "practical"}),
+            "--config", "--out")
+    _parser(sub, "strong-edge", "strong edge colouring pipeline", _cmd_strong_edge,
+            "--input", ("--eta", {"type": _finite_float, "default": STRONG_EDGE_ETA}),
+            "--seed", "--max-restarts", "--config", "--out")
     bounds = sub.add_parser("bounds", help="closed-form bounds and tables")
     bsub = bounds.add_subparsers(dest="bounds_cmd", required=True)
-    table1 = bsub.add_parser("table1", help="clique-ratio table (alpha, eps)")
-    table1.add_argument("--grid", type=_finite_float, default=1e-4)
-    table1.add_argument("--out", type=str)
-    table1.add_argument("--format", choices=["csv", "json"])
-    constants = bsub.add_parser("constants", help="strong-edge constants report")
-    constants.add_argument("--out", type=str)
-    condition = bsub.add_parser("condition", help="iteration feasibility check")
-    condition.add_argument("--eps", type=_finite_float, required=True)
-    condition.add_argument("--delta", type=_finite_float, required=True)
-    condition.add_argument("--out", type=str)
-    savings = bsub.add_parser("savings", help="repeated-colour savings rate")
-    savings.add_argument("--eps", type=_finite_float, required=True)
-    savings.add_argument("--delta", type=_finite_float, required=True)
-    savings.add_argument("--out", type=str)
-    approx = bsub.add_parser("approx-eps", help="polynomial sparsity-to-eps approximation")
-    approx.add_argument("--delta", type=_finite_float, required=True)
-    approx.add_argument("--variant", choices=["ours", "bruhn_joos"], default="ours")
-    approx.add_argument("--out", type=str)
-    for p in (table1, constants, condition, savings, approx):
-        p.set_defaults(func=_cmd_bounds)
-
-    sim = sub.add_parser("simulate", help="Monte Carlo and sparsity experiments")
-    sim.add_argument("--input", required=True)
-    sim.add_argument("--k", type=_positive_int, required=True)
-    sim.add_argument("--experiment", choices=["mc", "sparsity"], default="mc")
-    sim.add_argument("--trials", type=_positive_int, default=1000)
-    sim.add_argument("--rounds", type=_positive_int, default=3)
-    sim.add_argument("--seed", type=_seed_arg, default=0)
-    sim.add_argument("--threads", type=_positive_int, default=1)
-    sim.add_argument("--config", type=str)
-    sim.add_argument("--out", type=str)
-    sim.add_argument("--format", choices=["json", "csv"])
-    sim.set_defaults(func=_cmd_simulate)
-
-    oracle = sub.add_parser("oracle", help="exhaustive outcome-space oracle")
-    oracle.add_argument("--input", required=True)
-    oracle.add_argument("--k", type=_positive_int, required=True)
-    oracle.add_argument("--out", type=str)
-    oracle.set_defaults(func=_cmd_oracle)
-
+    _parser(bsub, "table1", "clique-ratio table (alpha, eps)", _cmd_bounds,
+            ("--grid", {"type": _finite_float, "default": 1e-4}),
+            "--out", ("--format", {"choices": ["csv", "json"]}))
+    _parser(bsub, "constants", "strong-edge constants report", _cmd_bounds, "--out")
+    _parser(bsub, "condition", "iteration feasibility check", _cmd_bounds,
+            "--eps", "--delta", "--out")
+    _parser(bsub, "savings", "repeated-colour savings rate", _cmd_bounds,
+            "--eps", "--delta", "--out")
+    _parser(bsub, "approx-eps", "polynomial sparsity-to-eps approximation", _cmd_bounds,
+            "--delta", ("--variant", {"choices": ["ours", "bruhn_joos"], "default": "ours"}),
+            "--out")
+    _parser(sub, "simulate", "Monte Carlo and sparsity experiments", _cmd_simulate,
+            "--input", "--k", ("--experiment", {"choices": ["mc", "sparsity"], "default": "mc"}),
+            ("--trials", {"type": _positive_int, "default": 1000}),
+            ("--rounds", {"type": _positive_int, "default": 3}),
+            "--seed", ("--threads", {"type": _positive_int, "default": 1}),
+            "--config", "--out", ("--format", {"choices": ["json", "csv"]}))
+    _parser(sub, "oracle", "exhaustive outcome-space oracle", _cmd_oracle,
+            "--input", "--k", "--out")
     return parser
 
 

@@ -173,18 +173,12 @@ def _index_of(c: CorrespondenceAssignment, u: int, colour: int) -> int:
 def indices(c: CorrespondenceAssignment, f: PartialColouring) -> Optional[np.ndarray]:
     """Per vertex, the index of its colour under f (-1 where f has none);
     None when some colour lies outside its vertex's set.  Rows are compared
-    in chunks of at most _CHECK_ENTRIES entries, or searched one by one if
-    wider, so the check holds O(|f|) memory."""
+    in chunks of at most _CHECK_ENTRIES entries, or one row at a time if a
+    row is wider, so the check holds O(|f|) memory beside one row."""
     idx = np.full(len(c.sizes), -1, dtype=np.int64)
     us = np.fromiter(f.keys(), np.int64, len(f))
     colours = np.fromiter(f.values(), np.int64, len(f))
-    step = _CHECK_ENTRIES // max(c.values.shape[1], 1)
-    if step == 0:
-        at = [_index_of(c, u, colour) for u, colour in f.items()]
-        if min(at, default=0) < 0:
-            return None
-        idx[us] = at
-        return idx
+    step = max(1, _CHECK_ENTRIES // max(c.values.shape[1], 1))
     for lo in range(0, len(us), step):
         u, colour = us[lo : lo + step], colours[lo : lo + step]
         hit = c.values[u] == colour[:, None]

@@ -629,8 +629,13 @@ def _class_terms(max_degree: int) -> np.ndarray:
 
 def _common_sums(values: np.ndarray, concat: np.ndarray, pair_of_entry: np.ndarray, pairs: int):
     """Per distance-<=2 pair, the float64 sum of the (n,) `values` over its
-    common neighbourhood, given as `_neighbour_pairs` lists them."""
-    return np.bincount(pair_of_entry, weights=values[concat], minlength=pairs)
+    common neighbourhood, given as `_neighbour_pairs` lists them; (B, n)
+    values give (B, pairs) sums, row t from values[t], in one bincount."""
+    if values.ndim == 1:
+        return np.bincount(pair_of_entry, weights=values[concat], minlength=pairs)
+    keys = (np.arange(len(values))[:, None] * pairs + pair_of_entry).ravel()
+    sums = np.bincount(keys, weights=values[:, concat].ravel(), minlength=len(values) * pairs)
+    return sums.reshape(len(values), pairs)
 
 
 def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
@@ -638,9 +643,7 @@ def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
     from (B, n) kept masks."""
     comp._build_nuv()
     pairs = len(comp.nuv_keys)
-    rows = (comp.nuv_concat, comp.nuv_pair_of_entry, pairs)
-    counts = [_common_sums(uncoloured, *rows) for uncoloured in ~kept]
-    return np.array(counts, dtype=np.int64).reshape(len(kept), pairs)
+    return _common_sums(~kept, comp.nuv_concat, comp.nuv_pair_of_entry, pairs).astype(np.int64)
 
 
 # Rows per chunk of the cross term's pair index, whose sum over pairs p of
@@ -954,7 +957,13 @@ def attempt_round(
     the first attempt of the fewest violations and its violation counts.
     """
     cap = _slice_width(comp, common_uncoloured=True)  # builds both indexes
+    comp._build_nuv()
     sizes = comp.nuv_sizes.astype(np.float64)
+    # A pair's deviation |count - mu |C_p|| is largest at count 0 or |C_p|,
+    # in the check's own float expressions too; where no pair can exceed
+    # the slack there, the counts are not made.
+    reach = np.maximum(np.abs(params.mu * sizes), np.abs(sizes - params.mu * sizes))
+    can_fail = bool((reach > params.slack).any())
     attempts = max(1, max_restarts)
     best: Optional[tuple] = None  # (violation count, attempt, its arrays)
     start, width = 0, 1
@@ -965,8 +974,10 @@ def attempt_round(
         col, dist, p_u, t_u = _stats_arrays(comp, cls, kept)
         low = (p_u - t_u) < params.stat_threshold
         stat_bad = (low & ~kept[:, : comp.focus]).sum(axis=1)
-        deviation = np.abs(_nuv_counts(comp, kept) - params.mu * sizes)
-        quasi_bad = (deviation > params.slack).sum(axis=1)
+        quasi_bad = np.zeros_like(stat_bad)
+        if can_fail:
+            deviation = np.abs(_nuv_counts(comp, kept) - params.mu * sizes)
+            quasi_bad = (deviation > params.slack).sum(axis=1)
         totals = stat_bad + quasi_bad
         i = int(totals.argmin())  # the first attempt of the fewest violations
         if best is None or totals[i] < best[0]:

@@ -142,8 +142,8 @@ def test_totalize_after_truncate_matches_oracle(instance):
     assert is_total(g, cut) == all(bijective)
 
 
-# Check chunks of 1 to 3 entries are narrower than most sets, so they take
-# the per-row search, and 2^16 entries take every row in one chunk.
+# Check chunks of 1 to 3 entries are narrower than most sets, so they
+# compare one row at a time, and 2^16 entries take every row in one chunk.
 @settings(max_examples=150, deadline=None)
 @given(instance=bijection_instances(), data=st.data(),
        chunk=st.sampled_from([1, 2, 3, 1 << 16]))

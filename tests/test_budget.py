@@ -8,11 +8,13 @@ and at most twice it.
 
 import json
 import random
+import re
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from sparsecolour import budget, ncp
+from sparsecolour import budget, graph, ncp, strong_edge
 from sparsecolour.correspondence import (
     CorrespondenceAssignment,
     residual_assignment,
@@ -293,3 +295,28 @@ def test_monte_carlo_estimate_bounds_the_words(estimates):
                   for trials in (64, 64 * 40))
     estimate = max(nbytes for what, nbytes in estimates if what.startswith("Monte Carlo"))
     assert forty - one <= estimate <= 2 * (forty - one), (estimate, forty - one)
+
+
+# The start of a site in README's memory-budget table -> the values of the
+# constants its row's estimate is made of.
+README_CONSTANTS = {
+    "graph load": graph.LOAD_BYTES,
+    "JSON text": (graph.JSON_ITEM_BYTES,),
+    "`gen`": graph.GEN_BYTES,
+    "statistic index": (ncp.STATS_ROW_BYTES,),
+    "near-edge sets": (strong_edge.NEAR_ENTRY_BYTES,),
+    "distance-2 pair index": (ncp.DISTANCE2_ENTRY_BYTES, ncp.DISTANCE2_PAIR_BYTES),
+    "distance-2 pair tuples": (ncp.PAIR_TUPLE_BYTES,),
+    "packed adjacency rows": (graph.ROW_EDGE_BYTES, graph.ROW_CHUNK_BYTES, graph.AND_TILE_WORDS),
+    "`simulate mc`": (graph.AND_TILE_WORDS, ncp.CLASS_COUNT_BYTES),
+}
+
+
+def test_readme_budget_table_holds_each_constant():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## Memory budget\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split(" | ", 1) for line in section.splitlines() if line.startswith("| ")]
+    for site, values in README_CONSTANTS.items():
+        [estimate] = [estimate for name, estimate in rows if name[2:].startswith(site)]
+        for value in values:
+            assert re.search(rf"(?<![\d,]){value:,}(?![\d,])", estimate), (site, value)

@@ -88,7 +88,7 @@ class TestGen:
     # --gnp's estimate is the expected edge count, not the drawn one.
     @pytest.mark.parametrize("flag", [f for f in cli.GENERATORS if f != "--gnp"])
     def test_edge_estimate_is_the_written_edge_count(self, capsys, flag):
-        _, shape, _ = cli.GENERATORS[flag]
+        _, _, shape, _ = cli.GENERATORS[flag]
         for size in self.SIZES[flag]:
             args = cli.build_parser().parse_args(["gen", flag, *size])
             value = getattr(args, flag[2:].replace("-", "_"))

@@ -16,6 +16,7 @@ sums of the per-trial counts, whatever the chunk and tile sizes.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -439,6 +440,44 @@ def test_attempt_on_the_ball_matches_the_whole_copy(host, seed, slack, stat_thre
     _, stat_bad, quasi_bad, _ = replayed
     totals = [len(s) + len(q) for s, q in zip(stat_bad, quasi_bad)]
     chosen = totals.index(min(totals))  # the first attempt of the fewest violations
+    accepted = totals[chosen] == 0
+    assert (got.ok, got.restarts) == (accepted, chosen if accepted else max_restarts)
+    assert (got.stat_violations, got.quasirandom_violations) == (
+        len(stat_bad[chosen]), len(quasi_bad[chosen]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    host=irregular_hosts(),
+    seed=st.integers(0, 2**64 - 1),
+    mu=st.floats(-1.0, 2.0),
+    side=st.sampled_from([-1, 0, 1]),
+    stat_threshold=st.floats(-1.0, 3.0),
+    max_restarts=st.integers(1, 12),
+)
+def test_attempt_counts_only_where_a_pair_can_fail(host, seed, mu, side, stat_threshold,
+                                                   max_restarts):
+    """With the slack at, just below or just above the largest deviation
+    any count could give (at count 0 or |C_p|), the AttemptResult is what
+    every drawn attempt's unguarded counts give; the counts are made only
+    when the slack is below that deviation."""
+    g, c = host
+    ball, _ = _regularize_with_assignment(g, c)
+    ball._build_nuv()
+    sizes = ball.nuv_sizes.astype(np.float64)
+    bound = float(np.maximum(np.abs(mu * sizes), np.abs(sizes - mu * sizes)).max())
+    slack = float(np.nextafter(bound, bound + side)) if side else bound
+    params = RoundParams(mu, slack, stat_threshold)
+    with mock.patch.object(ncp, "_nuv_counts", wraps=ncp._nuv_counts) as counts:
+        got = attempt_round(ball, params, seed, max_restarts)
+    assert (counts.call_count > 0) == (side < 0)
+    drawn = got.restarts + 1 if got.ok else max_restarts
+    seeds = [derive_seed(seed, KIND_RESTART, a) for a in range(drawn)]
+    _, stat_bad, quasi_bad, _ = _attempt_violations(ball, params, seeds)
+    if side >= 0:
+        assert not any(quasi_bad)
+    totals = [len(s) + len(q) for s, q in zip(stat_bad, quasi_bad)]
+    chosen = totals.index(min(totals))
     accepted = totals[chosen] == 0
     assert (got.ok, got.restarts) == (accepted, chosen if accepted else max_restarts)
     assert (got.stat_violations, got.quasirandom_violations) == (

@@ -282,6 +282,29 @@ CASES = [
     "color --input in/c5_3.col --k 6 --config in/missing.json",
     "simulate --input in/rr30_6.col --k 5 --threads 0",
     "bounds savings --eps 0.05 --delta 0.9 --out nodir/s.json",
+    # every parser's help
+    "--help",
+    "gen --help",
+    "color --help",
+    "strong-edge --help",
+    "bounds --help",
+    "simulate --help",
+    "oracle --help",
+    "bounds table1 --help",
+    "bounds constants --help",
+    "bounds condition --help",
+    "bounds savings --help",
+    "bounds approx-eps --help",
+    # a bad value for each shared option, and a generator flag short of values
+    "oracle --k 3",
+    "simulate --input in/rr30_6.col --k x",
+    "gen --seed -1 --cycle 5",
+    "strong-edge --input in/c5_3.col --max-restarts 0",
+    "bounds condition --eps nan --delta 0.3",
+    "bounds approx-eps --delta inf",
+    "color --input in/c5_3.col --k 3 --config",
+    "gen --cycle 5 --out",
+    "gen --random-regular 10",
 ]
 
 TIMEOUT_S = 300
