@@ -629,13 +629,8 @@ def _class_terms(max_degree: int) -> np.ndarray:
 
 def _common_sums(values: np.ndarray, concat: np.ndarray, pair_of_entry: np.ndarray, pairs: int):
     """Per distance-<=2 pair, the float64 sum of the (n,) `values` over its
-    common neighbourhood, given as `_neighbour_pairs` lists them; (B, n)
-    values give (B, pairs) sums, row t from values[t], in one bincount."""
-    if values.ndim == 1:
-        return np.bincount(pair_of_entry, weights=values[concat], minlength=pairs)
-    keys = (np.arange(len(values))[:, None] * pairs + pair_of_entry).ravel()
-    sums = np.bincount(keys, weights=values[:, concat].ravel(), minlength=len(values) * pairs)
-    return sums.reshape(len(values), pairs)
+    common neighbourhood, given as `_neighbour_pairs` lists them."""
+    return np.bincount(pair_of_entry, weights=values[concat], minlength=pairs)
 
 
 def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
@@ -643,7 +638,9 @@ def _nuv_counts(comp: _Compiled, kept: np.ndarray) -> np.ndarray:
     from (B, n) kept masks."""
     comp._build_nuv()
     pairs = len(comp.nuv_keys)
-    return _common_sums(~kept, comp.nuv_concat, comp.nuv_pair_of_entry, pairs).astype(np.int64)
+    rows = (comp.nuv_concat, comp.nuv_pair_of_entry, pairs)
+    counts = [_common_sums(uncoloured, *rows) for uncoloured in ~kept]
+    return np.array(counts, dtype=np.int64).reshape(len(kept), pairs)
 
 
 # Rows per chunk of the cross term's pair index, whose sum over pairs p of
